@@ -154,16 +154,17 @@ def cmd_search(args: argparse.Namespace) -> int:
             owner = DataOwner.load(_paths(args.state_dir)["owner"])
             envelope = owner.gen_token(args.keyword)
             guessed = owner.tbl[args.keyword].cnt
-            probes = None
+            probes = token_filter = None
         else:
             name = args.user or (meta["users"][0] if meta["users"] else None)
             if name is None:
                 print("no users provisioned; re-run gen-keys with --users", file=sys.stderr)
                 return 2
             user = AuthorizedUser.load(_user_path(args.state_dir, name))
-            triple = handle.client.get_bloom()
+            _, sigma, t = triple = handle.client.get_bloom()
             envelope, guessed = user.gen_token(triple, args.keyword, now)
             probes = user.last_probe_stats.total
+            token_filter = {"sigma": sigma.hex(), "t": t}
         ids, cts, proof = handle.client.search(envelope)
     finally:
         handle.close(save=True)  # search merges entries server-side
@@ -173,15 +174,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         "actor": args.actor,
         "user": args.user,
         "guessed_cnt": guessed,
+        "token_filter": token_filter,
         "now": now,
         "ids": [i.hex() for i in ids],
         "ciphertexts": [base64.b64encode(c).decode() for c in cts],
-        "proof": None if proof is None else {
-            "sigma": proof.sigma.hex(),
-            "t": proof.t,
-            "bf": base64.b64encode(proof.bf_bytes).decode(),
-            "gamma": proof.gamma.hex(),
-        },
+        "proof": None if proof is None else {"gamma": proof.gamma.hex()},
     }
     with open(_paths(args.state_dir)["search"], "w") as f:
         json.dump(transcript, f)
@@ -199,12 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if tr["proof"] is None:
         print("no proof in basic mode; nothing to verify", file=sys.stderr)
         return 2
-    proof = Proof(
-        sigma=bytes.fromhex(tr["proof"]["sigma"]),
-        t=tr["proof"]["t"],
-        bf_bytes=base64.b64decode(tr["proof"]["bf"]),
-        gamma=bytes.fromhex(tr["proof"]["gamma"]),
-    )
+    proof = Proof(bytes.fromhex(tr["proof"]["gamma"]))
     ids = [bytes.fromhex(i) for i in tr["ids"]]
     cts = [base64.b64decode(c) for c in tr["ciphertexts"]]
     if tr["actor"] == "owner":
@@ -213,7 +205,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         name = tr["user"] or meta["users"][0]
         user = AuthorizedUser.load(_user_path(args.state_dir, name))
-        report = user.verify(tr["keyword"], tr["guessed_cnt"], ids, cts, proof, tr["now"])
+        recorded = tr.get("token_filter")  # absent: no filter was accepted
+        token_filter = recorded and (bytes.fromhex(recorded["sigma"]), recorded["t"])
+        report = user.verify(
+            tr["keyword"], tr["guessed_cnt"], ids, cts, proof, tr["now"], token_filter
+        )
     for check, value in (
         ("cardinality", report.cardinality_ok),
         ("aggregate-mac", report.gamma_ok),

@@ -63,6 +63,14 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack(">Q", self._take(8))[0]
 
+    def flag(self) -> bool:
+        """Presence byte: 0 or 1, anything else is malformed."""
+        at = self.pos
+        v = self.u8()
+        if v > 1:
+            raise FormatError(f"presence flag {v}, expected 0 or 1", offset=at)
+        return v == 1
+
     def bytes_(self) -> bytes:
         at = self.pos
         n = self.u32()

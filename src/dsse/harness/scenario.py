@@ -190,7 +190,7 @@ class SimulatedSystem:
 
     # -- query paths ----------------------------------------------------
 
-    def owner_query(self, keyword: str, check_bloom: bool = True) -> QueryRecord:
+    def owner_query(self, keyword: str) -> QueryRecord:
         started = time.perf_counter()
         expected = self.oracle.count(keyword)
         token = self.owner.gen_token(keyword)
@@ -199,9 +199,7 @@ class SimulatedSystem:
         verified = None
         reason = "basic-no-proof"
         if self.mode == FULL:
-            report = self.owner.verify(
-                keyword, ids, cts, proof, self.now + 60, check_bloom=check_bloom
-            )
+            report = self.owner.verify(keyword, ids, cts, proof, self.now + 60)
             verified = report.ok
             reason = _report_reason(report)
         return QueryRecord(

@@ -180,27 +180,19 @@ class DataOwner:
         ciphertexts: list[bytes],
         proof: Proof,
         now: int,
-        check_bloom: bool = True,
     ) -> VerifyReport:
         """Check a search result against the owner's own counter.
 
-        The owner knows the true counter, so the filter/freshness checks
-        are optional; they stay on by default."""
+        The owner knows the true counter, so it has no filter to check:
+        the report's filter checks stay None. `now` is unused; it keeps
+        the call shape of AuthorizedUser.verify."""
         if self.mode != FULL:
             raise UsageError("no proofs to verify in basic mode")
         rec = self.tbl.get(keyword)
         if rec is None:
             raise NotFoundError(f"keyword never added: {keyword!r}")
         return verify_result(
-            self.keys.k_mac,
-            keyword,
-            rec.cnt,
-            rst,
-            ciphertexts,
-            proof,
-            now,
-            self.freshness_window,
-            check_bloom=check_bloom,
+            self.keys.k_mac, keyword, rec.cnt, rst, ciphertexts, proof
         )
 
     # ------------------------------------------------------------------

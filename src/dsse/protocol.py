@@ -71,11 +71,13 @@ class SearchTokenEnvelope:
 
 @dataclass
 class Proof:
-    """Material returned with a search result for delegated verification."""
+    """Material returned with a full-mode search result for verification.
 
-    sigma: bytes
-    t: int
-    bf_bytes: bytes
+    Only the aggregate MAC travels: the filter a delegated user guessed its
+    counter from was MAC- and freshness-checked at token time, and the
+    cardinality and gamma checks bind the result to that counter.
+    """
+
     gamma: bytes
 
 
@@ -85,8 +87,8 @@ class VerifyReport:
 
     cardinality_ok: bool
     gamma_ok: bool
-    sigma_ok: bool | None
-    fresh_ok: bool | None
+    sigma_ok: bool | None = None
+    fresh_ok: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -105,31 +107,21 @@ def verify_result(
     rst: list[bytes],
     ciphertexts: list[bytes],
     proof: Proof,
-    now: int,
-    freshness_window: int,
-    check_bloom: bool = True,
 ) -> VerifyReport:
-    """Run the verification checks against a search result.
+    """Run the result checks against a search result.
 
     (a) result cardinality equals the counter; (b) XOR of per-file tags
-    equals the proof's gamma; (c) the proof's filter+timestamp MAC matches
-    sigma; (d) the timestamp is within the freshness window. The owner,
-    knowing the true counter, may skip (c)/(d) via check_bloom=False;
-    delegated verification runs all four.
+    equals the proof's gamma. The owner knows the true counter, so these
+    are all it needs. A delegated user adds (c) and (d) about the filter it
+    derived the counter from (see AuthorizedUser.verify); this function
+    leaves them None.
     """
     if len(ciphertexts) != len(rst):
         raise UsageError(
             f"{len(ciphertexts)} ciphertexts for {len(rst)} result ids"
         )
-    cardinality_ok = len(rst) == cnt
     tags = [result_mac(k_mac, c, keyword) for c in ciphertexts]
-    gamma_ok = aggregate_mac(tags) == proof.gamma
-    sigma_ok: bool | None = None
-    fresh_ok: bool | None = None
-    if check_bloom:
-        sigma_ok = filter_mac(k_mac, proof.bf_bytes, proof.t) == proof.sigma
-        fresh_ok = 0 <= now - proof.t <= freshness_window
-    return VerifyReport(cardinality_ok, gamma_ok, sigma_ok, fresh_ok)
+    return VerifyReport(len(rst) == cnt, aggregate_mac(tags) == proof.gamma)
 
 
 def check_mode(mode: str) -> str:

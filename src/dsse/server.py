@@ -217,10 +217,7 @@ class CloudServer:
             out_ids, out_gamma = self._apply_result_adversary(
                 tau_head, honest_ids, gamma_head
             )
-            proof = None
-            if self.mode == FULL:
-                bf_bytes, sigma, t = self._bloom_triple()
-                proof = Proof(sigma, t, bf_bytes, out_gamma)
+            proof = Proof(out_gamma) if self.mode == FULL else None
             return list(out_ids), proof
 
     def ciphertexts_for(self, ids: list[bytes]) -> list[bytes]:
@@ -234,23 +231,29 @@ class CloudServer:
     # Filter publication
     # ------------------------------------------------------------------
 
-    def get_bloom(self) -> tuple[bytes, bytes, int]:
+    def get_bloom(
+        self, since: tuple[int, bytes] | None = None
+    ) -> tuple[bytes, bytes, int] | None:
         """Current (serialized filter, sigma, timestamp) triple, subject to
-        the configured adversarial behavior."""
+        the configured adversarial behavior.
+
+        since is the (t, sigma) of the copy the caller holds; if the triple
+        that would be served carries the same pair, the filter is not
+        serialized and None is returned."""
         with self._lock:
             if self.mode != FULL:
                 raise UsageError("no published filter in basic mode")
-            return self._bloom_triple()
-
-    def _bloom_triple(self) -> tuple[bytes, bytes, int]:
-        if self.behavior == "stale_bloom" and self._stale_snapshot is not None:
-            return self._stale_snapshot
-        bf_bytes = self.bf.serialize()
-        if self.behavior == "flip_bloom_bit":
-            flipped = bytearray(bf_bytes)
-            flipped[8] ^= 0x01  # first bit of the bit array; sigma untouched
-            bf_bytes = bytes(flipped)
-        return bf_bytes, self.sigma, self.t
+            stale = self._stale_snapshot
+            if stale is not None:
+                return None if since == (stale[2], stale[1]) else stale
+            if since == (self.t, self.sigma):
+                return None
+            bf_bytes = self.bf.serialize()
+            if self.behavior == "flip_bloom_bit":
+                flipped = bytearray(bf_bytes)
+                flipped[8] ^= 0x01  # first bit of the bit array; sigma untouched
+                bf_bytes = bytes(flipped)
+            return bf_bytes, self.sigma, self.t
 
     # ------------------------------------------------------------------
     # Adversary control (test double)

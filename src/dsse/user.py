@@ -3,7 +3,8 @@ server's published Bloom filter, build search tokens without contacting the
 owner, and verify results client-side.
 
 The filter is untrusted until its MAC and timestamp check out, so token
-generation refuses to probe an unverified filter.
+generation refuses to probe an unverified filter. The last accepted filter
+is kept, parsed, so an unchanged filter is checked and parsed only once.
 """
 
 from __future__ import annotations
@@ -42,9 +43,21 @@ class ProbeStats:
         return self.search_probes + self.digit_probes
 
 
+@dataclass(frozen=True)
+class _AcceptedFilter:
+    """A published (filter bytes, sigma, t) triple that passed its MAC."""
+
+    triple: tuple[bytes, bytes, int]
+    bf: BloomFilter
+
+
 @dataclass
 class AuthorizedUser:
-    """Holds a copy of the owner's keys plus the current group key."""
+    """Holds a copy of the owner's keys plus the current group key.
+
+    One thread uses a user at a time: the probe stats and the accepted
+    filter belong to its latest gen_token call.
+    """
 
     k_prf: bytes
     k_se: bytes
@@ -54,6 +67,9 @@ class AuthorizedUser:
     max_counter: int = DEFAULT_MAX_COUNTER
     freshness_window: int = DEFAULT_FRESHNESS_WINDOW
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
+    _accepted: _AcceptedFilter | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_owner(cls, owner: DataOwner, max_counter: int = DEFAULT_MAX_COUNTER) -> "AuthorizedUser":
@@ -156,25 +172,41 @@ class AuthorizedUser:
         keyword: str,
         now: int,
     ) -> tuple[SearchTokenEnvelope, int]:
-        """Verify the fetched filter, guess the counter, wrap the token.
+        """Check the fetched filter, guess the counter, wrap the token.
 
         Returns (envelope, guessed counter); the counter feeds the later
-        result verification. The MAC/freshness gate runs before any
-        probing: a tampered or replayed filter aborts immediately.
+        result verification. The MAC gate runs before any probing: a
+        tampered filter aborts immediately. A triple byte-identical to the
+        last accepted one skips the MAC and the parse; freshness is checked
+        on every call. The accepted filter is the token-time filter that
+        verify() checks against.
         """
+        accepted = self._accept(bloom_triple)
+        t = accepted.triple[2]
+        if not self._fresh(t, now):
+            raise StaleFilterError(f"filter timestamp {t} too old at {now}")
+        cnt = self.guess_counter(accepted.bf, keyword)
+        if cnt is None:
+            raise NotFoundError(f"keyword has no entries: {keyword!r}")
+        return self.token_for_counter(keyword, cnt), cnt
+
+    def _accept(self, bloom_triple: tuple[bytes, bytes, int]) -> _AcceptedFilter:
         bf_bytes, sigma, t = bloom_triple
+        held = self._accepted
+        if held is not None and held.triple == (bf_bytes, sigma, t):
+            return held
+        self._accepted = None
         if filter_mac(self.k_mac, bf_bytes, t) != sigma:
             raise TamperedFilterError("published filter fails its MAC")
-        if not 0 <= now - t <= self.freshness_window:
-            raise StaleFilterError(f"filter timestamp {t} too old at {now}")
         try:
             bf = BloomFilter.deserialize(bf_bytes)
         except FormatError:
             raise TamperedFilterError("published filter unparseable") from None
-        cnt = self.guess_counter(bf, keyword)
-        if cnt is None:
-            raise NotFoundError(f"keyword has no entries: {keyword!r}")
-        return self.token_for_counter(keyword, cnt), cnt
+        self._accepted = _AcceptedFilter((bf_bytes, sigma, t), bf)
+        return self._accepted
+
+    def _fresh(self, t: int, now: int) -> bool:
+        return 0 <= now - t <= self.freshness_window
 
     def token_for_counter(self, keyword: str, cnt: int) -> SearchTokenEnvelope:
         pair = chain_label(self.k_prf, keyword, cnt) + derived_key(
@@ -194,19 +226,25 @@ class AuthorizedUser:
         ciphertexts: list[bytes],
         proof: Proof,
         now: int,
+        token_filter: tuple[bytes, int] | None = None,
     ) -> VerifyReport:
-        """Delegated verification: all four checks are mandatory."""
-        return verify_result(
-            self.k_mac,
-            keyword,
-            guessed_cnt,
-            rst,
-            ciphertexts,
-            proof,
-            now,
-            self.freshness_window,
-            check_bloom=True,
+        """Delegated verification: all four checks are mandatory.
+
+        (a) and (b) as in verify_result, against the guessed counter;
+        (c) the filter the counter was guessed from passed its MAC check;
+        (d) that filter's timestamp is fresh at `now`. token_filter is the
+        (sigma, t) of that filter; it defaults to the filter this user last
+        accepted in gen_token. A transcript checked in another process
+        passes the values it recorded at token time.
+        """
+        report = verify_result(
+            self.k_mac, keyword, guessed_cnt, rst, ciphertexts, proof
         )
+        if token_filter is None and self._accepted is not None:
+            token_filter = self._accepted.triple[1:]
+        report.sigma_ok = token_filter is not None
+        report.fresh_ok = token_filter is not None and self._fresh(token_filter[1], now)
+        return report
 
     def decrypt_files(self, ciphertexts: list[bytes]) -> list[bytes]:
         return [se_decrypt(self.k_se, c) for c in ciphertexts]

@@ -2,27 +2,47 @@
 
 Message layout:
 
-    version(1) = 0x01 | kind(1) | body
+    version(1) = 0x02 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
 big-endian length followed by the bytes; integers are big-endian
-(timestamps and epochs 8 bytes, counts 4 bytes). Responses open with a
-1-byte status code.
+(timestamps and epochs 8 bytes, counts 4 bytes); a presence flag is one
+byte, 0 or 1, and the bracketed fields follow only when it is 1.
+
+    ADD        file_id | ciphertext | u32 n | n x (tau | mu) | flag [| sigma | u64 t]
+    REFRESH    filter | sigma | u64 t
+    SEARCH     u64 epoch | token
+    GET_BLOOM  flag [| u64 t | sigma]
+    ROTATE     group_key | u64 epoch
+
+A GET_BLOOM request carries the (t, sigma) of the copy the client holds, if
+any; when the server would serve the same pair it answers NOT_MODIFIED and
+the filter does not cross the wire.
+
+Responses open with a 1-byte status code. Every status but OK is followed by
+a message string (empty for NOT_MODIFIED), whatever the kind. OK bodies:
+
+    ADD, REFRESH, ROTATE   message
+    SEARCH     u32 n | n x id | u32 n | n x ciphertext | flag [| gamma]
+    GET_BLOOM  filter | sigma | u64 t
 
 The filter bytes and 8-byte timestamps on the wire are exactly the MAC
 inputs, so no re-canonicalization happens anywhere between parties.
 
 Two transports speak the same bytes: an in-process channel (test default)
-and a length-prefixed TCP socket (4-byte big-endian frame length).
+and a length-prefixed TCP socket (4-byte big-endian frame length, at most
+MAX_FRAME).
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .encoding import Reader, put_bytes, put_str, put_u8, put_u32, put_u64
 from .errors import (
@@ -38,7 +58,7 @@ from .errors import (
 from .protocol import AddPayload, Proof, RefreshPayload, SearchTokenEnvelope
 from .server import CloudServer
 
-VERSION = 0x01
+VERSION = 0x02
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -54,15 +74,27 @@ CODE_PROTOCOL = 0x03
 CODE_FORMAT = 0x04
 CODE_UNSUPPORTED = 0x05
 CODE_BAD_TOKEN = 0x06
+CODE_INTERNAL = 0x07
+CODE_NOT_MODIFIED = 0x08
 
-_CODE_TO_ERROR = {
+# Error code <-> exception type, both directions. The server sends the code
+# of the first type an exception is an instance of, so subclasses precede
+# their bases; an exception of no listed type is CODE_INTERNAL. The client
+# raises the listed type, and ProtocolError for any other code.
+_ERRORS: dict[int, type[DsseError]] = {
     CODE_STALE_EPOCH: StaleEpochError,
     CODE_NOT_FOUND: NotFoundError,
-    CODE_PROTOCOL: ProtocolError,
-    CODE_FORMAT: FormatError,
-    CODE_UNSUPPORTED: UsageError,
     CODE_BAD_TOKEN: DecryptionError,
+    CODE_FORMAT: FormatError,
+    CODE_PROTOCOL: ProtocolError,
+    CODE_UNSUPPORTED: UsageError,
 }
+
+# Largest frame either side accepts: above the REFRESH of a 20-year filter
+# (about 85 MB), far below what a forged length prefix could ask for.
+MAX_FRAME = 256 * 1024 * 1024
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -71,26 +103,33 @@ _CODE_TO_ERROR = {
 
 @dataclass
 class AddRequest:
+    kind: ClassVar[int] = KIND_ADD
     payload: AddPayload
 
 
 @dataclass
 class RefreshRequest:
+    kind: ClassVar[int] = KIND_REFRESH
     payload: RefreshPayload
 
 
 @dataclass
 class SearchRequest:
+    kind: ClassVar[int] = KIND_SEARCH
     envelope: SearchTokenEnvelope
 
 
 @dataclass
 class GetBloomRequest:
-    pass
+    """since is the (t, sigma) of the filter copy the client holds."""
+
+    kind: ClassVar[int] = KIND_GET_BLOOM
+    since: tuple[int, bytes] | None = None
 
 
 @dataclass
 class RotateRequest:
+    kind: ClassVar[int] = KIND_ROTATE
     group_key: bytes
     epoch: int
 
@@ -104,6 +143,7 @@ class StatusResponse:
 
 @dataclass
 class SearchResponse:
+    kind: ClassVar[int] = KIND_SEARCH | _RESPONSE_BIT
     code: int
     ids: list[bytes] = field(default_factory=list)
     ciphertexts: list[bytes] = field(default_factory=list)
@@ -113,6 +153,7 @@ class SearchResponse:
 
 @dataclass
 class GetBloomResponse:
+    kind: ClassVar[int] = KIND_GET_BLOOM | _RESPONSE_BIT
     code: int
     bf_bytes: bytes = b""
     sigma: bytes = b""
@@ -137,73 +178,58 @@ Message = (
 # ---------------------------------------------------------------------------
 
 def encode(msg: Message) -> bytes:
-    buf = bytearray((VERSION,))
+    if not isinstance(msg, Message):
+        raise UsageError(f"cannot encode {type(msg).__name__}")
+    buf = bytearray((VERSION, msg.kind))
     if isinstance(msg, AddRequest):
         p = msg.payload
-        put_u8(buf, KIND_ADD)
         put_bytes(buf, p.file_id)
         put_bytes(buf, p.ciphertext)
         put_u32(buf, len(p.entries))
         for tau, mu in p.entries:
             put_bytes(buf, tau)
             put_bytes(buf, mu)
+        put_u8(buf, p.sigma is not None)
         if p.sigma is not None:
-            put_u8(buf, 1)
             put_bytes(buf, p.sigma)
             put_u64(buf, p.t)
-        else:
-            put_u8(buf, 0)
     elif isinstance(msg, RefreshRequest):
         p = msg.payload
-        put_u8(buf, KIND_REFRESH)
         put_bytes(buf, p.bf_bytes)
         put_bytes(buf, p.sigma)
         put_u64(buf, p.t)
     elif isinstance(msg, SearchRequest):
-        put_u8(buf, KIND_SEARCH)
         put_u64(buf, msg.envelope.epoch)
         put_bytes(buf, msg.envelope.body)
     elif isinstance(msg, GetBloomRequest):
-        put_u8(buf, KIND_GET_BLOOM)
+        put_u8(buf, msg.since is not None)
+        if msg.since is not None:
+            put_u64(buf, msg.since[0])
+            put_bytes(buf, msg.since[1])
     elif isinstance(msg, RotateRequest):
-        put_u8(buf, KIND_ROTATE)
         put_bytes(buf, msg.group_key)
         put_u64(buf, msg.epoch)
-    elif isinstance(msg, SearchResponse):
-        put_u8(buf, KIND_SEARCH | _RESPONSE_BIT)
+    elif isinstance(msg, StatusResponse):
         put_u8(buf, msg.code)
-        if msg.code == CODE_OK:
+        put_str(buf, msg.message)
+    else:
+        put_u8(buf, msg.code)
+        if msg.code != CODE_OK:
+            put_str(buf, msg.message)
+        elif isinstance(msg, SearchResponse):
             put_u32(buf, len(msg.ids))
             for fid in msg.ids:
                 put_bytes(buf, fid)
             put_u32(buf, len(msg.ciphertexts))
             for ct in msg.ciphertexts:
                 put_bytes(buf, ct)
+            put_u8(buf, msg.proof is not None)
             if msg.proof is not None:
-                put_u8(buf, 1)
-                put_bytes(buf, msg.proof.sigma)
-                put_u64(buf, msg.proof.t)
-                put_bytes(buf, msg.proof.bf_bytes)
                 put_bytes(buf, msg.proof.gamma)
-            else:
-                put_u8(buf, 0)
         else:
-            put_str(buf, msg.message)
-    elif isinstance(msg, GetBloomResponse):
-        put_u8(buf, KIND_GET_BLOOM | _RESPONSE_BIT)
-        put_u8(buf, msg.code)
-        if msg.code == CODE_OK:
             put_bytes(buf, msg.bf_bytes)
             put_bytes(buf, msg.sigma)
             put_u64(buf, msg.t)
-        else:
-            put_str(buf, msg.message)
-    elif isinstance(msg, StatusResponse):
-        put_u8(buf, msg.kind)
-        put_u8(buf, msg.code)
-        put_str(buf, msg.message)
-    else:
-        raise UsageError(f"cannot encode {type(msg).__name__}")
     return bytes(buf)
 
 
@@ -224,7 +250,7 @@ def _decode_body(kind: int, r: Reader) -> Message:
         ciphertext = r.bytes_()
         entries = [(r.bytes_(), r.bytes_()) for _ in range(r.u32())]
         sigma = t = None
-        if r.u8():
+        if r.flag():
             sigma = r.bytes_()
             t = r.u64()
         return AddRequest(AddPayload(file_id, ciphertext, entries, sigma, t))
@@ -233,20 +259,18 @@ def _decode_body(kind: int, r: Reader) -> Message:
     if kind == KIND_SEARCH:
         return SearchRequest(SearchTokenEnvelope(r.u64(), r.bytes_()))
     if kind == KIND_GET_BLOOM:
-        return GetBloomRequest()
+        return GetBloomRequest((r.u64(), r.bytes_()) if r.flag() else None)
     if kind == KIND_ROTATE:
         return RotateRequest(r.bytes_(), r.u64())
-    if kind == (KIND_SEARCH | _RESPONSE_BIT):
+    if kind == SearchResponse.kind:
         code = r.u8()
         if code != CODE_OK:
             return SearchResponse(code, message=r.str_())
         ids = [r.bytes_() for _ in range(r.u32())]
         cts = [r.bytes_() for _ in range(r.u32())]
-        proof = None
-        if r.u8():
-            proof = Proof(sigma=r.bytes_(), t=r.u64(), bf_bytes=r.bytes_(), gamma=r.bytes_())
+        proof = Proof(r.bytes_()) if r.flag() else None
         return SearchResponse(code, ids, cts, proof)
-    if kind == (KIND_GET_BLOOM | _RESPONSE_BIT):
+    if kind == GetBloomResponse.kind:
         code = r.u8()
         if code != CODE_OK:
             return GetBloomResponse(code, message=r.str_())
@@ -264,20 +288,11 @@ def _decode_body(kind: int, r: Reader) -> Message:
 # Server endpoint: bytes in, bytes out
 # ---------------------------------------------------------------------------
 
-def _error_code(exc: DsseError) -> int:
-    if isinstance(exc, StaleEpochError):
-        return CODE_STALE_EPOCH
-    if isinstance(exc, NotFoundError):
-        return CODE_NOT_FOUND
-    if isinstance(exc, DecryptionError):
-        return CODE_BAD_TOKEN
-    if isinstance(exc, FormatError):
-        return CODE_FORMAT
-    if isinstance(exc, ProtocolError):
-        return CODE_PROTOCOL
-    if isinstance(exc, UsageError):
-        return CODE_UNSUPPORTED
-    return CODE_PROTOCOL
+def _code_for(exc: Exception) -> int:
+    return next(
+        (code for code, exc_type in _ERRORS.items() if isinstance(exc, exc_type)),
+        CODE_INTERNAL,
+    )
 
 
 class ServerEndpoint:
@@ -296,43 +311,38 @@ class ServerEndpoint:
         return encode(self.handle(request))
 
     def handle(self, request: Message) -> Message:
+        """Serve one request. Any failure, expected or not, becomes an
+        error response of the request's kind, so the connection lives on."""
         try:
-            if isinstance(request, AddRequest):
-                self.server.add(request.payload)
-                return StatusResponse(KIND_ADD | _RESPONSE_BIT, CODE_OK)
-            if isinstance(request, RefreshRequest):
-                self.server.refresh(request.payload)
-                return StatusResponse(KIND_REFRESH | _RESPONSE_BIT, CODE_OK)
-            if isinstance(request, RotateRequest):
-                self.server.set_group_key(request.group_key, request.epoch)
-                return StatusResponse(KIND_ROTATE | _RESPONSE_BIT, CODE_OK)
-            if isinstance(request, SearchRequest):
-                ids, proof = self.server.search(request.envelope)
-                cts = self.server.ciphertexts_for(ids)
-                return SearchResponse(CODE_OK, ids, cts, proof)
-            if isinstance(request, GetBloomRequest):
-                bf_bytes, sigma, t = self.server.get_bloom()
-                return GetBloomResponse(CODE_OK, bf_bytes, sigma, t)
-            raise UsageError(f"not a request: {type(request).__name__}")
+            return self._dispatch(request)
         except DsseError as exc:
-            code = _error_code(exc)
-            kind = _response_kind_for(request)
-            if isinstance(request, SearchRequest):
-                return SearchResponse(code, message=str(exc))
-            if isinstance(request, GetBloomRequest):
-                return GetBloomResponse(code, message=str(exc))
-            return StatusResponse(kind, code, str(exc))
+            code, message = _code_for(exc), str(exc)
+        except Exception as exc:  # a server fault must not kill the handler
+            _log.exception("internal error serving %s", type(request).__name__)
+            code, message = CODE_INTERNAL, f"internal server error ({type(exc).__name__})"
+        # error responses share one layout across kinds
+        return StatusResponse(request.kind | _RESPONSE_BIT, code, message)
 
-
-def _response_kind_for(request: Message) -> int:
-    table = {
-        AddRequest: KIND_ADD,
-        RefreshRequest: KIND_REFRESH,
-        SearchRequest: KIND_SEARCH,
-        GetBloomRequest: KIND_GET_BLOOM,
-        RotateRequest: KIND_ROTATE,
-    }
-    return table.get(type(request), KIND_ADD) | _RESPONSE_BIT
+    def _dispatch(self, request: Message) -> Message:
+        if isinstance(request, AddRequest):
+            self.server.add(request.payload)
+            return StatusResponse(KIND_ADD | _RESPONSE_BIT, CODE_OK)
+        if isinstance(request, RefreshRequest):
+            self.server.refresh(request.payload)
+            return StatusResponse(KIND_REFRESH | _RESPONSE_BIT, CODE_OK)
+        if isinstance(request, RotateRequest):
+            self.server.set_group_key(request.group_key, request.epoch)
+            return StatusResponse(KIND_ROTATE | _RESPONSE_BIT, CODE_OK)
+        if isinstance(request, SearchRequest):
+            ids, proof = self.server.search(request.envelope)
+            cts = self.server.ciphertexts_for(ids)
+            return SearchResponse(CODE_OK, ids, cts, proof)
+        if isinstance(request, GetBloomRequest):
+            triple = self.server.get_bloom(request.since)
+            if triple is None:
+                return GetBloomResponse(CODE_NOT_MODIFIED)
+            return GetBloomResponse(CODE_OK, *triple)
+        raise UsageError(f"not a request: {type(request).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +396,8 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def _recv_frame(sock: socket.socket) -> bytes:
     n = int.from_bytes(_recv_exact(sock, 4), "big")
+    if n > MAX_FRAME:
+        raise TransportError(f"frame of {n} bytes exceeds the {MAX_FRAME}-byte cap")
     return _recv_exact(sock, n)
 
 
@@ -438,6 +450,7 @@ class Client:
 
     def __init__(self, transport: InProcessTransport | SocketTransport):
         self.transport = transport
+        self._bloom: tuple[bytes, bytes, int] | None = None
 
     @classmethod
     def in_process(cls, server: CloudServer) -> "Client":
@@ -452,7 +465,7 @@ class Client:
 
     @staticmethod
     def _raise_for(code: int, message: str) -> None:
-        exc_type = _CODE_TO_ERROR.get(code, ProtocolError)
+        exc_type = _ERRORS.get(code, ProtocolError)
         raise exc_type(message or f"server returned code {code}")
 
     def add(self, payload: AddPayload) -> None:
@@ -479,10 +492,23 @@ class Client:
         return resp.ids, resp.ciphertexts, resp.proof
 
     def get_bloom(self) -> tuple[bytes, bytes, int]:
-        resp = self._round_trip(GetBloomRequest())
+        """The server's (filter, sigma, t) triple.
+
+        The last triple fetched is kept and its (t, sigma) sent as the
+        request's condition; on NOT_MODIFIED that same triple is returned,
+        so threads sharing this client each get the copy they asked about.
+        """
+        held = self._bloom
+        resp = self._round_trip(
+            GetBloomRequest(None if held is None else (held[2], held[1]))
+        )
+        if resp.code == CODE_NOT_MODIFIED and held is not None:
+            return held
         if resp.code != CODE_OK:
             self._raise_for(resp.code, resp.message)
-        return resp.bf_bytes, resp.sigma, resp.t
+        triple = (resp.bf_bytes, resp.sigma, resp.t)
+        self._bloom = triple
+        return triple
 
     def close(self) -> None:
         self.transport.close()

@@ -13,7 +13,7 @@ import pytest
 
 from dsse import crypto
 from dsse.bloom import BloomFilter, BloomParams, expected_fp_rate
-from dsse.errors import DecryptionError, StaleEpochError
+from dsse.errors import DecryptionError, StaleEpochError, TamperedFilterError
 from dsse.harness.bench import REFERENCES, long_state_run, run_bench
 from dsse.harness.phi import ATTRIBUTE_NAMES, synthesize_stream
 from dsse.harness.scenario import (
@@ -23,7 +23,7 @@ from dsse.harness.scenario import (
     run_scenario,
 )
 from dsse.owner import DataOwner
-from dsse.protocol import Proof, result_mac
+from dsse.protocol import result_mac
 from dsse.server import ChainEntry, CloudServer
 from dsse.user import AuthorizedUser
 
@@ -272,18 +272,28 @@ def test_criterion_6_verifiability_detection():
         outcomes[b] == (100, 100) for b in behaviors
     ) and outcomes["honest"] == (100, 100)
 
-    # the stale and flipped filters also fail the delegated checks directly
+    # the stale and flipped filters also fail the delegated checks directly:
+    # a stale token-time filter fails freshness at verify time, a flipped
+    # one is refused at token time and leaves no verified filter behind
     owner, server, t = single_keyword_system(5)
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t)
     ids, proof = server.search(env)
     cts = server.ciphertexts_for(ids)
     stale = user.verify("w", cnt, ids, cts, proof, t + user.freshness_window + 120)
-    flipped_bf = bytearray(proof.bf_bytes)
+    bf_bytes, sigma, ts = server.get_bloom()
+    flipped_bf = bytearray(bf_bytes)
     flipped_bf[10] ^= 0x02
-    tampered = Proof(proof.sigma, proof.t, bytes(flipped_bf), proof.gamma)
-    flip = user.verify("w", cnt, ids, cts, tampered, t)
-    direct = stale.fresh_ok is False and not stale.ok and flip.sigma_ok is False and not flip.ok
+    try:
+        user.gen_token((bytes(flipped_bf), sigma, ts), "w", t)
+        flip_refused = False
+    except TamperedFilterError:
+        flip_refused = True
+    flip = user.verify("w", cnt, ids, cts, proof, t)
+    direct = (
+        stale.fresh_ok is False and not stale.ok
+        and flip_refused and flip.sigma_ok is False and not flip.ok
+    )
 
     record(
         "criterion 6 (verifiability detection)",

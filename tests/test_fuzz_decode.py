@@ -34,6 +34,8 @@ def test_wire_decode_mutated_valid_frames():
         wire.encode(wire.SearchRequest(owner.gen_token("a:1"))),
         wire.encode(wire.GetBloomRequest()),
         wire.encode(wire.RotateRequest(b"\x07" * 16, 2)),
+        wire.encode(wire.GetBloomRequest((payload.t, payload.sigma))),
+        wire.encode(wire.GetBloomResponse(wire.CODE_NOT_MODIFIED)),
     ]
     for frame in frames:
         for _ in range(400):

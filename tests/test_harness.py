@@ -141,13 +141,15 @@ def test_full_corpus_guess_after_refresh():
 
 
 def test_concurrent_queries_all_verify():
-    report = run_scenario(
-        ScenarioConfig(mode="full", n_files=150, n_queries=40, seed=8,
-                       concurrent_queries=4)
-    )
-    assert not report.failed
-    assert report.n_verified_true == 40
-    assert report.n_oracle_match == 40
+    # threads share one Client, and with it its cached filter
+    for transport in ("inprocess", "socket"):
+        report = run_scenario(
+            ScenarioConfig(mode="full", n_files=150, n_queries=40, seed=8,
+                           concurrent_queries=4, transport=transport)
+        )
+        assert not report.failed
+        assert report.n_verified_true == 40
+        assert report.n_oracle_match == 40
 
 
 def test_scenario_over_socket_matches_in_process():

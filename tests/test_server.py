@@ -10,7 +10,7 @@ from dsse.errors import (
     UsageError,
 )
 from dsse.owner import DataOwner
-from dsse.protocol import verify_result
+from dsse.protocol import Proof, verify_result
 from dsse.server import ChainEntry, CloudServer, MergedEntry
 
 NOW = 1_700_000_000
@@ -112,7 +112,7 @@ def test_search_returns_newest_first_with_exact_lookups():
     assert server.last_search_lookups == 5
     assert proof is not None
     assert proof.gamma == owner.tbl["w"].gamma
-    assert proof.sigma == server.sigma
+    assert proof == Proof(owner.tbl["w"].gamma)  # no filter, sigma or timestamp
 
 
 def test_search_oracle_equivalence_random():
@@ -142,8 +142,7 @@ def test_repeat_search_costs_one_lookup():
     # merged entry still carries a verifiable gamma
     report = verify_result(
         owner.keys.k_mac, "w", owner.tbl["w"].cnt, second,
-        server.ciphertexts_for(second), proof, NOW + 4 * 600 + 60,
-        owner.freshness_window,
+        server.ciphertexts_for(second), proof,
     )
     assert report.ok
 
@@ -229,6 +228,24 @@ def test_get_bloom_honest_and_basic_unsupported():
     _, basic_server = build("basic")
     with pytest.raises(UsageError):
         basic_server.get_bloom()
+
+
+def test_conditional_get_bloom_compares_the_served_pair():
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    bf_bytes, sigma, t = server.get_bloom()
+    assert server.get_bloom((t, sigma)) is None
+    assert server.get_bloom((t - 600, sigma)) == (bf_bytes, sigma, t)
+    # flip_bloom_bit serves other bytes under the same pair
+    server.set_adversary("flip_bloom_bit")
+    assert server.get_bloom((t, sigma)) is None
+    assert server.get_bloom()[0] != bf_bytes
+    # stale_bloom keeps answering for its frozen pair after new uploads
+    server.set_adversary("stale_bloom")
+    ingest(owner, server, 3, lambda i: ["w"], start=NOW + 1200)
+    assert (server.t, server.sigma) != (t, sigma)
+    assert server.get_bloom((t, sigma)) is None
+    assert server.get_bloom((server.t, server.sigma)) == (bf_bytes, sigma, t)
 
 
 def test_adversary_validation():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from dsse import crypto
+from dsse import user as user_module
 from dsse.bloom import BloomFilter, BloomParams
 from dsse.errors import (
     AmbiguousCounterError,
@@ -15,6 +16,7 @@ from dsse.errors import (
 from dsse.owner import DataOwner
 from dsse.server import CloudServer
 from dsse.user import AuthorizedUser
+from dsse.wire import Client
 
 NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 50_000)
@@ -137,6 +139,20 @@ def test_gen_token_rejects_tampered_filter():
         user.gen_token((bf_bytes, b"\x00" * 16, ts), "w", t)
 
 
+def test_refused_filter_leaves_no_token_time_filter():
+    owner, server, t = build_system(3)
+    user = AuthorizedUser.from_owner(owner)
+    bf_bytes, sigma, ts = triple = server.get_bloom()
+    env, cnt = user.gen_token(triple, "w", t)
+    ids, proof = server.search(env)
+    cts = server.ciphertexts_for(ids)
+    assert user.verify("w", cnt, ids, cts, proof, t).ok
+    with pytest.raises(TamperedFilterError):
+        user.gen_token((bf_bytes, b"\x00" * 16, ts), "w", t)
+    report = user.verify("w", cnt, ids, cts, proof, t)
+    assert report.sigma_ok is False and report.fresh_ok is False and not report.ok
+
+
 def test_gen_token_rejects_stale_filter():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
@@ -170,7 +186,7 @@ def test_end_to_end_verify_and_decrypt():
 
 def test_merged_result_still_verifies_after_refresh():
     # search (head merges), then refresh: the proof's gamma comes from the
-    # merged entry while sigma/T come from the refresh payload
+    # merged entry while the token-time filter is the refreshed one
     owner, server, t = build_system(8)
     server.search(owner.gen_token("w"))
     server.refresh(owner.refresh_bloom(t))
@@ -199,6 +215,8 @@ def test_boundary_false_positive_retries_once():
     # entry, the retry at guess-1 succeeds
     owner, server, t = build_system(5)
     user = AuthorizedUser.from_owner(owner)
+    # results are verified against the filter accepted at token time
+    user.gen_token(server.get_bloom(), "w", t)
     bf = BloomFilter.deserialize(server.get_bloom()[0])
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", 6))
     assert user.guess_counter(bf, "w") == 6  # the lie
@@ -207,6 +225,59 @@ def test_boundary_false_positive_retries_once():
     ids, proof = server.search(user.token_for_counter("w", 5))
     report = user.verify("w", 5, ids, server.ciphertexts_for(ids), proof, t)
     assert report.ok
+
+
+def test_upload_between_token_and_search_still_verifies():
+    # the proof is not bound to the server's current filter, so an honest
+    # upload landing between GET_BLOOM and SEARCH fails no honest query
+    owner, server, t = build_system(4)
+    user = AuthorizedUser.from_owner(owner)
+    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    server.add(owner.add_file(b"late", ["w"], t))
+    ids, proof = server.search(env)
+    assert len(ids) == cnt == 4
+    report = user.verify("w", cnt, ids, server.ciphertexts_for(ids), proof, t + 60)
+    assert report.ok and report.sigma_ok and report.fresh_ok
+
+
+def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
+    owner, server, t = build_system(3)
+    user = AuthorizedUser.from_owner(owner)
+    macs = []
+    real_mac = user_module.filter_mac
+    monkeypatch.setattr(
+        user_module, "filter_mac", lambda *a: macs.append(1) or real_mac(*a)
+    )
+    triple = server.get_bloom()
+    assert user.gen_token(triple, "w", t)[1] == 3
+    assert user.gen_token(server.get_bloom(), "w", t)[1] == 3  # equal bytes
+    assert len(macs) == 1
+    with pytest.raises(StaleFilterError):
+        user.gen_token(triple, "w", t + user.freshness_window + 1)
+    server.add(owner.add_file(b"f3", ["w"], t))
+    assert user.gen_token(server.get_bloom(), "w", t)[1] == 4
+    assert len(macs) == 2
+
+
+@pytest.mark.parametrize("behavior", ["stale_bloom", "flip_bloom_bit"])
+def test_filter_adversaries_refused_with_client_cache(behavior):
+    # the client holds an honest filter before the adversary is armed; every
+    # later fetch, conditional ones answered NOT_MODIFIED included, is refused
+    owner, server, t = build_system(3)
+    client = Client.in_process(server)
+    user = AuthorizedUser.from_owner(owner)
+    user.gen_token(client.get_bloom(), "w", t)
+    server.set_adversary(behavior)
+    for i in range(3):  # past the freshness window
+        server.add(owner.add_file(f"late{i}".encode(), ["w"], t + i * 600))
+    now = t + 2 * 600
+    expected = StaleFilterError if behavior == "stale_bloom" else TamperedFilterError
+    served = client.get_bloom()
+    with pytest.raises(expected):
+        user.gen_token(served, "w", now)
+    assert client.get_bloom() is served  # answered NOT_MODIFIED
+    with pytest.raises(expected):
+        user.gen_token(served, "w", now)
 
 
 def test_revoked_user_cannot_search():

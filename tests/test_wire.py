@@ -1,10 +1,18 @@
 import random
+import socket
+import threading
 
 import pytest
 
 from dsse import wire
 from dsse.bloom import BloomParams
-from dsse.errors import FormatError, NotFoundError, StaleEpochError
+from dsse.errors import (
+    FormatError,
+    NotFoundError,
+    ProtocolError,
+    StaleEpochError,
+    TransportError,
+)
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import synthesize_stream
 from dsse.owner import DataOwner
@@ -41,10 +49,12 @@ def test_round_trip_every_kind():
     round_trip(wire.RefreshRequest(RefreshPayload(rng.randbytes(64), rng.randbytes(16), NOW)))
     round_trip(wire.SearchRequest(SearchTokenEnvelope(3, rng.randbytes(60))))
     round_trip(wire.GetBloomRequest())
+    back = round_trip(wire.GetBloomRequest((NOW, rng.randbytes(16))))
+    assert back.since[0] == NOW
     round_trip(wire.RotateRequest(rng.randbytes(16), 2))
     round_trip(wire.StatusResponse(wire.KIND_ADD | 0x80, wire.CODE_OK))
     round_trip(wire.StatusResponse(wire.KIND_ROTATE | 0x80, wire.CODE_PROTOCOL, "bad"))
-    proof = Proof(rng.randbytes(16), NOW, rng.randbytes(40), rng.randbytes(16))
+    proof = Proof(rng.randbytes(16))
     round_trip(wire.SearchResponse(
         wire.CODE_OK,
         [rng.randbytes(16) for _ in range(4)],
@@ -54,6 +64,8 @@ def test_round_trip_every_kind():
     round_trip(wire.SearchResponse(wire.CODE_STALE_EPOCH, message="stale"))
     round_trip(wire.GetBloomResponse(wire.CODE_OK, rng.randbytes(33), rng.randbytes(16), NOW))
     round_trip(wire.GetBloomResponse(wire.CODE_UNSUPPORTED, message="basic"))
+    round_trip(wire.GetBloomResponse(wire.CODE_NOT_MODIFIED))
+    round_trip(wire.StatusResponse(wire.KIND_ADD | 0x80, wire.CODE_INTERNAL, "boom"))
 
 
 def test_truncation_always_detected():
@@ -71,10 +83,10 @@ def test_trailing_bytes_rejected():
 
 def test_unknown_version_and_kind():
     data = bytearray(wire.encode(wire.GetBloomRequest()))
-    data[0] = 0x02
+    data[0] = 0x01  # the version before filter-free proofs
     with pytest.raises(FormatError):
         wire.decode(bytes(data))
-    data[0] = 0x01
+    data[0] = wire.VERSION
     data[1] = 0x7F
     with pytest.raises(FormatError):
         wire.decode(bytes(data))
@@ -154,9 +166,12 @@ def test_wire_bytes_are_the_mac_inputs():
     client = wire.Client.in_process(server)
     bf_bytes, sigma, t = client.get_bloom()
     assert filter_mac(owner.keys.k_mac, bf_bytes, t) == sigma
-    keyword = oracle.keywords()[3]
-    ids, cts, proof = client.search(owner.gen_token(keyword))
-    assert filter_mac(owner.keys.k_mac, proof.bf_bytes, proof.t) == proof.sigma
+    # and for a filter that crossed the wire twice: owner -> server in a
+    # REFRESH, then back in a conditional GET_BLOOM
+    client.refresh(owner.refresh_bloom(last_t + 1))
+    bf_bytes, sigma, t = client.get_bloom()
+    assert t == last_t + 1
+    assert filter_mac(owner.keys.k_mac, bf_bytes, t) == sigma
 
 
 def test_full_honest_run_over_wire():
@@ -170,3 +185,94 @@ def test_full_honest_run_over_wire():
         assert ids == oracle.ids_newest_first(w)
         report = owner.verify(w, ids, cts, proof, last_t + 60)
         assert report.ok
+
+
+def test_conditional_get_bloom():
+    owner, server, oracle, last_t = build_system(10)
+    client = wire.Client.in_process(server)
+    first = client.get_bloom()
+    held = (first[2], first[1])
+    raw = client.transport.request(wire.encode(wire.GetBloomRequest(held)))
+    assert wire.decode(raw).code == wire.CODE_NOT_MODIFIED
+    assert len(raw) == 7  # version, kind, status, empty message
+    assert client.get_bloom() is first  # the held copy, not a new fetch
+
+    server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
+    after_add = client.get_bloom()
+    assert after_add[2] == last_t + 600 and after_add[1] != first[1]
+    assert filter_mac(owner.keys.k_mac, after_add[0], after_add[2]) == after_add[1]
+    assert client.get_bloom() is after_add
+
+    server.refresh(owner.refresh_bloom(last_t + 601))
+    after_refresh = client.get_bloom()
+    assert after_refresh == (owner.bf.serialize(), server.sigma, last_t + 601)
+    assert client.get_bloom() is after_refresh
+
+
+def test_oversized_frame_refused_before_allocation(monkeypatch):
+    sizes = []
+    recv_exact = wire._recv_exact
+    monkeypatch.setattr(
+        wire, "_recv_exact", lambda sock, n: sizes.append(n) or recv_exact(sock, n)
+    )
+    oversized = (wire.MAX_FRAME + 1).to_bytes(4, "big")
+
+    # a client announcing an oversized request is cut off; the server lives on
+    owner, server, oracle, last_t = build_system(2)
+    ws = wire.WireServer(server)
+    ws.start()
+    try:
+        with socket.create_connection(ws.address, timeout=10) as raw:
+            raw.sendall(oversized)
+            assert raw.recv(16) == b""  # closed without a reply
+        client = wire.Client.connect(*ws.address)
+        assert client.get_bloom()[2] == last_t
+        client.close()
+    finally:
+        ws.stop()
+
+    # a server announcing an oversized reply raises TransportError
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = threading.Thread(target=_reply_with, args=(listener, oversized))
+        peer.start()
+        transport = wire.SocketTransport(*listener.getsockname()[:2], timeout=10)
+        with pytest.raises(TransportError, match="cap"):
+            transport.request(wire.encode(wire.GetBloomRequest()))
+        transport.close()
+        peer.join(timeout=10)
+        assert not peer.is_alive()
+    assert sizes and max(sizes) <= wire.MAX_FRAME  # nothing read past a prefix
+
+
+def _reply_with(listener: socket.socket, data: bytes) -> None:
+    conn, _ = listener.accept()
+    with conn:
+        n = int.from_bytes(conn.recv(4), "big")
+        while n > 0 and (part := conn.recv(n)):
+            n -= len(part)
+        conn.sendall(data)
+        conn.recv(1)  # hold the connection until the client closes it
+
+
+def test_internal_error_keeps_the_connection(monkeypatch):
+    owner, server, oracle, last_t = build_system(5)
+
+    def broken(envelope):
+        raise RuntimeError("bug in search")
+
+    ws = wire.WireServer(server)
+    ws.start()
+    try:
+        client = wire.Client.connect(*ws.address)
+        monkeypatch.setattr(server, "search", broken)
+        with pytest.raises(ProtocolError, match="internal"):
+            client.search(owner.gen_token(oracle.keywords()[0]))
+        # the same TCP connection serves the next request
+        assert client.get_bloom()[2] == last_t
+        monkeypatch.undo()
+        keyword = oracle.keywords()[0]
+        ids, _, _ = client.search(owner.gen_token(keyword))
+        assert ids == oracle.ids_newest_first(keyword)
+        client.close()
+    finally:
+        ws.stop()
