@@ -15,6 +15,7 @@ import os
 import sys
 
 from .bloom import BloomParams
+from .encoding import write_atomic
 from .errors import DsseError
 from .harness.bench import REFERENCES, long_state_run, run_bench
 from .harness.phi import synthesize_stream
@@ -45,8 +46,7 @@ def _load_meta(state_dir: str) -> dict:
 
 
 def _save_meta(state_dir: str, meta: dict) -> None:
-    with open(_paths(state_dir)["meta"], "w") as f:
-        json.dump(meta, f, indent=2)
+    write_atomic(_paths(state_dir)["meta"], json.dumps(meta, indent=2).encode())
 
 
 class _ServerHandle:
@@ -180,8 +180,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "ciphertexts": [base64.b64encode(c).decode() for c in cts],
         "proof": None if proof is None else {"gamma": proof.gamma.hex()},
     }
-    with open(_paths(args.state_dir)["search"], "w") as f:
-        json.dump(transcript, f)
+    write_atomic(_paths(args.state_dir)["search"], json.dumps(transcript).encode())
     print(f"{len(ids)} results for {args.keyword!r} (counter {guessed}"
           + (f", {probes} filter probes" if probes is not None else "") + ")")
     for i in ids:

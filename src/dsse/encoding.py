@@ -1,4 +1,5 @@
-"""Length-prefixed binary primitives shared by the wire format and snapshots.
+"""Length-prefixed binary primitives shared by the wire format and snapshots,
+and the atomic file write every saved state goes through.
 
 Every variable-length field is a 4-byte big-endian length followed by the
 raw bytes; fixed-width integers are big-endian. Decoding is strict: short
@@ -7,7 +8,9 @@ reads raise FormatError with the offending offset.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 
 from .errors import FormatError
 
@@ -90,3 +93,21 @@ class Reader:
             raise FormatError(
                 f"{len(self.data) - self.pos} trailing bytes", offset=self.pos
             )
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Replace the file at path with data, so that a crash or a failed write
+    leaves either the old file or the new one, never a torn one: write a
+    temp file in the same directory, fsync it, then rename it over path."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

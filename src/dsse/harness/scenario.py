@@ -346,7 +346,7 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
                 f"only {len(pairs)} equal-count keyword pairs available"
             )
         for prime, _ in pairs:
-            system.user_query(system.users[0], prime)  # fills the result cache
+            system.user_query(system.users[0], prime)  # leaves a merged answer
         system.server.set_adversary("swap_keyword")
         for _, attacked in pairs:
             report.records.append(system.user_query(system.users[0], attacked))

@@ -28,7 +28,7 @@ from .crypto import (
     se_encrypt,
     xor_bytes,
 )
-from .encoding import Reader, put_bytes, put_str, put_u8, put_u64
+from .encoding import Reader, put_bytes, put_str, put_u8, put_u64, write_atomic
 from .errors import FormatError, NotFoundError, UsageError
 from .protocol import (
     AddPayload,
@@ -278,8 +278,7 @@ class DataOwner:
         return owner
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as f:
-            f.write(self.snapshot())
+        write_atomic(path, self.snapshot())
 
     @classmethod
     def load(cls, path: str) -> "DataOwner":

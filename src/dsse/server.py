@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams
 from .crypto import LAMBDA, ZERO, prf2, prf3, se_decrypt, xor_bytes
-from .encoding import Reader, put_bytes, put_u8, put_u32, put_u64
+from .encoding import Reader, put_bytes, put_u8, put_u32, put_u64, write_atomic
 from .errors import (
     FormatError,
     NotFoundError,
@@ -43,7 +43,7 @@ ADVERSARY_BEHAVIORS = (
     "forge_gamma",
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV1"
+_SNAPSHOT_MAGIC = b"DSSESRV2"
 
 
 @dataclass
@@ -72,7 +72,6 @@ class CloudServer:
         bloom_params: BloomParams | None = None,
         group_key: bytes | None = None,
         epoch: int = 1,
-        delete_merged_interior: bool = False,
     ):
         self.mode = check_mode(mode)
         self.tbl: dict[bytes, ChainEntry | MergedEntry] = {}
@@ -84,12 +83,8 @@ class CloudServer:
         self.t = 0
         self.r = group_key
         self.epoch = epoch
-        self.delete_merged_interior = delete_merged_interior
         self.behavior = "honest"
         self.last_search_lookups = 0
-        # previous results by head label, kept so the swap adversary can
-        # replay another keyword's same-cardinality answer
-        self._result_cache: dict[bytes, tuple[tuple[bytes, ...], bytes | None]] = {}
         self._stale_snapshot: tuple[bytes, bytes, int] | None = None
         self._lock = threading.RLock()
 
@@ -181,7 +176,6 @@ class CloudServer:
             gamma_head: bytes | None = None
             tau, k = tau_head, key
             lookups = 0
-            visited: list[bytes] = []
             while True:
                 entry = self.tbl.get(tau)
                 if entry is None:
@@ -189,7 +183,6 @@ class CloudServer:
                         raise NotFoundError("unknown index label in token")
                     raise ProtocolError("chain broken: interior label missing")
                 lookups += 1
-                visited.append(tau)
                 if isinstance(entry, MergedEntry):
                     ids.extend(entry.ids)
                     if gamma_head is None:
@@ -208,11 +201,6 @@ class CloudServer:
 
             honest_ids = tuple(ids)
             self.tbl[tau_head] = MergedEntry(honest_ids, gamma_head)
-            if self.delete_merged_interior:
-                for label in visited:
-                    if label != tau_head:
-                        del self.tbl[label]
-            self._result_cache[tau_head] = (honest_ids, gamma_head)
 
             out_ids, out_gamma = self._apply_result_adversary(
                 tau_head, honest_ids, gamma_head
@@ -282,9 +270,14 @@ class CloudServer:
         if self.behavior == "forge_gamma":
             return ids, secrets.token_bytes(LAMBDA)
         if self.behavior == "swap_keyword":
-            for other_tau, (other_ids, other_gamma) in self._result_cache.items():
-                if other_tau != tau_head and len(other_ids) == len(ids):
-                    return other_ids, other_gamma
+            # replay another search's merged answer of the same cardinality
+            for other_tau, other in self.tbl.items():
+                if (
+                    other_tau != tau_head
+                    and isinstance(other, MergedEntry)
+                    and len(other.ids) == len(ids)
+                ):
+                    return other.ids, other.gamma
         return ids, gamma
 
     # ------------------------------------------------------------------
@@ -299,7 +292,6 @@ class CloudServer:
             if self.r is not None:
                 put_bytes(buf, self.r)
             put_u64(buf, self.epoch)
-            put_u8(buf, 1 if self.delete_merged_interior else 0)
             put_bytes(buf, self.sigma)
             put_u64(buf, self.t)
             put_u8(buf, 1 if self.bf is not None else 0)
@@ -335,14 +327,12 @@ class CloudServer:
         mode = FULL if r.u8() else BASIC
         group_key = r.bytes_() if r.u8() else None
         epoch = r.u64()
-        delete_merged = bool(r.u8())
         server = cls(
             mode,
             # placeholder filter; the snapshot's own bytes replace it below
             bloom_params=BloomParams(0.5, 1),
             group_key=group_key,
             epoch=epoch,
-            delete_merged_interior=delete_merged,
         )
         server.sigma = r.bytes_()
         server.t = r.u64()
@@ -365,8 +355,7 @@ class CloudServer:
         return server
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as f:
-            f.write(self.snapshot())
+        write_atomic(path, self.snapshot())
 
     @classmethod
     def load(cls, path: str) -> "CloudServer":

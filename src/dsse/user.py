@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .bloom import BloomFilter
 from .crypto import chain_label, derived_key, se_decrypt, se_encrypt
-from .encoding import Reader, put_bytes, put_u64
+from .encoding import Reader, put_bytes, put_u64, write_atomic
 from .errors import (
     AmbiguousCounterError,
     CounterBoundError,
@@ -280,8 +280,7 @@ class AuthorizedUser:
         return user
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as f:
-            f.write(self.snapshot())
+        write_atomic(path, self.snapshot())
 
     @classmethod
     def load(cls, path: str) -> "AuthorizedUser":

@@ -1,5 +1,10 @@
 """Binary message formats and transports between the three parties.
 
+Requests are the protocol values themselves: an AddPayload, RefreshPayload
+or SearchTokenEnvelope goes on the wire as it is, and GetBloom and Rotate
+are the two requests with no protocol value of their own. Every answer is
+a Reply whose value is what the server method returned.
+
 Message layout:
 
     version(1) = 0x02 | kind(1) | body
@@ -41,8 +46,8 @@ import logging
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
+from typing import Any
 
 from .encoding import Reader, put_bytes, put_str, put_u8, put_u32, put_u64
 from .errors import (
@@ -98,153 +103,131 @@ _log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Message dataclasses
+# Messages
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AddRequest:
-    kind: ClassVar[int] = KIND_ADD
-    payload: AddPayload
-
-
-@dataclass
-class RefreshRequest:
-    kind: ClassVar[int] = KIND_REFRESH
-    payload: RefreshPayload
-
-
-@dataclass
-class SearchRequest:
-    kind: ClassVar[int] = KIND_SEARCH
-    envelope: SearchTokenEnvelope
-
-
-@dataclass
-class GetBloomRequest:
+class GetBloom:
     """since is the (t, sigma) of the filter copy the client holds."""
 
-    kind: ClassVar[int] = KIND_GET_BLOOM
     since: tuple[int, bytes] | None = None
 
 
 @dataclass
-class RotateRequest:
-    kind: ClassVar[int] = KIND_ROTATE
+class Rotate:
     group_key: bytes
     epoch: int
 
 
-@dataclass
-class StatusResponse:
-    kind: int  # response kind byte
-    code: int
-    message: str = ""
+Request = AddPayload | RefreshPayload | SearchTokenEnvelope | GetBloom | Rotate
+
+# The one request type <-> kind byte mapping; a reply carries the kind of
+# the request it answers, with the response bit set on the wire.
+_KINDS: dict[type, int] = {
+    AddPayload: KIND_ADD,
+    RefreshPayload: KIND_REFRESH,
+    SearchTokenEnvelope: KIND_SEARCH,
+    GetBloom: KIND_GET_BLOOM,
+    Rotate: KIND_ROTATE,
+}
 
 
 @dataclass
-class SearchResponse:
-    kind: ClassVar[int] = KIND_SEARCH | _RESPONSE_BIT
-    code: int
-    ids: list[bytes] = field(default_factory=list)
-    ciphertexts: list[bytes] = field(default_factory=list)
-    proof: Proof | None = None
+class Reply:
+    """The answer to a request of `kind`.
+
+    value is what the server method returned on CODE_OK: (ids, ciphertexts,
+    proof) for SEARCH, (filter, sigma, t) for GET_BLOOM, else None.
+    message explains any other code.
+    """
+
+    kind: int
+    code: int = CODE_OK
     message: str = ""
-
-
-@dataclass
-class GetBloomResponse:
-    kind: ClassVar[int] = KIND_GET_BLOOM | _RESPONSE_BIT
-    code: int
-    bf_bytes: bytes = b""
-    sigma: bytes = b""
-    t: int = 0
-    message: str = ""
-
-
-Message = (
-    AddRequest
-    | RefreshRequest
-    | SearchRequest
-    | GetBloomRequest
-    | RotateRequest
-    | StatusResponse
-    | SearchResponse
-    | GetBloomResponse
-)
+    value: Any = None
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
 
-def encode(msg: Message) -> bytes:
-    if not isinstance(msg, Message):
+def encode(msg: Request | Reply) -> bytes:
+    if isinstance(msg, Reply):
+        return _encode_reply(msg)
+    kind = _KINDS.get(type(msg))
+    if kind is None:
         raise UsageError(f"cannot encode {type(msg).__name__}")
-    buf = bytearray((VERSION, msg.kind))
-    if isinstance(msg, AddRequest):
-        p = msg.payload
-        put_bytes(buf, p.file_id)
-        put_bytes(buf, p.ciphertext)
-        put_u32(buf, len(p.entries))
-        for tau, mu in p.entries:
+    buf = bytearray((VERSION, kind))
+    if kind == KIND_ADD:
+        put_bytes(buf, msg.file_id)
+        put_bytes(buf, msg.ciphertext)
+        put_u32(buf, len(msg.entries))
+        for tau, mu in msg.entries:
             put_bytes(buf, tau)
             put_bytes(buf, mu)
-        put_u8(buf, p.sigma is not None)
-        if p.sigma is not None:
-            put_bytes(buf, p.sigma)
-            put_u64(buf, p.t)
-    elif isinstance(msg, RefreshRequest):
-        p = msg.payload
-        put_bytes(buf, p.bf_bytes)
-        put_bytes(buf, p.sigma)
-        put_u64(buf, p.t)
-    elif isinstance(msg, SearchRequest):
-        put_u64(buf, msg.envelope.epoch)
-        put_bytes(buf, msg.envelope.body)
-    elif isinstance(msg, GetBloomRequest):
+        put_u8(buf, msg.sigma is not None)
+        if msg.sigma is not None:
+            put_bytes(buf, msg.sigma)
+            put_u64(buf, msg.t)
+    elif kind == KIND_REFRESH:
+        put_bytes(buf, msg.bf_bytes)
+        put_bytes(buf, msg.sigma)
+        put_u64(buf, msg.t)
+    elif kind == KIND_SEARCH:
+        put_u64(buf, msg.epoch)
+        put_bytes(buf, msg.body)
+    elif kind == KIND_GET_BLOOM:
         put_u8(buf, msg.since is not None)
         if msg.since is not None:
             put_u64(buf, msg.since[0])
             put_bytes(buf, msg.since[1])
-    elif isinstance(msg, RotateRequest):
+    else:
         put_bytes(buf, msg.group_key)
         put_u64(buf, msg.epoch)
-    elif isinstance(msg, StatusResponse):
-        put_u8(buf, msg.code)
-        put_str(buf, msg.message)
-    else:
-        put_u8(buf, msg.code)
-        if msg.code != CODE_OK:
-            put_str(buf, msg.message)
-        elif isinstance(msg, SearchResponse):
-            put_u32(buf, len(msg.ids))
-            for fid in msg.ids:
-                put_bytes(buf, fid)
-            put_u32(buf, len(msg.ciphertexts))
-            for ct in msg.ciphertexts:
-                put_bytes(buf, ct)
-            put_u8(buf, msg.proof is not None)
-            if msg.proof is not None:
-                put_bytes(buf, msg.proof.gamma)
-        else:
-            put_bytes(buf, msg.bf_bytes)
-            put_bytes(buf, msg.sigma)
-            put_u64(buf, msg.t)
     return bytes(buf)
 
 
-def decode(data: bytes) -> Message:
+def _encode_reply(msg: Reply) -> bytes:
+    buf = bytearray((VERSION, msg.kind | _RESPONSE_BIT))
+    put_u8(buf, msg.code)
+    if msg.code != CODE_OK or msg.kind not in (KIND_SEARCH, KIND_GET_BLOOM):
+        put_str(buf, msg.message)
+    elif msg.kind == KIND_SEARCH:
+        ids, ciphertexts, proof = msg.value
+        put_u32(buf, len(ids))
+        for fid in ids:
+            put_bytes(buf, fid)
+        put_u32(buf, len(ciphertexts))
+        for ct in ciphertexts:
+            put_bytes(buf, ct)
+        put_u8(buf, proof is not None)
+        if proof is not None:
+            put_bytes(buf, proof.gamma)
+    else:
+        bf_bytes, sigma, t = msg.value
+        put_bytes(buf, bf_bytes)
+        put_bytes(buf, sigma)
+        put_u64(buf, t)
+    return bytes(buf)
+
+
+def decode(data: bytes) -> Request | Reply:
     r = Reader(data)
     version = r.u8()
     if version != VERSION:
         raise FormatError(f"unknown version 0x{version:02x}", offset=0)
     kind = r.u8()
-    msg = _decode_body(kind, r)
+    if kind & ~_RESPONSE_BIT not in _KINDS.values():
+        raise FormatError(f"unknown message kind 0x{kind:02x}", offset=1)
+    if kind & _RESPONSE_BIT:
+        msg = _decode_reply(kind & ~_RESPONSE_BIT, r)
+    else:
+        msg = _decode_request(kind, r)
     r.expect_end()
     return msg
 
 
-def _decode_body(kind: int, r: Reader) -> Message:
+def _decode_request(kind: int, r: Reader) -> Request:
     if kind == KIND_ADD:
         file_id = r.bytes_()
         ciphertext = r.bytes_()
@@ -253,35 +236,26 @@ def _decode_body(kind: int, r: Reader) -> Message:
         if r.flag():
             sigma = r.bytes_()
             t = r.u64()
-        return AddRequest(AddPayload(file_id, ciphertext, entries, sigma, t))
+        return AddPayload(file_id, ciphertext, entries, sigma, t)
     if kind == KIND_REFRESH:
-        return RefreshRequest(RefreshPayload(r.bytes_(), r.bytes_(), r.u64()))
+        return RefreshPayload(r.bytes_(), r.bytes_(), r.u64())
     if kind == KIND_SEARCH:
-        return SearchRequest(SearchTokenEnvelope(r.u64(), r.bytes_()))
+        return SearchTokenEnvelope(r.u64(), r.bytes_())
     if kind == KIND_GET_BLOOM:
-        return GetBloomRequest((r.u64(), r.bytes_()) if r.flag() else None)
-    if kind == KIND_ROTATE:
-        return RotateRequest(r.bytes_(), r.u64())
-    if kind == SearchResponse.kind:
-        code = r.u8()
-        if code != CODE_OK:
-            return SearchResponse(code, message=r.str_())
+        return GetBloom((r.u64(), r.bytes_()) if r.flag() else None)
+    return Rotate(r.bytes_(), r.u64())
+
+
+def _decode_reply(kind: int, r: Reader) -> Reply:
+    code = r.u8()
+    if code != CODE_OK or kind not in (KIND_SEARCH, KIND_GET_BLOOM):
+        return Reply(kind, code, r.str_())
+    if kind == KIND_SEARCH:
         ids = [r.bytes_() for _ in range(r.u32())]
         cts = [r.bytes_() for _ in range(r.u32())]
         proof = Proof(r.bytes_()) if r.flag() else None
-        return SearchResponse(code, ids, cts, proof)
-    if kind == GetBloomResponse.kind:
-        code = r.u8()
-        if code != CODE_OK:
-            return GetBloomResponse(code, message=r.str_())
-        return GetBloomResponse(code, bf_bytes=r.bytes_(), sigma=r.bytes_(), t=r.u64())
-    if kind in (
-        KIND_ADD | _RESPONSE_BIT,
-        KIND_REFRESH | _RESPONSE_BIT,
-        KIND_ROTATE | _RESPONSE_BIT,
-    ):
-        return StatusResponse(kind, r.u8(), r.str_())
-    raise FormatError(f"unknown message kind 0x{kind:02x}", offset=1)
+        return Reply(kind, value=(ids, cts, proof))
+    return Reply(kind, value=(r.bytes_(), r.bytes_(), r.u64()))
 
 
 # ---------------------------------------------------------------------------
@@ -305,44 +279,40 @@ class ServerEndpoint:
         try:
             request = decode(data)
         except FormatError as exc:
-            return encode(
-                StatusResponse(KIND_ADD | _RESPONSE_BIT, CODE_FORMAT, str(exc))
-            )
+            return encode(Reply(KIND_ADD, CODE_FORMAT, str(exc)))
         return encode(self.handle(request))
 
-    def handle(self, request: Message) -> Message:
+    def handle(self, request: Request | Reply) -> Reply:
         """Serve one request. Any failure, expected or not, becomes an
-        error response of the request's kind, so the connection lives on."""
+        error reply of the request's kind, so the connection lives on."""
+        if isinstance(request, Reply):
+            return Reply(request.kind, CODE_UNSUPPORTED, "not a request: a reply")
+        kind = _KINDS[type(request)]
         try:
-            return self._dispatch(request)
+            value = self._dispatch(request)
         except DsseError as exc:
-            code, message = _code_for(exc), str(exc)
+            return Reply(kind, _code_for(exc), str(exc))
         except Exception as exc:  # a server fault must not kill the handler
             _log.exception("internal error serving %s", type(request).__name__)
-            code, message = CODE_INTERNAL, f"internal server error ({type(exc).__name__})"
-        # error responses share one layout across kinds
-        return StatusResponse(request.kind | _RESPONSE_BIT, code, message)
+            return Reply(
+                kind, CODE_INTERNAL, f"internal server error ({type(exc).__name__})"
+            )
+        if kind == KIND_GET_BLOOM and value is None:
+            return Reply(kind, CODE_NOT_MODIFIED)
+        return Reply(kind, value=value)
 
-    def _dispatch(self, request: Message) -> Message:
-        if isinstance(request, AddRequest):
-            self.server.add(request.payload)
-            return StatusResponse(KIND_ADD | _RESPONSE_BIT, CODE_OK)
-        if isinstance(request, RefreshRequest):
-            self.server.refresh(request.payload)
-            return StatusResponse(KIND_REFRESH | _RESPONSE_BIT, CODE_OK)
-        if isinstance(request, RotateRequest):
-            self.server.set_group_key(request.group_key, request.epoch)
-            return StatusResponse(KIND_ROTATE | _RESPONSE_BIT, CODE_OK)
-        if isinstance(request, SearchRequest):
-            ids, proof = self.server.search(request.envelope)
-            cts = self.server.ciphertexts_for(ids)
-            return SearchResponse(CODE_OK, ids, cts, proof)
-        if isinstance(request, GetBloomRequest):
-            triple = self.server.get_bloom(request.since)
-            if triple is None:
-                return GetBloomResponse(CODE_NOT_MODIFIED)
-            return GetBloomResponse(CODE_OK, *triple)
-        raise UsageError(f"not a request: {type(request).__name__}")
+    def _dispatch(self, request: Request) -> Any:
+        server = self.server
+        if isinstance(request, AddPayload):
+            return server.add(request)
+        if isinstance(request, RefreshPayload):
+            return server.refresh(request)
+        if isinstance(request, Rotate):
+            return server.set_group_key(request.group_key, request.epoch)
+        if isinstance(request, GetBloom):
+            return server.get_bloom(request.since)
+        ids, proof = server.search(request)
+        return ids, server.ciphertexts_for(ids), proof
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +412,9 @@ class WireServer:
 # ---------------------------------------------------------------------------
 
 class Client:
-    """Typed request/response wrapper over either transport.
+    """Typed request/reply wrapper over either transport.
 
-    Non-OK response codes are raised back as the matching exception types,
+    Non-OK reply codes are raised back as the matching exception types,
     so in-process and remote callers see identical behavior.
     """
 
@@ -460,36 +430,35 @@ class Client:
     def connect(cls, host: str, port: int) -> "Client":
         return cls(SocketTransport(host, port))
 
-    def _round_trip(self, msg: Message) -> Message:
-        return decode(self.transport.request(encode(msg)))
-
-    @staticmethod
-    def _raise_for(code: int, message: str) -> None:
-        exc_type = _ERRORS.get(code, ProtocolError)
-        raise exc_type(message or f"server returned code {code}")
+    def _call(self, request: Request) -> Any:
+        """Send one request and return its reply's value, or raise the
+        reply's error. NOT_MODIFIED, valid only for a conditional
+        GET_BLOOM, returns None."""
+        reply = decode(self.transport.request(encode(request)))
+        kind = _KINDS[type(request)]
+        if not isinstance(reply, Reply) or reply.kind != kind:
+            raise ProtocolError(f"reply does not answer a request of kind 0x{kind:02x}")
+        if reply.code == CODE_OK:
+            return reply.value
+        if reply.code == CODE_NOT_MODIFIED and isinstance(request, GetBloom) and request.since:
+            return None
+        raise _ERRORS.get(reply.code, ProtocolError)(
+            reply.message or f"server returned code {reply.code}"
+        )
 
     def add(self, payload: AddPayload) -> None:
-        resp = self._round_trip(AddRequest(payload))
-        if resp.code != CODE_OK:
-            self._raise_for(resp.code, resp.message)
+        self._call(payload)
 
     def refresh(self, payload: RefreshPayload) -> None:
-        resp = self._round_trip(RefreshRequest(payload))
-        if resp.code != CODE_OK:
-            self._raise_for(resp.code, resp.message)
+        self._call(payload)
 
     def rotate(self, group_key: bytes, epoch: int) -> None:
-        resp = self._round_trip(RotateRequest(group_key, epoch))
-        if resp.code != CODE_OK:
-            self._raise_for(resp.code, resp.message)
+        self._call(Rotate(group_key, epoch))
 
     def search(
         self, envelope: SearchTokenEnvelope
     ) -> tuple[list[bytes], list[bytes], Proof | None]:
-        resp = self._round_trip(SearchRequest(envelope))
-        if resp.code != CODE_OK:
-            self._raise_for(resp.code, resp.message)
-        return resp.ids, resp.ciphertexts, resp.proof
+        return self._call(envelope)
 
     def get_bloom(self) -> tuple[bytes, bytes, int]:
         """The server's (filter, sigma, t) triple.
@@ -499,14 +468,9 @@ class Client:
         so threads sharing this client each get the copy they asked about.
         """
         held = self._bloom
-        resp = self._round_trip(
-            GetBloomRequest(None if held is None else (held[2], held[1]))
-        )
-        if resp.code == CODE_NOT_MODIFIED and held is not None:
+        triple = self._call(GetBloom(None if held is None else (held[2], held[1])))
+        if triple is None:
             return held
-        if resp.code != CODE_OK:
-            self._raise_for(resp.code, resp.message)
-        triple = (resp.bf_bytes, resp.sigma, resp.t)
         self._bloom = triple
         return triple
 

@@ -30,12 +30,12 @@ def test_wire_decode_mutated_valid_frames():
     owner = DataOwner.generate("full", BloomParams(0.01, 100))
     payload = owner.add_file(b"data", ["a:1", "b:2"], 1_700_000_000)
     frames = [
-        wire.encode(wire.AddRequest(payload)),
-        wire.encode(wire.SearchRequest(owner.gen_token("a:1"))),
-        wire.encode(wire.GetBloomRequest()),
-        wire.encode(wire.RotateRequest(b"\x07" * 16, 2)),
-        wire.encode(wire.GetBloomRequest((payload.t, payload.sigma))),
-        wire.encode(wire.GetBloomResponse(wire.CODE_NOT_MODIFIED)),
+        wire.encode(payload),
+        wire.encode(owner.gen_token("a:1")),
+        wire.encode(wire.GetBloom()),
+        wire.encode(wire.Rotate(b"\x07" * 16, 2)),
+        wire.encode(wire.GetBloom((payload.t, payload.sigma))),
+        wire.encode(wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED)),
     ]
     for frame in frames:
         for _ in range(400):

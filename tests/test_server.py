@@ -4,6 +4,7 @@ import pytest
 
 from dsse.bloom import BloomParams
 from dsse.errors import (
+    FormatError,
     NotFoundError,
     ProtocolError,
     StaleEpochError,
@@ -11,20 +12,15 @@ from dsse.errors import (
 )
 from dsse.owner import DataOwner
 from dsse.protocol import Proof, verify_result
-from dsse.server import ChainEntry, CloudServer, MergedEntry
+from dsse.server import ChainEntry, CloudServer
 
 NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 20_000)
 
 
-def build(mode="full", delete_merged_interior=False):
+def build(mode="full"):
     owner = DataOwner.generate(mode, PARAMS)
-    server = CloudServer(
-        mode,
-        PARAMS,
-        group_key=owner.keys.r if mode == "full" else None,
-        delete_merged_interior=delete_merged_interior,
-    )
+    server = CloudServer(mode, PARAMS, group_key=owner.keys.r if mode == "full" else None)
     return owner, server
 
 
@@ -158,24 +154,6 @@ def test_incremental_search_costs_d_plus_one():
         assert len(rst) == 7 + d
 
 
-def test_merged_interior_deletion_flag():
-    owner, server = build(delete_merged_interior=True)
-    ingest(owner, server, 6, lambda i: ["w", "other:1"])
-    assert len(server.tbl) == 12
-    server.search(owner.gen_token("w"))
-    # interior chain entries for w are gone; the head is one merged entry
-    w_entries = [e for e in server.tbl.values() if isinstance(e, MergedEntry)]
-    assert len(w_entries) == 1
-    assert len(server.tbl) == 7  # 1 merged + 6 untouched entries of other:1
-    rst, _ = server.search(owner.gen_token("other:1"))
-    assert len(rst) == 6  # the other chain survives intact
-    # and the merged keyword still answers, cheaper, after new uploads
-    ingest(owner, server, 2, lambda i: ["w"], start=NOW + 6 * 600)
-    rst, _ = server.search(owner.gen_token("w"))
-    assert len(rst) == 8
-    assert server.last_search_lookups == 3
-
-
 def test_unknown_token_not_found():
     owner, server = build()
     ingest(owner, server, 2, lambda i: ["w"])
@@ -278,6 +256,18 @@ def test_snapshot_round_trip(tmp_path):
     rst, _ = back.search(owner.gen_token("shared:1"))
     assert server.last_search_lookups >= 1
     assert len(rst) == 10
+
+
+def test_previous_snapshot_version_refused():
+    owner, server = build()
+    ingest(owner, server, 3, lambda i: ["w"])
+    blob = server.snapshot()
+    assert blob.startswith(b"DSSESRV2")
+    # the DSSESRV1 layout: the same fields plus a flag byte after the epoch
+    header = 8 + 1 + 1 + (4 + 16) + 8  # magic, mode, key flag, key, epoch
+    v1 = b"DSSESRV1" + blob[8:header] + b"\x00" + blob[header:]
+    with pytest.raises(FormatError, match="not a server snapshot"):
+        CloudServer.restore(v1)
 
 
 def test_state_contains_no_keyword_bytes():

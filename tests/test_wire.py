@@ -1,3 +1,4 @@
+import hashlib
 import random
 import socket
 import threading
@@ -42,47 +43,127 @@ def round_trip(msg):
 
 
 def test_round_trip_every_kind():
-    back = round_trip(wire.AddRequest(random_add_payload()))
-    assert back.payload.sigma is not None
-    back = round_trip(wire.AddRequest(random_add_payload(full=False)))
-    assert back.payload.sigma is None
-    round_trip(wire.RefreshRequest(RefreshPayload(rng.randbytes(64), rng.randbytes(16), NOW)))
-    round_trip(wire.SearchRequest(SearchTokenEnvelope(3, rng.randbytes(60))))
-    round_trip(wire.GetBloomRequest())
-    back = round_trip(wire.GetBloomRequest((NOW, rng.randbytes(16))))
+    back = round_trip(random_add_payload())
+    assert back.sigma is not None
+    back = round_trip(random_add_payload(full=False))
+    assert back.sigma is None
+    round_trip(RefreshPayload(rng.randbytes(64), rng.randbytes(16), NOW))
+    round_trip(SearchTokenEnvelope(3, rng.randbytes(60)))
+    round_trip(wire.GetBloom())
+    back = round_trip(wire.GetBloom((NOW, rng.randbytes(16))))
     assert back.since[0] == NOW
-    round_trip(wire.RotateRequest(rng.randbytes(16), 2))
-    round_trip(wire.StatusResponse(wire.KIND_ADD | 0x80, wire.CODE_OK))
-    round_trip(wire.StatusResponse(wire.KIND_ROTATE | 0x80, wire.CODE_PROTOCOL, "bad"))
+    round_trip(wire.Rotate(rng.randbytes(16), 2))
+    round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_OK))
+    round_trip(wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"))
     proof = Proof(rng.randbytes(16))
-    round_trip(wire.SearchResponse(
-        wire.CODE_OK,
+    round_trip(wire.Reply(wire.KIND_SEARCH, value=(
         [rng.randbytes(16) for _ in range(4)],
         [rng.randbytes(30) for _ in range(4)],
         proof,
+    )))
+    round_trip(wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"))
+    round_trip(wire.Reply(
+        wire.KIND_GET_BLOOM, value=(rng.randbytes(33), rng.randbytes(16), NOW)
     ))
-    round_trip(wire.SearchResponse(wire.CODE_STALE_EPOCH, message="stale"))
-    round_trip(wire.GetBloomResponse(wire.CODE_OK, rng.randbytes(33), rng.randbytes(16), NOW))
-    round_trip(wire.GetBloomResponse(wire.CODE_UNSUPPORTED, message="basic"))
-    round_trip(wire.GetBloomResponse(wire.CODE_NOT_MODIFIED))
-    round_trip(wire.StatusResponse(wire.KIND_ADD | 0x80, wire.CODE_INTERNAL, "boom"))
+    round_trip(wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"))
+    round_trip(wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED))
+    round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
+
+
+# One frame per message shape, hashed from the encoder as it stood before
+# requests became the protocol values themselves. A layout change must
+# bump wire.VERSION and these values together.
+_FULL_ADD = AddPayload(
+    b"F" * 16, b"ciphertext",
+    [(b"\x01" * 16, b"\x02" * 48), (b"\x03" * 16, b"\x04" * 48)],
+    b"\x05" * 16, NOW,
+)
+GOLDEN_FRAMES = {
+    "add_full": (_FULL_ADD, "aabb85696b5f622634b6c9cd8664c154e8e9d7152d70ede4f4562fee7df4b6e6"),
+    "add_basic": (
+        AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 32)]),
+        "e3568f0f19155855a35591a79e9e9d0ef7f5d10428a76dbb0224800f08c0f12b",
+    ),
+    "refresh": (
+        RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
+        "860102e984ed49fde51c489135b40576a3d85c1005519aa04d0771940fdd96f5",
+    ),
+    "search": (
+        SearchTokenEnvelope(3, b"\x0a" * 44),
+        "d6b970b8db30d3914a2da6746502166eef18e7514e41d0e6ff20f4fbec94d50c",
+    ),
+    "get_bloom": (
+        wire.GetBloom(),
+        "d7af0f309c1de62319fd9370fc3da776af27ff3c92573eb482b72f322cff83c9",
+    ),
+    "get_bloom_since": (
+        wire.GetBloom((NOW, b"\x0b" * 16)),
+        "b658759284e4612c47444f81c092da78c5b645837794a9afe570f6d1e40dd350",
+    ),
+    "rotate": (
+        wire.Rotate(b"\x0c" * 16, 2),
+        "9e27c11cc13eef11c55b6645229527422c50f7491db781e0db038e9d83e823c9",
+    ),
+    "status_ok": (
+        wire.Reply(wire.KIND_ADD),
+        "f63e128d657ae01759176ff7f013ab894a2fa2c82a65d4a0c96f5cdf7e007cd2",
+    ),
+    "status_error": (
+        wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
+        "de6caee380c203cbf3a2471f069001f4abaa10996cf86c1b86896b1fdebf5f71",
+    ),
+    "search_reply_proof": (
+        wire.Reply(wire.KIND_SEARCH, value=(
+            [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], Proof(b"\x0f" * 16)
+        )),
+        "95b0a041ccd642142863ce2b970e68c195b12b21c1b752d9b915546f927f6b45",
+    ),
+    "search_reply_basic": (
+        wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
+        "627508f8fafecf125dad7ce2333b4020bdf424747a5bf3a95ab79e60852198f5",
+    ),
+    "search_reply_error": (
+        wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
+        "a96c0f52b495255c59b1dd70f376a947f222e07e8c20ce6eec00a42a2a8a0e42",
+    ),
+    "get_bloom_reply": (
+        wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
+        "27e3927d4b4c1e68f60ffd06e0a27bec087c1d386cf08e4e5c0f9ca158064313",
+    ),
+    "get_bloom_reply_error": (
+        wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
+        "714d813ae9915151e6b9076c3b5097b93275d42edc6beb347282a7b41ed020cf",
+    ),
+    "get_bloom_not_modified": (
+        wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
+        "7d376c9c147b43ffa5ee54033da10818a225b6c686c1928a40be7ab23f5ba776",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", GOLDEN_FRAMES)
+def test_golden_bytes(shape):
+    msg, digest = GOLDEN_FRAMES[shape]
+    assert wire.VERSION == 0x02
+    assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
+    assert round_trip(msg) == msg
 
 
 def test_truncation_always_detected():
-    data = wire.encode(wire.AddRequest(random_add_payload(5)))
+    data = wire.encode(random_add_payload(5))
     for cut in range(len(data)):
         with pytest.raises(FormatError):
             wire.decode(data[:cut])
 
 
 def test_trailing_bytes_rejected():
-    data = wire.encode(wire.GetBloomRequest())
+    data = wire.encode(wire.GetBloom())
     with pytest.raises(FormatError):
         wire.decode(data + b"\x00")
 
 
 def test_unknown_version_and_kind():
-    data = bytearray(wire.encode(wire.GetBloomRequest()))
+    data = bytearray(wire.encode(wire.GetBloom()))
     data[0] = 0x01  # the version before filter-free proofs
     with pytest.raises(FormatError):
         wire.decode(bytes(data))
@@ -96,7 +177,7 @@ def test_add_request_size_formula():
     # version + kind + lp(file_id) + lp(ciphertext) + u32 count
     # + per entry lp(tau 16) + lp(mu 48) + presence byte + lp(sigma) + u64 t
     payload = random_add_payload(n_entries=15)
-    data = wire.encode(wire.AddRequest(payload))
+    data = wire.encode(payload)
     expected = (
         2
         + (4 + 16)
@@ -132,13 +213,13 @@ def test_socket_and_in_process_transports_agree():
     try:
         remote = wire.Client.connect(*ws.address)
         keyword = oracle.keywords()[0]
-        request = wire.encode(wire.SearchRequest(owner.gen_token(keyword)))
+        request = wire.encode(owner.gen_token(keyword))
         reply_local = local.transport.request(request)
         # identical state: the merged entry from the first search makes the
         # second reply identical bytes
         reply_remote = remote.transport.request(request)
         assert reply_local == reply_remote
-        bloom_req = wire.encode(wire.GetBloomRequest())
+        bloom_req = wire.encode(wire.GetBloom())
         assert local.transport.request(bloom_req) == remote.transport.request(bloom_req)
         remote.close()
     finally:
@@ -153,10 +234,35 @@ def test_error_codes_surface_as_typed_exceptions():
     r, epoch = owner.rotate_group_key()
     stale = SearchTokenEnvelope(1, b"\x00" * 44)
     client.rotate(r, epoch)
-    resp = wire.decode(client.transport.request(wire.encode(wire.SearchRequest(stale))))
+    resp = wire.decode(client.transport.request(wire.encode(stale)))
     assert resp.code == wire.CODE_STALE_EPOCH
     with pytest.raises(StaleEpochError):
         client.search(stale)
+
+
+class CannedTransport:
+    """Answers every request with the frame of one fixed message."""
+
+    def __init__(self, msg):
+        self.frame = wire.encode(msg)
+
+    def request(self, data: bytes) -> bytes:
+        return self.frame
+
+
+def test_reply_of_the_wrong_kind_refused():
+    add_ok = wire.Reply(wire.KIND_ADD)
+    search_ok = wire.Reply(wire.KIND_SEARCH, value=([], [], None))
+    envelope = SearchTokenEnvelope(1, b"token")
+    for client_call in (
+        lambda: wire.Client(CannedTransport(add_ok)).search(envelope),
+        lambda: wire.Client(CannedTransport(add_ok)).get_bloom(),
+        lambda: wire.Client(CannedTransport(search_ok)).add(random_add_payload()),
+        lambda: wire.Client(CannedTransport(wire.GetBloom())).get_bloom(),  # not a reply
+    ):
+        with pytest.raises(ProtocolError, match="does not answer"):
+            client_call()
+    assert wire.Client(CannedTransport(search_ok)).search(envelope) == ([], [], None)
 
 
 def test_wire_bytes_are_the_mac_inputs():
@@ -192,7 +298,7 @@ def test_conditional_get_bloom():
     client = wire.Client.in_process(server)
     first = client.get_bloom()
     held = (first[2], first[1])
-    raw = client.transport.request(wire.encode(wire.GetBloomRequest(held)))
+    raw = client.transport.request(wire.encode(wire.GetBloom(held)))
     assert wire.decode(raw).code == wire.CODE_NOT_MODIFIED
     assert len(raw) == 7  # version, kind, status, empty message
     assert client.get_bloom() is first  # the held copy, not a new fetch
@@ -237,7 +343,7 @@ def test_oversized_frame_refused_before_allocation(monkeypatch):
         peer.start()
         transport = wire.SocketTransport(*listener.getsockname()[:2], timeout=10)
         with pytest.raises(TransportError, match="cap"):
-            transport.request(wire.encode(wire.GetBloomRequest()))
+            transport.request(wire.encode(wire.GetBloom()))
         transport.close()
         peer.join(timeout=10)
         assert not peer.is_alive()
