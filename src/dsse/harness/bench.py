@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from ..bloom import BloomFilter, BloomParams
 from ..owner import DataOwner
-from ..protocol import FULL, filter_mac
-from ..server import CloudServer
+from ..protocol import BASIC, FULL, filter_mac
+from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
 from .phi import STREAM_START, synthesize_stream
 from .scenario import default_bloom_params
@@ -235,6 +235,34 @@ def bench_token_gen(chain_length: int = 1000, repeats: int = 9) -> float:
     return _median_ms(samples)
 
 
+@dataclass
+class MergedStorageBench:
+    steps: int
+    stored_ids: int
+    answered_ids: int
+    snapshot_bytes: int
+
+
+def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
+    """Server storage after `steps` uploads of one keyword, each followed
+    by a search of it (basic mode): the ids its merged entries store, each
+    shared list counted once, the ids those entries answer with, and the
+    server snapshot size."""
+    owner = DataOwner.generate(BASIC)
+    server = CloudServer(BASIC)
+    for i in range(steps):
+        server.add(owner.add_file(f"f{i}".encode(), ["recurring:1"], STREAM_START + i * 600))
+        server.search(owner.gen_token("recurring:1"))
+    merged = [e for e in server.tbl.values() if isinstance(e, MergedEntry)]
+    lists = {id(e.chain): e.chain for e in merged}
+    return MergedStorageBench(
+        steps,
+        sum(len(chain) for chain in lists.values()),
+        sum(e.n for e in merged),
+        len(server.snapshot()),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Owner-state scale run (opt-in)
 # ---------------------------------------------------------------------------
@@ -299,6 +327,7 @@ def run_bench(
     add_files: int = 500,
     search_chain: int = 100,
     verify_counts: list[int] | None = None,
+    merged_steps: int = 2000,
 ) -> BenchReport:
     report = BenchReport()
 
@@ -332,4 +361,13 @@ def run_bench(
     token_ms = bench_token_gen()
     report.add("token_gen", token_ms, REFERENCES["token_gen_ms"], "ms",
                "counter guess + wrap")
+
+    mb = bench_merged_storage(merged_steps)
+    report.add("merged_ids_stored", float(mb.stored_ids), None, "ids",
+               f"{mb.steps} uploads of one keyword, each searched; "
+               f"entries answer with {mb.answered_ids}")
+    report.add("server_snapshot", float(mb.snapshot_bytes), None, "bytes",
+               "after the same uploads and searches")
+    # one keyword chain: stored ids at most its distinct ids
+    report.laws["stored_merged_ids_linear"] = mb.stored_ids <= mb.steps
     return report

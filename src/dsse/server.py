@@ -43,7 +43,7 @@ ADVERSARY_BEHAVIORS = (
     "forge_gamma",
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV2"
+_SNAPSHOT_MAGIC = b"DSSESRV3"
 
 
 @dataclass
@@ -56,13 +56,46 @@ class ChainEntry:
 class MergedEntry:
     """Search result frozen under the head label after a completed walk.
 
-    ids are newest-first. gamma is the aggregate MAC recovered from the
-    head entry at merge time (full mode); a repeat search for the same
-    token must still be able to hand out a verifiable proof.
+    chain is the append-only list of file ids, oldest-first, that this
+    entry shares with the other merged heads of its keyword chain; the
+    entry answers with its first n. gamma is the aggregate MAC recovered
+    from the head entry at merge time (full mode); a repeat search for the
+    same token must still be able to hand out a verifiable proof.
     """
 
-    ids: tuple[bytes, ...]
+    chain: list[bytes]
+    n: int
     gamma: bytes | None
+
+    @property
+    def ids(self) -> tuple[bytes, ...]:
+        """The answer, newest-first."""
+        return tuple(self.chain[: self.n][::-1])
+
+
+def _merge(
+    below: MergedEntry | None, walked: list[bytes], gamma: bytes | None
+) -> MergedEntry:
+    """Freeze a walk: the ids it collected (newest-first) on top of the
+    merged entry it stopped at, if any.
+
+    The new entry shares the list of the one below when that list ends at
+    its prefix or already goes on with the walked ids, appending whatever
+    is missing. Otherwise it gets a copy: ids that another entry's prefix
+    covers never change.
+    """
+    if below is None:
+        return MergedEntry(walked[::-1], len(walked), gamma)
+    if not walked:  # a repeat search: the head itself was merged
+        return below
+    fresh = walked[::-1]
+    chain, n = below.chain, below.n
+    known = chain[n : n + len(fresh)]
+    if fresh[: len(known)] == known:
+        chain.extend(fresh[len(known) :])
+    else:
+        chain = chain[:n] + fresh
+    return MergedEntry(chain, n + len(fresh), gamma)
 
 
 class CloudServer:
@@ -172,7 +205,8 @@ class CloudServer:
             tau_head, key = self._open_token(envelope)
             mask = prf3 if self.mode == FULL else prf2
 
-            ids: list[bytes] = []
+            walked: list[bytes] = []
+            below: MergedEntry | None = None
             gamma_head: bytes | None = None
             tau, k = tau_head, key
             lookups = 0
@@ -184,11 +218,11 @@ class CloudServer:
                     raise ProtocolError("chain broken: interior label missing")
                 lookups += 1
                 if isinstance(entry, MergedEntry):
-                    ids.extend(entry.ids)
+                    below = entry
                     if gamma_head is None:
                         gamma_head = entry.gamma
                     break
-                ids.append(entry.file_id)
+                walked.append(entry.file_id)
                 opened = xor_bytes(entry.mu, mask(k, tau))
                 tau_prev = opened[:LAMBDA]
                 k_prev = opened[LAMBDA : 2 * LAMBDA]
@@ -199,14 +233,13 @@ class CloudServer:
                 tau, k = tau_prev, k_prev
             self.last_search_lookups = lookups
 
-            honest_ids = tuple(ids)
-            self.tbl[tau_head] = MergedEntry(honest_ids, gamma_head)
+            head = self.tbl[tau_head] = _merge(below, walked, gamma_head)
 
             out_ids, out_gamma = self._apply_result_adversary(
-                tau_head, honest_ids, gamma_head
+                tau_head, head.chain[: head.n][::-1], gamma_head
             )
             proof = Proof(out_gamma) if self.mode == FULL else None
-            return list(out_ids), proof
+            return out_ids, proof
 
     def ciphertexts_for(self, ids: list[bytes]) -> list[bytes]:
         with self._lock:
@@ -263,8 +296,8 @@ class CloudServer:
                 self._stale_snapshot = None
 
     def _apply_result_adversary(
-        self, tau_head: bytes, ids: tuple[bytes, ...], gamma: bytes | None
-    ) -> tuple[tuple[bytes, ...], bytes | None]:
+        self, tau_head: bytes, ids: list[bytes], gamma: bytes | None
+    ) -> tuple[list[bytes], bytes | None]:
         if self.behavior == "drop_result":
             return ids[1:], gamma
         if self.behavior == "forge_gamma":
@@ -275,9 +308,9 @@ class CloudServer:
                 if (
                     other_tau != tau_head
                     and isinstance(other, MergedEntry)
-                    and len(other.ids) == len(ids)
+                    and other.n == len(ids)
                 ):
-                    return other.ids, other.gamma
+                    return list(other.ids), other.gamma
         return ids, gamma
 
     # ------------------------------------------------------------------
@@ -285,6 +318,13 @@ class CloudServer:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
+        """Canonical bytes: restore accepts no other encoding of the same
+        state, so snapshot -> restore -> snapshot is the identity.
+
+        Each shared id list is written once, before the entries; a merged
+        entry names its list by number and its prefix length. Lists are
+        numbered in the order entries, in sorted-label order, first use
+        them."""
         with self._lock:
             buf = bytearray(_SNAPSHOT_MAGIC)
             put_u8(buf, 1 if self.mode == FULL else 0)
@@ -297,8 +337,21 @@ class CloudServer:
             put_u8(buf, 1 if self.bf is not None else 0)
             if self.bf is not None:
                 put_bytes(buf, self.bf.serialize())
-            put_u64(buf, len(self.tbl))
-            for tau in sorted(self.tbl):
+            labels = sorted(self.tbl)
+            number: dict[int, int] = {}  # id() of a shared list -> its number
+            chains: list[list[bytes]] = []
+            for tau in labels:
+                entry = self.tbl[tau]
+                if isinstance(entry, MergedEntry) and id(entry.chain) not in number:
+                    number[id(entry.chain)] = len(chains)
+                    chains.append(entry.chain)
+            put_u64(buf, len(chains))
+            for chain in chains:
+                put_u32(buf, len(chain))
+                for fid in chain:
+                    put_bytes(buf, fid)
+            put_u64(buf, len(labels))
+            for tau in labels:
                 entry = self.tbl[tau]
                 put_bytes(buf, tau)
                 if isinstance(entry, ChainEntry):
@@ -307,9 +360,8 @@ class CloudServer:
                     put_bytes(buf, entry.file_id)
                 else:
                     put_u8(buf, 0)
-                    put_u32(buf, len(entry.ids))
-                    for fid in entry.ids:
-                        put_bytes(buf, fid)
+                    put_u32(buf, number[id(entry.chain)])
+                    put_u32(buf, entry.n)
                     put_u8(buf, 1 if entry.gamma is not None else 0)
                     if entry.gamma is not None:
                         put_bytes(buf, entry.gamma)
@@ -324,8 +376,8 @@ class CloudServer:
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data[len(_SNAPSHOT_MAGIC):])
-        mode = FULL if r.u8() else BASIC
-        group_key = r.bytes_() if r.u8() else None
+        mode = FULL if r.flag() else BASIC
+        group_key = r.bytes_() if r.flag() else None
         epoch = r.u64()
         server = cls(
             mode,
@@ -336,20 +388,27 @@ class CloudServer:
         )
         server.sigma = r.bytes_()
         server.t = r.u64()
-        if r.u8():
-            server.bf = BloomFilter.deserialize(r.bytes_())
-        else:
-            server.bf = None
-        for _ in range(r.u64()):
-            tau = r.bytes_()
-            if r.u8():
+        server.bf = BloomFilter.deserialize(r.bytes_()) if r.flag() else None
+        chains = [[r.bytes_() for _ in range(r.u32())] for _ in range(r.u64())]
+        used = 0  # lists numbered so far, in sorted-label order
+        for tau in _ascending(r, "index label"):
+            if r.flag():
                 server.tbl[tau] = ChainEntry(r.bytes_(), r.bytes_())
-            else:
-                ids = tuple(r.bytes_() for _ in range(r.u32()))
-                gamma = r.bytes_() if r.u8() else None
-                server.tbl[tau] = MergedEntry(ids, gamma)
-        for _ in range(r.u64()):
-            fid = r.bytes_()
+                continue
+            at = r.pos
+            i, n = r.u32(), r.u32()
+            if i > used or i >= len(chains):
+                raise FormatError(f"id list {i} out of range or out of order", offset=at)
+            if not 1 <= n <= len(chains[i]):
+                raise FormatError(
+                    f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
+                )
+            used = max(used, i + 1)
+            gamma = r.bytes_() if r.flag() else None
+            server.tbl[tau] = MergedEntry(chains[i], n, gamma)
+        if used != len(chains):
+            raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
+        for fid in _ascending(r, "file id"):
             server.files[fid] = r.bytes_()
         r.expect_end()
         return server
@@ -361,3 +420,16 @@ class CloudServer:
     def load(cls, path: str) -> "CloudServer":
         with open(path, "rb") as f:
             return cls.restore(f.read())
+
+
+def _ascending(r: Reader, what: str):
+    """Read a u64 count, then yield that many byte strings, each strictly
+    greater than the last (the order snapshot writes them in)."""
+    prev = None
+    for _ in range(r.u64()):
+        at = r.pos
+        key = r.bytes_()
+        if prev is not None and key <= prev:
+            raise FormatError(f"{what}s out of order", offset=at)
+        prev = key
+        yield key

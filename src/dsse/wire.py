@@ -26,7 +26,9 @@ any; when the server would serve the same pair it answers NOT_MODIFIED and
 the filter does not cross the wire.
 
 Responses open with a 1-byte status code. Every status but OK is followed by
-a message string (empty for NOT_MODIFIED), whatever the kind. OK bodies:
+a message string (empty for NOT_MODIFIED), whatever the kind. A request the
+server cannot decode gets a FORMAT reply of the kind its header names, or of
+kind ADD when that byte names no request. OK bodies:
 
     ADD, REFRESH, ROTATE   message
     SEARCH     u32 n | n x id | u32 n | n x ciphertext | flag [| gamma]
@@ -279,7 +281,9 @@ class ServerEndpoint:
         try:
             request = decode(data)
         except FormatError as exc:
-            return encode(Reply(KIND_ADD, CODE_FORMAT, str(exc)))
+            # a reply of another kind would hide this error from the client
+            kind = data[1] if len(data) > 1 and data[1] in _KINDS.values() else KIND_ADD
+            return encode(Reply(kind, CODE_FORMAT, str(exc)))
         return encode(self.handle(request))
 
     def handle(self, request: Request | Reply) -> Reply:

@@ -76,3 +76,36 @@ def test_snapshot_restore_rejects_corruption():
             restore(b"WRONGMAGIC" + blob)
         except FormatError:
             pass
+
+
+def merged_server_blob(mode: str) -> bytes:
+    """A small server snapshot holding chain entries and merged entries
+    that share id lists (two lists for keyword a:1, one for b:2)."""
+    params = BloomParams(0.01, 100)
+    owner = DataOwner.generate(mode, params)
+    server = CloudServer(mode, params, group_key=owner.keys.r if mode == "full" else None)
+    for i in range(6):
+        server.add(owner.add_file(f"f{i}".encode(), ["a:1", f"b:{i % 2}"], 1_700_000_000 + i * 600))
+    for counter in (3, 5, 4, 1):
+        server.search(owner.token_for_counter("a:1", counter))
+    server.search(owner.gen_token("b:0"))
+    return server.snapshot()
+
+
+def test_server_restore_rejects_corrupted_merged_entries():
+    for mode in ("full", "basic"):
+        blob = merged_server_blob(mode)
+        assert CloudServer.restore(blob).snapshot() == blob
+        variants = [blob[:cut] for cut in range(len(blob))] + [blob + b"\x00"]
+        variants += [
+            blob[:i] + bytes([blob[i] ^ (1 << (i % 8))]) + blob[i + 1 :]
+            for i in range(len(blob))
+        ]
+        for data in variants:
+            try:
+                server = CloudServer.restore(data)
+            except FormatError:
+                continue
+            # anything accepted is the canonical encoding of what it restored
+            assert server.snapshot() == data
+

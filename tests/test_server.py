@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dsse.bloom import BloomParams
+from dsse.crypto import chain_label, prf2, xor_bytes
 from dsse.errors import (
     FormatError,
     NotFoundError,
@@ -11,8 +12,8 @@ from dsse.errors import (
     UsageError,
 )
 from dsse.owner import DataOwner
-from dsse.protocol import Proof, verify_result
-from dsse.server import ChainEntry, CloudServer
+from dsse.protocol import Proof, SearchTokenEnvelope, verify_result
+from dsse.server import ChainEntry, CloudServer, MergedEntry
 
 NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 20_000)
@@ -183,8 +184,6 @@ def test_epoch_must_increase():
 def test_refresh_replaces_filter_wholesale():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
-    from dsse.crypto import chain_label
-
     tau2 = chain_label(owner.keys.k_prf, "w", 2)
     assert server.bf.verify(tau2)
     payload = owner.refresh_bloom(NOW + 3 * 600)
@@ -258,16 +257,141 @@ def test_snapshot_round_trip(tmp_path):
     assert len(rst) == 10
 
 
+def merged_lists(server):
+    """The distinct id lists the server's merged entries share."""
+    lists = {}
+    for entry in server.tbl.values():
+        if isinstance(entry, MergedEntry):
+            lists[id(entry.chain)] = entry.chain
+    return list(lists.values())
+
+
+def test_stored_ids_linear_under_search_after_every_upload():
+    owner, server = build("basic")
+    for i in range(200):
+        ingest(owner, server, 1, lambda _: ["w"], start=NOW + i * 600)
+        rst, _ = server.search(owner.gen_token("w"))
+        assert len(rst) == i + 1
+        assert server.last_search_lookups == (1 if i == 0 else 2)
+    # one list of 200 ids, where a copy per merge stores 1 + 2 + ... + 200
+    assert sum(len(chain) for chain in merged_lists(server)) == 200
+    assert sum(e.n for e in server.tbl.values() if isinstance(e, MergedEntry)) == 20_100
+
+
+def test_old_counter_searches_between_merged_heads():
+    owner, server = build()
+    ids = ingest(owner, server, 10, lambda i: ["w", f"noise:{i}"])
+
+    def search_at(counter):
+        rst, proof = server.search(owner.token_for_counter("w", counter))
+        assert rst == ids[:counter][::-1], counter
+        report = verify_result(
+            owner.keys.k_mac, "w", counter, rst, server.ciphertexts_for(rst), proof
+        )
+        assert report.ok, counter
+        return server.last_search_lookups
+
+    assert search_at(3) == 3
+    assert search_at(8) == 6  # c8..c4, then the merged c3
+    shared = server.tbl[chain_label(owner.keys.k_prf, "w", 8)].chain
+    assert search_at(5) == 3  # interior: c5, c4, then the merged c3
+    assert search_at(2) == 2  # below the first merged head: a list of its own
+    assert search_at(1) == 1 and search_at(1) == 1
+    ids += ingest(owner, server, 5, lambda i: ["w"], start=NOW + 10 * 600)
+    assert search_at(15) == 8  # c15..c9, then the merged c8
+    assert search_at(9) == 2
+    for counter in (3, 5, 8, 9, 15):
+        assert server.tbl[chain_label(owner.keys.k_prf, "w", counter)].chain is shared
+    assert shared == ids
+    assert search_at(15) == 1
+
+
+def test_merge_never_rewrites_a_shared_prefix():
+    # a hand-made entry that joins chain "w" at its merged c1 but holds an
+    # id the shared list does not continue with: the new head gets a copy
+    owner, server = build("basic")
+    ids = ingest(owner, server, 3, lambda i: ["w"])
+    for counter in (1, 3):
+        server.search(owner.token_for_counter("w", counter))
+    shared = server.tbl[chain_label(owner.keys.k_prf, "w", 3)].chain
+    tau, key = b"\x0a" * 16, b"\x0b" * 16
+    link = chain_label(owner.keys.k_prf, "w", 1) + b"\x0c" * 16  # label, any key
+    server.tbl[tau] = ChainEntry(xor_bytes(link, prf2(key, tau)), b"stranger-id-0000")
+    rst, _ = server.search(SearchTokenEnvelope(0, tau + key))
+    assert rst == [b"stranger-id-0000", ids[0]]
+    assert server.tbl[tau].chain is not shared
+    assert shared == ids
+
+
+def test_snapshot_is_canonical_and_restores_the_sharing():
+    owner, server = build()
+    ingest(owner, server, 12, lambda i: ["w", f"kw:{i % 3}"])
+    for counter in (4, 9, 2, 12, 6):
+        server.search(owner.token_for_counter("w", counter))
+    server.search(owner.gen_token("kw:1"))
+    blob = server.snapshot()
+    back = CloudServer.restore(blob)
+    assert back.snapshot() == blob
+    assert len(merged_lists(back)) == len(merged_lists(server)) == 3
+    labels = [chain_label(owner.keys.k_prf, "w", c) for c in (4, 6, 9, 12)]
+    shared = back.tbl[labels[0]].chain
+    assert all(back.tbl[tau].chain is shared for tau in labels)
+    # a search after the restore appends to the same list
+    ingest(owner, back, 2, lambda i: ["w"], start=NOW + 12 * 600)
+    rst, _ = back.search(owner.gen_token("w"))
+    assert back.last_search_lookups == 3 and len(rst) == 14
+    assert back.tbl[chain_label(owner.keys.k_prf, "w", 14)].chain is shared
+    assert len(shared) == 14
+    grown = back.snapshot()
+    assert grown != blob and CloudServer.restore(grown).snapshot() == grown
+
+
+def test_restore_refuses_out_of_range_merged_entries():
+    owner, server = build("basic")
+    ids = ingest(owner, server, 2, lambda i: ["w"])
+    server.search(owner.gen_token("w"))
+    blob = server.snapshot()
+    lists_at = 8 + 1 + 1 + 8 + 4 + 8 + 1  # magic, flag, flag, epoch, sigma, t, flag
+    assert blob[lists_at : lists_at + 12] == (1).to_bytes(8, "big") + (2).to_bytes(4, "big")
+    assert blob[lists_at + 12 :].startswith(len(ids[0]).to_bytes(4, "big") + ids[0])
+    entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 2)) + 16
+    assert blob[entry_at : entry_at + 9] == b"\x00" + bytes(4) + (2).to_bytes(4, "big")
+
+    def with_fields(index, n):
+        fields = index.to_bytes(4, "big") + n.to_bytes(4, "big")
+        return blob[: entry_at + 1] + fields + blob[entry_at + 9 :]
+
+    assert CloudServer.restore(with_fields(0, 1)).tbl[
+        chain_label(owner.keys.k_prf, "w", 2)
+    ].ids == (ids[0],)
+    for index, n, error in ((1, 2, "id list 1"), (0, 3, "prefix 3"), (0, 0, "prefix 0")):
+        with pytest.raises(FormatError, match=error):
+            CloudServer.restore(with_fields(index, n))
+    # a list no entry uses is not canonical: a re-snapshot would drop it
+    tail_at = lists_at + 8 + 4 + 2 * (4 + len(ids[0]))
+    unused = blob[:lists_at] + (2).to_bytes(8, "big") + blob[lists_at + 8 : tail_at]
+    unused += bytes(4) + blob[tail_at:]
+    with pytest.raises(FormatError, match="1 id lists unused"):
+        CloudServer.restore(unused)
+    with pytest.raises(FormatError, match="id list 0"):
+        CloudServer.restore(blob[:lists_at] + bytes(8) + blob[tail_at:])
+
+
 def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV2")
-    # the DSSESRV1 layout: the same fields plus a flag byte after the epoch
-    header = 8 + 1 + 1 + (4 + 16) + 8  # magic, mode, key flag, key, epoch
-    v1 = b"DSSESRV1" + blob[8:header] + b"\x00" + blob[header:]
+    assert blob.startswith(b"DSSESRV3")
+    # the DSSESRV2 layout: the same fields without the id-list section
+    # (a u64 count, zero here) between the filter and the entries
+    lists_at = (
+        8 + 1 + 1 + (4 + 16) + 8  # magic, mode, key flag, key, epoch
+        + (4 + 16) + 8 + 1 + (4 + len(server.bf.serialize()))  # sigma, t, filter
+    )
+    assert blob[lists_at : lists_at + 8] == bytes(8)
+    v2 = b"DSSESRV2" + blob[8:lists_at] + blob[lists_at + 8 :]
     with pytest.raises(FormatError, match="not a server snapshot"):
-        CloudServer.restore(v1)
+        CloudServer.restore(v2)
 
 
 def test_state_contains_no_keyword_bytes():

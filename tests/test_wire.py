@@ -265,6 +265,32 @@ def test_reply_of_the_wrong_kind_refused():
     assert wire.Client(CannedTransport(search_ok)).search(envelope) == ([], [], None)
 
 
+class TrailingByteTransport:
+    """Appends one byte to every request frame before the server sees it."""
+
+    def __init__(self, server):
+        self.endpoint = wire.ServerEndpoint(server)
+
+    def request(self, data: bytes) -> bytes:
+        return self.endpoint.handle_bytes(data + b"\x00")
+
+
+def test_undecodable_request_answered_in_its_own_kind():
+    owner, server, oracle, _ = build_system(5)
+    client = wire.Client(TrailingByteTransport(server))
+    w = oracle.keywords()[0]
+    # the server's FormatError reaches the caller, not a reply-kind mismatch
+    with pytest.raises(FormatError, match="trailing bytes"):
+        client.search(owner.gen_token(w))
+    with pytest.raises(FormatError, match="trailing bytes"):
+        client.get_bloom()
+    with pytest.raises(FormatError, match="trailing bytes"):
+        client.rotate(b"\x07" * 16, 2)
+    # a frame naming no request kind is still answered, in the ADD kind
+    reply = wire.decode(wire.ServerEndpoint(server).handle_bytes(b"\x02\x7f"))
+    assert (reply.kind, reply.code) == (wire.KIND_ADD, wire.CODE_FORMAT)
+
+
 def test_wire_bytes_are_the_mac_inputs():
     # a MAC recomputed from decoded wire bytes matches the one computed
     # locally by the owner: no re-canonicalization on the path
