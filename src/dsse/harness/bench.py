@@ -327,7 +327,6 @@ def run_bench(
     add_files: int = 500,
     search_chain: int = 100,
     verify_counts: list[int] | None = None,
-    merged_steps: int = 2000,
 ) -> BenchReport:
     report = BenchReport()
 
@@ -362,7 +361,7 @@ def run_bench(
     report.add("token_gen", token_ms, REFERENCES["token_gen_ms"], "ms",
                "counter guess + wrap")
 
-    mb = bench_merged_storage(merged_steps)
+    mb = bench_merged_storage()
     report.add("merged_ids_stored", float(mb.stored_ids), None, "ids",
                f"{mb.steps} uploads of one keyword, each searched; "
                f"entries answer with {mb.answered_ids}")

@@ -58,7 +58,7 @@ class MergedEntry:
 
     chain is the append-only list of file ids, oldest-first, that this
     entry shares with the other merged heads of its keyword chain; the
-    entry answers with its first n. gamma is the aggregate MAC recovered
+    entry answers with its first n (n >= 1). gamma is the aggregate MAC recovered
     from the head entry at merge time (full mode); a repeat search for the
     same token must still be able to hand out a verifiable proof.
     """
@@ -70,7 +70,7 @@ class MergedEntry:
     @property
     def ids(self) -> tuple[bytes, ...]:
         """The answer, newest-first."""
-        return tuple(self.chain[: self.n][::-1])
+        return tuple(self.chain[self.n - 1 :: -1])
 
 
 def _merge(
@@ -236,7 +236,7 @@ class CloudServer:
             head = self.tbl[tau_head] = _merge(below, walked, gamma_head)
 
             out_ids, out_gamma = self._apply_result_adversary(
-                tau_head, head.chain[: head.n][::-1], gamma_head
+                tau_head, head.chain[head.n - 1 :: -1], gamma_head
             )
             proof = Proof(out_gamma) if self.mode == FULL else None
             return out_ids, proof
