@@ -23,7 +23,6 @@ from .protocol import (
     AddPayload,
     BASIC,
     FULL,
-    Proof,
     RefreshPayload,
     SearchTokenEnvelope,
     VerifyReport,
@@ -49,7 +48,6 @@ __all__ = [
     "FULL",
     "KeyBundle",
     "NotFoundError",
-    "Proof",
     "ProtocolError",
     "RefreshPayload",
     "SearchTokenEnvelope",

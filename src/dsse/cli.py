@@ -21,7 +21,7 @@ from .harness.bench import REFERENCES, long_state_run, run_bench
 from .harness.phi import synthesize_stream
 from .harness.scenario import ScenarioConfig, run_scenario
 from .owner import DataOwner
-from .protocol import FULL, Proof
+from .protocol import FULL
 from .server import ADVERSARY_BEHAVIORS, CloudServer
 from .user import AuthorizedUser
 from .wire import Client, WireServer
@@ -63,10 +63,10 @@ class _ServerHandle:
             self.server = CloudServer.load(_paths(state_dir)["server"])
             self.client = Client.in_process(self.server)
 
-    def close(self, save: bool) -> None:
+    def close(self) -> None:
         if self.remote:
             self.client.close()
-        elif save:
+        else:
             self.server.save(_paths(self.state_dir)["server"])
 
 
@@ -123,7 +123,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         owner.save(_paths(args.state_dir)["owner"])
         meta["files"] += added
         _save_meta(args.state_dir, meta)
-        handle.close(save=True)
+        handle.close()
     print(f"ingested {added} files (total {meta['files']}), last_t={meta['last_t']}")
     return 0
 
@@ -140,7 +140,7 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     finally:
         owner.save(_paths(args.state_dir)["owner"])
         _save_meta(args.state_dir, meta)
-        handle.close(save=True)
+        handle.close()
     print(f"filter refreshed with digit embeddings for {len(owner.tbl)} keywords")
     return 0
 
@@ -152,7 +152,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     try:
         if args.actor == "owner":
             owner = DataOwner.load(_paths(args.state_dir)["owner"])
-            envelope = owner.gen_token(args.keyword)
+            ids, cts, gamma = handle.client.search(owner.gen_token(args.keyword))
             guessed = owner.tbl[args.keyword].cnt
             probes = token_filter = None
         else:
@@ -161,13 +161,12 @@ def cmd_search(args: argparse.Namespace) -> int:
                 print("no users provisioned; re-run gen-keys with --users", file=sys.stderr)
                 return 2
             user = AuthorizedUser.load(_user_path(args.state_dir, name))
-            _, sigma, t = triple = handle.client.get_bloom()
-            envelope, guessed = user.gen_token(triple, args.keyword, now)
+            ids, cts, gamma, guessed = user.query(handle.client, args.keyword, now)
             probes = user.last_probe_stats.total
+            sigma, t = user.token_filter
             token_filter = {"sigma": sigma.hex(), "t": t}
-        ids, cts, proof = handle.client.search(envelope)
     finally:
-        handle.close(save=True)  # search merges entries server-side
+        handle.close()
 
     transcript = {
         "keyword": args.keyword,
@@ -178,7 +177,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "now": now,
         "ids": [i.hex() for i in ids],
         "ciphertexts": [base64.b64encode(c).decode() for c in cts],
-        "proof": None if proof is None else {"gamma": proof.gamma.hex()},
+        "proof": None if gamma is None else {"gamma": gamma.hex()},
     }
     write_atomic(_paths(args.state_dir)["search"], json.dumps(transcript).encode())
     print(f"{len(ids)} results for {args.keyword!r} (counter {guessed}"
@@ -195,19 +194,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if tr["proof"] is None:
         print("no proof in basic mode; nothing to verify", file=sys.stderr)
         return 2
-    proof = Proof(bytes.fromhex(tr["proof"]["gamma"]))
+    gamma = bytes.fromhex(tr["proof"]["gamma"])
     ids = [bytes.fromhex(i) for i in tr["ids"]]
     cts = [base64.b64decode(c) for c in tr["ciphertexts"]]
     if tr["actor"] == "owner":
         owner = DataOwner.load(_paths(args.state_dir)["owner"])
-        report = owner.verify(tr["keyword"], ids, cts, proof, tr["now"])
+        report = owner.verify(tr["keyword"], ids, cts, gamma, tr["now"])
     else:
         name = tr["user"] or meta["users"][0]
         user = AuthorizedUser.load(_user_path(args.state_dir, name))
         recorded = tr.get("token_filter")  # absent: no filter was accepted
         token_filter = recorded and (bytes.fromhex(recorded["sigma"]), recorded["t"])
         report = user.verify(
-            tr["keyword"], tr["guessed_cnt"], ids, cts, proof, tr["now"], token_filter
+            tr["keyword"], tr["guessed_cnt"], ids, cts, gamma, tr["now"], token_filter
         )
     for check, value in (
         ("cardinality", report.cardinality_ok),
@@ -233,7 +232,7 @@ def cmd_rotate(args: argparse.Namespace) -> int:
         handle.client.rotate(r, epoch)
     finally:
         owner.save(_paths(args.state_dir)["owner"])
-        handle.close(save=True)
+        handle.close()
     meta["users"].remove(args.revoke)
     meta["revoked"].append(args.revoke)
     for name in meta["users"]:

@@ -138,30 +138,18 @@ def bench_search(result_size: int = 100, repeats: int = 9) -> SearchBench:
     for i in range(half, result_size):
         server.add(owner.add_file(f"f{i}".encode(), fresh_kws + rec_kws, now + i * 600))
 
-    new_samples = []
-    for w in fresh_kws:
-        token = owner.gen_token(w)
-        t0 = time.perf_counter()
-        ids, _ = server.search(token)
-        new_samples.append(time.perf_counter() - t0)
-        assert len(ids) == result_size
-    new_lookups = server.last_search_lookups
+    def timed(keywords: list[str]) -> tuple[float, int]:
+        samples = []
+        for w in keywords:
+            token = owner.gen_token(w)
+            t0 = time.perf_counter()
+            ids, _, _ = server.search(token)
+            samples.append(time.perf_counter() - t0)
+            assert len(ids) == result_size
+        return _median_ms(samples), server.last_search_lookups
 
-    rec_samples = []
-    for w in rec_kws:
-        token = owner.gen_token(w)
-        t0 = time.perf_counter()
-        ids, _ = server.search(token)
-        rec_samples.append(time.perf_counter() - t0)
-        assert len(ids) == result_size
-    rec_lookups = server.last_search_lookups
-
-    return SearchBench(
-        _median_ms(new_samples),
-        _median_ms(rec_samples),
-        new_lookups,
-        rec_lookups,
-    )
+    (new_ms, new_lookups), (rec_ms, rec_lookups) = timed(fresh_kws), timed(rec_kws)
+    return SearchBench(new_ms, rec_ms, new_lookups, rec_lookups)
 
 
 @dataclass
@@ -195,8 +183,7 @@ def bench_verify(counts: list[int] | None = None, repeats: int = 9) -> VerifyBen
     total_by_count: dict[int, list[float]] = {c: [] for c in counts}
     results = {}
     for c in counts:
-        ids, proof = server.search(owner.gen_token(markers[c]))
-        results[c] = (ids, server.ciphertexts_for(ids), proof)
+        results[c] = server.search(owner.gen_token(markers[c]))
     # round-robin over counts so load drift cannot bias larger counts
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -205,9 +192,9 @@ def bench_verify(counts: list[int] | None = None, repeats: int = 9) -> VerifyBen
         bloom_samples.append(time.perf_counter() - t0)
         assert mac_ok
         for c in counts:
-            ids, cts, proof = results[c]
+            ids, cts, gamma = results[c]
             t0 = time.perf_counter()
-            report = user.verify(markers[c], c, ids, cts, proof, now)
+            report = user.verify(markers[c], c, ids, cts, gamma, now)
             total_by_count[c].append(time.perf_counter() - t0)
             assert report.ok
 

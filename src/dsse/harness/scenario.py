@@ -40,7 +40,6 @@ class ScenarioConfig:
     adversary: str = "honest"
     seed: int = 7
     transport: str = "inprocess"  # or "socket"
-    period_seconds: int = DEFAULT_PERIOD
     concurrent_queries: int = 1  # >1 runs the query phase from worker threads
 
 
@@ -176,8 +175,8 @@ class SimulatedSystem:
         self.now = max(self.now, phi.timestamp)
         return payload.file_id
 
-    def ingest_stream(self, seed: int, n_files: int, period: int = DEFAULT_PERIOD) -> None:
-        for phi in synthesize_stream(seed, n_files, period):
+    def ingest_stream(self, seed: int, n_files: int) -> None:
+        for phi in synthesize_stream(seed, n_files):
             self.add_phi(phi)
 
     def rotate_revoking(self, revoked: AuthorizedUser) -> None:
@@ -194,12 +193,12 @@ class SimulatedSystem:
         started = time.perf_counter()
         expected = self.oracle.count(keyword)
         token = self.owner.gen_token(keyword)
-        ids, cts, proof = self.client.search(token)
+        ids, cts, gamma = self.client.search(token)
         oracle_match = ids == self.oracle.ids_newest_first(keyword)
         verified = None
         reason = "basic-no-proof"
         if self.mode == FULL:
-            report = self.owner.verify(keyword, ids, cts, proof, self.now + 60)
+            report = self.owner.verify(keyword, ids, cts, gamma, self.now + 60)
             verified = report.ok
             reason = _report_reason(report)
         return QueryRecord(
@@ -217,9 +216,9 @@ class SimulatedSystem:
         )
 
     def user_query(self, user: AuthorizedUser, keyword: str) -> QueryRecord:
-        """Full delegated flow: fetch filter, verify it, guess the counter,
-        search, verify the result. One retry at guess-1 covers the boundary
-        false positive where the filter claims counter+1 exists."""
+        """Full delegated flow through AuthorizedUser.query, then verify the
+        result. A refused filter, a stale epoch or an unknown keyword is a
+        record, and so is any other protocol fault."""
         started = time.perf_counter()
         now = self.now + 60
         expected = self.oracle.count(keyword)
@@ -240,32 +239,20 @@ class SimulatedSystem:
             )
 
         try:
-            triple = self.client.get_bloom()
-            envelope, guessed = user.gen_token(triple, keyword, now)
+            ids, cts, gamma, guessed = user.query(self.client, keyword, now)
         except (TamperedFilterError, StaleFilterError) as exc:
             return record(None, [], False, type(exc).__name__, None)
+        except StaleEpochError:
+            return record(None, [], False, "stale-epoch", None)
         except NotFoundError:
-            match = self.oracle.count(keyword) == 0
-            return record(None, [], None, "absent", None, oracle_match=match)
+            # no trace in the filter, or no entry at the guess nor at guess-1
+            if expected == 0:
+                return record(None, [], None, "absent", None, oracle_match=True)
+            return record(None, [], False, "not-found", None, oracle_match=False)
         except DsseError as exc:  # protocol fault: recorded, not raised
             return record(None, [], False, f"fault:{type(exc).__name__}", None)
 
-        try:
-            ids, cts, proof = self.client.search(envelope)
-        except NotFoundError:
-            # guessed counter has no table entry: boundary false positive
-            if guessed <= 1:
-                return record(guessed, [], False, "head-not-found", None)
-            guessed -= 1
-            envelope = user.token_for_counter(keyword, guessed)
-            try:
-                ids, cts, proof = self.client.search(envelope)
-            except DsseError as exc:
-                return record(guessed, [], False, f"retry-failed:{type(exc).__name__}", None)
-        except StaleEpochError:
-            return record(guessed, [], False, "stale-epoch", None)
-
-        report = user.verify(keyword, guessed, ids, cts, proof, now)
+        report = user.verify(keyword, guessed, ids, cts, gamma, now)
         return record(
             guessed,
             ids,
@@ -323,9 +310,9 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
     if adversary == "stale_bloom":
         # arm mid-stream, then keep ingesting until the frozen snapshot is
         # older than the freshness window
-        lag = system.owner.freshness_window // config.period_seconds + 2
+        lag = system.owner.freshness_window // DEFAULT_PERIOD + 2
         head = max(1, config.n_files - lag)
-        stream = list(synthesize_stream(config.seed, config.n_files, config.period_seconds))
+        stream = list(synthesize_stream(config.seed, config.n_files))
         for phi in stream[:head]:
             system.add_phi(phi)
         system.server.set_adversary("stale_bloom")
@@ -333,7 +320,7 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
             system.add_phi(phi)
         report.notes.append(f"stale snapshot frozen {config.n_files - head} uploads ago")
     else:
-        system.ingest_stream(config.seed, config.n_files, config.period_seconds)
+        system.ingest_stream(config.seed, config.n_files)
     report.ingest_seconds = time.perf_counter() - t0
 
     keywords = system.oracle.keywords()

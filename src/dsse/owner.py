@@ -34,7 +34,6 @@ from .protocol import (
     AddPayload,
     BASIC,
     FULL,
-    Proof,
     RefreshPayload,
     SearchTokenEnvelope,
     check_mode,
@@ -71,7 +70,7 @@ class DataOwner:
         self.bf: BloomFilter | None = (
             BloomFilter(self.bloom_params) if self.mode == FULL else None
         )
-        self.last_refresh = 0
+        self.t = 0  # time of the newest filter MAC (sigma) issued
 
     @classmethod
     def generate(
@@ -105,6 +104,7 @@ class DataOwner:
         in full mode and exists for owner-state simulations that never
         talk to a server.
         """
+        self._check_time(now)
         kws = sorted(keywords)
         if not kws:
             raise UsageError("file must contain at least one keyword")
@@ -148,8 +148,15 @@ class DataOwner:
         sigma = t = None
         if self.mode == FULL and emit_filter_mac:
             sigma = filter_mac(k.k_mac, self.bf.serialize(), now)
-            t = now
+            t = self.t = now
         return AddPayload(file_id, ciphertext, entries, sigma, t)
+
+    def _check_time(self, now: int) -> None:
+        """The server refuses a full-mode payload older than its filter, so
+        refuse to build one before the counters move past an entry the
+        server would never store."""
+        if self.mode == FULL and now < self.t:
+            raise UsageError(f"timestamp {now} precedes the last filter MAC at {self.t}")
 
     # ------------------------------------------------------------------
     # GenToken / SSEVerify
@@ -178,7 +185,7 @@ class DataOwner:
         keyword: str,
         rst: list[bytes],
         ciphertexts: list[bytes],
-        proof: Proof,
+        gamma: bytes,
         now: int,
     ) -> VerifyReport:
         """Check a search result against the owner's own counter.
@@ -192,7 +199,7 @@ class DataOwner:
         if rec is None:
             raise NotFoundError(f"keyword never added: {keyword!r}")
         return verify_result(
-            self.keys.k_mac, keyword, rec.cnt, rst, ciphertexts, proof
+            self.keys.k_mac, keyword, rec.cnt, rst, ciphertexts, gamma
         )
 
     # ------------------------------------------------------------------
@@ -214,11 +221,12 @@ class DataOwner:
         stops growing with history; gamma chains are untouched."""
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
+        self._check_time(now)
         bf = BloomFilter(self.bloom_params)
         for w, rec in self.tbl.items():
             bf.embed_counter(self.keys.k_prf, w, rec.cnt)
         self.bf = bf
-        self.last_refresh = now
+        self.t = now
         bf_bytes = bf.serialize()
         return RefreshPayload(bf_bytes, filter_mac(self.keys.k_mac, bf_bytes, now), now)
 
@@ -232,7 +240,9 @@ class DataOwner:
         for key in (self.keys.k_prf, self.keys.k_se, self.keys.k_mac, self.keys.r):
             put_bytes(buf, key)
         put_u64(buf, self.keys.epoch)
-        put_u64(buf, self.last_refresh)
+        # this slot held the last refresh time, itself a sigma time: a file
+        # written then restores a lower bound of t, still safe to check
+        put_u64(buf, self.t)
         put_u64(buf, self.freshness_window)
         buf += struct.pack(">d", self.bloom_params.target_fp)
         put_u64(buf, self.bloom_params.capacity)
@@ -257,14 +267,14 @@ class DataOwner:
         mode = FULL if r.u8() else BASIC
         k_prf, k_se, k_mac, gk = r.bytes_(), r.bytes_(), r.bytes_(), r.bytes_()
         epoch = r.u64()
-        last_refresh = r.u64()
+        t = r.u64()
         freshness = r.u64()
         target_fp = struct.unpack(">d", r._take(8))[0]
         capacity = r.u64()
         params = BloomParams(target_fp, capacity)
         keys = KeyBundle(k_prf, k_se, k_mac, gk, epoch)
         owner = cls(mode, keys, params, freshness)
-        owner.last_refresh = last_refresh
+        owner.t = t
         for _ in range(r.u64()):
             w = r.str_()
             cnt = r.u64()

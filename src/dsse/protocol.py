@@ -70,18 +70,6 @@ class SearchTokenEnvelope:
 
 
 @dataclass
-class Proof:
-    """Material returned with a full-mode search result for verification.
-
-    Only the aggregate MAC travels: the filter a delegated user guessed its
-    counter from was MAC- and freshness-checked at token time, and the
-    cardinality and gamma checks bind the result to that counter.
-    """
-
-    gamma: bytes
-
-
-@dataclass
 class VerifyReport:
     """Outcome of each verification check; None means the check was skipped."""
 
@@ -106,22 +94,22 @@ def verify_result(
     cnt: int,
     rst: list[bytes],
     ciphertexts: list[bytes],
-    proof: Proof,
+    gamma: bytes,
 ) -> VerifyReport:
     """Run the result checks against a search result.
 
     (a) result cardinality equals the counter; (b) XOR of per-file tags
-    equals the proof's gamma. The owner knows the true counter, so these
-    are all it needs. A delegated user adds (c) and (d) about the filter it
-    derived the counter from (see AuthorizedUser.verify); this function
-    leaves them None.
+    equals the gamma the server answered with. The owner knows the true
+    counter, so these are all it needs. A delegated user adds (c) and (d)
+    about the filter it derived the counter from (see
+    AuthorizedUser.verify); this function leaves them None.
     """
     if len(ciphertexts) != len(rst):
         raise UsageError(
             f"{len(ciphertexts)} ciphertexts for {len(rst)} result ids"
         )
     tags = [result_mac(k_mac, c, keyword) for c in ciphertexts]
-    return VerifyReport(len(rst) == cnt, aggregate_mac(tags) == proof.gamma)
+    return VerifyReport(len(rst) == cnt, aggregate_mac(tags) == gamma)
 
 
 def check_mode(mode: str) -> str:

@@ -1,6 +1,6 @@
-"""Cloud-server role: index ingestion, chain-walking search with proof
-assembly, the merged-entry search shortcut, and a configurable adversary
-for verifiability testing.
+"""Cloud-server role: index ingestion, chain-walking search answered with
+the files and their aggregate MAC, the merged-entry search shortcut, and
+a configurable adversary for verifiability testing.
 
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one label and one key, from which it can
@@ -27,7 +27,6 @@ from .protocol import (
     AddPayload,
     BASIC,
     FULL,
-    Proof,
     RefreshPayload,
     SearchTokenEnvelope,
     check_mode,
@@ -59,8 +58,8 @@ class MergedEntry:
     chain is the append-only list of file ids, oldest-first, that this
     entry shares with the other merged heads of its keyword chain; the
     entry answers with its first n (n >= 1). gamma is the aggregate MAC recovered
-    from the head entry at merge time (full mode); a repeat search for the
-    same token must still be able to hand out a verifiable proof.
+    from the merged entry at merge time (full mode); a repeat search for the
+    same token must still be able to hand out a verifiable gamma.
     """
 
     chain: list[bytes]
@@ -193,13 +192,18 @@ class CloudServer:
             raise ProtocolError(f"token body is {len(pair)} bytes, expected {2*LAMBDA}")
         return pair[:LAMBDA], pair[LAMBDA:]
 
-    def search(self, envelope: SearchTokenEnvelope) -> tuple[list[bytes], Proof | None]:
-        """Walk one keyword's chain from its newest entry.
+    def search(
+        self, envelope: SearchTokenEnvelope
+    ) -> tuple[list[bytes], list[bytes], bytes | None]:
+        """Walk one keyword's chain from its newest entry; answer with
+        (ids, ciphertexts, gamma), gamma None in basic mode.
 
         Collects file ids newest-first, stopping at the zero key or at a
         previously merged entry. Afterwards the head label is rewritten as
         a merged entry so the next search for the same token costs one
-        lookup plus one per entry added since.
+        lookup plus one per entry added since. A walk that reached the zero
+        key also merges the chain's bottom entry, so every later walk of
+        the chain stops on a merged entry and shares its id list.
         """
         with self._lock:
             tau_head, key = self._open_token(envelope)
@@ -233,13 +237,16 @@ class CloudServer:
                 tau, k = tau_prev, k_prev
             self.last_search_lookups = lookups
 
-            head = self.tbl[tau_head] = _merge(below, walked, gamma_head)
+            head = _merge(below, walked, gamma_head)
+            if below is None:  # stopped at the zero key: tau is the bottom
+                gamma = opened[2 * LAMBDA :] or None  # empty in basic mode
+                self.tbl[tau] = MergedEntry(head.chain, 1, gamma)
+            self.tbl[tau_head] = head
 
-            out_ids, out_gamma = self._apply_result_adversary(
+            ids, out_gamma = self._apply_result_adversary(
                 tau_head, head.chain[head.n - 1 :: -1], gamma_head
             )
-            proof = Proof(out_gamma) if self.mode == FULL else None
-            return out_ids, proof
+            return ids, self.ciphertexts_for(ids), out_gamma
 
     def ciphertexts_for(self, ids: list[bytes]) -> list[bytes]:
         with self._lock:
@@ -300,7 +307,7 @@ class CloudServer:
     ) -> tuple[list[bytes], bytes | None]:
         if self.behavior == "drop_result":
             return ids[1:], gamma
-        if self.behavior == "forge_gamma":
+        if self.behavior == "forge_gamma" and gamma is not None:
             return ids, secrets.token_bytes(LAMBDA)
         if self.behavior == "swap_keyword":
             # replay another search's merged answer of the same cardinality

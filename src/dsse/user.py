@@ -1,6 +1,6 @@
 """Authorized-user (HSP) role: recover a keyword's latest counter from the
-server's published Bloom filter, build search tokens without contacting the
-owner, and verify results client-side.
+server's published Bloom filter, build search tokens and search without
+contacting the owner, and verify results client-side.
 
 The filter is untrusted until its MAC and timestamp check out, so token
 generation refuses to probe an unverified filter. The last accepted filter
@@ -23,7 +23,8 @@ from .errors import (
     TamperedFilterError,
 )
 from .owner import DEFAULT_FRESHNESS_WINDOW, DataOwner
-from .protocol import Proof, SearchTokenEnvelope, VerifyReport, filter_mac, verify_result
+from .protocol import SearchTokenEnvelope, VerifyReport, filter_mac, verify_result
+from .wire import Client
 
 DEFAULT_MAX_COUNTER = 2**31
 
@@ -205,6 +206,11 @@ class AuthorizedUser:
         self._accepted = _AcceptedFilter((bf_bytes, sigma, t), bf)
         return self._accepted
 
+    @property
+    def token_filter(self) -> tuple[bytes, int] | None:
+        """(sigma, t) of the filter the last gen_token accepted, if any."""
+        return None if self._accepted is None else self._accepted.triple[1:]
+
     def _fresh(self, t: int, now: int) -> bool:
         return 0 <= now - t <= self.freshness_window
 
@@ -213,6 +219,22 @@ class AuthorizedUser:
             self.k_prf, keyword, cnt
         )
         return SearchTokenEnvelope(self.epoch, se_encrypt(self.r, pair))
+
+    def query(
+        self, client: Client, keyword: str, now: int
+    ) -> tuple[list[bytes], list[bytes], bytes, int]:
+        """Fetch the filter, guess the counter, search: (ids, ciphertexts,
+        gamma, counter). A filter false positive at counter+1 leaves the
+        guess with no table entry, so that search is retried once at
+        guess-1; any other error is raised."""
+        envelope, cnt = self.gen_token(client.get_bloom(), keyword, now)
+        try:
+            return (*client.search(envelope), cnt)
+        except NotFoundError:
+            if cnt <= 1:
+                raise
+        cnt -= 1
+        return (*client.search(self.token_for_counter(keyword, cnt)), cnt)
 
     # ------------------------------------------------------------------
     # Verification / decryption
@@ -224,7 +246,7 @@ class AuthorizedUser:
         guessed_cnt: int,
         rst: list[bytes],
         ciphertexts: list[bytes],
-        proof: Proof,
+        gamma: bytes,
         now: int,
         token_filter: tuple[bytes, int] | None = None,
     ) -> VerifyReport:
@@ -233,15 +255,14 @@ class AuthorizedUser:
         (a) and (b) as in verify_result, against the guessed counter;
         (c) the filter the counter was guessed from passed its MAC check;
         (d) that filter's timestamp is fresh at `now`. token_filter is the
-        (sigma, t) of that filter; it defaults to the filter this user last
-        accepted in gen_token. A transcript checked in another process
-        passes the values it recorded at token time.
+        (sigma, t) of that filter; it defaults to self.token_filter. A
+        transcript checked in another process passes the values it recorded
+        at token time.
         """
         report = verify_result(
-            self.k_mac, keyword, guessed_cnt, rst, ciphertexts, proof
+            self.k_mac, keyword, guessed_cnt, rst, ciphertexts, gamma
         )
-        if token_filter is None and self._accepted is not None:
-            token_filter = self._accepted.triple[1:]
+        token_filter = token_filter or self.token_filter
         report.sigma_ok = token_filter is not None
         report.fresh_ok = token_filter is not None and self._fresh(token_filter[1], now)
         return report

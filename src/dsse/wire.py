@@ -3,7 +3,9 @@
 Requests are the protocol values themselves: an AddPayload, RefreshPayload
 or SearchTokenEnvelope goes on the wire as it is, and GetBloom and Rotate
 are the two requests with no protocol value of their own. Every answer is
-a Reply whose value is what the server method returned.
+a Reply whose value is what the server method returned: a search is
+answered with (ids, ciphertexts, gamma), the one shape CloudServer.search,
+the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
@@ -62,7 +64,7 @@ from .errors import (
     TransportError,
     UsageError,
 )
-from .protocol import AddPayload, Proof, RefreshPayload, SearchTokenEnvelope
+from .protocol import AddPayload, RefreshPayload, SearchTokenEnvelope
 from .server import CloudServer
 
 VERSION = 0x02
@@ -139,7 +141,7 @@ class Reply:
     """The answer to a request of `kind`.
 
     value is what the server method returned on CODE_OK: (ids, ciphertexts,
-    proof) for SEARCH, (filter, sigma, t) for GET_BLOOM, else None.
+    gamma) for SEARCH, (filter, sigma, t) for GET_BLOOM, else None.
     message explains any other code.
     """
 
@@ -195,16 +197,16 @@ def _encode_reply(msg: Reply) -> bytes:
     if msg.code != CODE_OK or msg.kind not in (KIND_SEARCH, KIND_GET_BLOOM):
         put_str(buf, msg.message)
     elif msg.kind == KIND_SEARCH:
-        ids, ciphertexts, proof = msg.value
+        ids, ciphertexts, gamma = msg.value
         put_u32(buf, len(ids))
         for fid in ids:
             put_bytes(buf, fid)
         put_u32(buf, len(ciphertexts))
         for ct in ciphertexts:
             put_bytes(buf, ct)
-        put_u8(buf, proof is not None)
-        if proof is not None:
-            put_bytes(buf, proof.gamma)
+        put_u8(buf, gamma is not None)
+        if gamma is not None:
+            put_bytes(buf, gamma)
     else:
         bf_bytes, sigma, t = msg.value
         put_bytes(buf, bf_bytes)
@@ -255,8 +257,8 @@ def _decode_reply(kind: int, r: Reader) -> Reply:
     if kind == KIND_SEARCH:
         ids = [r.bytes_() for _ in range(r.u32())]
         cts = [r.bytes_() for _ in range(r.u32())]
-        proof = Proof(r.bytes_()) if r.flag() else None
-        return Reply(kind, value=(ids, cts, proof))
+        gamma = r.bytes_() if r.flag() else None
+        return Reply(kind, value=(ids, cts, gamma))
     return Reply(kind, value=(r.bytes_(), r.bytes_(), r.u64()))
 
 
@@ -315,8 +317,7 @@ class ServerEndpoint:
             return server.set_group_key(request.group_key, request.epoch)
         if isinstance(request, GetBloom):
             return server.get_bloom(request.since)
-        ids, proof = server.search(request)
-        return ids, server.ciphertexts_for(ids), proof
+        return server.search(request)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ class Client:
 
     def search(
         self, envelope: SearchTokenEnvelope
-    ) -> tuple[list[bytes], list[bytes], Proof | None]:
+    ) -> tuple[list[bytes], list[bytes], bytes | None]:
         return self._call(envelope)
 
     def get_bloom(self) -> tuple[bytes, bytes, int]:

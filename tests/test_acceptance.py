@@ -204,7 +204,7 @@ def test_criterion_4_recurring_search_law():
         first_lookups = server.last_search_lookups
         for j in range(d):
             server.add(owner.add_file(f"extra{j}".encode(), ["hb:75"], t + j * 600))
-        ids, _ = server.search(owner.gen_token("hb:75"))
+        ids, _, _ = server.search(owner.gen_token("hb:75"))
         results[d] = (first_lookups, server.last_search_lookups, len(ids))
     exact = all(
         results[d] == (c, d + 1, c + d) for d in (0, 1, 10, 100)
@@ -278,9 +278,8 @@ def test_criterion_6_verifiability_detection():
     owner, server, t = single_keyword_system(5)
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t)
-    ids, proof = server.search(env)
-    cts = server.ciphertexts_for(ids)
-    stale = user.verify("w", cnt, ids, cts, proof, t + user.freshness_window + 120)
+    ids, cts, gamma = server.search(env)
+    stale = user.verify("w", cnt, ids, cts, gamma, t + user.freshness_window + 120)
     bf_bytes, sigma, ts = server.get_bloom()
     flipped_bf = bytearray(bf_bytes)
     flipped_bf[10] ^= 0x02
@@ -289,7 +288,7 @@ def test_criterion_6_verifiability_detection():
         flip_refused = False
     except TamperedFilterError:
         flip_refused = True
-    flip = user.verify("w", cnt, ids, cts, proof, t)
+    flip = user.verify("w", cnt, ids, cts, gamma, t)
     direct = (
         stale.fresh_ok is False and not stale.ok
         and flip_refused and flip.sigma_ok is False and not flip.ok

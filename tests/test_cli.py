@@ -1,7 +1,11 @@
 import json
 import os
 
+from dsse.bloom import BloomFilter
 from dsse.cli import main
+from dsse.crypto import chain_label
+from dsse.owner import DataOwner
+from dsse.protocol import RefreshPayload, filter_mac
 from dsse.wire import WireServer
 from dsse.server import CloudServer
 
@@ -49,6 +53,33 @@ def test_refresh_then_user_search(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(["--state-dir", st, "verify"], capsys)
     assert code == 0 and "PASS" in out
+
+
+def test_user_search_retries_below_a_false_positive(tmp_path, capsys):
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--capacity", "20000"], capsys)
+    run(["--state-dir", st, "ingest", "--n", "30", "--seed", "7"], capsys)
+    from dsse.harness.phi import synthesize_stream
+
+    keyword = next(iter(synthesize_stream(7, 1))).keywords()[0]
+    # publish a refreshed filter that falsely holds the keyword's next counter
+    owner = DataOwner.load(os.path.join(st, "owner.bin"))
+    cnt = owner.tbl[keyword].cnt
+    t = json.load(open(os.path.join(st, "meta.json")))["last_t"]
+    bf = BloomFilter.deserialize(owner.refresh_bloom(t).bf_bytes)
+    bf.add(chain_label(owner.keys.k_prf, keyword, cnt + 1))
+    planted = bf.serialize()
+    server = CloudServer.load(os.path.join(st, "server.bin"))
+    server.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, planted, t), t))
+    server.save(os.path.join(st, "server.bin"))
+
+    code, out, _ = run(["--state-dir", st, "search", "--keyword", keyword], capsys)
+    assert code == 0 and f"results for {keyword!r} (counter {cnt}," in out
+    transcript = json.load(open(os.path.join(st, "last_search.json")))
+    assert transcript["guessed_cnt"] == cnt
+    assert transcript["token_filter"] == {"sigma": server.sigma.hex(), "t": t}
+    code, out, _ = run(["--state-dir", st, "verify"], capsys)
+    assert code == 0 and "verification: PASS" in out
 
 
 def test_rotate_revokes_user(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dsse.crypto import chain_label
 from dsse.harness.bench import linear_fit, long_state_run, run_bench
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import (
@@ -180,6 +181,24 @@ def test_recurring_query_lookup_law():
             again = system.owner_query(keyword)
             assert again.lookups == d + 1
             assert again.n_results == before + d
+    finally:
+        system.close()
+
+
+def test_user_query_records_faults_instead_of_raising():
+    system = SimulatedSystem("full", default_bloom_params(60))
+    try:
+        system.ingest_stream(seed=12, n_files=60)
+        user = system.users[0]
+        absent = system.user_query(user, "heartbeat:1")
+        assert (absent.reason, absent.verified, absent.oracle_match) == ("absent", None, True)
+        keyword = system.oracle.keywords_by_count()[max(system.oracle.keywords_by_count())][0]
+        assert system.oracle.count(keyword) >= 3
+        # a server that lost an interior entry answers with a broken chain
+        del system.server.tbl[chain_label(system.owner.keys.k_prf, keyword, 2)]
+        broken = system.user_query(user, keyword)
+        assert (broken.reason, broken.verified) == ("fault:ProtocolError", False)
+        assert broken.guessed_count is None and broken.n_results == 0
     finally:
         system.close()
 

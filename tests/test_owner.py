@@ -157,12 +157,31 @@ def test_refresh_embeds_current_counters():
     expected = sum(len(str(rec.cnt)) for rec in owner.tbl.values())
     assert owner.bf.n_inserted == expected
     assert owner.bf.extract_counter(owner.keys.k_prf, "w") == 456
-    assert owner.last_refresh == NOW + 1000
+    assert owner.t == NOW + 1000
     assert payload.sigma == filter_mac(owner.keys.k_mac, payload.bf_bytes, NOW + 1000)
     # the next upload appends its membership element to the refreshed filter
     owner.add_file(b"more", ["w"], NOW + 1600)
     assert owner.bf.verify(crypto.chain_label(owner.keys.k_prf, "w", 457))
     assert owner.bf.n_inserted == expected + 1
+
+
+def test_time_before_the_last_sigma_refused_before_any_change():
+    owner = fresh()
+    owner.add_file(b"f1", ["w"], NOW)
+    owner.refresh_bloom(NOW + 600)
+    owner.add_file(b"f2", ["w"], NOW + 600)  # the same time is not earlier
+    before = owner.snapshot()
+    with pytest.raises(UsageError, match="precedes"):
+        owner.add_file(b"late", ["w", "new:1"], NOW + 599)
+    with pytest.raises(UsageError, match="precedes"):
+        owner.refresh_bloom(NOW)
+    assert owner.snapshot() == before
+    assert owner.t == NOW + 600
+    # basic mode signs no filter, so it has no time to keep in order
+    basic = fresh("basic")
+    basic.add_file(b"f1", ["w"], NOW)
+    basic.add_file(b"f2", ["w"], NOW - 600)
+    assert basic.tbl["w"].cnt == 2 and basic.t == 0
 
 
 def test_gamma_continuous_across_refresh():
@@ -186,7 +205,7 @@ def test_snapshot_round_trip(tmp_path):
     assert back.keys == owner.keys
     assert back.tbl == owner.tbl
     assert back.bf == owner.bf
-    assert back.last_refresh == owner.last_refresh
+    assert back.t == owner.t == NOW + 200
     # the restored owner continues the chain identically
     token_a = owner.gen_token("shared:1")
     token_b = back.gen_token("shared:1")

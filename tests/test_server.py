@@ -12,7 +12,7 @@ from dsse.errors import (
     UsageError,
 )
 from dsse.owner import DataOwner
-from dsse.protocol import Proof, SearchTokenEnvelope, verify_result
+from dsse.protocol import SearchTokenEnvelope, verify_result
 from dsse.server import ChainEntry, CloudServer, MergedEntry
 
 NOW = 1_700_000_000
@@ -66,10 +66,25 @@ def test_duplicate_label_within_payload_rejected():
 
 def test_non_monotonic_timestamp_rejected():
     owner, server = build()
-    server.add(owner.add_file(b"f1", ["w"], NOW))
-    late = owner.add_file(b"f2", ["w"], NOW - 600)
+    late = owner.add_file(b"f1", ["w"], NOW - 600)  # built first: the owner refuses it later
+    server.add(owner.add_file(b"f2", ["w"], NOW))
     with pytest.raises(ProtocolError):
         server.add(late)
+
+
+def test_late_upload_refused_by_the_owner_keeps_owner_and_server_in_step():
+    # the server refuses a full-mode payload older than its filter, so the
+    # owner must refuse to build one: its counters would skip an entry
+    owner, server = build()
+    ids = ingest(owner, server, 2, lambda i: ["w"])
+    before = owner.snapshot()
+    with pytest.raises(UsageError):
+        owner.add_file(b"late", ["w"], NOW - 600)
+    assert owner.snapshot() == before
+    ids += ingest(owner, server, 1, lambda i: ["w"], start=NOW + 1200)
+    rst, cts, gamma = server.search(owner.gen_token("w"))
+    assert rst == ids[::-1]
+    assert owner.verify("w", rst, cts, gamma, NOW + 1260).ok
 
 
 def test_basic_mode_accepts_payload_without_sigma():
@@ -104,12 +119,12 @@ def test_mode_mixing_rejected_by_mask_width():
 def test_search_returns_newest_first_with_exact_lookups():
     owner, server = build()
     ids = ingest(owner, server, 5, lambda i: ["w", f"noise:{i}"])
-    rst, proof = server.search(owner.gen_token("w"))
+    rst, cts, gamma = server.search(owner.gen_token("w"))
     assert rst == list(reversed(ids))
+    assert cts == [server.files[i] for i in rst]
     assert server.last_search_lookups == 5
-    assert proof is not None
-    assert proof.gamma == owner.tbl["w"].gamma
-    assert proof == Proof(owner.tbl["w"].gamma)  # no filter, sigma or timestamp
+    assert gamma is not None
+    assert gamma == owner.tbl["w"].gamma  # no filter, sigma or timestamp
 
 
 def test_search_oracle_equivalence_random():
@@ -123,7 +138,7 @@ def test_search_oracle_equivalence_random():
         for w in kws:
             truth.setdefault(w, []).append(payload.file_id)
     for w, expect in truth.items():
-        rst, _ = server.search(owner.gen_token(w))
+        rst, _, _ = server.search(owner.gen_token(w))
         assert rst == list(reversed(expect)), w
 
 
@@ -131,16 +146,13 @@ def test_repeat_search_costs_one_lookup():
     owner, server = build()
     ingest(owner, server, 4, lambda i: ["w"])
     token = owner.gen_token("w")
-    first, _ = server.search(token)
+    first, _, _ = server.search(token)
     assert server.last_search_lookups == 4
-    second, proof = server.search(token)
+    second, cts, gamma = server.search(token)
     assert server.last_search_lookups == 1
     assert second == first
     # merged entry still carries a verifiable gamma
-    report = verify_result(
-        owner.keys.k_mac, "w", owner.tbl["w"].cnt, second,
-        server.ciphertexts_for(second), proof,
-    )
+    report = verify_result(owner.keys.k_mac, "w", owner.tbl["w"].cnt, second, cts, gamma)
     assert report.ok
 
 
@@ -150,7 +162,7 @@ def test_incremental_search_costs_d_plus_one():
         ingest(owner, server, 7, lambda i: ["w"])
         server.search(owner.gen_token("w"))
         ingest(owner, server, d, lambda i: ["w"], start=NOW + 7 * 600)
-        rst, _ = server.search(owner.gen_token("w"))
+        rst, _, _ = server.search(owner.gen_token("w"))
         assert server.last_search_lookups == d + 1
         assert len(rst) == 7 + d
 
@@ -171,7 +183,7 @@ def test_stale_epoch_rejected_before_decryption():
     with pytest.raises(StaleEpochError):
         server.search(old_token)
     fresh_token = owner.gen_token("w")
-    rst, _ = server.search(fresh_token)
+    rst, _, _ = server.search(fresh_token)
     assert len(rst) == 2
 
 
@@ -193,7 +205,7 @@ def test_refresh_replaces_filter_wholesale():
     # membership elements from before the refresh are no longer in the
     # filter, but the table still answers searches
     assert not server.bf.verify(tau2)
-    rst, _ = server.search(owner.gen_token("w"))
+    rst, _, _ = server.search(owner.gen_token("w"))
     assert len(rst) == 3
 
 
@@ -252,7 +264,7 @@ def test_snapshot_round_trip(tmp_path):
             assert (restored.mu, restored.file_id) == (entry.mu, entry.file_id)
         else:
             assert (restored.ids, restored.gamma) == (entry.ids, entry.gamma)
-    rst, _ = back.search(owner.gen_token("shared:1"))
+    rst, _, _ = back.search(owner.gen_token("shared:1"))
     assert server.last_search_lookups >= 1
     assert len(rst) == 10
 
@@ -270,7 +282,7 @@ def test_stored_ids_linear_under_search_after_every_upload():
     owner, server = build("basic")
     for i in range(200):
         ingest(owner, server, 1, lambda _: ["w"], start=NOW + i * 600)
-        rst, _ = server.search(owner.gen_token("w"))
+        rst, _, _ = server.search(owner.gen_token("w"))
         assert len(rst) == i + 1
         assert server.last_search_lookups == (1 if i == 0 else 2)
     # one list of 200 ids, where a copy per merge stores 1 + 2 + ... + 200
@@ -283,11 +295,9 @@ def test_old_counter_searches_between_merged_heads():
     ids = ingest(owner, server, 10, lambda i: ["w", f"noise:{i}"])
 
     def search_at(counter):
-        rst, proof = server.search(owner.token_for_counter("w", counter))
+        rst, cts, gamma = server.search(owner.token_for_counter("w", counter))
         assert rst == ids[:counter][::-1], counter
-        report = verify_result(
-            owner.keys.k_mac, "w", counter, rst, server.ciphertexts_for(rst), proof
-        )
+        report = verify_result(owner.keys.k_mac, "w", counter, rst, cts, gamma)
         assert report.ok, counter
         return server.last_search_lookups
 
@@ -295,15 +305,31 @@ def test_old_counter_searches_between_merged_heads():
     assert search_at(8) == 6  # c8..c4, then the merged c3
     shared = server.tbl[chain_label(owner.keys.k_prf, "w", 8)].chain
     assert search_at(5) == 3  # interior: c5, c4, then the merged c3
-    assert search_at(2) == 2  # below the first merged head: a list of its own
+    assert search_at(2) == 2  # below every merged head: c2, then the merged bottom c1
     assert search_at(1) == 1 and search_at(1) == 1
     ids += ingest(owner, server, 5, lambda i: ["w"], start=NOW + 10 * 600)
     assert search_at(15) == 8  # c15..c9, then the merged c8
     assert search_at(9) == 2
-    for counter in (3, 5, 8, 9, 15):
+    for counter in (1, 2, 3, 5, 8, 9, 15):
         assert server.tbl[chain_label(owner.keys.k_prf, "w", counter)].chain is shared
     assert shared == ids
     assert search_at(15) == 1
+
+
+@pytest.mark.parametrize("mode", ["basic", "full"])
+def test_descending_old_counter_searches_store_each_id_once(mode):
+    # each search walks down to the chain's merged bottom c1 and shares its
+    # list; a list per walk to the zero key stores 200 + 199 + ... + 1 ids
+    owner, server = build(mode)
+    ids = ingest(owner, server, 200, lambda i: ["w"])
+    for counter in range(200, 0, -1):
+        rst, cts, gamma = server.search(owner.token_for_counter("w", counter))
+        assert rst == ids[:counter][::-1]
+        assert server.last_search_lookups == counter
+        if mode == "full":
+            assert verify_result(owner.keys.k_mac, "w", counter, rst, cts, gamma).ok
+    assert merged_lists(server) == [ids]
+    assert len(server.snapshot()) < 20_100 * (4 + 16)  # 20,100 stored ids alone
 
 
 def test_merge_never_rewrites_a_shared_prefix():
@@ -317,7 +343,8 @@ def test_merge_never_rewrites_a_shared_prefix():
     tau, key = b"\x0a" * 16, b"\x0b" * 16
     link = chain_label(owner.keys.k_prf, "w", 1) + b"\x0c" * 16  # label, any key
     server.tbl[tau] = ChainEntry(xor_bytes(link, prf2(key, tau)), b"stranger-id-0000")
-    rst, _ = server.search(SearchTokenEnvelope(0, tau + key))
+    server.files[b"stranger-id-0000"] = b"stranger ciphertext"
+    rst, _, _ = server.search(SearchTokenEnvelope(0, tau + key))
     assert rst == [b"stranger-id-0000", ids[0]]
     assert server.tbl[tau].chain is not shared
     assert shared == ids
@@ -332,13 +359,15 @@ def test_snapshot_is_canonical_and_restores_the_sharing():
     blob = server.snapshot()
     back = CloudServer.restore(blob)
     assert back.snapshot() == blob
-    assert len(merged_lists(back)) == len(merged_lists(server)) == 3
-    labels = [chain_label(owner.keys.k_prf, "w", c) for c in (4, 6, 9, 12)]
+    # one list for "w" (the counter-2 search shares it through the merged
+    # bottom c1) and one for "kw:1"
+    assert len(merged_lists(back)) == len(merged_lists(server)) == 2
+    labels = [chain_label(owner.keys.k_prf, "w", c) for c in (1, 2, 4, 6, 9, 12)]
     shared = back.tbl[labels[0]].chain
     assert all(back.tbl[tau].chain is shared for tau in labels)
     # a search after the restore appends to the same list
     ingest(owner, back, 2, lambda i: ["w"], start=NOW + 12 * 600)
-    rst, _ = back.search(owner.gen_token("w"))
+    rst, _, _ = back.search(owner.gen_token("w"))
     assert back.last_search_lookups == 3 and len(rst) == 14
     assert back.tbl[chain_label(owner.keys.k_prf, "w", 14)].chain is shared
     assert len(shared) == 14

@@ -14,6 +14,7 @@ from dsse.errors import (
     TamperedFilterError,
 )
 from dsse.owner import DataOwner
+from dsse.protocol import RefreshPayload, filter_mac
 from dsse.server import CloudServer
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
@@ -144,12 +145,13 @@ def test_refused_filter_leaves_no_token_time_filter():
     user = AuthorizedUser.from_owner(owner)
     bf_bytes, sigma, ts = triple = server.get_bloom()
     env, cnt = user.gen_token(triple, "w", t)
-    ids, proof = server.search(env)
-    cts = server.ciphertexts_for(ids)
-    assert user.verify("w", cnt, ids, cts, proof, t).ok
+    ids, cts, gamma = server.search(env)
+    assert user.verify("w", cnt, ids, cts, gamma, t).ok
+    assert user.token_filter == (sigma, ts)
     with pytest.raises(TamperedFilterError):
         user.gen_token((bf_bytes, b"\x00" * 16, ts), "w", t)
-    report = user.verify("w", cnt, ids, cts, proof, t)
+    assert user.token_filter is None
+    report = user.verify("w", cnt, ids, cts, gamma, t)
     assert report.sigma_ok is False and report.fresh_ok is False and not report.ok
 
 
@@ -172,9 +174,8 @@ def test_end_to_end_verify_and_decrypt():
     owner, server, t = build_system(6)
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t)
-    ids, proof = server.search(env)
-    cts = server.ciphertexts_for(ids)
-    report = user.verify("w", cnt, ids, cts, proof, t)
+    ids, cts, gamma = server.search(env)
+    report = user.verify("w", cnt, ids, cts, gamma, t)
     assert report.ok
     files = user.decrypt_files(cts)
     assert files == [f"f{i}".encode() for i in reversed(range(6))]  # order kept
@@ -185,7 +186,7 @@ def test_end_to_end_verify_and_decrypt():
 
 
 def test_merged_result_still_verifies_after_refresh():
-    # search (head merges), then refresh: the proof's gamma comes from the
+    # search (head merges), then refresh: the answer's gamma comes from the
     # merged entry while the token-time filter is the refreshed one
     owner, server, t = build_system(8)
     server.search(owner.gen_token("w"))
@@ -193,9 +194,9 @@ def test_merged_result_still_verifies_after_refresh():
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t + 60)
     assert cnt == 8
-    ids, proof = server.search(env)
+    ids, cts, gamma = server.search(env)
     assert server.last_search_lookups == 1
-    report = user.verify("w", cnt, ids, server.ciphertexts_for(ids), proof, t + 60)
+    report = user.verify("w", cnt, ids, cts, gamma, t + 60)
     assert report.ok
 
 
@@ -203,9 +204,8 @@ def test_verify_detects_stale_proof():
     owner, server, t = build_system(4)
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t)
-    ids, proof = server.search(env)
-    cts = server.ciphertexts_for(ids)
-    report = user.verify("w", cnt, ids, cts, proof, t + user.freshness_window + 61)
+    ids, cts, gamma = server.search(env)
+    report = user.verify("w", cnt, ids, cts, gamma, t + user.freshness_window + 61)
     assert report.fresh_ok is False and not report.ok
     assert report.sigma_ok is True  # the MAC itself still matches
 
@@ -222,21 +222,50 @@ def test_boundary_false_positive_retries_once():
     assert user.guess_counter(bf, "w") == 6  # the lie
     with pytest.raises(NotFoundError):
         server.search(user.token_for_counter("w", 6))
-    ids, proof = server.search(user.token_for_counter("w", 5))
-    report = user.verify("w", 5, ids, server.ciphertexts_for(ids), proof, t)
+    ids, cts, gamma = server.search(user.token_for_counter("w", 5))
+    report = user.verify("w", 5, ids, cts, gamma, t)
     assert report.ok
 
 
+def test_query_retries_once_below_a_planted_false_positive():
+    # the published filter falsely holds counter c+1 of "w" and counter 1 of
+    # "ghost": the guess for "w" is one too high and the retry at c answers;
+    # "ghost" has no entry at its guess and none below it
+    c = 5
+    owner = DataOwner.generate("full", PARAMS)
+    server = CloudServer("full", PARAMS, group_key=owner.keys.r)
+    client = Client.in_process(server)
+    ids = []
+    for i in range(c):
+        payload = owner.add_file(f"f{i}".encode(), ["w"], NOW + i * 600)
+        client.add(payload)
+        ids.insert(0, payload.file_id)
+    t = NOW + c * 600
+    bf = BloomFilter.deserialize(owner.refresh_bloom(t).bf_bytes)
+    bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
+    bf.add(crypto.chain_label(owner.keys.k_prf, "ghost", 1))
+    planted = bf.serialize()
+    client.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, planted, t), t))
+    user = AuthorizedUser.from_owner(owner)
+    assert user.gen_token(client.get_bloom(), "w", t)[1] == c + 1  # the lie
+    got, cts, gamma, cnt = user.query(client, "w", t + 60)
+    assert (got, cnt) == (ids, c)
+    assert user.token_filter == (client.get_bloom()[1], t)
+    assert user.verify("w", cnt, got, cts, gamma, t + 60).ok
+    with pytest.raises(NotFoundError):
+        user.query(client, "ghost", t + 60)
+
+
 def test_upload_between_token_and_search_still_verifies():
-    # the proof is not bound to the server's current filter, so an honest
+    # the answer is not bound to the server's current filter, so an honest
     # upload landing between GET_BLOOM and SEARCH fails no honest query
     owner, server, t = build_system(4)
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t)
     server.add(owner.add_file(b"late", ["w"], t))
-    ids, proof = server.search(env)
+    ids, cts, gamma = server.search(env)
     assert len(ids) == cnt == 4
-    report = user.verify("w", cnt, ids, server.ciphertexts_for(ids), proof, t + 60)
+    report = user.verify("w", cnt, ids, cts, gamma, t + 60)
     assert report.ok and report.sigma_ok and report.fresh_ok
 
 
@@ -297,7 +326,7 @@ def test_revoked_user_cannot_search():
     env.epoch = epoch
     with pytest.raises(DecryptionError):
         server.search(env)
-    ids, _ = server.search(u_ok.token_for_counter("w", 3))
+    ids, _, _ = server.search(u_ok.token_for_counter("w", 3))
     assert len(ids) == 3
 
 

@@ -17,7 +17,7 @@ from dsse.errors import (
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import synthesize_stream
 from dsse.owner import DataOwner
-from dsse.protocol import AddPayload, Proof, RefreshPayload, SearchTokenEnvelope, filter_mac
+from dsse.protocol import AddPayload, RefreshPayload, SearchTokenEnvelope, filter_mac
 from dsse.server import CloudServer
 
 NOW = 1_700_000_000
@@ -55,11 +55,10 @@ def test_round_trip_every_kind():
     round_trip(wire.Rotate(rng.randbytes(16), 2))
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_OK))
     round_trip(wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"))
-    proof = Proof(rng.randbytes(16))
     round_trip(wire.Reply(wire.KIND_SEARCH, value=(
         [rng.randbytes(16) for _ in range(4)],
         [rng.randbytes(30) for _ in range(4)],
-        proof,
+        rng.randbytes(16),
     )))
     round_trip(wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"))
     round_trip(wire.Reply(
@@ -114,7 +113,7 @@ GOLDEN_FRAMES = {
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
-            [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], Proof(b"\x0f" * 16)
+            [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
         "95b0a041ccd642142863ce2b970e68c195b12b21c1b752d9b915546f927f6b45",
     ),
@@ -313,9 +312,9 @@ def test_full_honest_run_over_wire():
     keywords = oracle.keywords()
     for _ in range(100):
         w = picker.choice(keywords)
-        ids, cts, proof = client.search(owner.gen_token(w))
+        ids, cts, gamma = client.search(owner.gen_token(w))
         assert ids == oracle.ids_newest_first(w)
-        report = owner.verify(w, ids, cts, proof, last_t + 60)
+        report = owner.verify(w, ids, cts, gamma, last_t + 60)
         assert report.ok
 
 
