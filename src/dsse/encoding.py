@@ -11,10 +11,13 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from typing import Callable, Iterator, TypeVar
 
 from .errors import FormatError
 
 MAX_FIELD = 1 << 30  # sanity cap on a single length prefix (1 GiB)
+
+T = TypeVar("T")
 
 
 def put_u8(buf: bytearray, v: int) -> None:
@@ -87,6 +90,19 @@ class Reader:
             return self.bytes_().decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("invalid utf-8 in string field", offset=at) from None
+
+    def ascending(self, what: str, read: Callable[[], T]) -> Iterator[T]:
+        """Read a u64 count, then yield that many values, each read by
+        `read` and strictly greater than the last (the order snapshots
+        write them in)."""
+        prev = None
+        for _ in range(self.u64()):
+            at = self.pos
+            key = read()
+            if prev is not None and key <= prev:
+                raise FormatError(f"{what}s out of order", offset=at)
+            prev = key
+            yield key
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):

@@ -53,7 +53,6 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     laws: dict[str, bool] = field(default_factory=dict)
-    details: dict[str, object] = field(default_factory=dict)
 
     def add(self, metric: str, measured: float, reference: float | None, unit: str, note: str = "") -> None:
         self.rows.append(BenchRow(metric, measured, reference, unit, note))
@@ -341,8 +340,6 @@ def run_bench(
                "filter MAC + parse at token time, once per filter")
     report.add("verify_fit_r_squared", vb.r_squared, None, "", "time vs result count")
     report.laws["verify_time_affine_r2>=0.9"] = vb.r_squared >= 0.9
-    report.details["verify_counts"] = vb.counts
-    report.details["verify_total_ms"] = vb.total_ms
 
     token_ms = bench_token_gen()
     report.add("token_gen", token_ms, REFERENCES["token_gen_ms"], "ms",

@@ -245,7 +245,7 @@ class SimulatedSystem:
         except StaleEpochError:
             return record(None, [], False, "stale-epoch", None)
         except NotFoundError:
-            # no trace in the filter, or no entry at the guess nor at guess-1
+            # no trace in the filter, or no entry at the guessed counter
             if expected == 0:
                 return record(None, [], None, "absent", None, oracle_match=True)
             return record(None, [], False, "not-found", None, oracle_match=False)

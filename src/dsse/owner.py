@@ -264,27 +264,35 @@ class DataOwner:
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not an owner snapshot", offset=0)
         r = Reader(data[len(_SNAPSHOT_MAGIC):])
-        mode = FULL if r.u8() else BASIC
+        mode = FULL if r.flag() else BASIC
         k_prf, k_se, k_mac, gk = r.bytes_(), r.bytes_(), r.bytes_(), r.bytes_()
         epoch = r.u64()
         t = r.u64()
         freshness = r.u64()
-        target_fp = struct.unpack(">d", r._take(8))[0]
-        capacity = r.u64()
-        params = BloomParams(target_fp, capacity)
-        keys = KeyBundle(k_prf, k_se, k_mac, gk, epoch)
-        owner = cls(mode, keys, params, freshness)
-        owner.t = t
-        for _ in range(r.u64()):
-            w = r.str_()
-            cnt = r.u64()
-            gamma = r.bytes_() if r.u8() else None
-            owner.tbl[w] = KeywordRecord(cnt, gamma)
-        if r.u8():
-            owner.bf = BloomFilter.deserialize(r.bytes_())
-        else:
-            owner.bf = None
+        at = r.pos
+        params = BloomParams(struct.unpack(">d", r._take(8))[0], r.u64())
+        try:
+            sizing = params.derive()
+        except UsageError as exc:
+            raise FormatError(f"bad filter sizing: {exc}", offset=at) from None
+        tbl = {
+            w: KeywordRecord(r.u64(), r.bytes_() if r.flag() else None)
+            for w in r.ascending("keyword", r.str_)
+        }
+        at = r.pos
+        bf = BloomFilter.deserialize(r.bytes_()) if r.flag() else None
+        if (bf is not None) != (mode == FULL):
+            raise FormatError("a filter is present if and only if mode is full", offset=at)
+        # checked before the owner allocates a filter from these params
+        if bf is not None and sizing != (bf.m, bf.k):
+            raise FormatError(
+                f"filter is (m={bf.m}, k={bf.k}), its params derive {sizing}", offset=at
+            )
         r.expect_end()
+        owner = cls(mode, KeyBundle(k_prf, k_se, k_mac, gk, epoch), params, freshness)
+        owner.t = t
+        owner.tbl = tbl
+        owner.bf = bf
         return owner
 
     def save(self, path: str) -> None:

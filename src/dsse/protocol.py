@@ -98,18 +98,17 @@ def verify_result(
 ) -> VerifyReport:
     """Run the result checks against a search result.
 
-    (a) result cardinality equals the counter; (b) XOR of per-file tags
-    equals the gamma the server answered with. The owner knows the true
-    counter, so these are all it needs. A delegated user adds (c) and (d)
-    about the filter it derived the counter from (see
+    (a) cardinality: one ciphertext per id, none repeated (a repeated
+    pair cancels in the XOR aggregate; an honest chain holds each freshly
+    encrypted file once), and as many as the counter; (b) XOR of per-file
+    tags equals the gamma the server answered with. The owner knows the
+    true counter, so these are all it needs. A delegated user adds (c) and
+    (d) about the filter it derived the counter from (see
     AuthorizedUser.verify); this function leaves them None.
     """
-    if len(ciphertexts) != len(rst):
-        raise UsageError(
-            f"{len(ciphertexts)} ciphertexts for {len(rst)} result ids"
-        )
+    distinct = len(set(ciphertexts)) == len(ciphertexts) == len(rst)
     tags = [result_mac(k_mac, c, keyword) for c in ciphertexts]
-    return VerifyReport(len(rst) == cnt, aggregate_mac(tags) == gamma)
+    return VerifyReport(distinct and len(rst) == cnt, aggregate_mac(tags) == gamma)
 
 
 def check_mode(mode: str) -> str:

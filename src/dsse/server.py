@@ -398,7 +398,7 @@ class CloudServer:
         server.bf = BloomFilter.deserialize(r.bytes_()) if r.flag() else None
         chains = [[r.bytes_() for _ in range(r.u32())] for _ in range(r.u64())]
         used = 0  # lists numbered so far, in sorted-label order
-        for tau in _ascending(r, "index label"):
+        for tau in r.ascending("index label", r.bytes_):
             if r.flag():
                 server.tbl[tau] = ChainEntry(r.bytes_(), r.bytes_())
                 continue
@@ -415,7 +415,7 @@ class CloudServer:
             server.tbl[tau] = MergedEntry(chains[i], n, gamma)
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
-        for fid in _ascending(r, "file id"):
+        for fid in r.ascending("file id", r.bytes_):
             server.files[fid] = r.bytes_()
         r.expect_end()
         return server
@@ -428,15 +428,3 @@ class CloudServer:
         with open(path, "rb") as f:
             return cls.restore(f.read())
 
-
-def _ascending(r: Reader, what: str):
-    """Read a u64 count, then yield that many byte strings, each strictly
-    greater than the last (the order snapshot writes them in)."""
-    prev = None
-    for _ in range(r.u64()):
-        at = r.pos
-        key = r.bytes_()
-        if prev is not None and key <= prev:
-            raise FormatError(f"{what}s out of order", offset=at)
-        prev = key
-        yield key

@@ -223,18 +223,12 @@ class AuthorizedUser:
     def query(
         self, client: Client, keyword: str, now: int
     ) -> tuple[list[bytes], list[bytes], bytes, int]:
-        """Fetch the filter, guess the counter, search: (ids, ciphertexts,
-        gamma, counter). A filter false positive at counter+1 leaves the
-        guess with no table entry, so that search is retried once at
-        guess-1; any other error is raised."""
+        """Fetch the filter, guess the counter, search once at it: (ids,
+        ciphertexts, gamma, counter). The filter has no false negatives, so
+        the guess is never below the attested counter; a NotFoundError there
+        is raised, since an answer from lower down could hide new files."""
         envelope, cnt = self.gen_token(client.get_bloom(), keyword, now)
-        try:
-            return (*client.search(envelope), cnt)
-        except NotFoundError:
-            if cnt <= 1:
-                raise
-        cnt -= 1
-        return (*client.search(self.token_for_counter(keyword, cnt)), cnt)
+        return (*client.search(envelope), cnt)
 
     # ------------------------------------------------------------------
     # Verification / decryption

@@ -348,11 +348,18 @@ class SocketTransport:
         self._lock = threading.Lock()
 
     def request(self, data: bytes) -> bytes:
+        """One request, one reply. A failed exchange closes the socket: a
+        reply still in flight, or the unread body of a refused frame, would
+        otherwise be read as the answer to the next request."""
         with self._lock:
             try:
                 self._sock.sendall(len(data).to_bytes(4, "big") + data)
                 return _recv_frame(self._sock)
+            except TransportError:
+                self._sock.close()
+                raise
             except OSError as exc:
+                self._sock.close()
                 raise TransportError(str(exc)) from exc
 
     def close(self) -> None:

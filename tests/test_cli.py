@@ -55,7 +55,7 @@ def test_refresh_then_user_search(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_user_search_retries_below_a_false_positive(tmp_path, capsys):
+def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     st = str(tmp_path / "st")
     run(["--state-dir", st, "gen-keys", "--capacity", "20000"], capsys)
     run(["--state-dir", st, "ingest", "--n", "30", "--seed", "7"], capsys)
@@ -73,13 +73,10 @@ def test_user_search_retries_below_a_false_positive(tmp_path, capsys):
     server.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, planted, t), t))
     server.save(os.path.join(st, "server.bin"))
 
-    code, out, _ = run(["--state-dir", st, "search", "--keyword", keyword], capsys)
-    assert code == 0 and f"results for {keyword!r} (counter {cnt}," in out
-    transcript = json.load(open(os.path.join(st, "last_search.json")))
-    assert transcript["guessed_cnt"] == cnt
-    assert transcript["token_filter"] == {"sigma": server.sigma.hex(), "t": t}
-    code, out, _ = run(["--state-dir", st, "verify"], capsys)
-    assert code == 0 and "verification: PASS" in out
+    # the guess has no table entry, and no lower counter is searched
+    code, out, err = run(["--state-dir", st, "search", "--keyword", keyword], capsys)
+    assert code == 1 and "results" not in out and "unknown index label" in err
+    assert not os.path.exists(os.path.join(st, "last_search.json"))
 
 
 def test_rotate_revokes_user(tmp_path, capsys):

@@ -109,3 +109,27 @@ def test_server_restore_rejects_corrupted_merged_entries():
             # anything accepted is the canonical encoding of what it restored
             assert server.snapshot() == data
 
+
+
+def test_owner_restore_rejects_every_single_bit_flip():
+    # a flipped sizing field must not restore params that derive another
+    # filter size than the one in the blob (the next refresh would publish
+    # it), nor allocate a filter sized by the flipped capacity
+    for mode in ("full", "basic"):
+        owner = DataOwner.generate(mode, BloomParams(2.0**-4, 8))
+        owner.add_file(b"x", ["a:1", "b:0"], 1_700_000_000)
+        owner.add_file(b"y", ["a:1"], 1_700_000_600)
+        blob = owner.snapshot()
+        assert DataOwner.restore(blob).snapshot() == blob
+        for i in range(len(blob)):
+            for bit in range(8):
+                data = blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1 :]
+                try:
+                    restored = DataOwner.restore(data)
+                except FormatError:
+                    continue
+                # anything accepted is the canonical encoding of what it
+                # restored, and its params size the filter it holds
+                assert restored.snapshot() == data, (mode, i, bit)
+                if restored.bf is not None:
+                    assert restored.bloom_params.derive() == (restored.bf.m, restored.bf.k)

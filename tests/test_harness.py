@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dsse.crypto import chain_label
+from dsse.errors import NotFoundError
 from dsse.harness.bench import linear_fit, long_state_run, run_bench
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import (
@@ -199,6 +200,28 @@ def test_user_query_records_faults_instead_of_raising():
         broken = system.user_query(user, keyword)
         assert (broken.reason, broken.verified) == ("fault:ProtocolError", False)
         assert broken.guessed_count is None and broken.n_results == 0
+    finally:
+        system.close()
+
+
+def test_user_query_records_a_withheld_head_as_not_found(monkeypatch):
+    system = SimulatedSystem("full", default_bloom_params(60))
+    try:
+        system.ingest_stream(seed=12, n_files=60)
+        keyword = system.oracle.keywords_by_count()[max(system.oracle.keywords_by_count())][0]
+        search = system.server.search
+        searched = []
+
+        def withhold_head(envelope):
+            searched.append(envelope)
+            if len(searched) == 1:
+                raise NotFoundError("unknown index label in token")
+            return search(envelope)
+
+        monkeypatch.setattr(system.server, "search", withhold_head)
+        withheld = system.user_query(system.users[0], keyword)
+        assert (withheld.reason, withheld.verified) == ("not-found", False)
+        assert withheld.n_results == 0 and len(searched) == 1
     finally:
         system.close()
 

@@ -210,9 +210,10 @@ def test_verify_detects_stale_proof():
     assert report.sigma_ok is True  # the MAC itself still matches
 
 
-def test_boundary_false_positive_retries_once():
+def test_boundary_false_positive_answer_does_not_verify():
     # filter falsely contains counter+1: the guessed token has no table
-    # entry, the retry at guess-1 succeeds
+    # entry, and the answer at guess-1 does not verify against the counter
+    # the filter attests, so a server cannot pass it off as the newest
     owner, server, t = build_system(5)
     user = AuthorizedUser.from_owner(owner)
     # results are verified against the filter accepted at token time
@@ -223,23 +224,20 @@ def test_boundary_false_positive_retries_once():
     with pytest.raises(NotFoundError):
         server.search(user.token_for_counter("w", 6))
     ids, cts, gamma = server.search(user.token_for_counter("w", 5))
-    report = user.verify("w", 5, ids, cts, gamma, t)
-    assert report.ok
+    report = user.verify("w", 6, ids, cts, gamma, t)
+    assert report.gamma_ok and not report.cardinality_ok and not report.ok
 
 
-def test_query_retries_once_below_a_planted_false_positive():
+def test_query_refuses_below_a_planted_false_positive():
     # the published filter falsely holds counter c+1 of "w" and counter 1 of
-    # "ghost": the guess for "w" is one too high and the retry at c answers;
-    # "ghost" has no entry at its guess and none below it
+    # "ghost": neither has an entry at its guess, and the query searches no
+    # lower counter
     c = 5
     owner = DataOwner.generate("full", PARAMS)
     server = CloudServer("full", PARAMS, group_key=owner.keys.r)
     client = Client.in_process(server)
-    ids = []
     for i in range(c):
-        payload = owner.add_file(f"f{i}".encode(), ["w"], NOW + i * 600)
-        client.add(payload)
-        ids.insert(0, payload.file_id)
+        client.add(owner.add_file(f"f{i}".encode(), ["w"], NOW + i * 600))
     t = NOW + c * 600
     bf = BloomFilter.deserialize(owner.refresh_bloom(t).bf_bytes)
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
@@ -248,12 +246,61 @@ def test_query_retries_once_below_a_planted_false_positive():
     client.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, planted, t), t))
     user = AuthorizedUser.from_owner(owner)
     assert user.gen_token(client.get_bloom(), "w", t)[1] == c + 1  # the lie
-    got, cts, gamma, cnt = user.query(client, "w", t + 60)
-    assert (got, cnt) == (ids, c)
+    with pytest.raises(NotFoundError):
+        user.query(client, "w", t + 60)
     assert user.token_filter == (client.get_bloom()[1], t)
-    assert user.verify("w", cnt, got, cts, gamma, t + 60).ok
     with pytest.raises(NotFoundError):
         user.query(client, "ghost", t + 60)
+
+
+def test_query_raises_when_the_head_is_withheld(monkeypatch):
+    # a server that answers the attested counter with "unknown label" gets
+    # no second search, so it cannot answer from a lower counter and hide
+    # the newest file
+    owner, server, t = build_system(10)
+    user = AuthorizedUser.from_owner(owner)
+    searched = []
+    search = server.search
+
+    def withhold_head(envelope):
+        searched.append(envelope)
+        if len(searched) == 1:
+            raise NotFoundError("unknown index label in token")
+        return search(envelope)
+
+    monkeypatch.setattr(server, "search", withhold_head)
+    with pytest.raises(NotFoundError):
+        user.query(Client.in_process(server), "w", t)
+    assert len(searched) == 1
+
+
+def test_repeated_ciphertext_pair_fails_cardinality():
+    # the server drops the two newest files and repeats one ciphertext: the
+    # pair's tags cancel in the XOR aggregate, so the gamma of counter 8,
+    # which the server unmasks from entry 8 on any walk, matches
+    owner, server, t = build_system(8)
+    gamma8 = owner.tbl["w"].gamma
+    for i in (8, 9):
+        server.add(owner.add_file(f"f{i}".encode(), ["w"], t))
+    user = AuthorizedUser.from_owner(owner)
+    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    ids, cts, _ = server.search(env)
+    forged = cts[2:] + [cts[2], cts[2]]
+    assert cnt == len(ids) == len(forged) == 10
+    for report in (
+        owner.verify("w", ids, forged, gamma8, t),
+        user.verify("w", cnt, ids, forged, gamma8, t),
+    ):
+        assert report.gamma_ok and not report.cardinality_ok and not report.ok
+
+
+def test_fewer_ciphertexts_than_ids_fail_cardinality():
+    owner, server, t = build_system(3)
+    user = AuthorizedUser.from_owner(owner)
+    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    ids, cts, gamma = server.search(env)
+    report = user.verify("w", cnt, ids, cts[:2], gamma, t)
+    assert report.cardinality_ok is False and not report.ok
 
 
 def test_upload_between_token_and_search_still_verifies():

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -347,6 +349,7 @@ def test_oversized_frame_refused_before_allocation(monkeypatch):
         wire, "_recv_exact", lambda sock, n: sizes.append(n) or recv_exact(sock, n)
     )
     oversized = (wire.MAX_FRAME + 1).to_bytes(4, "big")
+    stale = len(b"stale").to_bytes(4, "big") + b"stale"
 
     # a client announcing an oversized request is cut off; the server lives on
     owner, server, oracle, last_t = build_system(2)
@@ -364,10 +367,13 @@ def test_oversized_frame_refused_before_allocation(monkeypatch):
 
     # a server announcing an oversized reply raises TransportError
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        peer = threading.Thread(target=_reply_with, args=(listener, oversized))
+        peer = threading.Thread(target=_reply_with, args=(listener, oversized, stale))
         peer.start()
         transport = wire.SocketTransport(*listener.getsockname()[:2], timeout=10)
         with pytest.raises(TransportError, match="cap"):
+            transport.request(wire.encode(wire.GetBloom()))
+        # the refused frame's body would be read as the next reply
+        with pytest.raises(TransportError):
             transport.request(wire.encode(wire.GetBloom()))
         transport.close()
         peer.join(timeout=10)
@@ -375,14 +381,37 @@ def test_oversized_frame_refused_before_allocation(monkeypatch):
     assert sizes and max(sizes) <= wire.MAX_FRAME  # nothing read past a prefix
 
 
-def _reply_with(listener: socket.socket, data: bytes) -> None:
+def test_timed_out_request_does_not_answer_the_next():
+    replies = [len(r).to_bytes(4, "big") + r for r in (b"reply-0", b"reply-1")]
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = threading.Thread(
+            target=_reply_with, args=(listener, *replies), kwargs={"delay": 0.5}
+        )
+        peer.start()
+        transport = wire.SocketTransport(*listener.getsockname()[:2], timeout=0.2)
+        with pytest.raises(TransportError):
+            transport.request(b"request-0")
+        time.sleep(0.5)  # the late reply-0 has arrived
+        with pytest.raises(TransportError):
+            transport.request(b"request-1")
+        transport.close()
+        peer.join(timeout=10)
+        assert not peer.is_alive()
+
+
+def _reply_with(listener: socket.socket, *replies: bytes, delay: float = 0.0) -> None:
+    """Answer one request frame with each reply in turn, the first after
+    `delay` seconds, then hold the connection until the client closes it."""
     conn, _ = listener.accept()
-    with conn:
-        n = int.from_bytes(conn.recv(4), "big")
-        while n > 0 and (part := conn.recv(n)):
-            n -= len(part)
-        conn.sendall(data)
-        conn.recv(1)  # hold the connection until the client closes it
+    with conn, contextlib.suppress(ConnectionError):
+        for data in replies:
+            n = int.from_bytes(conn.recv(4), "big")
+            while n > 0 and (part := conn.recv(n)):
+                n -= len(part)
+            time.sleep(delay)
+            delay = 0.0
+            conn.sendall(data)
+        conn.recv(1)
 
 
 def test_internal_error_keeps_the_connection(monkeypatch):
