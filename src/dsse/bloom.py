@@ -2,9 +2,12 @@
 
 The serialized form (m || k || bit bytes) is normative: it is the direct
 input to the filter-integrity MAC, so two filters built from the same add
-multiset must serialize byte-identically. The k index functions come from
-one hash of the element with distinct one-byte suffixes, reduced mod m;
-there is no per-filter salt, which keeps the owner's and server's filters
+multiset must serialize byte-identically. The k indexes of an element come
+from one SHA-512 digest by double hashing (Kirsch & Mitzenmacher, "Less
+Hashing, Same Performance", ESA 2006): g_i = h1 + i*h2 mod m for
+i = 0..k-1, where h1 and h2 are the digest's two 32-byte halves read
+big-endian and reduced mod m, and an h2 of 0 becomes 1. There is no
+per-filter salt, which keeps the owner's and server's filters
 bit-synchronized.
 
 Counter embedding stores a keyword's latest counter as one filter element
@@ -67,11 +70,12 @@ class BloomFilter:
         return bf
 
     def _indexes(self, element: bytes) -> list[int]:
+        """g_i = h1 + i*h2 mod m, i = 0..k-1, from one SHA-512 digest."""
         m = self.m
-        return [
-            int.from_bytes(hashlib.sha256(element + bytes([i])).digest(), "big") % m
-            for i in range(self.k)
-        ]
+        digest = hashlib.sha512(element).digest()
+        h1 = int.from_bytes(digest[:32], "big") % m
+        h2 = int.from_bytes(digest[32:], "big") % m or 1
+        return [g % m for g in range(h1, h1 + self.k * h2, h2)]
 
     def add(self, element: bytes) -> None:
         bits = self.bits
@@ -99,19 +103,25 @@ class BloomFilter:
 
     # -- canonical serialization -------------------------------------------
 
+    def buffers(self) -> tuple[bytes, memoryview]:
+        """The serialization's two parts, header and bit bytes, without
+        copying the bits (for hashing it in place)."""
+        return _HEADER.pack(self.m, self.k), memoryview(self.bits)
+
     def serialize(self) -> bytes:
         """m(4 BE) || k(4 BE) || ceil(m/8) bit bytes, bit i at byte i//8, LSB-first."""
-        return _HEADER.pack(self.m, self.k) + bytes(self.bits)
+        return b"".join(self.buffers())
 
     @classmethod
-    def deserialize(cls, data: bytes) -> "BloomFilter":
+    def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
+        """Parse a serialization, copying its bit bytes once."""
         if len(data) < _HEADER.size:
             raise FormatError("bloom header truncated", offset=len(data))
         m, k = _HEADER.unpack_from(data)
         if m < 1 or k < 1:
             raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
         want = (m + 7) // 8
-        body = data[_HEADER.size :]
+        body = memoryview(data)[_HEADER.size :]
         if len(body) != want:
             raise FormatError(
                 f"bloom body has {len(body)} bytes, expected {want}",

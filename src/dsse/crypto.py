@@ -92,6 +92,16 @@ def mac_generate(key: bytes, msg: bytes) -> bytes:
     return hmac.new(key, msg, hashlib.sha256).digest()[:LAMBDA]
 
 
+def mac_parts(key: bytes, *parts: bytes | memoryview) -> bytes:
+    """mac_generate over the concatenation of parts, fed to the HMAC one by
+    one so that a large part is hashed in place rather than copied."""
+    _check_key(key)
+    h = hmac.new(key, digestmod=hashlib.sha256)
+    for part in parts:
+        h.update(part)
+    return h.digest()[:LAMBDA]
+
+
 def aggregate_mac(tags: list[bytes]) -> bytes:
     """XOR-fold a list of LAMBDA-byte tags; empty list folds to all zeros."""
     acc = 0
@@ -105,7 +115,7 @@ def aggregate_mac(tags: list[bytes]) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise UsageError(f"xor length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 # ---------------------------------------------------------------------------

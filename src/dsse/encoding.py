@@ -46,9 +46,9 @@ def put_str(buf: bytearray, s: str) -> None:
 class Reader:
     """Cursor over a byte string with offset-aware error reporting."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def _take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -83,6 +83,20 @@ class Reader:
         if n > MAX_FIELD:
             raise FormatError(f"length prefix too large: {n}", offset=at)
         return self._take(n)
+
+    def view(self) -> memoryview:
+        """Like bytes_(), but a view into the data rather than a copy."""
+        at = self.pos
+        n = self.u32()
+        if n > MAX_FIELD:
+            raise FormatError(f"length prefix too large: {n}", offset=at)
+        if self.pos + n > len(self.data):
+            raise FormatError(
+                f"truncated: wanted {n} bytes, {len(self.data) - self.pos} left",
+                offset=self.pos,
+            )
+        self.pos += n
+        return memoryview(self.data)[self.pos - n : self.pos]
 
     def str_(self) -> str:
         at = self.pos

@@ -186,7 +186,7 @@ def bench_verify(counts: list[int] | None = None, repeats: int = 9) -> VerifyBen
     # round-robin over counts so load drift cannot bias larger counts
     for _ in range(repeats):
         t0 = time.perf_counter()
-        mac_ok = filter_mac(owner.keys.k_mac, bf_bytes, t) == sigma
+        mac_ok = filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
         BloomFilter.deserialize(bf_bytes)
         bloom_samples.append(time.perf_counter() - t0)
         assert mac_ok

@@ -45,10 +45,10 @@ from .protocol import (
 
 DEFAULT_FRESHNESS_WINDOW = 1200  # two 10-minute upload periods
 
-_SNAPSHOT_MAGIC = b"DSSEOWN1"
+_SNAPSHOT_MAGIC = b"DSSEOWN2"
 
 
-@dataclass
+@dataclass(slots=True)
 class KeywordRecord:
     cnt: int
     gamma: bytes | None  # aggregate MAC over this keyword's files (full mode)
@@ -59,17 +59,18 @@ class DataOwner:
         self,
         mode: str,
         keys: KeyBundle,
-        bloom_params: BloomParams | None = None,
-        freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
+        bloom_params: BloomParams,
+        freshness_window: int,
+        bf: BloomFilter | None,
     ):
+        """No keywords yet; bf is the filter in full mode and None in basic.
+        generate() passes an empty filter, restore() the saved one."""
         self.mode = check_mode(mode)
         self.keys = keys
         self.freshness_window = freshness_window
         self.tbl: dict[str, KeywordRecord] = {}
-        self.bloom_params = bloom_params or BloomParams()
-        self.bf: BloomFilter | None = (
-            BloomFilter(self.bloom_params) if self.mode == FULL else None
-        )
+        self.bloom_params = bloom_params
+        self.bf = bf
         self.t = 0  # time of the newest filter MAC (sigma) issued
 
     @classmethod
@@ -80,7 +81,9 @@ class DataOwner:
         freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
     ) -> "DataOwner":
         """Fresh keys, empty state."""
-        return cls(mode, KeyBundle.generate(), bloom_params, freshness_window)
+        params = bloom_params or BloomParams()
+        bf = BloomFilter(params) if check_mode(mode) == FULL else None
+        return cls(mode, KeyBundle.generate(), params, freshness_window, bf)
 
     # ------------------------------------------------------------------
     # AddFile
@@ -147,7 +150,7 @@ class DataOwner:
 
         sigma = t = None
         if self.mode == FULL and emit_filter_mac:
-            sigma = filter_mac(k.k_mac, self.bf.serialize(), now)
+            sigma = filter_mac(k.k_mac, now, *self.bf.buffers())
             t = self.t = now
         return AddPayload(file_id, ciphertext, entries, sigma, t)
 
@@ -228,7 +231,7 @@ class DataOwner:
         self.bf = bf
         self.t = now
         bf_bytes = bf.serialize()
-        return RefreshPayload(bf_bytes, filter_mac(self.keys.k_mac, bf_bytes, now), now)
+        return RefreshPayload(bf_bytes, filter_mac(self.keys.k_mac, now, bf_bytes), now)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -263,7 +266,7 @@ class DataOwner:
     def restore(cls, data: bytes) -> "DataOwner":
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not an owner snapshot", offset=0)
-        r = Reader(data[len(_SNAPSHOT_MAGIC):])
+        r = Reader(data, len(_SNAPSHOT_MAGIC))
         mode = FULL if r.flag() else BASIC
         k_prf, k_se, k_mac, gk = r.bytes_(), r.bytes_(), r.bytes_(), r.bytes_()
         epoch = r.u64()
@@ -280,19 +283,17 @@ class DataOwner:
             for w in r.ascending("keyword", r.str_)
         }
         at = r.pos
-        bf = BloomFilter.deserialize(r.bytes_()) if r.flag() else None
+        bf = BloomFilter.deserialize(r.view()) if r.flag() else None
         if (bf is not None) != (mode == FULL):
             raise FormatError("a filter is present if and only if mode is full", offset=at)
-        # checked before the owner allocates a filter from these params
         if bf is not None and sizing != (bf.m, bf.k):
             raise FormatError(
                 f"filter is (m={bf.m}, k={bf.k}), its params derive {sizing}", offset=at
             )
         r.expect_end()
-        owner = cls(mode, KeyBundle(k_prf, k_se, k_mac, gk, epoch), params, freshness)
+        owner = cls(mode, KeyBundle(k_prf, k_se, k_mac, gk, epoch), params, freshness, bf)
         owner.t = t
         owner.tbl = tbl
-        owner.bf = bf
         return owner
 
     def save(self, path: str) -> None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .crypto import LAMBDA, aggregate_mac, mac_generate
+from .crypto import LAMBDA, aggregate_mac, mac_generate, mac_parts
 from .errors import UsageError
 
 BASIC = "basic"
@@ -20,9 +20,12 @@ def pack_time(t: int) -> bytes:
     return struct.pack(">Q", t)
 
 
-def filter_mac(k_mac: bytes, bf_bytes: bytes, t: int) -> bytes:
-    """sigma over the canonical filter serialization and its timestamp."""
-    return mac_generate(k_mac, bf_bytes + pack_time(t))
+def filter_mac(k_mac: bytes, t: int, *filter_parts: bytes | memoryview) -> bytes:
+    """sigma over the canonical filter serialization and its timestamp.
+
+    The serialization may come in parts (BloomFilter.buffers()), which are
+    MACed in place: no 4 MB copy of the filter per upload or check."""
+    return mac_parts(k_mac, *filter_parts, pack_time(t))
 
 
 def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str) -> bytes:

@@ -42,16 +42,16 @@ ADVERSARY_BEHAVIORS = (
     "forge_gamma",
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV3"
+_SNAPSHOT_MAGIC = b"DSSESRV4"
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainEntry:
     mu: bytes
     file_id: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class MergedEntry:
     """Search result frozen under the head label after a completed walk.
 
@@ -382,7 +382,7 @@ class CloudServer:
     def restore(cls, data: bytes) -> "CloudServer":
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
-        r = Reader(data[len(_SNAPSHOT_MAGIC):])
+        r = Reader(data, len(_SNAPSHOT_MAGIC))
         mode = FULL if r.flag() else BASIC
         group_key = r.bytes_() if r.flag() else None
         epoch = r.u64()
@@ -395,7 +395,14 @@ class CloudServer:
         )
         server.sigma = r.bytes_()
         server.t = r.u64()
-        server.bf = BloomFilter.deserialize(r.bytes_()) if r.flag() else None
+        at = r.pos
+        server.bf = BloomFilter.deserialize(r.view()) if r.flag() else None
+        full = mode == FULL
+        if (server.bf is not None) != full or (group_key is not None) != full:
+            raise FormatError(
+                "a filter and a group key are present if and only if mode is full",
+                offset=at,
+            )
         chains = [[r.bytes_() for _ in range(r.u32())] for _ in range(r.u64())]
         used = 0  # lists numbered so far, in sorted-label order
         for tau in r.ascending("index label", r.bytes_):

@@ -197,7 +197,7 @@ class AuthorizedUser:
         if held is not None and held.triple == (bf_bytes, sigma, t):
             return held
         self._accepted = None
-        if filter_mac(self.k_mac, bf_bytes, t) != sigma:
+        if filter_mac(self.k_mac, t, bf_bytes) != sigma:
             raise TamperedFilterError("published filter fails its MAC")
         try:
             bf = BloomFilter.deserialize(bf_bytes)
@@ -281,7 +281,7 @@ class AuthorizedUser:
     def restore(cls, data: bytes) -> "AuthorizedUser":
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a user snapshot", offset=0)
-        r = Reader(data[len(_SNAPSHOT_MAGIC):])
+        r = Reader(data, len(_SNAPSHOT_MAGIC))
         user = cls(
             k_prf=r.bytes_(),
             k_se=r.bytes_(),

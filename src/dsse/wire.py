@@ -9,7 +9,7 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x02 | kind(1) | body
+    version(1) = 0x03 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
@@ -67,7 +67,7 @@ from .errors import (
 from .protocol import AddPayload, RefreshPayload, SearchTokenEnvelope
 from .server import CloudServer
 
-VERSION = 0x02
+VERSION = 0x03
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02

@@ -74,6 +74,22 @@ def test_measured_fp_rate_near_formula():
     assert 0.5 * predicted < rate < 2.0 * predicted
 
 
+def test_measured_fp_rate_near_formula_at_high_k():
+    # double hashing spreads its k indexes along one arithmetic progression,
+    # which costs the most false positives at high k; criterion 8 runs at k=7
+    n = 20_000
+    bf = BloomFilter(BloomParams(2.0**-12, n))
+    assert bf.k == 12
+    rng = random.Random(12)
+    for _ in range(n):
+        bf.add(rng.randbytes(16))
+    probes = 300_000
+    hits = sum(bf.verify(rng.randbytes(16)) for _ in range(probes))
+    rate = hits / probes
+    predicted = expected_fp_rate(bf.m, bf.k, n)
+    assert 0.5 * predicted < rate < 2.0 * predicted
+
+
 def test_serialization_round_trip_and_canonical():
     bf = BloomFilter(BloomParams(0.01, 50))
     rng = random.Random(3)

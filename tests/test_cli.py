@@ -70,7 +70,7 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     bf.add(chain_label(owner.keys.k_prf, keyword, cnt + 1))
     planted = bf.serialize()
     server = CloudServer.load(os.path.join(st, "server.bin"))
-    server.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, planted, t), t))
+    server.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, t, planted), t))
     server.save(os.path.join(st, "server.bin"))
 
     # the guess has no table entry, and no lower counter is searched

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from dsse import crypto
 from dsse.bloom import BloomParams
-from dsse.errors import NotFoundError, UsageError
+from dsse.errors import FormatError, NotFoundError, UsageError
 from dsse.owner import DataOwner
 from dsse.protocol import filter_mac, result_mac
 
@@ -109,7 +110,7 @@ def test_sigma_covers_current_filter_and_timestamp():
     owner = fresh()
     payload = owner.add_file(b"f", ["w"], NOW)
     assert payload.t == NOW
-    assert payload.sigma == filter_mac(owner.keys.k_mac, owner.bf.serialize(), NOW)
+    assert payload.sigma == filter_mac(owner.keys.k_mac, NOW, owner.bf.serialize())
 
 
 def test_gen_token_owner_contents():
@@ -158,7 +159,7 @@ def test_refresh_embeds_current_counters():
     assert owner.bf.n_inserted == expected
     assert owner.bf.extract_counter(owner.keys.k_prf, "w") == 456
     assert owner.t == NOW + 1000
-    assert payload.sigma == filter_mac(owner.keys.k_mac, payload.bf_bytes, NOW + 1000)
+    assert payload.sigma == filter_mac(owner.keys.k_mac, NOW + 1000, payload.bf_bytes)
     # the next upload appends its membership element to the refreshed filter
     owner.add_file(b"more", ["w"], NOW + 1600)
     assert owner.bf.verify(crypto.chain_label(owner.keys.k_prf, "w", 457))
@@ -212,3 +213,30 @@ def test_snapshot_round_trip(tmp_path):
     assert crypto.se_decrypt(owner.keys.r, token_a.body) == crypto.se_decrypt(
         back.keys.r, token_b.body
     )
+
+
+def test_previous_snapshot_version_refused():
+    owner = fresh()
+    owner.add_file(b"f", ["w"], NOW)
+    blob = owner.snapshot()
+    assert blob.startswith(b"DSSEOWN2")
+    # DSSEOWN1 has this layout, with filter bits from the older index function
+    with pytest.raises(FormatError, match="not an owner snapshot"):
+        DataOwner.restore(b"DSSEOWN1" + blob[8:])
+
+
+def test_restore_peaks_below_two_filter_sizes():
+    # default sizing: a 5,410,257-byte filter; restoring it once read about
+    # four filter sizes (two slices, a bytearray and a discarded empty filter)
+    owner = DataOwner.generate("full")
+    owner.add_file(b"f", ["w"], NOW)
+    blob = owner.snapshot()
+    filter_len = len(owner.bf.serialize())
+    tracemalloc.start()
+    try:
+        back = DataOwner.restore(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.bf == owner.bf
+    assert peak < 2 * filter_len

@@ -410,7 +410,10 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV3")
+    assert blob.startswith(b"DSSESRV4")
+    # DSSESRV3 has this layout, with filter bits from the older index function
+    with pytest.raises(FormatError, match="not a server snapshot"):
+        CloudServer.restore(b"DSSESRV3" + blob[8:])
     # the DSSESRV2 layout: the same fields without the id-list section
     # (a u64 count, zero here) between the filter and the entries
     lists_at = (
@@ -421,6 +424,23 @@ def test_previous_snapshot_version_refused():
     v2 = b"DSSESRV2" + blob[8:lists_at] + blob[lists_at + 8 :]
     with pytest.raises(FormatError, match="not a server snapshot"):
         CloudServer.restore(v2)
+
+
+def test_restore_refuses_a_mode_byte_that_disagrees_with_the_state():
+    # a basic server has no filter and no group key; flipped to full mode it
+    # would restore a server whose get_bloom() fails outside the error types
+    owner, server = build("basic")
+    ingest(owner, server, 1, lambda i: ["w"])
+    blob = server.snapshot()
+    assert blob[8] == 0
+    with pytest.raises(FormatError, match="if and only if mode is full"):
+        CloudServer.restore(blob[:8] + b"\x01" + blob[9:])
+    owner, server = build("full")
+    ingest(owner, server, 1, lambda i: ["w"])
+    blob = server.snapshot()
+    assert blob[8] == 1
+    with pytest.raises(FormatError, match="if and only if mode is full"):
+        CloudServer.restore(blob[:8] + b"\x00" + blob[9:])
 
 
 def test_state_contains_no_keyword_bytes():

@@ -243,7 +243,7 @@ def test_query_refuses_below_a_planted_false_positive():
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
     bf.add(crypto.chain_label(owner.keys.k_prf, "ghost", 1))
     planted = bf.serialize()
-    client.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, planted, t), t))
+    client.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, t, planted), t))
     user = AuthorizedUser.from_owner(owner)
     assert user.gen_token(client.get_bloom(), "w", t)[1] == c + 1  # the lie
     with pytest.raises(NotFoundError):

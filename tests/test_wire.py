@@ -71,73 +71,74 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape, hashed from the encoder as it stood before
-# requests became the protocol values themselves. A layout change must
-# bump wire.VERSION and these values together.
+# One frame per message shape. The layout is unchanged since before requests
+# became the protocol values themselves; version 0x03 (the filter's index
+# function changed) differs from 0x02 in the first byte only. A layout
+# change must bump wire.VERSION and these values together.
 _FULL_ADD = AddPayload(
     b"F" * 16, b"ciphertext",
     [(b"\x01" * 16, b"\x02" * 48), (b"\x03" * 16, b"\x04" * 48)],
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "aabb85696b5f622634b6c9cd8664c154e8e9d7152d70ede4f4562fee7df4b6e6"),
+    "add_full": (_FULL_ADD, "884efb2dc1f68e88a6f4009ef100f64c25e3600e6e00193d7078a3ea1cd04a0e"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 32)]),
-        "e3568f0f19155855a35591a79e9e9d0ef7f5d10428a76dbb0224800f08c0f12b",
+        "0dc60348ff560792ed69703680ab408612ff47a5f8a109ebef32b7690d2563dd",
     ),
     "refresh": (
         RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "860102e984ed49fde51c489135b40576a3d85c1005519aa04d0771940fdd96f5",
+        "2413a1826ff44f5c1acca3f5a66e5f61193459c7bf74fa67bb4fe880f04bb011",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "d6b970b8db30d3914a2da6746502166eef18e7514e41d0e6ff20f4fbec94d50c",
+        "f0b122ad64ae82be3346d404526008fd693b17cd3c111f47d3fb2dffcd37f302",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "d7af0f309c1de62319fd9370fc3da776af27ff3c92573eb482b72f322cff83c9",
+        "98ee126673c262f81ba1edbef2c7be7304a6a7b1b0993ac385140d494457a21f",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "b658759284e4612c47444f81c092da78c5b645837794a9afe570f6d1e40dd350",
+        "6be7e91bb940d26930f569f5da82b4aaf025bca5286f0c20c973831fa4a7f0d9",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "9e27c11cc13eef11c55b6645229527422c50f7491db781e0db038e9d83e823c9",
+        "79753e906aaf2ef47e39bf26207b1daacc21d00a4399bf1215bad0d6450e89a2",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "f63e128d657ae01759176ff7f013ab894a2fa2c82a65d4a0c96f5cdf7e007cd2",
+        "e8acd6361327ab9308a874c522146545ce5584d41a3d9328e8bc05c7ba966b1a",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "de6caee380c203cbf3a2471f069001f4abaa10996cf86c1b86896b1fdebf5f71",
+        "e201627ce715f00182836f602a04af07afef04a4f8ea044a3c783cad53292ca1",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "95b0a041ccd642142863ce2b970e68c195b12b21c1b752d9b915546f927f6b45",
+        "05cb9f324a0f4894026a0b8b4695894656e0242405e57a94f2f37e1eaafc38f3",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "627508f8fafecf125dad7ce2333b4020bdf424747a5bf3a95ab79e60852198f5",
+        "1ca02fc79718b8fa401521229640fa0d22bd9dbe27dc085b544b1bd80916e58f",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "a96c0f52b495255c59b1dd70f376a947f222e07e8c20ce6eec00a42a2a8a0e42",
+        "30a455ccb4433fab01baa7eca87d372cdd1ca36efbee7b8912a24cc48c8e0e3d",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "27e3927d4b4c1e68f60ffd06e0a27bec087c1d386cf08e4e5c0f9ca158064313",
+        "6ab1dbcee87537d180f7c2328315121ca4de759c86a6ff750472228649719ca4",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "714d813ae9915151e6b9076c3b5097b93275d42edc6beb347282a7b41ed020cf",
+        "81f4b984b527472d614a48b2dea942f04c5130dd67861eeb206932606712edf3",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "7d376c9c147b43ffa5ee54033da10818a225b6c686c1928a40be7ab23f5ba776",
+        "85c411756e5e4f2e2cf05169a4399c1b67fae2690725c09d853611933db26d7f",
     ),
 }
 
@@ -145,7 +146,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x02
+    assert wire.VERSION == 0x03
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -298,13 +299,13 @@ def test_wire_bytes_are_the_mac_inputs():
     owner, server, oracle, last_t = build_system(10)
     client = wire.Client.in_process(server)
     bf_bytes, sigma, t = client.get_bloom()
-    assert filter_mac(owner.keys.k_mac, bf_bytes, t) == sigma
+    assert filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
     # and for a filter that crossed the wire twice: owner -> server in a
     # REFRESH, then back in a conditional GET_BLOOM
     client.refresh(owner.refresh_bloom(last_t + 1))
     bf_bytes, sigma, t = client.get_bloom()
     assert t == last_t + 1
-    assert filter_mac(owner.keys.k_mac, bf_bytes, t) == sigma
+    assert filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
 
 
 def test_full_honest_run_over_wire():
@@ -333,7 +334,7 @@ def test_conditional_get_bloom():
     server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
     after_add = client.get_bloom()
     assert after_add[2] == last_t + 600 and after_add[1] != first[1]
-    assert filter_mac(owner.keys.k_mac, after_add[0], after_add[2]) == after_add[1]
+    assert filter_mac(owner.keys.k_mac, after_add[2], after_add[0]) == after_add[1]
     assert client.get_bloom() is after_add
 
     server.refresh(owner.refresh_bloom(last_t + 601))
