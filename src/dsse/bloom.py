@@ -3,12 +3,11 @@
 The serialized form (m || k || bit bytes) is normative: it is the direct
 input to the filter-integrity MAC, so two filters built from the same add
 multiset must serialize byte-identically. The k indexes of an element come
-from one SHA-512 digest by double hashing (Kirsch & Mitzenmacher, "Less
-Hashing, Same Performance", ESA 2006): g_i = h1 + i*h2 mod m for
-i = 0..k-1, where h1 and h2 are the digest's two 32-byte halves read
-big-endian and reduced mod m, and an h2 of 0 becomes 1. There is no
-per-filter salt, which keeps the owner's and server's filters
-bit-synchronized.
+from one SHAKE256 output of 8k bytes: index i is its i-th 8-byte word read
+big-endian and reduced mod m (a bias below m / 2^64). One hash call per
+element, yet the k indexes are as independent as k separate hashes, which
+the 2^-30 default sizing relies on. There is no per-filter salt, which
+keeps the owner's and server's filters bit-synchronized.
 
 Counter embedding stores a keyword's latest counter as one filter element
 per decimal digit (position 1 = least significant); extraction probes each
@@ -70,12 +69,10 @@ class BloomFilter:
         return bf
 
     def _indexes(self, element: bytes) -> list[int]:
-        """g_i = h1 + i*h2 mod m, i = 0..k-1, from one SHA-512 digest."""
-        m = self.m
-        digest = hashlib.sha512(element).digest()
-        h1 = int.from_bytes(digest[:32], "big") % m
-        h2 = int.from_bytes(digest[32:], "big") % m or 1
-        return [g % m for g in range(h1, h1 + self.k * h2, h2)]
+        """The k big-endian 8-byte words of SHAKE256(element), each mod m."""
+        m, k = self.m, self.k
+        words = struct.unpack(f">{k}Q", hashlib.shake_256(element).digest(8 * k))
+        return [w % m for w in words]
 
     def add(self, element: bytes) -> None:
         bits = self.bits

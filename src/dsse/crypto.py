@@ -86,18 +86,15 @@ def hash16(msg: bytes) -> bytes:
     return hashlib.sha256(msg).digest()[:LAMBDA]
 
 
-def mac_generate(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA-256 truncated to LAMBDA bytes."""
+def mac_generate(
+    key: bytes, msg: bytes | memoryview, *more: bytes | memoryview
+) -> bytes:
+    """HMAC-SHA-256 of msg followed by each of more, truncated to LAMBDA
+    bytes. The parts are hashed in place, so a large one is never copied
+    into a concatenation."""
     _check_key(key)
-    return hmac.new(key, msg, hashlib.sha256).digest()[:LAMBDA]
-
-
-def mac_parts(key: bytes, *parts: bytes | memoryview) -> bytes:
-    """mac_generate over the concatenation of parts, fed to the HMAC one by
-    one so that a large part is hashed in place rather than copied."""
-    _check_key(key)
-    h = hmac.new(key, digestmod=hashlib.sha256)
-    for part in parts:
+    h = hmac.new(key, msg, hashlib.sha256)
+    for part in more:
         h.update(part)
     return h.digest()[:LAMBDA]
 

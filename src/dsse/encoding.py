@@ -86,17 +86,10 @@ class Reader:
 
     def view(self) -> memoryview:
         """Like bytes_(), but a view into the data rather than a copy."""
-        at = self.pos
-        n = self.u32()
-        if n > MAX_FIELD:
-            raise FormatError(f"length prefix too large: {n}", offset=at)
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"truncated: wanted {n} bytes, {len(self.data) - self.pos} left",
-                offset=self.pos,
-            )
-        self.pos += n
-        return memoryview(self.data)[self.pos - n : self.pos]
+        over_view = Reader(memoryview(self.data), self.pos)
+        out = over_view.bytes_()
+        self.pos = over_view.pos
+        return out
 
     def str_(self) -> str:
         at = self.pos

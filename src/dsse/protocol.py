@@ -7,7 +7,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .crypto import LAMBDA, aggregate_mac, mac_generate, mac_parts
+from .crypto import LAMBDA, aggregate_mac, mac_generate
 from .errors import UsageError
 
 BASIC = "basic"
@@ -25,7 +25,7 @@ def filter_mac(k_mac: bytes, t: int, *filter_parts: bytes | memoryview) -> bytes
 
     The serialization may come in parts (BloomFilter.buffers()), which are
     MACed in place: no 4 MB copy of the filter per upload or check."""
-    return mac_parts(k_mac, *filter_parts, pack_time(t))
+    return mac_generate(k_mac, *filter_parts, pack_time(t))
 
 
 def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str) -> bytes:

@@ -75,8 +75,8 @@ def test_measured_fp_rate_near_formula():
 
 
 def test_measured_fp_rate_near_formula_at_high_k():
-    # double hashing spreads its k indexes along one arithmetic progression,
-    # which costs the most false positives at high k; criterion 8 runs at k=7
+    # the k indexes of an element come from one hash output, so they must
+    # act as k independent hashes at high k too; criterion 8 runs at k=7
     n = 20_000
     bf = BloomFilter(BloomParams(2.0**-12, n))
     assert bf.k == 12

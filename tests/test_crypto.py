@@ -152,6 +152,13 @@ def test_mac_binds_keyword():
     assert crypto.mac_generate(K, c + b"w1") != crypto.mac_generate(K, c + b"w2")
 
 
+def test_mac_over_parts_is_the_mac_of_their_concatenation():
+    parts = [b"head", memoryview(bytearray(b"in-place bits")), b"\x00" * 8]
+    whole = b"head" + b"in-place bits" + b"\x00" * 8
+    assert crypto.mac_generate(K, *parts) == crypto.mac_generate(K, whole)
+    assert crypto.mac_generate(K, whole) == hmac.new(K, whole, hashlib.sha256).digest()[:16]
+
+
 def test_aggregate_mac_properties():
     t1 = crypto.mac_generate(K, b"a")
     t2 = crypto.mac_generate(K, b"b")

@@ -108,16 +108,14 @@ def test_filter_mac_matches_raw_primitives():
 
 
 def raw_bloom_bits(m: int, k: int, elements: list[bytes]) -> bytes:
-    """Bit bytes of an (m, k) filter holding elements: double hashing from one
-    SHA-512 digest, g_i = h1 + i*h2 mod m, an h2 of 0 taken as 1; bit g at
-    byte g // 8, least significant bit first."""
+    """Bit bytes of an (m, k) filter holding elements: index i of an element
+    is the i-th big-endian 8-byte word of its 8k-byte SHAKE256 output, mod m;
+    bit g at byte g // 8, least significant bit first."""
     bits = bytearray((m + 7) // 8)
     for e in elements:
-        digest = hashlib.sha512(e).digest()
-        h1 = int.from_bytes(digest[:32], "big") % m
-        h2 = int.from_bytes(digest[32:], "big") % m or 1
+        out = hashlib.shake_256(e).digest(8 * k)
         for i in range(k):
-            g = (h1 + i * h2) % m
+            g = int.from_bytes(out[8 * i : 8 * i + 8], "big") % m
             bits[g // 8] |= 1 << (g % 8)
     return bytes(bits)
 
@@ -130,17 +128,3 @@ def test_bloom_indexes_match_raw_primitives():
         bf.m, bf.k, [element]
     )
     assert bin(int.from_bytes(bf.serialize()[8:], "big")).count("1") == bf.k
-
-
-def test_bloom_index_step_zero_taken_as_one():
-    # with m = 5 a fifth of all elements have h2 = 0 mod m; their k = 3
-    # indexes are h1, h1 + 1, h1 + 2 (mod 5), never one bit three times
-    m, k = 5, 3
-    element = next(
-        e for e in (i.to_bytes(4, "big") for i in range(1000))
-        if int.from_bytes(hashlib.sha512(e).digest()[32:], "big") % m == 0
-    )
-    bf = BloomFilter.deserialize(struct.pack(">II", m, k) + bytes(1))
-    bf.add(element)
-    assert bf.serialize()[8:] == raw_bloom_bits(m, k, [element])
-    assert bf.popcount() == k
