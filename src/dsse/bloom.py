@@ -68,6 +68,10 @@ class BloomFilter:
         bf.n_inserted = 0
         return bf
 
+    def cleared(self) -> "BloomFilter":
+        """An empty filter of the same size."""
+        return self._from_raw(self.m, self.k, bytearray(len(self.bits)))
+
     def _indexes(self, element: bytes) -> list[int]:
         """The k big-endian 8-byte words of SHAKE256(element), each mod m."""
         m, k = self.m, self.k

@@ -286,8 +286,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.long:
         n = args.long_n
         print(f"long state run: {n} files (this takes a while)...")
-        sizes = long_state_run(n, per_add_sigma=args.per_add_sigma,
-                               progress_every=max(n // 20, 1))
+        sizes = long_state_run(n, progress_every=max(n // 20, 1))
         ref_tbl = REFERENCES["tbl_c_bytes_at_1m"]
         ref_bf = REFERENCES["bf_bytes"]
         print(f"files={sizes.n_files} keywords={sizes.n_keywords} "
@@ -377,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long", action="store_true",
                    help="20-year owner-state size run (slow, opt-in)")
     p.add_argument("--long-n", type=int, default=1_051_200)
-    p.add_argument("--per-add-sigma", action="store_true",
-                   help="pay the per-add filter MAC in the long run")
     p.add_argument("--out", help="write line-delimited records here")
     p.set_defaults(func=cmd_bench)
     return ap

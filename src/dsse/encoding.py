@@ -2,8 +2,9 @@
 and the atomic file write every saved state goes through.
 
 Every variable-length field is a 4-byte big-endian length followed by the
-raw bytes; fixed-width integers are big-endian. Decoding is strict: short
-reads raise FormatError with the offending offset.
+raw bytes; a field whose width the format fixes (a key, a label) is its raw
+bytes alone, and integers are big-endian. Decoding is strict: short reads
+raise FormatError with the offending offset.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class Reader:
         self.data = data
         self.pos = pos
 
-    def _take(self, n: int) -> bytes:
+    def fixed(self, n: int) -> bytes:
+        """The next n bytes: a field whose width the format fixes."""
         if self.pos + n > len(self.data):
             raise FormatError(
                 f"truncated: wanted {n} bytes, {len(self.data) - self.pos} left",
@@ -61,13 +63,13 @@ class Reader:
         return out
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self.fixed(1)[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        return struct.unpack(">I", self.fixed(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
+        return struct.unpack(">Q", self.fixed(8))[0]
 
     def flag(self) -> bool:
         """Presence byte: 0 or 1, anything else is malformed."""
@@ -82,13 +84,13 @@ class Reader:
         n = self.u32()
         if n > MAX_FIELD:
             raise FormatError(f"length prefix too large: {n}", offset=at)
-        return self._take(n)
+        return self.fixed(n)
 
-    def view(self) -> memoryview:
-        """Like bytes_(), but a view into the data rather than a copy."""
-        over_view = Reader(memoryview(self.data), self.pos)
-        out = over_view.bytes_()
-        self.pos = over_view.pos
+    def rest(self) -> memoryview:
+        """The unread bytes, as a view into the data rather than a copy,
+        for a last field that runs to the end."""
+        out = memoryview(self.data)[self.pos :]
+        self.pos = len(self.data)
         return out
 
     def str_(self) -> str:

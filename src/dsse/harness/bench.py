@@ -265,15 +265,13 @@ class StateSizeReport:
 def long_state_run(
     n_files: int = TWENTY_YEAR_FILES,
     refresh_every: int = REFRESH_EVERY_FILES,
-    per_add_sigma: bool = False,
     seed: int = 20,
     progress_every: int = 0,
 ) -> StateSizeReport:
     """Build the owner state for the 20-year stream and report its sizes.
 
     The per-add filter MAC does not change TBL_c or BF_c contents, so it is
-    skipped by default to keep this run tractable; pass per_add_sigma=True
-    to pay full protocol cost per upload.
+    skipped to keep this run tractable.
     """
     params = BloomParams(2.0**-30, refresh_every * 15 + 250_000)
     owner = DataOwner.generate(FULL, params)
@@ -282,7 +280,7 @@ def long_state_run(
     for phi in synthesize_stream(seed, n_files):
         owner.add_file(
             phi.to_bytes(), phi.keywords(), phi.timestamp,
-            emit_filter_mac=per_add_sigma,
+            emit_filter_mac=False,
         )
         added += 1
         if added % refresh_every == 0 and added < n_files:
@@ -299,10 +297,10 @@ def long_state_run(
 
 
 def _tbl_snapshot_bytes(owner: DataOwner) -> int:
-    total = 0
-    for w, rec in owner.tbl.items():
-        total += 4 + len(w.encode()) + 8 + (16 if rec.gamma is not None else 0) + 1
-    return total
+    """The keyword table's share of the owner snapshot, as the owner writes it."""
+    buf = bytearray()
+    owner._put_table(buf)
+    return len(buf)
 
 
 # ---------------------------------------------------------------------------

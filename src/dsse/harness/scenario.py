@@ -18,7 +18,7 @@ from ..errors import (
     TamperedFilterError,
 )
 from ..owner import DataOwner
-from ..protocol import FULL
+from ..protocol import FRESHNESS_WINDOW, FULL
 from ..server import ADVERSARY_BEHAVIORS, CloudServer
 from ..user import AuthorizedUser
 from ..wire import Client, WireServer
@@ -310,7 +310,7 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
     if adversary == "stale_bloom":
         # arm mid-stream, then keep ingesting until the frozen snapshot is
         # older than the freshness window
-        lag = system.owner.freshness_window // DEFAULT_PERIOD + 2
+        lag = FRESHNESS_WINDOW // DEFAULT_PERIOD + 2
         head = max(1, config.n_files - lag)
         stream = list(synthesize_stream(config.seed, config.n_files))
         for phi in stream[:head]:

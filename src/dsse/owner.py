@@ -14,12 +14,12 @@ rotate; token generation and verification are read-only.
 from __future__ import annotations
 
 import secrets
-import struct
 from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams
 from .crypto import (
     KeyBundle,
+    LAMBDA,
     ZERO,
     chain_label,
     derived_key,
@@ -28,7 +28,7 @@ from .crypto import (
     se_encrypt,
     xor_bytes,
 )
-from .encoding import Reader, put_bytes, put_str, put_u8, put_u64, write_atomic
+from .encoding import Reader, put_str, put_u8, put_u64, write_atomic
 from .errors import FormatError, NotFoundError, UsageError
 from .protocol import (
     AddPayload,
@@ -43,9 +43,7 @@ from .protocol import (
     VerifyReport,
 )
 
-DEFAULT_FRESHNESS_WINDOW = 1200  # two 10-minute upload periods
-
-_SNAPSHOT_MAGIC = b"DSSEOWN2"
+_SNAPSHOT_MAGIC = b"DSSEOWN3"
 
 
 @dataclass(slots=True)
@@ -55,35 +53,21 @@ class KeywordRecord:
 
 
 class DataOwner:
-    def __init__(
-        self,
-        mode: str,
-        keys: KeyBundle,
-        bloom_params: BloomParams,
-        freshness_window: int,
-        bf: BloomFilter | None,
-    ):
+    def __init__(self, mode: str, keys: KeyBundle, bf: BloomFilter | None):
         """No keywords yet; bf is the filter in full mode and None in basic.
-        generate() passes an empty filter, restore() the saved one."""
+        generate() passes an empty filter, restore() the saved one. Its
+        size is kept by every refresh."""
         self.mode = check_mode(mode)
         self.keys = keys
-        self.freshness_window = freshness_window
         self.tbl: dict[str, KeywordRecord] = {}
-        self.bloom_params = bloom_params
         self.bf = bf
         self.t = 0  # time of the newest filter MAC (sigma) issued
 
     @classmethod
-    def generate(
-        cls,
-        mode: str,
-        bloom_params: BloomParams | None = None,
-        freshness_window: int = DEFAULT_FRESHNESS_WINDOW,
-    ) -> "DataOwner":
-        """Fresh keys, empty state."""
-        params = bloom_params or BloomParams()
-        bf = BloomFilter(params) if check_mode(mode) == FULL else None
-        return cls(mode, KeyBundle.generate(), params, freshness_window, bf)
+    def generate(cls, mode: str, bloom_params: BloomParams | None = None) -> "DataOwner":
+        """Fresh keys, empty state, a first filter sized by bloom_params."""
+        bf = BloomFilter(bloom_params or BloomParams()) if check_mode(mode) == FULL else None
+        return cls(mode, KeyBundle.generate(), bf)
 
     # ------------------------------------------------------------------
     # AddFile
@@ -225,7 +209,7 @@ class DataOwner:
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
         self._check_time(now)
-        bf = BloomFilter(self.bloom_params)
+        bf = self.bf.cleared()
         for w, rec in self.tbl.items():
             bf.embed_counter(self.keys.k_prf, w, rec.cnt)
         self.bf = bf
@@ -238,60 +222,46 @@ class DataOwner:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
+        """DSSEOWN3: mode flag, the four keys, epoch, [t], the keyword
+        table, [filter]; [..] only in full mode. Fields are fixed-width
+        where LAMBDA fixes them, and the filter runs to the end."""
+        k = self.keys
         buf = bytearray(_SNAPSHOT_MAGIC)
         put_u8(buf, 1 if self.mode == FULL else 0)
-        for key in (self.keys.k_prf, self.keys.k_se, self.keys.k_mac, self.keys.r):
-            put_bytes(buf, key)
-        put_u64(buf, self.keys.epoch)
-        # this slot held the last refresh time, itself a sigma time: a file
-        # written then restores a lower bound of t, still safe to check
-        put_u64(buf, self.t)
-        put_u64(buf, self.freshness_window)
-        buf += struct.pack(">d", self.bloom_params.target_fp)
-        put_u64(buf, self.bloom_params.capacity)
+        buf += k.k_prf + k.k_se + k.k_mac + k.r
+        put_u64(buf, k.epoch)
+        if self.mode == FULL:
+            put_u64(buf, self.t)
+        self._put_table(buf)
+        if self.bf is None:
+            return bytes(buf)
+        return b"".join((buf, *self.bf.buffers()))  # the bits are copied once
+
+    def _put_table(self, buf: bytearray) -> None:
+        """The keyword table: count, then (keyword, cnt, [gamma]) by keyword."""
         put_u64(buf, len(self.tbl))
         for w in sorted(self.tbl):
             rec = self.tbl[w]
             put_str(buf, w)
             put_u64(buf, rec.cnt)
-            put_u8(buf, 1 if rec.gamma is not None else 0)
-            if rec.gamma is not None:
-                put_bytes(buf, rec.gamma)
-        put_u8(buf, 1 if self.bf is not None else 0)
-        if self.bf is not None:
-            put_bytes(buf, self.bf.serialize())
-        return bytes(buf)
+            if self.mode == FULL:
+                buf += rec.gamma
 
     @classmethod
     def restore(cls, data: bytes) -> "DataOwner":
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not an owner snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
-        mode = FULL if r.flag() else BASIC
-        k_prf, k_se, k_mac, gk = r.bytes_(), r.bytes_(), r.bytes_(), r.bytes_()
-        epoch = r.u64()
-        t = r.u64()
-        freshness = r.u64()
-        at = r.pos
-        params = BloomParams(struct.unpack(">d", r._take(8))[0], r.u64())
-        try:
-            sizing = params.derive()
-        except UsageError as exc:
-            raise FormatError(f"bad filter sizing: {exc}", offset=at) from None
+        full = r.flag()
+        keys = KeyBundle(*(r.fixed(LAMBDA) for _ in range(4)), r.u64())
+        t = r.u64() if full else 0
         tbl = {
-            w: KeywordRecord(r.u64(), r.bytes_() if r.flag() else None)
+            w: KeywordRecord(r.u64(), r.fixed(LAMBDA) if full else None)
             for w in r.ascending("keyword", r.str_)
         }
-        at = r.pos
-        bf = BloomFilter.deserialize(r.view()) if r.flag() else None
-        if (bf is not None) != (mode == FULL):
-            raise FormatError("a filter is present if and only if mode is full", offset=at)
-        if bf is not None and sizing != (bf.m, bf.k):
-            raise FormatError(
-                f"filter is (m={bf.m}, k={bf.k}), its params derive {sizing}", offset=at
-            )
+        bf = BloomFilter.deserialize(r.rest()) if full else None
         r.expect_end()
-        owner = cls(mode, KeyBundle(k_prf, k_se, k_mac, gk, epoch), params, freshness, bf)
+        owner = cls(FULL if full else BASIC, keys, bf)
         owner.t = t
         owner.tbl = tbl
         return owner

@@ -13,6 +13,8 @@ from .errors import UsageError
 BASIC = "basic"
 FULL = "full"
 
+FRESHNESS_WINDOW = 1200  # seconds a published filter stays fresh: two upload periods
+
 
 def pack_time(t: int) -> bytes:
     """Timestamps are unix seconds, 8-byte big-endian, everywhere a MAC or

@@ -42,7 +42,7 @@ ADVERSARY_BEHAVIORS = (
     "forge_gamma",
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV4"
+_SNAPSHOT_MAGIC = b"DSSESRV5"
 
 
 @dataclass(slots=True)
@@ -106,6 +106,8 @@ class CloudServer:
         epoch: int = 1,
     ):
         self.mode = check_mode(mode)
+        if self.mode == FULL and group_key is None:
+            raise UsageError("a full-mode server needs the group key")
         self.tbl: dict[bytes, ChainEntry | MergedEntry] = {}
         self.files: dict[bytes, bytes] = {}
         self.bf: BloomFilter | None = (
@@ -172,6 +174,8 @@ class CloudServer:
                 raise UsageError("group keys exist only in full mode")
             if epoch <= self.epoch:
                 raise ProtocolError(f"epoch must increase: {epoch} <= {self.epoch}")
+            if len(r) != LAMBDA:
+                raise ProtocolError(f"group key is {len(r)} bytes, expected {LAMBDA}")
             self.r = r
             self.epoch = epoch
 
@@ -325,25 +329,25 @@ class CloudServer:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """Canonical bytes: restore accepts no other encoding of the same
-        state, so snapshot -> restore -> snapshot is the identity.
+        """DSSESRV5, canonical: restore accepts no other encoding of the
+        same state, so snapshot -> restore -> snapshot is the identity.
 
+        The mode flag, then [group key, epoch, sigma, t]; the shared id
+        lists; the entries; the files; [filter] ([..] only in full mode).
         Each shared id list is written once, before the entries; a merged
         entry names its list by number and its prefix length. Lists are
         numbered in the order entries, in sorted-label order, first use
-        them."""
+        them. Keys, labels, masks and gammas are fixed-width; the filter
+        runs to the end."""
         with self._lock:
+            full = self.mode == FULL
             buf = bytearray(_SNAPSHOT_MAGIC)
-            put_u8(buf, 1 if self.mode == FULL else 0)
-            put_u8(buf, 1 if self.r is not None else 0)
-            if self.r is not None:
-                put_bytes(buf, self.r)
-            put_u64(buf, self.epoch)
-            put_bytes(buf, self.sigma)
-            put_u64(buf, self.t)
-            put_u8(buf, 1 if self.bf is not None else 0)
-            if self.bf is not None:
-                put_bytes(buf, self.bf.serialize())
+            put_u8(buf, 1 if full else 0)
+            if full:
+                buf += self.r
+                put_u64(buf, self.epoch)
+                put_bytes(buf, self.sigma)  # empty before the first upload
+                put_u64(buf, self.t)
             labels = sorted(self.tbl)
             number: dict[int, int] = {}  # id() of a shared list -> its number
             chains: list[list[bytes]] = []
@@ -360,54 +364,44 @@ class CloudServer:
             put_u64(buf, len(labels))
             for tau in labels:
                 entry = self.tbl[tau]
-                put_bytes(buf, tau)
+                buf += tau
                 if isinstance(entry, ChainEntry):
                     put_u8(buf, 1)
-                    put_bytes(buf, entry.mu)
+                    buf += entry.mu
                     put_bytes(buf, entry.file_id)
                 else:
                     put_u8(buf, 0)
                     put_u32(buf, number[id(entry.chain)])
                     put_u32(buf, entry.n)
-                    put_u8(buf, 1 if entry.gamma is not None else 0)
-                    if entry.gamma is not None:
-                        put_bytes(buf, entry.gamma)
+                    if full:
+                        buf += entry.gamma
             put_u64(buf, len(self.files))
             for fid in sorted(self.files):
                 put_bytes(buf, fid)
                 put_bytes(buf, self.files[fid])
-            return bytes(buf)
+            if not full:
+                return bytes(buf)
+            return b"".join((buf, *self.bf.buffers()))  # the bits are copied once
 
     @classmethod
     def restore(cls, data: bytes) -> "CloudServer":
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
-        mode = FULL if r.flag() else BASIC
-        group_key = r.bytes_() if r.flag() else None
-        epoch = r.u64()
-        server = cls(
-            mode,
-            # placeholder filter; the snapshot's own bytes replace it below
-            bloom_params=BloomParams(0.5, 1),
-            group_key=group_key,
-            epoch=epoch,
-        )
-        server.sigma = r.bytes_()
-        server.t = r.u64()
-        at = r.pos
-        server.bf = BloomFilter.deserialize(r.view()) if r.flag() else None
-        full = mode == FULL
-        if (server.bf is not None) != full or (group_key is not None) != full:
-            raise FormatError(
-                "a filter and a group key are present if and only if mode is full",
-                offset=at,
-            )
+        full = r.flag()
+        if full:
+            # a placeholder filter; the snapshot's own bytes replace it below
+            server = cls(FULL, BloomParams(0.5, 1), r.fixed(LAMBDA), r.u64())
+            server.sigma = r.bytes_()
+            server.t = r.u64()
+        else:
+            server = cls(BASIC)
+        width = mask_width(server.mode)
         chains = [[r.bytes_() for _ in range(r.u32())] for _ in range(r.u64())]
         used = 0  # lists numbered so far, in sorted-label order
-        for tau in r.ascending("index label", r.bytes_):
+        for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
             if r.flag():
-                server.tbl[tau] = ChainEntry(r.bytes_(), r.bytes_())
+                server.tbl[tau] = ChainEntry(r.fixed(width), r.bytes_())
                 continue
             at = r.pos
             i, n = r.u32(), r.u32()
@@ -418,12 +412,14 @@ class CloudServer:
                     f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
                 )
             used = max(used, i + 1)
-            gamma = r.bytes_() if r.flag() else None
+            gamma = r.fixed(LAMBDA) if full else None
             server.tbl[tau] = MergedEntry(chains[i], n, gamma)
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
         for fid in r.ascending("file id", r.bytes_):
             server.files[fid] = r.bytes_()
+        if full:
+            server.bf = BloomFilter.deserialize(r.rest())
         r.expect_end()
         return server
 

@@ -10,10 +10,11 @@ is kept, parsed, so an unchanged filter is checked and parsed only once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .bloom import BloomFilter
-from .crypto import chain_label, derived_key, se_decrypt, se_encrypt
-from .encoding import Reader, put_bytes, put_u64, write_atomic
+from .crypto import LAMBDA, chain_label, derived_key, se_decrypt, se_encrypt
+from .encoding import Reader, put_u64, write_atomic
 from .errors import (
     AmbiguousCounterError,
     CounterBoundError,
@@ -22,13 +23,19 @@ from .errors import (
     StaleFilterError,
     TamperedFilterError,
 )
-from .owner import DEFAULT_FRESHNESS_WINDOW, DataOwner
-from .protocol import SearchTokenEnvelope, VerifyReport, filter_mac, verify_result
+from .owner import DataOwner
+from .protocol import (
+    FRESHNESS_WINDOW,
+    SearchTokenEnvelope,
+    VerifyReport,
+    filter_mac,
+    verify_result,
+)
 from .wire import Client
 
-DEFAULT_MAX_COUNTER = 2**31
+MAX_COUNTER = 2**31  # a counter guess never goes past this
 
-_SNAPSHOT_MAGIC = b"DSSEUSR1"
+_SNAPSHOT_MAGIC = b"DSSEUSR2"
 
 
 @dataclass
@@ -37,7 +44,11 @@ class ProbeStats:
 
     search_probes: int = 0
     digit_probes: int = 0
-    digit_rounds: int = 0  # digit positions examined, terminator round included
+
+    @property
+    def digit_rounds(self) -> int:
+        """Digit positions examined, terminator round included: ten probes each."""
+        return self.digit_probes // 10
 
     @property
     def total(self) -> int:
@@ -65,26 +76,17 @@ class AuthorizedUser:
     k_mac: bytes
     r: bytes
     epoch: int = 1
-    max_counter: int = DEFAULT_MAX_COUNTER
-    freshness_window: int = DEFAULT_FRESHNESS_WINDOW
+    freshness_window: ClassVar[int] = FRESHNESS_WINDOW  # the protocol's, not per user
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
     _accepted: _AcceptedFilter | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     @classmethod
-    def from_owner(cls, owner: DataOwner, max_counter: int = DEFAULT_MAX_COUNTER) -> "AuthorizedUser":
+    def from_owner(cls, owner: DataOwner) -> "AuthorizedUser":
         """Credential grant over the simulator's secure channel."""
         k = owner.keys
-        return cls(
-            k_prf=k.k_prf,
-            k_se=k.k_se,
-            k_mac=k.k_mac,
-            r=k.r,
-            epoch=k.epoch,
-            max_counter=max_counter,
-            freshness_window=owner.freshness_window,
-        )
+        return cls(k.k_prf, k.k_se, k.k_mac, k.r, k.epoch)
 
     def update_group_key(self, r: bytes, epoch: int) -> None:
         self.r = r
@@ -114,7 +116,6 @@ class AuthorizedUser:
             # digit collision (filter false positive): fall back to probing
             # the membership chain from 1
             base, rounds, ambiguity = None, exc.pos, exc
-        stats.digit_rounds = rounds
         stats.digit_probes = 10 * rounds
         result = self._max_present(bf, keyword, base or 0, stats)
         if result is None and ambiguity is not None:
@@ -131,10 +132,8 @@ class AuthorizedUser:
             stats.search_probes += 1
             return bf.verify(chain_label(self.k_prf, keyword, c))
 
-        if base >= self.max_counter:
-            raise CounterBoundError(
-                f"extracted floor {base} at or past bound {self.max_counter}"
-            )
+        if base >= MAX_COUNTER:
+            raise CounterBoundError(f"extracted floor {base} at or past bound {MAX_COUNTER}")
         if not present(base + 1):
             return base if base > 0 else None
 
@@ -143,12 +142,10 @@ class AuthorizedUser:
         step = 1
         while True:
             probe = lo + step
-            if probe > self.max_counter:
-                if self.max_counter == lo or present(self.max_counter):
-                    raise CounterBoundError(
-                        f"counter still present at bound {self.max_counter}"
-                    )
-                probe = self.max_counter  # just verified absent
+            if probe > MAX_COUNTER:
+                if MAX_COUNTER == lo or present(MAX_COUNTER):
+                    raise CounterBoundError(f"counter still present at bound {MAX_COUNTER}")
+                probe = MAX_COUNTER  # just verified absent
                 break
             if not present(probe):
                 break
@@ -212,7 +209,7 @@ class AuthorizedUser:
         return None if self._accepted is None else self._accepted.triple[1:]
 
     def _fresh(self, t: int, now: int) -> bool:
-        return 0 <= now - t <= self.freshness_window
+        return 0 <= now - t <= FRESHNESS_WINDOW
 
     def token_for_counter(self, keyword: str, cnt: int) -> SearchTokenEnvelope:
         pair = chain_label(self.k_prf, keyword, cnt) + derived_key(
@@ -269,12 +266,10 @@ class AuthorizedUser:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
+        """DSSEUSR2: the four LAMBDA-byte keys, then the epoch."""
         buf = bytearray(_SNAPSHOT_MAGIC)
-        for key in (self.k_prf, self.k_se, self.k_mac, self.r):
-            put_bytes(buf, key)
+        buf += self.k_prf + self.k_se + self.k_mac + self.r
         put_u64(buf, self.epoch)
-        put_u64(buf, self.max_counter)
-        put_u64(buf, self.freshness_window)
         return bytes(buf)
 
     @classmethod
@@ -282,15 +277,7 @@ class AuthorizedUser:
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a user snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
-        user = cls(
-            k_prf=r.bytes_(),
-            k_se=r.bytes_(),
-            k_mac=r.bytes_(),
-            r=r.bytes_(),
-            epoch=r.u64(),
-            max_counter=r.u64(),
-            freshness_window=r.u64(),
-        )
+        user = cls(*(r.fixed(LAMBDA) for _ in range(4)), r.u64())
         r.expect_end()
         return user
 

@@ -3,11 +3,15 @@ FormatError (or decode to something re-encodable), never crash."""
 
 import random
 
+import pytest
+
 from dsse import wire
 from dsse.bloom import BloomParams
+from dsse.crypto import LAMBDA
 from dsse.errors import FormatError
 from dsse.owner import DataOwner
-from dsse.server import CloudServer
+from dsse.protocol import BASIC, mask_width
+from dsse.server import ChainEntry, CloudServer
 from dsse.user import AuthorizedUser
 
 rng = random.Random(99)
@@ -50,6 +54,28 @@ def test_wire_decode_mutated_valid_frames():
             try_decode(bytes(data))
 
 
+def assert_widths(state) -> None:
+    """Every key, label and gamma a restored state holds is LAMBDA bytes,
+    every mask is its mode's width, and basic mode holds no gamma."""
+    if isinstance(state, AuthorizedUser):
+        fixed = [state.k_prf, state.k_se, state.k_mac, state.r]
+    elif isinstance(state, DataOwner):
+        k = state.keys
+        fixed = [k.k_prf, k.k_se, k.k_mac, k.r]
+        gammas = [rec.gamma for rec in state.tbl.values()]
+    else:
+        fixed = list(state.tbl) + ([] if state.r is None else [state.r])
+        chain = [e for e in state.tbl.values() if isinstance(e, ChainEntry)]
+        assert all(len(e.mu) == mask_width(state.mode) for e in chain)
+        gammas = [e.gamma for e in state.tbl.values() if not isinstance(e, ChainEntry)]
+    if not isinstance(state, AuthorizedUser):
+        if state.mode == BASIC:
+            assert gammas == [None] * len(gammas)
+        else:
+            fixed += gammas
+    assert all(len(field) == LAMBDA for field in fixed)
+
+
 def test_snapshot_restore_rejects_corruption():
     owner = DataOwner.generate("full", BloomParams(0.01, 100))
     owner.add_file(b"data", ["a:1"], 1_700_000_000)
@@ -62,20 +88,30 @@ def test_snapshot_restore_rejects_corruption():
         (server.snapshot(), CloudServer.restore),
         (user.snapshot(), AuthorizedUser.restore),
     ):
-        assert restore(blob) is not None
-        for cut in range(0, len(blob), max(len(blob) // 50, 1)):
+        assert_widths(restore(blob))
+        variants = [blob[:cut] for cut in range(0, len(blob), max(len(blob) // 50, 1))]
+        for data in variants + [blob + b"\x00", b"WRONGMAGIC" + blob]:
             try:
-                restore(blob[:cut])
+                assert_widths(restore(data))
             except FormatError:
                 pass
-        try:
-            restore(blob + b"\x00")
-        except FormatError:
-            pass
-        try:
-            restore(b"WRONGMAGIC" + blob)
-        except FormatError:
-            pass
+
+
+def test_restore_refuses_a_length_prefixed_key():
+    # the shape the length-prefixed formats accepted and a later search or
+    # token failed on: a 15-byte key behind a prefix of 15
+    owner = DataOwner.generate("full", BloomParams(0.01, 100))
+    server = CloudServer("full", BloomParams(0.01, 100), group_key=owner.keys.r)
+    server.add(owner.add_file(b"data", ["a:1"], 1_700_000_000))
+    user = AuthorizedUser.from_owner(owner)
+    for blob, key_at, restore in (
+        (owner.snapshot(), 9, DataOwner.restore),  # magic, mode flag
+        (server.snapshot(), 9, CloudServer.restore),
+        (user.snapshot(), 8, AuthorizedUser.restore),  # magic
+    ):
+        short = (15).to_bytes(4, "big") + blob[key_at : key_at + 15]
+        with pytest.raises(FormatError):
+            restore(blob[:key_at] + short + blob[key_at + LAMBDA :])
 
 
 def merged_server_blob(mode: str) -> bytes:
@@ -108,28 +144,31 @@ def test_server_restore_rejects_corrupted_merged_entries():
                 continue
             # anything accepted is the canonical encoding of what it restored
             assert server.snapshot() == data
+            assert_widths(server)
 
 
 
 def test_owner_restore_rejects_every_single_bit_flip():
-    # a flipped sizing field must not restore params that derive another
-    # filter size than the one in the blob (the next refresh would publish
-    # it), nor allocate a filter sized by the flipped capacity
-    for mode in ("full", "basic"):
+    # a flipped mode flag must not restore a state that has fields of the
+    # other mode, and a flipped filter size must not survive a re-snapshot;
+    # the user blob has no mode, but keys of the same fixed width
+    blobs = []
+    for mode in ("basic", "full"):
         owner = DataOwner.generate(mode, BloomParams(2.0**-4, 8))
         owner.add_file(b"x", ["a:1", "b:0"], 1_700_000_000)
         owner.add_file(b"y", ["a:1"], 1_700_000_600)
-        blob = owner.snapshot()
-        assert DataOwner.restore(blob).snapshot() == blob
+        blobs.append((owner.snapshot(), DataOwner.restore))
+    blobs.append((AuthorizedUser.from_owner(owner).snapshot(), AuthorizedUser.restore))
+    for blob, restore in blobs:
+        assert restore(blob).snapshot() == blob
         for i in range(len(blob)):
             for bit in range(8):
                 data = blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1 :]
                 try:
-                    restored = DataOwner.restore(data)
+                    restored = restore(data)
                 except FormatError:
                     continue
                 # anything accepted is the canonical encoding of what it
-                # restored, and its params size the filter it holds
-                assert restored.snapshot() == data, (mode, i, bit)
-                if restored.bf is not None:
-                    assert restored.bloom_params.derive() == (restored.bf.m, restored.bf.k)
+                # restored, with the widths its mode fixes
+                assert restored.snapshot() == data, (restore, i, bit)
+                assert_widths(restored)

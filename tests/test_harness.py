@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from dsse.crypto import chain_label
+from dsse.crypto import LAMBDA, chain_label
 from dsse.errors import NotFoundError
+from dsse.harness import bench
 from dsse.harness.bench import linear_fit, long_state_run, run_bench
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import (
@@ -244,13 +245,21 @@ def test_bench_smoke():
     assert all(json.loads(line) for line in jsonl)
 
 
-def test_long_state_run_smoke():
+def test_long_state_run_smoke(monkeypatch):
     # tiny slice of the 20-year run: exercises the refresh cadence and the
     # size accounting without the opt-in cost
+    owners = []
+    generate = bench.DataOwner.generate
+    monkeypatch.setattr(
+        bench.DataOwner, "generate", lambda *a: owners.append(generate(*a)) or owners[-1]
+    )
     sizes = long_state_run(n_files=400, refresh_every=150, seed=3)
     assert sizes.n_files == 400
     assert sizes.n_keywords == len(set(
         kw for phi in synthesize_stream(3, 400) for kw in phi.keywords()
     ))
-    assert sizes.tbl_bytes > 0
     assert sizes.bf_bytes > 1000
+    # tbl_bytes is the table section of the owner's snapshot: what is left
+    # after the magic, mode flag, keys, epoch and t, and before the filter
+    blob = owners[0].snapshot()
+    assert sizes.tbl_bytes == len(blob) - (8 + 1 + 4 * LAMBDA + 8 + 8) - sizes.bf_bytes

@@ -219,10 +219,12 @@ def test_previous_snapshot_version_refused():
     owner = fresh()
     owner.add_file(b"f", ["w"], NOW)
     blob = owner.snapshot()
-    assert blob.startswith(b"DSSEOWN2")
-    # DSSEOWN1 has this layout, with filter bits from the older index function
-    with pytest.raises(FormatError, match="not an owner snapshot"):
-        DataOwner.restore(b"DSSEOWN1" + blob[8:])
+    assert blob.startswith(b"DSSEOWN3")
+    # DSSEOWN2 and DSSEOWN1 prefixed each key and gamma with its length and
+    # stored the filter sizing; DSSEOWN1 also had the older index function
+    for magic in (b"DSSEOWN2", b"DSSEOWN1"):
+        with pytest.raises(FormatError, match="not an owner snapshot"):
+            DataOwner.restore(magic + blob[8:])
 
 
 def test_restore_peaks_below_two_filter_sizes():

@@ -193,6 +193,19 @@ def test_epoch_must_increase():
         server.set_group_key(b"\x01" * 16, 1)
 
 
+def test_group_key_present_in_full_mode_and_lambda_bytes():
+    # the snapshot writes the group key as 16 raw bytes: a full server has
+    # one from the start, and a rotation cannot install another width
+    with pytest.raises(UsageError):
+        CloudServer("full", PARAMS)
+    _, server = build()
+    with pytest.raises(ProtocolError, match="group key is 15 bytes"):
+        server.set_group_key(b"\x01" * 15, 2)
+    assert server.epoch == 1
+    server.set_group_key(b"\x01" * 16, 2)
+    assert CloudServer.restore(server.snapshot()).r == b"\x01" * 16
+
+
 def test_refresh_replaces_filter_wholesale():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
@@ -380,7 +393,7 @@ def test_restore_refuses_out_of_range_merged_entries():
     ids = ingest(owner, server, 2, lambda i: ["w"])
     server.search(owner.gen_token("w"))
     blob = server.snapshot()
-    lists_at = 8 + 1 + 1 + 8 + 4 + 8 + 1  # magic, flag, flag, epoch, sigma, t, flag
+    lists_at = 8 + 1  # magic, mode flag: a basic server stores nothing more before them
     assert blob[lists_at : lists_at + 12] == (1).to_bytes(8, "big") + (2).to_bytes(4, "big")
     assert blob[lists_at + 12 :].startswith(len(ids[0]).to_bytes(4, "big") + ids[0])
     entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 2)) + 16
@@ -410,16 +423,15 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV4")
-    # DSSESRV3 has this layout, with filter bits from the older index function
-    with pytest.raises(FormatError, match="not a server snapshot"):
-        CloudServer.restore(b"DSSESRV3" + blob[8:])
-    # the DSSESRV2 layout: the same fields without the id-list section
-    # (a u64 count, zero here) between the filter and the entries
-    lists_at = (
-        8 + 1 + 1 + (4 + 16) + 8  # magic, mode, key flag, key, epoch
-        + (4 + 16) + 8 + 1 + (4 + len(server.bf.serialize()))  # sigma, t, filter
-    )
+    assert blob.startswith(b"DSSESRV5")
+    # DSSESRV4 and DSSESRV3 flagged and length-prefixed the fields the mode
+    # and LAMBDA fix, and put the filter before the entries; DSSESRV3 also
+    # had filter bits from the older index function
+    for magic in (b"DSSESRV4", b"DSSESRV3"):
+        with pytest.raises(FormatError, match="not a server snapshot"):
+            CloudServer.restore(magic + blob[8:])
+    # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries
+    lists_at = 8 + 1 + 16 + 8 + (4 + 16) + 8  # magic, mode, key, epoch, sigma, t
     assert blob[lists_at : lists_at + 8] == bytes(8)
     v2 = b"DSSESRV2" + blob[8:lists_at] + blob[lists_at + 8 :]
     with pytest.raises(FormatError, match="not a server snapshot"):
@@ -433,13 +445,13 @@ def test_restore_refuses_a_mode_byte_that_disagrees_with_the_state():
     ingest(owner, server, 1, lambda i: ["w"])
     blob = server.snapshot()
     assert blob[8] == 0
-    with pytest.raises(FormatError, match="if and only if mode is full"):
+    with pytest.raises(FormatError, match="truncated|length prefix too large"):
         CloudServer.restore(blob[:8] + b"\x01" + blob[9:])
     owner, server = build("full")
     ingest(owner, server, 1, lambda i: ["w"])
     blob = server.snapshot()
     assert blob[8] == 1
-    with pytest.raises(FormatError, match="if and only if mode is full"):
+    with pytest.raises(FormatError, match="truncated|length prefix too large"):
         CloudServer.restore(blob[:8] + b"\x00" + blob[9:])
 
 

@@ -9,12 +9,13 @@ from dsse.errors import (
     AmbiguousCounterError,
     CounterBoundError,
     DecryptionError,
+    FormatError,
     NotFoundError,
     StaleFilterError,
     TamperedFilterError,
 )
 from dsse.owner import DataOwner
-from dsse.protocol import RefreshPayload, filter_mac
+from dsse.protocol import FRESHNESS_WINDOW, RefreshPayload, filter_mac
 from dsse.server import CloudServer
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
@@ -108,9 +109,10 @@ def test_unreadable_embedding_raises_instead_of_absent():
             user.guess_counter(bf, "w")
 
 
-def test_guess_counter_hits_bound():
+def test_guess_counter_hits_bound(monkeypatch):
     owner, server, _ = build_system(9)
-    user = AuthorizedUser.from_owner(owner, max_counter=8)
+    monkeypatch.setattr(user_module, "MAX_COUNTER", 8)
+    user = AuthorizedUser.from_owner(owner)
     bf = BloomFilter.deserialize(server.get_bloom()[0])
     with pytest.raises(CounterBoundError):
         user.guess_counter(bf, "w")
@@ -160,7 +162,7 @@ def test_gen_token_rejects_stale_filter():
     user = AuthorizedUser.from_owner(owner)
     triple = server.get_bloom()
     with pytest.raises(StaleFilterError):
-        user.gen_token(triple, "w", t + user.freshness_window + 1)
+        user.gen_token(triple, "w", t + FRESHNESS_WINDOW + 1)
 
 
 def test_gen_token_absent_keyword():
@@ -205,7 +207,7 @@ def test_verify_detects_stale_proof():
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(server.get_bloom(), "w", t)
     ids, cts, gamma = server.search(env)
-    report = user.verify("w", cnt, ids, cts, gamma, t + user.freshness_window + 61)
+    report = user.verify("w", cnt, ids, cts, gamma, t + FRESHNESS_WINDOW + 61)
     assert report.fresh_ok is False and not report.ok
     assert report.sigma_ok is True  # the MAC itself still matches
 
@@ -329,7 +331,7 @@ def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
     assert user.gen_token(server.get_bloom(), "w", t)[1] == 3  # equal bytes
     assert len(macs) == 1
     with pytest.raises(StaleFilterError):
-        user.gen_token(triple, "w", t + user.freshness_window + 1)
+        user.gen_token(triple, "w", t + FRESHNESS_WINDOW + 1)
     server.add(owner.add_file(b"f3", ["w"], t))
     assert user.gen_token(server.get_bloom(), "w", t)[1] == 4
     assert len(macs) == 2
@@ -379,8 +381,22 @@ def test_revoked_user_cannot_search():
 
 def test_snapshot_round_trip(tmp_path):
     owner, _, _ = build_system(2)
-    user = AuthorizedUser.from_owner(owner, max_counter=999)
+    user = AuthorizedUser.from_owner(owner)
     path = tmp_path / "user.bin"
     user.save(str(path))
     back = AuthorizedUser.load(str(path))
     assert back == user
+
+
+def test_previous_snapshot_version_refused():
+    owner, _, _ = build_system(1)
+    blob = AuthorizedUser.from_owner(owner).snapshot()
+    assert blob.startswith(b"DSSEUSR2") and len(blob) == 8 + 4 * 16 + 8
+    # DSSEUSR1 prefixed each key with its length and stored the counter
+    # bound and the freshness window after the epoch
+    v1 = b"DSSEUSR1" + b"".join(
+        (16).to_bytes(4, "big") + blob[i : i + 16] for i in range(8, 72, 16)
+    )
+    v1 += blob[72:] + (2**31).to_bytes(8, "big") + (1200).to_bytes(8, "big")
+    with pytest.raises(FormatError, match="not a user snapshot"):
+        AuthorizedUser.restore(v1)
