@@ -26,6 +26,7 @@ from .errors import AmbiguousCounterError, FormatError, UsageError
 
 _HEADER = struct.Struct(">II")
 _MAX_DIGIT_POSITIONS = 20  # 10^20 > 2^64; more positions means a corrupt filter
+_MAX_K = 64  # a 2^-64 target; a header asking for more is refused, not hashed
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,8 @@ class BloomParams:
         if self.capacity < 1:
             raise UsageError(f"capacity must be >= 1, got {self.capacity}")
         k = math.ceil(-math.log2(self.target_fp))
+        if k > _MAX_K:
+            raise UsageError(f"target_fp {self.target_fp} needs k={k} > {_MAX_K}")
         m = math.ceil(self.capacity * k / math.log(2))
         return m, k
 
@@ -91,9 +94,6 @@ class BloomFilter:
                 return False
         return True
 
-    def __contains__(self, element: bytes) -> bool:
-        return self.verify(element)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
             return NotImplemented
@@ -115,11 +115,13 @@ class BloomFilter:
 
     @classmethod
     def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
-        """Parse a serialization, copying its bit bytes once."""
+        """Parse a serialization, copying its bit bytes once. k must be
+        1 to 64: every add and verify hashes 8k bytes, and the server has no
+        key to check the filter a REFRESH brings."""
         if len(data) < _HEADER.size:
             raise FormatError("bloom header truncated", offset=len(data))
         m, k = _HEADER.unpack_from(data)
-        if m < 1 or k < 1:
+        if m < 1 or not 1 <= k <= _MAX_K:
             raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
         want = (m + 7) // 8
         body = memoryview(data)[_HEADER.size :]

@@ -19,10 +19,10 @@ from .encoding import write_atomic
 from .errors import DsseError
 from .harness.bench import REFERENCES, long_state_run, run_bench
 from .harness.phi import synthesize_stream
-from .harness.scenario import ScenarioConfig, run_scenario
+from .harness.scenario import ADVERSARY_BEHAVIORS, ScenarioConfig, run_scenario
 from .owner import DataOwner
 from .protocol import FULL
-from .server import ADVERSARY_BEHAVIORS, CloudServer
+from .server import CloudServer
 from .user import AuthorizedUser
 from .wire import Client, WireServer
 

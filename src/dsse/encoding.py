@@ -1,5 +1,6 @@
 """Length-prefixed binary primitives shared by the wire format and snapshots,
-and the atomic file write every saved state goes through.
+the atomic file write every saved state goes through, and the save/load
+the three roles share.
 
 Every variable-length field is a 4-byte big-endian length followed by the
 raw bytes; a field whose width the format fixes (a key, a label) is its raw
@@ -19,6 +20,7 @@ from .errors import FormatError
 MAX_FIELD = 1 << 30  # sanity cap on a single length prefix (1 GiB)
 
 T = TypeVar("T")
+P = TypeVar("P", bound="Persistent")
 
 
 def put_u8(buf: bytearray, v: int) -> None:
@@ -136,3 +138,16 @@ def write_atomic(path: str, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+class Persistent:
+    """save/load for a role whose state is the bytes of its snapshot(),
+    read back by its restore() classmethod."""
+
+    def save(self, path: str) -> None:
+        write_atomic(path, self.snapshot())
+
+    @classmethod
+    def load(cls: type[P], path: str) -> P:
+        with open(path, "rb") as f:
+            return cls.restore(f.read())

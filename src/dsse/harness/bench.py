@@ -74,17 +74,10 @@ class BenchReport:
 
 
 def linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least-squares y = a + b*x; returns (intercept, slope, r_squared)."""
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    b = sxy / sxx
-    a = my - b * mx
-    ss_res = sum((y - (a + b * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    """Least-squares y = a + b*x; returns (intercept, slope, r_squared).
+    Constant ys fit exactly: r_squared is 1."""
+    b, a = statistics.linear_regression(xs, ys)
+    r2 = statistics.correlation(xs, ys) ** 2 if len(set(ys)) > 1 else 1.0
     return a, b, r2
 
 
@@ -291,7 +284,7 @@ def long_state_run(
         n_files=n_files,
         n_keywords=len(owner.tbl),
         tbl_bytes=_tbl_snapshot_bytes(owner),
-        bf_bytes=len(owner.bf.serialize()),
+        bf_bytes=sum(map(len, owner.bf.buffers())),
         seconds=time.perf_counter() - t0,
     )
 
@@ -319,8 +312,8 @@ def run_bench(
                f"{add_files} uploads, year-sized filter")
     report.add("tbl_c_size", float(_tbl_snapshot_bytes(owner)), None, "bytes",
                f"after {add_files} files")
-    report.add("bf_size", float(len(owner.bf.serialize())), REFERENCES["bf_bytes"],
-               "bytes", "year-capacity filter")
+    report.add("bf_size", float(sum(map(len, owner.bf.buffers()))),
+               REFERENCES["bf_bytes"], "bytes", "year-capacity filter")
 
     sb = bench_search(result_size=search_chain)
     report.add("search_new", sb.new_ms, REFERENCES["search_new_100_ms"], "ms",

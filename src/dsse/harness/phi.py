@@ -72,7 +72,3 @@ def synthesize_stream(
     for i in range(n_files):
         readings = {name: rng.randint(lo, hi) for name, lo, hi in ATTRIBUTES}
         yield PHIFile(start_time + i * period_seconds, readings)
-
-
-def make_keyword(attr: str, value: int) -> str:
-    return f"{attr}:{value}"

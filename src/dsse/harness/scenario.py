@@ -6,30 +6,87 @@ from __future__ import annotations
 
 import json
 import random
+import secrets
 import time
 from dataclasses import dataclass, field
 
 from ..bloom import BloomParams
+from ..crypto import LAMBDA
 from ..errors import (
     DsseError,
     NotFoundError,
     StaleEpochError,
     StaleFilterError,
     TamperedFilterError,
+    UsageError,
 )
 from ..owner import DataOwner
-from ..protocol import FRESHNESS_WINDOW, FULL
-from ..server import ADVERSARY_BEHAVIORS, CloudServer
+from ..protocol import FRESHNESS_WINDOW, FULL, SearchTokenEnvelope
+from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
 from ..wire import Client, WireServer
 from .oracle import PlaintextOracle
 from .phi import DEFAULT_PERIOD, synthesize_stream
 
+ADVERSARY_BEHAVIORS = (
+    "honest",
+    "drop_result",
+    "swap_keyword",
+    "stale_bloom",
+    "flip_bloom_bit",
+    "forge_gamma",
+)
 
-def default_bloom_params(n_files: int, target_fp: float = 2.0**-30) -> BloomParams:
+
+def default_bloom_params(n_files: int) -> BloomParams:
     """Capacity for one run: 15 membership elements per file plus digit
-    embeddings and slack."""
-    return BloomParams(target_fp, int(n_files * 15 * 1.3) + 1000)
+    embeddings and slack, at a 2^-30 false-positive target."""
+    return BloomParams(2.0**-30, int(n_files * 15 * 1.3) + 1000)
+
+
+class AdversarialServer(CloudServer):
+    """A cloud server that can be told to cheat. Each behavior rewrites the
+    honest answer; stale_bloom keeps serving the filter it was armed at."""
+
+    behavior = "honest"
+    _stale_snapshot: tuple[bytes, bytes, int] | None = None
+
+    def set_adversary(self, behavior: str) -> None:
+        """Corrupt subsequent responses. stale_bloom freezes the current
+        (filter, sigma, timestamp) and keeps serving it; arm it, ingest past
+        the freshness window, then query."""
+        if behavior not in ADVERSARY_BEHAVIORS:
+            raise UsageError(f"unknown behavior {behavior!r}")
+        with self._lock:
+            stale = super().get_bloom() if behavior == "stale_bloom" else None
+            self.behavior = behavior
+            self._stale_snapshot = stale
+
+    def search(self, envelope: SearchTokenEnvelope):
+        ids, cts, gamma = super().search(envelope)
+        if self.behavior == "drop_result":
+            return ids[1:], cts[1:], gamma
+        if self.behavior == "forge_gamma" and gamma is not None:
+            return ids, cts, secrets.token_bytes(LAMBDA)
+        if self.behavior == "swap_keyword":
+            # replay another search's merged answer of the same cardinality
+            tau_head, _ = self._open_token(envelope)
+            with self._lock:
+                for tau, e in self.tbl.items():
+                    if tau != tau_head and isinstance(e, MergedEntry) and e.n == len(ids):
+                        return list(e.ids), self.ciphertexts_for(e.ids), e.gamma
+        return ids, cts, gamma
+
+    def get_bloom(self, since: tuple[int, bytes] | None = None):
+        stale = self._stale_snapshot
+        if stale is not None:
+            return None if since == (stale[2], stale[1]) else stale
+        served = super().get_bloom(since)
+        if served is None or self.behavior != "flip_bloom_bit":
+            return served
+        flipped = bytearray(served[0])
+        flipped[8] ^= 0x01  # first bit of the bit array; sigma untouched
+        return bytes(flipped), *served[1:]
 
 
 @dataclass
@@ -129,7 +186,8 @@ class ScenarioReport:
 
 class SimulatedSystem:
     """Owner, server, authorized users and the ground-truth oracle, wired
-    through the message layer (in-process by default, TCP if asked)."""
+    through the message layer (in-process by default, TCP if asked). The
+    server is an AdversarialServer, honest until set_adversary arms it."""
 
     def __init__(
         self,
@@ -141,7 +199,7 @@ class SimulatedSystem:
         self.mode = mode
         params = bloom_params or BloomParams()
         self.owner = DataOwner.generate(mode, params)
-        self.server = CloudServer(
+        self.server = AdversarialServer(
             mode,
             params,
             group_key=self.owner.keys.r if mode == FULL else None,

@@ -28,7 +28,7 @@ from .crypto import (
     se_encrypt,
     xor_bytes,
 )
-from .encoding import Reader, put_str, put_u8, put_u64, write_atomic
+from .encoding import Persistent, Reader, put_str, put_u8, put_u64
 from .errors import FormatError, NotFoundError, UsageError
 from .protocol import (
     AddPayload,
@@ -52,7 +52,7 @@ class KeywordRecord:
     gamma: bytes | None  # aggregate MAC over this keyword's files (full mode)
 
 
-class DataOwner:
+class DataOwner(Persistent):
     def __init__(self, mode: str, keys: KeyBundle, bf: BloomFilter | None):
         """No keywords yet; bf is the filter in full mode and None in basic.
         generate() passes an empty filter, restore() the saved one. Its
@@ -265,11 +265,3 @@ class DataOwner:
         owner.t = t
         owner.tbl = tbl
         return owner
-
-    def save(self, path: str) -> None:
-        write_atomic(path, self.snapshot())
-
-    @classmethod
-    def load(cls, path: str) -> "DataOwner":
-        with open(path, "rb") as f:
-            return cls.restore(f.read())

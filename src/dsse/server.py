@@ -1,6 +1,7 @@
 """Cloud-server role: index ingestion, chain-walking search answered with
 the files and their aggregate MAC, the merged-entry search shortcut, and
-a configurable adversary for verifiability testing.
+filter publication. This server is honest; the simulator's server that can
+be told to cheat derives from it (harness.scenario.AdversarialServer).
 
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one label and one key, from which it can
@@ -9,13 +10,12 @@ walk exactly one keyword's chain and nothing else.
 
 from __future__ import annotations
 
-import secrets
 import threading
 from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams
 from .crypto import LAMBDA, ZERO, prf2, prf3, se_decrypt, xor_bytes
-from .encoding import Reader, put_bytes, put_u8, put_u32, put_u64, write_atomic
+from .encoding import Persistent, Reader, put_bytes, put_u8, put_u32, put_u64
 from .errors import (
     FormatError,
     NotFoundError,
@@ -31,15 +31,6 @@ from .protocol import (
     SearchTokenEnvelope,
     check_mode,
     mask_width,
-)
-
-ADVERSARY_BEHAVIORS = (
-    "honest",
-    "drop_result",
-    "swap_keyword",
-    "stale_bloom",
-    "flip_bloom_bit",
-    "forge_gamma",
 )
 
 _SNAPSHOT_MAGIC = b"DSSESRV5"
@@ -97,7 +88,7 @@ def _merge(
     return MergedEntry(chain, n + len(fresh), gamma)
 
 
-class CloudServer:
+class CloudServer(Persistent):
     def __init__(
         self,
         mode: str,
@@ -117,9 +108,7 @@ class CloudServer:
         self.t = 0
         self.r = group_key
         self.epoch = epoch
-        self.behavior = "honest"
         self.last_search_lookups = 0
-        self._stale_snapshot: tuple[bytes, bytes, int] | None = None
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -247,10 +236,8 @@ class CloudServer:
                 self.tbl[tau] = MergedEntry(head.chain, 1, gamma)
             self.tbl[tau_head] = head
 
-            ids, out_gamma = self._apply_result_adversary(
-                tau_head, head.chain[head.n - 1 :: -1], gamma_head
-            )
-            return ids, self.ciphertexts_for(ids), out_gamma
+            ids = head.chain[head.n - 1 :: -1]
+            return ids, self.ciphertexts_for(ids), gamma_head
 
     def ciphertexts_for(self, ids: list[bytes]) -> list[bytes]:
         with self._lock:
@@ -266,63 +253,16 @@ class CloudServer:
     def get_bloom(
         self, since: tuple[int, bytes] | None = None
     ) -> tuple[bytes, bytes, int] | None:
-        """Current (serialized filter, sigma, timestamp) triple, subject to
-        the configured adversarial behavior.
+        """Current (serialized filter, sigma, timestamp) triple.
 
-        since is the (t, sigma) of the copy the caller holds; if the triple
-        that would be served carries the same pair, the filter is not
-        serialized and None is returned."""
+        since is the (t, sigma) of the copy the caller holds; if it is the
+        current pair, the filter is not serialized and None is returned."""
         with self._lock:
             if self.mode != FULL:
                 raise UsageError("no published filter in basic mode")
-            stale = self._stale_snapshot
-            if stale is not None:
-                return None if since == (stale[2], stale[1]) else stale
             if since == (self.t, self.sigma):
                 return None
-            bf_bytes = self.bf.serialize()
-            if self.behavior == "flip_bloom_bit":
-                flipped = bytearray(bf_bytes)
-                flipped[8] ^= 0x01  # first bit of the bit array; sigma untouched
-                bf_bytes = bytes(flipped)
-            return bf_bytes, self.sigma, self.t
-
-    # ------------------------------------------------------------------
-    # Adversary control (test double)
-    # ------------------------------------------------------------------
-
-    def set_adversary(self, behavior: str) -> None:
-        """Corrupt subsequent responses. stale_bloom freezes the current
-        (filter, sigma, timestamp) and keeps serving it; arm it, ingest past
-        the freshness window, then query."""
-        with self._lock:
-            if behavior not in ADVERSARY_BEHAVIORS:
-                raise UsageError(f"unknown behavior {behavior!r}")
-            self.behavior = behavior
-            if behavior == "stale_bloom":
-                if self.mode != FULL:
-                    raise UsageError("stale_bloom applies to full mode only")
-                self._stale_snapshot = (self.bf.serialize(), self.sigma, self.t)
-            else:
-                self._stale_snapshot = None
-
-    def _apply_result_adversary(
-        self, tau_head: bytes, ids: list[bytes], gamma: bytes | None
-    ) -> tuple[list[bytes], bytes | None]:
-        if self.behavior == "drop_result":
-            return ids[1:], gamma
-        if self.behavior == "forge_gamma" and gamma is not None:
-            return ids, secrets.token_bytes(LAMBDA)
-        if self.behavior == "swap_keyword":
-            # replay another search's merged answer of the same cardinality
-            for other_tau, other in self.tbl.items():
-                if (
-                    other_tau != tau_head
-                    and isinstance(other, MergedEntry)
-                    and other.n == len(ids)
-                ):
-                    return list(other.ids), other.gamma
-        return ids, gamma
+            return self.bf.serialize(), self.sigma, self.t
 
     # ------------------------------------------------------------------
     # Persistence
@@ -422,12 +362,3 @@ class CloudServer:
             server.bf = BloomFilter.deserialize(r.rest())
         r.expect_end()
         return server
-
-    def save(self, path: str) -> None:
-        write_atomic(path, self.snapshot())
-
-    @classmethod
-    def load(cls, path: str) -> "CloudServer":
-        with open(path, "rb") as f:
-            return cls.restore(f.read())
-

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 from .bloom import BloomFilter
 from .crypto import LAMBDA, chain_label, derived_key, se_decrypt, se_encrypt
-from .encoding import Reader, put_u64, write_atomic
+from .encoding import Persistent, Reader, put_u64
 from .errors import (
     AmbiguousCounterError,
     CounterBoundError,
@@ -64,7 +64,7 @@ class _AcceptedFilter:
 
 
 @dataclass
-class AuthorizedUser:
+class AuthorizedUser(Persistent):
     """Holds a copy of the owner's keys plus the current group key.
 
     One thread uses a user at a time: the probe stats and the accepted
@@ -280,11 +280,3 @@ class AuthorizedUser:
         user = cls(*(r.fixed(LAMBDA) for _ in range(4)), r.u64())
         r.expect_end()
         return user
-
-    def save(self, path: str) -> None:
-        write_atomic(path, self.snapshot())
-
-    @classmethod
-    def load(cls, path: str) -> "AuthorizedUser":
-        with open(path, "rb") as f:
-            return cls.restore(f.read())

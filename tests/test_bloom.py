@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -31,6 +32,13 @@ def test_params_validation():
         BloomParams(1.5, 10).derive()
     with pytest.raises(UsageError):
         BloomParams(0.01, 0).derive()
+
+
+def test_params_bound_k_at_64():
+    # each add and verify hashes 8k bytes, so sizing stops at a 2^-64 target
+    assert BloomParams(2.0**-64, 10).derive()[1] == 64
+    with pytest.raises(UsageError):
+        BloomParams(2.0**-65, 10).derive()
 
 
 def test_fresh_filter_rejects_everything():
@@ -117,6 +125,15 @@ def test_deserialize_rejects_garbage():
         BloomFilter.deserialize(blob[:-1])
     with pytest.raises(FormatError):
         BloomFilter.deserialize(blob + b"\x00")
+
+
+def test_deserialize_bounds_k():
+    bf = BloomFilter(BloomParams(2.0**-64, 10))
+    assert BloomFilter.deserialize(bf.serialize()) == bf
+    body = bf.serialize()[8:]
+    for k in (0, 65, 2**20 + 64, 2**32 - 1):
+        with pytest.raises(FormatError, match="bad bloom header"):
+            BloomFilter.deserialize(struct.pack(">II", bf.m, k) + body)
 
 
 def test_embed_456_adds_exactly_three_digit_elements():

@@ -2,6 +2,7 @@
 FormatError (or decode to something re-encodable), never crash."""
 
 import random
+import struct
 
 import pytest
 
@@ -112,6 +113,25 @@ def test_restore_refuses_a_length_prefixed_key():
         short = (15).to_bytes(4, "big") + blob[key_at : key_at + 15]
         with pytest.raises(FormatError):
             restore(blob[:key_at] + short + blob[key_at + LAMBDA :])
+
+
+def test_restores_refuse_a_filter_asking_for_too_many_hashes():
+    # a flip of bit 20 of the filter's k restored a filter whose every add
+    # hashed an 8 MB SHAKE256 output
+    owner = DataOwner.generate("full", BloomParams(0.01, 100))
+    server = CloudServer("full", BloomParams(0.01, 100), group_key=owner.keys.r)
+    server.add(owner.add_file(b"data", ["a:1"], 1_700_000_000))
+    for blob, bf, restore in (
+        (owner.snapshot(), owner.bf, DataOwner.restore),
+        (server.snapshot(), server.bf, CloudServer.restore),
+    ):
+        k_at = len(blob) - len(bf.bits) - 4  # the filter is the last field
+        k = struct.unpack_from(">I", blob, k_at)[0]
+        assert k == bf.k
+        data = bytearray(blob)
+        struct.pack_into(">I", data, k_at, k ^ (1 << 20))
+        with pytest.raises(FormatError, match="bad bloom header"):
+            restore(bytes(data))
 
 
 def merged_server_blob(mode: str) -> bytes:

@@ -1,7 +1,10 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
+import dsse
 from dsse.bloom import BloomParams
 from dsse.crypto import chain_label, prf2, xor_bytes
 from dsse.errors import (
@@ -11,6 +14,7 @@ from dsse.errors import (
     StaleEpochError,
     UsageError,
 )
+from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
 from dsse.protocol import SearchTokenEnvelope, verify_result
 from dsse.server import ChainEntry, CloudServer, MergedEntry
@@ -21,7 +25,7 @@ PARAMS = BloomParams(2.0**-30, 20_000)
 
 def build(mode="full"):
     owner = DataOwner.generate(mode, PARAMS)
-    server = CloudServer(mode, PARAMS, group_key=owner.keys.r if mode == "full" else None)
+    server = AdversarialServer(mode, PARAMS, group_key=owner.keys.r if mode == "full" else None)
     return owner, server
 
 
@@ -254,6 +258,88 @@ def test_adversary_validation():
     _, server = build()
     with pytest.raises(UsageError):
         server.set_adversary("nope")
+
+
+def test_honest_adversarial_server_answers_as_a_cloud_server():
+    for mode in ("full", "basic"):
+        owner = DataOwner.generate(mode, PARAMS)
+        r = owner.keys.r if mode == "full" else None
+        servers = (CloudServer(mode, PARAMS, group_key=r),
+                   AdversarialServer(mode, PARAMS, group_key=r))
+
+        def both(call):
+            plain, armed = (call(s) for s in servers)
+            assert plain == armed
+            return plain
+
+        for i in range(8):
+            payload = owner.add_file(f"f{i}".encode(), [f"kw:{i % 3}", "shared:1"],
+                                     NOW + i * 600)
+            both(lambda s: s.add(payload))
+        for keyword in ("shared:1", "kw:0", "shared:1", "kw:2", "kw:0"):
+            token = owner.gen_token(keyword)
+            both(lambda s: s.search(token))
+        if mode == "full":
+            bf_bytes, sigma, t = both(lambda s: s.get_bloom())
+            assert both(lambda s: s.get_bloom((t, sigma))) is None
+            assert both(lambda s: s.get_bloom((t - 600, sigma))) == (bf_bytes, sigma, t)
+            refresh = owner.refresh_bloom(t + 600)
+            both(lambda s: s.refresh(refresh))
+            both(lambda s: s.get_bloom((t, sigma)))
+        both(lambda s: s.snapshot())
+
+
+def test_result_adversaries_rewrite_the_honest_answer():
+    owner, server = build()
+    ingest(owner, server, 6, lambda i: [f"kw:{i % 2}"])
+    other = server.search(owner.gen_token("kw:0"))  # merged, 3 ids
+    token = owner.gen_token("kw:1")
+    ids, cts, gamma = server.search(token)
+    server.set_adversary("drop_result")
+    assert server.search(token) == (ids[1:], cts[1:], gamma)
+    server.set_adversary("forge_gamma")
+    forged = server.search(token)
+    assert forged[:2] == (ids, cts) and len(forged[2]) == 16 and forged[2] != gamma
+    server.set_adversary("swap_keyword")  # the other merged answer of 3 ids
+    assert server.search(token) == other
+    server.set_adversary("honest")
+    assert server.search(token) == (ids, cts, gamma)
+    _, basic = build("basic")
+    with pytest.raises(UsageError):
+        basic.set_adversary("stale_bloom")
+    assert basic.behavior == "honest"
+
+
+def _imported_modules(path: pathlib.Path, package: tuple[str, ...]):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = ".".join(package[: len(package) - node.level + 1])
+                base = f"{parent}.{base}" if base else parent
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_simulator_can_build_a_cheating_server():
+    server = CloudServer("basic")
+    assert not hasattr(server, "set_adversary") and not hasattr(server, "behavior")
+    root = pathlib.Path(dsse.__file__).parent
+    importers = set()
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root)
+        if rel.parts[0] == "harness":
+            continue
+        package = ("dsse", *rel.parts[:-1])
+        if any(
+            m == "dsse.harness" or m.startswith("dsse.harness.")
+            for m in _imported_modules(path, package)
+        ):
+            importers.add(rel.as_posix())
+    # the command line is the one front end that drives the simulator
+    assert importers == {"cli.py"}
 
 
 def test_snapshot_round_trip(tmp_path):

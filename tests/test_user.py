@@ -14,6 +14,7 @@ from dsse.errors import (
     StaleFilterError,
     TamperedFilterError,
 )
+from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
 from dsse.protocol import FRESHNESS_WINDOW, RefreshPayload, filter_mac
 from dsse.server import CloudServer
@@ -28,7 +29,7 @@ def build_system(counter: int, keyword: str = "w", refresh_at: int | None = None
     """Owner+server with one keyword at the given counter; optionally run a
     filter refresh when the counter passes refresh_at."""
     owner = DataOwner.generate("full", PARAMS)
-    server = CloudServer("full", PARAMS, group_key=owner.keys.r)
+    server = AdversarialServer("full", PARAMS, group_key=owner.keys.r)
     t = NOW
     for i in range(counter):
         server.add(owner.add_file(f"f{i}".encode(), [keyword], t))

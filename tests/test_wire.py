@@ -242,6 +242,23 @@ def test_error_codes_surface_as_typed_exceptions():
         client.search(stale)
 
 
+def test_refresh_with_unbounded_k_refused_and_state_kept():
+    # the server holds no MAC key, so it must bound the filter header itself:
+    # a k of 2^20 made every later add hash 8 MB per element
+    owner, server, oracle, last_t = build_system(5)
+    client = wire.Client.in_process(server)
+    before = (server.bf.serialize(), server.sigma, server.t)
+    payload = owner.refresh_bloom(last_t + 600)
+    bf_bytes = bytearray(payload.bf_bytes)
+    bf_bytes[4:8] = (2**20).to_bytes(4, "big")  # k, after the 4-byte m
+    hostile = RefreshPayload(bytes(bf_bytes), payload.sigma, payload.t)
+    reply = wire.decode(client.transport.request(wire.encode(hostile)))
+    assert (reply.kind, reply.code) == (wire.KIND_REFRESH, wire.CODE_FORMAT)
+    with pytest.raises(FormatError):
+        client.refresh(hostile)
+    assert (server.bf.serialize(), server.sigma, server.t) == before
+
+
 class CannedTransport:
     """Answers every request with the frame of one fixed message."""
 
