@@ -27,6 +27,7 @@ from .errors import AmbiguousCounterError, FormatError, UsageError
 _HEADER = struct.Struct(">II")
 _MAX_DIGIT_POSITIONS = 20  # 10^20 > 2^64; more positions means a corrupt filter
 _MAX_K = 64  # a 2^-64 target; a header asking for more is refused, not hashed
+_MAX_M = 2**32 - 1  # the header's 4-byte m
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class BloomParams:
         if k > _MAX_K:
             raise UsageError(f"target_fp {self.target_fp} needs k={k} > {_MAX_K}")
         m = math.ceil(self.capacity * k / math.log(2))
+        if m > _MAX_M:
+            raise UsageError(f"capacity {self.capacity} needs m={m} > {_MAX_M} bits")
         return m, k
 
 

@@ -84,9 +84,18 @@ class AdversarialServer(CloudServer):
         served = super().get_bloom(since)
         if served is None or self.behavior != "flip_bloom_bit":
             return served
-        flipped = bytearray(served[0])
-        flipped[8] ^= 0x01  # first bit of the bit array; sigma untouched
-        return bytes(flipped), *served[1:]
+        update, sigma, t = served
+        if isinstance(update, list):  # a delta: the first bit of its first tau
+            update = [_flip_low_bit(tau, 0) for tau in update[:1]] + update[1:]
+        else:  # the first bit of the bit array
+            update = _flip_low_bit(update, 8)
+        return update, sigma, t
+
+
+def _flip_low_bit(data: bytes, at: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[at] ^= 0x01
+    return bytes(flipped)
 
 
 @dataclass

@@ -3,6 +3,11 @@ the files and their aggregate MAC, the merged-entry search shortcut, and
 filter publication. This server is honest; the simulator's server that can
 be told to cheat derives from it (harness.scenario.AdversarialServer).
 
+Between refreshes the published filter only gains elements, and those are
+the labels (taus) each upload brings. The server logs them in memory, so a
+caller holding an older version of the filter can be answered with the
+taus added since, whenever that is smaller than the filter itself.
+
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one label and one key, from which it can
 walk exactly one keyword's chain and nothing else.
@@ -11,6 +16,7 @@ walk exactly one keyword's chain and nothing else.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams
@@ -109,7 +115,42 @@ class CloudServer(Persistent):
         self.r = group_key
         self.epoch = epoch
         self.last_search_lookups = 0
+        # get_bloom answers by kind (full, delta, not_modified), and the
+        # filter or tau bytes they carried; cumulative, not persisted
+        self.filters_served: Counter[str] = Counter()
+        self.filter_bytes_served: Counter[str] = Counter()
         self._lock = threading.RLock()
+        self._start_log()
+
+    def _start_log(self, *versions: tuple[int, bytes]) -> None:
+        """Empty the tau log; versions are those of the filter as it is now.
+
+        _taus holds the taus added since, oldest first, _taus[0] at log
+        position _taus_start; _versions maps each (t, sigma) the filter had
+        since to the log position after its last tau, in ascending order.
+        The log is not persisted: a restored server answers every older
+        version with the whole filter."""
+        self._taus: list[bytes] = []
+        self._taus_start = 0
+        self._versions: dict[tuple[int, bytes], int] = dict.fromkeys(versions, 0)
+
+    def _log_upload(self, taus: list[bytes], version: tuple[int, bytes]) -> None:
+        """Log one upload's taus and the version it leaves, then forget every
+        version whose delta would not be smaller than the filter, and the
+        taus only those versions needed."""
+        self._taus += taus
+        end = self._taus_start + len(self._taus)
+        versions = self._versions
+        versions.pop(version, None)  # keep the positions ascending
+        versions[version] = end
+        filter_size = sum(map(len, self.bf.buffers()))
+        cut = end - (filter_size - 1) // LAMBDA  # oldest position worth a delta
+        if cut <= self._taus_start:
+            return
+        del self._taus[: cut - self._taus_start]
+        self._taus_start = cut
+        while versions[oldest := next(iter(versions))] < cut:
+            del versions[oldest]
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -145,6 +186,7 @@ class CloudServer(Persistent):
             if self.mode == FULL:
                 self.sigma = payload.sigma
                 self.t = payload.t
+                self._log_upload([tau for tau, _ in payload.entries], (self.t, self.sigma))
 
     def refresh(self, payload: RefreshPayload) -> None:
         """Adopt the owner's rebuilt filter wholesale."""
@@ -156,6 +198,7 @@ class CloudServer(Persistent):
             self.bf = BloomFilter.deserialize(payload.bf_bytes)
             self.sigma = payload.sigma
             self.t = payload.t
+            self._start_log((self.t, self.sigma))
 
     def set_group_key(self, r: bytes, epoch: int) -> None:
         with self._lock:
@@ -252,17 +295,30 @@ class CloudServer(Persistent):
 
     def get_bloom(
         self, since: tuple[int, bytes] | None = None
-    ) -> tuple[bytes, bytes, int] | None:
-        """Current (serialized filter, sigma, timestamp) triple.
+    ) -> tuple[bytes | list[bytes], bytes, int] | None:
+        """The published filter as (update, sigma, timestamp).
 
-        since is the (t, sigma) of the copy the caller holds; if it is the
-        current pair, the filter is not serialized and None is returned."""
+        since is the (t, sigma) of the copy the caller holds. If it is the
+        current pair, None is returned. If the log holds it, update is the
+        list of taus added since, which the caller adds to its copy; the
+        log holds only versions for which that list is smaller than the
+        filter. Otherwise update is the serialized filter."""
         with self._lock:
             if self.mode != FULL:
                 raise UsageError("no published filter in basic mode")
             if since == (self.t, self.sigma):
+                self.filters_served["not_modified"] += 1
                 return None
-            return self.bf.serialize(), self.sigma, self.t
+            at = self._versions.get(since)
+            if at is None:
+                update = self.bf.serialize()
+                kind, size = "full", len(update)
+            else:
+                update = self._taus[at - self._taus_start :]
+                kind, size = "delta", len(update) * LAMBDA
+            self.filters_served[kind] += 1
+            self.filter_bytes_served[kind] += size
+            return update, self.sigma, self.t
 
     # ------------------------------------------------------------------
     # Persistence

@@ -223,8 +223,15 @@ class AuthorizedUser(Persistent):
         """Fetch the filter, guess the counter, search once at it: (ids,
         ciphertexts, gamma, counter). The filter has no false negatives, so
         the guess is never below the attested counter; a NotFoundError there
-        is raised, since an answer from lower down could hide new files."""
-        envelope, cnt = self.gen_token(client.get_bloom(), keyword, now)
+        is raised, since an answer from lower down could hide new files.
+        A filter refused as tampered is dropped from the client, so the
+        next fetch is whole rather than a delta on top of it."""
+        bloom = client.get_bloom()
+        try:
+            envelope, cnt = self.gen_token(bloom, keyword, now)
+        except TamperedFilterError:
+            client.drop_bloom(bloom)
+            raise
         return (*client.search(envelope), cnt)
 
     # ------------------------------------------------------------------

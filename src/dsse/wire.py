@@ -9,7 +9,7 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x03 | kind(1) | body
+    version(1) = 0x04 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
@@ -34,7 +34,12 @@ kind ADD when that byte names no request. OK bodies:
 
     ADD, REFRESH, ROTATE   message
     SEARCH     u32 n | n x id | u32 n | n x ciphertext | flag [| gamma]
-    GET_BLOOM  filter | sigma | u64 t
+    GET_BLOOM  flag | (filter, or when the flag is 1: u32 n | n x tau) | sigma | u64 t
+
+A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
+each, no length prefix) added to the filter since the version the request
+named. The client adds them to its copy of that version and hands on the
+whole filter, which the user MAC-checks like any other.
 
 The filter bytes and 8-byte timestamps on the wire are exactly the MAC
 inputs, so no re-canonicalization happens anywhere between parties.
@@ -53,6 +58,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from .bloom import BloomFilter
+from .crypto import LAMBDA
 from .encoding import Reader, put_bytes, put_str, put_u8, put_u32, put_u64
 from .errors import (
     DecryptionError,
@@ -67,7 +74,7 @@ from .errors import (
 from .protocol import AddPayload, RefreshPayload, SearchTokenEnvelope
 from .server import CloudServer
 
-VERSION = 0x03
+VERSION = 0x04
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -141,7 +148,8 @@ class Reply:
     """The answer to a request of `kind`.
 
     value is what the server method returned on CODE_OK: (ids, ciphertexts,
-    gamma) for SEARCH, (filter, sigma, t) for GET_BLOOM, else None.
+    gamma) for SEARCH, (filter or list of taus, sigma, t) for GET_BLOOM,
+    else None.
     message explains any other code.
     """
 
@@ -208,8 +216,14 @@ def _encode_reply(msg: Reply) -> bytes:
         if gamma is not None:
             put_bytes(buf, gamma)
     else:
-        bf_bytes, sigma, t = msg.value
-        put_bytes(buf, bf_bytes)
+        update, sigma, t = msg.value
+        delta = isinstance(update, list)
+        put_u8(buf, delta)
+        if delta:
+            put_u32(buf, len(update))
+            buf += b"".join(update)
+        else:
+            put_bytes(buf, update)
         put_bytes(buf, sigma)
         put_u64(buf, t)
     return bytes(buf)
@@ -259,7 +273,11 @@ def _decode_reply(kind: int, r: Reader) -> Reply:
         cts = [r.bytes_() for _ in range(r.u32())]
         gamma = r.bytes_() if r.flag() else None
         return Reply(kind, value=(ids, cts, gamma))
-    return Reply(kind, value=(r.bytes_(), r.bytes_(), r.u64()))
+    if r.flag():
+        update = [r.fixed(LAMBDA) for _ in range(r.u32())]
+    else:
+        update = r.bytes_()
+    return Reply(kind, value=(update, r.bytes_(), r.u64()))
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +494,33 @@ class Client:
         """The server's (filter, sigma, t) triple.
 
         The last triple fetched is kept and its (t, sigma) sent as the
-        request's condition; on NOT_MODIFIED that same triple is returned,
-        so threads sharing this client each get the copy they asked about.
+        request's condition. On NOT_MODIFIED that same triple is returned,
+        and a delta is added to a copy of that same filter, not of whatever
+        another thread sharing this client holds by then. The result is
+        unchecked: the user MAC-checks it, and a caller that refuses it
+        passes it to drop_bloom.
         """
         held = self._bloom
-        triple = self._call(GetBloom(None if held is None else (held[2], held[1])))
-        if triple is None:
+        answer = self._call(GetBloom(None if held is None else (held[2], held[1])))
+        if answer is None:
             return held
-        self._bloom = triple
+        update, sigma, t = answer
+        if isinstance(update, list):
+            if held is None:
+                raise ProtocolError("filter delta sent to a client holding no filter")
+            bf = BloomFilter.deserialize(held[0])
+            for tau in update:
+                bf.add(tau)
+            update = bf.serialize()
+        self._bloom = triple = (update, sigma, t)
         return triple
+
+    def drop_bloom(self, triple: tuple[bytes, bytes, int]) -> None:
+        """Forget a triple get_bloom returned, if it is still the one held,
+        so no later request names it: the next get_bloom fetches the whole
+        filter instead of a delta on top of a copy the user refused."""
+        if self._bloom is triple:
+            self._bloom = None
 
     def close(self) -> None:
         self.transport.close()

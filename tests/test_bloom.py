@@ -41,6 +41,16 @@ def test_params_bound_k_at_64():
         BloomParams(2.0**-65, 10).derive()
 
 
+def test_params_bound_m_by_the_header():
+    # the header holds m in 4 bytes; a larger m failed with struct.error at
+    # serialize time, after allocating the bit array
+    fits = int((2**32 - 1) * math.log(2) / 30)
+    assert BloomParams(2.0**-30, fits).derive() == (4_294_967_265, 30)
+    for capacity in (fits + 1, 100_000_000):
+        with pytest.raises(UsageError, match="needs m="):
+            BloomParams(2.0**-30, capacity).derive()
+
+
 def test_fresh_filter_rejects_everything():
     bf = BloomFilter(BloomParams(0.01, 100))
     rng = random.Random(0)

@@ -41,6 +41,12 @@ def test_wire_decode_mutated_valid_frames():
         wire.encode(wire.Rotate(b"\x07" * 16, 2)),
         wire.encode(wire.GetBloom((payload.t, payload.sigma))),
         wire.encode(wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED)),
+        wire.encode(wire.Reply(wire.KIND_GET_BLOOM, value=(
+            owner.bf.serialize(), payload.sigma, payload.t
+        ))),
+        wire.encode(wire.Reply(wire.KIND_GET_BLOOM, value=(
+            [tau for tau, _ in payload.entries], payload.sigma, payload.t
+        ))),
     ]
     for frame in frames:
         for _ in range(400):

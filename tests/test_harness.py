@@ -227,6 +227,58 @@ def test_user_query_records_a_withheld_head_as_not_found(monkeypatch):
         system.close()
 
 
+def _upload_one(system: SimulatedSystem, seed: int) -> int:
+    """One more PHI upload after the stream; returns its tau count."""
+    phi = next(synthesize_stream(seed, 1, start_time=system.now + 600))
+    system.add_phi(phi)
+    return len(phi.keywords())
+
+
+@pytest.mark.parametrize("served", ["full", "delta"])
+def test_a_refused_filter_is_not_the_base_of_the_next_fetch(served):
+    # the client kept a flipped filter under the honest (t, sigma), so every
+    # later fetch was answered NOT_MODIFIED, or with a delta on top of it,
+    # and refused, long after the server turned honest again
+    system = SimulatedSystem("full", default_bloom_params(80))
+    try:
+        system.ingest_stream(seed=12, n_files=60)
+        user = system.users[0]
+        keyword = system.oracle.keywords()[0]
+        if served == "delta":  # an honest copy held, then one upload
+            assert system.user_query(user, keyword).verified
+            _upload_one(system, 13)
+        system.server.set_adversary("flip_bloom_bit")
+        assert system.user_query(user, keyword).reason == "TamperedFilterError"
+        assert system.server.filters_served[served] == 1
+        system.server.set_adversary("honest")
+        for _ in range(2):
+            again = system.user_query(user, keyword)
+            assert again.verified and again.oracle_match
+    finally:
+        system.close()
+
+
+def test_filters_served_count_deltas_after_the_first_fetch():
+    system = SimulatedSystem("full", default_bloom_params(80))
+    try:
+        system.ingest_stream(seed=14, n_files=40)
+        user = system.users[0]
+        keywords = system.oracle.keywords()
+        assert system.user_query(user, keywords[0]).verified
+        taus = 0
+        for i in range(5):
+            taus += _upload_one(system, 15 + i)
+            assert system.user_query(user, keywords[i]).verified
+        assert system.user_query(user, keywords[5]).verified
+        server = system.server
+        assert server.filters_served == {"full": 1, "delta": 5, "not_modified": 1}
+        assert server.filter_bytes_served == {
+            "full": len(server.bf.serialize()), "delta": taus * LAMBDA
+        }
+    finally:
+        system.close()
+
+
 def test_linear_fit():
     a, b, r2 = linear_fit([1, 2, 3, 4], [10.2, 19.8, 30.1, 39.9])
     assert abs(b - 9.94) < 0.2

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import dsse
-from dsse.bloom import BloomParams
-from dsse.crypto import chain_label, prf2, xor_bytes
+from dsse.bloom import BloomFilter, BloomParams
+from dsse.crypto import LAMBDA, chain_label, prf2, xor_bytes
 from dsse.errors import (
     FormatError,
     NotFoundError,
@@ -16,7 +16,7 @@ from dsse.errors import (
 )
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
-from dsse.protocol import SearchTokenEnvelope, verify_result
+from dsse.protocol import AddPayload, SearchTokenEnvelope, verify_result
 from dsse.server import ChainEntry, CloudServer, MergedEntry
 
 NOW = 1_700_000_000
@@ -252,6 +252,83 @@ def test_conditional_get_bloom_compares_the_served_pair():
     assert (server.t, server.sigma) != (t, sigma)
     assert server.get_bloom((t, sigma)) is None
     assert server.get_bloom((server.t, server.sigma)) == (bf_bytes, sigma, t)
+
+
+def test_get_bloom_answers_a_logged_version_with_the_taus_added_since():
+    owner, server = build()
+    ingest(owner, server, 1, lambda i: ["w"])
+    bf_bytes, sigma, t = server.get_bloom()
+    late = [owner.add_file(f"late{i}".encode(), ["w", f"x:{i}"], t + 600 * (i + 1))
+            for i in range(2)]
+    for payload in late:
+        server.add(payload)
+    taus, sigma_now, t_now = server.get_bloom((t, sigma))
+    assert taus == [tau for payload in late for tau, _ in payload.entries]
+    assert (sigma_now, t_now) == (server.sigma, server.t)
+    bf = BloomFilter.deserialize(bf_bytes)
+    for tau in taus:
+        bf.add(tau)
+    assert bf.serialize() == server.bf.serialize()
+    # one upload behind: that upload's taus only
+    assert server.get_bloom((late[0].t, late[0].sigma))[0] == taus[2:]
+    # flip_bloom_bit corrupts the delta it serves: the first bit of its first tau
+    server.set_adversary("flip_bloom_bit")
+    flipped = server.get_bloom((t, sigma))[0]
+    assert flipped[0] == bytes([taus[0][0] ^ 0x01]) + taus[0][1:] and flipped[1:] == taus[1:]
+
+
+def test_get_bloom_sends_the_whole_filter_for_a_version_it_does_not_log():
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    _, sigma, t = server.get_bloom()
+    ingest(owner, server, 1, lambda i: ["w"], start=t + 600)
+    assert isinstance(server.get_bloom((t, sigma))[0], list)
+    whole = (server.bf.serialize(), server.sigma, server.t)
+    for forged in ((t, bytes(LAMBDA)), (t + 1, sigma), (t - 600, sigma), (0, b"")):
+        assert server.get_bloom(forged) == whole
+    # the log is not persisted: a restored server knows no older version
+    restored = CloudServer.restore(server.snapshot())
+    assert restored.get_bloom((t, sigma)) == whole
+    assert restored.get_bloom((server.t, server.sigma)) is None
+    # a refresh in between: the whole refreshed filter, then deltas from it
+    server.refresh(owner.refresh_bloom(server.t + 600))
+    refreshed = (server.bf.serialize(), server.sigma, server.t)
+    assert server.get_bloom((t, sigma)) == refreshed
+    ingest(owner, server, 1, lambda i: ["v"], start=server.t + 600)
+    assert server.get_bloom(refreshed[:0:-1]) == (
+        [chain_label(owner.keys.k_prf, "v", 1)], server.sigma, server.t
+    )
+    assert server.filters_served == {"full": 6, "delta": 2}
+
+
+def test_a_delta_not_smaller_than_the_filter_is_sent_whole():
+    params = BloomParams(2.0**-10, 10)  # m=145, k=10: 27 bytes, room for one tau
+    owner = DataOwner.generate("full", params)
+    server = CloudServer("full", params, group_key=owner.keys.r)
+    versions = []
+    for i in range(3):
+        server.add(owner.add_file(f"f{i}".encode(), ["w"], NOW + 600 * i))
+        versions.append((server.t, server.sigma))
+    whole = server.bf.serialize()
+    assert len(whole) == 27
+    assert server.get_bloom(versions[1])[0] == [chain_label(owner.keys.k_prf, "w", 3)]
+    assert server.get_bloom(versions[0])[0] == whole  # two taus: 32 bytes
+    assert len(server._taus) * LAMBDA < len(whole)  # the log holds no more
+    assert server.filter_bytes_served == {"delta": LAMBDA, "full": 27}
+
+
+def test_a_repeated_version_does_not_outlive_its_taus():
+    # the server holds no MAC key, so an ADD may repeat an earlier (t, sigma);
+    # the repeat must not keep older versions logged past their taus
+    params = BloomParams(2.0**-10, 10)  # room for one tau
+    owner = DataOwner.generate("full", params)
+    server = CloudServer("full", params, group_key=owner.keys.r)
+    a, b = (owner.add_file(name, ["w"], NOW) for name in (b"a", b"b"))
+    server.add(a)
+    server.add(b)
+    server.add(AddPayload(b"C" * 16, b"c", [(b"\x0c" * 16, b"\x0d" * 48)], a.sigma, a.t))
+    server.add(AddPayload(b"D" * 16, b"d", [(b"\x0e" * 16, b"\x0f" * 48)], b"\x01" * 16, NOW))
+    assert server.get_bloom((b.t, b.sigma))[0] == server.bf.serialize()
 
 
 def test_adversary_validation():

@@ -9,6 +9,7 @@ import pytest
 
 from dsse import wire
 from dsse.bloom import BloomParams
+from dsse.crypto import LAMBDA
 from dsse.errors import (
     FormatError,
     NotFoundError,
@@ -71,74 +72,78 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. The layout is unchanged since before requests
-# became the protocol values themselves; version 0x03 (the filter's index
-# function changed) differs from 0x02 in the first byte only. A layout
-# change must bump wire.VERSION and these values together.
+# One frame per message shape. Version 0x04 (GET_BLOOM replies may carry a
+# delta) differs from 0x03 in the first byte of every frame and, in an OK
+# GET_BLOOM reply, in the delta flag before the filter. A layout change must
+# bump wire.VERSION and these values together.
 _FULL_ADD = AddPayload(
     b"F" * 16, b"ciphertext",
     [(b"\x01" * 16, b"\x02" * 48), (b"\x03" * 16, b"\x04" * 48)],
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "884efb2dc1f68e88a6f4009ef100f64c25e3600e6e00193d7078a3ea1cd04a0e"),
+    "add_full": (_FULL_ADD, "add46f22dda6d0c9d2997cae127c7003b64c1462af078cecbaa8947ddfb7110b"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 32)]),
-        "0dc60348ff560792ed69703680ab408612ff47a5f8a109ebef32b7690d2563dd",
+        "e5b8c84aeae867a399b9125229cc42476efc13b6b4283c6f0ad5ecc6245faf8d",
     ),
     "refresh": (
         RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "2413a1826ff44f5c1acca3f5a66e5f61193459c7bf74fa67bb4fe880f04bb011",
+        "c291adf7bd7a2afc41e32e440e8fc91672e4821a6f8d42ff40ce6decca33f06f",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "f0b122ad64ae82be3346d404526008fd693b17cd3c111f47d3fb2dffcd37f302",
+        "4d220be8716c1907f55de52ceb96ed5265a9d6a981e18e4bb345f007b0acffde",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "98ee126673c262f81ba1edbef2c7be7304a6a7b1b0993ac385140d494457a21f",
+        "c7ce5391cad0a8005d426025a08f3d11af6a7e0ed47cc052ba62aabb52e6b604",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "6be7e91bb940d26930f569f5da82b4aaf025bca5286f0c20c973831fa4a7f0d9",
+        "e4c7397781d615ec6165654f69895fe3e755166ebd359ec9a5812d3dbd96457b",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "79753e906aaf2ef47e39bf26207b1daacc21d00a4399bf1215bad0d6450e89a2",
+        "2f51f5c7e90b7cdc51a4d8b3e5a3f1a6abfa755ae9761de8c535b235a0389a9d",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "e8acd6361327ab9308a874c522146545ce5584d41a3d9328e8bc05c7ba966b1a",
+        "71c32eb18510d9f456dd4a27602add9382b5ba5418a0cec718bd971317b30e2c",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "e201627ce715f00182836f602a04af07afef04a4f8ea044a3c783cad53292ca1",
+        "fcb50bd303b452d193ffa683f1533c29578ac96ea61d3fe20ce258af27ecde17",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "05cb9f324a0f4894026a0b8b4695894656e0242405e57a94f2f37e1eaafc38f3",
+        "4549723c2ced03aecd918d23030a124f06f871f4726a33f913bef6dc8595a529",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "1ca02fc79718b8fa401521229640fa0d22bd9dbe27dc085b544b1bd80916e58f",
+        "1be60fac0c64663292347264fd943349ce39fb278940f50569a91509fccc5e87",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "30a455ccb4433fab01baa7eca87d372cdd1ca36efbee7b8912a24cc48c8e0e3d",
+        "557abc17c042a36674ed12fa1924727dbc60a01faadc29ec6ca6e8febe17c714",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "6ab1dbcee87537d180f7c2328315121ca4de759c86a6ff750472228649719ca4",
+        "3b9f3d499437d9cbbd6703f5c0e23aeeb0eaaed61fadc2f35ca8766ac92c73b4",
+    ),
+    "get_bloom_reply_delta": (
+        wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
+        "1623e60fc536d7cc7547e4d5772b09a27ce2f95fb53881731a79c2b8cb3abe7b",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "81f4b984b527472d614a48b2dea942f04c5130dd67861eeb206932606712edf3",
+        "de3bb8693b0521d107dc2a5596c84cb8801688664f3828849dfc4be56fb22776",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "85c411756e5e4f2e2cf05169a4399c1b67fae2690725c09d853611933db26d7f",
+        "4d8a24b8918579243ee8ba210d35c834bc6e132d46964765b278091e4b3186e7",
     ),
 }
 
@@ -146,7 +151,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x03
+    assert wire.VERSION == 0x04
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -358,6 +363,27 @@ def test_conditional_get_bloom():
     after_refresh = client.get_bloom()
     assert after_refresh == (owner.bf.serialize(), server.sigma, last_t + 601)
     assert client.get_bloom() is after_refresh
+
+
+def test_clients_one_and_three_uploads_behind_rebuild_the_filter():
+    owner, server, oracle, last_t = build_system(10)
+    three_behind, one_behind = wire.Client.in_process(server), wire.Client.in_process(server)
+    three_behind.get_bloom()
+    for i in range(3):
+        if i == 2:
+            one_behind.get_bloom()
+        server.add(owner.add_file(f"late{i}".encode(), ["w:1", f"x:{i}"], last_t + 600 * (i + 1)))
+    rebuilt = three_behind.get_bloom(), one_behind.get_bloom()
+    assert rebuilt[0] == rebuilt[1] == (server.bf.serialize(), server.sigma, server.t)
+    assert filter_mac(owner.keys.k_mac, server.t, rebuilt[0][0]) == server.sigma
+    assert server.filters_served == {"full": 2, "delta": 2}
+    assert server.filter_bytes_served["delta"] == (3 + 1) * 2 * LAMBDA
+
+
+def test_delta_to_a_client_holding_no_filter_refused():
+    delta = wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x01" * LAMBDA], b"\x02" * 16, NOW))
+    with pytest.raises(ProtocolError, match="holding no filter"):
+        wire.Client(CannedTransport(delta)).get_bloom()
 
 
 def test_oversized_frame_refused_before_allocation(monkeypatch):
