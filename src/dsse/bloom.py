@@ -78,6 +78,10 @@ class BloomFilter:
         """An empty filter of the same size."""
         return self._from_raw(self.m, self.k, bytearray(len(self.bits)))
 
+    def copy(self) -> "BloomFilter":
+        """A filter with the same bits, in a buffer of its own."""
+        return self._from_raw(self.m, self.k, bytearray(self.bits))
+
     def _indexes(self, element: bytes) -> list[int]:
         """The k big-endian 8-byte words of SHAKE256(element), each mod m."""
         m, k = self.m, self.k

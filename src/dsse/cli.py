@@ -13,10 +13,11 @@ import base64
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .bloom import BloomParams
 from .encoding import write_atomic
-from .errors import DsseError
+from .errors import DsseError, TransportError
 from .harness.bench import REFERENCES, long_state_run, run_bench
 from .harness.phi import synthesize_stream
 from .harness.scenario import ADVERSARY_BEHAVIORS, ScenarioConfig, run_scenario
@@ -70,6 +71,24 @@ class _ServerHandle:
             self.server.save(_paths(self.state_dir)["server"])
 
 
+@contextmanager
+def _owner_request(state_dir: str, owner: DataOwner, handle: _ServerHandle):
+    """Send a request that changed the owner, then save the owner and close
+    the handle. An error reply means the server kept its state, so the
+    owner's is not saved either; after a TransportError the outcome is
+    unknown, and the owner is saved as if the request landed."""
+    refused = False
+    try:
+        yield
+    except DsseError as exc:
+        refused = not isinstance(exc, TransportError)
+        raise
+    finally:
+        if not refused:
+            owner.save(_paths(state_dir)["owner"])
+        handle.close()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -89,7 +108,6 @@ def cmd_gen_keys(args: argparse.Namespace) -> int:
     for name in users:
         AuthorizedUser.from_owner(owner).save(_user_path(args.state_dir, name))
     _save_meta(args.state_dir, {
-        "mode": args.mode,
         "users": users,
         "revoked": [],
         "last_t": 0,
@@ -132,15 +150,11 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     meta = _load_meta(args.state_dir)
     owner = DataOwner.load(_paths(args.state_dir)["owner"])
     handle = _ServerHandle(args.state_dir, args.connect)
-    try:
-        now = meta["last_t"] + 1
-        payload = owner.refresh_bloom(now)
-        handle.client.refresh(payload)
-        meta["last_t"] = now
-    finally:
-        owner.save(_paths(args.state_dir)["owner"])
-        _save_meta(args.state_dir, meta)
-        handle.close()
+    now = meta["last_t"] + 1
+    with _owner_request(args.state_dir, owner, handle):
+        handle.client.refresh(owner.refresh_bloom(now))
+    meta["last_t"] = now
+    _save_meta(args.state_dir, meta)
     print(f"filter refreshed with digit embeddings for {len(owner.tbl)} keywords")
     return 0
 
@@ -227,12 +241,9 @@ def cmd_rotate(args: argparse.Namespace) -> int:
         return 2
     owner = DataOwner.load(_paths(args.state_dir)["owner"])
     handle = _ServerHandle(args.state_dir, args.connect)
-    try:
+    with _owner_request(args.state_dir, owner, handle):
         r, epoch = owner.rotate_group_key()
         handle.client.rotate(r, epoch)
-    finally:
-        owner.save(_paths(args.state_dir)["owner"])
-        handle.close()
     meta["users"].remove(args.revoke)
     meta["revoked"].append(args.revoke)
     for name in meta["users"]:

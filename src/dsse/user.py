@@ -3,8 +3,10 @@ server's published Bloom filter, build search tokens and search without
 contacting the owner, and verify results client-side.
 
 The filter is untrusted until its MAC and timestamp check out, so token
-generation refuses to probe an unverified filter. The last accepted filter
-is kept, parsed, so an unchanged filter is checked and parsed only once.
+generation refuses to probe an unverified filter. The client hands on the
+filter parsed; the user MACs its bits in place and keeps the triple it
+accepted, so an unchanged filter is checked once and the users of one
+client share one filter object.
 """
 
 from __future__ import annotations
@@ -55,14 +57,6 @@ class ProbeStats:
         return self.search_probes + self.digit_probes
 
 
-@dataclass(frozen=True)
-class _AcceptedFilter:
-    """A published (filter bytes, sigma, t) triple that passed its MAC."""
-
-    triple: tuple[bytes, bytes, int]
-    bf: BloomFilter
-
-
 @dataclass
 class AuthorizedUser(Persistent):
     """Holds a copy of the owner's keys plus the current group key.
@@ -78,7 +72,8 @@ class AuthorizedUser(Persistent):
     epoch: int = 1
     freshness_window: ClassVar[int] = FRESHNESS_WINDOW  # the protocol's, not per user
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
-    _accepted: _AcceptedFilter | None = field(
+    # the last (filter, sigma, t) triple that passed its MAC, as handed over
+    _accepted: tuple[BloomFilter, bytes, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -166,7 +161,7 @@ class AuthorizedUser(Persistent):
 
     def gen_token(
         self,
-        bloom_triple: tuple[bytes, bytes, int],
+        bloom_triple: tuple[BloomFilter, bytes, int],
         keyword: str,
         now: int,
     ) -> tuple[SearchTokenEnvelope, int]:
@@ -174,39 +169,28 @@ class AuthorizedUser(Persistent):
 
         Returns (envelope, guessed counter); the counter feeds the later
         result verification. The MAC gate runs before any probing: a
-        tampered filter aborts immediately. A triple byte-identical to the
-        last accepted one skips the MAC and the parse; freshness is checked
-        on every call. The accepted filter is the token-time filter that
-        verify() checks against.
+        tampered filter aborts immediately. A triple equal to the last
+        accepted one skips the MAC; freshness is checked on every call. The
+        accepted filter is the token-time filter that verify() checks
+        against; it must not be mutated once handed over.
         """
-        accepted = self._accept(bloom_triple)
-        t = accepted.triple[2]
+        bf, sigma, t = bloom_triple
+        if bloom_triple != self._accepted:  # the held filter object: no bit compare
+            self._accepted = None
+            if filter_mac(self.k_mac, t, *bf.buffers()) != sigma:
+                raise TamperedFilterError("published filter fails its MAC")
+            self._accepted = bloom_triple
         if not self._fresh(t, now):
             raise StaleFilterError(f"filter timestamp {t} too old at {now}")
-        cnt = self.guess_counter(accepted.bf, keyword)
+        cnt = self.guess_counter(bf, keyword)
         if cnt is None:
             raise NotFoundError(f"keyword has no entries: {keyword!r}")
         return self.token_for_counter(keyword, cnt), cnt
 
-    def _accept(self, bloom_triple: tuple[bytes, bytes, int]) -> _AcceptedFilter:
-        bf_bytes, sigma, t = bloom_triple
-        held = self._accepted
-        if held is not None and held.triple == (bf_bytes, sigma, t):
-            return held
-        self._accepted = None
-        if filter_mac(self.k_mac, t, bf_bytes) != sigma:
-            raise TamperedFilterError("published filter fails its MAC")
-        try:
-            bf = BloomFilter.deserialize(bf_bytes)
-        except FormatError:
-            raise TamperedFilterError("published filter unparseable") from None
-        self._accepted = _AcceptedFilter((bf_bytes, sigma, t), bf)
-        return self._accepted
-
     @property
     def token_filter(self) -> tuple[bytes, int] | None:
         """(sigma, t) of the filter the last gen_token accepted, if any."""
-        return None if self._accepted is None else self._accepted.triple[1:]
+        return None if self._accepted is None else self._accepted[1:]
 
     def _fresh(self, t: int, now: int) -> bool:
         return 0 <= now - t <= FRESHNESS_WINDOW

@@ -38,8 +38,9 @@ kind ADD when that byte names no request. OK bodies:
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
-named. The client adds them to its copy of that version and hands on the
-whole filter, which the user MAC-checks like any other.
+named. The client adds them to a copy of the parsed filter it named (a
+whole filter is parsed once, where it is fetched) and hands on the
+BloomFilter, which the user MAC-checks in place like any other.
 
 The filter bytes and 8-byte timestamps on the wire are exactly the MAC
 inputs, so no re-canonicalization happens anywhere between parties.
@@ -450,7 +451,7 @@ class Client:
 
     def __init__(self, transport: InProcessTransport | SocketTransport):
         self.transport = transport
-        self._bloom: tuple[bytes, bytes, int] | None = None
+        self._bloom: tuple[BloomFilter, bytes, int] | None = None
 
     @classmethod
     def in_process(cls, server: CloudServer) -> "Client":
@@ -490,15 +491,16 @@ class Client:
     ) -> tuple[list[bytes], list[bytes], bytes | None]:
         return self._call(envelope)
 
-    def get_bloom(self) -> tuple[bytes, bytes, int]:
-        """The server's (filter, sigma, t) triple.
+    def get_bloom(self) -> tuple[BloomFilter, bytes, int]:
+        """The server's (filter, sigma, t) triple, the filter parsed.
 
         The last triple fetched is kept and its (t, sigma) sent as the
         request's condition. On NOT_MODIFIED that same triple is returned,
         and a delta is added to a copy of that same filter, not of whatever
-        another thread sharing this client holds by then. The result is
-        unchecked: the user MAC-checks it, and a caller that refuses it
-        passes it to drop_bloom.
+        another thread sharing this client holds by then. A returned filter
+        is never mutated afterwards; one that does not parse raises
+        FormatError and is not held. The result is unchecked: the user
+        MAC-checks it, and a caller that refuses it passes it to drop_bloom.
         """
         held = self._bloom
         answer = self._call(GetBloom(None if held is None else (held[2], held[1])))
@@ -508,14 +510,15 @@ class Client:
         if isinstance(update, list):
             if held is None:
                 raise ProtocolError("filter delta sent to a client holding no filter")
-            bf = BloomFilter.deserialize(held[0])
+            bf = held[0].copy()
             for tau in update:
                 bf.add(tau)
-            update = bf.serialize()
-        self._bloom = triple = (update, sigma, t)
+        else:
+            bf = BloomFilter.deserialize(update)
+        self._bloom = triple = (bf, sigma, t)
         return triple
 
-    def drop_bloom(self, triple: tuple[bytes, bytes, int]) -> None:
+    def drop_bloom(self, triple: tuple[BloomFilter, bytes, int]) -> None:
         """Forget a triple get_bloom returned, if it is still the one held,
         so no later request names it: the next get_bloom fetches the whole
         filter instead of a delta on top of a copy the user refused."""

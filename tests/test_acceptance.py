@@ -26,6 +26,7 @@ from dsse.owner import DataOwner
 from dsse.protocol import result_mac
 from dsse.server import ChainEntry, CloudServer
 from dsse.user import AuthorizedUser
+from dsse.wire import Client
 
 NOW = 1_700_000_000
 
@@ -277,14 +278,14 @@ def test_criterion_6_verifiability_detection():
     # one is refused at token time and leaves no verified filter behind
     owner, server, t = single_keyword_system(5)
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env, cnt = user.gen_token(Client.in_process(server).get_bloom(), "w", t)
     ids, cts, gamma = server.search(env)
     stale = user.verify("w", cnt, ids, cts, gamma, t + user.freshness_window + 120)
     bf_bytes, sigma, ts = server.get_bloom()
     flipped_bf = bytearray(bf_bytes)
     flipped_bf[10] ^= 0x02
     try:
-        user.gen_token((bytes(flipped_bf), sigma, ts), "w", t)
+        user.gen_token((BloomFilter.deserialize(bytes(flipped_bf)), sigma, ts), "w", t)
         flip_refused = False
     except TamperedFilterError:
         flip_refused = True

@@ -4,9 +4,10 @@ import os
 from dsse.bloom import BloomFilter
 from dsse.cli import main
 from dsse.crypto import chain_label
+from dsse.errors import ProtocolError, TransportError
 from dsse.owner import DataOwner
 from dsse.protocol import RefreshPayload, filter_mac
-from dsse.wire import WireServer
+from dsse.wire import Client, WireServer
 from dsse.server import CloudServer
 
 
@@ -100,6 +101,83 @@ def test_rotate_revokes_user(tmp_path, capsys):
     assert code == 0
     meta = json.load(open(os.path.join(st, "meta.json")))
     assert meta["users"] == ["u1"] and meta["revoked"] == ["u2"]
+
+
+def _refuse(monkeypatch, method):
+    def refused(self, *args):
+        raise ProtocolError(f"{method} refused")
+
+    monkeypatch.setattr(CloudServer, method, refused)
+
+
+def _state(st):
+    return {name: open(os.path.join(st, name), "rb").read() for name in ("owner.bin", "meta.json")}
+
+
+def test_refused_refresh_leaves_the_owner_as_the_server(tmp_path, capsys, monkeypatch):
+    # the owner used to be saved with the refreshed filter the server refused,
+    # so the next upload published a filter whose MAC users could not check
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--capacity", "20000"], capsys)
+    run(["--state-dir", st, "ingest", "--n", "30", "--seed", "8"], capsys)
+    before = _state(st)
+    with monkeypatch.context() as patch:
+        _refuse(patch, "refresh")
+        code, _, err = run(["--state-dir", st, "refresh"], capsys)
+    assert code == 1 and "refresh refused" in err
+    assert _state(st) == before
+    run(["--state-dir", st, "ingest", "--n", "2"], capsys)
+    from dsse.harness.phi import synthesize_stream
+
+    keyword = next(iter(synthesize_stream(8, 1))).keywords()[0]
+    code, out, err = run(["--state-dir", st, "search", "--keyword", keyword], capsys)
+    assert code == 0 and "results for" in out, err
+
+
+def test_refused_rotate_keeps_the_epoch_and_a_lost_ack_does_not(tmp_path, capsys, monkeypatch):
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--users", "u1,u2", "--capacity", "20000"], capsys)
+    run(["--state-dir", st, "ingest", "--n", "30", "--seed", "9"], capsys)
+    from dsse.harness.phi import synthesize_stream
+
+    keyword = next(iter(synthesize_stream(9, 1))).keywords()[0]
+    owner_search = ["--state-dir", st, "search", "--keyword", keyword, "--as", "owner"]
+    before = _state(st)
+    with monkeypatch.context() as patch:
+        _refuse(patch, "set_group_key")
+        code, _, err = run(["--state-dir", st, "rotate", "--revoke", "u2"], capsys)
+    assert code == 1 and "set_group_key refused" in err
+    assert _state(st) == before
+    code, _, err = run(owner_search, capsys)
+    assert code == 0, err
+
+    # the server took the new key but its ack was lost: the owner keeps it too
+    rotate = Client.rotate
+
+    def ack_lost(self, *args):
+        rotate(self, *args)
+        raise TransportError("connection closed mid-frame")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Client, "rotate", ack_lost)
+        code, _, err = run(["--state-dir", st, "rotate", "--revoke", "u2"], capsys)
+    assert code == 1 and "mid-frame" in err
+    assert DataOwner.load(os.path.join(st, "owner.bin")).keys.epoch == 2
+    code, _, err = run(owner_search, capsys)
+    assert code == 0, err
+
+
+def test_meta_carries_no_mode_and_an_older_one_still_loads(tmp_path, capsys):
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--mode", "basic"], capsys)
+    meta_path = os.path.join(st, "meta.json")
+    meta = json.load(open(meta_path))
+    assert "mode" not in meta  # the owner snapshot's flag is the mode
+    meta["mode"] = "basic"
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    code, out, _ = run(["--state-dir", st, "ingest", "--n", "3", "--seed", "5"], capsys)
+    assert code == 0 and "ingested 3 files" in out
 
 
 def test_basic_mode_has_no_proof(tmp_path, capsys):

@@ -132,9 +132,7 @@ def test_full_corpus_guess_after_refresh():
         for phi in synthesize_stream(32, 100, start_time=system.now + 600):
             system.add_phi(phi)
         user = system.users[0]
-        from dsse.bloom import BloomFilter
-
-        bf = BloomFilter.deserialize(system.client.get_bloom()[0])
+        bf = system.client.get_bloom()[0]
         import random
 
         for w in random.Random(33).sample(system.oracle.keywords(), 300):

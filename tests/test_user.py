@@ -40,6 +40,12 @@ def build_system(counter: int, keyword: str = "w", refresh_at: int | None = None
     return owner, server, t
 
 
+def fetch(server) -> tuple[BloomFilter, bytes, int]:
+    """The server's filter triple, parsed as Client.get_bloom hands it on."""
+    bf_bytes, sigma, t = server.get_bloom()
+    return BloomFilter.deserialize(bf_bytes), sigma, t
+
+
 def probe_budget(distance: int, digit_rounds: int) -> int:
     return 2 * math.ceil(math.log2(distance + 2)) + 10 * digit_rounds
 
@@ -122,7 +128,7 @@ def test_guess_counter_hits_bound(monkeypatch):
 def test_gen_token_equivalent_to_owner_token():
     owner, server, t = build_system(7)
     user = AuthorizedUser.from_owner(owner)
-    env_user, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env_user, cnt = user.gen_token(fetch(server), "w", t)
     assert cnt == 7
     env_owner = owner.gen_token("w")
     assert crypto.se_decrypt(owner.keys.r, env_user.body) == crypto.se_decrypt(
@@ -137,22 +143,22 @@ def test_gen_token_rejects_tampered_filter():
     bad = bytearray(bf_bytes)
     bad[9] ^= 0x40
     with pytest.raises(TamperedFilterError):
-        user.gen_token((bytes(bad), sigma, ts), "w", t)
+        user.gen_token((BloomFilter.deserialize(bytes(bad)), sigma, ts), "w", t)
     # and a wrong sigma with intact bytes
     with pytest.raises(TamperedFilterError):
-        user.gen_token((bf_bytes, b"\x00" * 16, ts), "w", t)
+        user.gen_token((BloomFilter.deserialize(bf_bytes), b"\x00" * 16, ts), "w", t)
 
 
 def test_refused_filter_leaves_no_token_time_filter():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
-    bf_bytes, sigma, ts = triple = server.get_bloom()
+    bf, sigma, ts = triple = fetch(server)
     env, cnt = user.gen_token(triple, "w", t)
     ids, cts, gamma = server.search(env)
     assert user.verify("w", cnt, ids, cts, gamma, t).ok
     assert user.token_filter == (sigma, ts)
     with pytest.raises(TamperedFilterError):
-        user.gen_token((bf_bytes, b"\x00" * 16, ts), "w", t)
+        user.gen_token((bf, b"\x00" * 16, ts), "w", t)
     assert user.token_filter is None
     report = user.verify("w", cnt, ids, cts, gamma, t)
     assert report.sigma_ok is False and report.fresh_ok is False and not report.ok
@@ -161,7 +167,7 @@ def test_refused_filter_leaves_no_token_time_filter():
 def test_gen_token_rejects_stale_filter():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
-    triple = server.get_bloom()
+    triple = fetch(server)
     with pytest.raises(StaleFilterError):
         user.gen_token(triple, "w", t + FRESHNESS_WINDOW + 1)
 
@@ -170,13 +176,13 @@ def test_gen_token_absent_keyword():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
     with pytest.raises(NotFoundError):
-        user.gen_token(server.get_bloom(), "absent", t)
+        user.gen_token(fetch(server), "absent", t)
 
 
 def test_end_to_end_verify_and_decrypt():
     owner, server, t = build_system(6)
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env, cnt = user.gen_token(fetch(server), "w", t)
     ids, cts, gamma = server.search(env)
     report = user.verify("w", cnt, ids, cts, gamma, t)
     assert report.ok
@@ -195,7 +201,7 @@ def test_merged_result_still_verifies_after_refresh():
     server.search(owner.gen_token("w"))
     server.refresh(owner.refresh_bloom(t))
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t + 60)
+    env, cnt = user.gen_token(fetch(server), "w", t + 60)
     assert cnt == 8
     ids, cts, gamma = server.search(env)
     assert server.last_search_lookups == 1
@@ -206,7 +212,7 @@ def test_merged_result_still_verifies_after_refresh():
 def test_verify_detects_stale_proof():
     owner, server, t = build_system(4)
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env, cnt = user.gen_token(fetch(server), "w", t)
     ids, cts, gamma = server.search(env)
     report = user.verify("w", cnt, ids, cts, gamma, t + FRESHNESS_WINDOW + 61)
     assert report.fresh_ok is False and not report.ok
@@ -220,7 +226,7 @@ def test_boundary_false_positive_answer_does_not_verify():
     owner, server, t = build_system(5)
     user = AuthorizedUser.from_owner(owner)
     # results are verified against the filter accepted at token time
-    user.gen_token(server.get_bloom(), "w", t)
+    user.gen_token(fetch(server), "w", t)
     bf = BloomFilter.deserialize(server.get_bloom()[0])
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", 6))
     assert user.guess_counter(bf, "w") == 6  # the lie
@@ -286,7 +292,7 @@ def test_repeated_ciphertext_pair_fails_cardinality():
     for i in (8, 9):
         server.add(owner.add_file(f"f{i}".encode(), ["w"], t))
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env, cnt = user.gen_token(fetch(server), "w", t)
     ids, cts, _ = server.search(env)
     forged = cts[2:] + [cts[2], cts[2]]
     assert cnt == len(ids) == len(forged) == 10
@@ -300,7 +306,7 @@ def test_repeated_ciphertext_pair_fails_cardinality():
 def test_fewer_ciphertexts_than_ids_fail_cardinality():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env, cnt = user.gen_token(fetch(server), "w", t)
     ids, cts, gamma = server.search(env)
     report = user.verify("w", cnt, ids, cts[:2], gamma, t)
     assert report.cardinality_ok is False and not report.ok
@@ -311,7 +317,7 @@ def test_upload_between_token_and_search_still_verifies():
     # upload landing between GET_BLOOM and SEARCH fails no honest query
     owner, server, t = build_system(4)
     user = AuthorizedUser.from_owner(owner)
-    env, cnt = user.gen_token(server.get_bloom(), "w", t)
+    env, cnt = user.gen_token(fetch(server), "w", t)
     server.add(owner.add_file(b"late", ["w"], t))
     ids, cts, gamma = server.search(env)
     assert len(ids) == cnt == 4
@@ -327,14 +333,14 @@ def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
     monkeypatch.setattr(
         user_module, "filter_mac", lambda *a: macs.append(1) or real_mac(*a)
     )
-    triple = server.get_bloom()
+    triple = fetch(server)
     assert user.gen_token(triple, "w", t)[1] == 3
-    assert user.gen_token(server.get_bloom(), "w", t)[1] == 3  # equal bytes
+    assert user.gen_token(fetch(server), "w", t)[1] == 3  # equal bytes
     assert len(macs) == 1
     with pytest.raises(StaleFilterError):
         user.gen_token(triple, "w", t + FRESHNESS_WINDOW + 1)
     server.add(owner.add_file(b"f3", ["w"], t))
-    assert user.gen_token(server.get_bloom(), "w", t)[1] == 4
+    assert user.gen_token(fetch(server), "w", t)[1] == 4
     assert len(macs) == 2
 
 
@@ -357,6 +363,42 @@ def test_filter_adversaries_refused_with_client_cache(behavior):
     assert client.get_bloom() is served  # answered NOT_MODIFIED
     with pytest.raises(expected):
         user.gen_token(served, "w", now)
+
+
+def test_a_fetched_filter_is_parsed_once_and_a_delta_not_at_all(monkeypatch):
+    owner, server, t = build_system(3)
+    client = Client.in_process(server)
+    user = AuthorizedUser.from_owner(owner)
+    calls = []
+    serialize, deserialize = BloomFilter.serialize, BloomFilter.deserialize
+    monkeypatch.setattr(
+        BloomFilter, "serialize", lambda bf: calls.append("serialize") or serialize(bf)
+    )
+    monkeypatch.setattr(
+        BloomFilter, "deserialize",
+        staticmethod(lambda data: calls.append("deserialize") or deserialize(data)),
+    )
+    assert user.gen_token(client.get_bloom(), "w", t)[1] == 3
+    assert calls == ["serialize", "deserialize"]  # the server's, then the client's
+    server.add(owner.add_file(b"f3", ["w"], t))
+    calls.clear()
+    assert user.gen_token(client.get_bloom(), "w", t)[1] == 4
+    assert server.filters_served["delta"] == 1
+    assert calls == []
+
+
+def test_users_of_one_client_hold_its_filter_object():
+    owner, server, t = build_system(3)
+    client = Client.in_process(server)
+    users = [AuthorizedUser.from_owner(owner) for _ in range(4)]
+    for user in users:
+        assert len(user.query(client, "w", t)[0]) == 3
+    server.add(owner.add_file(b"f3", ["w"], t))
+    for user in users:
+        assert len(user.query(client, "w", t)[0]) == 4
+    assert server.filters_served == {"full": 1, "delta": 1, "not_modified": 6}
+    held = client.get_bloom()
+    assert all(user._accepted[0] is held[0] for user in users)
 
 
 def test_revoked_user_cannot_search():

@@ -320,12 +320,16 @@ def test_wire_bytes_are_the_mac_inputs():
     # locally by the owner: no re-canonicalization on the path
     owner, server, oracle, last_t = build_system(10)
     client = wire.Client.in_process(server)
-    bf_bytes, sigma, t = client.get_bloom()
+
+    def get_bloom(since=None):
+        return wire.decode(client.transport.request(wire.encode(wire.GetBloom(since)))).value
+
+    bf_bytes, sigma, t = get_bloom()
     assert filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
     # and for a filter that crossed the wire twice: owner -> server in a
     # REFRESH, then back in a conditional GET_BLOOM
     client.refresh(owner.refresh_bloom(last_t + 1))
-    bf_bytes, sigma, t = client.get_bloom()
+    bf_bytes, sigma, t = get_bloom((t, sigma))
     assert t == last_t + 1
     assert filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
 
@@ -356,12 +360,12 @@ def test_conditional_get_bloom():
     server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
     after_add = client.get_bloom()
     assert after_add[2] == last_t + 600 and after_add[1] != first[1]
-    assert filter_mac(owner.keys.k_mac, after_add[2], after_add[0]) == after_add[1]
+    assert filter_mac(owner.keys.k_mac, after_add[2], *after_add[0].buffers()) == after_add[1]
     assert client.get_bloom() is after_add
 
     server.refresh(owner.refresh_bloom(last_t + 601))
     after_refresh = client.get_bloom()
-    assert after_refresh == (owner.bf.serialize(), server.sigma, last_t + 601)
+    assert after_refresh == (owner.bf, server.sigma, last_t + 601)
     assert client.get_bloom() is after_refresh
 
 
@@ -374,8 +378,8 @@ def test_clients_one_and_three_uploads_behind_rebuild_the_filter():
             one_behind.get_bloom()
         server.add(owner.add_file(f"late{i}".encode(), ["w:1", f"x:{i}"], last_t + 600 * (i + 1)))
     rebuilt = three_behind.get_bloom(), one_behind.get_bloom()
-    assert rebuilt[0] == rebuilt[1] == (server.bf.serialize(), server.sigma, server.t)
-    assert filter_mac(owner.keys.k_mac, server.t, rebuilt[0][0]) == server.sigma
+    assert rebuilt[0] == rebuilt[1] == (server.bf, server.sigma, server.t)
+    assert filter_mac(owner.keys.k_mac, server.t, *rebuilt[0][0].buffers()) == server.sigma
     assert server.filters_served == {"full": 2, "delta": 2}
     assert server.filter_bytes_served["delta"] == (3 + 1) * 2 * LAMBDA
 
@@ -384,6 +388,48 @@ def test_delta_to_a_client_holding_no_filter_refused():
     delta = wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x01" * LAMBDA], b"\x02" * 16, NOW))
     with pytest.raises(ProtocolError, match="holding no filter"):
         wire.Client(CannedTransport(delta)).get_bloom()
+
+
+def test_a_returned_filter_survives_a_later_delta():
+    owner, server, oracle, last_t = build_system(10)
+    client = wire.Client.in_process(server)
+    first = client.get_bloom()
+    bits = bytes(first[0].bits)
+    server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
+    second = client.get_bloom()
+    assert server.filters_served == {"full": 1, "delta": 1}
+    assert second[0] is not first[0] and second[0] == server.bf
+    assert bytes(first[0].bits) == bits
+    assert filter_mac(owner.keys.k_mac, first[2], *first[0].buffers()) == first[1]
+
+
+class RecordingTransport:
+    """The in-process path, recording each request; an armed reply is
+    answered in place of the server's."""
+
+    def __init__(self, server):
+        self.endpoint = wire.ServerEndpoint(server)
+        self.requests = []
+        self.reply = None
+
+    def request(self, data: bytes) -> bytes:
+        self.requests.append(wire.decode(data))
+        return wire.encode(self.reply) if self.reply else self.endpoint.handle_bytes(data)
+
+
+def test_an_unparseable_filter_is_refused_and_not_held():
+    owner, server, oracle, last_t = build_system(10)
+    transport = RecordingTransport(server)
+    client = wire.Client(transport)
+    honest = client.get_bloom()
+    bf_bytes = bytearray(server.get_bloom()[0])
+    bf_bytes[4:8] = (0).to_bytes(4, "big")  # k = 0
+    transport.reply = wire.Reply(wire.KIND_GET_BLOOM, value=(bytes(bf_bytes), b"\x01" * 16, NOW))
+    with pytest.raises(FormatError, match="bloom header"):
+        client.get_bloom()
+    transport.reply = None
+    assert client.get_bloom() is honest  # answered NOT_MODIFIED
+    assert transport.requests[-1].since == (honest[2], honest[1])
 
 
 def test_oversized_frame_refused_before_allocation(monkeypatch):
