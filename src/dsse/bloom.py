@@ -1,13 +1,23 @@
-"""Bit-array Bloom filter with canonical serialization and counter embedding.
+"""Blocked Bloom filter with canonical serialization and counter embedding.
 
-The serialized form (m || k || bit bytes) is normative: it is the direct
-input to the filter-integrity MAC, so two filters built from the same add
-multiset must serialize byte-identically. The k indexes of an element come
-from one SHAKE256 output of 8k bytes: index i is its i-th 8-byte word read
-big-endian and reduced mod m (a bias below m / 2^64). One hash call per
-element, yet the k indexes are as independent as k separate hashes, which
-the 2^-30 default sizing relies on. There is no per-filter salt, which
-keeps the owner's and server's filters bit-synchronized.
+The serialized form (m || k || bit bytes) is normative: the filter MAC
+covers m, k and every bit byte, so two filters built from the same add
+multiset must serialize byte-identically. There is no per-filter salt,
+which keeps the owner's and server's filters bit-synchronized.
+
+The bits form blocks of BLOCK_BYTES (Putze, Sanders & Singler, "Cache-,
+Hash- and Space-Efficient Bloom Filters", WEA 2007); a filter of at most
+one block's bits is one block of m bits, and a larger m is a whole number
+of blocks. Each element sets its k bits in one block. They come from one
+SHAKE256 output of 8(k+1) bytes, read as big-endian 8-byte words: word 0
+mod the block count picks the block, and words 1..k, each mod the block's
+bits, are the positions inside it (each reduction biased below 2^-47). One
+hash call per element, yet the k positions are as independent as k
+separate hashes. An upload thus changes at most one block per element,
+which is what lets the filter MAC (protocol.FilterTags) re-tag only the
+blocks it touched. The price is a higher false-positive rate at the same
+m, from the uneven load of the blocks; BloomParams.derive grows m to pay
+for it.
 
 Counter embedding stores a keyword's latest counter as one filter element
 per decimal digit (position 1 = least significant); extraction probes each
@@ -29,6 +39,9 @@ _MAX_DIGIT_POSITIONS = 20  # 10^20 > 2^64; more positions means a corrupt filter
 _MAX_K = 64  # a 2^-64 target; a header asking for more is refused, not hashed
 _MAX_M = 2**32 - 1  # the header's 4-byte m
 
+BLOCK_BYTES = 8192
+BLOCK_BITS = 8 * BLOCK_BYTES
+
 
 @dataclass(frozen=True)
 class BloomParams:
@@ -38,7 +51,12 @@ class BloomParams:
     capacity: int = 1_000_000
 
     def derive(self) -> tuple[int, int]:
-        """Return (m bits, k hash functions) for the optimal-k sizing rule."""
+        """Return (m bits, k hash functions) for the optimal-k sizing rule.
+
+        An m above one block is multiplied by 1 + k^2 / (2 BLOCK_BITS) and
+        rounded up to whole blocks. The factor is a fit to the false-positive
+        rate over Poisson block loads: it keeps that rate at or below
+        target_fp (x1.0069 at k = 30, where x1.0064 is needed)."""
         if not 0.0 < self.target_fp < 1.0:
             raise UsageError(f"target_fp must be in (0,1), got {self.target_fp}")
         if self.capacity < 1:
@@ -47,13 +65,17 @@ class BloomParams:
         if k > _MAX_K:
             raise UsageError(f"target_fp {self.target_fp} needs k={k} > {_MAX_K}")
         m = math.ceil(self.capacity * k / math.log(2))
+        if m > BLOCK_BITS:
+            m = math.ceil(m * (1 + k * k / (2 * BLOCK_BITS)) / BLOCK_BITS) * BLOCK_BITS
         if m > _MAX_M:
             raise UsageError(f"capacity {self.capacity} needs m={m} > {_MAX_M} bits")
         return m, k
 
 
 def expected_fp_rate(m: int, k: int, n: int) -> float:
-    """(1 - e^(-kn/m))^k for n inserted elements."""
+    """(1 - e^(-kn/m))^k for n inserted elements: the rate of an unblocked
+    filter, which a blocked one exceeds by a factor derive's growth of m
+    pays for."""
     return (1.0 - math.exp(-k * n / m)) ** k
 
 
@@ -82,24 +104,64 @@ class BloomFilter:
         """A filter with the same bits, in a buffer of its own."""
         return self._from_raw(self.m, self.k, bytearray(self.bits))
 
-    def _indexes(self, element: bytes) -> list[int]:
-        """The k big-endian 8-byte words of SHAKE256(element), each mod m."""
-        m, k = self.m, self.k
-        words = struct.unpack(f">{k}Q", hashlib.shake_256(element).digest(8 * k))
-        return [w % m for w in words]
+    @property
+    def n_blocks(self) -> int:
+        return max(self.m // BLOCK_BITS, 1)
 
-    def add(self, element: bytes) -> None:
-        bits = self.bits
-        for idx in self._indexes(element):
-            bits[idx >> 3] |= 1 << (idx & 7)
+    @property
+    def block_bytes(self) -> int:
+        """Bytes per block: BLOCK_BYTES, or all of a one-block filter's."""
+        return min(len(self.bits), BLOCK_BYTES)
+
+    def _locate(self, element: bytes) -> tuple[int, int, tuple[int, ...]]:
+        """The element's block, the bits in a block, and the k words whose
+        residues mod those bits are the element's positions in its block."""
+        m, k = self.m, self.k
+        words = struct.unpack(
+            f">{k + 1}Q", hashlib.shake_256(element).digest(8 * (k + 1))
+        )
+        if m <= BLOCK_BITS:
+            return 0, m, words[1:]
+        return words[0] % (m // BLOCK_BITS), BLOCK_BITS, words[1:]
+
+    def add(self, element: bytes) -> int:
+        """Set the element's bits; return the index of the block holding them."""
+        block, width, words = self._locate(element)
+        bits, base = self.bits, block * BLOCK_BYTES
+        for w in words:
+            p = w % width
+            bits[base + (p >> 3)] |= 1 << (p & 7)
         self.n_inserted += 1
+        return block
 
     def verify(self, element: bytes) -> bool:
-        bits = self.bits
-        for idx in self._indexes(element):
-            if not bits[idx >> 3] & (1 << (idx & 7)):
+        """Whether every bit of the element is set. Each position is reduced
+        only once the ones before it are found set: a probe of an absent
+        element usually stops at the first or second."""
+        block, width, words = self._locate(element)
+        bits, base = self.bits, block * BLOCK_BYTES
+        for w in words:
+            p = w % width
+            if not bits[base + (p >> 3)] & (1 << (p & 7)):
                 return False
         return True
+
+    def block(self, i: int) -> memoryview:
+        """Block i's bytes, in place."""
+        size = self.block_bytes
+        return memoryview(self.bits)[i * size : (i + 1) * size]
+
+    def blocks_differing(self, other: "BloomFilter") -> list[int]:
+        """The blocks whose bytes differ from other's, a filter of the same
+        m and k. startswith compares each block in place (comparing two
+        memoryviews goes byte by byte, and slicing copies)."""
+        if (self.m, self.k) != (other.m, other.k):
+            raise UsageError("filters of different sizes have no common blocks")
+        size, mine, theirs = self.block_bytes, self.bits, memoryview(other.bits)
+        return [
+            i for i, at in enumerate(range(0, len(mine), size))
+            if not mine.startswith(theirs[at : at + size], at)
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
@@ -123,13 +185,16 @@ class BloomFilter:
     @classmethod
     def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
         """Parse a serialization, copying its bit bytes once. k must be
-        1 to 64: every add and verify hashes 8k bytes, and the server has no
-        key to check the filter a REFRESH brings."""
+        1 to 64: every add and verify hashes 8(k+1) bytes, and the server has
+        no key to check the filter a REFRESH brings. An m above one block
+        must be whole blocks."""
         if len(data) < _HEADER.size:
             raise FormatError("bloom header truncated", offset=len(data))
         m, k = _HEADER.unpack_from(data)
         if m < 1 or not 1 <= k <= _MAX_K:
             raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
+        if m > BLOCK_BITS and m % BLOCK_BITS:
+            raise FormatError(f"bloom m={m} is not whole {BLOCK_BITS}-bit blocks", offset=0)
         want = (m + 7) // 8
         body = memoryview(data)[_HEADER.size :]
         if len(body) != want:

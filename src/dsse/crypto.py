@@ -30,6 +30,10 @@ _NONCE_LEN = 12
 TAG_CHAIN = 0x01  # chain label w||cnt, fed to prf1 to produce tau
 TAG_KEY = 0x02    # key-derivation preimage w||cnt, hashed then fed to prf1
 TAG_DIGIT = 0x03  # digit embedding w||pos||digit
+# The filter MAC derives its two keys from k_mac under these tags, and each
+# tags its own inputs with them too (protocol.FilterTags).
+TAG_BLOCK = 0x04   # per-block tag i||block_i
+TAG_FILTER = 0x05  # outer MAC m||k||agg||t
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 from ..bloom import BloomFilter, BloomParams
 from ..owner import DataOwner
-from ..protocol import BASIC, FULL, filter_mac
+from ..protocol import BASIC, FULL, FilterTags
 from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
+from ..wire import Client
 from .phi import STREAM_START, synthesize_stream
 from .scenario import default_bloom_params
 
@@ -38,6 +39,7 @@ REFERENCES = {
 
 TWENTY_YEAR_FILES = 1_051_200       # 10-minute uploads for 20 years
 REFRESH_EVERY_FILES = 52_560        # annual filter refresh (144 * 365)
+YEAR_PARAMS = BloomParams(2.0**-30, REFRESH_EVERY_FILES * 15)  # a year of uploads
 
 
 @dataclass
@@ -90,15 +92,32 @@ def _median_ms(samples: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def bench_add_file(n_files: int = 500, seed: int = 11) -> tuple[float, DataOwner]:
-    """Median owner-side add cost, full mode, filter sized for a year of
-    uploads so the per-add filter MAC covers a realistic bit array."""
-    owner = DataOwner.generate(FULL, BloomParams(2.0**-30, REFRESH_EVERY_FILES * 15))
+    """Median owner-side add cost, full mode, at a year-sized filter."""
+    owner = DataOwner.generate(FULL, YEAR_PARAMS)
     samples = []
     for phi in synthesize_stream(seed, n_files):
         t0 = time.perf_counter()
         owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp)
         samples.append(time.perf_counter() - t0)
     return _median_ms(samples), owner
+
+
+def bench_accept_delta(n_files: int = 30, seed: int = 12) -> float:
+    """Median cost for a user to accept one upload at a year-sized filter:
+    after each upload (untimed), the client's delta fetch plus the user's
+    gen_token, which checks the filter the delta produced."""
+    owner = DataOwner.generate(FULL, YEAR_PARAMS)
+    client = Client.in_process(CloudServer(FULL, YEAR_PARAMS, group_key=owner.keys.r))
+    user = AuthorizedUser.from_owner(owner)
+    samples = []
+    for i, phi in enumerate(synthesize_stream(seed, n_files + 1)):
+        client.add(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
+        keyword = min(phi.keywords())
+        t0 = time.perf_counter()
+        user.gen_token(client.get_bloom(), keyword, phi.timestamp)
+        if i:  # the first fetch is the whole filter
+            samples.append(time.perf_counter() - t0)
+    return _median_ms(samples)
 
 
 @dataclass
@@ -154,8 +173,9 @@ class VerifyBench:
 
 def bench_verify(counts: list[int] | None = None, repeats: int = 9) -> VerifyBench:
     """Delegated result verification fitted against result count, and the
-    token-time filter check it relies on (client parse plus user MAC), which
-    a user pays once per published filter rather than once per result."""
+    token-time filter check it relies on (client parse plus the user tagging
+    every block), which a user pays once per whole filter it fetches rather
+    than once per result."""
     counts = counts or [100, 250, 500, 750, 1000]
     top = max(counts)
     params = default_bloom_params(top)
@@ -181,7 +201,7 @@ def bench_verify(counts: list[int] | None = None, repeats: int = 9) -> VerifyBen
     for _ in range(repeats):
         t0 = time.perf_counter()
         bf = BloomFilter.deserialize(bf_bytes)
-        mac_ok = filter_mac(owner.keys.k_mac, t, *bf.buffers()) == sigma
+        mac_ok = FilterTags(owner.keys.k_mac, bf).sigma(t) == sigma
         bloom_samples.append(time.perf_counter() - t0)
         assert mac_ok
         for c in counts:
@@ -265,18 +285,15 @@ def long_state_run(
 ) -> StateSizeReport:
     """Build the owner state for the 20-year stream and report its sizes.
 
-    The per-add filter MAC does not change TBL_c or BF_c contents, so it is
-    skipped to keep this run tractable.
+    Every upload pays the whole owner cost, its filter MAC included, and
+    every refresh tags every block of the new filter.
     """
     params = BloomParams(2.0**-30, refresh_every * 15 + 250_000)
     owner = DataOwner.generate(FULL, params)
     t0 = time.perf_counter()
     added = 0
     for phi in synthesize_stream(seed, n_files):
-        owner.add_file(
-            phi.to_bytes(), phi.keywords(), phi.timestamp,
-            emit_filter_mac=False,
-        )
+        owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp)
         added += 1
         if added % refresh_every == 0 and added < n_files:
             owner.refresh_bloom(phi.timestamp)
@@ -316,6 +333,8 @@ def run_bench(
                f"after {add_files} files")
     report.add("bf_size", float(sum(map(len, owner.bf.buffers()))),
                REFERENCES["bf_bytes"], "bytes", "year-capacity filter")
+    report.add("accept_delta", bench_accept_delta(), None, "ms",
+               "delta fetch + gen_token after one upload, year-sized filter")
 
     sb = bench_search(result_size=search_chain)
     report.add("search_new", sb.new_ms, REFERENCES["search_new_100_ms"], "ms",
@@ -330,7 +349,7 @@ def run_bench(
     report.add(f"verify_{top}_files", vb.total_ms[-1], REFERENCES["verify_1000_ms"], "ms",
                "reference includes the filter check")
     report.add("verify_bloom_check", vb.bloom_ms, REFERENCES["verify_bloom_check_ms"], "ms",
-               "client parse + user MAC in place, once per filter")
+               "client parse + tag every block, once per whole filter")
     report.add("verify_fit_r_squared", vb.r_squared, None, "", "time vs result count")
     report.laws["verify_time_affine_r2>=0.9"] = vb.r_squared >= 0.9
 

@@ -34,16 +34,16 @@ from .protocol import (
     AddPayload,
     BASIC,
     FULL,
+    FilterTags,
     RefreshPayload,
     SearchTokenEnvelope,
     check_mode,
-    filter_mac,
     result_mac,
     verify_result,
     VerifyReport,
 )
 
-_SNAPSHOT_MAGIC = b"DSSEOWN3"
+_SNAPSHOT_MAGIC = b"DSSEOWN4"
 
 
 @dataclass(slots=True)
@@ -56,12 +56,17 @@ class DataOwner(Persistent):
     def __init__(self, mode: str, keys: KeyBundle, bf: BloomFilter | None):
         """No keywords yet; bf is the filter in full mode and None in basic.
         generate() passes an empty filter, restore() the saved one. Its
-        size is kept by every refresh."""
+        size is kept by every refresh. The filter's block tags are not
+        saved: they are computed here, and again at each refresh."""
         self.mode = check_mode(mode)
         self.keys = keys
         self.tbl: dict[str, KeywordRecord] = {}
-        self.bf = bf
+        self._tags = None if bf is None else FilterTags(keys.k_mac, bf)
         self.t = 0  # time of the newest filter MAC (sigma) issued
+
+    @property
+    def bf(self) -> BloomFilter | None:
+        return None if self._tags is None else self._tags.bf
 
     @classmethod
     def generate(cls, mode: str, bloom_params: BloomParams | None = None) -> "DataOwner":
@@ -78,18 +83,13 @@ class DataOwner(Persistent):
         plaintext: bytes,
         keywords: set[str] | list[str],
         now: int,
-        emit_filter_mac: bool = True,
     ) -> AddPayload:
         """Encrypt one file and build its index entries.
 
         Keywords must be distinct and non-empty. Entry order inside the
         payload is sorted by keyword for reproducibility; the server's
-        table is unordered anyway.
-
-        emit_filter_mac=False skips only the final MAC over the filter
-        (state mutations are identical); such a payload is not uploadable
-        in full mode and exists for owner-state simulations that never
-        talk to a server.
+        table is unordered anyway. In full mode the filter MAC is
+        re-tagged only in the blocks the new taus went into.
         """
         self._check_time(now)
         kws = sorted(keywords)
@@ -106,6 +106,7 @@ class DataOwner(Persistent):
         ciphertext = se_encrypt(k.k_se, plaintext)
         file_id = secrets.token_bytes(16)
         entries: list[tuple[bytes, bytes]] = []
+        touched: set[int] = set()  # filter blocks
 
         for w in kws:
             rec = self.tbl.get(w)
@@ -125,7 +126,7 @@ class DataOwner(Persistent):
             if self.mode == FULL:
                 gamma = xor_bytes(gamma_prev, result_mac(k.k_mac, ciphertext, w))
                 mu = xor_bytes(tau_prev + k_prev + gamma, prf3(k_cnt, tau))
-                self.bf.add(tau)
+                touched.add(self.bf.add(tau))
                 self.tbl[w] = KeywordRecord(cnt, gamma)
             else:
                 mu = xor_bytes(tau_prev + k_prev, prf2(k_cnt, tau))
@@ -133,8 +134,9 @@ class DataOwner(Persistent):
             entries.append((tau, mu))
 
         sigma = t = None
-        if self.mode == FULL and emit_filter_mac:
-            sigma = filter_mac(k.k_mac, now, *self.bf.buffers())
+        if self.mode == FULL:
+            self._tags.retag(touched)
+            sigma = self._tags.sigma(now)
             t = self.t = now
         return AddPayload(file_id, ciphertext, entries, sigma, t)
 
@@ -212,17 +214,16 @@ class DataOwner(Persistent):
         bf = self.bf.cleared()
         for w, rec in self.tbl.items():
             bf.embed_counter(self.keys.k_prf, w, rec.cnt)
-        self.bf = bf
+        self._tags = FilterTags(self.keys.k_mac, bf)
         self.t = now
-        bf_bytes = bf.serialize()
-        return RefreshPayload(bf_bytes, filter_mac(self.keys.k_mac, now, bf_bytes), now)
+        return RefreshPayload(bf.serialize(), self._tags.sigma(now), now)
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSEOWN3: mode flag, the four keys, epoch, [t], the keyword
+        """DSSEOWN4: mode flag, the four keys, epoch, [t], the keyword
         table, [filter]; [..] only in full mode. Fields are fixed-width
         where LAMBDA fixes them, and the filter runs to the end."""
         k = self.keys

@@ -4,10 +4,13 @@ result-verification procedure both the owner and authorized users run.
 
 from __future__ import annotations
 
+import copy
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .crypto import LAMBDA, aggregate_mac, mac_generate
+from .bloom import BloomFilter
+from .crypto import LAMBDA, TAG_BLOCK, TAG_FILTER, aggregate_mac, mac_generate, prf1
 from .errors import UsageError
 
 BASIC = "basic"
@@ -22,12 +25,64 @@ def pack_time(t: int) -> bytes:
     return struct.pack(">Q", t)
 
 
-def filter_mac(k_mac: bytes, t: int, *filter_parts: bytes | memoryview) -> bytes:
-    """sigma over the canonical filter serialization and its timestamp.
+_BLOCK_INPUT = struct.Struct(">BI")  # TAG_BLOCK | block index
+_FILTER_INPUT = struct.Struct(">BII")  # TAG_FILTER | m | k
 
-    The serialization may come in parts (BloomFilter.buffers()), which are
-    MACed in place: no 4 MB copy of the filter per upload or check."""
-    return mac_generate(k_mac, *filter_parts, pack_time(t))
+
+def filter_mac(k_filter: bytes, m: int, k: int, agg: bytes, t: int) -> bytes:
+    """sigma: the outer MAC over a filter's size, the XOR of its block tags
+    and its timestamp (see FilterTags)."""
+    return mac_generate(k_filter, _FILTER_INPUT.pack(TAG_FILTER, m, k), agg, pack_time(t))
+
+
+class FilterTags:
+    """The filter MAC of one filter, kept as per-block tags and their XOR.
+
+        tag_i = MAC(k1, TAG_BLOCK | u32 i | block_i)     agg = XOR_i tag_i
+        sigma = MAC(k2, TAG_FILTER | u32 m | u32 k | agg | u64 t)
+
+    k1 and k2 are derived from k_mac under the two tags. Re-tagging a block
+    moves agg by its old tag XOR its new one, so after an edit sigma costs
+    the blocks the edit touched, not the whole filter (an XOR-MAC: Bellare,
+    Guérin & Rogaway, CRYPTO 1995). The index inside each tag stops blocks
+    from being swapped or moved; the outer MAC stops a forger from XOR-ing
+    observed tags into an agg of its choosing.
+    """
+
+    def __init__(self, k_mac: bytes, bf: BloomFilter):
+        """Tag every block of bf."""
+        self.bf = bf
+        self._k_block = prf1(k_mac, bytes((TAG_BLOCK,)))
+        self._k_filter = prf1(k_mac, bytes((TAG_FILTER,)))
+        self._tags = [0] * bf.n_blocks
+        self._agg = 0
+        self.retag(range(bf.n_blocks))
+
+    def retag(self, blocks: Iterable[int]) -> None:
+        """Bring the tags of these blocks of self.bf up to date."""
+        bf, tags, agg = self.bf, self._tags, self._agg
+        for i in blocks:
+            tag = mac_generate(self._k_block, _BLOCK_INPUT.pack(TAG_BLOCK, i), bf.block(i))
+            new = int.from_bytes(tag, "big")
+            agg ^= tags[i] ^ new
+            tags[i] = new
+        self._agg = agg
+
+    def moved_to(self, bf: BloomFilter) -> "FilterTags":
+        """The tags of bf, a filter of the same m and k as self.bf: a copy
+        of these, re-tagged where the two filters' blocks differ."""
+        moved = copy.copy(self)
+        moved.bf, moved._tags = bf, self._tags.copy()
+        moved.retag(bf.blocks_differing(self.bf))
+        return moved
+
+    @property
+    def agg(self) -> bytes:
+        return self._agg.to_bytes(LAMBDA, "big")
+
+    def sigma(self, t: int) -> bytes:
+        bf = self.bf
+        return filter_mac(self._k_filter, bf.m, bf.k, self.agg, t)
 
 
 def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str) -> bytes:

@@ -39,7 +39,7 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV5"
+_SNAPSHOT_MAGIC = b"DSSESRV6"
 
 
 @dataclass(slots=True)
@@ -325,7 +325,7 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESRV5, canonical: restore accepts no other encoding of the
+        """DSSESRV6, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
         The mode flag, then [group key, epoch, sigma, t]; the shared id

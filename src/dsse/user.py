@@ -4,9 +4,12 @@ contacting the owner, and verify results client-side.
 
 The filter is untrusted until its MAC and timestamp check out, so token
 generation refuses to probe an unverified filter. The client hands on the
-filter parsed; the user MACs its bits in place and keeps the triple it
-accepted, so an unchanged filter is checked once and the users of one
-client share one filter object.
+filter parsed, and the user keeps the triple it accepted with that
+filter's block tags (protocol.FilterTags). An unchanged filter is checked
+once, and the users of one client share one filter object. A new filter of
+the same size, such as the client's copy with a delta added, is compared
+with the accepted one block by block, and only the blocks that differ are
+tagged again; any other filter has every block tagged.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .errors import (
 from .owner import DataOwner
 from .protocol import (
     FRESHNESS_WINDOW,
+    FilterTags,
     SearchTokenEnvelope,
     VerifyReport,
-    filter_mac,
     verify_result,
 )
 from .wire import Client
@@ -72,10 +75,12 @@ class AuthorizedUser(Persistent):
     epoch: int = 1
     freshness_window: ClassVar[int] = FRESHNESS_WINDOW  # the protocol's, not per user
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
-    # the last (filter, sigma, t) triple that passed its MAC, as handed over
+    # the last (filter, sigma, t) triple that passed its MAC, as handed over,
+    # and the block tags of its filter
     _accepted: tuple[BloomFilter, bytes, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _tags: FilterTags | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_owner(cls, owner: DataOwner) -> "AuthorizedUser":
@@ -169,17 +174,22 @@ class AuthorizedUser(Persistent):
 
         Returns (envelope, guessed counter); the counter feeds the later
         result verification. The MAC gate runs before any probing: a
-        tampered filter aborts immediately. A triple equal to the last
-        accepted one skips the MAC; freshness is checked on every call. The
-        accepted filter is the token-time filter that verify() checks
-        against; it must not be mutated once handed over.
+        tampered filter aborts immediately, and the accepted filter and its
+        tags are dropped. A triple equal to the last accepted one skips the
+        MAC; freshness is checked on every call. The accepted filter is the
+        token-time filter that verify() checks against; it must not be
+        mutated once handed over.
         """
         bf, sigma, t = bloom_triple
         if bloom_triple != self._accepted:  # the held filter object: no bit compare
-            self._accepted = None
-            if filter_mac(self.k_mac, t, *bf.buffers()) != sigma:
+            held, self._accepted, self._tags = self._tags, None, None
+            if held is not None and (held.bf.m, held.bf.k) == (bf.m, bf.k):
+                tags = held.moved_to(bf)
+            else:
+                tags = FilterTags(self.k_mac, bf)
+            if tags.sigma(t) != sigma:
                 raise TamperedFilterError("published filter fails its MAC")
-            self._accepted = bloom_triple
+            self._accepted, self._tags = bloom_triple, tags
         if not self._fresh(t, now):
             raise StaleFilterError(f"filter timestamp {t} too old at {now}")
         cnt = self.guess_counter(bf, keyword)

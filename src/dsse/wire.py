@@ -9,7 +9,7 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x04 | kind(1) | body
+    version(1) = 0x05 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
@@ -40,10 +40,12 @@ A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
 named. The client adds them to a copy of the parsed filter it named (a
 whole filter is parsed once, where it is fetched) and hands on the
-BloomFilter, which the user MAC-checks in place like any other.
+BloomFilter, which the user checks like any other: against the filter it
+accepted last, it tags again only the blocks that differ.
 
-The filter bytes and 8-byte timestamps on the wire are exactly the MAC
-inputs, so no re-canonicalization happens anywhere between parties.
+The filter bytes and 8-byte timestamps on the wire are exactly what the
+filter MAC covers, so no re-canonicalization happens anywhere between
+parties.
 
 Two transports speak the same bytes: an in-process channel (test default)
 and a length-prefixed TCP socket (4-byte big-endian frame length, at most
@@ -75,7 +77,7 @@ from .errors import (
 from .protocol import AddPayload, RefreshPayload, SearchTokenEnvelope
 from .server import CloudServer
 
-VERSION = 0x04
+VERSION = 0x05
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -217,16 +219,16 @@ def _encode_reply(msg: Reply) -> bytes:
         if gamma is not None:
             put_bytes(buf, gamma)
     else:
+        # one join over head, filter or taus, and tail: the filter is
+        # copied once, not into a buffer and then out of it
         update, sigma, t = msg.value
         delta = isinstance(update, list)
         put_u8(buf, delta)
-        if delta:
-            put_u32(buf, len(update))
-            buf += b"".join(update)
-        else:
-            put_bytes(buf, update)
-        put_bytes(buf, sigma)
-        put_u64(buf, t)
+        put_u32(buf, len(update))  # the tau count, or the filter's length prefix
+        tail = bytearray()
+        put_bytes(tail, sigma)
+        put_u64(tail, t)
+        return b"".join((buf, *(update if delta else (update,)), tail))
     return bytes(buf)
 
 

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from dsse.bloom import BloomFilter, BloomParams, expected_fp_rate
+from dsse.bloom import BLOCK_BITS, BLOCK_BYTES, BloomFilter, BloomParams, expected_fp_rate
 from dsse.crypto import new_key
 from dsse.errors import AmbiguousCounterError, FormatError, UsageError
 
@@ -43,12 +43,76 @@ def test_params_bound_k_at_64():
 
 def test_params_bound_m_by_the_header():
     # the header holds m in 4 bytes; a larger m failed with struct.error at
-    # serialize time, after allocating the bit array
-    fits = int((2**32 - 1) * math.log(2) / 30)
-    assert BloomParams(2.0**-30, fits).derive() == (4_294_967_265, 30)
+    # serialize time, after allocating the bit array. The largest m in whole
+    # blocks is 65,535 of them.
+    top = 2**32 - BLOCK_BITS
+    fits = int(top * math.log(2) / 30 / (1 + 30**2 / (2 * BLOCK_BITS)))
+    assert BloomParams(2.0**-30, fits).derive() == (top, 30)
     for capacity in (fits + 1, 100_000_000):
         with pytest.raises(UsageError, match="needs m="):
             BloomParams(2.0**-30, capacity).derive()
+
+
+def test_params_grow_m_to_whole_blocks():
+    # a year of uploads: 4,265,328 bit bytes unblocked, x1.0069 and rounded
+    # up to 525 blocks
+    m, k = BloomParams(2.0**-30, 52_560 * 15).derive()
+    assert (m // 8, k) == (4_300_800, 30)
+    assert m % BLOCK_BITS == 0
+    # a filter of at most one block's bits is one plain block, not grown
+    assert BloomParams(2.0**-30, 1000).derive() == (math.ceil(1000 * 30 / math.log(2)), 30)
+    assert BloomFilter(BloomParams(2.0**-30, 1000)).n_blocks == 1
+
+
+def poisson_load_fp(m: int, k: int, n: int) -> float:
+    """False-positive rate of a blocked (m, k) filter holding n elements.
+    The probed block's load is Poisson with mean n / blocks (a binomial's
+    tail, overstated); a load of j leaves a bit unset with probability
+    (1 - 1/b)^(kj) for b bits per block."""
+    blocks, b = m // BLOCK_BITS, BLOCK_BITS
+    lam = n / blocks
+    spread = int(12 * math.sqrt(lam)) + 10
+    total = 0.0
+    for j in range(max(0, int(lam) - spread), int(lam) + spread):
+        log_p = -lam + j * math.log(lam) - math.lgamma(j + 1)
+        unset = math.exp(k * j * math.log1p(-1 / b))
+        total += math.exp(log_p + k * math.log1p(-unset))
+    return total
+
+
+@pytest.mark.parametrize("k", [7, 12, 30, 64])
+def test_blocked_fp_at_or_below_target(k):
+    # derive's growth of m pays for the uneven block loads at every k the
+    # sizing allows, from a few blocks up to a multi-year filter
+    for capacity in (20_000, 100_000, 52_560 * 15, 5_000_000):
+        m, got_k = BloomParams(2.0**-k, capacity).derive()
+        assert got_k == k and m > BLOCK_BITS
+        assert poisson_load_fp(m, k, capacity) <= 2.0**-k, (k, capacity)
+
+
+def test_each_element_sets_bits_in_one_block():
+    bf = BloomFilter(BloomParams(0.01, 50_000))
+    assert bf.n_blocks == bf.m // BLOCK_BITS > 1
+    rng = random.Random(5)
+    touched = set()
+    for _ in range(20):
+        before = bytes(bf.bits)
+        block = bf.add(rng.randbytes(16))
+        touched.add(block)
+        changed = {i // BLOCK_BYTES for i, (a, b) in enumerate(zip(before, bf.bits)) if a != b}
+        assert changed <= {block}
+        assert bytes(bf.block(block)) == bytes(bf.bits[block * BLOCK_BYTES : (block + 1) * BLOCK_BYTES])
+    assert len(touched) > 1
+
+
+def test_blocks_differing():
+    bf = BloomFilter(BloomParams(0.01, 50_000))
+    other = bf.copy()
+    assert bf.blocks_differing(other) == []
+    blocks = {other.add(bytes([i]) * 16) for i in range(5)}
+    assert bf.blocks_differing(other) == sorted(blocks)
+    with pytest.raises(UsageError):
+        bf.blocks_differing(BloomFilter(BloomParams(0.01, 10)))
 
 
 def test_fresh_filter_rejects_everything():
@@ -135,6 +199,18 @@ def test_deserialize_rejects_garbage():
         BloomFilter.deserialize(blob[:-1])
     with pytest.raises(FormatError):
         BloomFilter.deserialize(blob + b"\x00")
+
+
+def test_deserialize_rejects_m_not_whole_blocks():
+    bf = BloomFilter(BloomParams(2.0**-30, 2000))  # two blocks
+    assert bf.m == 2 * BLOCK_BITS
+    for m in (bf.m - 8, bf.m + 8):
+        blob = struct.pack(">II", m, bf.k) + bytes((m + 7) // 8)  # a body of the right length
+        with pytest.raises(FormatError, match="not whole"):
+            BloomFilter.deserialize(blob)
+    # one block's bits or fewer need no alignment
+    small = BloomFilter(BloomParams(0.01, 10))
+    assert small.m % 8 and BloomFilter.deserialize(small.serialize()) == small
 
 
 def test_deserialize_bounds_k():

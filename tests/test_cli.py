@@ -6,7 +6,7 @@ from dsse.cli import main
 from dsse.crypto import chain_label
 from dsse.errors import ProtocolError, TransportError
 from dsse.owner import DataOwner
-from dsse.protocol import RefreshPayload, filter_mac
+from dsse.protocol import FilterTags, RefreshPayload
 from dsse.wire import Client, WireServer
 from dsse.server import CloudServer
 
@@ -71,7 +71,7 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     bf.add(chain_label(owner.keys.k_prf, keyword, cnt + 1))
     planted = bf.serialize()
     server = CloudServer.load(os.path.join(st, "server.bin"))
-    server.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, t, planted), t))
+    server.refresh(RefreshPayload(planted, FilterTags(owner.keys.k_mac, bf).sigma(t), t))
     server.save(os.path.join(st, "server.bin"))
 
     # the guess has no table entry, and no lower counter is searched

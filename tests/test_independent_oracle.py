@@ -96,35 +96,62 @@ def test_basic_mode_chain_matches_raw_primitives():
     )
 
 
+def raw_sigma(k_mac: bytes, serialized: bytes, t: int) -> bytes:
+    """sigma of a serialized filter: the blocks (8,192 bytes, or all the
+    bit bytes when m is at most 65,536) each tagged under a key derived
+    from k_mac with tag 0x04, the tags XOR-ed, and the outer MAC under a
+    key derived with tag 0x05 over m, k, that XOR and t."""
+    m, k = struct.unpack(">II", serialized[:8])
+    bits = serialized[8:]
+    size = 8192 if m > 65536 else len(bits)
+    k_block = hmac.new(k_mac, b"\x04", hashlib.sha256).digest()[:16]
+    k_filter = hmac.new(k_mac, b"\x05", hashlib.sha256).digest()[:16]
+    agg = 0
+    for i in range(len(bits) // size):
+        msg = struct.pack(">BI", 0x04, i) + bits[i * size : (i + 1) * size]
+        agg ^= int.from_bytes(hmac.new(k_block, msg, hashlib.sha256).digest()[:16], "big")
+    msg = struct.pack(">BII", 0x05, m, k) + agg.to_bytes(16, "big") + struct.pack(">Q", t)
+    return hmac.new(k_filter, msg, hashlib.sha256).digest()[:16]
+
+
 def test_filter_mac_matches_raw_primitives():
-    owner = DataOwner.generate("full", BloomParams(0.01, 100))
-    payload = owner.add_file(b"reading", ["hrv:50"], NOW)
-    expected = hmac.new(
-        owner.keys.k_mac,
-        owner.bf.serialize() + struct.pack(">Q", NOW),
-        hashlib.sha256,
-    ).digest()[:16]
-    assert payload.sigma == expected
+    # one block of 959 bits, and four of 65,536
+    for params in (BloomParams(0.01, 100), BloomParams(2.0**-30, 5000)):
+        owner = DataOwner.generate("full", params)
+        for i in range(3):
+            payload = owner.add_file(f"reading {i}".encode(), ["hrv:50", f"x:{i}"], NOW + 600 * i)
+        assert payload.sigma == raw_sigma(owner.keys.k_mac, owner.bf.serialize(), payload.t)
+        refresh = owner.refresh_bloom(NOW + 3000)
+        assert refresh.sigma == raw_sigma(owner.keys.k_mac, refresh.bf_bytes, NOW + 3000)
 
 
 def raw_bloom_bits(m: int, k: int, elements: list[bytes]) -> bytes:
-    """Bit bytes of an (m, k) filter holding elements: index i of an element
-    is the i-th big-endian 8-byte word of its 8k-byte SHAKE256 output, mod m;
-    bit g at byte g // 8, least significant bit first."""
+    """Bit bytes of an (m, k) filter holding elements. The element's
+    8(k+1)-byte SHAKE256 output is read as big-endian 8-byte words: word 0
+    mod the number of 65,536-bit blocks picks a block (one block of m bits
+    when m is at most that), and words 1..k mod the block's bits are the
+    bits set inside it; bit g at byte g // 8, least significant bit first."""
+    blocks, width = max(m // 65536, 1), min(m, 65536)
     bits = bytearray((m + 7) // 8)
     for e in elements:
-        out = hashlib.shake_256(e).digest(8 * k)
-        for i in range(k):
-            g = int.from_bytes(out[8 * i : 8 * i + 8], "big") % m
+        out = hashlib.shake_256(e).digest(8 * (k + 1))
+        words = [int.from_bytes(out[8 * i : 8 * i + 8], "big") for i in range(k + 1)]
+        base = words[0] % blocks * 65536
+        for w in words[1:]:
+            g = base + w % width
             bits[g // 8] |= 1 << (g % 8)
     return bytes(bits)
 
 
 def test_bloom_indexes_match_raw_primitives():
-    bf = BloomFilter(BloomParams(0.01, 100))
-    element = b"one chain label!"
-    bf.add(element)
-    assert bf.serialize() == struct.pack(">II", bf.m, bf.k) + raw_bloom_bits(
-        bf.m, bf.k, [element]
-    )
-    assert bin(int.from_bytes(bf.serialize()[8:], "big")).count("1") == bf.k
+    for params in (BloomParams(0.01, 100), BloomParams(2.0**-30, 5000)):
+        bf = BloomFilter(params)
+        elements = [bytes([i]) * 16 for i in range(8)]
+        for element in elements:
+            bf.add(element)
+        assert bf.serialize() == struct.pack(">II", bf.m, bf.k) + raw_bloom_bits(
+            bf.m, bf.k, elements
+        )
+    one = BloomFilter(BloomParams(0.01, 100))
+    one.add(b"one chain label!")
+    assert bin(int.from_bytes(one.serialize()[8:], "big")).count("1") == one.k

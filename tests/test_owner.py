@@ -4,10 +4,10 @@ import tracemalloc
 import pytest
 
 from dsse import crypto
-from dsse.bloom import BloomParams
+from dsse.bloom import BloomFilter, BloomParams
 from dsse.errors import FormatError, NotFoundError, UsageError
 from dsse.owner import DataOwner
-from dsse.protocol import filter_mac, result_mac
+from dsse.protocol import FilterTags, result_mac
 
 NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 5000)
@@ -110,7 +110,29 @@ def test_sigma_covers_current_filter_and_timestamp():
     owner = fresh()
     payload = owner.add_file(b"f", ["w"], NOW)
     assert payload.t == NOW
-    assert payload.sigma == filter_mac(owner.keys.k_mac, NOW, owner.bf.serialize())
+    assert payload.sigma == FilterTags(owner.keys.k_mac, owner.bf).sigma(NOW)
+
+
+def test_incremental_sigma_matches_tagging_every_block():
+    # the owner re-tags only the blocks an upload touched; its sigma must be
+    # the one a recomputation over every block gives, after uploads, after
+    # a refresh and after a save and restore
+    owner = fresh()
+    assert owner.bf.n_blocks == 4
+
+    def from_scratch(t):
+        return FilterTags(owner.keys.k_mac, owner.bf.copy()).sigma(t)
+
+    for i in range(30):
+        payload = owner.add_file(f"f{i}".encode(), [f"a:{i % 5}", f"b:{i}"], NOW + i)
+        assert payload.sigma == from_scratch(NOW + i)
+    refresh = owner.refresh_bloom(NOW + 100)
+    assert refresh.sigma == from_scratch(NOW + 100)
+    assert owner.add_file(b"post", ["a:1"], NOW + 200).sigma == from_scratch(NOW + 200)
+    owner = DataOwner.restore(owner.snapshot())
+    for i in range(5):
+        payload = owner.add_file(f"g{i}".encode(), [f"c:{i}"], NOW + 300 + i)
+        assert payload.sigma == from_scratch(NOW + 300 + i)
 
 
 def test_gen_token_owner_contents():
@@ -159,7 +181,8 @@ def test_refresh_embeds_current_counters():
     assert owner.bf.n_inserted == expected
     assert owner.bf.extract_counter(owner.keys.k_prf, "w") == 456
     assert owner.t == NOW + 1000
-    assert payload.sigma == filter_mac(owner.keys.k_mac, NOW + 1000, payload.bf_bytes)
+    bf = BloomFilter.deserialize(payload.bf_bytes)
+    assert payload.sigma == FilterTags(owner.keys.k_mac, bf).sigma(NOW + 1000)
     # the next upload appends its membership element to the refreshed filter
     owner.add_file(b"more", ["w"], NOW + 1600)
     assert owner.bf.verify(crypto.chain_label(owner.keys.k_prf, "w", 457))
@@ -219,10 +242,11 @@ def test_previous_snapshot_version_refused():
     owner = fresh()
     owner.add_file(b"f", ["w"], NOW)
     blob = owner.snapshot()
-    assert blob.startswith(b"DSSEOWN3")
-    # DSSEOWN2 and DSSEOWN1 prefixed each key and gamma with its length and
-    # stored the filter sizing; DSSEOWN1 also had the older index function
-    for magic in (b"DSSEOWN2", b"DSSEOWN1"):
+    assert blob.startswith(b"DSSEOWN4")
+    # DSSEOWN3 held an unblocked filter; DSSEOWN2 and DSSEOWN1 prefixed each
+    # key and gamma with its length and stored the filter sizing; DSSEOWN1
+    # also had the older index function
+    for magic in (b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
         with pytest.raises(FormatError, match="not an owner snapshot"):
             DataOwner.restore(magic + blob[8:])
 

@@ -84,10 +84,10 @@ def golden_state(role, mode):
 
 
 GOLDEN_SNAPSHOTS = {
-    ("owner", "full"): "dc2b88450dfb0ad38e83ec218cfb33dc2264cc7bcab0e6828e510582e57fa6b7",
-    ("owner", "basic"): "9db89f156c0640328798a7fe9b040e983ec01ae385eb06075dece37bb1ea2c4b",
-    ("server", "full"): "e8d0d51b45dbe01ca809e98b8512b32bf2569946a76b4c341d60143ee6a16c4b",
-    ("server", "basic"): "4eff13420e25bfa9722536bd764ff1bcc4c9753cc3dfa399ddc224fe5a369823",
+    ("owner", "full"): "52bb7a1bda8cf139743a4740cc00ca588fc38b9cd387639c530ebfb9adb58342",
+    ("owner", "basic"): "2ab81891c5785da3be48ac702421a8ef21eb858bc4f98ff8b1bd1007ca54fd7b",
+    ("server", "full"): "5b23db1ee95c328daa2631aa2205665d1145e1754b7fac166bc799ccfad5158a",
+    ("server", "basic"): "58fa69d0f9b78aa43aa074d44587667f9fe2b9d28a257159400a5d469ef2c847",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }
 

@@ -100,7 +100,8 @@ def test_basic_mode_accepts_payload_without_sigma():
 
 def test_full_mode_requires_sigma():
     owner, server = build()
-    bare = owner.add_file(b"f", ["w"], NOW, emit_filter_mac=False)
+    bare = owner.add_file(b"f", ["w"], NOW)
+    bare.sigma = bare.t = None
     with pytest.raises(ProtocolError):
         server.add(bare)
 
@@ -586,11 +587,12 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV5")
-    # DSSESRV4 and DSSESRV3 flagged and length-prefixed the fields the mode
-    # and LAMBDA fix, and put the filter before the entries; DSSESRV3 also
-    # had filter bits from the older index function
-    for magic in (b"DSSESRV4", b"DSSESRV3"):
+    assert blob.startswith(b"DSSESRV6")
+    # DSSESRV5 held an unblocked filter; DSSESRV4 and DSSESRV3 flagged and
+    # length-prefixed the fields the mode and LAMBDA fix, and put the filter
+    # before the entries; DSSESRV3 also had filter bits from the older index
+    # function
+    for magic in (b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries

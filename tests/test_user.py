@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dsse import crypto
+from dsse import crypto, protocol
 from dsse import user as user_module
 from dsse.bloom import BloomFilter, BloomParams
 from dsse.errors import (
@@ -16,7 +16,7 @@ from dsse.errors import (
 )
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
-from dsse.protocol import FRESHNESS_WINDOW, RefreshPayload, filter_mac
+from dsse.protocol import FRESHNESS_WINDOW, FilterTags, RefreshPayload
 from dsse.server import CloudServer
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
@@ -149,6 +149,65 @@ def test_gen_token_rejects_tampered_filter():
         user.gen_token((BloomFilter.deserialize(bf_bytes), b"\x00" * 16, ts), "w", t)
 
 
+def test_retagged_filter_matches_tagging_every_block(monkeypatch):
+    # a user holding an accepted filter tags again only the blocks in which
+    # a new filter of its size differs, and lands on the agg and sigma that
+    # tagging every block gives
+    owner, server, t = build_system(3)
+    client = Client.in_process(server)
+    user = AuthorizedUser.from_owner(owner)
+    tagged = []
+    retag = FilterTags.retag
+
+    def counting_retag(self, blocks):
+        blocks = list(blocks)
+        tagged.append(len(blocks))
+        retag(self, blocks)
+
+    monkeypatch.setattr(FilterTags, "retag", counting_retag)
+    first = client.get_bloom()
+    user.gen_token(first, "w", t)
+    assert tagged == [first[0].n_blocks] == [34]
+    for i in range(3):
+        server.add(owner.add_file(f"late{i}".encode(), ["w", f"x:{i}", f"y:{i}"], t))
+        held = user._accepted[0]
+        bf, sigma, ts = client.get_bloom()
+        tagged.clear()
+        assert user.gen_token((bf, sigma, ts), "w", t)[1] == 4 + i
+        assert tagged == [len(bf.blocks_differing(held))]
+        assert 1 <= tagged[0] <= 3
+        assert user._tags.agg == FilterTags(owner.keys.k_mac, bf.copy()).agg
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh_user", "holding_user"])
+@pytest.mark.parametrize("forgery", ["swap_blocks", "roll_back_block", "flip_last_block"])
+def test_block_forgeries_refused(held, forgery):
+    # each keeps the honest sigma; block tags carry their index, and agg
+    # covers every block, so none passes whether the user tags every block
+    # or only those that differ from the filter it holds
+    owner, server, t = build_system(3)
+    user = AuthorizedUser.from_owner(owner)
+    old = fetch(server)
+    if held:
+        user.gen_token(old, "w", t)
+    server.add(owner.add_file(b"late", ["w", "x:1"], t))
+    bf, sigma, ts = fetch(server)
+    size = bf.block_bytes
+    i = bf.blocks_differing(old[0])[0]  # a block the upload changed
+    if forgery == "swap_blocks":
+        j = next(j for j in range(bf.n_blocks) if bf.block(j) != bf.block(i))
+        block_i, block_j = bytes(bf.block(i)), bytes(bf.block(j))
+        bf.bits[i * size : (i + 1) * size] = block_j
+        bf.bits[j * size : (j + 1) * size] = block_i
+    elif forgery == "roll_back_block":
+        bf.bits[i * size : (i + 1) * size] = old[0].block(i)
+    else:
+        bf.bits[-1] ^= 0x80
+    with pytest.raises(TamperedFilterError):
+        user.gen_token((bf, sigma, ts), "w", t)
+    assert user.token_filter is None
+
+
 def test_refused_filter_leaves_no_token_time_filter():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
@@ -252,7 +311,7 @@ def test_query_refuses_below_a_planted_false_positive():
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
     bf.add(crypto.chain_label(owner.keys.k_prf, "ghost", 1))
     planted = bf.serialize()
-    client.refresh(RefreshPayload(planted, filter_mac(owner.keys.k_mac, t, planted), t))
+    client.refresh(RefreshPayload(planted, FilterTags(owner.keys.k_mac, bf).sigma(t), t))
     user = AuthorizedUser.from_owner(owner)
     assert user.gen_token(client.get_bloom(), "w", t)[1] == c + 1  # the lie
     with pytest.raises(NotFoundError):
@@ -329,9 +388,9 @@ def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
     macs = []
-    real_mac = user_module.filter_mac
+    real_mac = protocol.filter_mac
     monkeypatch.setattr(
-        user_module, "filter_mac", lambda *a: macs.append(1) or real_mac(*a)
+        protocol, "filter_mac", lambda *a: macs.append(1) or real_mac(*a)
     )
     triple = fetch(server)
     assert user.gen_token(triple, "w", t)[1] == 3
@@ -340,8 +399,9 @@ def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
     with pytest.raises(StaleFilterError):
         user.gen_token(triple, "w", t + FRESHNESS_WINDOW + 1)
     server.add(owner.add_file(b"f3", ["w"], t))
+    assert len(macs) == 2  # the owner's
     assert user.gen_token(fetch(server), "w", t)[1] == 4
-    assert len(macs) == 2
+    assert len(macs) == 3
 
 
 @pytest.mark.parametrize("behavior", ["stale_bloom", "flip_bloom_bit"])

@@ -4,11 +4,12 @@ import random
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from dsse import wire
-from dsse.bloom import BloomParams
+from dsse.bloom import BloomFilter, BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import (
     FormatError,
@@ -20,7 +21,7 @@ from dsse.errors import (
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import synthesize_stream
 from dsse.owner import DataOwner
-from dsse.protocol import AddPayload, RefreshPayload, SearchTokenEnvelope, filter_mac
+from dsse.protocol import AddPayload, FilterTags, RefreshPayload, SearchTokenEnvelope
 from dsse.server import CloudServer
 
 NOW = 1_700_000_000
@@ -72,78 +73,81 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x04 (GET_BLOOM replies may carry a
-# delta) differs from 0x03 in the first byte of every frame and, in an OK
-# GET_BLOOM reply, in the delta flag before the filter. A layout change must
-# bump wire.VERSION and these values together.
+# One frame per message shape. Version 0x05 (a blocked filter under an
+# XOR-MAC) lays out every frame as 0x04 did, and differs from it only in the
+# first byte; what changed is the filter bits and sigma a frame carries.
+# Version 0x04 (GET_BLOOM replies may carry a delta) differed from 0x03 in
+# the first byte of every frame and, in an OK GET_BLOOM reply, in the delta
+# flag before the filter. A layout change must bump wire.VERSION and these
+# values together.
 _FULL_ADD = AddPayload(
     b"F" * 16, b"ciphertext",
     [(b"\x01" * 16, b"\x02" * 48), (b"\x03" * 16, b"\x04" * 48)],
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "add46f22dda6d0c9d2997cae127c7003b64c1462af078cecbaa8947ddfb7110b"),
+    "add_full": (_FULL_ADD, "d0b874db03d2a7b974e7455b98f974a4d6aeac2606574fbf835e1838f4d6a73d"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 32)]),
-        "e5b8c84aeae867a399b9125229cc42476efc13b6b4283c6f0ad5ecc6245faf8d",
+        "03de28c763143bb4015eed73f225a174623c5c7890031642f363379af2f91929",
     ),
     "refresh": (
         RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "c291adf7bd7a2afc41e32e440e8fc91672e4821a6f8d42ff40ce6decca33f06f",
+        "3c3a806273fd98029fe204ab396b7eac52c82b7ed94a4c71b63819b544fea94a",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "4d220be8716c1907f55de52ceb96ed5265a9d6a981e18e4bb345f007b0acffde",
+        "b7c36a36dae6ed4b5a98af6c9a903ffe4ef460b920d59acc0c309683a091bbcf",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "c7ce5391cad0a8005d426025a08f3d11af6a7e0ed47cc052ba62aabb52e6b604",
+        "73af84f345f042e53d2636c81069bb7c6e79f6585b65664974982d952787e8f9",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "e4c7397781d615ec6165654f69895fe3e755166ebd359ec9a5812d3dbd96457b",
+        "f49f22abbd8989aaa35f449e519d02858597d85b1df2aaaf775f2e171f2057dc",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "2f51f5c7e90b7cdc51a4d8b3e5a3f1a6abfa755ae9761de8c535b235a0389a9d",
+        "ff3f975c045c09f0ee440dec7341ba0da44914e36b5b5523f13977fc831633d4",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "71c32eb18510d9f456dd4a27602add9382b5ba5418a0cec718bd971317b30e2c",
+        "e7dc477dca1e10e5fcbf75bb093a522918a3b58bd6cd37547cb1b927c7634fd6",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "fcb50bd303b452d193ffa683f1533c29578ac96ea61d3fe20ce258af27ecde17",
+        "c9a6920afb4c2d0e2fa4ab00ceacd8920897a8602ea6c565d0f978ee858bd541",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "4549723c2ced03aecd918d23030a124f06f871f4726a33f913bef6dc8595a529",
+        "3a9d632457327528964c80fc6f9ad154abb0c9d3074e0ad1bb300194d3c2ee3d",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "1be60fac0c64663292347264fd943349ce39fb278940f50569a91509fccc5e87",
+        "8f02b7a79aa374aef9e0f38287a5f243feeae30c1b946a111fd9703783384175",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "557abc17c042a36674ed12fa1924727dbc60a01faadc29ec6ca6e8febe17c714",
+        "fc37c62c740614ad431104b72d98b0fb4e69d7f6698078864d02795e7bdb8d39",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "3b9f3d499437d9cbbd6703f5c0e23aeeb0eaaed61fadc2f35ca8766ac92c73b4",
+        "f31e2fbadf36a81199f7856592a9842810afcbdffcf717a1d92fad5bf2532d73",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "1623e60fc536d7cc7547e4d5772b09a27ce2f95fb53881731a79c2b8cb3abe7b",
+        "caaf3c45ebef7e9ad9ed2bad0623429a998f8e30117df380ce323fdbe350eba2",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "de3bb8693b0521d107dc2a5596c84cb8801688664f3828849dfc4be56fb22776",
+        "6413666d659a59a3d8e1402044674318069f97bc1c647f17fe9082c4a6f87eab",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "4d8a24b8918579243ee8ba210d35c834bc6e132d46964765b278091e4b3186e7",
+        "343d67bc06eae1a7e6331a74a253f1728a6afe3d323b9fdf7fe0aaeaa10eb17e",
     ),
 }
 
@@ -151,7 +155,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x04
+    assert wire.VERSION == 0x05
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -210,6 +214,11 @@ def build_system(n_files=30):
         oracle.add(payload.file_id, phi.keywords())
         last_t = phi.timestamp
     return owner, server, oracle, last_t
+
+
+def sigma_of(owner, bf, t):
+    """The owner's sigma for bf at t, every block tagged afresh."""
+    return FilterTags(owner.keys.k_mac, bf).sigma(t)
 
 
 def test_socket_and_in_process_transports_agree():
@@ -325,13 +334,13 @@ def test_wire_bytes_are_the_mac_inputs():
         return wire.decode(client.transport.request(wire.encode(wire.GetBloom(since)))).value
 
     bf_bytes, sigma, t = get_bloom()
-    assert filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
+    assert sigma_of(owner, BloomFilter.deserialize(bf_bytes), t) == sigma
     # and for a filter that crossed the wire twice: owner -> server in a
     # REFRESH, then back in a conditional GET_BLOOM
     client.refresh(owner.refresh_bloom(last_t + 1))
     bf_bytes, sigma, t = get_bloom((t, sigma))
     assert t == last_t + 1
-    assert filter_mac(owner.keys.k_mac, t, bf_bytes) == sigma
+    assert sigma_of(owner, BloomFilter.deserialize(bf_bytes), t) == sigma
 
 
 def test_full_honest_run_over_wire():
@@ -360,7 +369,7 @@ def test_conditional_get_bloom():
     server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
     after_add = client.get_bloom()
     assert after_add[2] == last_t + 600 and after_add[1] != first[1]
-    assert filter_mac(owner.keys.k_mac, after_add[2], *after_add[0].buffers()) == after_add[1]
+    assert sigma_of(owner, after_add[0], after_add[2]) == after_add[1]
     assert client.get_bloom() is after_add
 
     server.refresh(owner.refresh_bloom(last_t + 601))
@@ -379,7 +388,7 @@ def test_clients_one_and_three_uploads_behind_rebuild_the_filter():
         server.add(owner.add_file(f"late{i}".encode(), ["w:1", f"x:{i}"], last_t + 600 * (i + 1)))
     rebuilt = three_behind.get_bloom(), one_behind.get_bloom()
     assert rebuilt[0] == rebuilt[1] == (server.bf, server.sigma, server.t)
-    assert filter_mac(owner.keys.k_mac, server.t, *rebuilt[0][0].buffers()) == server.sigma
+    assert sigma_of(owner, rebuilt[0][0], server.t) == server.sigma
     assert server.filters_served == {"full": 2, "delta": 2}
     assert server.filter_bytes_served["delta"] == (3 + 1) * 2 * LAMBDA
 
@@ -400,7 +409,7 @@ def test_a_returned_filter_survives_a_later_delta():
     assert server.filters_served == {"full": 1, "delta": 1}
     assert second[0] is not first[0] and second[0] == server.bf
     assert bytes(first[0].bits) == bits
-    assert filter_mac(owner.keys.k_mac, first[2], *first[0].buffers()) == first[1]
+    assert sigma_of(owner, first[0], first[2]) == first[1]
 
 
 class RecordingTransport:
@@ -430,6 +439,29 @@ def test_an_unparseable_filter_is_refused_and_not_held():
     transport.reply = None
     assert client.get_bloom() is honest  # answered NOT_MODIFIED
     assert transport.requests[-1].since == (honest[2], honest[1])
+
+
+def test_full_get_bloom_reply_copies_the_filter_once():
+    # a year-sized filter, 4,300,800 bit bytes: the reply was built by
+    # copying serialize()'s bytes into a buffer and the buffer into bytes,
+    # three filter-sized blocks alive at once
+    params = BloomParams(2.0**-30, 52_560 * 15)
+    owner = DataOwner.generate("full", params)
+    server = CloudServer("full", params, group_key=owner.keys.r)
+    server.add(owner.add_file(b"f", ["w"], NOW))
+    filter_len = len(server.bf.serialize())
+    endpoint = wire.ServerEndpoint(server)
+    request = wire.encode(wire.GetBloom())
+    tracemalloc.start()
+    try:
+        reply = endpoint.handle_bytes(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filter_len < len(reply) < filter_len + 64
+    assert peak < 2.2 * filter_len, (peak, filter_len)
+    update, sigma, t = wire.decode(reply).value
+    assert update == server.bf.serialize() and (sigma, t) == (server.sigma, NOW)
 
 
 def test_oversized_frame_refused_before_allocation(monkeypatch):
