@@ -18,7 +18,7 @@ from ..owner import DataOwner
 from ..protocol import BASIC, FULL, FilterTags
 from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
-from ..wire import Client
+from ..wire import Client, encode
 from .phi import STREAM_START, synthesize_stream
 from .scenario import default_bloom_params
 
@@ -118,6 +118,26 @@ def bench_accept_delta(n_files: int = 30, seed: int = 12) -> float:
         if i:  # the first fetch is the whole filter
             samples.append(time.perf_counter() - t0)
     return _median_ms(samples)
+
+
+def bench_refresh(n_files: int = 300, repeats: int = 7, seed: int = 13) -> tuple[float, int]:
+    """Median cost of a refresh at a year-sized filter after n_files
+    uploads: the owner's rebuild (refresh_bloom) plus an in-process
+    Client.refresh, in which the REFRESH is encoded and decoded and the
+    server adopts the filter. Also returns the REFRESH frame's length."""
+    owner = DataOwner.generate(FULL, YEAR_PARAMS)
+    client = Client.in_process(CloudServer(FULL, YEAR_PARAMS, group_key=owner.keys.r))
+    for phi in synthesize_stream(seed, n_files):
+        client.add(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
+    now = phi.timestamp
+    samples = []
+    for _ in range(repeats):
+        now += 600
+        t0 = time.perf_counter()
+        payload = owner.refresh_bloom(now)
+        client.refresh(payload)
+        samples.append(time.perf_counter() - t0)
+    return _median_ms(samples), len(encode(payload))
 
 
 @dataclass
@@ -335,6 +355,11 @@ def run_bench(
                REFERENCES["bf_bytes"], "bytes", "year-capacity filter")
     report.add("accept_delta", bench_accept_delta(), None, "ms",
                "delta fetch + gen_token after one upload, year-sized filter")
+    refresh_files = 300
+    refresh_ms, frame_bytes = bench_refresh(refresh_files)
+    report.add("refresh", refresh_ms, None, "ms",
+               f"refresh_bloom + Client.refresh after {refresh_files} uploads, "
+               f"year-sized filter; REFRESH frame {frame_bytes} B")
 
     sb = bench_search(result_size=search_chain)
     report.add("search_new", sb.new_ms, REFERENCES["search_new_100_ms"], "ms",

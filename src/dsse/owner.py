@@ -216,7 +216,7 @@ class DataOwner(Persistent):
             bf.embed_counter(self.keys.k_prf, w, rec.cnt)
         self._tags = FilterTags(self.keys.k_mac, bf)
         self.t = now
-        return RefreshPayload(bf.serialize(), self._tags.sigma(now), now)
+        return RefreshPayload(bf.pack(), self._tags.sigma(now), now)
 
     # ------------------------------------------------------------------
     # Persistence

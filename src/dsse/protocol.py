@@ -109,7 +109,10 @@ class AddPayload:
 
 @dataclass
 class RefreshPayload:
-    """Periodic filter replacement carrying only counter digit embeddings."""
+    """Periodic filter replacement carrying only counter digit embeddings.
+
+    bf_bytes is the filter packed (BloomFilter.pack); sigma covers its
+    serialization, the bits the server holds once it unpacks them."""
 
     bf_bytes: bytes
     sigma: bytes

@@ -189,13 +189,16 @@ class CloudServer(Persistent):
                 self._log_upload([tau for tau, _ in payload.entries], (self.t, self.sigma))
 
     def refresh(self, payload: RefreshPayload) -> None:
-        """Adopt the owner's rebuilt filter wholesale."""
+        """Adopt the owner's rebuilt filter wholesale. It must be the size
+        of the one it replaces: the header is checked before the body is
+        inflated, so a small REFRESH cannot make the server allocate a
+        filter of any size it names."""
         with self._lock:
             if self.mode != FULL:
                 raise UsageError("refresh applies to full mode only")
             if payload.t < self.t:
                 raise ProtocolError(f"non-monotonic timestamp {payload.t} < {self.t}")
-            self.bf = BloomFilter.deserialize(payload.bf_bytes)
+            self.bf = BloomFilter.unpack(payload.bf_bytes, like=self.bf)
             self.sigma = payload.sigma
             self.t = payload.t
             self._start_log((self.t, self.sigma))

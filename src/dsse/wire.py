@@ -9,7 +9,7 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x05 | kind(1) | body
+    version(1) = 0x06 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
@@ -18,10 +18,15 @@ big-endian length followed by the bytes; integers are big-endian
 byte, 0 or 1, and the bracketed fields follow only when it is 1.
 
     ADD        file_id | ciphertext | u32 n | n x (tau | mu) | flag [| sigma | u64 t]
-    REFRESH    filter | sigma | u64 t
+    REFRESH    packed filter | sigma | u64 t
     SEARCH     u64 epoch | token
     GET_BLOOM  flag [| u64 t | sigma]
     ROTATE     group_key | u64 epoch
+
+A REFRESH carries its filter packed (BloomFilter.pack: the serialization,
+raw-deflated), since a refreshed filter holds only digit embeddings and is
+nearly all zero bytes; the server unpacks it, bounded by the size of the
+filter it replaces. Every other filter on the wire is raw.
 
 A GET_BLOOM request carries the (t, sigma) of the copy the client holds, if
 any; when the server would serve the same pair it answers NOT_MODIFIED and
@@ -43,9 +48,9 @@ whole filter is parsed once, where it is fetched) and hands on the
 BloomFilter, which the user checks like any other: against the filter it
 accepted last, it tags again only the blocks that differ.
 
-The filter bytes and 8-byte timestamps on the wire are exactly what the
-filter MAC covers, so no re-canonicalization happens anywhere between
-parties.
+The raw filter bytes and 8-byte timestamps on the wire are exactly what
+the filter MAC covers, and a packed filter unpacks to exactly those bytes,
+so no re-canonicalization happens anywhere between parties.
 
 Two transports speak the same bytes: an in-process channel (test default)
 and a length-prefixed TCP socket (4-byte big-endian frame length, at most
@@ -77,7 +82,7 @@ from .errors import (
 from .protocol import AddPayload, RefreshPayload, SearchTokenEnvelope
 from .server import CloudServer
 
-VERSION = 0x05
+VERSION = 0x06
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -109,8 +114,9 @@ _ERRORS: dict[int, type[DsseError]] = {
     CODE_UNSUPPORTED: UsageError,
 }
 
-# Largest frame either side accepts: above the REFRESH of a 20-year filter
-# (about 85 MB), far below what a forged length prefix could ask for.
+# Largest frame either side accepts: above a GET_BLOOM reply carrying a
+# 20-year filter raw (about 85 MB), far below what a forged length prefix
+# could ask for. A packed REFRESH is far smaller.
 MAX_FRAME = 256 * 1024 * 1024
 
 _log = logging.getLogger(__name__)

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import zlib
 
 import pytest
 
@@ -220,6 +221,65 @@ def test_deserialize_bounds_k():
     for k in (0, 65, 2**20 + 64, 2**32 - 1):
         with pytest.raises(FormatError, match="bad bloom header"):
             BloomFilter.deserialize(struct.pack(">II", bf.m, k) + body)
+
+
+def packed_cases() -> dict[str, BloomFilter]:
+    rng = random.Random(5)
+    one_block = BloomFilter(BloomParams(0.01, 100))
+    multi_block = BloomFilter(BloomParams(2.0**-30, 5000))
+    assert (one_block.n_blocks, multi_block.n_blocks) == (1, 4)
+    for bf in (one_block, multi_block):
+        for _ in range(60):
+            bf.add(rng.randbytes(16))
+    dense = BloomFilter(BloomParams(2.0**-30, 2000))
+    dense.bits[:] = rng.randbytes(len(dense.bits))
+    return {
+        "one_block": one_block,
+        "multi_block": multi_block,
+        "empty": BloomFilter(BloomParams(2.0**-30, 5000)),
+        "dense": dense,
+    }
+
+
+@pytest.mark.parametrize("case", packed_cases())
+def test_pack_round_trip_and_deterministic(case):
+    bf = packed_cases()[case]
+    packed = bf.pack()
+    assert BloomFilter.unpack(packed) == bf
+    assert BloomFilter.unpack(packed, like=bf) == bf
+    assert bf.copy().pack() == packed == bf.pack()
+    # a raw deflate of the serialization, which any inflater reads back
+    assert zlib.decompress(packed, wbits=-15) == bf.serialize()
+
+
+def deflate(data: bytes) -> bytes:
+    deflater = zlib.compressobj(wbits=-15)
+    return deflater.compress(data) + deflater.flush()
+
+
+def test_unpack_refuses_a_stream_that_is_not_exactly_one_filter():
+    bf = packed_cases()["multi_block"]
+    packed, raw = bf.pack(), bf.serialize()
+    refused = {
+        "empty": b"",
+        "not deflate": b"\xff" * 32,
+        "cut mid-stream": packed[: len(packed) // 2],
+        "cut before its end": packed[:-1],
+        "header cut": deflate(raw[:5]),
+        "header only": deflate(raw[:8]),
+        "body a byte short": deflate(raw[:-1]),
+        "body a byte long": deflate(raw + b"\x00"),
+        "trailing bytes": packed + b"\x00",
+        "k above 64": deflate(struct.pack(">II", bf.m, 65) + raw[8:]),
+        "m not whole blocks": deflate(struct.pack(">II", bf.m + 8, bf.k) + raw[8:] + b"\x00"),
+    }
+    for data in refused.values():
+        with pytest.raises(FormatError):
+            BloomFilter.unpack(data)
+    # a header of another size than like's is refused, whatever follows it
+    other = BloomFilter(BloomParams(2.0**-30, 2000))
+    with pytest.raises(FormatError, match="does not replace"):
+        BloomFilter.unpack(packed, like=other)
 
 
 def test_embed_456_adds_exactly_three_digit_elements():

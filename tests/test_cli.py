@@ -67,9 +67,9 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     owner = DataOwner.load(os.path.join(st, "owner.bin"))
     cnt = owner.tbl[keyword].cnt
     t = json.load(open(os.path.join(st, "meta.json")))["last_t"]
-    bf = BloomFilter.deserialize(owner.refresh_bloom(t).bf_bytes)
+    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes)
     bf.add(chain_label(owner.keys.k_prf, keyword, cnt + 1))
-    planted = bf.serialize()
+    planted = bf.pack()
     server = CloudServer.load(os.path.join(st, "server.bin"))
     server.refresh(RefreshPayload(planted, FilterTags(owner.keys.k_mac, bf).sigma(t), t))
     server.save(os.path.join(st, "server.bin"))

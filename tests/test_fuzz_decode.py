@@ -3,11 +3,12 @@ FormatError (or decode to something re-encodable), never crash."""
 
 import random
 import struct
+import zlib
 
 import pytest
 
 from dsse import wire
-from dsse.bloom import BloomParams
+from dsse.bloom import BloomFilter, BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import FormatError
 from dsse.owner import DataOwner
@@ -47,6 +48,7 @@ def test_wire_decode_mutated_valid_frames():
         wire.encode(wire.Reply(wire.KIND_GET_BLOOM, value=(
             [tau for tau, _ in payload.entries], payload.sigma, payload.t
         ))),
+        wire.encode(owner.refresh_bloom(payload.t + 600)),  # a packed filter
     ]
     for frame in frames:
         for _ in range(400):
@@ -59,6 +61,32 @@ def test_wire_decode_mutated_valid_frames():
             else:
                 data.insert(rng.randrange(len(data) + 1), rng.randrange(256))
             try_decode(bytes(data))
+
+
+def test_mutated_packed_filters_unpack_whole_or_fail_cleanly():
+    # a REFRESH's filter comes from outside: a mutant either is refused with
+    # FormatError or is a whole stream of the filter its header names
+    owner = DataOwner.generate("full", BloomParams(2.0**-30, 2000))
+    for i in range(5):
+        owner.add_file(f"f{i}".encode(), ["a:1", f"b:{i}"], 1_700_000_000 + i * 600)
+    packed = owner.refresh_bloom(1_700_000_000 + 3600).bf_bytes
+    for _ in range(1500):
+        data = bytearray(packed)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.randrange(3)
+            if op == 0:
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            elif op == 1:
+                del data[rng.randrange(len(data))]
+            else:
+                data.insert(rng.randrange(len(data) + 1), rng.randrange(256))
+        try:
+            bf = BloomFilter.unpack(bytes(data))
+        except FormatError:
+            continue
+        raw = zlib.decompress(bytes(data), wbits=-15)
+        assert struct.unpack_from(">II", raw) == (bf.m, bf.k)
+        assert raw == bf.serialize()
 
 
 def assert_widths(state) -> None:

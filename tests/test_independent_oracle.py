@@ -1,12 +1,14 @@
 """Recompute one keyword's full chain from raw stdlib primitives only
-(hmac/hashlib/struct), with no helpers from the package, and compare the
-owner's emitted bytes against it. Catches any accidental coupling between
-the implementation and the test helpers used elsewhere.
+(hmac/hashlib/struct, and zlib for the packed filter), with no helpers
+from the package, and compare the owner's emitted bytes against it.
+Catches any accidental coupling between the implementation and the test
+helpers used elsewhere.
 """
 
 import hashlib
 import hmac
 import struct
+import zlib
 
 from dsse.bloom import BloomFilter, BloomParams
 from dsse.owner import DataOwner
@@ -69,7 +71,7 @@ def test_full_mode_chain_matches_raw_primitives():
     refresh = owner.refresh_bloom(NOW + 3000)
     from dsse.bloom import BloomFilter
 
-    bf = BloomFilter.deserialize(refresh.bf_bytes)
+    bf = BloomFilter.deserialize(zlib.decompress(refresh.bf_bytes, wbits=-15))
     for pos, digit in ((1, 6), (2, 5), (3, 4)):
         kw = keyword.encode("utf-8")
         msg = struct.pack(">BI", 0x03, len(kw)) + kw + struct.pack(">II", pos, digit)
@@ -122,7 +124,9 @@ def test_filter_mac_matches_raw_primitives():
             payload = owner.add_file(f"reading {i}".encode(), ["hrv:50", f"x:{i}"], NOW + 600 * i)
         assert payload.sigma == raw_sigma(owner.keys.k_mac, owner.bf.serialize(), payload.t)
         refresh = owner.refresh_bloom(NOW + 3000)
-        assert refresh.sigma == raw_sigma(owner.keys.k_mac, refresh.bf_bytes, NOW + 3000)
+        # a REFRESH carries the serialization raw-deflated (RFC 1951)
+        raw = zlib.decompress(refresh.bf_bytes, wbits=-15)
+        assert refresh.sigma == raw_sigma(owner.keys.k_mac, raw, NOW + 3000)
 
 
 def raw_bloom_bits(m: int, k: int, elements: list[bytes]) -> bytes:

@@ -218,7 +218,8 @@ def test_refresh_replaces_filter_wholesale():
     assert server.bf.verify(tau2)
     payload = owner.refresh_bloom(NOW + 3 * 600)
     server.refresh(payload)
-    assert server.bf.serialize() == payload.bf_bytes == owner.bf.serialize()
+    refreshed = BloomFilter.unpack(payload.bf_bytes).serialize()
+    assert server.bf.serialize() == refreshed == owner.bf.serialize()
     assert (server.sigma, server.t) == (payload.sigma, payload.t)
     # membership elements from before the refresh are no longer in the
     # filter, but the table still answers searches

@@ -307,10 +307,10 @@ def test_query_refuses_below_a_planted_false_positive():
     for i in range(c):
         client.add(owner.add_file(f"f{i}".encode(), ["w"], NOW + i * 600))
     t = NOW + c * 600
-    bf = BloomFilter.deserialize(owner.refresh_bloom(t).bf_bytes)
+    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes)
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
     bf.add(crypto.chain_label(owner.keys.k_prf, "ghost", 1))
-    planted = bf.serialize()
+    planted = bf.pack()
     client.refresh(RefreshPayload(planted, FilterTags(owner.keys.k_mac, bf).sigma(t), t))
     user = AuthorizedUser.from_owner(owner)
     assert user.gen_token(client.get_bloom(), "w", t)[1] == c + 1  # the lie

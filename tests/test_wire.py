@@ -2,14 +2,16 @@ import contextlib
 import hashlib
 import random
 import socket
+import struct
 import threading
 import time
 import tracemalloc
+import zlib
 
 import pytest
 
 from dsse import wire
-from dsse.bloom import BloomFilter, BloomParams
+from dsse.bloom import BLOCK_BITS, BloomFilter, BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import (
     FormatError,
@@ -73,9 +75,11 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x05 (a blocked filter under an
-# XOR-MAC) lays out every frame as 0x04 did, and differs from it only in the
-# first byte; what changed is the filter bits and sigma a frame carries.
+# One frame per message shape. Version 0x06 (a REFRESH carries its filter
+# packed) lays out every frame as 0x05 did, and differs from it only in the
+# first byte; what changed is what a REFRESH's filter field holds, which the
+# encoder passes through as it is. Version 0x05 (a blocked filter under an
+# XOR-MAC) differed from 0x04 the same way, in the filter bits and sigma.
 # Version 0x04 (GET_BLOOM replies may carry a delta) differed from 0x03 in
 # the first byte of every frame and, in an OK GET_BLOOM reply, in the delta
 # flag before the filter. A layout change must bump wire.VERSION and these
@@ -86,68 +90,68 @@ _FULL_ADD = AddPayload(
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "d0b874db03d2a7b974e7455b98f974a4d6aeac2606574fbf835e1838f4d6a73d"),
+    "add_full": (_FULL_ADD, "cc65a098008000e63b93923a8b3eebfa559fe4a922b791952ae5d3a72431695e"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 32)]),
-        "03de28c763143bb4015eed73f225a174623c5c7890031642f363379af2f91929",
+        "9b81820d1227d28dbef168471a546c39322534d638f0c06dc6b6916e851e01b2",
     ),
     "refresh": (
         RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "3c3a806273fd98029fe204ab396b7eac52c82b7ed94a4c71b63819b544fea94a",
+        "804e96a65ebda1a98edf341b2af132f8a4fc90f375183dffa77aac182bddc974",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "b7c36a36dae6ed4b5a98af6c9a903ffe4ef460b920d59acc0c309683a091bbcf",
+        "2e67509cdad59e3a9b806f79be7ad060d3c710d0fd9a7c140970c8868d9dc379",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "73af84f345f042e53d2636c81069bb7c6e79f6585b65664974982d952787e8f9",
+        "c5bafb1a52ed5951424e3ed4a673770aa57f14232c80ffbde553f04ec43745fc",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "f49f22abbd8989aaa35f449e519d02858597d85b1df2aaaf775f2e171f2057dc",
+        "347f8544df3bf3d55538e831854ee01f4cecdddc1c0195bc159c8ad22f0d47ee",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "ff3f975c045c09f0ee440dec7341ba0da44914e36b5b5523f13977fc831633d4",
+        "e4a936250833992bfa55c207bbed9af01eed8a1a1a7a11fe964e86918c3f313f",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "e7dc477dca1e10e5fcbf75bb093a522918a3b58bd6cd37547cb1b927c7634fd6",
+        "b960be01d271573e641deb94a6d57e5dffe8ea64e30b1b53cbc4f146110aacd3",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "c9a6920afb4c2d0e2fa4ab00ceacd8920897a8602ea6c565d0f978ee858bd541",
+        "4a5efe6c1dc5fe2b1be76a4c70b76d0b88e87034e197a3b3afd876c0f64772e6",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "3a9d632457327528964c80fc6f9ad154abb0c9d3074e0ad1bb300194d3c2ee3d",
+        "00244d8288874446449aae7a65535bfbd2c963a449fe1d6ccfdce8454e588218",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "8f02b7a79aa374aef9e0f38287a5f243feeae30c1b946a111fd9703783384175",
+        "fdbc731582dcf7184cab2cf5d196eb144bbde3096e4c9095f8f6d6304f4c8066",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "fc37c62c740614ad431104b72d98b0fb4e69d7f6698078864d02795e7bdb8d39",
+        "c6f2530804f85efeed24a915c689a9efa9ba24802b3eef411171acd783eaf1ca",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "f31e2fbadf36a81199f7856592a9842810afcbdffcf717a1d92fad5bf2532d73",
+        "c96f59493426010410793021d46659e317997949f40f85a9e6f0db88b68dbe5b",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "caaf3c45ebef7e9ad9ed2bad0623429a998f8e30117df380ce323fdbe350eba2",
+        "bfd25155bf50a2a57c2fdee097897243d9ddb10c7876b802f801410dffe4a549",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "6413666d659a59a3d8e1402044674318069f97bc1c647f17fe9082c4a6f87eab",
+        "c7a729916612bf41776902920daa89e8cdf366b0f5be5b6157ff30a1117289f8",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "343d67bc06eae1a7e6331a74a253f1728a6afe3d323b9fdf7fe0aaeaa10eb17e",
+        "9ec65620588969a5777a035d1713b72e19a1ce9b80ce3007fe7b4962398ec433",
     ),
 }
 
@@ -155,7 +159,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x05
+    assert wire.VERSION == 0x06
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -263,14 +267,40 @@ def test_refresh_with_unbounded_k_refused_and_state_kept():
     client = wire.Client.in_process(server)
     before = (server.bf.serialize(), server.sigma, server.t)
     payload = owner.refresh_bloom(last_t + 600)
-    bf_bytes = bytearray(payload.bf_bytes)
-    bf_bytes[4:8] = (2**20).to_bytes(4, "big")  # k, after the 4-byte m
-    hostile = RefreshPayload(bytes(bf_bytes), payload.sigma, payload.t)
+    bf = BloomFilter.unpack(payload.bf_bytes)
+    bf.k = 2**20
+    hostile = RefreshPayload(bf.pack(), payload.sigma, payload.t)
     reply = wire.decode(client.transport.request(wire.encode(hostile)))
     assert (reply.kind, reply.code) == (wire.KIND_REFRESH, wire.CODE_FORMAT)
     with pytest.raises(FormatError):
         client.refresh(hostile)
     assert (server.bf.serialize(), server.sigma, server.t) == before
+
+
+def test_refresh_of_another_size_refused_before_inflating():
+    # a REFRESH needs no key: about 1 KB of deflated zeros behind a header
+    # naming the largest m would have the server inflate a 512 MiB filter
+    owner, server, oracle, last_t = build_system(5)
+    client = wire.Client.in_process(server)
+    before = (server.bf.serialize(), server.sigma, server.t)
+    t = last_t + 600
+    sigma = owner.refresh_bloom(t).sigma
+    deflater = zlib.compressobj(wbits=-15)
+    huge = deflater.compress(struct.pack(">II", 2**32 - BLOCK_BITS, server.bf.k))
+    huge += deflater.compress(bytes(1 << 20)) + deflater.flush()
+    assert len(huge) < 2048
+    other = BloomFilter(BloomParams(2.0**-30, 5000))  # well formed, 4 blocks not 7
+    assert other.n_blocks != server.bf.n_blocks
+    for bf_bytes in (huge, other.pack()):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="does not replace"):
+                client.refresh(RefreshPayload(bf_bytes, sigma, t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(server.bf.bits), peak
+        assert (server.bf.serialize(), server.sigma, server.t) == before
 
 
 class CannedTransport:
