@@ -38,6 +38,7 @@ import hashlib
 import math
 import struct
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .crypto import digit_element
@@ -88,6 +89,13 @@ def expected_fp_rate(m: int, k: int, n: int) -> float:
     return (1.0 - math.exp(-k * n / m)) ** k
 
 
+def _set_bits(bits: bytearray, base: int, width: int, words: tuple[int, ...]) -> None:
+    """Set the bits words name, each mod width, in the block at byte base."""
+    for w in words:
+        p = w % width
+        bits[base + (p >> 3)] |= 1 << (p & 7)
+
+
 def _parse_header(data: bytes | memoryview) -> tuple[int, int]:
     """m and k from a serialization's first bytes, held to the rules every
     filter read from outside must meet."""
@@ -122,10 +130,6 @@ class BloomFilter:
         """An empty filter of the same size."""
         return self._from_raw(self.m, self.k, bytearray(len(self.bits)))
 
-    def copy(self) -> "BloomFilter":
-        """A filter with the same bits, in a buffer of its own."""
-        return self._from_raw(self.m, self.k, bytearray(self.bits))
-
     @property
     def n_blocks(self) -> int:
         return max(self.m // BLOCK_BITS, 1)
@@ -149,12 +153,20 @@ class BloomFilter:
     def add(self, element: bytes) -> int:
         """Set the element's bits; return the index of the block holding them."""
         block, width, words = self._locate(element)
-        bits, base = self.bits, block * BLOCK_BYTES
-        for w in words:
-            p = w % width
-            bits[base + (p >> 3)] |= 1 << (p & 7)
+        _set_bits(self.bits, block * BLOCK_BYTES, width, words)
         self.n_inserted += 1
         return block
+
+    def staged(self, elements: Iterable[bytes]) -> dict[int, bytearray]:
+        """The blocks the elements fall in, by index, each a copy with the
+        elements' bits set; this filter is left as it is."""
+        staged: dict[int, bytearray] = {}
+        for element in elements:
+            block, width, words = self._locate(element)
+            if block not in staged:
+                staged[block] = bytearray(self.block(block))
+            _set_bits(staged[block], 0, width, words)
+        return staged
 
     def verify(self, element: bytes) -> bool:
         """Whether every bit of the element is set. Each position is reduced
@@ -169,21 +181,9 @@ class BloomFilter:
         return True
 
     def block(self, i: int) -> memoryview:
-        """Block i's bytes, in place."""
+        """Block i's bytes, in place (writable)."""
         size = self.block_bytes
         return memoryview(self.bits)[i * size : (i + 1) * size]
-
-    def blocks_differing(self, other: "BloomFilter") -> list[int]:
-        """The blocks whose bytes differ from other's, a filter of the same
-        m and k. startswith compares each block in place (comparing two
-        memoryviews goes byte by byte, and slicing copies)."""
-        if (self.m, self.k) != (other.m, other.k):
-            raise UsageError("filters of different sizes have no common blocks")
-        size, mine, theirs = self.block_bytes, self.bits, memoryview(other.bits)
-        return [
-            i for i, at in enumerate(range(0, len(mine), size))
-            if not mine.startswith(theirs[at : at + size], at)
-        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):

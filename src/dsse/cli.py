@@ -12,7 +12,9 @@ import argparse
 import base64
 import json
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 
 from .bloom import BloomParams
@@ -262,9 +264,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     wire_server = WireServer(server, host, int(port))
     wire_server.start()
     actual = wire_server.address
-    print(f"serving {args.state_dir} on {actual[0]}:{actual[1]} (ctrl-c to stop)")
+    print(f"serving {args.state_dir} on {actual[0]}:{actual[1]} (ctrl-c to stop)", flush=True)
+    # SIGTERM stops the listener and saves, as ctrl-c does
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        import threading
         threading.Event().wait()
     except KeyboardInterrupt:
         pass

@@ -4,7 +4,6 @@ result-verification procedure both the owner and authorized users run.
 
 from __future__ import annotations
 
-import copy
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -58,31 +57,44 @@ class FilterTags:
         self._agg = 0
         self.retag(range(bf.n_blocks))
 
+    def _tag(self, i: int, block: bytes | memoryview) -> int:
+        return int.from_bytes(
+            mac_generate(self._k_block, _BLOCK_INPUT.pack(TAG_BLOCK, i), block), "big"
+        )
+
     def retag(self, blocks: Iterable[int]) -> None:
         """Bring the tags of these blocks of self.bf up to date."""
         bf, tags, agg = self.bf, self._tags, self._agg
         for i in blocks:
-            tag = mac_generate(self._k_block, _BLOCK_INPUT.pack(TAG_BLOCK, i), bf.block(i))
-            new = int.from_bytes(tag, "big")
+            new = self._tag(i, bf.block(i))
             agg ^= tags[i] ^ new
             tags[i] = new
         self._agg = agg
 
-    def moved_to(self, bf: BloomFilter) -> "FilterTags":
-        """The tags of bf, a filter of the same m and k as self.bf: a copy
-        of these, re-tagged where the two filters' blocks differ."""
-        moved = copy.copy(self)
-        moved.bf, moved._tags = bf, self._tags.copy()
-        moved.retag(bf.blocks_differing(self.bf))
-        return moved
-
-    @property
-    def agg(self) -> bytes:
-        return self._agg.to_bytes(LAMBDA, "big")
+    def add_checked(self, elements: Iterable[bytes], sigma: bytes, t: int) -> bool:
+        """Add the elements to self.bf if the filter that makes is the one
+        sigma covers at t, and return whether it was. The blocks they fall
+        in are staged as copies and tagged, and only once sigma matches are
+        they and their tags written, so a refused add changes nothing."""
+        staged = self.bf.staged(elements)
+        new = {i: self._tag(i, block) for i, block in staged.items()}
+        tags, agg = self._tags, self._agg
+        for i, tag in new.items():
+            agg ^= tags[i] ^ tag
+        if self._sigma(agg, t) != sigma:
+            return False
+        for i, block in staged.items():
+            self.bf.block(i)[:] = block
+            tags[i] = new[i]
+        self._agg = agg
+        return True
 
     def sigma(self, t: int) -> bytes:
+        return self._sigma(self._agg, t)
+
+    def _sigma(self, agg: int, t: int) -> bytes:
         bf = self.bf
-        return filter_mac(self._k_filter, bf.m, bf.k, self.agg, t)
+        return filter_mac(self._k_filter, bf.m, bf.k, agg.to_bytes(LAMBDA, "big"), t)
 
 
 def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str) -> bytes:

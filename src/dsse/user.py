@@ -3,13 +3,12 @@ server's published Bloom filter, build search tokens and search without
 contacting the owner, and verify results client-side.
 
 The filter is untrusted until its MAC and timestamp check out, so token
-generation refuses to probe an unverified filter. The client hands on the
-filter parsed, and the user keeps the triple it accepted with that
-filter's block tags (protocol.FilterTags). An unchanged filter is checked
-once, and the users of one client share one filter object. A new filter of
-the same size, such as the client's copy with a delta added, is compared
-with the accepted one block by block, and only the blocks that differ are
-tagged again; any other filter has every block tagged.
+generation refuses to probe an unverified filter. Each user holds the
+filter it verified last, with its block tags (protocol.FilterTags) and its
+(t, sigma), and names that version when it fetches. A whole filter is
+tagged block by block; a delta's taus are staged into copies of the blocks
+they fall in, and only those are tagged again and, once sigma matches,
+written. A refused update leaves the held filter as it was.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .errors import (
     CounterBoundError,
     FormatError,
     NotFoundError,
+    ProtocolError,
     StaleFilterError,
     TamperedFilterError,
 )
@@ -64,7 +64,7 @@ class ProbeStats:
 class AuthorizedUser(Persistent):
     """Holds a copy of the owner's keys plus the current group key.
 
-    One thread uses a user at a time: the probe stats and the accepted
+    One thread uses a user at a time: the probe stats and the token-time
     filter belong to its latest gen_token call.
     """
 
@@ -75,12 +75,16 @@ class AuthorizedUser(Persistent):
     epoch: int = 1
     freshness_window: ClassVar[int] = FRESHNESS_WINDOW  # the protocol's, not per user
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
-    # the last (filter, sigma, t) triple that passed its MAC, as handed over,
-    # and the block tags of its filter
-    _accepted: tuple[BloomFilter, bytes, int] | None = field(
+    # (sigma, t) of the filter the last gen_token accepted; None after a refusal
+    token_filter: tuple[bytes, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # the filter that last passed its MAC, held through its block tags, and
+    # its (t, sigma)
     _tags: FilterTags | None = field(default=None, init=False, repr=False, compare=False)
+    _version: tuple[int, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_owner(cls, owner: DataOwner) -> "AuthorizedUser":
@@ -166,41 +170,48 @@ class AuthorizedUser(Persistent):
 
     def gen_token(
         self,
-        bloom_triple: tuple[BloomFilter, bytes, int],
+        answer: tuple[bytes | list[bytes] | None, bytes, int],
         keyword: str,
         now: int,
     ) -> tuple[SearchTokenEnvelope, int]:
-        """Check the fetched filter, guess the counter, wrap the token.
+        """Apply the server's filter answer, guess the counter, wrap the token.
 
-        Returns (envelope, guessed counter); the counter feeds the later
-        result verification. The MAC gate runs before any probing: a
-        tampered filter aborts immediately, and the accepted filter and its
-        tags are dropped. A triple equal to the last accepted one skips the
-        MAC; freshness is checked on every call. The accepted filter is the
-        token-time filter that verify() checks against; it must not be
-        mutated once handed over.
+        answer is (update, sigma, t) as Client.get_bloom returns it. Returns
+        (envelope, guessed counter); the counter feeds the later result
+        verification. The MAC gate runs before any probing: an update that
+        fails it aborts here, leaves the held filter as it was and no
+        token-time filter. Freshness is checked on every call.
         """
-        bf, sigma, t = bloom_triple
-        if bloom_triple != self._accepted:  # the held filter object: no bit compare
-            held, self._accepted, self._tags = self._tags, None, None
-            if held is not None and (held.bf.m, held.bf.k) == (bf.m, bf.k):
-                tags = held.moved_to(bf)
-            else:
-                tags = FilterTags(self.k_mac, bf)
-            if tags.sigma(t) != sigma:
-                raise TamperedFilterError("published filter fails its MAC")
-            self._accepted, self._tags = bloom_triple, tags
+        self._apply(*answer)
+        t = self._version[0]
         if not self._fresh(t, now):
             raise StaleFilterError(f"filter timestamp {t} too old at {now}")
-        cnt = self.guess_counter(bf, keyword)
+        cnt = self.guess_counter(self._tags.bf, keyword)
         if cnt is None:
             raise NotFoundError(f"keyword has no entries: {keyword!r}")
         return self.token_for_counter(keyword, cnt), cnt
 
-    @property
-    def token_filter(self) -> tuple[bytes, int] | None:
-        """(sigma, t) of the filter the last gen_token accepted, if any."""
-        return None if self._accepted is None else self._accepted[1:]
+    def _apply(self, update: bytes | list[bytes] | None, sigma: bytes, t: int) -> None:
+        """Bring the held filter to the answer. An answer that is not an
+        update of the held version raises ProtocolError and changes
+        nothing; a delta on another version than the one held fails the
+        MAC like any forgery."""
+        if update is None:
+            if (t, sigma) != self._version:
+                raise ProtocolError("unchanged answer for a filter this user does not hold")
+        elif isinstance(update, list):
+            if self._tags is None:
+                raise ProtocolError("filter delta sent to a user holding no filter")
+            self.token_filter = None
+            if not self._tags.add_checked(update, sigma, t):
+                raise TamperedFilterError("published filter fails its MAC")
+        else:
+            self.token_filter = None
+            tags = FilterTags(self.k_mac, BloomFilter.deserialize(update))
+            if tags.sigma(t) != sigma:
+                raise TamperedFilterError("published filter fails its MAC")
+            self._tags = tags
+        self._version, self.token_filter = (t, sigma), (sigma, t)
 
     def _fresh(self, t: int, now: int) -> bool:
         return 0 <= now - t <= FRESHNESS_WINDOW
@@ -214,18 +225,12 @@ class AuthorizedUser(Persistent):
     def query(
         self, client: Client, keyword: str, now: int
     ) -> tuple[list[bytes], list[bytes], bytes, int]:
-        """Fetch the filter, guess the counter, search once at it: (ids,
-        ciphertexts, gamma, counter). The filter has no false negatives, so
-        the guess is never below the attested counter; a NotFoundError there
-        is raised, since an answer from lower down could hide new files.
-        A filter refused as tampered is dropped from the client, so the
-        next fetch is whole rather than a delta on top of it."""
-        bloom = client.get_bloom()
-        try:
-            envelope, cnt = self.gen_token(bloom, keyword, now)
-        except TamperedFilterError:
-            client.drop_bloom(bloom)
-            raise
+        """Fetch the filter since the version this user holds, guess the
+        counter, search once at it: (ids, ciphertexts, gamma, counter). The
+        filter has no false negatives, so the guess is never below the
+        attested counter; a NotFoundError there is raised, since an answer
+        from lower down could hide new files."""
+        envelope, cnt = self.gen_token(client.get_bloom(self._version), keyword, now)
         return (*client.search(envelope), cnt)
 
     # ------------------------------------------------------------------

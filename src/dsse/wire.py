@@ -28,9 +28,9 @@ raw-deflated), since a refreshed filter holds only digit embeddings and is
 nearly all zero bytes; the server unpacks it, bounded by the size of the
 filter it replaces. Every other filter on the wire is raw.
 
-A GET_BLOOM request carries the (t, sigma) of the copy the client holds, if
-any; when the server would serve the same pair it answers NOT_MODIFIED and
-the filter does not cross the wire.
+A GET_BLOOM request carries the (t, sigma) of the filter the caller holds,
+if any; when the server would serve the same pair it answers NOT_MODIFIED
+and the filter does not cross the wire.
 
 Responses open with a 1-byte status code. Every status but OK is followed by
 a message string (empty for NOT_MODIFIED), whatever the kind. A request the
@@ -43,10 +43,9 @@ kind ADD when that byte names no request. OK bodies:
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
-named. The client adds them to a copy of the parsed filter it named (a
-whole filter is parsed once, where it is fetched) and hands on the
-BloomFilter, which the user checks like any other: against the filter it
-accepted last, it tags again only the blocks that differ.
+named. The client hands every answer on as it is; the user that named the
+version adds the taus to the filter it holds (AuthorizedUser.gen_token),
+tagging again only the blocks they fall in.
 
 The raw filter bytes and 8-byte timestamps on the wire are exactly what
 the filter MAC covers, and a packed filter unpacks to exactly those bytes,
@@ -66,7 +65,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from .bloom import BloomFilter
 from .crypto import LAMBDA
 from .encoding import Reader, put_bytes, put_str, put_u8, put_u32, put_u64
 from .errors import (
@@ -120,6 +118,8 @@ _ERRORS: dict[int, type[DsseError]] = {
 MAX_FRAME = 256 * 1024 * 1024
 
 _log = logging.getLogger(__name__)
+
+_LAST_ANSWERED = object()  # Client.get_bloom's default version
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,7 @@ class Client:
 
     def __init__(self, transport: InProcessTransport | SocketTransport):
         self.transport = transport
-        self._bloom: tuple[BloomFilter, bytes, int] | None = None
+        self._last_answered: tuple[int, bytes] | None = None
 
     @classmethod
     def in_process(cls, server: CloudServer) -> "Client":
@@ -499,39 +499,20 @@ class Client:
     ) -> tuple[list[bytes], list[bytes], bytes | None]:
         return self._call(envelope)
 
-    def get_bloom(self) -> tuple[BloomFilter, bytes, int]:
-        """The server's (filter, sigma, t) triple, the filter parsed.
-
-        The last triple fetched is kept and its (t, sigma) sent as the
-        request's condition. On NOT_MODIFIED that same triple is returned,
-        and a delta is added to a copy of that same filter, not of whatever
-        another thread sharing this client holds by then. A returned filter
-        is never mutated afterwards; one that does not parse raises
-        FormatError and is not held. The result is unchecked: the user
-        MAC-checks it, and a caller that refuses it passes it to drop_bloom.
-        """
-        held = self._bloom
-        answer = self._call(GetBloom(None if held is None else (held[2], held[1])))
-        if answer is None:
-            return held
-        update, sigma, t = answer
-        if isinstance(update, list):
-            if held is None:
-                raise ProtocolError("filter delta sent to a client holding no filter")
-            bf = held[0].copy()
-            for tau in update:
-                bf.add(tau)
-        else:
-            bf = BloomFilter.deserialize(update)
-        self._bloom = triple = (bf, sigma, t)
-        return triple
-
-    def drop_bloom(self, triple: tuple[BloomFilter, bytes, int]) -> None:
-        """Forget a triple get_bloom returned, if it is still the one held,
-        so no later request names it: the next get_bloom fetches the whole
-        filter instead of a delta on top of a copy the user refused."""
-        if self._bloom is triple:
-            self._bloom = None
+    def get_bloom(
+        self, since: tuple[int, bytes] | None | object = _LAST_ANSWERED
+    ) -> tuple[bytes | list[bytes] | None, bytes, int]:
+        """The server's answer (update, sigma, t) as it is, unchecked: update
+        is the serialized filter, the taus added since, or None when since
+        is current. since is the (t, sigma) of the filter the caller holds,
+        None for none; it defaults to the version this client was last
+        answered, which is right only for a caller that accepts every
+        answer. The user names its own version (AuthorizedUser.query)."""
+        if since is _LAST_ANSWERED:
+            since = self._last_answered
+        update, sigma, t = self._call(GetBloom(since)) or (None, since[1], since[0])
+        self._last_answered = t, sigma
+        return update, sigma, t
 
     def close(self) -> None:
         self.transport.close()

@@ -285,7 +285,7 @@ def test_criterion_6_verifiability_detection():
     flipped_bf = bytearray(bf_bytes)
     flipped_bf[10] ^= 0x02
     try:
-        user.gen_token((BloomFilter.deserialize(bytes(flipped_bf)), sigma, ts), "w", t)
+        user.gen_token((bytes(flipped_bf), sigma, ts), "w", t)
         flip_refused = False
     except TamperedFilterError:
         flip_refused = True

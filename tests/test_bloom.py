@@ -106,14 +106,17 @@ def test_each_element_sets_bits_in_one_block():
     assert len(touched) > 1
 
 
-def test_blocks_differing():
+def test_staged_blocks_are_copies_with_the_elements_added():
     bf = BloomFilter(BloomParams(0.01, 50_000))
-    other = bf.copy()
-    assert bf.blocks_differing(other) == []
-    blocks = {other.add(bytes([i]) * 16) for i in range(5)}
-    assert bf.blocks_differing(other) == sorted(blocks)
-    with pytest.raises(UsageError):
-        bf.blocks_differing(BloomFilter(BloomParams(0.01, 10)))
+    bf.add(b"\x09" * 16)
+    before = bytes(bf.bits)
+    elements = [bytes([i]) * 16 for i in range(5)]
+    staged = bf.staged(elements)
+    assert bytes(bf.bits) == before
+    added = BloomFilter.deserialize(bf.serialize())
+    assert set(staged) == {added.add(e) for e in elements}
+    assert all(staged[i] == added.block(i) for i in staged)
+    assert bf.staged([]) == {}
 
 
 def test_fresh_filter_rejects_everything():
@@ -247,7 +250,7 @@ def test_pack_round_trip_and_deterministic(case):
     packed = bf.pack()
     assert BloomFilter.unpack(packed) == bf
     assert BloomFilter.unpack(packed, like=bf) == bf
-    assert bf.copy().pack() == packed == bf.pack()
+    assert BloomFilter.deserialize(bf.serialize()).pack() == packed == bf.pack()
     # a raw deflate of the serialization, which any inflater reads back
     assert zlib.decompress(packed, wbits=-15) == bf.serialize()
 

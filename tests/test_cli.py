@@ -1,5 +1,11 @@
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+
+import dsse
 
 from dsse.bloom import BloomFilter
 from dsse.cli import main
@@ -236,3 +242,29 @@ def test_connect_flag_against_live_server(tmp_path, capsys):
         assert code == 0 and "results for" in out
     finally:
         ws.stop()
+
+
+def test_serve_saves_the_uploads_on_sigterm(tmp_path, capsys):
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--capacity", "2000"], capsys)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dsse.__file__)))
+    serve = subprocess.Popen(
+        [sys.executable, "-u", "-m", "dsse.cli", "--state-dir", st,
+         "serve", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        address = re.search(r" on (\S+) ", serve.stdout.readline()).group(1)
+        code, out, _ = run(["--state-dir", st, "ingest", "--n", "3", "--connect", address], capsys)
+        assert code == 0 and "ingested 3 files" in out
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=60) == 0
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait()
+        serve.stdout.close()
+    owner = DataOwner.load(os.path.join(st, "owner.bin"))
+    keyword = max(owner.tbl, key=lambda w: owner.tbl[w].cnt)
+    code, out, _ = run(["--state-dir", st, "search", "--as", "owner", "--keyword", keyword], capsys)
+    assert code == 0 and f"{owner.tbl[keyword].cnt} results" in out

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dsse.bloom import BloomFilter
 from dsse.crypto import LAMBDA, chain_label
 from dsse.errors import NotFoundError
 from dsse.harness import bench
@@ -132,7 +133,7 @@ def test_full_corpus_guess_after_refresh():
         for phi in synthesize_stream(32, 100, start_time=system.now + 600):
             system.add_phi(phi)
         user = system.users[0]
-        bf = system.client.get_bloom()[0]
+        bf = BloomFilter.deserialize(system.client.get_bloom()[0])
         import random
 
         for w in random.Random(33).sample(system.oracle.keywords(), 300):
@@ -142,7 +143,7 @@ def test_full_corpus_guess_after_refresh():
 
 
 def test_concurrent_queries_all_verify():
-    # threads share one Client, and with it its cached filter
+    # threads share one Client; each user fetches against the filter it holds
     for transport in ("inprocess", "socket"):
         report = run_scenario(
             ScenarioConfig(mode="full", n_files=150, n_queries=40, seed=8,

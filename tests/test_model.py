@@ -1,0 +1,146 @@
+"""Stateful model test of the three roles: random interleavings of uploads,
+refreshes, user and owner queries, filter adversaries, clock jumps and
+snapshot round trips, checked after every step against the plaintext
+oracle. One owner, one AdversarialServer, two users on one in-process
+client: the users share the client but each holds the filter it verified.
+"""
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+
+from dsse.bloom import BloomParams
+from dsse.errors import DsseError, NotFoundError, StaleFilterError, TamperedFilterError
+from dsse.harness.oracle import PlaintextOracle
+from dsse.harness.scenario import AdversarialServer
+from dsse.owner import DataOwner
+from dsse.protocol import FRESHNESS_WINDOW, FULL
+from dsse.user import AuthorizedUser
+from dsse.wire import Client
+
+NOW = 1_700_000_000
+PARAMS = BloomParams(2.0**-30, 3_000)  # two 8 KB blocks: a delta may touch one
+KEYWORDS = ("hr:60", "hr:61", "spo2:97", "spo2:98", "temp:37")
+FILTER_ADVERSARIES = ("flip_bloom_bit", "stale_bloom")
+
+
+def held_state(user: AuthorizedUser):
+    tags = user._tags
+    return tags and (tags.bf.serialize(), tags._agg, user._version)
+
+
+class ThreeRoles(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.owner = DataOwner.generate(FULL, PARAMS)
+        self._serve(AdversarialServer(FULL, PARAMS, group_key=self.owner.keys.r))
+        self.users = [AuthorizedUser.from_owner(self.owner) for _ in range(2)]
+        self.oracle = PlaintextOracle()
+        self.now = NOW
+        self.uploaded_at: dict[bytes, int] = {}
+        self.armed = False
+
+    def _serve(self, server: AdversarialServer) -> None:
+        self.server = server
+        self.client = Client.in_process(server)
+
+    @initialize()
+    def both_users_hold_a_filter(self):
+        self.upload(set(KEYWORDS))
+        for i in range(len(self.users)):
+            self.user_query(i, KEYWORDS[0])
+
+    # -- owner actions --------------------------------------------------
+
+    @rule(keywords=st.sets(st.sampled_from(KEYWORDS), min_size=1))
+    def upload(self, keywords):
+        self.now += 600
+        payload = self.owner.add_file(f"f{self.now}".encode(), sorted(keywords), self.now)
+        self.client.add(payload)
+        self.oracle.add(payload.file_id, keywords)
+        self.uploaded_at[payload.file_id] = self.now
+
+    @rule()
+    def refresh(self):
+        self.now += 600
+        self.client.refresh(self.owner.refresh_bloom(self.now))
+
+    @rule()
+    def advance_past_the_freshness_window(self):
+        self.now += FRESHNESS_WINDOW + 1
+
+    # -- the adversary --------------------------------------------------
+
+    @rule(behavior=st.sampled_from(("honest", *FILTER_ADVERSARIES)))
+    def arm_or_disarm(self, behavior):
+        self.server.set_adversary(behavior)
+        self.armed = behavior != "honest"
+
+    # -- queries ----------------------------------------------------------
+
+    @rule(i=st.sampled_from((0, 1)), keyword=st.sampled_from(KEYWORDS))
+    def user_query(self, i, keyword):
+        user = self.users[i]
+        expected = self.oracle.ids_newest_first(keyword)
+        fresh = self.now - self.server.t <= FRESHNESS_WINDOW
+        held = held_state(user)
+        try:
+            ids, cts, gamma, cnt = user.query(self.client, keyword, self.now)
+        except TamperedFilterError:
+            # a refused update leaves the held filter, its tags and version
+            assert self.armed and held_state(user) == held
+            return
+        except NotFoundError:
+            assert self.armed or not expected
+            return
+        except StaleFilterError:
+            assert self.armed or not fresh
+            return
+        except DsseError as exc:
+            assert self.armed, repr(exc)
+            return
+        verified = user.verify(keyword, cnt, ids, cts, gamma, self.now).ok
+        if self.armed:
+            # a stale filter still inside the freshness window is accepted by
+            # design: what verifies is the answer as of that filter's time
+            t = user.token_filter[1]
+            assert not verified or ids == [i for i in expected if self.uploaded_at[i] <= t]
+            return
+        assert fresh and verified and ids == expected
+        assert user._tags.bf.serialize() == self.server.bf.serialize()
+
+    @rule(keyword=st.sampled_from(KEYWORDS))
+    def owner_query(self, keyword):
+        expected = self.oracle.ids_newest_first(keyword)
+        if not expected:
+            return
+        ids, cts, gamma = self.client.search(self.owner.gen_token(keyword))
+        assert ids == expected
+        assert self.owner.verify(keyword, ids, cts, gamma, self.now).ok
+
+    # -- persistence ------------------------------------------------------
+
+    @rule()
+    def snapshot_and_restore(self):
+        """Restored roles replace the live ones; a restored server serves
+        honestly and has no delta log, and a restored user holds no filter."""
+        owner_blob, server_blob = self.owner.snapshot(), self.server.snapshot()
+        self.owner = DataOwner.restore(owner_blob)
+        self._serve(AdversarialServer.restore(server_blob))
+        user_blobs = [user.snapshot() for user in self.users]
+        self.users = [AuthorizedUser.restore(blob) for blob in user_blobs]
+        assert self.owner.snapshot() == owner_blob
+        assert self.server.snapshot() == server_blob
+        assert [user.snapshot() for user in self.users] == user_blobs
+        self.armed = False
+
+
+ThreeRoles.TestCase.settings = settings(
+    max_examples=100,
+    stateful_step_count=25,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_three_roles = ThreeRoles.TestCase

@@ -121,7 +121,7 @@ def test_incremental_sigma_matches_tagging_every_block():
     assert owner.bf.n_blocks == 4
 
     def from_scratch(t):
-        return FilterTags(owner.keys.k_mac, owner.bf.copy()).sigma(t)
+        return FilterTags(owner.keys.k_mac, owner.bf).sigma(t)
 
     for i in range(30):
         payload = owner.add_file(f"f{i}".encode(), [f"a:{i % 5}", f"b:{i}"], NOW + i)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from dsse.errors import (
     DecryptionError,
     FormatError,
     NotFoundError,
+    ProtocolError,
     StaleFilterError,
     TamperedFilterError,
 )
@@ -40,10 +42,9 @@ def build_system(counter: int, keyword: str = "w", refresh_at: int | None = None
     return owner, server, t
 
 
-def fetch(server) -> tuple[BloomFilter, bytes, int]:
-    """The server's filter triple, parsed as Client.get_bloom hands it on."""
-    bf_bytes, sigma, t = server.get_bloom()
-    return BloomFilter.deserialize(bf_bytes), sigma, t
+def fetch(server) -> tuple[bytes, bytes, int]:
+    """The server's whole filter answer, as Client.get_bloom hands it on."""
+    return server.get_bloom()
 
 
 def probe_budget(distance: int, digit_rounds: int) -> int:
@@ -143,69 +144,75 @@ def test_gen_token_rejects_tampered_filter():
     bad = bytearray(bf_bytes)
     bad[9] ^= 0x40
     with pytest.raises(TamperedFilterError):
-        user.gen_token((BloomFilter.deserialize(bytes(bad)), sigma, ts), "w", t)
+        user.gen_token((bytes(bad), sigma, ts), "w", t)
     # and a wrong sigma with intact bytes
     with pytest.raises(TamperedFilterError):
-        user.gen_token((BloomFilter.deserialize(bf_bytes), b"\x00" * 16, ts), "w", t)
+        user.gen_token((bf_bytes, b"\x00" * 16, ts), "w", t)
+
+
+def changed_blocks(before: bytes, bf: BloomFilter) -> list[int]:
+    """The blocks of bf whose bytes differ from those of the bit bytes before."""
+    size = bf.block_bytes
+    return [i for i in range(bf.n_blocks) if bf.block(i) != before[i * size : (i + 1) * size]]
 
 
 def test_retagged_filter_matches_tagging_every_block(monkeypatch):
-    # a user holding an accepted filter tags again only the blocks in which
-    # a new filter of its size differs, and lands on the agg and sigma that
-    # tagging every block gives
+    # a user holding an accepted filter tags again only the blocks a delta
+    # changed, and lands on the agg and sigma that tagging every block gives
     owner, server, t = build_system(3)
     client = Client.in_process(server)
     user = AuthorizedUser.from_owner(owner)
     tagged = []
-    retag = FilterTags.retag
-
-    def counting_retag(self, blocks):
-        blocks = list(blocks)
-        tagged.append(len(blocks))
-        retag(self, blocks)
-
-    monkeypatch.setattr(FilterTags, "retag", counting_retag)
-    first = client.get_bloom()
-    user.gen_token(first, "w", t)
-    assert tagged == [first[0].n_blocks] == [34]
+    tag = FilterTags._tag
+    monkeypatch.setattr(
+        FilterTags, "_tag", lambda self, i, block: tagged.append(i) or tag(self, i, block)
+    )
+    user.gen_token(client.get_bloom(), "w", t)
+    bf = user._tags.bf
+    assert len(tagged) == bf.n_blocks == 34
     for i in range(3):
         server.add(owner.add_file(f"late{i}".encode(), ["w", f"x:{i}", f"y:{i}"], t))
-        held = user._accepted[0]
-        bf, sigma, ts = client.get_bloom()
+        before = bytes(bf.bits)
         tagged.clear()
-        assert user.gen_token((bf, sigma, ts), "w", t)[1] == 4 + i
-        assert tagged == [len(bf.blocks_differing(held))]
-        assert 1 <= tagged[0] <= 3
-        assert user._tags.agg == FilterTags(owner.keys.k_mac, bf.copy()).agg
+        assert user.gen_token(client.get_bloom(), "w", t)[1] == 4 + i
+        assert user._tags.bf is bf and bf == server.bf
+        assert sorted(tagged) == changed_blocks(before, bf)
+        assert 1 <= len(tagged) <= 3
+        assert user._tags._agg == FilterTags(owner.keys.k_mac, bf)._agg
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["fresh_user", "holding_user"])
 @pytest.mark.parametrize("forgery", ["swap_blocks", "roll_back_block", "flip_last_block"])
 def test_block_forgeries_refused(held, forgery):
     # each keeps the honest sigma; block tags carry their index, and agg
-    # covers every block, so none passes whether the user tags every block
-    # or only those that differ from the filter it holds
+    # covers every block, so none passes, and a user holding an accepted
+    # filter keeps it
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
     old = fetch(server)
     if held:
         user.gen_token(old, "w", t)
     server.add(owner.add_file(b"late", ["w", "x:1"], t))
-    bf, sigma, ts = fetch(server)
+    bf_bytes, sigma, ts = fetch(server)
+    bf = BloomFilter.deserialize(bf_bytes)
     size = bf.block_bytes
-    i = bf.blocks_differing(old[0])[0]  # a block the upload changed
+    old_bits = old[0][8:]  # after the m and k header
+    i = changed_blocks(old_bits, bf)[0]  # a block the upload changed
     if forgery == "swap_blocks":
         j = next(j for j in range(bf.n_blocks) if bf.block(j) != bf.block(i))
         block_i, block_j = bytes(bf.block(i)), bytes(bf.block(j))
         bf.bits[i * size : (i + 1) * size] = block_j
         bf.bits[j * size : (j + 1) * size] = block_i
     elif forgery == "roll_back_block":
-        bf.bits[i * size : (i + 1) * size] = old[0].block(i)
+        bf.bits[i * size : (i + 1) * size] = old_bits[i * size : (i + 1) * size]
     else:
         bf.bits[-1] ^= 0x80
     with pytest.raises(TamperedFilterError):
-        user.gen_token((bf, sigma, ts), "w", t)
+        user.gen_token((bf.serialize(), sigma, ts), "w", t)
     assert user.token_filter is None
+    if held:
+        assert user._tags.bf.serialize() == old[0]
+        assert user.gen_token((None, *old[1:]), "w", t)[1] == 3
 
 
 def test_refused_filter_leaves_no_token_time_filter():
@@ -392,12 +399,13 @@ def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
     monkeypatch.setattr(
         protocol, "filter_mac", lambda *a: macs.append(1) or real_mac(*a)
     )
-    triple = fetch(server)
-    assert user.gen_token(triple, "w", t)[1] == 3
-    assert user.gen_token(fetch(server), "w", t)[1] == 3  # equal bytes
+    _, sigma, ts = fetch(server)
+    assert user.gen_token(fetch(server), "w", t)[1] == 3
+    unchanged = None, sigma, ts
+    assert user.gen_token(unchanged, "w", t)[1] == 3
     assert len(macs) == 1
     with pytest.raises(StaleFilterError):
-        user.gen_token(triple, "w", t + FRESHNESS_WINDOW + 1)
+        user.gen_token(unchanged, "w", t + FRESHNESS_WINDOW + 1)
     server.add(owner.add_file(b"f3", ["w"], t))
     assert len(macs) == 2  # the owner's
     assert user.gen_token(fetch(server), "w", t)[1] == 4
@@ -406,23 +414,105 @@ def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
 
 @pytest.mark.parametrize("behavior", ["stale_bloom", "flip_bloom_bit"])
 def test_filter_adversaries_refused_with_client_cache(behavior):
-    # the client holds an honest filter before the adversary is armed; every
-    # later fetch, conditional ones answered NOT_MODIFIED included, is refused
+    # the user holds an honest filter before the adversary is armed; every
+    # later fetch, a stale one answered NOT_MODIFIED included, is refused
     owner, server, t = build_system(3)
     client = Client.in_process(server)
     user = AuthorizedUser.from_owner(owner)
-    user.gen_token(client.get_bloom(), "w", t)
+    user.query(client, "w", t)
     server.set_adversary(behavior)
     for i in range(3):  # past the freshness window
         server.add(owner.add_file(f"late{i}".encode(), ["w"], t + i * 600))
     now = t + 2 * 600
     expected = StaleFilterError if behavior == "stale_bloom" else TamperedFilterError
-    served = client.get_bloom()
-    with pytest.raises(expected):
-        user.gen_token(served, "w", now)
-    assert client.get_bloom() is served  # answered NOT_MODIFIED
-    with pytest.raises(expected):
-        user.gen_token(served, "w", now)
+    held = user._tags.bf.serialize()
+    for _ in range(2):
+        with pytest.raises(expected):
+            user.query(client, "w", now)
+    assert user._tags.bf.serialize() == held
+
+
+def held_state(user: AuthorizedUser):
+    """What a refused update must leave as it was."""
+    return user._tags.bf.serialize(), user._tags._agg, user._version
+
+
+def test_a_refused_delta_leaves_the_held_filter_and_the_next_fetch_is_a_delta():
+    owner, server, t = build_system(3)
+    client = Client.in_process(server)
+    user = AuthorizedUser.from_owner(owner)
+    user.query(client, "w", t)
+    held = held_state(user)
+    server.add(owner.add_file(b"f3", ["w", "x:1"], t))
+    server.set_adversary("flip_bloom_bit")
+    with pytest.raises(TamperedFilterError):
+        user.query(client, "w", t)
+    assert held_state(user) == held and user.token_filter is None
+    assert server.filters_served == {"full": 1, "delta": 1}
+    server.set_adversary("honest")
+    ids, _, _, cnt = user.query(client, "w", t)
+    assert len(ids) == cnt == 4
+    assert server.filters_served == {"full": 1, "delta": 2}
+    assert user._tags.bf == server.bf and user.token_filter == (server.sigma, t)
+
+
+def test_an_answer_on_a_version_the_user_does_not_hold_raises_protocol_error():
+    owner, server, t = build_system(3)
+    user = AuthorizedUser.from_owner(owner)
+    bf_bytes, sigma, ts = fetch(server)
+    delta = [crypto.chain_label(owner.keys.k_prf, "w", 4)], sigma, ts
+    with pytest.raises(ProtocolError, match="holding no filter"):
+        user.gen_token(delta, "w", t)
+    with pytest.raises(ProtocolError, match="does not hold"):
+        user.gen_token((None, sigma, ts), "w", t)
+    assert user._tags is user._version is user.token_filter is None
+    user.gen_token((bf_bytes, sigma, ts), "w", t)
+    held = held_state(user)
+    for other in ((None, sigma, ts - 600), (None, b"\x00" * 16, ts)):
+        with pytest.raises(ProtocolError, match="does not hold"):
+            user.gen_token(other, "w", t)
+        assert held_state(user) == held and user.token_filter == (sigma, ts)
+
+
+def test_accepting_a_delta_tags_the_blocks_its_taus_fall_in(monkeypatch):
+    owner, server, t = build_system(3)
+    user = AuthorizedUser.from_owner(owner)
+    user.gen_token(fetch(server), "w", t)
+    version = user._version
+    payload = owner.add_file(b"f3", ["w", "x:1", "y:1", "z:1"], t)
+    server.add(payload)
+    taus, sigma, ts = server.get_bloom(version)
+    assert len(taus) == 4
+    scratch = BloomFilter.deserialize(user._tags.bf.serialize())
+    blocks = {scratch.add(tau) for tau in taus}
+    tagged = []
+    tag = FilterTags._tag
+    monkeypatch.setattr(
+        FilterTags, "_tag", lambda self, i, block: tagged.append(i) or tag(self, i, block)
+    )
+    assert user.gen_token((taus, sigma, ts), "w", t)[1] == 4
+    assert sorted(tagged) == sorted(blocks)
+    monkeypatch.undo()
+    assert user._tags.bf == scratch == server.bf
+    assert user._tags._agg == FilterTags(owner.keys.k_mac, scratch)._agg
+
+
+def test_a_delta_fetch_and_gen_token_allocate_well_under_a_filter():
+    owner, server, t = build_system(3)
+    client = Client.in_process(server)
+    user = AuthorizedUser.from_owner(owner)
+    user.query(client, "w", t)
+    filter_len = len(server.bf.bits)
+    assert server.bf.n_blocks == 34
+    server.add(owner.add_file(b"f3", ["w", "x:1", "y:1"], t))
+    tracemalloc.start()
+    try:
+        user.gen_token(client.get_bloom(user._version), "w", t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert server.filters_served["delta"] == 1
+    assert peak < filter_len / 4, (peak, filter_len)
 
 
 def test_a_fetched_filter_is_parsed_once_and_a_delta_not_at_all(monkeypatch):
@@ -439,7 +529,7 @@ def test_a_fetched_filter_is_parsed_once_and_a_delta_not_at_all(monkeypatch):
         staticmethod(lambda data: calls.append("deserialize") or deserialize(data)),
     )
     assert user.gen_token(client.get_bloom(), "w", t)[1] == 3
-    assert calls == ["serialize", "deserialize"]  # the server's, then the client's
+    assert calls == ["serialize", "deserialize"]  # the server's, then the user's
     server.add(owner.add_file(b"f3", ["w"], t))
     calls.clear()
     assert user.gen_token(client.get_bloom(), "w", t)[1] == 4
@@ -447,7 +537,7 @@ def test_a_fetched_filter_is_parsed_once_and_a_delta_not_at_all(monkeypatch):
     assert calls == []
 
 
-def test_users_of_one_client_hold_its_filter_object():
+def test_each_user_of_one_client_fetches_against_its_own_version():
     owner, server, t = build_system(3)
     client = Client.in_process(server)
     users = [AuthorizedUser.from_owner(owner) for _ in range(4)]
@@ -456,9 +546,10 @@ def test_users_of_one_client_hold_its_filter_object():
     server.add(owner.add_file(b"f3", ["w"], t))
     for user in users:
         assert len(user.query(client, "w", t)[0]) == 4
-    assert server.filters_served == {"full": 1, "delta": 1, "not_modified": 6}
-    held = client.get_bloom()
-    assert all(user._accepted[0] is held[0] for user in users)
+    assert server.filters_served == {"full": 4, "delta": 4}
+    filters = [user._tags.bf for user in users]
+    assert len({id(bf) for bf in filters}) == 4
+    assert all(bf == server.bf for bf in filters)
 
 
 def test_revoked_user_cannot_search():

@@ -25,6 +25,7 @@ from dsse.harness.phi import synthesize_stream
 from dsse.owner import DataOwner
 from dsse.protocol import AddPayload, FilterTags, RefreshPayload, SearchTokenEnvelope
 from dsse.server import CloudServer
+from dsse.user import AuthorizedUser
 
 NOW = 1_700_000_000
 rng = random.Random(42)
@@ -390,56 +391,79 @@ def test_conditional_get_bloom():
     owner, server, oracle, last_t = build_system(10)
     client = wire.Client.in_process(server)
     first = client.get_bloom()
+    assert first == (server.bf.serialize(), server.sigma, last_t)
     held = (first[2], first[1])
     raw = client.transport.request(wire.encode(wire.GetBloom(held)))
     assert wire.decode(raw).code == wire.CODE_NOT_MODIFIED
     assert len(raw) == 7  # version, kind, status, empty message
-    assert client.get_bloom() is first  # the held copy, not a new fetch
+    # by default the version this client was last answered is named
+    assert client.get_bloom() == (None, first[1], last_t)
 
-    server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
-    after_add = client.get_bloom()
-    assert after_add[2] == last_t + 600 and after_add[1] != first[1]
-    assert sigma_of(owner, after_add[0], after_add[2]) == after_add[1]
-    assert client.get_bloom() is after_add
+    payload = owner.add_file(b"late", ["w:1"], last_t + 600)
+    server.add(payload)
+    taus, sigma, t = client.get_bloom()
+    assert taus == [tau for tau, _ in payload.entries]
+    assert t == last_t + 600 and sigma != first[1]
+    assert client.get_bloom() == (None, sigma, t)
+    assert client.get_bloom(held) == (taus, sigma, t)
+    assert client.get_bloom(None) == (server.bf.serialize(), sigma, t)
 
     server.refresh(owner.refresh_bloom(last_t + 601))
-    after_refresh = client.get_bloom()
-    assert after_refresh == (owner.bf, server.sigma, last_t + 601)
-    assert client.get_bloom() is after_refresh
+    assert client.get_bloom() == (owner.bf.serialize(), server.sigma, last_t + 601)
+    assert client.get_bloom() == (None, server.sigma, last_t + 601)
 
 
 def test_clients_one_and_three_uploads_behind_rebuild_the_filter():
     owner, server, oracle, last_t = build_system(10)
-    three_behind, one_behind = wire.Client.in_process(server), wire.Client.in_process(server)
-    three_behind.get_bloom()
+    keyword = oracle.keywords()[0]
+    three_behind, one_behind = (
+        (AuthorizedUser.from_owner(owner), wire.Client.in_process(server)) for _ in range(2)
+    )
+
+    def query(user, client):
+        user.query(client, keyword, server.t + 60)
+
+    query(*three_behind)
     for i in range(3):
         if i == 2:
-            one_behind.get_bloom()
+            query(*one_behind)
         server.add(owner.add_file(f"late{i}".encode(), ["w:1", f"x:{i}"], last_t + 600 * (i + 1)))
-    rebuilt = three_behind.get_bloom(), one_behind.get_bloom()
-    assert rebuilt[0] == rebuilt[1] == (server.bf, server.sigma, server.t)
-    assert sigma_of(owner, rebuilt[0][0], server.t) == server.sigma
+    query(*three_behind)
+    query(*one_behind)
+    rebuilt = three_behind[0]._tags.bf, one_behind[0]._tags.bf
+    assert rebuilt[0] == rebuilt[1] == server.bf
+    assert sigma_of(owner, rebuilt[0], server.t) == server.sigma
     assert server.filters_served == {"full": 2, "delta": 2}
     assert server.filter_bytes_served["delta"] == (3 + 1) * 2 * LAMBDA
 
 
 def test_delta_to_a_client_holding_no_filter_refused():
+    # the user on the client holds none, so there is nothing to add it to
     delta = wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x01" * LAMBDA], b"\x02" * 16, NOW))
+    user = AuthorizedUser(*(bytes(LAMBDA) for _ in range(4)))
     with pytest.raises(ProtocolError, match="holding no filter"):
-        wire.Client(CannedTransport(delta)).get_bloom()
+        user.query(wire.Client(CannedTransport(delta)), "w", NOW)
 
 
 def test_a_returned_filter_survives_a_later_delta():
+    # each user holds a filter of its own: a delta one user adds leaves the
+    # other's filter as it verified it, and that one catches up by a delta too
     owner, server, oracle, last_t = build_system(10)
     client = wire.Client.in_process(server)
-    first = client.get_bloom()
-    bits = bytes(first[0].bits)
+    keyword = oracle.keywords()[0]
+    first, second = users = [AuthorizedUser.from_owner(owner) for _ in range(2)]
+    for user in users:
+        user.query(client, keyword, last_t + 60)
+    bits = bytes(first._tags.bf.bits)
     server.add(owner.add_file(b"late", ["w:1"], last_t + 600))
-    second = client.get_bloom()
-    assert server.filters_served == {"full": 1, "delta": 1}
-    assert second[0] is not first[0] and second[0] == server.bf
-    assert bytes(first[0].bits) == bits
-    assert sigma_of(owner, first[0], first[2]) == first[1]
+    second.query(client, keyword, last_t + 660)
+    assert server.filters_served == {"full": 2, "delta": 1}
+    assert second._tags.bf == server.bf
+    assert bytes(first._tags.bf.bits) == bits
+    assert sigma_of(owner, first._tags.bf, last_t) == first.token_filter[0]
+    first.query(client, keyword, last_t + 660)
+    assert first._tags.bf == server.bf
+    assert server.filters_served == {"full": 2, "delta": 2}
 
 
 class RecordingTransport:
@@ -460,15 +484,21 @@ def test_an_unparseable_filter_is_refused_and_not_held():
     owner, server, oracle, last_t = build_system(10)
     transport = RecordingTransport(server)
     client = wire.Client(transport)
-    honest = client.get_bloom()
-    bf_bytes = bytearray(server.get_bloom()[0])
+    user = AuthorizedUser.from_owner(owner)
+    keyword = oracle.keywords()[0]
+    user.query(client, keyword, last_t + 60)
+    honest = server.bf.serialize()
+    bf_bytes = bytearray(honest)
     bf_bytes[4:8] = (0).to_bytes(4, "big")  # k = 0
     transport.reply = wire.Reply(wire.KIND_GET_BLOOM, value=(bytes(bf_bytes), b"\x01" * 16, NOW))
     with pytest.raises(FormatError, match="bloom header"):
-        client.get_bloom()
+        user.query(client, keyword, last_t + 60)
+    assert user.token_filter is None
     transport.reply = None
-    assert client.get_bloom() is honest  # answered NOT_MODIFIED
-    assert transport.requests[-1].since == (honest[2], honest[1])
+    user.query(client, keyword, last_t + 60)  # answered NOT_MODIFIED
+    assert transport.requests[-2].since == (last_t, server.sigma)
+    assert server.filters_served == {"full": 1, "not_modified": 1}
+    assert user._tags.bf.serialize() == honest
 
 
 def test_full_get_bloom_reply_copies_the_filter_once():
