@@ -264,13 +264,14 @@ class MergedStorageBench:
     stored_ids: int
     answered_ids: int
     snapshot_bytes: int
+    restore_ms: float
 
 
 def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
     """Server storage after `steps` uploads of one keyword, each followed
     by a search of it (basic mode): the ids its merged entries store, each
-    shared list counted once, the ids those entries answer with, and the
-    server snapshot size."""
+    shared list counted once, the ids those entries answer with, the
+    server snapshot size and the median time of five restores of it."""
     owner = DataOwner.generate(BASIC)
     server = CloudServer(BASIC)
     for i in range(steps):
@@ -278,11 +279,18 @@ def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
         server.search(owner.gen_token("recurring:1"))
     merged = [e for e in server.tbl.values() if isinstance(e, MergedEntry)]
     lists = {id(e.chain): e.chain for e in merged}
+    blob = server.snapshot()
+    samples = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        CloudServer.restore(blob)
+        samples.append(time.perf_counter() - t0)
     return MergedStorageBench(
         steps,
         sum(len(chain) for chain in lists.values()),
         sum(e.n for e in merged),
-        len(server.snapshot()),
+        len(blob),
+        _median_ms(samples),
     )
 
 
@@ -390,6 +398,7 @@ def run_bench(
                f"entries answer with {mb.answered_ids}")
     report.add("server_snapshot", float(mb.snapshot_bytes), None, "bytes",
                "after the same uploads and searches")
+    report.add("server_restore", mb.restore_ms, None, "ms", "restore of that snapshot")
     # one keyword chain: stored ids at most its distinct ids
     report.laws["stored_merged_ids_linear"] = mb.stored_ids <= mb.steps
     return report

@@ -39,7 +39,7 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV6"
+_SNAPSHOT_MAGIC = b"DSSESRV7"
 
 
 @dataclass(slots=True)
@@ -157,7 +157,15 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def add(self, payload: AddPayload) -> None:
+        """Store one upload. A payload whose file is already stored is
+        acknowledged without a change if it is a replay of that upload (an
+        owner retrying after a lost ack), and refused otherwise."""
         with self._lock:
+            stored = self.files.get(payload.file_id)
+            if stored is not None:
+                if stored == payload.ciphertext and self._holds(payload):
+                    return
+                raise ProtocolError("duplicate file id")
             if self.mode == FULL:
                 if payload.sigma is None or payload.t is None:
                     raise ProtocolError("full-mode payload missing sigma/timestamp")
@@ -176,8 +184,6 @@ class CloudServer(Persistent):
                     raise ProtocolError(
                         f"entry sized {len(tau)}/{len(mu)}, expected {LAMBDA}/{width}"
                     )
-            if payload.file_id in self.files:
-                raise ProtocolError("duplicate file id")
             for tau, mu in payload.entries:
                 self.tbl[tau] = ChainEntry(mu, payload.file_id)
                 if self.mode == FULL:
@@ -187,6 +193,19 @@ class CloudServer(Persistent):
                 self.sigma = payload.sigma
                 self.t = payload.t
                 self._log_upload([tau for tau, _ in payload.entries], (self.t, self.sigma))
+
+    def _holds(self, payload: AddPayload) -> bool:
+        """Whether every (tau, mu) of the payload is stored for its file: as
+        that chain entry, or as a merged entry whose newest id is the file
+        (a search merged it, and the mask is gone)."""
+
+        def stored(tau: bytes, mu: bytes) -> bool:
+            entry = self.tbl.get(tau)
+            if isinstance(entry, ChainEntry):
+                return entry.mu == mu and entry.file_id == payload.file_id
+            return entry is not None and entry.chain[entry.n - 1] == payload.file_id
+
+        return all(stored(tau, mu) for tau, mu in payload.entries)
 
     def refresh(self, payload: RefreshPayload) -> None:
         """Adopt the owner's rebuilt filter wholesale. It must be the size
@@ -328,16 +347,18 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESRV6, canonical: restore accepts no other encoding of the
+        """DSSESRV7, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
-        The mode flag, then [group key, epoch, sigma, t]; the shared id
-        lists; the entries; the files; [filter] ([..] only in full mode).
-        Each shared id list is written once, before the entries; a merged
-        entry names its list by number and its prefix length. Lists are
-        numbered in the order entries, in sorted-label order, first use
-        them. Keys, labels, masks and gammas are fixed-width; the filter
-        runs to the end."""
+        The mode flag, then [group key, epoch, sigma, t]; the files; the
+        shared id lists; the entries; [filter] ([..] only in full mode).
+        The file table comes first, ids ascending, and names each file id
+        once: id lists and chain entries name a file by its u32 place in
+        that table. Each shared id list is written once, before the
+        entries; a merged entry names its list by number and its prefix
+        length. Lists are numbered in the order entries, in sorted-label
+        order, first use them. Keys, labels, masks and gammas are
+        fixed-width; the filter runs to the end."""
         with self._lock:
             full = self.mode == FULL
             buf = bytearray(_SNAPSHOT_MAGIC)
@@ -347,6 +368,12 @@ class CloudServer(Persistent):
                 put_u64(buf, self.epoch)
                 put_bytes(buf, self.sigma)  # empty before the first upload
                 put_u64(buf, self.t)
+            fids = sorted(self.files)
+            place = {fid: i for i, fid in enumerate(fids)}
+            put_u64(buf, len(fids))
+            for fid in fids:
+                put_bytes(buf, fid)
+                put_bytes(buf, self.files[fid])
             labels = sorted(self.tbl)
             number: dict[int, int] = {}  # id() of a shared list -> its number
             chains: list[list[bytes]] = []
@@ -359,7 +386,7 @@ class CloudServer(Persistent):
             for chain in chains:
                 put_u32(buf, len(chain))
                 for fid in chain:
-                    put_bytes(buf, fid)
+                    put_u32(buf, place[fid])
             put_u64(buf, len(labels))
             for tau in labels:
                 entry = self.tbl[tau]
@@ -367,23 +394,21 @@ class CloudServer(Persistent):
                 if isinstance(entry, ChainEntry):
                     put_u8(buf, 1)
                     buf += entry.mu
-                    put_bytes(buf, entry.file_id)
+                    put_u32(buf, place[entry.file_id])
                 else:
                     put_u8(buf, 0)
                     put_u32(buf, number[id(entry.chain)])
                     put_u32(buf, entry.n)
                     if full:
                         buf += entry.gamma
-            put_u64(buf, len(self.files))
-            for fid in sorted(self.files):
-                put_bytes(buf, fid)
-                put_bytes(buf, self.files[fid])
             if not full:
                 return bytes(buf)
             return b"".join((buf, *self.bf.buffers()))  # the bits are copied once
 
     @classmethod
     def restore(cls, data: bytes) -> "CloudServer":
+        """The server a snapshot holds. Every file number resolves to the
+        table's own id object, so entries and lists share one per file."""
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
@@ -396,11 +421,22 @@ class CloudServer(Persistent):
         else:
             server = cls(BASIC)
         width = mask_width(server.mode)
-        chains = [[r.bytes_() for _ in range(r.u32())] for _ in range(r.u64())]
+        for fid in r.ascending("file id", r.bytes_):
+            server.files[fid] = r.bytes_()
+        fids = list(server.files)
+
+        def file() -> bytes:
+            at = r.pos
+            i = r.u32()
+            if i >= len(fids):
+                raise FormatError(f"file {i} out of range of {len(fids)}", offset=at)
+            return fids[i]
+
+        chains = [[file() for _ in range(r.u32())] for _ in range(r.u64())]
         used = 0  # lists numbered so far, in sorted-label order
         for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
             if r.flag():
-                server.tbl[tau] = ChainEntry(r.fixed(width), r.bytes_())
+                server.tbl[tau] = ChainEntry(r.fixed(width), file())
                 continue
             at = r.pos
             i, n = r.u32(), r.u32()
@@ -415,8 +451,6 @@ class CloudServer(Persistent):
             server.tbl[tau] = MergedEntry(chains[i], n, gamma)
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
-        for fid in r.ascending("file id", r.bytes_):
-            server.files[fid] = r.bytes_()
         if full:
             server.bf = BloomFilter.deserialize(r.rest())
         r.expect_end()

@@ -291,6 +291,7 @@ def test_bench_smoke():
     assert "add_file" in table and "190" in table  # reference value printed
     assert "verify_bloom_check" in table
     assert "merged_ids_stored" in table and "server_snapshot" in table
+    assert "server_restore" in table
     assert "REFRESH frame" in table
     assert report.laws["stored_merged_ids_linear"]
     jsonl = report.to_jsonl().strip().splitlines()

@@ -1,7 +1,7 @@
 """Stateful model test of the three roles: random interleavings of uploads,
-refreshes, user and owner queries, filter adversaries, clock jumps and
-snapshot round trips, checked after every step against the plaintext
-oracle. One owner, one AdversarialServer, two users on one in-process
+replayed uploads, refreshes, user and owner queries, filter adversaries,
+clock jumps and snapshot round trips, checked after every step against the
+plaintext oracle. One owner, one AdversarialServer, two users on one in-process
 client: the users share the client but each holds the filter it verified.
 """
 
@@ -38,6 +38,7 @@ class ThreeRoles(RuleBasedStateMachine):
         self.oracle = PlaintextOracle()
         self.now = NOW
         self.uploaded_at: dict[bytes, int] = {}
+        self.payloads = []
         self.armed = False
 
     def _serve(self, server: AdversarialServer) -> None:
@@ -59,6 +60,16 @@ class ThreeRoles(RuleBasedStateMachine):
         self.client.add(payload)
         self.oracle.add(payload.file_id, keywords)
         self.uploaded_at[payload.file_id] = self.now
+        self.payloads.append(payload)
+
+    @rule(data=st.data())
+    def replay_an_upload(self, data):
+        """An owner whose ack was lost sends a stored payload again: the
+        server acks it and changes nothing."""
+        payload = data.draw(st.sampled_from(self.payloads))
+        before = self.server.snapshot(), self.server._taus[:], dict(self.server._versions)
+        self.client.add(payload)
+        assert (self.server.snapshot(), self.server._taus, self.server._versions) == before
 
     @rule()
     def refresh(self):

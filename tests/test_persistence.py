@@ -86,8 +86,8 @@ def golden_state(role, mode):
 GOLDEN_SNAPSHOTS = {
     ("owner", "full"): "52bb7a1bda8cf139743a4740cc00ca588fc38b9cd387639c530ebfb9adb58342",
     ("owner", "basic"): "2ab81891c5785da3be48ac702421a8ef21eb858bc4f98ff8b1bd1007ca54fd7b",
-    ("server", "full"): "5b23db1ee95c328daa2631aa2205665d1145e1754b7fac166bc799ccfad5158a",
-    ("server", "basic"): "58fa69d0f9b78aa43aa074d44587667f9fe2b9d28a257159400a5d469ef2c847",
+    ("server", "full"): "2060c29fa9bf3158bc763f14459913b670d503a2263f16b59d0283d044c31fc4",
+    ("server", "basic"): "d05674445998d5544f98e259b4b4a52076dd16c568979e6f727963aae152445a",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }
 

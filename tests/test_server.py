@@ -52,11 +52,15 @@ def test_add_grows_table_and_filter():
 
 
 def test_duplicate_label_rejected():
+    # a stored label under another file; a byte-identical replay is acked
+    # (test_replay_of_a_stored_upload_is_a_no_op)
     owner, server = build()
     payload = owner.add_file(b"f", ["w"], NOW)
     server.add(payload)
-    with pytest.raises(ProtocolError):
-        server.add(payload)
+    other = AddPayload(b"other-file-id-00", payload.ciphertext, payload.entries,
+                       payload.sigma, payload.t)
+    with pytest.raises(ProtocolError, match="duplicate index label"):
+        server.add(other)
 
 
 def test_duplicate_label_within_payload_rejected():
@@ -74,6 +78,76 @@ def test_non_monotonic_timestamp_rejected():
     server.add(owner.add_file(b"f2", ["w"], NOW))
     with pytest.raises(ProtocolError):
         server.add(late)
+
+
+@pytest.mark.parametrize("mode", ["basic", "full"])
+def test_replay_of_a_stored_upload_is_a_no_op(mode):
+    # an owner whose ack was lost sends the same payload again: the newest
+    # was refused as a duplicate label, an older one (full mode) as a
+    # non-monotonic timestamp, so the owner could not retry
+    owner, server = build(mode)
+    payloads = [owner.add_file(f"file-{i}".encode(), ["w", f"x:{i}"], NOW + i * 600)
+                for i in range(3)]
+    for payload in payloads:
+        server.add(payload)
+
+    def unchanged_by_replays(order):
+        before = (server.snapshot(), list(server._taus), dict(server._versions))
+        for payload in order:
+            server.add(payload)
+            assert (server.snapshot(), server._taus, server._versions) == before
+
+    unchanged_by_replays([payloads[-1], payloads[0]])
+    # the search merges the head c3 and the bottom c1, and leaves c2 a chain entry
+    rst, _, _ = server.search(owner.gen_token("w"))
+    ids = [payload.file_id for payload in payloads]
+    assert rst == ids[::-1]
+    w = [chain_label(owner.keys.k_prf, "w", c) for c in (1, 2, 3)]
+    assert [type(server.tbl[tau]) for tau in w] == [MergedEntry, ChainEntry, MergedEntry]
+    unchanged_by_replays(payloads)
+    # a label merged for another file is not this file's
+    before = server.snapshot()
+    for merged in (w[0], w[2]):
+        entries = [(merged if tau == w[1] else tau, mu) for tau, mu in payloads[1].entries]
+        forged = AddPayload(ids[1], payloads[1].ciphertext, entries, payloads[1].sigma, payloads[1].t)
+        with pytest.raises(ProtocolError, match="duplicate file id"):
+            server.add(forged)
+    assert server.snapshot() == before
+    assert server.search(owner.gen_token("w"))[0] == rst
+    ids += ingest(owner, server, 1, lambda i: ["w"], start=NOW + 1800)
+    rst, cts, gamma = server.search(owner.gen_token("w"))
+    assert rst == ids[::-1]
+    if mode == "full":
+        assert owner.verify("w", rst, cts, gamma, NOW + 1860).ok
+
+
+@pytest.mark.parametrize("change", ["ciphertext", "mu", "tau"])
+def test_a_replay_with_one_byte_changed_is_refused(change):
+    owner, server = build()
+    payload = owner.add_file(b"f", ["w", "x:1"], NOW)
+    server.add(payload)
+    before = server.snapshot()
+    flip = lambda b: bytes([b[0] ^ 0x01]) + b[1:]  # noqa: E731
+    (tau, mu), *rest = payload.entries
+    ciphertext = flip(payload.ciphertext) if change == "ciphertext" else payload.ciphertext
+    entry = (flip(tau), mu) if change == "tau" else (tau, flip(mu)) if change == "mu" else (tau, mu)
+    changed = AddPayload(payload.file_id, ciphertext, [entry, *rest], payload.sigma, payload.t)
+    with pytest.raises(ProtocolError, match="duplicate file id"):
+        server.add(changed)
+    assert server.snapshot() == before
+
+
+def test_after_a_replay_a_delta_carries_each_tau_once():
+    owner, server = build()
+    ingest(owner, server, 1, lambda i: ["w"])
+    _, sigma, t = server.get_bloom()
+    late = [owner.add_file(f"late{i}".encode(), ["w", f"x:{i}"], t + 600 * (i + 1))
+            for i in range(2)]
+    for payload in late + late:
+        server.add(payload)
+    taus, sigma_now, t_now = server.get_bloom((t, sigma))
+    assert taus == [tau for payload in late for tau, _ in payload.entries]
+    assert (sigma_now, t_now) == (late[-1].sigma, late[-1].t)
 
 
 def test_late_upload_refused_by_the_owner_keeps_owner_and_server_in_step():
@@ -553,14 +627,25 @@ def test_snapshot_is_canonical_and_restores_the_sharing():
     assert grown != blob and CloudServer.restore(grown).snapshot() == grown
 
 
+def files_bytes(server):
+    """Length of the snapshot's file table: a u64 count, then each
+    length-prefixed id and ciphertext."""
+    return 8 + sum(8 + len(fid) + len(ct) for fid, ct in server.files.items())
+
+
+def u32(v):
+    return v.to_bytes(4, "big")
+
+
 def test_restore_refuses_out_of_range_merged_entries():
     owner, server = build("basic")
     ids = ingest(owner, server, 2, lambda i: ["w"])
     server.search(owner.gen_token("w"))
     blob = server.snapshot()
-    lists_at = 8 + 1  # magic, mode flag: a basic server stores nothing more before them
+    # magic, mode flag, then the file table: a basic server stores nothing more before it
+    lists_at = 8 + 1 + files_bytes(server)
     assert blob[lists_at : lists_at + 12] == (1).to_bytes(8, "big") + (2).to_bytes(4, "big")
-    assert blob[lists_at + 12 :].startswith(len(ids[0]).to_bytes(4, "big") + ids[0])
+    assert blob[lists_at + 12 :].startswith(u32(sorted(ids).index(ids[0])))
     entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 2)) + 16
     assert blob[entry_at : entry_at + 9] == b"\x00" + bytes(4) + (2).to_bytes(4, "big")
 
@@ -575,7 +660,7 @@ def test_restore_refuses_out_of_range_merged_entries():
         with pytest.raises(FormatError, match=error):
             CloudServer.restore(with_fields(index, n))
     # a list no entry uses is not canonical: a re-snapshot would drop it
-    tail_at = lists_at + 8 + 4 + 2 * (4 + len(ids[0]))
+    tail_at = lists_at + 8 + 4 + 2 * 4
     unused = blob[:lists_at] + (2).to_bytes(8, "big") + blob[lists_at + 8 : tail_at]
     unused += bytes(4) + blob[tail_at:]
     with pytest.raises(FormatError, match="1 id lists unused"):
@@ -584,20 +669,64 @@ def test_restore_refuses_out_of_range_merged_entries():
         CloudServer.restore(blob[:lists_at] + bytes(8) + blob[tail_at:])
 
 
+def test_restore_refuses_out_of_range_file_numbers():
+    owner, server = build("basic")
+    ids = ingest(owner, server, 2, lambda i: ["w"])
+    server.search(owner.gen_token("w"))  # merges c2 and c1 into one list
+    ids += ingest(owner, server, 1, lambda i: ["w"], start=NOW + 1200)  # c3 stays a chain entry
+    blob = server.snapshot()
+    place = sorted(ids).index
+    list_at = 8 + 1 + files_bytes(server) + 8 + 4  # the list's first file number
+    assert blob[list_at : list_at + 8] == u32(place(ids[0])) + u32(place(ids[1]))
+    entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 3)) + 16 + 1 + 32  # flag, mu
+    assert blob[entry_at - 33] == 1 and blob[entry_at : entry_at + 4] == u32(place(ids[2]))
+
+    def with_number(at, i):
+        return blob[:at] + u32(i) + blob[at + 4 :]
+
+    for at in (list_at, entry_at):
+        other = with_number(at, 2 if blob[at + 3] != 2 else 1)  # another stored file
+        assert CloudServer.restore(other).snapshot() == other
+        for i in (3, 2**32 - 1):
+            with pytest.raises(FormatError, match=f"file {i} out of range") as refused:
+                CloudServer.restore(with_number(at, i))
+            assert refused.value.offset == at
+
+
+@pytest.mark.parametrize("mode", ["basic", "full"])
+def test_snapshot_names_each_file_once_and_restore_shares_its_id(mode):
+    owner, server = build(mode)
+    ids = ingest(owner, server, 12, lambda i: ["w", f"kw:{i % 3}"])
+    for counter in (4, 9, 2, 12, 6):
+        server.search(owner.token_for_counter("w", counter))
+    server.search(owner.gen_token("kw:1"))
+    blob = server.snapshot()
+    assert [blob.count(fid) for fid in ids] == [1] * len(ids)
+    back = CloudServer.restore(blob)
+    table = {fid: fid for fid in back.files}  # the table's own id objects
+    for entry in back.tbl.values():
+        named = [entry.file_id] if isinstance(entry, ChainEntry) else entry.chain
+        assert all(fid is table[fid] for fid in named)
+    assert sum(isinstance(e, ChainEntry) for e in back.tbl.values()) > 0
+    assert len(merged_lists(back)) == 2
+
+
 def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV6")
-    # DSSESRV5 held an unblocked filter; DSSESRV4 and DSSESRV3 flagged and
-    # length-prefixed the fields the mode and LAMBDA fix, and put the filter
-    # before the entries; DSSESRV3 also had filter bits from the older index
-    # function
-    for magic in (b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
+    assert blob.startswith(b"DSSESRV7")
+    # DSSESRV6 wrote the file table last and each file id in full in every
+    # entry and id list; DSSESRV5 held an unblocked filter; DSSESRV4 and
+    # DSSESRV3 flagged and length-prefixed the fields the mode and LAMBDA
+    # fix, and put the filter before the entries; DSSESRV3 also had filter
+    # bits from the older index function
+    for magic in (b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries
     lists_at = 8 + 1 + 16 + 8 + (4 + 16) + 8  # magic, mode, key, epoch, sigma, t
+    lists_at += files_bytes(server)
     assert blob[lists_at : lists_at + 8] == bytes(8)
     v2 = b"DSSESRV2" + blob[8:lists_at] + blob[lists_at + 8 :]
     with pytest.raises(FormatError, match="not a server snapshot"):
