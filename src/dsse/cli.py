@@ -170,7 +170,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             owner = DataOwner.load(_paths(args.state_dir)["owner"])
             ids, cts, gamma = handle.client.search(owner.gen_token(args.keyword))
             guessed = owner.tbl[args.keyword].cnt
-            probes = token_filter = None
+            probes = token_filter = name = None
         else:
             name = args.user or (meta["users"][0] if meta["users"] else None)
             if name is None:
@@ -187,7 +187,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     transcript = {
         "keyword": args.keyword,
         "actor": args.actor,
-        "user": args.user,
+        "user": name,  # the user the search ran as: verify loads exactly that one
         "guessed_cnt": guessed,
         "token_filter": token_filter,
         "now": now,
@@ -204,7 +204,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    meta = _load_meta(args.state_dir)
     with open(_paths(args.state_dir)["search"]) as f:
         tr = json.load(f)
     if tr["proof"] is None:
@@ -217,8 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         owner = DataOwner.load(_paths(args.state_dir)["owner"])
         report = owner.verify(tr["keyword"], ids, cts, gamma, tr["now"])
     else:
-        name = tr["user"] or meta["users"][0]
-        user = AuthorizedUser.load(_user_path(args.state_dir, name))
+        user = AuthorizedUser.load(_user_path(args.state_dir, tr["user"]))
         recorded = tr.get("token_filter")  # absent: no filter was accepted
         token_filter = recorded and (bytes.fromhex(recorded["sigma"]), recorded["t"])
         report = user.verify(

@@ -237,9 +237,9 @@ def bench_verify(counts: list[int] | None = None, repeats: int = 9) -> VerifyBen
 
 
 def bench_token_gen(chain_length: int = 1000, repeats: int = 9) -> float:
-    """Median delegated token generation on an unchanged filter answer: the
-    counter guess and the token wrap (the whole filter is handed over once,
-    untimed)."""
+    """Median delegated token generation on an unchanged filter answer (the
+    empty delta): its sigma check, the counter guess and the token wrap (the
+    whole filter is handed over once, untimed)."""
     params = default_bloom_params(chain_length)
     owner = DataOwner.generate(FULL, params)
     server = CloudServer(FULL, params, group_key=owner.keys.r)
@@ -253,7 +253,7 @@ def bench_token_gen(chain_length: int = 1000, repeats: int = 9) -> float:
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        user.gen_token((None, sigma, t), "token:1", now + 60)
+        user.gen_token(([], sigma, t), "token:1", now + 60)
         samples.append(time.perf_counter() - t0)
     return _median_ms(samples)
 

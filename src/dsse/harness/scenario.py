@@ -80,9 +80,9 @@ class AdversarialServer(CloudServer):
     def get_bloom(self, since: tuple[int, bytes] | None = None):
         stale = self._stale_snapshot
         if stale is not None:
-            return None if since == (stale[2], stale[1]) else stale
+            return ([], stale[1], stale[2]) if since == (stale[2], stale[1]) else stale
         served = super().get_bloom(since)
-        if served is None or self.behavior != "flip_bloom_bit":
+        if self.behavior != "flip_bloom_bit":
             return served
         update, sigma, t = served
         if isinstance(update, list):  # a delta: the first bit of its first tau

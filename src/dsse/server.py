@@ -4,9 +4,10 @@ filter publication. This server is honest; the simulator's server that can
 be told to cheat derives from it (harness.scenario.AdversarialServer).
 
 Between refreshes the published filter only gains elements, and those are
-the labels (taus) each upload brings. The server logs them in memory, so a
-caller holding an older version of the filter can be answered with the
-taus added since, whenever that is smaller than the filter itself.
+the labels (taus) each upload brings. The table gains them at its end, so
+it is their log: a caller holding an older version of the filter can be
+answered with the taus added since, whenever that is smaller than the
+filter itself, and the current version with none.
 
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one label and one key, from which it can
@@ -18,6 +19,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .bloom import BloomFilter, BloomParams
 from .crypto import LAMBDA, ZERO, prf2, prf3, se_decrypt, xor_bytes
@@ -120,35 +122,28 @@ class CloudServer(Persistent):
         self.filters_served: Counter[str] = Counter()
         self.filter_bytes_served: Counter[str] = Counter()
         self._lock = threading.RLock()
-        self._start_log()
+        self._versions: dict[tuple[int, bytes], int] = {}  # none before an upload
 
-    def _start_log(self, *versions: tuple[int, bytes]) -> None:
-        """Empty the tau log; versions are those of the filter as it is now.
+    def _start_log(self) -> None:
+        """Log the filter as it is now as the only version.
 
-        _taus holds the taus added since, oldest first, _taus[0] at log
-        position _taus_start; _versions maps each (t, sigma) the filter had
-        since to the log position after its last tau, in ascending order.
-        The log is not persisted: a restored server answers every older
-        version with the whole filter."""
-        self._taus: list[bytes] = []
-        self._taus_start = 0
-        self._versions: dict[tuple[int, bytes], int] = dict.fromkeys(versions, 0)
+        _versions maps each (t, sigma) the filter had since to the table's
+        length then, in ascending order, so the taus added since are the
+        table's newest len(tbl) - at labels: the table gains labels only at
+        its end and never loses one (add stores entries before it logs and
+        acks a replay before any insert; search only reassigns labels). The
+        log is not persisted: a restored server logs its current version."""
+        self._versions = {(self.t, self.sigma): len(self.tbl)}
 
-    def _log_upload(self, taus: list[bytes], version: tuple[int, bytes]) -> None:
-        """Log one upload's taus and the version it leaves, then forget every
-        version whose delta would not be smaller than the filter, and the
-        taus only those versions needed."""
-        self._taus += taus
-        end = self._taus_start + len(self._taus)
+    def _log_upload(self) -> None:
+        """Log the version an upload left, then forget every version whose
+        delta would not be smaller than the filter."""
+        end = len(self.tbl)
         versions = self._versions
-        versions.pop(version, None)  # keep the positions ascending
-        versions[version] = end
+        versions.pop((self.t, self.sigma), None)  # keep the positions ascending
+        versions[self.t, self.sigma] = end
         filter_size = sum(map(len, self.bf.buffers()))
         cut = end - (filter_size - 1) // LAMBDA  # oldest position worth a delta
-        if cut <= self._taus_start:
-            return
-        del self._taus[: cut - self._taus_start]
-        self._taus_start = cut
         while versions[oldest := next(iter(versions))] < cut:
             del versions[oldest]
 
@@ -192,7 +187,7 @@ class CloudServer(Persistent):
             if self.mode == FULL:
                 self.sigma = payload.sigma
                 self.t = payload.t
-                self._log_upload([tau for tau, _ in payload.entries], (self.t, self.sigma))
+                self._log_upload()
 
     def _holds(self, payload: AddPayload) -> bool:
         """Whether every (tau, mu) of the payload is stored for its file: as
@@ -220,7 +215,7 @@ class CloudServer(Persistent):
             self.bf = BloomFilter.unpack(payload.bf_bytes, like=self.bf)
             self.sigma = payload.sigma
             self.t = payload.t
-            self._start_log((self.t, self.sigma))
+            self._start_log()
 
     def set_group_key(self, r: bytes, epoch: int) -> None:
         with self._lock:
@@ -317,29 +312,27 @@ class CloudServer(Persistent):
 
     def get_bloom(
         self, since: tuple[int, bytes] | None = None
-    ) -> tuple[bytes | list[bytes], bytes, int] | None:
+    ) -> tuple[bytes | list[bytes], bytes, int]:
         """The published filter as (update, sigma, timestamp).
 
-        since is the (t, sigma) of the copy the caller holds. If it is the
-        current pair, None is returned. If the log holds it, update is the
-        list of taus added since, which the caller adds to its copy; the
-        log holds only versions for which that list is smaller than the
-        filter. Otherwise update is the serialized filter."""
+        since is the (t, sigma) of the copy the caller holds. If the log
+        holds it, update is the list of taus added since, which the caller
+        adds to its copy: empty when since is current. The log holds only
+        versions for which that list is smaller than the filter. Otherwise
+        update is the serialized filter."""
         with self._lock:
             if self.mode != FULL:
                 raise UsageError("no published filter in basic mode")
-            if since == (self.t, self.sigma):
-                self.filters_served["not_modified"] += 1
-                return None
             at = self._versions.get(since)
             if at is None:
                 update = self.bf.serialize()
                 kind, size = "full", len(update)
             else:
-                update = self._taus[at - self._taus_start :]
-                kind, size = "delta", len(update) * LAMBDA
+                update = list(islice(reversed(self.tbl), len(self.tbl) - at))[::-1]
+                kind, size = "delta" if update else "not_modified", len(update) * LAMBDA
             self.filters_served[kind] += 1
-            self.filter_bytes_served[kind] += size
+            if size:
+                self.filter_bytes_served[kind] += size
             return update, self.sigma, self.t
 
     # ------------------------------------------------------------------
@@ -453,5 +446,6 @@ class CloudServer(Persistent):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
         if full:
             server.bf = BloomFilter.deserialize(r.rest())
+            server._start_log()
         r.expect_end()
         return server

@@ -8,13 +8,13 @@ filter it verified last, with its block tags (protocol.FilterTags) and its
 (t, sigma), and names that version when it fetches. A whole filter is
 tagged block by block; a delta's taus are staged into copies of the blocks
 they fall in, and only those are tagged again and, once sigma matches,
-written. A refused update leaves the held filter as it was.
+written. An unchanged filter is the empty delta: it tags nothing and costs
+one sigma check. A refused update leaves the held filter as it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from .bloom import BloomFilter
 from .crypto import LAMBDA, chain_label, derived_key, se_decrypt, se_encrypt
@@ -73,7 +73,6 @@ class AuthorizedUser(Persistent):
     k_mac: bytes
     r: bytes
     epoch: int = 1
-    freshness_window: ClassVar[int] = FRESHNESS_WINDOW  # the protocol's, not per user
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
     # (sigma, t) of the filter the last gen_token accepted; None after a refusal
     token_filter: tuple[bytes, int] | None = field(
@@ -170,7 +169,7 @@ class AuthorizedUser(Persistent):
 
     def gen_token(
         self,
-        answer: tuple[bytes | list[bytes] | None, bytes, int],
+        answer: tuple[bytes | list[bytes], bytes, int],
         keyword: str,
         now: int,
     ) -> tuple[SearchTokenEnvelope, int]:
@@ -191,22 +190,18 @@ class AuthorizedUser(Persistent):
             raise NotFoundError(f"keyword has no entries: {keyword!r}")
         return self.token_for_counter(keyword, cnt), cnt
 
-    def _apply(self, update: bytes | list[bytes] | None, sigma: bytes, t: int) -> None:
-        """Bring the held filter to the answer. An answer that is not an
-        update of the held version raises ProtocolError and changes
-        nothing; a delta on another version than the one held fails the
-        MAC like any forgery."""
-        if update is None:
-            if (t, sigma) != self._version:
-                raise ProtocolError("unchanged answer for a filter this user does not hold")
-        elif isinstance(update, list):
+    def _apply(self, update: bytes | list[bytes], sigma: bytes, t: int) -> None:
+        """Bring the held filter to the answer: a whole filter, or the taus to
+        add to the held one (none if unchanged). A refused answer changes
+        nothing and leaves no token-time filter; a delta on another version
+        than the one held, empty or not, fails the MAC like any forgery."""
+        self.token_filter = None
+        if isinstance(update, list):
             if self._tags is None:
                 raise ProtocolError("filter delta sent to a user holding no filter")
-            self.token_filter = None
             if not self._tags.add_checked(update, sigma, t):
                 raise TamperedFilterError("published filter fails its MAC")
         else:
-            self.token_filter = None
             tags = FilterTags(self.k_mac, BloomFilter.deserialize(update))
             if tags.sigma(t) != sigma:
                 raise TamperedFilterError("published filter fails its MAC")

@@ -29,8 +29,8 @@ nearly all zero bytes; the server unpacks it, bounded by the size of the
 filter it replaces. Every other filter on the wire is raw.
 
 A GET_BLOOM request carries the (t, sigma) of the filter the caller holds,
-if any; when the server would serve the same pair it answers NOT_MODIFIED
-and the filter does not cross the wire.
+if any; when the server answers with no taus on that same pair (an empty
+delta) it replies NOT_MODIFIED, and nothing else crosses the wire.
 
 Responses open with a 1-byte status code. Every status but OK is followed by
 a message string (empty for NOT_MODIFIED), whatever the kind. A request the
@@ -43,9 +43,9 @@ kind ADD when that byte names no request. OK bodies:
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
-named. The client hands every answer on as it is; the user that named the
-version adds the taus to the filter it holds (AuthorizedUser.gen_token),
-tagging again only the blocks they fall in.
+named. The client hands every answer on as it is, NOT_MODIFIED as the empty
+delta; the user that named the version adds the taus to the filter it holds
+(AuthorizedUser.gen_token), tagging again only the blocks they fall in.
 
 The raw filter bytes and 8-byte timestamps on the wire are exactly what
 the filter MAC covers, and a packed filter unpacks to exactly those bytes,
@@ -330,7 +330,7 @@ class ServerEndpoint:
             return Reply(
                 kind, CODE_INTERNAL, f"internal server error ({type(exc).__name__})"
             )
-        if kind == KIND_GET_BLOOM and value is None:
+        if kind == KIND_GET_BLOOM and value[0] == [] and (value[2], value[1]) == request.since:
             return Reply(kind, CODE_NOT_MODIFIED)
         return Reply(kind, value=value)
 
@@ -501,16 +501,16 @@ class Client:
 
     def get_bloom(
         self, since: tuple[int, bytes] | None | object = _LAST_ANSWERED
-    ) -> tuple[bytes | list[bytes] | None, bytes, int]:
+    ) -> tuple[bytes | list[bytes], bytes, int]:
         """The server's answer (update, sigma, t) as it is, unchecked: update
-        is the serialized filter, the taus added since, or None when since
-        is current. since is the (t, sigma) of the filter the caller holds,
-        None for none; it defaults to the version this client was last
-        answered, which is right only for a caller that accepts every
-        answer. The user names its own version (AuthorizedUser.query)."""
+        is the serialized filter or the taus added since, [] on NOT_MODIFIED.
+        since is the (t, sigma) of the filter the caller holds, None for
+        none; it defaults to the version this client was last answered,
+        which is right only for a caller that accepts every answer. The user
+        names its own version (AuthorizedUser.query)."""
         if since is _LAST_ANSWERED:
             since = self._last_answered
-        update, sigma, t = self._call(GetBloom(since)) or (None, since[1], since[0])
+        update, sigma, t = self._call(GetBloom(since)) or ([], since[1], since[0])
         self._last_answered = t, sigma
         return update, sigma, t
 

@@ -23,7 +23,7 @@ from dsse.harness.scenario import (
     run_scenario,
 )
 from dsse.owner import DataOwner
-from dsse.protocol import result_mac
+from dsse.protocol import FRESHNESS_WINDOW, result_mac
 from dsse.server import ChainEntry, CloudServer
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
@@ -280,7 +280,7 @@ def test_criterion_6_verifiability_detection():
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(Client.in_process(server).get_bloom(), "w", t)
     ids, cts, gamma = server.search(env)
-    stale = user.verify("w", cnt, ids, cts, gamma, t + user.freshness_window + 120)
+    stale = user.verify("w", cnt, ids, cts, gamma, t + FRESHNESS_WINDOW + 120)
     bf_bytes, sigma, ts = server.get_bloom()
     flipped_bf = bytearray(bf_bytes)
     flipped_bf[10] ^= 0x02

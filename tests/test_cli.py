@@ -109,6 +109,25 @@ def test_rotate_revokes_user(tmp_path, capsys):
     assert meta["users"] == ["u1"] and meta["revoked"] == ["u2"]
 
 
+def test_verify_loads_the_user_the_search_ran_as(tmp_path, capsys):
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--users", "u1,u2", "--capacity", "20000"], capsys)
+    run(["--state-dir", st, "ingest", "--n", "20", "--seed", "4"], capsys)
+    from dsse.harness.phi import synthesize_stream
+
+    keyword = next(iter(synthesize_stream(4, 1))).keywords()[0]
+    code, _, _ = run(["--state-dir", st, "search", "--keyword", keyword], capsys)
+    assert code == 0
+    # the default user ran the search, and the transcript says which one
+    transcript = json.load(open(os.path.join(st, "last_search.json")))
+    assert transcript["user"] == "u1"
+    for name in ("u1", "u2"):  # no provisioned user is left to fall back on
+        code, _, _ = run(["--state-dir", st, "rotate", "--revoke", name], capsys)
+        assert code == 0
+    code, out, err = run(["--state-dir", st, "verify"], capsys)
+    assert code == 0 and "verification: PASS" in out, err
+
+
 def _refuse(monkeypatch, method):
     def refused(self, *args):
         raise ProtocolError(f"{method} refused")

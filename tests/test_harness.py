@@ -4,7 +4,7 @@ import pytest
 
 from dsse.bloom import BloomFilter
 from dsse.crypto import LAMBDA, chain_label
-from dsse.errors import NotFoundError
+from dsse.errors import NotFoundError, ProtocolError
 from dsse.harness import bench
 from dsse.harness.bench import linear_fit, long_state_run, run_bench
 from dsse.harness.oracle import PlaintextOracle
@@ -186,20 +186,28 @@ def test_recurring_query_lookup_law():
         system.close()
 
 
-def test_user_query_records_faults_instead_of_raising():
+def test_user_query_records_faults_instead_of_raising(caplog):
     system = SimulatedSystem("full", default_bloom_params(60))
     try:
-        system.ingest_stream(seed=12, n_files=60)
+        *stream, last = synthesize_stream(12, 61)
+        for phi in stream:
+            system.add_phi(phi)
         user = system.users[0]
-        absent = system.user_query(user, "heartbeat:1")
-        assert (absent.reason, absent.verified, absent.oracle_match) == ("absent", None, True)
         keyword = system.oracle.keywords_by_count()[max(system.oracle.keywords_by_count())][0]
         assert system.oracle.count(keyword) >= 3
-        # a server that lost an interior entry answers with a broken chain
+        # a server that lost an interior entry answers with a broken chain; the
+        # table is the server's tau log, so the loss comes before the upload
+        # whose version the user fetches
         del system.server.tbl[chain_label(system.owner.keys.k_prf, keyword, 2)]
+        system.add_phi(last)
+        absent = system.user_query(user, "heartbeat:1")
+        assert (absent.reason, absent.verified, absent.oracle_match) == ("absent", None, True)
         broken = system.user_query(user, keyword)
         assert (broken.reason, broken.verified) == ("fault:ProtocolError", False)
         assert broken.guessed_count is None and broken.n_results == 0
+        with pytest.raises(ProtocolError, match="chain broken"):
+            user.query(system.client, keyword, system.now + 60)
+        assert "internal error serving" not in caplog.text
     finally:
         system.close()
 

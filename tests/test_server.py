@@ -92,10 +92,10 @@ def test_replay_of_a_stored_upload_is_a_no_op(mode):
         server.add(payload)
 
     def unchanged_by_replays(order):
-        before = (server.snapshot(), list(server._taus), dict(server._versions))
+        before = (server.snapshot(), dict(server._versions))
         for payload in order:
             server.add(payload)
-            assert (server.snapshot(), server._taus, server._versions) == before
+            assert (server.snapshot(), server._versions) == before
 
     unchanged_by_replays([payloads[-1], payloads[0]])
     # the search merges the head c3 and the bottom c1, and leaves c2 a chain entry
@@ -316,17 +316,17 @@ def test_conditional_get_bloom_compares_the_served_pair():
     owner, server = build()
     ingest(owner, server, 2, lambda i: ["w"])
     bf_bytes, sigma, t = server.get_bloom()
-    assert server.get_bloom((t, sigma)) is None
+    assert server.get_bloom((t, sigma)) == ([], sigma, t)
     assert server.get_bloom((t - 600, sigma)) == (bf_bytes, sigma, t)
     # flip_bloom_bit serves other bytes under the same pair
     server.set_adversary("flip_bloom_bit")
-    assert server.get_bloom((t, sigma)) is None
+    assert server.get_bloom((t, sigma)) == ([], sigma, t)
     assert server.get_bloom()[0] != bf_bytes
     # stale_bloom keeps answering for its frozen pair after new uploads
     server.set_adversary("stale_bloom")
     ingest(owner, server, 3, lambda i: ["w"], start=NOW + 1200)
     assert (server.t, server.sigma) != (t, sigma)
-    assert server.get_bloom((t, sigma)) is None
+    assert server.get_bloom((t, sigma)) == ([], sigma, t)
     assert server.get_bloom((server.t, server.sigma)) == (bf_bytes, sigma, t)
 
 
@@ -365,7 +365,7 @@ def test_get_bloom_sends_the_whole_filter_for_a_version_it_does_not_log():
     # the log is not persisted: a restored server knows no older version
     restored = CloudServer.restore(server.snapshot())
     assert restored.get_bloom((t, sigma)) == whole
-    assert restored.get_bloom((server.t, server.sigma)) is None
+    assert restored.get_bloom((server.t, server.sigma)) == ([], server.sigma, server.t)
     # a refresh in between: the whole refreshed filter, then deltas from it
     server.refresh(owner.refresh_bloom(server.t + 600))
     refreshed = (server.bf.serialize(), server.sigma, server.t)
@@ -389,7 +389,8 @@ def test_a_delta_not_smaller_than_the_filter_is_sent_whole():
     assert len(whole) == 27
     assert server.get_bloom(versions[1])[0] == [chain_label(owner.keys.k_prf, "w", 3)]
     assert server.get_bloom(versions[0])[0] == whole  # two taus: 32 bytes
-    assert len(server._taus) * LAMBDA < len(whole)  # the log holds no more
+    # the log holds no version whose delta is not smaller than the filter
+    assert all((len(server.tbl) - at) * LAMBDA < len(whole) for at in server._versions.values())
     assert server.filter_bytes_served == {"delta": LAMBDA, "full": 27}
 
 
@@ -434,7 +435,7 @@ def test_honest_adversarial_server_answers_as_a_cloud_server():
             both(lambda s: s.search(token))
         if mode == "full":
             bf_bytes, sigma, t = both(lambda s: s.get_bloom())
-            assert both(lambda s: s.get_bloom((t, sigma))) is None
+            assert both(lambda s: s.get_bloom((t, sigma))) == ([], sigma, t)
             assert both(lambda s: s.get_bloom((t - 600, sigma))) == (bf_bytes, sigma, t)
             refresh = owner.refresh_bloom(t + 600)
             both(lambda s: s.refresh(refresh))

@@ -212,7 +212,7 @@ def test_block_forgeries_refused(held, forgery):
     assert user.token_filter is None
     if held:
         assert user._tags.bf.serialize() == old[0]
-        assert user.gen_token((None, *old[1:]), "w", t)[1] == 3
+        assert user.gen_token(([], *old[1:]), "w", t)[1] == 3
 
 
 def test_refused_filter_leaves_no_token_time_filter():
@@ -394,22 +394,26 @@ def test_upload_between_token_and_search_still_verifies():
 def test_accepted_filter_reused_and_freshness_rechecked(monkeypatch):
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
-    macs = []
-    real_mac = protocol.filter_mac
+    macs, tagged = [], []
+    real_mac, real_tag = protocol.filter_mac, FilterTags._tag
     monkeypatch.setattr(
         protocol, "filter_mac", lambda *a: macs.append(1) or real_mac(*a)
     )
+    monkeypatch.setattr(FilterTags, "_tag", lambda *a: tagged.append(1) or real_tag(*a))
     _, sigma, ts = fetch(server)
     assert user.gen_token(fetch(server), "w", t)[1] == 3
-    unchanged = None, sigma, ts
-    assert user.gen_token(unchanged, "w", t)[1] == 3
     assert len(macs) == 1
+    tagged.clear()
+    unchanged = [], sigma, ts  # the empty delta: one sigma check, no block tagged
+    assert user.gen_token(unchanged, "w", t)[1] == 3
+    assert len(macs) == 2 and not tagged
     with pytest.raises(StaleFilterError):
         user.gen_token(unchanged, "w", t + FRESHNESS_WINDOW + 1)
-    server.add(owner.add_file(b"f3", ["w"], t))
-    assert len(macs) == 2  # the owner's
-    assert user.gen_token(fetch(server), "w", t)[1] == 4
     assert len(macs) == 3
+    server.add(owner.add_file(b"f3", ["w"], t))
+    assert len(macs) == 4  # the owner's
+    assert user.gen_token(fetch(server), "w", t)[1] == 4
+    assert len(macs) == 5
 
 
 @pytest.mark.parametrize("behavior", ["stale_bloom", "flip_bloom_bit"])
@@ -456,22 +460,22 @@ def test_a_refused_delta_leaves_the_held_filter_and_the_next_fetch_is_a_delta():
     assert user._tags.bf == server.bf and user.token_filter == (server.sigma, t)
 
 
-def test_an_answer_on_a_version_the_user_does_not_hold_raises_protocol_error():
+def test_an_answer_on_a_version_the_user_does_not_hold_is_refused():
     owner, server, t = build_system(3)
     user = AuthorizedUser.from_owner(owner)
     bf_bytes, sigma, ts = fetch(server)
     delta = [crypto.chain_label(owner.keys.k_prf, "w", 4)], sigma, ts
-    with pytest.raises(ProtocolError, match="holding no filter"):
-        user.gen_token(delta, "w", t)
-    with pytest.raises(ProtocolError, match="does not hold"):
-        user.gen_token((None, sigma, ts), "w", t)
+    for update in (delta, ([], sigma, ts)):
+        with pytest.raises(ProtocolError, match="holding no filter"):
+            user.gen_token(update, "w", t)
     assert user._tags is user._version is user.token_filter is None
     user.gen_token((bf_bytes, sigma, ts), "w", t)
     held = held_state(user)
-    for other in ((None, sigma, ts - 600), (None, b"\x00" * 16, ts)):
-        with pytest.raises(ProtocolError, match="does not hold"):
+    # an unchanged answer on another version fails the MAC like any forgery
+    for other in (([], sigma, ts - 600), ([], b"\x00" * 16, ts)):
+        with pytest.raises(TamperedFilterError):
             user.gen_token(other, "w", t)
-        assert held_state(user) == held and user.token_filter == (sigma, ts)
+        assert held_state(user) == held and user.token_filter is None
 
 
 def test_accepting_a_delta_tags_the_blocks_its_taus_fall_in(monkeypatch):

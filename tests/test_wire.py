@@ -397,20 +397,20 @@ def test_conditional_get_bloom():
     assert wire.decode(raw).code == wire.CODE_NOT_MODIFIED
     assert len(raw) == 7  # version, kind, status, empty message
     # by default the version this client was last answered is named
-    assert client.get_bloom() == (None, first[1], last_t)
+    assert client.get_bloom() == ([], first[1], last_t)
 
     payload = owner.add_file(b"late", ["w:1"], last_t + 600)
     server.add(payload)
     taus, sigma, t = client.get_bloom()
     assert taus == [tau for tau, _ in payload.entries]
     assert t == last_t + 600 and sigma != first[1]
-    assert client.get_bloom() == (None, sigma, t)
+    assert client.get_bloom() == ([], sigma, t)
     assert client.get_bloom(held) == (taus, sigma, t)
     assert client.get_bloom(None) == (server.bf.serialize(), sigma, t)
 
     server.refresh(owner.refresh_bloom(last_t + 601))
     assert client.get_bloom() == (owner.bf.serialize(), server.sigma, last_t + 601)
-    assert client.get_bloom() == (None, server.sigma, last_t + 601)
+    assert client.get_bloom() == ([], server.sigma, last_t + 601)
 
 
 def test_clients_one_and_three_uploads_behind_rebuild_the_filter():
@@ -464,6 +464,38 @@ def test_a_returned_filter_survives_a_later_delta():
     first.query(client, keyword, last_t + 660)
     assert first._tags.bf == server.bf
     assert server.filters_served == {"full": 2, "delta": 2}
+
+
+def test_a_restored_server_answers_the_version_it_restored_with_deltas():
+    # the table is the tau log, so a restored server logs the version it
+    # holds: NOT_MODIFIED for it, then each upload's taus, not the whole filter
+    owner, server, oracle, last_t = build_system(10)
+    older = server.t, server.sigma
+    server.add(owner.add_file(b"late0", ["w:1"], last_t + 600))
+    user = AuthorizedUser.from_owner(owner)
+    user.query(wire.Client.in_process(server), "w:1", last_t + 660)
+    restored = CloudServer.restore(server.snapshot())
+    at = restored.t, restored.sigma
+    client = wire.Client.in_process(restored)
+    raw = client.transport.request(wire.encode(wire.GetBloom(at)))
+    assert wire.decode(raw).code == wire.CODE_NOT_MODIFIED and len(raw) == 7
+
+    payload = owner.add_file(b"late1", ["w:1", "x:1"], last_t + 1200)
+    client.add(payload)
+    delta = [tau for tau, _ in payload.entries], restored.sigma, restored.t
+    assert client.get_bloom(at) == delta
+    # searches that merge heads and bottoms, and a replayed upload, change no delta
+    for keyword in (*oracle.keywords()[:4], "w:1", "w:1", "x:1"):
+        client.search(owner.gen_token(keyword))
+    client.add(payload)
+    assert client.get_bloom(at) == delta
+    assert client.get_bloom(delta[:0:-1]) == ([], *delta[1:])
+    for unlogged in (older, (at[0], bytes(LAMBDA)), None):
+        assert client.get_bloom(unlogged) == (restored.bf.serialize(), *delta[1:])
+
+    user.query(client, "w:1", last_t + 1260)
+    assert user._tags.bf == restored.bf
+    assert restored.filters_served == {"not_modified": 2, "delta": 3, "full": 3}
 
 
 class RecordingTransport:
