@@ -6,13 +6,12 @@ multiset must serialize byte-identically. There is no per-filter salt,
 which keeps the owner's and server's filters bit-synchronized.
 
 The bits form blocks of BLOCK_BYTES (Putze, Sanders & Singler, "Cache-,
-Hash- and Space-Efficient Bloom Filters", WEA 2007); a filter of at most
-one block's bits is one block of m bits, and a larger m is a whole number
-of blocks. Each element sets its k bits in one block. They come from one
-SHAKE256 output of 8(k+1) bytes, read as big-endian 8-byte words: word 0
-mod the block count picks the block, and words 1..k, each mod the block's
-bits, are the positions inside it (each reduction biased below 2^-47). One
-hash call per element, yet the k positions are as independent as k
+Hash- and Space-Efficient Bloom Filters", WEA 2007), and m is a whole
+number of blocks, at least one. Each element sets its k bits in one block.
+They come from one SHAKE256 output of 8(k+1) bytes, read as big-endian
+8-byte words: word 0 mod the block count picks the block (biased below
+2^-47), and words 1..k, each mod BLOCK_BITS, are the positions inside it.
+One hash call per element, yet the k positions are as independent as k
 separate hashes. An upload thus changes at most one block per element,
 which is what lets the filter MAC (protocol.FilterTags) re-tag only the
 blocks it touched. The price is a higher false-positive rate at the same
@@ -63,8 +62,8 @@ class BloomParams:
     def derive(self) -> tuple[int, int]:
         """Return (m bits, k hash functions) for the optimal-k sizing rule.
 
-        An m above one block is multiplied by 1 + k^2 / (2 BLOCK_BITS) and
-        rounded up to whole blocks. The factor is a fit to the false-positive
+        m is multiplied by 1 + k^2 / (2 BLOCK_BITS) and rounded up to whole
+        blocks, at least one. The factor is a fit to the false-positive
         rate over Poisson block loads: it keeps that rate at or below
         target_fp (x1.0069 at k = 30, where x1.0064 is needed)."""
         if not 0.0 < self.target_fp < 1.0:
@@ -75,8 +74,7 @@ class BloomParams:
         if k > _MAX_K:
             raise UsageError(f"target_fp {self.target_fp} needs k={k} > {_MAX_K}")
         m = math.ceil(self.capacity * k / math.log(2))
-        if m > BLOCK_BITS:
-            m = math.ceil(m * (1 + k * k / (2 * BLOCK_BITS)) / BLOCK_BITS) * BLOCK_BITS
+        m = math.ceil(m * (1 + k * k / (2 * BLOCK_BITS)) / BLOCK_BITS) * BLOCK_BITS
         if m > _MAX_M:
             raise UsageError(f"capacity {self.capacity} needs m={m} > {_MAX_M} bits")
         return m, k
@@ -89,10 +87,10 @@ def expected_fp_rate(m: int, k: int, n: int) -> float:
     return (1.0 - math.exp(-k * n / m)) ** k
 
 
-def _set_bits(bits: bytearray, base: int, width: int, words: tuple[int, ...]) -> None:
-    """Set the bits words name, each mod width, in the block at byte base."""
+def _set_bits(bits: bytearray, base: int, words: tuple[int, ...]) -> None:
+    """Set the bits words name, each mod BLOCK_BITS, in the block at byte base."""
     for w in words:
-        p = w % width
+        p = w % BLOCK_BITS
         bits[base + (p >> 3)] |= 1 << (p & 7)
 
 
@@ -102,9 +100,9 @@ def _parse_header(data: bytes | memoryview) -> tuple[int, int]:
     if len(data) < _HEADER.size:
         raise FormatError("bloom header truncated", offset=len(data))
     m, k = _HEADER.unpack_from(data)
-    if m < 1 or not 1 <= k <= _MAX_K:
+    if not 1 <= k <= _MAX_K:
         raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
-    if m > BLOCK_BITS and m % BLOCK_BITS:
+    if m == 0 or m % BLOCK_BITS:
         raise FormatError(f"bloom m={m} is not whole {BLOCK_BITS}-bit blocks", offset=0)
     return m, k
 
@@ -114,7 +112,7 @@ class BloomFilter:
         m, k = params.derive()
         self.m = m
         self.k = k
-        self.bits = bytearray((m + 7) // 8)
+        self.bits = bytearray(m // 8)
         self.n_inserted = 0
 
     @classmethod
@@ -132,28 +130,21 @@ class BloomFilter:
 
     @property
     def n_blocks(self) -> int:
-        return max(self.m // BLOCK_BITS, 1)
+        return self.m // BLOCK_BITS
 
-    @property
-    def block_bytes(self) -> int:
-        """Bytes per block: BLOCK_BYTES, or all of a one-block filter's."""
-        return min(len(self.bits), BLOCK_BYTES)
-
-    def _locate(self, element: bytes) -> tuple[int, int, tuple[int, ...]]:
-        """The element's block, the bits in a block, and the k words whose
-        residues mod those bits are the element's positions in its block."""
-        m, k = self.m, self.k
+    def _locate(self, element: bytes) -> tuple[int, tuple[int, ...]]:
+        """The element's block, and the k words whose residues mod
+        BLOCK_BITS are the element's positions in its block."""
+        k = self.k
         words = struct.unpack(
             f">{k + 1}Q", hashlib.shake_256(element).digest(8 * (k + 1))
         )
-        if m <= BLOCK_BITS:
-            return 0, m, words[1:]
-        return words[0] % (m // BLOCK_BITS), BLOCK_BITS, words[1:]
+        return words[0] % (self.m // BLOCK_BITS), words[1:]
 
     def add(self, element: bytes) -> int:
         """Set the element's bits; return the index of the block holding them."""
-        block, width, words = self._locate(element)
-        _set_bits(self.bits, block * BLOCK_BYTES, width, words)
+        block, words = self._locate(element)
+        _set_bits(self.bits, block * BLOCK_BYTES, words)
         self.n_inserted += 1
         return block
 
@@ -162,28 +153,27 @@ class BloomFilter:
         elements' bits set; this filter is left as it is."""
         staged: dict[int, bytearray] = {}
         for element in elements:
-            block, width, words = self._locate(element)
+            block, words = self._locate(element)
             if block not in staged:
                 staged[block] = bytearray(self.block(block))
-            _set_bits(staged[block], 0, width, words)
+            _set_bits(staged[block], 0, words)
         return staged
 
     def verify(self, element: bytes) -> bool:
         """Whether every bit of the element is set. Each position is reduced
         only once the ones before it are found set: a probe of an absent
         element usually stops at the first or second."""
-        block, width, words = self._locate(element)
+        block, words = self._locate(element)
         bits, base = self.bits, block * BLOCK_BYTES
         for w in words:
-            p = w % width
+            p = w % BLOCK_BITS
             if not bits[base + (p >> 3)] & (1 << (p & 7)):
                 return False
         return True
 
     def block(self, i: int) -> memoryview:
         """Block i's bytes, in place (writable)."""
-        size = self.block_bytes
-        return memoryview(self.bits)[i * size : (i + 1) * size]
+        return memoryview(self.bits)[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
@@ -201,17 +191,17 @@ class BloomFilter:
         return _HEADER.pack(self.m, self.k), memoryview(self.bits)
 
     def serialize(self) -> bytes:
-        """m(4 BE) || k(4 BE) || ceil(m/8) bit bytes, bit i at byte i//8, LSB-first."""
+        """m(4 BE) || k(4 BE) || m/8 bit bytes, bit i at byte i//8, LSB-first."""
         return b"".join(self.buffers())
 
     @classmethod
     def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
         """Parse a serialization, copying its bit bytes once. k must be
         1 to 64: every add and verify hashes 8(k+1) bytes, and the server has
-        no key to check the filter a REFRESH brings. An m above one block
-        must be whole blocks."""
+        no key to check the filter a REFRESH brings. m must be a positive
+        multiple of BLOCK_BITS."""
         m, k = _parse_header(data)
-        want = (m + 7) // 8
+        want = m // 8
         body = memoryview(data)[_HEADER.size :]
         if len(body) != want:
             raise FormatError(
@@ -232,9 +222,9 @@ class BloomFilter:
         return deflater.compress(header) + deflater.compress(bits) + deflater.flush()
 
     @classmethod
-    def unpack(cls, data: bytes, like: "BloomFilter | None" = None) -> "BloomFilter":
-        """Inflate what pack() made. The header is inflated first and held to
-        deserialize's rules, and, if like is given, to like's m and k; only
+    def unpack(cls, data: bytes, like: "BloomFilter") -> "BloomFilter":
+        """Inflate what pack() made to replace like. The header is inflated
+        first and held to deserialize's rules and to like's m and k; only
         then are exactly m/8 bit bytes inflated. A stream that is not raw
         deflate, ends early, yields more, or has bytes after its end raises
         FormatError, so no stream makes this allocate more than its header's
@@ -242,12 +232,12 @@ class BloomFilter:
         inflater = zlib.decompressobj(-15)
         try:
             m, k = _parse_header(inflater.decompress(data, _HEADER.size))
-            if like is not None and (m, k) != (like.m, like.k):
+            if (m, k) != (like.m, like.k):
                 raise FormatError(
                     f"packed filter m={m} k={k} does not replace one of "
                     f"m={like.m} k={like.k}"
                 )
-            want = (m + 7) // 8
+            want = m // 8
             body = inflater.decompress(inflater.unconsumed_tail, want)
         except zlib.error as exc:
             raise FormatError(f"packed filter is not a raw deflate stream: {exc}") from None

@@ -54,11 +54,16 @@ class AdversarialServer(CloudServer):
     def set_adversary(self, behavior: str) -> None:
         """Corrupt subsequent responses. stale_bloom freezes the current
         (filter, sigma, timestamp) and keeps serving it; arm it, ingest past
-        the freshness window, then query."""
+        the freshness window, then query. Arming sends nothing, so it
+        counts no fetch."""
         if behavior not in ADVERSARY_BEHAVIORS:
             raise UsageError(f"unknown behavior {behavior!r}")
         with self._lock:
-            stale = super().get_bloom() if behavior == "stale_bloom" else None
+            stale = None
+            if behavior == "stale_bloom":
+                if self.mode != FULL:
+                    raise UsageError("no published filter in basic mode")
+                stale = (self.bf.serialize(), self.sigma, self.t)
             self.behavior = behavior
             self._stale_snapshot = stale
 

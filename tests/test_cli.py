@@ -73,7 +73,7 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     owner = DataOwner.load(os.path.join(st, "owner.bin"))
     cnt = owner.tbl[keyword].cnt
     t = json.load(open(os.path.join(st, "meta.json")))["last_t"]
-    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes)
+    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes, like=owner.bf)
     bf.add(chain_label(owner.keys.k_prf, keyword, cnt + 1))
     planted = bf.pack()
     server = CloudServer.load(os.path.join(st, "server.bin"))

@@ -81,7 +81,7 @@ def test_mutated_packed_filters_unpack_whole_or_fail_cleanly():
             else:
                 data.insert(rng.randrange(len(data) + 1), rng.randrange(256))
         try:
-            bf = BloomFilter.unpack(bytes(data))
+            bf = BloomFilter.unpack(bytes(data), like=owner.bf)
         except FormatError:
             continue
         raw = zlib.decompress(bytes(data), wbits=-15)

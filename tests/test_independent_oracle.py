@@ -117,7 +117,7 @@ def raw_sigma(k_mac: bytes, serialized: bytes, t: int) -> bytes:
 
 
 def test_filter_mac_matches_raw_primitives():
-    # one block of 959 bits, and four of 65,536
+    # one block of 65,536 bits, and four
     for params in (BloomParams(0.01, 100), BloomParams(2.0**-30, 5000)):
         owner = DataOwner.generate("full", params)
         for i in range(3):
@@ -132,9 +132,11 @@ def test_filter_mac_matches_raw_primitives():
 def raw_bloom_bits(m: int, k: int, elements: list[bytes]) -> bytes:
     """Bit bytes of an (m, k) filter holding elements. The element's
     8(k+1)-byte SHAKE256 output is read as big-endian 8-byte words: word 0
-    mod the number of 65,536-bit blocks picks a block (one block of m bits
-    when m is at most that), and words 1..k mod the block's bits are the
-    bits set inside it; bit g at byte g // 8, least significant bit first."""
+    mod the number of 65,536-bit blocks picks a block, and words 1..k mod
+    65,536 are the bits set inside it; bit g at byte g // 8, least
+    significant bit first. An m the filter would refuse (below one block)
+    is read here as one block of m bits, so this reference does not
+    assume the whole-block rule it is compared against."""
     blocks, width = max(m // 65536, 1), min(m, 65536)
     bits = bytearray((m + 7) // 8)
     for e in elements:

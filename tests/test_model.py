@@ -1,20 +1,31 @@
 """Stateful model test of the three roles: random interleavings of uploads,
 replayed uploads, refreshes, user and owner queries, filter adversaries,
-clock jumps and snapshot round trips, checked after every step against the
-plaintext oracle. One owner, one AdversarialServer, two users on one in-process
-client: the users share the client but each holds the filter it verified.
+filter headers from outside, clock jumps and snapshot round trips, checked
+after every step against the plaintext oracle. One owner, one
+AdversarialServer, two users on one in-process client: the users share the
+client but each holds the filter it verified.
 """
 
+import struct
+import zlib
+
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from dsse.bloom import BloomParams
-from dsse.errors import DsseError, NotFoundError, StaleFilterError, TamperedFilterError
+from dsse.bloom import BLOCK_BITS, BloomParams
+from dsse.errors import (
+    DsseError,
+    FormatError,
+    NotFoundError,
+    StaleFilterError,
+    TamperedFilterError,
+)
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
-from dsse.protocol import FRESHNESS_WINDOW, FULL
+from dsse.protocol import FRESHNESS_WINDOW, FULL, RefreshPayload
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
 
@@ -22,6 +33,12 @@ NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 3_000)  # two 8 KB blocks: a delta may touch one
 KEYWORDS = ("hr:60", "hr:61", "spo2:97", "spo2:98", "temp:37")
 FILTER_ADVERSARIES = ("flip_bloom_bit", "stale_bloom")
+# (m, k) of a filter header that breaks the rules, from the served filter's
+BAD_HEADERS = {
+    "k above 64": lambda m, k: (m, 65),
+    "m not whole blocks": lambda m, k: (m + 8, k),
+    "m below one block": lambda m, k: (BLOCK_BITS - 8, k),
+}
 
 
 def held_state(user: AuthorizedUser):
@@ -86,6 +103,26 @@ class ThreeRoles(RuleBasedStateMachine):
     def arm_or_disarm(self, behavior):
         self.server.set_adversary(behavior)
         self.armed = behavior != "honest"
+
+    @rule(header=st.sampled_from(tuple(BAD_HEADERS)), i=st.sampled_from((0, 1)))
+    def hand_over_a_bad_filter_header(self, header, i):
+        """A REFRESH whose packed filter header breaks the rules is refused
+        before its body is read, and so is a GET_BLOOM answer with that
+        header handed to a user; neither changes what its receiver holds."""
+        server = self.server
+        m, k = BAD_HEADERS[header](server.bf.m, server.bf.k)
+        raw = struct.pack(">II", m, k) + bytes(m // 8)  # a body of the header's length
+        deflater = zlib.compressobj(wbits=-15)
+        packed = deflater.compress(raw) + deflater.flush()
+        before = server.snapshot(), dict(server._versions)
+        with pytest.raises(FormatError):
+            self.client.refresh(RefreshPayload(packed, server.sigma, server.t))
+        assert (server.snapshot(), server._versions) == before
+        user = self.users[i]
+        held = held_state(user)
+        with pytest.raises(FormatError):
+            user.gen_token((raw, server.sigma, server.t), KEYWORDS[0], self.now)
+        assert held_state(user) == held and user.token_filter is None
 
     # -- queries ----------------------------------------------------------
 

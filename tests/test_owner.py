@@ -181,7 +181,7 @@ def test_refresh_embeds_current_counters():
     assert owner.bf.n_inserted == expected
     assert owner.bf.extract_counter(owner.keys.k_prf, "w") == 456
     assert owner.t == NOW + 1000
-    bf = BloomFilter.unpack(payload.bf_bytes)
+    bf = BloomFilter.unpack(payload.bf_bytes, like=owner.bf)
     assert payload.sigma == FilterTags(owner.keys.k_mac, bf).sigma(NOW + 1000)
     # the next upload appends its membership element to the refreshed filter
     owner.add_file(b"more", ["w"], NOW + 1600)

@@ -84,9 +84,9 @@ def golden_state(role, mode):
 
 
 GOLDEN_SNAPSHOTS = {
-    ("owner", "full"): "52bb7a1bda8cf139743a4740cc00ca588fc38b9cd387639c530ebfb9adb58342",
+    ("owner", "full"): "c5ba8e959c5440aa15ddb519d034ff7751aec87f3da41e6936015887143877be",
     ("owner", "basic"): "2ab81891c5785da3be48ac702421a8ef21eb858bc4f98ff8b1bd1007ca54fd7b",
-    ("server", "full"): "2060c29fa9bf3158bc763f14459913b670d503a2263f16b59d0283d044c31fc4",
+    ("server", "full"): "ec38c14124322b69a0d1a7a0c25535b0ac6bf89bb56d2a9b360539493be29528",
     ("server", "basic"): "d05674445998d5544f98e259b4b4a52076dd16c568979e6f727963aae152445a",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }

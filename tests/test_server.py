@@ -5,7 +5,7 @@ import random
 import pytest
 
 import dsse
-from dsse.bloom import BloomFilter, BloomParams
+from dsse.bloom import BLOCK_BYTES, BloomFilter, BloomParams
 from dsse.crypto import LAMBDA, chain_label, prf2, xor_bytes
 from dsse.errors import (
     FormatError,
@@ -292,7 +292,7 @@ def test_refresh_replaces_filter_wholesale():
     assert server.bf.verify(tau2)
     payload = owner.refresh_bloom(NOW + 3 * 600)
     server.refresh(payload)
-    refreshed = BloomFilter.unpack(payload.bf_bytes).serialize()
+    refreshed = BloomFilter.unpack(payload.bf_bytes, like=owner.bf).serialize()
     assert server.bf.serialize() == refreshed == owner.bf.serialize()
     assert (server.sigma, server.t) == (payload.sigma, payload.t)
     # membership elements from before the refresh are no longer in the
@@ -328,6 +328,19 @@ def test_conditional_get_bloom_compares_the_served_pair():
     assert (server.t, server.sigma) != (t, sigma)
     assert server.get_bloom((t, sigma)) == ([], sigma, t)
     assert server.get_bloom((server.t, server.sigma)) == (bf_bytes, sigma, t)
+
+
+def test_arming_stale_bloom_counts_no_fetch():
+    # arming froze its answer through get_bloom, which counted a whole
+    # filter served although nothing was sent
+    owner, server = build()
+    ingest(owner, server, 1, lambda i: ["w"])
+    bf_bytes, sigma, t = server.bf.serialize(), server.sigma, server.t
+    server.set_adversary("stale_bloom")
+    assert server.filters_served == {} and server.filter_bytes_served == {}
+    ingest(owner, server, 1, lambda i: ["w"], start=NOW + 600)
+    assert server.get_bloom() == (bf_bytes, sigma, t)
+    assert server.get_bloom((t, sigma)) == ([], sigma, t)
 
 
 def test_get_bloom_answers_a_logged_version_with_the_taus_added_since():
@@ -378,33 +391,40 @@ def test_get_bloom_sends_the_whole_filter_for_a_version_it_does_not_log():
 
 
 def test_a_delta_not_smaller_than_the_filter_is_sent_whole():
-    params = BloomParams(2.0**-10, 10)  # m=145, k=10: 27 bytes, room for one tau
+    params = BloomParams(2.0**-10, 10)  # one block: 8,200 bytes, room for 512 taus
     owner = DataOwner.generate("full", params)
     server = CloudServer("full", params, group_key=owner.keys.r)
+    keywords = [f"w:{j:03}" for j in range(300)]
     versions = []
     for i in range(3):
-        server.add(owner.add_file(f"f{i}".encode(), ["w"], NOW + 600 * i))
+        server.add(owner.add_file(f"f{i}".encode(), keywords, NOW + 600 * i))
         versions.append((server.t, server.sigma))
     whole = server.bf.serialize()
-    assert len(whole) == 27
-    assert server.get_bloom(versions[1])[0] == [chain_label(owner.keys.k_prf, "w", 3)]
-    assert server.get_bloom(versions[0])[0] == whole  # two taus: 32 bytes
+    assert len(whole) == 8 + BLOCK_BYTES
+    assert server.get_bloom(versions[1])[0] == [
+        chain_label(owner.keys.k_prf, w, 3) for w in keywords
+    ]
+    assert server.get_bloom(versions[0])[0] == whole  # 600 taus: 9,600 bytes
     # the log holds no version whose delta is not smaller than the filter
     assert all((len(server.tbl) - at) * LAMBDA < len(whole) for at in server._versions.values())
-    assert server.filter_bytes_served == {"delta": LAMBDA, "full": 27}
+    assert server.filter_bytes_served == {"delta": 300 * LAMBDA, "full": len(whole)}
 
 
 def test_a_repeated_version_does_not_outlive_its_taus():
     # the server holds no MAC key, so an ADD may repeat an earlier (t, sigma);
     # the repeat must not keep older versions logged past their taus
-    params = BloomParams(2.0**-10, 10)  # room for one tau
+    params = BloomParams(2.0**-10, 10)  # room for 512 taus
     owner = DataOwner.generate("full", params)
     server = CloudServer("full", params, group_key=owner.keys.r)
     a, b = (owner.add_file(name, ["w"], NOW) for name in (b"a", b"b"))
     server.add(a)
     server.add(b)
-    server.add(AddPayload(b"C" * 16, b"c", [(b"\x0c" * 16, b"\x0d" * 48)], a.sigma, a.t))
-    server.add(AddPayload(b"D" * 16, b"d", [(b"\x0e" * 16, b"\x0f" * 48)], b"\x01" * 16, NOW))
+
+    def entries(tag: int) -> list[tuple[bytes, bytes]]:
+        return [(bytes([tag]) + j.to_bytes(15, "big"), b"\x0d" * 48) for j in range(300)]
+
+    server.add(AddPayload(b"C" * 16, b"c", entries(0x0C), a.sigma, a.t))
+    server.add(AddPayload(b"D" * 16, b"d", entries(0x0E), b"\x01" * 16, NOW))
     assert server.get_bloom((b.t, b.sigma))[0] == server.bf.serialize()
 
 

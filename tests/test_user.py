@@ -5,7 +5,7 @@ import pytest
 
 from dsse import crypto, protocol
 from dsse import user as user_module
-from dsse.bloom import BloomFilter, BloomParams
+from dsse.bloom import BLOCK_BYTES, BloomFilter, BloomParams
 from dsse.errors import (
     AmbiguousCounterError,
     CounterBoundError,
@@ -152,7 +152,7 @@ def test_gen_token_rejects_tampered_filter():
 
 def changed_blocks(before: bytes, bf: BloomFilter) -> list[int]:
     """The blocks of bf whose bytes differ from those of the bit bytes before."""
-    size = bf.block_bytes
+    size = BLOCK_BYTES
     return [i for i in range(bf.n_blocks) if bf.block(i) != before[i * size : (i + 1) * size]]
 
 
@@ -195,7 +195,7 @@ def test_block_forgeries_refused(held, forgery):
     server.add(owner.add_file(b"late", ["w", "x:1"], t))
     bf_bytes, sigma, ts = fetch(server)
     bf = BloomFilter.deserialize(bf_bytes)
-    size = bf.block_bytes
+    size = BLOCK_BYTES
     old_bits = old[0][8:]  # after the m and k header
     i = changed_blocks(old_bits, bf)[0]  # a block the upload changed
     if forgery == "swap_blocks":
@@ -314,7 +314,7 @@ def test_query_refuses_below_a_planted_false_positive():
     for i in range(c):
         client.add(owner.add_file(f"f{i}".encode(), ["w"], NOW + i * 600))
     t = NOW + c * 600
-    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes)
+    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes, like=owner.bf)
     bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
     bf.add(crypto.chain_label(owner.keys.k_prf, "ghost", 1))
     planted = bf.pack()

@@ -268,7 +268,7 @@ def test_refresh_with_unbounded_k_refused_and_state_kept():
     client = wire.Client.in_process(server)
     before = (server.bf.serialize(), server.sigma, server.t)
     payload = owner.refresh_bloom(last_t + 600)
-    bf = BloomFilter.unpack(payload.bf_bytes)
+    bf = BloomFilter.unpack(payload.bf_bytes, like=owner.bf)
     bf.k = 2**20
     hostile = RefreshPayload(bf.pack(), payload.sigma, payload.t)
     reply = wire.decode(client.transport.request(wire.encode(hostile)))
