@@ -24,7 +24,7 @@ from .harness.bench import REFERENCES, long_state_run, run_bench
 from .harness.phi import synthesize_stream
 from .harness.scenario import ADVERSARY_BEHAVIORS, ScenarioConfig, run_scenario
 from .owner import DataOwner
-from .protocol import FULL
+from .protocol import FULL, verify_result
 from .server import CloudServer
 from .user import AuthorizedUser
 from .wire import Client, WireServer
@@ -212,9 +212,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     gamma = bytes.fromhex(tr["proof"]["gamma"])
     ids = [bytes.fromhex(i) for i in tr["ids"]]
     cts = [base64.b64decode(c) for c in tr["ciphertexts"]]
-    if tr["actor"] == "owner":
+    if tr["actor"] == "owner":  # at the counter searched, not the owner's current one
         owner = DataOwner.load(_paths(args.state_dir)["owner"])
-        report = owner.verify(tr["keyword"], ids, cts, gamma, tr["now"])
+        report = verify_result(
+            owner.keys.k_mac, tr["keyword"], tr["guessed_cnt"], ids, cts, gamma
+        )
     else:
         user = AuthorizedUser.load(_user_path(args.state_dir, tr["user"]))
         recorded = tr.get("token_filter")  # absent: no filter was accepted

@@ -52,13 +52,13 @@ class ChainEntry:
 
 @dataclass(slots=True)
 class MergedEntry:
-    """Search result frozen under the head label after a completed walk.
+    """An entry a search opened, frozen with the answer at its counter.
 
-    chain is the append-only list of file ids, oldest-first, that this
-    entry shares with the other merged heads of its keyword chain; the
-    entry answers with its first n (n >= 1). gamma is the aggregate MAC recovered
-    from the merged entry at merge time (full mode); a repeat search for the
-    same token must still be able to hand out a verifiable gamma.
+    chain is the append-only list of file ids, oldest-first, that the merged
+    entries of one keyword chain share; the entry at counter n answers with
+    its first n, so a chain's merged entries are counters 1..L of a list of
+    length L. gamma is the aggregate MAC its mask held (full mode): a repeat
+    search at that counter still hands out a verifiable gamma.
     """
 
     chain: list[bytes]
@@ -71,29 +71,21 @@ class MergedEntry:
         return tuple(self.chain[self.n - 1 :: -1])
 
 
-def _merge(
-    below: MergedEntry | None, walked: list[bytes], gamma: bytes | None
-) -> MergedEntry:
-    """Freeze a walk: the ids it collected (newest-first) on top of the
-    merged entry it stopped at, if any.
+def _extend(below: MergedEntry | None, fresh: list[bytes]) -> list[bytes]:
+    """The id list, oldest-first, for a walk that collected fresh
+    (oldest-first) on top of the merged entry it stopped at, if any.
 
-    The new entry shares the list of the one below when that list ends at
-    its prefix or already goes on with the walked ids, appending whatever
-    is missing. Otherwise it gets a copy: ids that another entry's prefix
-    covers never change.
+    The walk shares the list of the entry below when that entry is its
+    list's end, appending to it. Otherwise (a crafted entry, or a table
+    saved when only heads were merged) it gets a copy: ids that another
+    entry's prefix covers never change.
     """
     if below is None:
-        return MergedEntry(walked[::-1], len(walked), gamma)
-    if not walked:  # a repeat search: the head itself was merged
-        return below
-    fresh = walked[::-1]
-    chain, n = below.chain, below.n
-    known = chain[n : n + len(fresh)]
-    if fresh[: len(known)] == known:
-        chain.extend(fresh[len(known) :])
-    else:
-        chain = chain[:n] + fresh
-    return MergedEntry(chain, n + len(fresh), gamma)
+        return fresh
+    if below.n == len(below.chain):
+        below.chain.extend(fresh)
+        return below.chain
+    return below.chain[: below.n] + fresh
 
 
 class CloudServer(Persistent):
@@ -252,19 +244,17 @@ class CloudServer(Persistent):
         (ids, ciphertexts, gamma), gamma None in basic mode.
 
         Collects file ids newest-first, stopping at the zero key or at a
-        previously merged entry. Afterwards the head label is rewritten as
-        a merged entry so the next search for the same token costs one
-        lookup plus one per entry added since. A walk that reached the zero
-        key also merges the chain's bottom entry, so every later walk of
-        the chain stops on a merged entry and shares its id list.
+        previously merged entry. Afterwards every entry the walk opened is
+        rewritten as a merged entry at its own counter, so a later search at
+        any counter walked so far costs one lookup, and one at a newer
+        counter one plus one per entry added since.
         """
         with self._lock:
             tau_head, key = self._open_token(envelope)
             mask = prf3 if self.mode == FULL else prf2
 
-            walked: list[bytes] = []
+            walked: list[tuple[bytes, bytes, bytes | None]] = []  # label, id, gamma
             below: MergedEntry | None = None
-            gamma_head: bytes | None = None
             tau, k = tau_head, key
             lookups = 0
             while True:
@@ -276,28 +266,22 @@ class CloudServer(Persistent):
                 lookups += 1
                 if isinstance(entry, MergedEntry):
                     below = entry
-                    if gamma_head is None:
-                        gamma_head = entry.gamma
                     break
-                walked.append(entry.file_id)
                 opened = xor_bytes(entry.mu, mask(k, tau))
-                tau_prev = opened[:LAMBDA]
+                walked.append((tau, entry.file_id, opened[2 * LAMBDA :] or None))
                 k_prev = opened[LAMBDA : 2 * LAMBDA]
-                if self.mode == FULL and gamma_head is None:
-                    gamma_head = opened[2 * LAMBDA :]
                 if k_prev == ZERO:
                     break
-                tau, k = tau_prev, k_prev
+                tau, k = opened[:LAMBDA], k_prev
             self.last_search_lookups = lookups
 
-            head = _merge(below, walked, gamma_head)
-            if below is None:  # stopped at the zero key: tau is the bottom
-                gamma = opened[2 * LAMBDA :] or None  # empty in basic mode
-                self.tbl[tau] = MergedEntry(head.chain, 1, gamma)
-            self.tbl[tau_head] = head
-
+            if walked:
+                chain = _extend(below, [fid for _, fid, _ in reversed(walked)])
+                for n, (label, _, gamma) in zip(range(len(chain), 0, -1), walked):
+                    self.tbl[label] = MergedEntry(chain, n, gamma)
+            head = self.tbl[tau_head]
             ids = head.chain[head.n - 1 :: -1]
-            return ids, self.ciphertexts_for(ids), gamma_head
+            return ids, self.ciphertexts_for(ids), head.gamma
 
     def ciphertexts_for(self, ids: list[bytes]) -> list[bytes]:
         with self._lock:

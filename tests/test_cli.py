@@ -47,6 +47,21 @@ def test_gen_keys_ingest_search_verify(tmp_path, capsys):
     assert code == 0 and "verification: PASS" in out
 
 
+def test_owner_transcript_verifies_after_later_uploads(tmp_path, capsys):
+    # the owner's answer is checked at the counter it searched, not at the
+    # counter the keyword has reached since
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--capacity", "20000"], capsys)
+    run(["--state-dir", st, "ingest", "--n", "50", "--seed", "1"], capsys)
+    keyword = "pulse_oxygen:95"
+    code, out, _ = run(["--state-dir", st, "search", "--keyword", keyword, "--as", "owner"], capsys)
+    assert code == 0 and "(counter 1)" in out
+    run(["--state-dir", st, "ingest", "--n", "200", "--seed", "2"], capsys)
+    assert DataOwner.load(os.path.join(st, "owner.bin")).tbl[keyword].cnt > 1
+    code, out, _ = run(["--state-dir", st, "verify"], capsys)
+    assert code == 0 and "verification: PASS" in out, out
+
+
 def test_refresh_then_user_search(tmp_path, capsys):
     st = str(tmp_path / "st")
     run(["--state-dir", st, "gen-keys", "--capacity", "20000"], capsys)

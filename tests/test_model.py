@@ -1,9 +1,10 @@
 """Stateful model test of the three roles: random interleavings of uploads,
-replayed uploads, refreshes, user and owner queries, filter adversaries,
-filter headers from outside, clock jumps and snapshot round trips, checked
-after every step against the plaintext oracle. One owner, one
-AdversarialServer, two users on one in-process client: the users share the
-client but each holds the filter it verified.
+replayed uploads, refreshes, group-key rotations that revoke a user, user
+queries, owner queries at the current and older counters, filter
+adversaries, filter headers from outside, clock jumps and snapshot round
+trips, checked after every step against the plaintext oracle. One owner,
+one AdversarialServer, two users on one in-process client: the users share
+the client but each holds the filter it verified.
 """
 
 import struct
@@ -12,20 +13,23 @@ import zlib
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from dsse.bloom import BLOCK_BITS, BloomParams
+from dsse.crypto import chain_label
 from dsse.errors import (
     DsseError,
     FormatError,
     NotFoundError,
+    StaleEpochError,
     StaleFilterError,
     TamperedFilterError,
 )
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
-from dsse.protocol import FRESHNESS_WINDOW, FULL, RefreshPayload
+from dsse.protocol import FRESHNESS_WINDOW, FULL, RefreshPayload, verify_result
+from dsse.server import MergedEntry
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
 
@@ -57,6 +61,7 @@ class ThreeRoles(RuleBasedStateMachine):
         self.uploaded_at: dict[bytes, int] = {}
         self.payloads = []
         self.armed = False
+        self.revoked: int | None = None  # the user left out of every rotation
 
     def _serve(self, server: AdversarialServer) -> None:
         self.server = server
@@ -92,6 +97,19 @@ class ThreeRoles(RuleBasedStateMachine):
     def refresh(self):
         self.now += 600
         self.client.refresh(self.owner.refresh_bloom(self.now))
+
+    @rule(i=st.sampled_from((0, 1)))
+    def rotate_and_revoke(self, i):
+        """The owner rotates the group key and hands it to the server and to
+        every user but one: the one revoked before, if any, so the other
+        stays authorized."""
+        if self.revoked is None:
+            self.revoked = i
+        r, epoch = self.owner.rotate_group_key()
+        self.client.rotate(r, epoch)
+        for j, user in enumerate(self.users):
+            if j != self.revoked:
+                user.update_group_key(r, epoch)
 
     @rule()
     def advance_past_the_freshness_window(self):
@@ -129,6 +147,13 @@ class ThreeRoles(RuleBasedStateMachine):
     @rule(i=st.sampled_from((0, 1)), keyword=st.sampled_from(KEYWORDS))
     def user_query(self, i, keyword):
         user = self.users[i]
+        if i == self.revoked:
+            # no answer; past the filter checks, the server refuses the token
+            with pytest.raises(DsseError) as refused:
+                user.query(self.client, keyword, self.now)
+            if not isinstance(refused.value, (TamperedFilterError, StaleFilterError)):
+                assert isinstance(refused.value, StaleEpochError), repr(refused.value)
+            return
         expected = self.oracle.ids_newest_first(keyword)
         fresh = self.now - self.server.t <= FRESHNESS_WINDOW
         held = held_state(user)
@@ -165,6 +190,29 @@ class ThreeRoles(RuleBasedStateMachine):
         ids, cts, gamma = self.client.search(self.owner.gen_token(keyword))
         assert ids == expected
         assert self.owner.verify(keyword, ids, cts, gamma, self.now).ok
+
+    @rule(keyword=st.sampled_from(KEYWORDS), data=st.data())
+    def owner_query_at_an_older_counter(self, keyword, data):
+        """A search at any counter the keyword has had answers with the
+        files it had then, and verifies at that counter."""
+        c = data.draw(st.integers(1, self.owner.tbl[keyword].cnt))
+        ids, cts, gamma = self.client.search(self.owner.token_for_counter(keyword, c))
+        assert ids == self.oracle.ids_newest_first(keyword)[-c:]
+        assert verify_result(self.owner.keys.k_mac, keyword, c, ids, cts, gamma).ok
+
+    @invariant()
+    def merged_entries_are_a_prefix_of_one_list(self):
+        """A keyword's merged entries are its counters 1..L, each answering
+        with its own counter's prefix of one shared list of L ids."""
+        k_prf = self.owner.keys.k_prf
+        for keyword, rec in self.owner.tbl.items():
+            labels = [chain_label(k_prf, keyword, c) for c in range(1, rec.cnt + 1)]
+            entries = [self.server.tbl[tau] for tau in labels]
+            merged = [e for e in entries if isinstance(e, MergedEntry)]
+            assert all(isinstance(e, MergedEntry) for e in entries[: len(merged)])
+            assert [e.n for e in merged] == list(range(1, len(merged) + 1))
+            assert all(e.chain is merged[0].chain for e in merged)
+            assert not merged or len(merged[0].chain) == len(merged)
 
     # -- persistence ------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 
 import dsse
 from dsse.bloom import BLOCK_BYTES, BloomFilter, BloomParams
-from dsse.crypto import LAMBDA, chain_label, prf2, xor_bytes
+from dsse.crypto import LAMBDA, aggregate_mac, chain_label, prf2, xor_bytes
 from dsse.errors import (
     FormatError,
     NotFoundError,
@@ -16,7 +16,7 @@ from dsse.errors import (
 )
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
-from dsse.protocol import AddPayload, SearchTokenEnvelope, verify_result
+from dsse.protocol import AddPayload, SearchTokenEnvelope, result_mac, verify_result
 from dsse.server import ChainEntry, CloudServer, MergedEntry
 
 NOW = 1_700_000_000
@@ -98,12 +98,15 @@ def test_replay_of_a_stored_upload_is_a_no_op(mode):
             assert (server.snapshot(), server._versions) == before
 
     unchanged_by_replays([payloads[-1], payloads[0]])
-    # the search merges the head c3 and the bottom c1, and leaves c2 a chain entry
+    # the search merges every entry it opens, c1..c3; the x:i entries, which
+    # no search walks, stay chain entries
     rst, _, _ = server.search(owner.gen_token("w"))
     ids = [payload.file_id for payload in payloads]
     assert rst == ids[::-1]
     w = [chain_label(owner.keys.k_prf, "w", c) for c in (1, 2, 3)]
-    assert [type(server.tbl[tau]) for tau in w] == [MergedEntry, ChainEntry, MergedEntry]
+    assert [type(server.tbl[tau]) for tau in w] == [MergedEntry] * 3
+    x = [chain_label(owner.keys.k_prf, f"x:{i}", 1) for i in range(3)]
+    assert [type(server.tbl[tau]) for tau in x] == [ChainEntry] * 3
     unchanged_by_replays(payloads)
     # a label merged for another file is not this file's
     before = server.snapshot()
@@ -577,12 +580,12 @@ def test_old_counter_searches_between_merged_heads():
     assert search_at(3) == 3
     assert search_at(8) == 6  # c8..c4, then the merged c3
     shared = server.tbl[chain_label(owner.keys.k_prf, "w", 8)].chain
-    assert search_at(5) == 3  # interior: c5, c4, then the merged c3
-    assert search_at(2) == 2  # below every merged head: c2, then the merged bottom c1
+    assert search_at(5) == 1  # merged by the walk from c8
+    assert search_at(2) == 1  # merged by the walk from c3
     assert search_at(1) == 1 and search_at(1) == 1
     ids += ingest(owner, server, 5, lambda i: ["w"], start=NOW + 10 * 600)
     assert search_at(15) == 8  # c15..c9, then the merged c8
-    assert search_at(9) == 2
+    assert search_at(9) == 1
     for counter in (1, 2, 3, 5, 8, 9, 15):
         assert server.tbl[chain_label(owner.keys.k_prf, "w", counter)].chain is shared
     assert shared == ids
@@ -591,14 +594,15 @@ def test_old_counter_searches_between_merged_heads():
 
 @pytest.mark.parametrize("mode", ["basic", "full"])
 def test_descending_old_counter_searches_store_each_id_once(mode):
-    # each search walks down to the chain's merged bottom c1 and shares its
-    # list; a list per walk to the zero key stores 200 + 199 + ... + 1 ids
+    # the first search merges every entry of the chain, so each later one is
+    # one lookup on its shared list; a list per walk to the zero key stores
+    # 200 + 199 + ... + 1 ids
     owner, server = build(mode)
     ids = ingest(owner, server, 200, lambda i: ["w"])
     for counter in range(200, 0, -1):
         rst, cts, gamma = server.search(owner.token_for_counter("w", counter))
         assert rst == ids[:counter][::-1]
-        assert server.last_search_lookups == counter
+        assert server.last_search_lookups == (200 if counter == 200 else 1)
         if mode == "full":
             assert verify_result(owner.keys.k_mac, "w", counter, rst, cts, gamma).ok
     assert merged_lists(server) == [ids]
@@ -620,6 +624,29 @@ def test_merge_never_rewrites_a_shared_prefix():
     rst, _, _ = server.search(SearchTokenEnvelope(0, tau + key))
     assert rst == [b"stranger-id-0000", ids[0]]
     assert server.tbl[tau].chain is not shared
+    assert shared == ids
+
+
+def test_a_table_with_only_heads_merged_still_answers():
+    # the shape a server that merged only the head and the chain's bottom
+    # saved after searches at counters 3 then 8: merged c1, c3 and c8 on one
+    # 8-id list, c2 and c4..c7 still chain entries; DSSESRV7 loads it as is
+    owner, server = build()
+    ids = ingest(owner, server, 8, lambda i: ["w", f"noise:{i}"])
+    tags = [result_mac(owner.keys.k_mac, server.files[i], "w") for i in ids]
+    shared = list(ids)
+    for c in (1, 3, 8):
+        gamma = aggregate_mac(tags[:c])
+        server.tbl[chain_label(owner.keys.k_prf, "w", c)] = MergedEntry(shared, c, gamma)
+    server = CloudServer.restore(server.snapshot())
+    shared = server.tbl[chain_label(owner.keys.k_prf, "w", 1)].chain
+    for _ in range(2):
+        for counter in range(1, 9):
+            rst, cts, gamma = server.search(owner.token_for_counter("w", counter))
+            assert rst == ids[:counter][::-1], counter
+            assert verify_result(owner.keys.k_mac, "w", counter, rst, cts, gamma).ok
+    for c in (1, 3, 8):
+        assert server.tbl[chain_label(owner.keys.k_prf, "w", c)].chain is shared
     assert shared == ids
 
 
