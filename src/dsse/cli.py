@@ -52,15 +52,23 @@ def _save_meta(state_dir: str, meta: dict) -> None:
     write_atomic(_paths(state_dir)["meta"], json.dumps(meta, indent=2).encode())
 
 
+def _host_port(value: str) -> tuple[str, int]:
+    """argparse type of --connect and --listen: HOST:PORT, split at the last
+    colon, with a port from 0 to 65535 (0 listens on any free port)."""
+    host, colon, port = value.rpartition(":")
+    if not colon or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
+    return host, int(port)
+
+
 class _ServerHandle:
     """Local (load/save server.bin) or remote (socket) server access."""
 
-    def __init__(self, state_dir: str, connect: str | None):
+    def __init__(self, state_dir: str, connect: tuple[str, int] | None):
         self.state_dir = state_dir
         self.remote = connect is not None
         if self.remote:
-            host, port = connect.rsplit(":", 1)
-            self.client = Client.connect(host, int(port))
+            self.client = Client.connect(*connect)
             self.server = None
         else:
             self.server = CloudServer.load(_paths(state_dir)["server"])
@@ -259,9 +267,8 @@ def cmd_rotate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    host, port = args.listen.rsplit(":", 1)
     server = CloudServer.load(_paths(args.state_dir)["server"])
-    wire_server = WireServer(server, host, int(port))
+    wire_server = WireServer(server, *args.listen)
     wire_server.start()
     actual = wire_server.address
     print(f"serving {args.state_dir} on {actual[0]}:{actual[1]} (ctrl-c to stop)", flush=True)
@@ -285,7 +292,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         adversary=args.adversary,
         seed=args.seed,
         transport="socket" if args.socket else "inprocess",
-        concurrent_queries=args.concurrency,
     )
     report = run_scenario(config)
     print(report.table())
@@ -346,18 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--period", type=int, default=600)
-    p.add_argument("--connect", help="HOST:PORT of a remote `dsse serve`")
+    p.add_argument("--connect", type=_host_port, metavar="HOST:PORT",
+                   help="a remote `dsse serve`")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("refresh", help="rebuild and upload the counter filter")
-    p.add_argument("--connect")
+    p.add_argument("--connect", type=_host_port, metavar="HOST:PORT")
     p.set_defaults(func=cmd_refresh)
 
     p = sub.add_parser("search", help="query one keyword")
     p.add_argument("--keyword", required=True)
     p.add_argument("--as", dest="actor", choices=["owner", "user"], default="user")
     p.add_argument("--user", help="user name (default: first provisioned)")
-    p.add_argument("--connect")
+    p.add_argument("--connect", type=_host_port, metavar="HOST:PORT")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="verify the last search transcript")
@@ -365,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rotate", help="rotate the group key, revoking a user")
     p.add_argument("--revoke", required=True)
-    p.add_argument("--connect")
+    p.add_argument("--connect", type=_host_port, metavar="HOST:PORT")
     p.set_defaults(func=cmd_rotate)
 
     p = sub.add_parser("serve", help="serve server state over TCP")
-    p.add_argument("--listen", default="127.0.0.1:7730", help="HOST:PORT")
+    p.add_argument("--listen", type=_host_port, default="127.0.0.1:7730",
+                   metavar="HOST:PORT")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("scenario", help="run an end-to-end scenario")
@@ -380,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--socket", action="store_true",
                    help="drive the scenario over a TCP socket")
-    p.add_argument("--concurrency", type=int, default=1,
-                   help="run the query phase from this many threads")
     p.add_argument("--out", help="write line-delimited records here")
     p.set_defaults(func=cmd_scenario)
 

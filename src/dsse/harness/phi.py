@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..errors import UsageError
+
 STREAM_START = 1_700_000_000  # fixed epoch so runs are reproducible
 DEFAULT_PERIOD = 600  # one file every 10 minutes
 
@@ -67,7 +69,7 @@ def synthesize_stream(
 ) -> Iterator[PHIFile]:
     """Deterministic stream of n_files records spaced period_seconds apart."""
     if n_files < 1:
-        raise ValueError(f"n_files must be >= 1, got {n_files}")
+        raise UsageError(f"n_files must be >= 1, got {n_files}")
     rng = random.Random(seed)
     for i in range(n_files):
         readings = {name: rng.randint(lo, hi) for name, lo, hi in ATTRIBUTES}

@@ -111,7 +111,6 @@ class ScenarioConfig:
     adversary: str = "honest"
     seed: int = 7
     transport: str = "inprocess"  # or "socket"
-    concurrent_queries: int = 1  # >1 runs the query phase from worker threads
 
 
 @dataclass
@@ -210,6 +209,8 @@ class SimulatedSystem:
         transport: str = "inprocess",
         n_users: int = 1,
     ):
+        if transport not in ("inprocess", "socket"):
+            raise UsageError(f"transport must be 'inprocess' or 'socket', got {transport!r}")
         self.mode = mode
         params = bloom_params or BloomParams()
         self.owner = DataOwner.generate(mode, params)
@@ -228,8 +229,11 @@ class SimulatedSystem:
         if transport == "socket":
             self._wire_server = WireServer(self.server)
             self._wire_server.start()
-            host, port = self._wire_server.address
-            self.client = Client.connect(host, port)
+            try:
+                self.client = Client.connect(*self._wire_server.address)
+            except BaseException:
+                self._wire_server.stop()
+                raise
         else:
             self.client = Client.in_process(self.server)
 
@@ -356,9 +360,9 @@ def _report_reason(report) -> str:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     if config.adversary not in ADVERSARY_BEHAVIORS:
-        raise ValueError(f"unknown adversary {config.adversary!r}")
+        raise UsageError(f"unknown adversary {config.adversary!r}")
     if config.adversary != "honest" and config.mode != FULL:
-        raise ValueError("adversarial scenarios need full mode (no proofs in basic)")
+        raise UsageError("adversarial scenarios need full mode (no proofs in basic)")
 
     report = ScenarioReport(config)
     system = SimulatedSystem(
@@ -412,17 +416,12 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
     else:
         if adversary != "honest" and adversary != "stale_bloom":
             system.server.set_adversary(adversary)
-        picked = [rng.choice(keywords) for _ in range(config.n_queries)]
-        if config.concurrent_queries > 1 and config.mode == FULL:
-            report.records.extend(
-                _concurrent_user_queries(system, picked, config.concurrent_queries)
-            )
-        else:
-            for keyword in picked:
-                if config.mode == FULL:
-                    report.records.append(system.user_query(system.users[0], keyword))
-                else:
-                    report.records.append(system.owner_query(keyword))
+        for _ in range(config.n_queries):
+            keyword = rng.choice(keywords)
+            if config.mode == FULL:
+                report.records.append(system.user_query(system.users[0], keyword))
+            else:
+                report.records.append(system.owner_query(keyword))
     report.query_seconds = time.perf_counter() - t1
 
     if adversary == "honest":
@@ -431,28 +430,6 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
         )
     else:
         report.failed = any(r.verified is not False for r in report.records)
-
-
-def _concurrent_user_queries(
-    system: SimulatedSystem, keywords: list[str], workers: int
-) -> list[QueryRecord]:
-    """Query phase under thread contention, exercising the server's locking.
-
-    Each worker gets its own user (probe stats are per-user); shared lookup
-    instrumentation is meaningless across threads and left unset.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    users = [AuthorizedUser.from_owner(system.owner) for _ in range(workers)]
-
-    def one(args: tuple[int, str]) -> QueryRecord:
-        i, keyword = args
-        record = system.user_query(users[i % workers], keyword)
-        record.lookups = None
-        return record
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, enumerate(keywords)))
 
 
 def _equal_count_pairs(

@@ -5,6 +5,8 @@ import signal
 import subprocess
 import sys
 
+import pytest
+
 import dsse
 
 from dsse.bloom import BloomFilter
@@ -248,6 +250,35 @@ def test_scenario_command_writes_records(tmp_path, capsys):
 def test_missing_state_message(tmp_path, capsys):
     code, _, err = run(["--state-dir", str(tmp_path / "nope"), "ingest", "--n", "1"], capsys)
     assert code == 1 and "gen-keys" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--n", "2", "--connect", "nohostport"],
+    ["ingest", "--n", "2", "--connect", "127.0.0.1:x"],
+    ["refresh", "--connect", "127.0.0.1:65536"],
+    ["search", "--keyword", "heartbeat:60", "--connect", "127.0.0.1:-1"],
+    ["rotate", "--revoke", "u1", "--connect", "127.0.0.1:"],
+    ["serve", "--listen", "127.0.0.1"],
+])
+def test_malformed_host_port_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert err.startswith("usage: dsse ") and "expected HOST:PORT" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--n", "0"],
+    ["scenario", "--n", "0"],
+    ["bench", "--add-files", "0"],
+    ["scenario", "--mode", "basic", "--adversary", "drop_result"],
+])
+def test_bad_counts_and_combinations_are_reported(tmp_path, capsys, argv):
+    st = str(tmp_path / "st")
+    run(["--state-dir", st, "gen-keys", "--capacity", "2000"], capsys)
+    code, _, err = run(["--state-dir", st, *argv], capsys)
+    assert code == 1 and err.startswith("error: ")
 
 
 def test_connect_flag_against_live_server(tmp_path, capsys):

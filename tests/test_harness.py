@@ -4,8 +4,8 @@ import pytest
 
 from dsse.bloom import BloomFilter
 from dsse.crypto import LAMBDA, chain_label
-from dsse.errors import NotFoundError, ProtocolError
-from dsse.harness import bench
+from dsse.errors import NotFoundError, ProtocolError, TransportError, UsageError
+from dsse.harness import bench, scenario
 from dsse.harness.bench import linear_fit, long_state_run, run_bench
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import (
@@ -142,16 +142,29 @@ def test_full_corpus_guess_after_refresh():
         system.close()
 
 
-def test_concurrent_queries_all_verify():
-    # threads share one Client; each user fetches against the filter it holds
-    for transport in ("inprocess", "socket"):
-        report = run_scenario(
-            ScenarioConfig(mode="full", n_files=150, n_queries=40, seed=8,
-                           concurrent_queries=4, transport=transport)
-        )
-        assert not report.failed
-        assert report.n_verified_true == 40
-        assert report.n_oracle_match == 40
+def test_simulated_system_refuses_an_unknown_transport():
+    with pytest.raises(UsageError, match="transport"):
+        SimulatedSystem("full", transport="tcp")
+
+
+def test_simulated_system_stops_its_wire_server_when_connect_fails(monkeypatch):
+    started = []
+
+    class RecordedWireServer(scenario.WireServer):
+        def start(self):
+            super().start()
+            started.append(self)
+
+    def refuse(cls, host, port):
+        raise TransportError("refused")
+
+    monkeypatch.setattr(scenario, "WireServer", RecordedWireServer)
+    monkeypatch.setattr(scenario.Client, "connect", classmethod(refuse))
+    with pytest.raises(TransportError):
+        SimulatedSystem("full", transport="socket")
+    [wire_server] = started
+    wire_server._thread.join(timeout=10)
+    assert not wire_server._thread.is_alive()
 
 
 def test_scenario_over_socket_matches_in_process():

@@ -1,7 +1,7 @@
 """Stateful model test of the three roles: random interleavings of uploads,
 replayed uploads, refreshes, group-key rotations that revoke a user, user
-queries, owner queries at the current and older counters, filter
-adversaries, filter headers from outside, clock jumps and snapshot round
+queries, owner queries at the current and older counters, every adversary
+behaviour, filter headers from outside, clock jumps and snapshot round
 trips, checked after every step against the plaintext oracle. One owner,
 one AdversarialServer, two users on one in-process client: the users share
 the client but each holds the filter it verified.
@@ -26,7 +26,7 @@ from dsse.errors import (
     TamperedFilterError,
 )
 from dsse.harness.oracle import PlaintextOracle
-from dsse.harness.scenario import AdversarialServer
+from dsse.harness.scenario import ADVERSARY_BEHAVIORS, AdversarialServer
 from dsse.owner import DataOwner
 from dsse.protocol import FRESHNESS_WINDOW, FULL, RefreshPayload, verify_result
 from dsse.server import MergedEntry
@@ -36,7 +36,6 @@ from dsse.wire import Client
 NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 3_000)  # two 8 KB blocks: a delta may touch one
 KEYWORDS = ("hr:60", "hr:61", "spo2:97", "spo2:98", "temp:37")
-FILTER_ADVERSARIES = ("flip_bloom_bit", "stale_bloom")
 # (m, k) of a filter header that breaks the rules, from the served filter's
 BAD_HEADERS = {
     "k above 64": lambda m, k: (m, 65),
@@ -117,7 +116,7 @@ class ThreeRoles(RuleBasedStateMachine):
 
     # -- the adversary --------------------------------------------------
 
-    @rule(behavior=st.sampled_from(("honest", *FILTER_ADVERSARIES)))
+    @rule(behavior=st.sampled_from(ADVERSARY_BEHAVIORS))
     def arm_or_disarm(self, behavior):
         self.server.set_adversary(behavior)
         self.armed = behavior != "honest"
@@ -188,8 +187,12 @@ class ThreeRoles(RuleBasedStateMachine):
         if not expected:
             return
         ids, cts, gamma = self.client.search(self.owner.gen_token(keyword))
+        verified = self.owner.verify(keyword, ids, cts, gamma, self.now).ok
+        if self.armed:  # a cheating answer must fail verification
+            assert not verified or ids == expected
+            return
         assert ids == expected
-        assert self.owner.verify(keyword, ids, cts, gamma, self.now).ok
+        assert verified
 
     @rule(keyword=st.sampled_from(KEYWORDS), data=st.data())
     def owner_query_at_an_older_counter(self, keyword, data):
@@ -197,8 +200,13 @@ class ThreeRoles(RuleBasedStateMachine):
         files it had then, and verifies at that counter."""
         c = data.draw(st.integers(1, self.owner.tbl[keyword].cnt))
         ids, cts, gamma = self.client.search(self.owner.token_for_counter(keyword, c))
-        assert ids == self.oracle.ids_newest_first(keyword)[-c:]
-        assert verify_result(self.owner.keys.k_mac, keyword, c, ids, cts, gamma).ok
+        expected = self.oracle.ids_newest_first(keyword)[-c:]
+        verified = verify_result(self.owner.keys.k_mac, keyword, c, ids, cts, gamma).ok
+        if self.armed:
+            assert not verified or ids == expected
+            return
+        assert ids == expected
+        assert verified
 
     @invariant()
     def merged_entries_are_a_prefix_of_one_list(self):

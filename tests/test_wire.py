@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -385,6 +386,49 @@ def test_full_honest_run_over_wire():
         assert ids == oracle.ids_newest_first(w)
         report = owner.verify(w, ids, cts, gamma, last_t + 60)
         assert report.ok
+
+
+@pytest.mark.parametrize("connections", ["one_per_thread", "one_shared"])
+def test_concurrent_user_queries_over_one_wire_server(connections):
+    """40 delegated queries from 4 threads, each thread its own user. With a
+    connection per thread every request gets its own handler thread, so the
+    server answers them concurrently; a shared client sends them one at a
+    time. Every answer verifies and equals the oracle's."""
+    owner, server, oracle, last_t = build_system(n_files=150)
+    now = last_t + 60
+    picker = random.Random(8)
+    keywords = [picker.choice(oracle.keywords()) for _ in range(40)]
+    n_threads = 4
+    start = threading.Barrier(n_threads)
+    ws = wire.WireServer(server)
+    ws.start()
+    shared = wire.Client.connect(*ws.address) if connections == "one_shared" else None
+
+    def queries(i: int) -> list[tuple[bool, bool]]:
+        user = AuthorizedUser.from_owner(owner)
+        client = shared or wire.Client.connect(*ws.address)
+        try:
+            start.wait()
+            answers = []
+            for keyword in keywords[i::n_threads]:
+                ids, cts, gamma, cnt = user.query(client, keyword, now)
+                verified = user.verify(keyword, cnt, ids, cts, gamma, now).ok
+                answers.append((verified, ids == oracle.ids_newest_first(keyword)))
+            return answers
+        finally:
+            if client is not shared:
+                client.close()
+
+    try:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            answers = [a for part in pool.map(queries, range(n_threads)) for a in part]
+    finally:
+        if shared is not None:
+            shared.close()
+        ws.stop()
+    assert len(answers) == 40
+    assert all(verified for verified, _ in answers)
+    assert all(matches for _, matches in answers)
 
 
 def test_conditional_get_bloom():
