@@ -34,6 +34,7 @@ TAG_DIGIT = 0x03  # digit embedding w||pos||digit
 # tags its own inputs with them too (protocol.FilterTags).
 TAG_BLOCK = 0x04   # per-block tag i||block_i
 TAG_FILTER = 0x05  # outer MAC m||k||agg||t
+TAG_RESULT = 0x07  # per-file result tag w||i under k_mac, i the file's counter
 
 
 # ---------------------------------------------------------------------------

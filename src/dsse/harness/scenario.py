@@ -35,6 +35,7 @@ ADVERSARY_BEHAVIORS = (
     "stale_bloom",
     "flip_bloom_bit",
     "forge_gamma",
+    "swap_stale",
 )
 
 
@@ -46,7 +47,10 @@ def default_bloom_params(n_files: int) -> BloomParams:
 
 class AdversarialServer(CloudServer):
     """A cloud server that can be told to cheat. Each behavior rewrites the
-    honest answer; stale_bloom keeps serving the filter it was armed at."""
+    honest answer; stale_bloom keeps serving the filter it was armed at.
+    swap_stale answers with the oldest file in the newest one's place and
+    the newest in the oldest's: the same files and gamma, so a stale file
+    passes for the latest unless each file's tag names its place."""
 
     behavior = "honest"
     _stale_snapshot: tuple[bytes, bytes, int] | None = None
@@ -73,6 +77,8 @@ class AdversarialServer(CloudServer):
             return ids[1:], cts[1:], gamma
         if self.behavior == "forge_gamma" and gamma is not None:
             return ids, cts, secrets.token_bytes(LAMBDA)
+        if self.behavior == "swap_stale" and len(ids) > 1:
+            return [ids[-1], *ids[1:-1], ids[0]], [cts[-1], *cts[1:-1], cts[0]], gamma
         if self.behavior == "swap_keyword":
             # replay another search's merged answer of the same cardinality
             tau_head, _ = self._open_token(envelope)
@@ -400,6 +406,8 @@ def _run_phases(config: ScenarioConfig, system: SimulatedSystem, report: Scenari
     report.ingest_seconds = time.perf_counter() - t0
 
     keywords = system.oracle.keywords()
+    if adversary == "swap_stale":  # a one-file answer has nothing to swap
+        keywords = [w for w in keywords if system.oracle.count(w) > 1]
     t1 = time.perf_counter()
 
     if adversary == "swap_keyword":

@@ -43,7 +43,7 @@ from .protocol import (
     VerifyReport,
 )
 
-_SNAPSHOT_MAGIC = b"DSSEOWN4"
+_SNAPSHOT_MAGIC = b"DSSEOWN5"
 
 
 @dataclass(slots=True)
@@ -124,7 +124,7 @@ class DataOwner(Persistent):
             k_cnt = derived_key(k.k_prf, w, cnt)
 
             if self.mode == FULL:
-                gamma = xor_bytes(gamma_prev, result_mac(k.k_mac, ciphertext, w))
+                gamma = xor_bytes(gamma_prev, result_mac(k.k_mac, ciphertext, w, cnt))
                 mu = xor_bytes(tau_prev + k_prev + gamma, prf3(k_cnt, tau))
                 touched.add(self.bf.add(tau))
                 self.tbl[w] = KeywordRecord(cnt, gamma)
@@ -223,7 +223,7 @@ class DataOwner(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSEOWN4: mode flag, the four keys, epoch, [t], the keyword
+        """DSSEOWN5: mode flag, the four keys, epoch, [t], the keyword
         table, [filter]; [..] only in full mode. Fields are fixed-width
         where LAMBDA fixes them, and the filter runs to the end."""
         k = self.keys

@@ -9,7 +9,16 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .bloom import BloomFilter
-from .crypto import LAMBDA, TAG_BLOCK, TAG_FILTER, aggregate_mac, mac_generate, prf1
+from .crypto import (
+    LAMBDA,
+    TAG_BLOCK,
+    TAG_FILTER,
+    TAG_RESULT,
+    aggregate_mac,
+    encode_counter_input,
+    mac_generate,
+    prf1,
+)
 from .errors import UsageError
 
 BASIC = "basic"
@@ -97,11 +106,18 @@ class FilterTags:
         return filter_mac(self._k_filter, bf.m, bf.k, agg.to_bytes(LAMBDA, "big"), t)
 
 
-def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str) -> bytes:
-    """Per-file tag binding an encrypted file to a keyword; XOR-aggregated
-    into gamma. Binding the keyword blocks answering one keyword's query
-    with another's equally sized result set."""
-    return mac_generate(k_mac, ciphertext + keyword.encode("utf-8"))
+def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str, i: int) -> bytes:
+    """Per-file tag binding an encrypted file to a keyword and to its place
+    i in that keyword's chain (the counter it was uploaded at);
+    XOR-aggregated into gamma. Binding the keyword blocks answering one
+    keyword's query with another's equally sized result set. Binding the
+    place leaves a server one known tag per place, the true file's: with
+    tags that named no place, more than 128 of them let it solve for a set
+    of newer files whose tags XOR to those of as many older ones, and swap
+    one set for the other (as XHASH fell to Bellare and Micciancio; the
+    XOR-MAC of Bellare, Guérin and Rogaway tags each block with its index
+    against this)."""
+    return mac_generate(k_mac, encode_counter_input(TAG_RESULT, keyword, i), ciphertext)
 
 
 @dataclass
@@ -176,14 +192,19 @@ def verify_result(
     (a) cardinality: one ciphertext per id, none repeated (a repeated
     pair cancels in the XOR aggregate; an honest chain holds each freshly
     encrypted file once), and as many as the counter; (b) XOR of per-file
-    tags equals the gamma the server answered with. The owner knows the
+    tags equals the gamma the server answered with, each file tagged at
+    the place the answer's order gives it, newest first: cnt down to 1 (a
+    file past place 1 has none, and fails it). The owner knows the
     true counter, so these are all it needs. A delegated user adds (c) and
     (d) about the filter it derived the counter from (see
     AuthorizedUser.verify); this function leaves them None.
     """
     distinct = len(set(ciphertexts)) == len(ciphertexts) == len(rst)
-    tags = [result_mac(k_mac, c, keyword) for c in ciphertexts]
-    return VerifyReport(distinct and len(rst) == cnt, aggregate_mac(tags) == gamma)
+    tags = [result_mac(k_mac, c, keyword, i) for i, c in zip(range(cnt, 0, -1), ciphertexts)]
+    return VerifyReport(
+        distinct and len(rst) == cnt,
+        len(tags) == len(ciphertexts) and aggregate_mac(tags) == gamma,
+    )
 
 
 def check_mode(mode: str) -> str:

@@ -167,7 +167,10 @@ def test_criterion_3_chain_law():
             )
             oldest_first = list(reversed(oracle.ids_newest_first(w)))
             gamma_i = crypto.aggregate_mac(
-                [result_mac(k.k_mac, server.files[fid], w) for fid in oldest_first[:i]]
+                [
+                    result_mac(k.k_mac, server.files[fid], w, j)
+                    for j, fid in enumerate(oldest_first[:i], start=1)
+                ]
             )
             expect_key = crypto.derived_key(k.k_prf, w, i - 1) if i > 1 else b"\x00" * 16
             ok = (
@@ -256,7 +259,10 @@ def test_criterion_5_counter_recovery():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_verifiability_detection():
-    behaviors = ("drop_result", "swap_keyword", "stale_bloom", "flip_bloom_bit", "forge_gamma")
+    behaviors = (
+        "drop_result", "swap_keyword", "stale_bloom", "flip_bloom_bit", "forge_gamma",
+        "swap_stale",
+    )
     outcomes = {}
     for behavior in behaviors:
         report = run_scenario(

@@ -112,7 +112,8 @@ def test_scenario_determinism_modulo_timing():
 
 
 @pytest.mark.parametrize(
-    "adversary", ["drop_result", "swap_keyword", "stale_bloom", "flip_bloom_bit", "forge_gamma"]
+    "adversary",
+    ["drop_result", "swap_keyword", "stale_bloom", "flip_bloom_bit", "forge_gamma", "swap_stale"],
 )
 def test_adversarial_scenarios_detected(adversary):
     report = run_scenario(

@@ -53,11 +53,9 @@ def test_full_mode_chain_matches_raw_primitives():
     gamma = b"\x00" * 16
     for i, (tau, mu) in enumerate(emitted, start=1):
         assert tau == raw_tau(k.k_prf, keyword, i)
-        gamma = xor(
-            gamma,
-            hmac.new(k.k_mac, ciphertexts[i - 1] + keyword.encode(), hashlib.sha256)
-            .digest()[:16],
-        )
+        # the file's tag names its place i in the chain (tag 0x07)
+        msg = raw_counter_input(0x07, keyword, i) + ciphertexts[i - 1]
+        gamma = xor(gamma, hmac.new(k.k_mac, msg, hashlib.sha256).digest()[:16])
         prev_key = raw_chain_key(k.k_prf, keyword, i - 1) if i > 1 else b"\x00" * 16
         plain = raw_tau(k.k_prf, keyword, i - 1) + prev_key + gamma
         expected_mu = xor(plain, raw_mask(raw_chain_key(k.k_prf, keyword, i), tau, 48))

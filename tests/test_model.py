@@ -194,6 +194,14 @@ class ThreeRoles(RuleBasedStateMachine):
         assert ids == expected
         assert verified
 
+    @rule(behavior=st.sampled_from(ADVERSARY_BEHAVIORS), keyword=st.sampled_from(KEYWORDS))
+    def owner_query_from_a_newly_armed_server(self, behavior, keyword):
+        """A behaviour armed right before a search gets to bite: armed at
+        random, most are disarmed or re-armed before any search reaches
+        the server."""
+        self.arm_or_disarm(behavior)
+        self.owner_query(keyword)
+
     @rule(keyword=st.sampled_from(KEYWORDS), data=st.data())
     def owner_query_at_an_older_counter(self, keyword, data):
         """A search at any counter the keyword has had answers with the

@@ -48,7 +48,7 @@ def test_first_entry_chains_to_zero_key():
     opened = crypto.xor_bytes(mu, crypto.prf3(crypto.derived_key(k.k_prf, "heartbeat:75", 1), tau))
     assert opened[:16] == crypto.chain_label(k.k_prf, "heartbeat:75", 0)
     assert opened[16:32] == b"\x00" * 16
-    assert opened[32:] == result_mac(k.k_mac, payload.ciphertext, "heartbeat:75")
+    assert opened[32:] == result_mac(k.k_mac, payload.ciphertext, "heartbeat:75", 1)
 
 
 def test_second_entry_unmasks_to_first():
@@ -102,7 +102,7 @@ def test_gamma_recomputable_from_ciphertexts():
     for i in range(5):
         payload = owner.add_file(f"f{i}".encode(), ["w"], NOW + i)
         cts.append(payload.ciphertext)
-        tags = [result_mac(owner.keys.k_mac, c, "w") for c in cts]
+        tags = [result_mac(owner.keys.k_mac, c, "w", j) for j, c in enumerate(cts, start=1)]
         assert owner.tbl["w"].gamma == crypto.aggregate_mac(tags)
 
 
@@ -242,11 +242,12 @@ def test_previous_snapshot_version_refused():
     owner = fresh()
     owner.add_file(b"f", ["w"], NOW)
     blob = owner.snapshot()
-    assert blob.startswith(b"DSSEOWN4")
-    # DSSEOWN3 held an unblocked filter; DSSEOWN2 and DSSEOWN1 prefixed each
-    # key and gamma with its length and stored the filter sizing; DSSEOWN1
-    # also had the older index function
-    for magic in (b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
+    assert blob.startswith(b"DSSEOWN5")
+    # DSSEOWN4 held gammas over result tags that named no place in the
+    # chain; DSSEOWN3 held an unblocked filter; DSSEOWN2 and DSSEOWN1
+    # prefixed each key and gamma with its length and stored the filter
+    # sizing; DSSEOWN1 also had the older index function
+    for magic in (b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
         with pytest.raises(FormatError, match="not an owner snapshot"):
             DataOwner.restore(magic + blob[8:])
 

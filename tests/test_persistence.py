@@ -84,8 +84,8 @@ def golden_state(role, mode):
 
 
 GOLDEN_SNAPSHOTS = {
-    ("owner", "full"): "c5ba8e959c5440aa15ddb519d034ff7751aec87f3da41e6936015887143877be",
-    ("owner", "basic"): "2ab81891c5785da3be48ac702421a8ef21eb858bc4f98ff8b1bd1007ca54fd7b",
+    ("owner", "full"): "2b31ae2a8065ee9c8bb44993e1a3e433d9f28e2fde5763cf531b7bf70e0cb270",
+    ("owner", "basic"): "d5c0dcc47a10a8d06ee7034f54690647c659ad256ec3a3afc03290bd8fe41584",
     ("server", "full"): "ec38c14124322b69a0d1a7a0c25535b0ac6bf89bb56d2a9b360539493be29528",
     ("server", "basic"): "d05674445998d5544f98e259b4b4a52076dd16c568979e6f727963aae152445a",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",

@@ -633,7 +633,10 @@ def test_a_table_with_only_heads_merged_still_answers():
     # 8-id list, c2 and c4..c7 still chain entries; DSSESRV7 loads it as is
     owner, server = build()
     ids = ingest(owner, server, 8, lambda i: ["w", f"noise:{i}"])
-    tags = [result_mac(owner.keys.k_mac, server.files[i], "w") for i in ids]
+    tags = [
+        result_mac(owner.keys.k_mac, server.files[fid], "w", i)
+        for i, fid in enumerate(ids, start=1)
+    ]
     shared = list(ids)
     for c in (1, 3, 8):
         gamma = aggregate_mac(tags[:c])

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -16,10 +17,11 @@ from dsse.errors import (
     StaleFilterError,
     TamperedFilterError,
 )
+from dsse.harness.phi import synthesize_stream
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
 from dsse.protocol import FRESHNESS_WINDOW, FilterTags, RefreshPayload
-from dsse.server import CloudServer
+from dsse.server import CloudServer, MergedEntry
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
 
@@ -300,7 +302,8 @@ def test_boundary_false_positive_answer_does_not_verify():
         server.search(user.token_for_counter("w", 6))
     ids, cts, gamma = server.search(user.token_for_counter("w", 5))
     report = user.verify("w", 6, ids, cts, gamma, t)
-    assert report.gamma_ok and not report.cardinality_ok and not report.ok
+    # five files tagged at places 6..2 are not the tags gamma_5 holds
+    assert not report.gamma_ok and not report.cardinality_ok and not report.ok
 
 
 def test_query_refuses_below_a_planted_false_positive():
@@ -350,9 +353,11 @@ def test_query_raises_when_the_head_is_withheld(monkeypatch):
 
 
 def test_repeated_ciphertext_pair_fails_cardinality():
-    # the server drops the two newest files and repeats one ciphertext: the
-    # pair's tags cancel in the XOR aggregate, so the gamma of counter 8,
-    # which the server unmasks from entry 8 on any walk, matches
+    # the server drops the two newest files and repeats one ciphertext in
+    # their places, with the gamma of counter 8, which it unmasks from entry
+    # 8 on any walk. With tags that named no place the pair cancelled in the
+    # XOR aggregate and gamma matched; each copy is now tagged at its own
+    # place, so gamma fails too, and the distinctness check still refuses it
     owner, server, t = build_system(8)
     gamma8 = owner.tbl["w"].gamma
     for i in (8, 9):
@@ -360,13 +365,95 @@ def test_repeated_ciphertext_pair_fails_cardinality():
     user = AuthorizedUser.from_owner(owner)
     env, cnt = user.gen_token(fetch(server), "w", t)
     ids, cts, _ = server.search(env)
-    forged = cts[2:] + [cts[2], cts[2]]
+    forged = [cts[2], cts[2]] + cts[2:]
     assert cnt == len(ids) == len(forged) == 10
     for report in (
         owner.verify("w", ids, forged, gamma8, t),
         user.verify("w", cnt, ids, forged, gamma8, t),
     ):
-        assert report.gamma_ok and not report.cardinality_ok and not report.ok
+        assert not report.gamma_ok and not report.cardinality_ok and not report.ok
+
+
+def _gf2_swap(tags: list[int], old: int, n_swap: int, rng: random.Random) -> tuple[list[int], list[int]]:
+    """From the server's view: places 1..len(tags) with their known tags,
+    the answer due at counter `old`. Take a basis of 128 tags among places
+    1..old, write each newer tag in it, and sample n_swap newer places until
+    their basis sets XOR to a set of exactly n_swap basis places. Returns
+    (newer places, older places) with equal tag XORs."""
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, basis set)
+    chosen: list[int] = []  # the basis places, in basis-set bit order
+
+    def reduce(v: int, combo: int) -> tuple[int, int]:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                break
+            v, combo = v ^ basis[top][0], combo ^ basis[top][1]
+        return v, combo
+
+    for place in range(1, old + 1):
+        v, combo = reduce(tags[place - 1], 0)
+        if v and len(chosen) < 128:
+            basis[v.bit_length() - 1] = (v, combo | 1 << len(chosen))
+            chosen.append(place)
+    assert len(chosen) == 128
+    sets = {}
+    for place in range(old + 1, len(tags) + 1):
+        v, combo = reduce(tags[place - 1], 0)
+        assert v == 0
+        sets[place] = combo
+    for _ in range(5000):
+        newer = rng.sample(sorted(sets), n_swap)
+        combo = 0
+        for place in newer:
+            combo ^= sets[place]
+        if combo.bit_count() == n_swap:
+            return newer, [p for j, p in enumerate(chosen) if combo >> j & 1]
+    raise AssertionError("no swap found")
+
+
+def test_stale_answer_with_newer_files_swapped_in_fails_gamma():
+    # 300 uploads of one keyword 1 s apart, then one owner search: the
+    # server reads gamma_1..gamma_300 from its merged entries, so it knows
+    # every file's tag as gamma_i XOR gamma_(i-1). It answers counter 200
+    # (a filter attesting 200 is fresh for FRESHNESS_WINDOW) with 60 of
+    # files 1..200 replaced by 60 newer files whose tags XOR to theirs:
+    # 200 distinct files and gamma_200. With tags that named no place this
+    # verified; each new file's tag at the place it took is one the server
+    # never saw.
+    keyword = "pulse_oxygen:97"
+    params = BloomParams(2.0**-30, 5_000)
+    owner = DataOwner.generate("full", params)
+    server = CloudServer("full", params, group_key=owner.keys.r)
+    for phi in synthesize_stream(21, 300, period_seconds=1):
+        phi.force_keyword(keyword)
+        server.add(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
+    server.search(owner.gen_token(keyword))
+
+    head = max(
+        (e for e in server.tbl.values() if isinstance(e, MergedEntry)), key=lambda e: e.n
+    )
+    gammas = {e.n: e.gamma for e in server.tbl.values()
+              if isinstance(e, MergedEntry) and e.chain is head.chain}
+    assert sorted(gammas) == list(range(1, 301))
+    gamma = [bytes(16)] + [gammas[n] for n in range(1, 301)]
+    tags = [int.from_bytes(crypto.xor_bytes(gamma[i], gamma[i - 1]), "big")
+            for i in range(1, 301)]
+
+    newer, older = _gf2_swap(tags, 200, 60, random.Random(7))
+    places = list(range(200, 0, -1))  # the answer at 200, newest first
+    taken = dict(zip(older, newer))
+    forged = [head.chain[taken.get(p, p) - 1] for p in places]
+    assert forged != head.chain[199::-1]
+    cts = server.ciphertexts_for(forged)
+
+    report = protocol.verify_result(owner.keys.k_mac, keyword, 200, forged, cts, gamma[200])
+    assert report.cardinality_ok and not report.gamma_ok and not report.ok
+    # the true answer at 200 still verifies
+    true = head.chain[199::-1]
+    assert protocol.verify_result(
+        owner.keys.k_mac, keyword, 200, true, server.ciphertexts_for(true), gamma[200]
+    ).ok
 
 
 def test_fewer_ciphertexts_than_ids_fail_cardinality():
