@@ -81,8 +81,8 @@ class AdversarialServer(CloudServer):
             return [ids[-1], *ids[1:-1], ids[0]], [cts[-1], *cts[1:-1], cts[0]], gamma
         if self.behavior == "swap_keyword":
             # replay another search's merged answer of the same cardinality
-            tau_head, _ = self._open_token(envelope)
             with self._lock:
+                tau_head = next(self.walk(envelope))[0]
                 for tau, e in self.tbl.items():
                     if tau != tau_head and isinstance(e, MergedEntry) and e.n == len(ids):
                         return list(e.ids), self.ciphertexts_for(e.ids), e.gamma

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -237,6 +238,34 @@ class CloudServer(Persistent):
             raise ProtocolError(f"token body is {len(pair)} bytes, expected {2*LAMBDA}")
         return pair[:LAMBDA], pair[LAMBDA:]
 
+    def walk(
+        self, envelope: SearchTokenEnvelope
+    ) -> Iterator[tuple[bytes, ChainEntry | MergedEntry, bytes | None]]:
+        """The entries a token reaches, newest first, each as (label, entry,
+        gamma), gamma the one its mask or merged answer holds (None in basic
+        mode). The walk stops after the chain's first entry (its key is the
+        zero key) or after a merged entry. It changes nothing: search merges
+        what it yields, and harness.audit walks a table rebuilt from a
+        transcript with it. An unknown head label is a NotFoundError, a
+        missing interior one a ProtocolError."""
+        tau, k = self._open_token(envelope)
+        mask = prf3 if self.mode == FULL else prf2
+        missing = NotFoundError("unknown index label in token")
+        while True:
+            entry = self.tbl.get(tau)
+            if entry is None:
+                raise missing
+            if isinstance(entry, MergedEntry):
+                yield tau, entry, entry.gamma
+                return
+            opened = xor_bytes(entry.mu, mask(k, tau))
+            yield tau, entry, opened[2 * LAMBDA :] or None
+            k = opened[LAMBDA : 2 * LAMBDA]
+            if k == ZERO:
+                return
+            tau = opened[:LAMBDA]
+            missing = ProtocolError("chain broken: interior label missing")
+
     def search(
         self, envelope: SearchTokenEnvelope
     ) -> tuple[list[bytes], list[bytes], bytes | None]:
@@ -250,36 +279,20 @@ class CloudServer(Persistent):
         counter one plus one per entry added since.
         """
         with self._lock:
-            tau_head, key = self._open_token(envelope)
-            mask = prf3 if self.mode == FULL else prf2
-
             walked: list[tuple[bytes, bytes, bytes | None]] = []  # label, id, gamma
             below: MergedEntry | None = None
-            tau, k = tau_head, key
-            lookups = 0
-            while True:
-                entry = self.tbl.get(tau)
-                if entry is None:
-                    if lookups == 0:
-                        raise NotFoundError("unknown index label in token")
-                    raise ProtocolError("chain broken: interior label missing")
-                lookups += 1
+            for tau, entry, gamma in self.walk(envelope):
                 if isinstance(entry, MergedEntry):
                     below = entry
-                    break
-                opened = xor_bytes(entry.mu, mask(k, tau))
-                walked.append((tau, entry.file_id, opened[2 * LAMBDA :] or None))
-                k_prev = opened[LAMBDA : 2 * LAMBDA]
-                if k_prev == ZERO:
-                    break
-                tau, k = opened[:LAMBDA], k_prev
-            self.last_search_lookups = lookups
+                else:
+                    walked.append((tau, entry.file_id, gamma))
+            self.last_search_lookups = len(walked) + (below is not None)
 
             if walked:
                 chain = _extend(below, [fid for _, fid, _ in reversed(walked)])
                 for n, (label, _, gamma) in zip(range(len(chain), 0, -1), walked):
                     self.tbl[label] = MergedEntry(chain, n, gamma)
-            head = self.tbl[tau_head]
+            head = self.tbl[walked[0][0]] if walked else below
             ids = head.chain[head.n - 1 :: -1]
             return ids, self.ciphertexts_for(ids), head.gamma
 
