@@ -3,8 +3,8 @@
 Everything here is deterministic except key generation and symmetric
 encryption (fresh nonce per call). Output lengths are part of the protocol:
 the chain construction packs and XOR-splits masked entries by byte offset,
-so prf1/hash16/mac tags are exactly LAMBDA bytes, prf2 is 2*LAMBDA and
-prf3 is 3*LAMBDA.
+so prf1/hash16/mac tags and basic-mode masks are exactly LAMBDA bytes and
+prf2, a full-mode mask, is 2*LAMBDA.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ _NONCE_LEN = 12
 
 # Domain separation tags for PRF inputs. Bare concatenations like w||cnt and
 # w||pos||digit could collide across uses, so every PRF input carries a tag.
-TAG_CHAIN = 0x01  # chain label w||cnt, fed to prf1 to produce tau
+# 0x01 tagged w||cnt when a label was a PRF of it under k_prf; it is retired.
 TAG_KEY = 0x02    # key-derivation preimage w||cnt, hashed then fed to prf1
 TAG_DIGIT = 0x03  # digit embedding w||pos||digit
 # The filter MAC derives its two keys from k_mac under these tags, and each
 # tags its own inputs with them too (protocol.FilterTags).
 TAG_BLOCK = 0x04   # per-block tag i||block_i
 TAG_FILTER = 0x05  # outer MAC m||k||agg||t
+TAG_LABEL = 0x06   # the one-byte input from which a chain key gives its label
 TAG_RESULT = 0x07  # per-file result tag w||i under k_mac, i the file's counter
 
 
@@ -75,13 +76,14 @@ def prf1(key: bytes, msg: bytes) -> bytes:
 
 
 def prf2(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA-512 truncated to 2*LAMBDA bytes (basic-mode entry mask)."""
+    """HMAC-SHA-512 truncated to 2*LAMBDA bytes (full-mode entry mask)."""
     _check_key(key)
     return hmac.new(key, msg, hashlib.sha512).digest()[: 2 * LAMBDA]
 
 
+# No caller in the package; perfbench/tracing.py wraps it by name.
 def prf3(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA-512 truncated to 3*LAMBDA bytes (full-mode entry mask)."""
+    """HMAC-SHA-512 truncated to 3*LAMBDA bytes."""
     _check_key(key)
     return hmac.new(key, msg, hashlib.sha512).digest()[: 3 * LAMBDA]
 
@@ -150,14 +152,23 @@ def new_key() -> bytes:
 # Scheme-specific derivations
 # ---------------------------------------------------------------------------
 
-def chain_label(k_prf: bytes, keyword: str, counter: int) -> bytes:
-    """tau for (keyword, counter): the encrypted index key."""
-    return prf1(k_prf, encode_counter_input(TAG_CHAIN, keyword, counter))
-
-
 def derived_key(k_prf: bytes, keyword: str, counter: int) -> bytes:
     """Per-counter chain key: prf1 over the hashed key-derivation preimage."""
     return prf1(k_prf, hash16(encode_counter_input(TAG_KEY, keyword, counter)))
+
+
+def key_label(key: bytes) -> bytes:
+    """tau of the chain entry whose key this is: whoever holds an entry's
+    key, and only they, can name its label. An entry's mask is a PRF of
+    (key, tau) whose input is the LAMBDA-byte tau, and a label's input is
+    the one byte TAG_LABEL, so under one key the two never share an input."""
+    return prf1(key, bytes((TAG_LABEL,)))
+
+
+def chain_label(k_prf: bytes, keyword: str, counter: int) -> bytes:
+    """tau for (keyword, counter): the encrypted index key, the label of
+    that counter's chain key."""
+    return key_label(derived_key(k_prf, keyword, counter))
 
 
 def digit_element(k_prf: bytes, keyword: str, pos: int, digit: int) -> bytes:

@@ -42,6 +42,13 @@ def put_bytes(buf: bytearray, b: bytes) -> None:
     buf += b
 
 
+def put_fixed(buf: bytearray, b: bytes, n: int) -> None:
+    """A field whose width the format fixes: its raw bytes, which must be n."""
+    if len(b) != n:
+        raise FormatError(f"fixed-width field is {len(b)} bytes, expected {n}")
+    buf += b
+
+
 def put_str(buf: bytearray, s: str) -> None:
     put_bytes(buf, s.encode("utf-8"))
 

@@ -2,10 +2,10 @@
 result verification, group-key rotation and the periodic filter refresh.
 
 The owner keeps one counter per keyword. Each file upload appends, per
-keyword, a fresh index entry whose label tau is a PRF of (keyword, counter)
-and whose masked body links back to the previous counter's entry, so the
-server can walk a keyword's whole history from the newest entry without
-ever seeing two linkable labels.
+keyword, a fresh index entry under the counter's chain key, a PRF of
+(keyword, counter): its label tau is a PRF of that key, and its masked body
+holds the previous counter's key, so the server can walk a keyword's whole
+history from the newest entry without ever seeing two linkable labels.
 
 DataOwner is single-writer: one gateway thread calls add_file / refresh /
 rotate; token generation and verification are read-only.
@@ -21,10 +21,10 @@ from .crypto import (
     KeyBundle,
     LAMBDA,
     ZERO,
-    chain_label,
     derived_key,
+    key_label,
+    prf1,
     prf2,
-    prf3,
     se_encrypt,
     xor_bytes,
 )
@@ -33,6 +33,7 @@ from .errors import FormatError, NotFoundError, UsageError
 from .protocol import (
     AddPayload,
     BASIC,
+    FILE_ID_LEN,
     FULL,
     FilterTags,
     RefreshPayload,
@@ -50,6 +51,7 @@ _SNAPSHOT_MAGIC = b"DSSEOWN5"
 class KeywordRecord:
     cnt: int
     gamma: bytes | None  # aggregate MAC over this keyword's files (full mode)
+    key: bytes  # the chain key of counter cnt; derived again at restore, not saved
 
 
 class DataOwner(Persistent):
@@ -104,33 +106,23 @@ class DataOwner(Persistent):
 
         k = self.keys
         ciphertext = se_encrypt(k.k_se, plaintext)
-        file_id = secrets.token_bytes(16)
+        file_id = secrets.token_bytes(FILE_ID_LEN)
         entries: list[tuple[bytes, bytes]] = []
         touched: set[int] = set()  # filter blocks
 
         for w in kws:
-            rec = self.tbl.get(w)
-            if rec is None:
-                cnt_prev, k_prev, gamma_prev = 0, ZERO, ZERO
-                cnt = 1
-            else:
-                cnt_prev = rec.cnt
-                k_prev = derived_key(k.k_prf, w, cnt_prev)
-                gamma_prev = rec.gamma if rec.gamma is not None else ZERO
-                cnt = rec.cnt + 1
-
-            tau = chain_label(k.k_prf, w, cnt)
-            tau_prev = chain_label(k.k_prf, w, cnt_prev)
+            rec = self.tbl.get(w) or KeywordRecord(0, ZERO, ZERO)
+            cnt = rec.cnt + 1
             k_cnt = derived_key(k.k_prf, w, cnt)
-
+            tau = key_label(k_cnt)
             if self.mode == FULL:
-                gamma = xor_bytes(gamma_prev, result_mac(k.k_mac, ciphertext, w, cnt))
-                mu = xor_bytes(tau_prev + k_prev + gamma, prf3(k_cnt, tau))
+                gamma = xor_bytes(rec.gamma, result_mac(k.k_mac, ciphertext, w, cnt))
+                mu = xor_bytes(rec.key + gamma, prf2(k_cnt, tau))
                 touched.add(self.bf.add(tau))
-                self.tbl[w] = KeywordRecord(cnt, gamma)
             else:
-                mu = xor_bytes(tau_prev + k_prev, prf2(k_cnt, tau))
-                self.tbl[w] = KeywordRecord(cnt, None)
+                gamma = None
+                mu = xor_bytes(rec.key, prf1(k_cnt, tau))
+            self.tbl[w] = KeywordRecord(cnt, gamma, k_cnt)
             entries.append((tau, mu))
 
         sigma = t = None
@@ -152,22 +144,24 @@ class DataOwner(Persistent):
     # ------------------------------------------------------------------
 
     def gen_token(self, keyword: str) -> SearchTokenEnvelope:
-        """Token for the keyword's latest counter.
+        """Token for the keyword's latest counter: its chain key.
 
-        Full mode wraps tau||k_cnt under the group key so the token itself
-        proves membership in the current epoch; basic mode sends the pair
-        in the clear (there is no delegation to protect)."""
+        Full mode wraps the key under the group key so the token itself
+        proves membership in the current epoch; basic mode sends it in the
+        clear (there is no delegation to protect)."""
         rec = self.tbl.get(keyword)
         if rec is None:
             raise NotFoundError(f"keyword never added: {keyword!r}")
-        return self.token_for_counter(keyword, rec.cnt)
+        return self._token(rec.key)
 
     def token_for_counter(self, keyword: str, cnt: int) -> SearchTokenEnvelope:
+        return self._token(derived_key(self.keys.k_prf, keyword, cnt))
+
+    def _token(self, key: bytes) -> SearchTokenEnvelope:
         k = self.keys
-        pair = chain_label(k.k_prf, keyword, cnt) + derived_key(k.k_prf, keyword, cnt)
         if self.mode == FULL:
-            return SearchTokenEnvelope(k.epoch, se_encrypt(k.r, pair))
-        return SearchTokenEnvelope(0, pair)
+            return SearchTokenEnvelope(k.epoch, se_encrypt(k.r, key))
+        return SearchTokenEnvelope(0, key)
 
     def verify(
         self,
@@ -256,10 +250,11 @@ class DataOwner(Persistent):
         full = r.flag()
         keys = KeyBundle(*(r.fixed(LAMBDA) for _ in range(4)), r.u64())
         t = r.u64() if full else 0
-        tbl = {
-            w: KeywordRecord(r.u64(), r.fixed(LAMBDA) if full else None)
-            for w in r.ascending("keyword", r.str_)
-        }
+        tbl = {}
+        for w in r.ascending("keyword", r.str_):
+            cnt = r.u64()
+            gamma = r.fixed(LAMBDA) if full else None
+            tbl[w] = KeywordRecord(cnt, gamma, derived_key(keys.k_prf, w, cnt))
         bf = BloomFilter.deserialize(r.rest()) if full else None
         r.expect_end()
         owner = cls(FULL if full else BASIC, keys, bf)

@@ -25,6 +25,7 @@ BASIC = "basic"
 FULL = "full"
 
 FRESHNESS_WINDOW = 1200  # seconds a published filter stays fresh: two upload periods
+FILE_ID_LEN = 16  # a file id is random bytes of this fixed width
 
 
 def pack_time(t: int) -> bytes:
@@ -124,7 +125,9 @@ def result_mac(k_mac: bytes, ciphertext: bytes, keyword: str, i: int) -> bytes:
 class AddPayload:
     """One file upload: ciphertext plus its index entries.
 
-    entries holds (tau, mu) pairs, one per distinct keyword in the file.
+    entries holds (tau, mu) pairs, one per distinct keyword in the file:
+    mu masks the previous entry's key (the zero key for a keyword's
+    first), and in full mode the keyword's gamma after this file.
     sigma/t are present in full mode only (MAC over the owner's filter).
     """
 
@@ -151,9 +154,11 @@ class RefreshPayload:
 class SearchTokenEnvelope:
     """Search credential for one keyword at its latest counter.
 
-    In full mode body is an AEAD ciphertext of tau||k_cnt under the group
-    key of `epoch`; in basic mode there is no group key and body is the
-    raw 2*LAMBDA-byte pair (epoch is 0).
+    The token is k_cnt, the chain key of the counter's entry; the server
+    derives the entry's label from it (crypto.key_label). In full mode body
+    is an AEAD ciphertext of it under the group key of `epoch`; in basic
+    mode there is no group key and body is the raw LAMBDA-byte key (epoch
+    is 0).
     """
 
     epoch: int
@@ -214,5 +219,6 @@ def check_mode(mode: str) -> str:
 
 
 def mask_width(mode: str) -> int:
-    """Masked-entry width: tau||key in basic mode, tau||key||gamma in full."""
-    return 2 * LAMBDA if mode == BASIC else 3 * LAMBDA
+    """Masked-entry width: the previous entry's key in basic mode, that key
+    and gamma in full."""
+    return LAMBDA if mode == BASIC else 2 * LAMBDA

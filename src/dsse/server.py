@@ -10,8 +10,10 @@ answered with the taus added since, whenever that is smaller than the
 filter itself, and the current version with none.
 
 The server never sees keywords. Its table maps opaque labels to masked
-entries; a search token gives it one label and one key, from which it can
-walk exactly one keyword's chain and nothing else.
+entries; a search token gives it one chain key, from which it derives that
+entry's label (crypto.key_label) and walks exactly one keyword's chain and
+nothing else: each entry it opens gives the key, and so the label, of the
+one before.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .bloom import BloomFilter, BloomParams
-from .crypto import LAMBDA, ZERO, prf2, prf3, se_decrypt, xor_bytes
+from .crypto import LAMBDA, ZERO, key_label, prf1, prf2, se_decrypt, xor_bytes
 from .encoding import Persistent, Reader, put_bytes, put_u8, put_u32, put_u64
 from .errors import (
     FormatError,
@@ -35,6 +37,7 @@ from .errors import (
 from .protocol import (
     AddPayload,
     BASIC,
+    FILE_ID_LEN,
     FULL,
     RefreshPayload,
     SearchTokenEnvelope,
@@ -42,7 +45,7 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV7"
+_SNAPSHOT_MAGIC = b"DSSESRV8"
 
 
 @dataclass(slots=True)
@@ -154,6 +157,10 @@ class CloudServer(Persistent):
                 if stored == payload.ciphertext and self._holds(payload):
                     return
                 raise ProtocolError("duplicate file id")
+            if len(payload.file_id) != FILE_ID_LEN:
+                raise ProtocolError(
+                    f"file id is {len(payload.file_id)} bytes, expected {FILE_ID_LEN}"
+                )
             if self.mode == FULL:
                 if payload.sigma is None or payload.t is None:
                     raise ProtocolError("full-mode payload missing sigma/timestamp")
@@ -225,18 +232,19 @@ class CloudServer(Persistent):
     # Search
     # ------------------------------------------------------------------
 
-    def _open_token(self, envelope: SearchTokenEnvelope) -> tuple[bytes, bytes]:
+    def _open_token(self, envelope: SearchTokenEnvelope) -> bytes:
+        """The chain key the token carries."""
         if self.mode == FULL:
             if envelope.epoch != self.epoch:
                 raise StaleEpochError(
                     f"token epoch {envelope.epoch}, current {self.epoch}"
                 )
-            pair = se_decrypt(self.r, envelope.body)
+            key = se_decrypt(self.r, envelope.body)
         else:
-            pair = envelope.body
-        if len(pair) != 2 * LAMBDA:
-            raise ProtocolError(f"token body is {len(pair)} bytes, expected {2*LAMBDA}")
-        return pair[:LAMBDA], pair[LAMBDA:]
+            key = envelope.body
+        if len(key) != LAMBDA:
+            raise ProtocolError(f"token body is {len(key)} bytes, expected {LAMBDA}")
+        return key
 
     def walk(
         self, envelope: SearchTokenEnvelope
@@ -248,8 +256,9 @@ class CloudServer(Persistent):
         what it yields, and harness.audit walks a table rebuilt from a
         transcript with it. An unknown head label is a NotFoundError, a
         missing interior one a ProtocolError."""
-        tau, k = self._open_token(envelope)
-        mask = prf3 if self.mode == FULL else prf2
+        k = self._open_token(envelope)
+        tau = key_label(k)
+        mask = prf2 if self.mode == FULL else prf1
         missing = NotFoundError("unknown index label in token")
         while True:
             entry = self.tbl.get(tau)
@@ -259,11 +268,11 @@ class CloudServer(Persistent):
                 yield tau, entry, entry.gamma
                 return
             opened = xor_bytes(entry.mu, mask(k, tau))
-            yield tau, entry, opened[2 * LAMBDA :] or None
-            k = opened[LAMBDA : 2 * LAMBDA]
+            yield tau, entry, opened[LAMBDA:] or None
+            k = opened[:LAMBDA]
             if k == ZERO:
                 return
-            tau = opened[:LAMBDA]
+            tau = key_label(k)
             missing = ProtocolError("chain broken: interior label missing")
 
     def search(
@@ -337,7 +346,7 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESRV7, canonical: restore accepts no other encoding of the
+        """DSSESRV8, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
         The mode flag, then [group key, epoch, sigma, t]; the files; the

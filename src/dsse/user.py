@@ -212,10 +212,8 @@ class AuthorizedUser(Persistent):
         return 0 <= now - t <= FRESHNESS_WINDOW
 
     def token_for_counter(self, keyword: str, cnt: int) -> SearchTokenEnvelope:
-        pair = chain_label(self.k_prf, keyword, cnt) + derived_key(
-            self.k_prf, keyword, cnt
-        )
-        return SearchTokenEnvelope(self.epoch, se_encrypt(self.r, pair))
+        key = derived_key(self.k_prf, keyword, cnt)
+        return SearchTokenEnvelope(self.epoch, se_encrypt(self.r, key))
 
     def query(
         self, client: Client, keyword: str, now: int

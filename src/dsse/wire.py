@@ -9,19 +9,26 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x06 | kind(1) | body
+    version(1) = 0x07 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
-big-endian length followed by the bytes; integers are big-endian
-(timestamps and epochs 8 bytes, counts 4 bytes); a presence flag is one
-byte, 0 or 1, and the bracketed fields follow only when it is 1.
+big-endian length followed by the bytes. A field written id(16), tau(16),
+mu(w) or gamma(16) is fixed-width: that many raw bytes, no length.
+Integers are big-endian (timestamps and epochs 8 bytes, counts 4 bytes);
+a presence flag is one byte, 0 or 1, and the bracketed fields follow only
+when it is 1.
 
-    ADD        file_id | ciphertext | u32 n | n x (tau | mu) | flag [| sigma | u64 t]
+    ADD        id(16) | ciphertext | flag [| sigma | u64 t] | u32 n | n x (tau(16) | mu(w))
     REFRESH    packed filter | sigma | u64 t
     SEARCH     u64 epoch | token
     GET_BLOOM  flag [| u64 t | sigma]
     ROTATE     group_key | u64 epoch
+
+An ADD's flag says its mode, and so the width w of its masks, before the
+entries: set (full mode, with sigma and t), w is 32 (a key and gamma);
+clear (basic mode), w is 16 (a key). A SEARCH token is the AEAD ciphertext
+of one chain key (44 bytes) in full mode and the key itself in basic.
 
 A REFRESH carries its filter packed (BloomFilter.pack: the serialization,
 raw-deflated), since a refreshed filter holds only digit embeddings and is
@@ -38,7 +45,7 @@ server cannot decode gets a FORMAT reply of the kind its header names, or of
 kind ADD when that byte names no request. OK bodies:
 
     ADD, REFRESH, ROTATE   message
-    SEARCH     u32 n | n x id | u32 n | n x ciphertext | flag [| gamma]
+    SEARCH     u32 n | n x id(16) | u32 n | n x ciphertext | flag [| gamma(16)]
     GET_BLOOM  flag | (filter, or when the flag is 1: u32 n | n x tau) | sigma | u64 t
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
@@ -66,7 +73,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .crypto import LAMBDA
-from .encoding import Reader, put_bytes, put_str, put_u8, put_u32, put_u64
+from .encoding import Reader, put_bytes, put_fixed, put_str, put_u8, put_u32, put_u64
 from .errors import (
     DecryptionError,
     DsseError,
@@ -77,10 +84,18 @@ from .errors import (
     TransportError,
     UsageError,
 )
-from .protocol import AddPayload, RefreshPayload, SearchTokenEnvelope
+from .protocol import (
+    BASIC,
+    FILE_ID_LEN,
+    FULL,
+    AddPayload,
+    RefreshPayload,
+    SearchTokenEnvelope,
+    mask_width,
+)
 from .server import CloudServer
 
-VERSION = 0x06
+VERSION = 0x07
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -180,16 +195,17 @@ def encode(msg: Request | Reply) -> bytes:
         raise UsageError(f"cannot encode {type(msg).__name__}")
     buf = bytearray((VERSION, kind))
     if kind == KIND_ADD:
-        put_bytes(buf, msg.file_id)
+        put_fixed(buf, msg.file_id, FILE_ID_LEN)
         put_bytes(buf, msg.ciphertext)
-        put_u32(buf, len(msg.entries))
-        for tau, mu in msg.entries:
-            put_bytes(buf, tau)
-            put_bytes(buf, mu)
         put_u8(buf, msg.sigma is not None)
         if msg.sigma is not None:
             put_bytes(buf, msg.sigma)
             put_u64(buf, msg.t)
+        width = _mask_width(msg.sigma is not None)
+        put_u32(buf, len(msg.entries))
+        for tau, mu in msg.entries:
+            put_fixed(buf, tau, LAMBDA)
+            put_fixed(buf, mu, width)
     elif kind == KIND_REFRESH:
         put_bytes(buf, msg.bf_bytes)
         put_bytes(buf, msg.sigma)
@@ -217,13 +233,13 @@ def _encode_reply(msg: Reply) -> bytes:
         ids, ciphertexts, gamma = msg.value
         put_u32(buf, len(ids))
         for fid in ids:
-            put_bytes(buf, fid)
+            put_fixed(buf, fid, FILE_ID_LEN)
         put_u32(buf, len(ciphertexts))
         for ct in ciphertexts:
             put_bytes(buf, ct)
         put_u8(buf, gamma is not None)
         if gamma is not None:
-            put_bytes(buf, gamma)
+            put_fixed(buf, gamma, LAMBDA)
     else:
         # one join over head, filter or taus, and tail: the filter is
         # copied once, not into a buffer and then out of it
@@ -236,6 +252,10 @@ def _encode_reply(msg: Reply) -> bytes:
         put_u64(tail, t)
         return b"".join((buf, *(update if delta else (update,)), tail))
     return bytes(buf)
+
+
+def _mask_width(full: bool) -> int:
+    return mask_width(FULL if full else BASIC)
 
 
 def decode(data: bytes) -> Request | Reply:
@@ -256,13 +276,15 @@ def decode(data: bytes) -> Request | Reply:
 
 def _decode_request(kind: int, r: Reader) -> Request:
     if kind == KIND_ADD:
-        file_id = r.bytes_()
+        file_id = r.fixed(FILE_ID_LEN)
         ciphertext = r.bytes_()
-        entries = [(r.bytes_(), r.bytes_()) for _ in range(r.u32())]
         sigma = t = None
-        if r.flag():
+        full = r.flag()
+        if full:
             sigma = r.bytes_()
             t = r.u64()
+        width = _mask_width(full)
+        entries = [(r.fixed(LAMBDA), r.fixed(width)) for _ in range(r.u32())]
         return AddPayload(file_id, ciphertext, entries, sigma, t)
     if kind == KIND_REFRESH:
         return RefreshPayload(r.bytes_(), r.bytes_(), r.u64())
@@ -278,9 +300,9 @@ def _decode_reply(kind: int, r: Reader) -> Reply:
     if code != CODE_OK or kind not in (KIND_SEARCH, KIND_GET_BLOOM):
         return Reply(kind, code, r.str_())
     if kind == KIND_SEARCH:
-        ids = [r.bytes_() for _ in range(r.u32())]
+        ids = [r.fixed(FILE_ID_LEN) for _ in range(r.u32())]
         cts = [r.bytes_() for _ in range(r.u32())]
-        gamma = r.bytes_() if r.flag() else None
+        gamma = r.fixed(LAMBDA) if r.flag() else None
         return Reply(kind, value=(ids, cts, gamma))
     if r.flag():
         update = [r.fixed(LAMBDA) for _ in range(r.u32())]

@@ -159,12 +159,13 @@ def test_criterion_3_chain_law():
             w = rng.choice(keywords)
             cnt = oracle.count(w)
             i = rng.randint(1, cnt)
-            tau_i = crypto.chain_label(k.k_prf, w, i)
+            # entry i is stored under F(k_i, TAG_LABEL) and opens to k_(i-1)
+            # and gamma_i; F(k_(i-1), TAG_LABEL) is entry i-1's label
+            key_i = crypto.derived_key(k.k_prf, w, i)
+            tau_i = crypto.prf1(key_i, bytes((crypto.TAG_LABEL,)))
             entry = server.tbl[tau_i]
             assert isinstance(entry, ChainEntry)
-            opened = crypto.xor_bytes(
-                entry.mu, crypto.prf3(crypto.derived_key(k.k_prf, w, i), tau_i)
-            )
+            opened = crypto.xor_bytes(entry.mu, crypto.prf2(key_i, tau_i))
             oldest_first = list(reversed(oracle.ids_newest_first(w)))
             gamma_i = crypto.aggregate_mac(
                 [
@@ -173,10 +174,11 @@ def test_criterion_3_chain_law():
                 ]
             )
             expect_key = crypto.derived_key(k.k_prf, w, i - 1) if i > 1 else b"\x00" * 16
+            below = server.tbl.get(crypto.prf1(opened[:16], bytes((crypto.TAG_LABEL,))))
             ok = (
-                opened[:16] == crypto.chain_label(k.k_prf, w, i - 1)
-                and opened[16:32] == expect_key
-                and opened[32:] == gamma_i
+                opened[:16] == expect_key
+                and (i == 1 or below.file_id == oldest_first[i - 2])
+                and opened[16:] == gamma_i
             )
             bad += not ok
 

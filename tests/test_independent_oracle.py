@@ -1,6 +1,7 @@
 """Recompute one keyword's full chain from raw stdlib primitives only
-(hmac/hashlib/struct, and zlib for the packed filter), with no helpers
-from the package, and compare the owner's emitted bytes against it.
+(hmac/hashlib/struct, zlib for the packed filter and AES-GCM from
+cryptography for the token), with no helpers from the package, and
+compare the owner's emitted bytes against it.
 Catches any accidental coupling between the implementation and the test
 helpers used elsewhere.
 """
@@ -9,6 +10,8 @@ import hashlib
 import hmac
 import struct
 import zlib
+
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from dsse.bloom import BloomFilter, BloomParams
 from dsse.owner import DataOwner
@@ -21,18 +24,21 @@ def raw_counter_input(tag: int, keyword: str, counter: int) -> bytes:
     return struct.pack(">BI", tag, len(kw)) + kw + struct.pack(">Q", counter)
 
 
-def raw_tau(k_prf: bytes, keyword: str, counter: int) -> bytes:
-    msg = raw_counter_input(0x01, keyword, counter)
-    return hmac.new(k_prf, msg, hashlib.sha256).digest()[:16]
-
-
 def raw_chain_key(k_prf: bytes, keyword: str, counter: int) -> bytes:
     pre = hashlib.sha256(raw_counter_input(0x02, keyword, counter)).digest()[:16]
     return hmac.new(k_prf, pre, hashlib.sha256).digest()[:16]
 
 
+def raw_tau(k_prf: bytes, keyword: str, counter: int) -> bytes:
+    """The label of a counter's entry: its chain key over the byte 0x06."""
+    key = raw_chain_key(k_prf, keyword, counter)
+    return hmac.new(key, b"\x06", hashlib.sha256).digest()[:16]
+
+
 def raw_mask(key: bytes, tau: bytes, width: int) -> bytes:
-    return hmac.new(key, tau, hashlib.sha512).digest()[:width]
+    """32 bytes of HMAC-SHA-512 in full mode, 16 of HMAC-SHA-256 in basic."""
+    digest = hashlib.sha512 if width == 32 else hashlib.sha256
+    return hmac.new(key, tau, digest).digest()[:width]
 
 
 def xor(a: bytes, b: bytes) -> bytes:
@@ -57,12 +63,15 @@ def test_full_mode_chain_matches_raw_primitives():
         msg = raw_counter_input(0x07, keyword, i) + ciphertexts[i - 1]
         gamma = xor(gamma, hmac.new(k.k_mac, msg, hashlib.sha256).digest()[:16])
         prev_key = raw_chain_key(k.k_prf, keyword, i - 1) if i > 1 else b"\x00" * 16
-        plain = raw_tau(k.k_prf, keyword, i - 1) + prev_key + gamma
-        expected_mu = xor(plain, raw_mask(raw_chain_key(k.k_prf, keyword, i), tau, 48))
+        expected_mu = xor(prev_key + gamma, raw_mask(raw_chain_key(k.k_prf, keyword, i), tau, 32))
         assert mu == expected_mu, f"entry {i}"
 
     # the owner's running aggregate agrees with the raw recomputation
     assert owner.tbl[keyword].gamma == gamma
+    # and its token is the newest chain key under the group key, AES-GCM
+    token = owner.gen_token(keyword)
+    nonce, body = token.body[:12], token.body[12:]
+    assert AESGCM(k.r).decrypt(nonce, body, None) == raw_chain_key(k.k_prf, keyword, 4)
 
     # and the digit embedding uses the 0x03-tagged raw encoding
     owner.tbl[keyword].cnt = 456
@@ -85,25 +94,23 @@ def test_basic_mode_chain_matches_raw_primitives():
     k = owner.keys
 
     assert tau1 == raw_tau(k.k_prf, keyword, 1)
-    assert mu1 == xor(
-        raw_tau(k.k_prf, keyword, 0) + b"\x00" * 16,
-        raw_mask(raw_chain_key(k.k_prf, keyword, 1), tau1, 32),
-    )
+    assert mu1 == xor(b"\x00" * 16, raw_mask(raw_chain_key(k.k_prf, keyword, 1), tau1, 16))
     assert tau2 == raw_tau(k.k_prf, keyword, 2)
     assert mu2 == xor(
-        raw_tau(k.k_prf, keyword, 1) + raw_chain_key(k.k_prf, keyword, 1),
-        raw_mask(raw_chain_key(k.k_prf, keyword, 2), tau2, 32),
+        raw_chain_key(k.k_prf, keyword, 1),
+        raw_mask(raw_chain_key(k.k_prf, keyword, 2), tau2, 16),
     )
+    assert owner.gen_token(keyword).body == raw_chain_key(k.k_prf, keyword, 2)
 
 
 def raw_sigma(k_mac: bytes, serialized: bytes, t: int) -> bytes:
-    """sigma of a serialized filter: the blocks (8,192 bytes, or all the
-    bit bytes when m is at most 65,536) each tagged under a key derived
-    from k_mac with tag 0x04, the tags XOR-ed, and the outer MAC under a
-    key derived with tag 0x05 over m, k, that XOR and t."""
+    """sigma of a serialized filter: the blocks (a filter is whole blocks
+    of 8,192 bytes) each tagged under a key derived from k_mac with tag
+    0x04, the tags XOR-ed, and the outer MAC under a key derived with tag
+    0x05 over m, k, that XOR and t."""
     m, k = struct.unpack(">II", serialized[:8])
     bits = serialized[8:]
-    size = 8192 if m > 65536 else len(bits)
+    size = 8192
     k_block = hmac.new(k_mac, b"\x04", hashlib.sha256).digest()[:16]
     k_filter = hmac.new(k_mac, b"\x05", hashlib.sha256).digest()[:16]
     agg = 0

@@ -38,17 +38,18 @@ def test_add_file_validations():
 
 
 def test_first_entry_chains_to_zero_key():
-    # the first entry for a keyword masks (tau_0, zero key): unmasking it
+    # the first entry for a keyword masks (zero key, gamma): unmasking it
     # terminates the chain walk
     owner = fresh()
     payload = owner.add_file(b"f1", ["heartbeat:75"], NOW)
     (tau, mu), = payload.entries
     k = owner.keys
-    assert tau == crypto.chain_label(k.k_prf, "heartbeat:75", 1)
-    opened = crypto.xor_bytes(mu, crypto.prf3(crypto.derived_key(k.k_prf, "heartbeat:75", 1), tau))
-    assert opened[:16] == crypto.chain_label(k.k_prf, "heartbeat:75", 0)
-    assert opened[16:32] == b"\x00" * 16
-    assert opened[32:] == result_mac(k.k_mac, payload.ciphertext, "heartbeat:75", 1)
+    key = crypto.derived_key(k.k_prf, "heartbeat:75", 1)
+    assert tau == crypto.key_label(key) == crypto.chain_label(k.k_prf, "heartbeat:75", 1)
+    assert len(mu) == 32
+    opened = crypto.xor_bytes(mu, crypto.prf2(key, tau))
+    assert opened[:16] == b"\x00" * 16
+    assert opened[16:] == result_mac(k.k_mac, payload.ciphertext, "heartbeat:75", 1)
 
 
 def test_second_entry_unmasks_to_first():
@@ -57,23 +58,24 @@ def test_second_entry_unmasks_to_first():
     payload2 = owner.add_file(b"f2", ["w"], NOW + 600)
     (tau2, mu2), = payload2.entries
     k = owner.keys
-    assert tau2 == crypto.chain_label(k.k_prf, "w", 2)
-    opened = crypto.xor_bytes(mu2, crypto.prf3(crypto.derived_key(k.k_prf, "w", 2), tau2))
-    assert opened[:16] == crypto.chain_label(k.k_prf, "w", 1)
-    assert opened[16:32] == crypto.derived_key(k.k_prf, "w", 1)
-    assert opened[32:] == owner.tbl["w"].gamma
+    key2 = crypto.derived_key(k.k_prf, "w", 2)
+    assert tau2 == crypto.key_label(key2)
+    opened = crypto.xor_bytes(mu2, crypto.prf2(key2, tau2))
+    assert opened[:16] == crypto.derived_key(k.k_prf, "w", 1)
+    # the key it opens to names the first entry's label
+    assert crypto.key_label(opened[:16]) == crypto.chain_label(k.k_prf, "w", 1)
+    assert opened[16:] == owner.tbl["w"].gamma
 
 
-def test_basic_mode_mask_is_two_lambda():
+def test_basic_mode_mask_is_one_lambda():
     owner = fresh("basic")
     p1 = owner.add_file(b"f1", ["w"], NOW)
     (tau, mu), = p1.entries
-    assert len(mu) == 32
+    assert len(mu) == 16
     assert p1.sigma is None and p1.t is None
     k = owner.keys
-    opened = crypto.xor_bytes(mu, crypto.prf2(crypto.derived_key(k.k_prf, "w", 1), tau))
-    assert opened[:16] == crypto.chain_label(k.k_prf, "w", 0)
-    assert opened[16:] == b"\x00" * 16
+    key = crypto.derived_key(k.k_prf, "w", 1)
+    assert crypto.xor_bytes(mu, crypto.prf1(key, tau)) == b"\x00" * 16
 
 
 def test_entry_count_matches_keyword_count():
@@ -141,9 +143,9 @@ def test_gen_token_owner_contents():
         owner.add_file(f"f{i}".encode(), ["w"], NOW + i)
     env = owner.gen_token("w")
     assert env.epoch == 1
-    pair = crypto.se_decrypt(owner.keys.r, env.body)
-    assert pair[:16] == crypto.chain_label(owner.keys.k_prf, "w", 3)
-    assert pair[16:] == crypto.derived_key(owner.keys.k_prf, "w", 3)
+    key = crypto.se_decrypt(owner.keys.r, env.body)
+    assert key == crypto.derived_key(owner.keys.k_prf, "w", 3)
+    assert crypto.key_label(key) == crypto.chain_label(owner.keys.k_prf, "w", 3)
 
 
 def test_gen_token_unknown_keyword():
@@ -151,14 +153,12 @@ def test_gen_token_unknown_keyword():
         fresh().gen_token("missing")
 
 
-def test_basic_token_is_plain_pair():
+def test_basic_token_is_plain_key():
     owner = fresh("basic")
     owner.add_file(b"f", ["w"], NOW)
     env = owner.gen_token("w")
     assert env.epoch == 0
-    assert env.body == crypto.chain_label(owner.keys.k_prf, "w", 1) + crypto.derived_key(
-        owner.keys.k_prf, "w", 1
-    )
+    assert env.body == crypto.derived_key(owner.keys.k_prf, "w", 1)
 
 
 def test_rotate_increments_epoch():

@@ -60,8 +60,9 @@ def golden_state(role, mode):
     if role == "owner":
         state = DataOwner(mode, keys, BloomFilter(PARAMS) if full else None)
         state.tbl = {
-            "a:1": KeywordRecord(2, b"\x05" * 16 if full else None),
-            "b:2": KeywordRecord(1, b"\x06" * 16 if full else None),
+            # the chain keys are not saved
+            "a:1": KeywordRecord(2, b"\x05" * 16 if full else None, b"\x0a" * 16),
+            "b:2": KeywordRecord(1, b"\x06" * 16 if full else None, b"\x0b" * 16),
         }
     else:
         if full:
@@ -86,8 +87,8 @@ def golden_state(role, mode):
 GOLDEN_SNAPSHOTS = {
     ("owner", "full"): "2b31ae2a8065ee9c8bb44993e1a3e433d9f28e2fde5763cf531b7bf70e0cb270",
     ("owner", "basic"): "d5c0dcc47a10a8d06ee7034f54690647c659ad256ec3a3afc03290bd8fe41584",
-    ("server", "full"): "ec38c14124322b69a0d1a7a0c25535b0ac6bf89bb56d2a9b360539493be29528",
-    ("server", "basic"): "d05674445998d5544f98e259b4b4a52076dd16c568979e6f727963aae152445a",
+    ("server", "full"): "cc14afcf8db46bb2a84ee525a9a9cbcbb3e43d2cf6e7cad20c1de384bf50f666",
+    ("server", "basic"): "6db7217f1b262fa964a4eb8cc5c05eb80a0c809e1568564c597d77822e8b1187",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }
 

@@ -6,7 +6,15 @@ import pytest
 
 import dsse
 from dsse.bloom import BLOCK_BYTES, BloomFilter, BloomParams
-from dsse.crypto import LAMBDA, aggregate_mac, chain_label, prf2, xor_bytes
+from dsse.crypto import (
+    LAMBDA,
+    aggregate_mac,
+    chain_label,
+    derived_key,
+    key_label,
+    prf1,
+    xor_bytes,
+)
 from dsse.errors import (
     FormatError,
     NotFoundError,
@@ -184,7 +192,7 @@ def test_full_mode_requires_sigma():
 
 
 def test_mode_mixing_rejected_by_mask_width():
-    # a basic owner's 2-lambda masks must not land in a full server's table
+    # a basic owner's one-lambda masks must not land in a full server's table
     basic_owner, _ = build("basic")
     payload = basic_owner.add_file(b"f", ["w"], NOW)
     payload.sigma, payload.t = b"\x00" * 16, NOW  # smuggle in proof fields
@@ -424,7 +432,7 @@ def test_a_repeated_version_does_not_outlive_its_taus():
     server.add(b)
 
     def entries(tag: int) -> list[tuple[bytes, bytes]]:
-        return [(bytes([tag]) + j.to_bytes(15, "big"), b"\x0d" * 48) for j in range(300)]
+        return [(bytes([tag]) + j.to_bytes(15, "big"), b"\x0d" * 32) for j in range(300)]
 
     server.add(AddPayload(b"C" * 16, b"c", entries(0x0C), a.sigma, a.t))
     server.add(AddPayload(b"D" * 16, b"d", entries(0x0E), b"\x01" * 16, NOW))
@@ -617,11 +625,12 @@ def test_merge_never_rewrites_a_shared_prefix():
     for counter in (1, 3):
         server.search(owner.token_for_counter("w", counter))
     shared = server.tbl[chain_label(owner.keys.k_prf, "w", 3)].chain
-    tau, key = b"\x0a" * 16, b"\x0b" * 16
-    link = chain_label(owner.keys.k_prf, "w", 1) + b"\x0c" * 16  # label, any key
-    server.tbl[tau] = ChainEntry(xor_bytes(link, prf2(key, tau)), b"stranger-id-0000")
+    key = b"\x0b" * 16
+    tau = key_label(key)
+    link = derived_key(owner.keys.k_prf, "w", 1)  # the key of merged c1
+    server.tbl[tau] = ChainEntry(xor_bytes(link, prf1(key, tau)), b"stranger-id-0000")
     server.files[b"stranger-id-0000"] = b"stranger ciphertext"
-    rst, _, _ = server.search(SearchTokenEnvelope(0, tau + key))
+    rst, _, _ = server.search(SearchTokenEnvelope(0, key))
     assert rst == [b"stranger-id-0000", ids[0]]
     assert server.tbl[tau].chain is not shared
     assert shared == ids
@@ -729,8 +738,8 @@ def test_restore_refuses_out_of_range_file_numbers():
     place = sorted(ids).index
     list_at = 8 + 1 + files_bytes(server) + 8 + 4  # the list's first file number
     assert blob[list_at : list_at + 8] == u32(place(ids[0])) + u32(place(ids[1]))
-    entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 3)) + 16 + 1 + 32  # flag, mu
-    assert blob[entry_at - 33] == 1 and blob[entry_at : entry_at + 4] == u32(place(ids[2]))
+    entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 3)) + 16 + 1 + 16  # flag, mu
+    assert blob[entry_at - 17] == 1 and blob[entry_at : entry_at + 4] == u32(place(ids[2]))
 
     def with_number(at, i):
         return blob[:at] + u32(i) + blob[at + 4 :]
@@ -766,13 +775,15 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV7")
-    # DSSESRV6 wrote the file table last and each file id in full in every
-    # entry and id list; DSSESRV5 held an unblocked filter; DSSESRV4 and
-    # DSSESRV3 flagged and length-prefixed the fields the mode and LAMBDA
-    # fix, and put the filter before the entries; DSSESRV3 also had filter
-    # bits from the older index function
-    for magic in (b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
+    assert blob.startswith(b"DSSESRV8")
+    # DSSESRV7 held 48-byte masks (the previous label, its key and gamma)
+    # under labels that were PRFs of (keyword, counter), and gammas over
+    # result tags that named no place; DSSESRV6 wrote the file table last
+    # and each file id in full in every entry and id list; DSSESRV5 held an
+    # unblocked filter; DSSESRV4 and DSSESRV3 flagged and length-prefixed
+    # the fields the mode and LAMBDA fix, and put the filter before the
+    # entries; DSSESRV3 also had filter bits from the older index function
+    for magic in (b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries

@@ -33,7 +33,7 @@ rng = random.Random(42)
 
 
 def random_add_payload(n_entries=3, full=True) -> AddPayload:
-    entries = [(rng.randbytes(16), rng.randbytes(48 if full else 32)) for _ in range(n_entries)]
+    entries = [(rng.randbytes(16), rng.randbytes(32 if full else 16)) for _ in range(n_entries)]
     return AddPayload(
         file_id=rng.randbytes(16),
         ciphertext=rng.randbytes(rng.randint(1, 200)),
@@ -56,7 +56,7 @@ def test_round_trip_every_kind():
     back = round_trip(random_add_payload(full=False))
     assert back.sigma is None
     round_trip(RefreshPayload(rng.randbytes(64), rng.randbytes(16), NOW))
-    round_trip(SearchTokenEnvelope(3, rng.randbytes(60)))
+    round_trip(SearchTokenEnvelope(3, rng.randbytes(44)))
     round_trip(wire.GetBloom())
     back = round_trip(wire.GetBloom((NOW, rng.randbytes(16))))
     assert back.since[0] == NOW
@@ -77,8 +77,13 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x06 (a REFRESH carries its filter
-# packed) lays out every frame as 0x05 did, and differs from it only in the
+# One frame per message shape. Version 0x07 (a label derives from its
+# entry's key) carries a 32-byte full-mode mask (a key and gamma) and a
+# 16-byte basic-mode one (a key), and a token of one key. It writes the
+# ADD's file id, taus and masks and the SEARCH reply's ids and gamma
+# without length prefixes, and the ADD's presence flag before its entries.
+# Its result tags name each file's place. Version 0x06 (a REFRESH carries
+# its filter packed) lays out every frame as 0x05 did, and differs from it only in the
 # first byte; what changed is what a REFRESH's filter field holds, which the
 # encoder passes through as it is. Version 0x05 (a blocked filter under an
 # XOR-MAC) differed from 0x04 the same way, in the filter bits and sigma.
@@ -88,72 +93,72 @@ def test_round_trip_every_kind():
 # values together.
 _FULL_ADD = AddPayload(
     b"F" * 16, b"ciphertext",
-    [(b"\x01" * 16, b"\x02" * 48), (b"\x03" * 16, b"\x04" * 48)],
+    [(b"\x01" * 16, b"\x02" * 32), (b"\x03" * 16, b"\x04" * 32)],
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "cc65a098008000e63b93923a8b3eebfa559fe4a922b791952ae5d3a72431695e"),
+    "add_full": (_FULL_ADD, "9b97cbbb514af228f4fc5063d0ba90bc3697a69233b543aa372a9a51724cce0f"),
     "add_basic": (
-        AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 32)]),
-        "9b81820d1227d28dbef168471a546c39322534d638f0c06dc6b6916e851e01b2",
+        AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 16)]),
+        "5fe74ae93786aaf9d1b34298b3a40f3009fac791e3248c03ca0f2d2f76769001",
     ),
     "refresh": (
         RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "804e96a65ebda1a98edf341b2af132f8a4fc90f375183dffa77aac182bddc974",
+        "7b150afd96473a9c14ceb02105894cf2a0cf4a9802402536427d2e53f15a9596",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "2e67509cdad59e3a9b806f79be7ad060d3c710d0fd9a7c140970c8868d9dc379",
+        "523c5f1e931c21eecab9cdd0ae977264392097ab96c90ae83fdaf86fae33a506",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "c5bafb1a52ed5951424e3ed4a673770aa57f14232c80ffbde553f04ec43745fc",
+        "7eec188a1213ab47ce61e127dafb5b3bcc646886d5390fd74c7dcc8169a9feb8",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "347f8544df3bf3d55538e831854ee01f4cecdddc1c0195bc159c8ad22f0d47ee",
+        "4de9a12d75777244e034eedb6fc936ed33d263eab8ea7bc54bdfd13d86d3a870",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "e4a936250833992bfa55c207bbed9af01eed8a1a1a7a11fe964e86918c3f313f",
+        "21ca9fcbc87f40e04aa1003425831f040e51693d18c80f5c13d347eb9691f807",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "b960be01d271573e641deb94a6d57e5dffe8ea64e30b1b53cbc4f146110aacd3",
+        "4977f95320955f6f19a28a4076285032ded7a22d8655f9e04ba82f6b7bc5e623",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "4a5efe6c1dc5fe2b1be76a4c70b76d0b88e87034e197a3b3afd876c0f64772e6",
+        "059a4db2f806cc7928ccc14a2fa0c890b73e814af20d106c224334cdcc5ab89c",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "00244d8288874446449aae7a65535bfbd2c963a449fe1d6ccfdce8454e588218",
+        "2e960c59e4dfd88fc0587bac15f913c53190f48c61d99c2d3dd65d158670a338",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "fdbc731582dcf7184cab2cf5d196eb144bbde3096e4c9095f8f6d6304f4c8066",
+        "9ec08af1367d69ede9b88f37c64c02a7fd76f3c5d5de9b55aff63e658e89bd9c",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "c6f2530804f85efeed24a915c689a9efa9ba24802b3eef411171acd783eaf1ca",
+        "e909b50faf46d9c5fc0774bcf274e2f6d4f1c94f87e72c6d2a601f69195e74a6",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "c96f59493426010410793021d46659e317997949f40f85a9e6f0db88b68dbe5b",
+        "aef68d3034de6d48f8856ee1734d20e499c5a1e963df0a7cc19ddc91fe96f48e",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "bfd25155bf50a2a57c2fdee097897243d9ddb10c7876b802f801410dffe4a549",
+        "65532482b20126f81b4bcafb423747188b8dd9efbb4ff77b42d15bb6e46b13cf",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "c7a729916612bf41776902920daa89e8cdf366b0f5be5b6157ff30a1117289f8",
+        "a606ad26bef0f0014d708b7156267e7ec5d25a84223ecbf33b23bc3b91447d6a",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "9ec65620588969a5777a035d1713b72e19a1ce9b80ce3007fe7b4962398ec433",
+        "c31aaf1e13a7dcc79516fb4743874292b2692aa4131a6652823228e013f0a3f3",
     ),
 }
 
@@ -161,7 +166,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x06
+    assert wire.VERSION == 0x07
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -191,19 +196,19 @@ def test_unknown_version_and_kind():
 
 
 def test_add_request_size_formula():
-    # version + kind + lp(file_id) + lp(ciphertext) + u32 count
-    # + per entry lp(tau 16) + lp(mu 48) + presence byte + lp(sigma) + u64 t
+    # version + kind + file_id 16 + lp(ciphertext) + presence byte
+    # + lp(sigma) + u64 t + u32 count + per entry tau 16 + mu 32
     payload = random_add_payload(n_entries=15)
     data = wire.encode(payload)
     expected = (
         2
-        + (4 + 16)
+        + 16
         + (4 + len(payload.ciphertext))
-        + 4
-        + 15 * ((4 + 16) + (4 + 48))
         + 1
         + (4 + 16)
         + 8
+        + 4
+        + 15 * (16 + 32)
     )
     assert len(data) == expected
 
@@ -354,6 +359,22 @@ def test_undecodable_request_answered_in_its_own_kind():
     # a frame naming no request kind is still answered, in the ADD kind
     reply = wire.decode(wire.ServerEndpoint(server).handle_bytes(b"\x02\x7f"))
     assert (reply.kind, reply.code) == (wire.KIND_ADD, wire.CODE_FORMAT)
+
+
+def test_a_version_0x06_peer_is_refused_by_format_not_by_verification():
+    # a 0x06 peer's ADD held 48-byte masks and its SEARCH a label and a key;
+    # each is refused by its version byte, in its own kind, before any of
+    # it reaches the server's table or walk
+    owner, server, oracle, _ = build_system(5)
+    endpoint = wire.ServerEndpoint(server)
+    before = server.snapshot()
+    old_add = bytes([0x06]) + wire.encode(owner.add_file(b"new", ["w"], NOW + 9000))[1:]
+    old_search = bytes([0x06]) + wire.encode(owner.gen_token(oracle.keywords()[0]))[1:]
+    for frame, kind in ((old_add, wire.KIND_ADD), (old_search, wire.KIND_SEARCH)):
+        reply = wire.decode(endpoint.handle_bytes(frame))
+        assert (reply.kind, reply.code) == (kind, wire.CODE_FORMAT)
+        assert "unknown version 0x06" in reply.message
+    assert server.snapshot() == before
 
 
 def test_wire_bytes_are_the_mac_inputs():
