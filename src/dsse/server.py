@@ -255,12 +255,18 @@ class CloudServer(Persistent):
         zero key) or after a merged entry. It changes nothing: search merges
         what it yields, and harness.audit walks a table rebuilt from a
         transcript with it. An unknown head label is a NotFoundError, a
-        missing interior one a ProtocolError."""
+        missing interior one a ProtocolError, and so is a label reached
+        twice: an ADD can hold an entry that opens to its own key, and a walk
+        around it would never end."""
         k = self._open_token(envelope)
         tau = key_label(k)
         mask = prf2 if self.mode == FULL else prf1
         missing = NotFoundError("unknown index label in token")
+        reached: set[bytes] = set()
         while True:
+            if tau in reached:
+                raise ProtocolError("chain loops back to a label it reached")
+            reached.add(tau)
             entry = self.tbl.get(tau)
             if entry is None:
                 raise missing

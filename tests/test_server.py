@@ -636,6 +636,19 @@ def test_merge_never_rewrites_a_shared_prefix():
     assert shared == ids
 
 
+def test_an_entry_that_opens_to_its_own_key_is_refused_not_walked_forever():
+    # anyone who can send an ADD can store an entry whose mask opens to the
+    # key it is stored under; a search from that key would walk it forever,
+    # holding the server's lock
+    _, server = build("basic")
+    key = b"\x0b" * 16
+    tau = key_label(key)
+    server.add(AddPayload(b"L" * 16, b"loop", [(tau, xor_bytes(key, prf1(key, tau)))]))
+    with pytest.raises(ProtocolError, match="loops"):
+        server.search(SearchTokenEnvelope(0, key))
+    assert isinstance(server.tbl[tau], ChainEntry)
+
+
 def test_a_table_with_only_heads_merged_still_answers():
     # the shape a server that merged only the head and the chain's bottom
     # saved after searches at counters 3 then 8: merged c1, c3 and c8 on one
