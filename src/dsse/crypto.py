@@ -27,7 +27,6 @@ _NONCE_LEN = 12
 
 # Domain separation tags for PRF inputs. Bare concatenations like w||cnt and
 # w||pos||digit could collide across uses, so every PRF input carries a tag.
-# 0x01 tagged w||cnt when a label was a PRF of it under k_prf; it is retired.
 TAG_KEY = 0x02    # key-derivation preimage w||cnt, hashed then fed to prf1
 TAG_DIGIT = 0x03  # digit embedding w||pos||digit
 # The filter MAC derives its two keys from k_mac under these tags, and each

@@ -201,7 +201,7 @@ def encode(msg: Request | Reply) -> bytes:
         if msg.sigma is not None:
             put_bytes(buf, msg.sigma)
             put_u64(buf, msg.t)
-        width = _mask_width(msg.sigma is not None)
+        width = mask_width(BASIC if msg.sigma is None else FULL)
         put_u32(buf, len(msg.entries))
         for tau, mu in msg.entries:
             put_fixed(buf, tau, LAMBDA)
@@ -254,10 +254,6 @@ def _encode_reply(msg: Reply) -> bytes:
     return bytes(buf)
 
 
-def _mask_width(full: bool) -> int:
-    return mask_width(FULL if full else BASIC)
-
-
 def decode(data: bytes) -> Request | Reply:
     r = Reader(data)
     version = r.u8()
@@ -283,7 +279,7 @@ def _decode_request(kind: int, r: Reader) -> Request:
         if full:
             sigma = r.bytes_()
             t = r.u64()
-        width = _mask_width(full)
+        width = mask_width(FULL if full else BASIC)
         entries = [(r.fixed(LAMBDA), r.fixed(width)) for _ in range(r.u32())]
         return AddPayload(file_id, ciphertext, entries, sigma, t)
     if kind == KIND_REFRESH:
