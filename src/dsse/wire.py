@@ -9,7 +9,7 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x07 | kind(1) | body
+    version(1) = 0x08 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
@@ -45,8 +45,15 @@ server cannot decode gets a FORMAT reply of the kind its header names, or of
 kind ADD when that byte names no request. OK bodies:
 
     ADD, REFRESH, ROTATE   message
-    SEARCH     u32 n | n x id(16) | u32 n | n x ciphertext | flag [| gamma(16)]
+    SEARCH     u32 n | n x (id(16) | flag [| ciphertext]) | flag [| gamma(16)]
     GET_BLOOM  flag | (filter, or when the flag is 1: u32 n | n x tau) | sigma | u64 t
+
+A SEARCH reply carries each file's ciphertext at most once per connection:
+an id's flag is 0 when its ciphertext crossed this connection in an earlier
+reply (or earlier in this one), and the ciphertext is left out. Both ends
+keep what that takes: the ServerEndpoint of the connection the ids it has
+sent, the Client every ciphertext it has received, which it puts back in
+place (Client.search). decode alone gives None for a held ciphertext.
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
@@ -69,6 +76,7 @@ import logging
 import socket
 import socketserver
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -95,7 +103,7 @@ from .protocol import (
 )
 from .server import CloudServer
 
-VERSION = 0x07
+VERSION = 0x08
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -172,8 +180,8 @@ class Reply:
     """The answer to a request of `kind`.
 
     value is what the server method returned on CODE_OK: (ids, ciphertexts,
-    gamma) for SEARCH, (filter or list of taus, sigma, t) for GET_BLOOM,
-    else None.
+    gamma) for SEARCH, a ciphertext None where the reply names it as held;
+    (filter or list of taus, sigma, t) for GET_BLOOM; else None.
     message explains any other code.
     """
 
@@ -232,11 +240,11 @@ def _encode_reply(msg: Reply) -> bytes:
     elif msg.kind == KIND_SEARCH:
         ids, ciphertexts, gamma = msg.value
         put_u32(buf, len(ids))
-        for fid in ids:
+        for fid, ct in zip(ids, ciphertexts, strict=True):
             put_fixed(buf, fid, FILE_ID_LEN)
-        put_u32(buf, len(ciphertexts))
-        for ct in ciphertexts:
-            put_bytes(buf, ct)
+            put_u8(buf, ct is not None)
+            if ct is not None:
+                put_bytes(buf, ct)
         put_u8(buf, gamma is not None)
         if gamma is not None:
             put_fixed(buf, gamma, LAMBDA)
@@ -296,10 +304,11 @@ def _decode_reply(kind: int, r: Reader) -> Reply:
     if code != CODE_OK or kind not in (KIND_SEARCH, KIND_GET_BLOOM):
         return Reply(kind, code, r.str_())
     if kind == KIND_SEARCH:
-        ids = [r.fixed(FILE_ID_LEN) for _ in range(r.u32())]
-        cts = [r.bytes_() for _ in range(r.u32())]
+        pairs = [
+            (r.fixed(FILE_ID_LEN), r.bytes_() if r.flag() else None) for _ in range(r.u32())
+        ]
         gamma = r.fixed(LAMBDA) if r.flag() else None
-        return Reply(kind, value=(ids, cts, gamma))
+        return Reply(kind, value=([fid for fid, _ in pairs], [ct for _, ct in pairs], gamma))
     if r.flag():
         update = [r.fixed(LAMBDA) for _ in range(r.u32())]
     else:
@@ -319,10 +328,14 @@ def _code_for(exc: Exception) -> int:
 
 
 class ServerEndpoint:
-    """Dispatches decoded requests onto a CloudServer and encodes replies."""
+    """One connection's server side: dispatches decoded requests onto a
+    CloudServer and encodes replies. It remembers the file ids whose
+    ciphertexts it has sent, so a SEARCH reply names those as held; the
+    connection's requests are served one at a time."""
 
     def __init__(self, server: CloudServer):
         self.server = server
+        self._sent: set[bytes] = set()
 
     def handle_bytes(self, data: bytes) -> bytes:
         try:
@@ -362,7 +375,19 @@ class ServerEndpoint:
             return server.set_group_key(request.group_key, request.epoch)
         if isinstance(request, GetBloom):
             return server.get_bloom(request.since)
-        return server.search(request)
+        return self._send_once(*server.search(request))
+
+    def _send_once(
+        self, ids: list[bytes], ciphertexts: list[bytes], gamma: bytes | None
+    ) -> tuple[list[bytes], list[bytes | None], bytes | None]:
+        """The answer with None (held) for each ciphertext this connection
+        has carried before."""
+        sent = self._sent
+        once = []
+        for fid, ct in zip(ids, ciphertexts, strict=True):
+            once.append(None if fid in sent else ct)
+            sent.add(fid)
+        return ids, once, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +455,7 @@ def _recv_frame(sock: socket.socket) -> bytes:
 
 class _FrameHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        endpoint: ServerEndpoint = self.server.endpoint  # type: ignore[attr-defined]
+        endpoint = ServerEndpoint(self.server.cloud)  # type: ignore[attr-defined]
         sock = self.request
         while True:
             try:
@@ -442,13 +467,13 @@ class _FrameHandler(socketserver.BaseRequestHandler):
 
 
 class WireServer:
-    """Threaded TCP listener serving one CloudServer."""
+    """Threaded TCP listener serving one CloudServer, with a ServerEndpoint
+    of its own for each connection it accepts."""
 
     def __init__(self, server: CloudServer, host: str = "127.0.0.1", port: int = 0):
-        self.endpoint = ServerEndpoint(server)
         self._tcp = socketserver.ThreadingTCPServer((host, port), _FrameHandler)
         self._tcp.daemon_threads = True
-        self._tcp.endpoint = self.endpoint  # type: ignore[attr-defined]
+        self._tcp.cloud = server  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
     @property
@@ -473,14 +498,23 @@ class Client:
 
     Non-OK reply codes are raised back as the matching exception types,
     so in-process and remote callers see identical behavior.
+
+    A Client is one connection: it keeps every ciphertext a SEARCH reply
+    has sent it, by file id, and counts in `ciphertexts` how many arrived
+    sent and how many held.
     """
 
     def __init__(self, transport: InProcessTransport | SocketTransport):
         self.transport = transport
         self._last_answered: tuple[int, bytes] | None = None
+        self._held: dict[bytes, bytes] = {}
+        self._lock = threading.Lock()
+        self.ciphertexts: Counter[str] = Counter(sent=0, held=0)
 
     @classmethod
     def in_process(cls, server: CloudServer) -> "Client":
+        """A connection to an endpoint of its own, as WireServer gives each
+        socket it accepts."""
         return cls(InProcessTransport(ServerEndpoint(server)))
 
     @classmethod
@@ -515,7 +549,28 @@ class Client:
     def search(
         self, envelope: SearchTokenEnvelope
     ) -> tuple[list[bytes], list[bytes], bytes | None]:
-        return self._call(envelope)
+        """The answer (ids, ciphertexts, gamma) with every ciphertext in
+        place. A reply that names as held a ciphertext this client never
+        received, or sends again one it holds, is a ProtocolError and keeps
+        nothing of it. The exchange and the lookup hold one lock, so the
+        replies reach the cache in the order the endpoint wrote them."""
+        with self._lock:
+            ids, cts, gamma = self._call(envelope)
+            held, fresh = self._held, {}
+            whole = []
+            for fid, ct in zip(ids, cts):
+                known = fresh[fid] if fid in fresh else held.get(fid)
+                if ct is None and known is None:
+                    raise ProtocolError("reply holds back a ciphertext this client never received")
+                if ct is not None and known is not None:
+                    raise ProtocolError("reply sends again a ciphertext this client holds")
+                if ct is not None:
+                    fresh[fid] = ct
+                whole.append(known if ct is None else ct)
+            held.update(fresh)
+            self.ciphertexts["sent"] += len(fresh)
+            self.ciphertexts["held"] += len(whole) - len(fresh)
+            return ids, whole, gamma
 
     def get_bloom(
         self, since: tuple[int, bytes] | None | object = _LAST_ANSWERED

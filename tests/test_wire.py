@@ -77,7 +77,11 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x07 (a label derives from its
+# One frame per message shape. Version 0x08 (a ciphertext crosses a
+# connection once) pairs each id of a SEARCH reply with a flag and, when it
+# is set, the ciphertext, where 0x07 listed the ids and then every
+# ciphertext behind a count of its own; every other frame differs from
+# 0x07's in its first byte only. Version 0x07 (a label derives from its
 # entry's key) carries a 32-byte full-mode mask (a key and gamma) and a
 # 16-byte basic-mode one (a key), and a token of one key. It writes the
 # ADD's file id, taus and masks and the SEARCH reply's ids and gamma
@@ -97,68 +101,74 @@ _FULL_ADD = AddPayload(
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "9b97cbbb514af228f4fc5063d0ba90bc3697a69233b543aa372a9a51724cce0f"),
+    "add_full": (_FULL_ADD, "e8c44242839b7745cd6a53551cfbbe7c93acdca5f24645251db09f37d6f5260b"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 16)]),
-        "5fe74ae93786aaf9d1b34298b3a40f3009fac791e3248c03ca0f2d2f76769001",
+        "a26d8c6d33aa26e5b44bd0bd486438b1049dabe4d582b6731168f77a259c1eef",
     ),
     "refresh": (
         RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "7b150afd96473a9c14ceb02105894cf2a0cf4a9802402536427d2e53f15a9596",
+        "a73699bebb995dfb75ba22418d1f7f9b2ab77eb8fd51afbd3971bb5edee6600a",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "523c5f1e931c21eecab9cdd0ae977264392097ab96c90ae83fdaf86fae33a506",
+        "fca9d50f83d5f66e4423641ef240a34f0441686401471ddf6ca57573c7f2278a",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "7eec188a1213ab47ce61e127dafb5b3bcc646886d5390fd74c7dcc8169a9feb8",
+        "1a120766efc942b2105a814168c8af142706bce22c5ab70e258b066f2ad027ba",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "4de9a12d75777244e034eedb6fc936ed33d263eab8ea7bc54bdfd13d86d3a870",
+        "9f3002fd27e47f5e0def02a14aea9f96aede6dd24a147ec1ca09caaa73262972",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "21ca9fcbc87f40e04aa1003425831f040e51693d18c80f5c13d347eb9691f807",
+        "dece70a25e21bfab0b01db36a6a8a1c7c478779bae2f06562352b102f74eb60c",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "4977f95320955f6f19a28a4076285032ded7a22d8655f9e04ba82f6b7bc5e623",
+        "f37dfe0f7c741c512142afb5f5cf4e7e5ddab6aaeeb8906b9f06076c348e37a6",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "059a4db2f806cc7928ccc14a2fa0c890b73e814af20d106c224334cdcc5ab89c",
+        "0ad446db6e98fb67022e0c28f6e8fa2c4cba92d0a284d1da8e280656e6fef475",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "2e960c59e4dfd88fc0587bac15f913c53190f48c61d99c2d3dd65d158670a338",
+        "a45d6f9d779b4d00c934713b545a73d2626cb4fd1e5e23986d259c4d0663763d",
+    ),
+    "search_reply_held": (
+        wire.Reply(wire.KIND_SEARCH, value=(
+            [b"\x0d" * 16, b"\x0e" * 16], [None, b"cde"], b"\x0f" * 16
+        )),
+        "931613472661f909d1b0dd5717bc5fc7c4785df117fca7bde6702f92ffc52dc1",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "9ec08af1367d69ede9b88f37c64c02a7fd76f3c5d5de9b55aff63e658e89bd9c",
+        "4bff01e89025fd00e9928f0c6514a914c10e2aead0b4cb145136ab30ac73d0df",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "e909b50faf46d9c5fc0774bcf274e2f6d4f1c94f87e72c6d2a601f69195e74a6",
+        "d59405d623acd15643a3b5fd6b255060b0a15cd0b08dc42ae0f559fa4f1a3365",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "aef68d3034de6d48f8856ee1734d20e499c5a1e963df0a7cc19ddc91fe96f48e",
+        "93074a4e202a35e6e988ec22928011471dcd9cfcadc734b705ba49d49b57117d",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "65532482b20126f81b4bcafb423747188b8dd9efbb4ff77b42d15bb6e46b13cf",
+        "31b6660d2b6e5f64734c41b06b83476f7e7d024e7475371c9f9033cfd700c88d",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "a606ad26bef0f0014d708b7156267e7ec5d25a84223ecbf33b23bc3b91447d6a",
+        "2cfa09d690d46b267f789c792bda095db079aa64b98b48ab41163a3e81cfdaee",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "c31aaf1e13a7dcc79516fb4743874292b2692aa4131a6652823228e013f0a3f3",
+        "9a9a0e8c74003fd66a3cc9730f756b337d6c5440ada01946e28df8e596b247d5",
     ),
 }
 
@@ -166,7 +176,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x07
+    assert wire.VERSION == 0x08
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -311,13 +321,14 @@ def test_refresh_of_another_size_refused_before_inflating():
 
 
 class CannedTransport:
-    """Answers every request with the frame of one fixed message."""
+    """Answers the requests with the frames of the given messages (or raw
+    frames) in turn, and every later one with the last."""
 
-    def __init__(self, msg):
-        self.frame = wire.encode(msg)
+    def __init__(self, *msgs):
+        self.frames = [m if isinstance(m, bytes) else wire.encode(m) for m in msgs]
 
     def request(self, data: bytes) -> bytes:
-        return self.frame
+        return self.frames.pop(0) if len(self.frames) > 1 else self.frames[0]
 
 
 def test_reply_of_the_wrong_kind_refused():
@@ -359,6 +370,95 @@ def test_undecodable_request_answered_in_its_own_kind():
     # a frame naming no request kind is still answered, in the ADD kind
     reply = wire.decode(wire.ServerEndpoint(server).handle_bytes(b"\x02\x7f"))
     assert (reply.kind, reply.code) == (wire.KIND_ADD, wire.CODE_FORMAT)
+
+
+A, B = b"\x0a" * 16, b"\x0b" * 16
+
+
+def search_reply(*pairs):
+    """An OK SEARCH reply of (id, ciphertext or None for held) pairs."""
+    return wire.Reply(wire.KIND_SEARCH, value=(
+        [fid for fid, _ in pairs], [ct for _, ct in pairs], b"\x0f" * 16
+    ))
+
+
+def test_a_reply_holding_back_a_ciphertext_never_received_is_refused():
+    envelope = SearchTokenEnvelope(1, b"token")
+    client = wire.Client(CannedTransport(search_reply((A, None))))
+    with pytest.raises(ProtocolError, match="never received"):
+        client.search(envelope)
+    # held earlier in the same reply is held: the endpoint sends an id's
+    # ciphertext at its first place
+    client = wire.Client(CannedTransport(search_reply((A, b"ct-a"), (A, None))))
+    assert client.search(envelope)[1] == [b"ct-a", b"ct-a"]
+
+
+def test_a_reply_sending_again_a_held_ciphertext_is_refused_and_keeps_nothing():
+    envelope = SearchTokenEnvelope(1, b"token")
+    client = wire.Client(CannedTransport(
+        search_reply((A, b"ct-a")),
+        search_reply((B, b"ct-b"), (A, b"ct-a")),  # A was sent before
+        search_reply((B, None)),  # so B was not kept
+        search_reply((A, None)),
+    ))
+    assert client.search(envelope) == ([A], [b"ct-a"], b"\x0f" * 16)
+    with pytest.raises(ProtocolError, match="sends again"):
+        client.search(envelope)
+    with pytest.raises(ProtocolError, match="never received"):
+        client.search(envelope)
+    assert client.search(envelope) == ([A], [b"ct-a"], b"\x0f" * 16)
+    assert client.ciphertexts == {"sent": 1, "held": 1}
+
+
+def test_each_connection_receives_each_ciphertext_once():
+    # two connections to one WireServer: each is sent every ciphertext the
+    # first time one of its answers names the file, across keywords too,
+    # and every answer is whole and verifies
+    owner, server, oracle, last_t = build_system(30)
+    keywords = oracle.keywords()
+    named = sum(oracle.count(w) for w in keywords)
+    ws = wire.WireServer(server)
+    ws.start()
+    try:
+        clients = [wire.Client.connect(*ws.address) for _ in range(2)]
+        for client in clients:
+            for _ in range(2):
+                for w in keywords:
+                    ids, cts, gamma = client.search(owner.gen_token(w))
+                    assert ids == oracle.ids_newest_first(w)
+                    assert cts == server.ciphertexts_for(ids)
+                    assert owner.verify(w, ids, cts, gamma, last_t + 60).ok
+            assert client.ciphertexts == {"sent": 30, "held": 2 * named - 30}
+            client.close()
+    finally:
+        ws.stop()
+
+
+def test_a_version_0x07_peer_is_refused_by_format_not_by_verification():
+    # a 0x07 peer's frames differ from 0x08's in the first byte, and its
+    # SEARCH reply listed the ids and then every ciphertext behind a count
+    # of its own: each is refused by its version byte, a request in its own
+    # kind before any of it reaches the server, a reply before the client
+    # holds any of its ciphertexts
+    owner, server, oracle, _ = build_system(5)
+    endpoint = wire.ServerEndpoint(server)
+    keyword = oracle.keywords()[0]
+    before = server.snapshot()
+    old_add = bytes([0x07]) + wire.encode(owner.add_file(b"new", ["w"], NOW + 9000))[1:]
+    old_search = bytes([0x07]) + wire.encode(owner.gen_token(keyword))[1:]
+    for frame, kind in ((old_add, wire.KIND_ADD), (old_search, wire.KIND_SEARCH)):
+        reply = wire.decode(endpoint.handle_bytes(frame))
+        assert (reply.kind, reply.code) == (kind, wire.CODE_FORMAT)
+        assert "unknown version 0x07" in reply.message
+    assert server.snapshot() == before
+    ids, cts, gamma = server.search(owner.gen_token(keyword))
+    old_reply = bytearray((0x07, wire.KIND_SEARCH | 0x80, wire.CODE_OK))
+    old_reply += struct.pack(">I", len(ids)) + b"".join(ids) + struct.pack(">I", len(cts))
+    old_reply += b"".join(struct.pack(">I", len(ct)) + ct for ct in cts) + b"\x01" + gamma
+    client = wire.Client(CannedTransport(bytes(old_reply)))
+    with pytest.raises(FormatError, match="unknown version 0x07"):
+        client.search(owner.gen_token(keyword))
+    assert client.ciphertexts == {"sent": 0, "held": 0}
 
 
 def test_a_version_0x06_peer_is_refused_by_format_not_by_verification():
@@ -409,12 +509,14 @@ def test_full_honest_run_over_wire():
         assert report.ok
 
 
-@pytest.mark.parametrize("connections", ["one_per_thread", "one_shared"])
+@pytest.mark.parametrize("connections", ["one_per_thread", "one_shared", "one_in_process"])
 def test_concurrent_user_queries_over_one_wire_server(connections):
     """40 delegated queries from 4 threads, each thread its own user. With a
     connection per thread every request gets its own handler thread, so the
     server answers them concurrently; a shared client sends them one at a
-    time. Every answer verifies and equals the oracle's."""
+    time, and so does a shared in-process client, whose transport holds no
+    lock: the client's own lock keeps its held ciphertexts in step with its
+    endpoint. Every answer verifies and equals the oracle's."""
     owner, server, oracle, last_t = build_system(n_files=150)
     now = last_t + 60
     picker = random.Random(8)
@@ -423,7 +525,10 @@ def test_concurrent_user_queries_over_one_wire_server(connections):
     start = threading.Barrier(n_threads)
     ws = wire.WireServer(server)
     ws.start()
-    shared = wire.Client.connect(*ws.address) if connections == "one_shared" else None
+    shared = {
+        "one_shared": lambda: wire.Client.connect(*ws.address),
+        "one_in_process": lambda: wire.Client.in_process(server),
+    }.get(connections, lambda: None)()
 
     def queries(i: int) -> list[tuple[bool, bool]]:
         user = AuthorizedUser.from_owner(owner)
