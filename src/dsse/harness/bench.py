@@ -19,6 +19,7 @@ from ..protocol import BASIC, FULL, FilterTags
 from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
 from ..wire import Client, encode
+from .audit import RecordingTransport
 from .phi import STREAM_START, synthesize_stream
 from .scenario import default_bloom_params
 
@@ -182,6 +183,21 @@ def bench_search(result_size: int = 100, repeats: int = 9) -> SearchBench:
 
     (new_ms, new_lookups), (rec_ms, rec_lookups) = timed(fresh_kws), timed(rec_kws)
     return SearchBench(new_ms, rec_ms, new_lookups, rec_lookups)
+
+
+def bench_search_reply_bytes(result_size: int = 100) -> tuple[int, int]:
+    """SEARCH reply bytes for the first search of a `result_size`-file
+    keyword and for a repeat of it over the same client, whose reply names
+    every ciphertext as held."""
+    owner = DataOwner.generate(BASIC)
+    client = Client.in_process(CloudServer(BASIC))
+    for phi in synthesize_stream(14, result_size):
+        client.add(owner.add_file(phi.to_bytes(), ["reply:1"], phi.timestamp))
+    client.transport = recorder = RecordingTransport(client.transport)
+    for _ in range(2):
+        client.search(owner.gen_token("reply:1"))
+    first, repeat = (len(reply) for _, reply in recorder.frames)
+    return first, repeat
 
 
 @dataclass
@@ -378,6 +394,10 @@ def run_bench(
                "ms", f"{sb.recurring_lookups} lookups")
     report.laws["recurring_search_not_slower"] = sb.recurring_ms <= sb.new_ms
     report.laws["recurring_lookups_smaller"] = sb.recurring_lookups < sb.new_lookups
+    first_bytes, repeat_bytes = bench_search_reply_bytes(search_chain)
+    report.add("search_reply_repeat", float(repeat_bytes), None, "bytes",
+               f"{search_chain}-file keyword searched again over one client; "
+               f"first search {first_bytes} B")
 
     vb = bench_verify(verify_counts)
     top = vb.counts[-1]

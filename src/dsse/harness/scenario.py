@@ -8,6 +8,7 @@ import json
 import random
 import secrets
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..bloom import BloomParams
@@ -148,6 +149,7 @@ class ScenarioReport:
     query_seconds: float = 0.0
     failed: bool = False
     notes: list[str] = field(default_factory=list)
+    ciphertexts: Counter = field(default_factory=Counter)  # the client's, sent and held
 
     @property
     def n_verified_true(self) -> int:
@@ -182,6 +184,8 @@ class ScenarioReport:
                     "oracle_match": self.n_oracle_match,
                     "ingest_seconds": round(self.ingest_seconds, 3),
                     "query_seconds": round(self.query_seconds, 3),
+                    "ciphertexts_sent": self.ciphertexts["sent"],
+                    "ciphertexts_held": self.ciphertexts["held"],
                     "failed": self.failed,
                 }
             )
@@ -198,6 +202,8 @@ class ScenarioReport:
             f"  ingest {self.ingest_seconds:.2f}s, queries {self.query_seconds:.2f}s",
             f"  verified true={self.n_verified_true} false={self.n_verified_false} "
             f"oracle_match={self.n_oracle_match}",
+            f"  ciphertexts received sent={self.ciphertexts['sent']} "
+            f"held={self.ciphertexts['held']}",
         ]
         rows.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(rows)
@@ -379,6 +385,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     )
     try:
         _run_phases(config, system, report)
+        report.ciphertexts = system.client.ciphertexts
     finally:
         system.close()
     return report

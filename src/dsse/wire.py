@@ -559,7 +559,7 @@ class Client:
             held, fresh = self._held, {}
             whole = []
             for fid, ct in zip(ids, cts):
-                known = fresh[fid] if fid in fresh else held.get(fid)
+                known = fresh.get(fid, held.get(fid))
                 if ct is None and known is None:
                     raise ProtocolError("reply holds back a ciphertext this client never received")
                 if ct is not None and known is not None:

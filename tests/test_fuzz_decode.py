@@ -49,6 +49,8 @@ def test_wire_decode_mutated_valid_frames():
             [tau for tau, _ in payload.entries], payload.sigma, payload.t
         ))),
         wire.encode(owner.refresh_bloom(payload.t + 600)),  # a packed filter
+        wire.encode(SEARCH_REPLY),
+        wire.encode(wire.Reply(wire.KIND_SEARCH, value=([b"\x05" * 16], [None], None))),
     ]
     for frame in frames:
         for _ in range(400):
@@ -61,6 +63,32 @@ def test_wire_decode_mutated_valid_frames():
             else:
                 data.insert(rng.randrange(len(data) + 1), rng.randrange(256))
             try_decode(bytes(data))
+
+
+# a SEARCH reply whose second ciphertext is held and whose third is empty
+SEARCH_REPLY = wire.Reply(wire.KIND_SEARCH, value=(
+    [b"\x01" * 16, b"\x02" * 16, b"\x03" * 16], [b"abc", None, b""], b"\x04" * 16
+))
+
+
+def test_search_reply_flags_decode_strictly():
+    frame = wire.encode(SEARCH_REPLY)
+    assert wire.decode(frame) == SEARCH_REPLY
+    for cut in range(len(frame)):
+        with pytest.raises(FormatError):
+            wire.decode(frame[:cut])
+    with pytest.raises(FormatError, match="trailing"):
+        wire.decode(frame + b"\x00")
+    # the flag after each id (3 + 4 header and count bytes, then id, flag,
+    # length and ciphertext), and the gamma flag
+    flags = (23, 47, 64, 69)
+    assert [frame[i] for i in flags] == [1, 0, 1, 1]
+    for at in flags:
+        for bad in (2, 0x80, 0xFF):
+            data = bytearray(frame)
+            data[at] = bad
+            with pytest.raises(FormatError, match="presence flag"):
+                wire.decode(bytes(data))
 
 
 def test_mutated_packed_filters_unpack_whole_or_fail_cleanly():

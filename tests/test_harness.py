@@ -6,7 +6,7 @@ from dsse.bloom import BloomFilter
 from dsse.crypto import LAMBDA, chain_label
 from dsse.errors import NotFoundError, ProtocolError, TransportError, UsageError
 from dsse.harness import bench, scenario
-from dsse.harness.bench import linear_fit, long_state_run, run_bench
+from dsse.harness.bench import bench_search_reply_bytes, linear_fit, long_state_run, run_bench
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import (
     ATTRIBUTES,
@@ -94,6 +94,12 @@ def test_honest_scenario_report():
     assert records[0]["record"] == "config"
     assert records[-1]["record"] == "summary"
     assert sum(1 for r in records if r["record"] == "query") == 25
+    # every answered file arrived once whole, and held from then on
+    answered = sum(r.n_results for r in report.records)
+    sent, held = report.ciphertexts["sent"], report.ciphertexts["held"]
+    assert 0 < sent <= 150 and sent + held == answered
+    assert (records[-1]["ciphertexts_sent"], records[-1]["ciphertexts_held"]) == (sent, held)
+    assert f"ciphertexts received sent={sent} held={held}" in report.table()
 
 
 def test_basic_scenario_uses_owner_queries():
@@ -176,6 +182,7 @@ def test_scenario_over_socket_matches_in_process():
     assert not a.failed and not b.failed
     keys = [(r.keyword, r.n_results, r.verified, r.lookups) for r in a.records]
     assert keys == [(r.keyword, r.n_results, r.verified, r.lookups) for r in b.records]
+    assert a.ciphertexts == b.ciphertexts
 
 
 def test_recurring_query_lookup_law():
@@ -300,6 +307,14 @@ def test_filters_served_count_deltas_after_the_first_fetch():
         system.close()
 
 
+def test_a_repeated_search_reply_holds_every_ciphertext():
+    first, repeat = bench_search_reply_bytes(10)
+    # version, kind, status, u32 n, per id 16 bytes and a clear flag, and
+    # the clear gamma flag of basic mode
+    assert repeat == 3 + 4 + 10 * (16 + 1) + 1
+    assert first > repeat + 10 * 4
+
+
 def test_linear_fit():
     a, b, r2 = linear_fit([1, 2, 3, 4], [10.2, 19.8, 30.1, 39.9])
     assert abs(b - 9.94) < 0.2
@@ -315,6 +330,7 @@ def test_bench_smoke():
     assert "merged_ids_stored" in table and "server_snapshot" in table
     assert "server_restore" in table
     assert "REFRESH frame" in table
+    assert "search_reply_repeat" in table
     assert report.laws["stored_merged_ids_linear"]
     jsonl = report.to_jsonl().strip().splitlines()
     assert all(json.loads(line) for line in jsonl)

@@ -13,7 +13,7 @@ import zlib
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dsse.bloom import BLOCK_BITS, BloomParams
 from dsse.crypto import chain_label
@@ -201,6 +201,24 @@ class ThreeRoles(RuleBasedStateMachine):
         the server."""
         self.arm_or_disarm(behavior)
         self.owner_query(keyword)
+
+    @precondition(lambda self: self._multi_file_keywords())
+    @rule(behavior=st.sampled_from(ADVERSARY_BEHAVIORS), data=st.data())
+    def user_query_from_a_newly_armed_server(self, behavior, data):
+        """A behaviour armed right before a delegated query of a keyword
+        holding two or more files, so that swap_stale and drop_result have
+        files to move, most of them ciphertexts the client already holds.
+        Then the server is disarmed, and the next answer on the same
+        connection must verify."""
+        keyword = data.draw(st.sampled_from(self._multi_file_keywords()))
+        i = 0 if self.revoked == 1 else 1
+        self.arm_or_disarm(behavior)
+        self.user_query(i, keyword)
+        self.arm_or_disarm("honest")
+        self.user_query(i, keyword)
+
+    def _multi_file_keywords(self) -> list[str]:
+        return [w for w in KEYWORDS if self.oracle.count(w) > 1]
 
     @rule(keyword=st.sampled_from(KEYWORDS), data=st.data())
     def owner_query_at_an_older_counter(self, keyword, data):
