@@ -50,10 +50,10 @@ kind ADD when that byte names no request. OK bodies:
 
 A SEARCH reply carries each file's ciphertext at most once per connection:
 an id's flag is 0 when its ciphertext crossed this connection in an earlier
-reply (or earlier in this one), and the ciphertext is left out. Both ends
-keep what that takes: the ServerEndpoint of the connection the ids it has
-sent, the Client every ciphertext it has received, which it puts back in
-place (Client.search). decode alone gives None for a held ciphertext.
+reply (or earlier in this one), and the ciphertext is left out. The
+connection's ServerEndpoint keeps the ids it has sent, and the Client every
+ciphertext it has received, which Client.search puts back in place. decode
+alone gives None for a held ciphertext.
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
