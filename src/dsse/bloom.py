@@ -18,13 +18,10 @@ blocks it touched. The price is a higher false-positive rate at the same
 m, from the uneven load of the blocks; BloomParams.derive grows m to pay
 for it.
 
-A filter crosses the network in one of two forms. serialize() is the raw
-form: what the filter MAC covers, what snapshots store and what a
-GET_BLOOM reply carries. pack() is that serialization raw-deflated (RFC
-1951, run-length strategy), which a REFRESH carries: a refreshed filter
-holds only the digit embeddings of the current counters, so nearly all of
-its bytes are zero (Mitzenmacher, "Compressed Bloom Filters", IEEE/ACM ToN
-10(5), 2002). unpack() inflates no more than the header's m/8 bytes.
+A filter crosses the network in one form, serialize()'s: what the filter
+MAC covers, what snapshots store and what a GET_BLOOM reply carries. A
+REFRESH carries no filter at all, only the elements of the refreshed one,
+from which the server builds the same filter (owner.refresh_bloom).
 
 Counter embedding stores a keyword's latest counter as one filter element
 per decimal digit (position 1 = least significant); extraction probes each
@@ -36,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -92,19 +88,6 @@ def _set_bits(bits: bytearray, base: int, words: tuple[int, ...]) -> None:
     for w in words:
         p = w % BLOCK_BITS
         bits[base + (p >> 3)] |= 1 << (p & 7)
-
-
-def _parse_header(data: bytes | memoryview) -> tuple[int, int]:
-    """m and k from a serialization's first bytes, held to the rules every
-    filter read from outside must meet."""
-    if len(data) < _HEADER.size:
-        raise FormatError("bloom header truncated", offset=len(data))
-    m, k = _HEADER.unpack_from(data)
-    if not 1 <= k <= _MAX_K:
-        raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
-    if m == 0 or m % BLOCK_BITS:
-        raise FormatError(f"bloom m={m} is not whole {BLOCK_BITS}-bit blocks", offset=0)
-    return m, k
 
 
 class BloomFilter:
@@ -197,10 +180,16 @@ class BloomFilter:
     @classmethod
     def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
         """Parse a serialization, copying its bit bytes once. k must be
-        1 to 64: every add and verify hashes 8(k+1) bytes, and the server has
-        no key to check the filter a REFRESH brings. m must be a positive
-        multiple of BLOCK_BITS."""
-        m, k = _parse_header(data)
+        1 to 64: every add and verify hashes 8(k+1) bytes, and a user
+        checks the MAC of a filter only after parsing it. m must be a
+        positive multiple of BLOCK_BITS."""
+        if len(data) < _HEADER.size:
+            raise FormatError("bloom header truncated", offset=len(data))
+        m, k = _HEADER.unpack_from(data)
+        if not 1 <= k <= _MAX_K:
+            raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
+        if m == 0 or m % BLOCK_BITS:
+            raise FormatError(f"bloom m={m} is not whole {BLOCK_BITS}-bit blocks", offset=0)
         want = m // 8
         body = memoryview(data)[_HEADER.size :]
         if len(body) != want:
@@ -210,57 +199,21 @@ class BloomFilter:
             )
         return cls._from_raw(m, k, bytearray(body))
 
-    def pack(self) -> bytes:
-        """The serialization, raw-deflated with the run-length strategy,
-        read from the bits in place. One zlib build packs the same bits to
-        the same bytes; nothing relies on that across builds, since the
-        MAC covers the unpacked bits."""
-        deflater = zlib.compressobj(
-            zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15, zlib.DEF_MEM_LEVEL, zlib.Z_RLE
-        )
-        header, bits = self.buffers()
-        return deflater.compress(header) + deflater.compress(bits) + deflater.flush()
-
-    @classmethod
-    def unpack(cls, data: bytes, like: "BloomFilter") -> "BloomFilter":
-        """Inflate what pack() made to replace like. The header is inflated
-        first and held to deserialize's rules and to like's m and k; only
-        then are exactly m/8 bit bytes inflated. A stream that is not raw
-        deflate, ends early, yields more, or has bytes after its end raises
-        FormatError, so no stream makes this allocate more than its header's
-        filter."""
-        inflater = zlib.decompressobj(-15)
-        try:
-            m, k = _parse_header(inflater.decompress(data, _HEADER.size))
-            if (m, k) != (like.m, like.k):
-                raise FormatError(
-                    f"packed filter m={m} k={k} does not replace one of "
-                    f"m={like.m} k={like.k}"
-                )
-            want = m // 8
-            body = inflater.decompress(inflater.unconsumed_tail, want)
-        except zlib.error as exc:
-            raise FormatError(f"packed filter is not a raw deflate stream: {exc}") from None
-        # zlib reads an end of stream that needs no output space in the call
-        # that filled it, so eof is set here exactly when the stream ends
-        # after m/8 bytes
-        if len(body) < want or not inflater.eof:
-            raise FormatError(f"packed filter does not end after its {want} bit bytes")
-        if inflater.unused_data:
-            raise FormatError("trailing bytes after the packed filter")
-        return cls._from_raw(m, k, bytearray(body))
-
     # -- counter digit embedding (periodic-refresh support) -----------------
 
-    def embed_counter(self, k_prf: bytes, keyword: str, counter: int) -> None:
-        """Add one element per decimal digit of counter (pos 1 = least significant)."""
+    def embed_counter(self, k_prf: bytes, keyword: str, counter: int) -> list[bytes]:
+        """Add one element per decimal digit of counter (pos 1 = least
+        significant); return the elements added."""
         if counter < 1:
             raise UsageError(f"cannot embed counter {counter}")
+        elements = []
         pos = 1
         while counter > 0:
             counter, digit = divmod(counter, 10)
-            self.add(digit_element(k_prf, keyword, pos, digit))
+            elements.append(digit_element(k_prf, keyword, pos, digit))
+            self.add(elements[-1])
             pos += 1
+        return elements
 
     def extract_counter(self, k_prf: bytes, keyword: str) -> int | None:
         """Recover an embedded counter, or None if position 1 has no digit.

@@ -162,10 +162,14 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     handle = _ServerHandle(args.state_dir, args.connect)
     now = meta["last_t"] + 1
     with _owner_request(args.state_dir, owner, handle):
-        handle.client.refresh(owner.refresh_bloom(now))
+        payload = owner.refresh_bloom(now)
+        handle.client.refresh(payload)
     meta["last_t"] = now
     _save_meta(args.state_dir, meta)
-    print(f"filter refreshed with digit embeddings for {len(owner.tbl)} keywords")
+    print(
+        f"filter refreshed with digit embeddings for {len(owner.tbl)} keywords: "
+        f"{payload.n} elements"
+    )
     return 0
 
 

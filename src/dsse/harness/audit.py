@@ -16,13 +16,18 @@ earlier search.
   walk (CloudServer.walk), without merges: every label the walk reaches
   must come from an ADD sent before the token.
 - Every tau in a GET_BLOOM delta must come from an ADD sent before it.
+- No element of a REFRESH may be a label that a later ADD brings: the
+  server could match that upload against the filter when it arrives. And
+  the elements must be strictly ascending, so that their order says
+  nothing of the keyword table they came from.
 """
 
 from __future__ import annotations
 
 from ..bloom import BloomParams
 from ..errors import DsseError
-from ..protocol import BASIC, FULL, AddPayload, SearchTokenEnvelope
+from ..crypto import LAMBDA
+from ..protocol import BASIC, FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
 from ..server import ChainEntry, CloudServer
 from ..wire import CODE_OK, GetBloom, Reply, Rotate, decode
 
@@ -54,6 +59,7 @@ def audit(frames: list[tuple[bytes, bytes]], group_key: bytes | None) -> list[st
     added: dict[bytes, int] = {}  # label -> the frame whose ADD brought it
     seen: set[bytes] = set()  # ADD frames already read
     searches: list[tuple[int, SearchTokenEnvelope, bytes | None, int]] = []
+    refreshed: list[tuple[int, list[bytes]]] = []  # frame, its elements
     findings: list[str] = []
     for at, (request, reply) in enumerate(frames):
         msg, answer = decode(request), decode(reply)
@@ -69,12 +75,23 @@ def audit(frames: list[tuple[bytes, bytes]], group_key: bytes | None) -> list[st
                 server.tbl[tau] = ChainEntry(mu, msg.file_id)
         elif isinstance(msg, SearchTokenEnvelope):
             searches.append((at, msg, server.r, server.epoch))
+        elif isinstance(msg, RefreshPayload):
+            elements = [msg.elements[i : i + LAMBDA] for i in range(0, len(msg.elements), LAMBDA)]
+            if any(a >= b for a, b in zip(elements, elements[1:])):
+                findings.append(f"frame {at}: refresh elements not strictly ascending")
+            refreshed.append((at, elements))
         elif isinstance(msg, Rotate) and ok:
             server.r, server.epoch = msg.group_key, msg.epoch
         elif isinstance(msg, GetBloom) and ok and isinstance(answer.value[0], list):
             for tau in answer.value[0]:  # a delta
                 if added.get(tau, at) >= at:
                     findings.append(f"frame {at}: delta tau not added before it")
+    for at, elements in refreshed:
+        for element in elements:
+            if added.get(element, at) > at:
+                findings.append(
+                    f"frame {at}: a refresh element is a label added at frame {added[element]}"
+                )
     for at, envelope, r, epoch in searches:
         server.r, server.epoch = r, epoch
         try:

@@ -122,11 +122,14 @@ def bench_accept_delta(n_files: int = 30, seed: int = 12) -> float:
     return _median_ms(samples)
 
 
-def bench_refresh(n_files: int = 300, repeats: int = 7, seed: int = 13) -> tuple[float, int]:
+def bench_refresh(
+    n_files: int = 300, repeats: int = 7, seed: int = 13
+) -> tuple[float, int, int]:
     """Median cost of a refresh at a year-sized filter after n_files
     uploads: the owner's rebuild (refresh_bloom) plus an in-process
     Client.refresh, in which the REFRESH is encoded and decoded and the
-    server adopts the filter. Also returns the REFRESH frame's length."""
+    server builds the filter from its elements. Also returns the REFRESH
+    frame's length and its element count."""
     owner = DataOwner.generate(FULL, YEAR_PARAMS)
     client = Client.in_process(CloudServer(FULL, YEAR_PARAMS, group_key=owner.keys.r))
     for phi in synthesize_stream(seed, n_files):
@@ -139,7 +142,7 @@ def bench_refresh(n_files: int = 300, repeats: int = 7, seed: int = 13) -> tuple
         payload = owner.refresh_bloom(now)
         client.refresh(payload)
         samples.append(time.perf_counter() - t0)
-    return _median_ms(samples), len(encode(payload))
+    return _median_ms(samples), len(encode(payload)), payload.n
 
 
 @dataclass
@@ -382,10 +385,10 @@ def run_bench(
     report.add("accept_delta", bench_accept_delta(), None, "ms",
                "delta fetch + gen_token after one upload, year-sized filter")
     refresh_files = 300
-    refresh_ms, frame_bytes = bench_refresh(refresh_files)
+    refresh_ms, frame_bytes, n = bench_refresh(refresh_files)
     report.add("refresh", refresh_ms, None, "ms",
                f"refresh_bloom + Client.refresh after {refresh_files} uploads, "
-               f"year-sized filter; REFRESH frame {frame_bytes} B")
+               f"year-sized filter; REFRESH frame {frame_bytes} B, {n} elements")
 
     sb = bench_search(result_size=search_chain)
     report.add("search_new", sb.new_ms, REFERENCES["search_new_100_ms"], "ms",

@@ -198,19 +198,27 @@ class DataOwner(Persistent):
         return self.keys.r, self.keys.epoch
 
     def refresh_bloom(self, now: int) -> RefreshPayload:
-        """Rebuild the filter with only digit embeddings of current counters.
+        """Rebuild the filter with only digit embeddings of current counters,
+        and send its elements, sorted, from which the server builds it too.
 
         Membership entries restart from the current counters, so the filter
-        stops growing with history; gamma chains are untouched."""
+        stops growing with history; gamma chains are untouched. The server
+        hashes at most m // k elements, so more are refused here, before
+        anything changes."""
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
         self._check_time(now)
         bf = self.bf.cleared()
-        for w, rec in self.tbl.items():
-            bf.embed_counter(self.keys.k_prf, w, rec.cnt)
+        elements = sorted(
+            e for w, rec in self.tbl.items() for e in bf.embed_counter(self.keys.k_prf, w, rec.cnt)
+        )
+        if len(elements) > bf.m // bf.k:
+            raise UsageError(
+                f"{len(elements)} digit elements exceed the {bf.m // bf.k} (m // k) a refresh carries"
+            )
         self._tags = FilterTags(self.keys.k_mac, bf)
         self.t = now
-        return RefreshPayload(bf.pack(), self._tags.sigma(now), now)
+        return RefreshPayload(b"".join(elements), self._tags.sigma(now), now)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -142,12 +142,26 @@ class AddPayload:
 class RefreshPayload:
     """Periodic filter replacement carrying only counter digit embeddings.
 
-    bf_bytes is the filter packed (BloomFilter.pack); sigma covers its
-    serialization, the bits the server holds once it unpacks them."""
+    elements is the refreshed filter's n digit elements, LAMBDA bytes each,
+    strictly ascending, in one bytes object; the server adds them to an
+    empty filter of its own size, and sigma covers the filter that makes.
 
-    bf_bytes: bytes
+    What the server learns: n, the number of decimal digits over all
+    current counters, and which elements repeat from the previous
+    refresh. The bits told it as much already: on gateway_ingest (seed
+    1701) the common set bits of consecutive refreshed filters, divided by
+    k, gave 1,213 and 1,833, and the repeated elements were 1,212 of 2,939
+    and 1,833 of 3,598. The order must be sorted: the owner's keyword table
+    is in first-upload order, so listed in it the elements' positions
+    would link them to earlier ADD frames."""
+
+    elements: bytes
     sigma: bytes
     t: int
+
+    @property
+    def n(self) -> int:
+        return len(self.elements) // LAMBDA
 
 
 @dataclass

@@ -117,6 +117,8 @@ class CloudServer(Persistent):
         # filter or tau bytes they carried; cumulative, not persisted
         self.filters_served: Counter[str] = Counter()
         self.filter_bytes_served: Counter[str] = Counter()
+        # REFRESHes adopted, and the elements they carried; cumulative
+        self.refreshes: Counter[str] = Counter(adopted=0, elements=0)
         self._lock = threading.RLock()
         self._versions: dict[tuple[int, bytes], int] = {}  # none before an upload
 
@@ -203,19 +205,36 @@ class CloudServer(Persistent):
         return all(stored(tau, mu) for tau, mu in payload.entries)
 
     def refresh(self, payload: RefreshPayload) -> None:
-        """Adopt the owner's rebuilt filter wholesale. It must be the size
-        of the one it replaces: the header is checked before the body is
-        inflated, so a small REFRESH cannot make the server allocate a
-        filter of any size it names."""
+        """Adopt the owner's rebuilt filter wholesale: an empty filter of
+        this server's size, with the payload's elements added. The elements
+        must be whole LAMBDA-byte labels, strictly ascending, and at most
+        m // k of them; the count is checked before any is hashed. The
+        filter is built outside the lock, which is held only to check the
+        timestamp and swap."""
+        if self.mode != FULL:
+            raise UsageError("refresh applies to full mode only")
+        bf = self.bf.cleared()
+        elements = payload.elements
+        if len(elements) % LAMBDA:
+            raise FormatError(f"refresh elements of {len(elements)} bytes are not whole labels")
+        if payload.n > bf.m // bf.k:
+            raise FormatError(f"{payload.n} refresh elements exceed m // k = {bf.m // bf.k}")
+        prev = b""
+        for at in range(0, len(elements), LAMBDA):
+            element = elements[at : at + LAMBDA]
+            if element <= prev:
+                raise FormatError("refresh elements are not strictly ascending", offset=at)
+            bf.add(element)
+            prev = element
         with self._lock:
-            if self.mode != FULL:
-                raise UsageError("refresh applies to full mode only")
             if payload.t < self.t:
                 raise ProtocolError(f"non-monotonic timestamp {payload.t} < {self.t}")
-            self.bf = BloomFilter.unpack(payload.bf_bytes, like=self.bf)
+            self.bf = bf
             self.sigma = payload.sigma
             self.t = payload.t
             self._start_log()
+            self.refreshes["adopted"] += 1
+            self.refreshes["elements"] += payload.n
 
     def set_group_key(self, r: bytes, epoch: int) -> None:
         with self._lock:

@@ -9,18 +9,18 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x08 | kind(1) | body
+    version(1) = 0x09 | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
 big-endian length followed by the bytes. A field written id(16), tau(16),
-mu(w) or gamma(16) is fixed-width: that many raw bytes, no length.
-Integers are big-endian (timestamps and epochs 8 bytes, counts 4 bytes);
-a presence flag is one byte, 0 or 1, and the bracketed fields follow only
-when it is 1.
+mu(w), element(16) or gamma(16) is fixed-width: that many raw bytes, no
+length. Integers are big-endian (timestamps and epochs 8 bytes, counts 4
+bytes); a presence flag is one byte, 0 or 1, and the bracketed fields
+follow only when it is 1.
 
     ADD        id(16) | ciphertext | flag [| sigma | u64 t] | u32 n | n x (tau(16) | mu(w))
-    REFRESH    packed filter | sigma | u64 t
+    REFRESH    u32 n | n x element(16) | sigma | u64 t
     SEARCH     u64 epoch | token
     GET_BLOOM  flag [| u64 t | sigma]
     ROTATE     group_key | u64 epoch
@@ -30,10 +30,11 @@ entries: set (full mode, with sigma and t), w is 32 (a key and gamma);
 clear (basic mode), w is 16 (a key). A SEARCH token is the AEAD ciphertext
 of one chain key (44 bytes) in full mode and the key itself in basic.
 
-A REFRESH carries its filter packed (BloomFilter.pack: the serialization,
-raw-deflated), since a refreshed filter holds only digit embeddings and is
-nearly all zero bytes; the server unpacks it, bounded by the size of the
-filter it replaces. Every other filter on the wire is raw.
+A REFRESH carries no filter: its n elements are the refreshed filter's
+digit elements, strictly ascending, which the server adds to an empty
+filter of its own size (m and k never cross the wire). A refreshed filter
+holds only digit embeddings, so its elements are far fewer bytes than its
+bits. Every filter on the wire is raw.
 
 A GET_BLOOM request carries the (t, sigma) of the filter the caller holds,
 if any; when the server answers with no taus on that same pair (an empty
@@ -62,7 +63,7 @@ delta; the user that named the version adds the taus to the filter it holds
 (AuthorizedUser.gen_token), tagging again only the blocks they fall in.
 
 The raw filter bytes and 8-byte timestamps on the wire are exactly what
-the filter MAC covers, and a packed filter unpacks to exactly those bytes,
+the filter MAC covers, and a REFRESH's elements build exactly those bytes,
 so no re-canonicalization happens anywhere between parties.
 
 Two transports speak the same bytes: an in-process channel (test default)
@@ -103,7 +104,7 @@ from .protocol import (
 )
 from .server import CloudServer
 
-VERSION = 0x08
+VERSION = 0x09
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -137,7 +138,7 @@ _ERRORS: dict[int, type[DsseError]] = {
 
 # Largest frame either side accepts: above a GET_BLOOM reply carrying a
 # 20-year filter raw (about 85 MB), far below what a forged length prefix
-# could ask for. A packed REFRESH is far smaller.
+# could ask for. A REFRESH is far smaller.
 MAX_FRAME = 256 * 1024 * 1024
 
 _log = logging.getLogger(__name__)
@@ -215,7 +216,8 @@ def encode(msg: Request | Reply) -> bytes:
             put_fixed(buf, tau, LAMBDA)
             put_fixed(buf, mu, width)
     elif kind == KIND_REFRESH:
-        put_bytes(buf, msg.bf_bytes)
+        put_u32(buf, msg.n)
+        put_fixed(buf, msg.elements, msg.n * LAMBDA)
         put_bytes(buf, msg.sigma)
         put_u64(buf, msg.t)
     elif kind == KIND_SEARCH:
@@ -291,7 +293,7 @@ def _decode_request(kind: int, r: Reader) -> Request:
         entries = [(r.fixed(LAMBDA), r.fixed(width)) for _ in range(r.u32())]
         return AddPayload(file_id, ciphertext, entries, sigma, t)
     if kind == KIND_REFRESH:
-        return RefreshPayload(r.bytes_(), r.bytes_(), r.u64())
+        return RefreshPayload(r.fixed(r.u32() * LAMBDA), r.bytes_(), r.u64())
     if kind == KIND_SEARCH:
         return SearchTokenEnvelope(r.u64(), r.bytes_())
     if kind == KIND_GET_BLOOM:

@@ -386,10 +386,18 @@ def test_criterion_9_timing_laws_and_references():
     print(report.table())
     recurring_ok = report.laws["recurring_search_not_slower"]
     affine_ok = report.laws["verify_time_affine_r2>=0.9"]
+    measured = {row.metric: row.measured for row in report.rows}
+
+    def verdict(ok: bool) -> str:
+        return "PASS" if ok else "FAIL"
+
     record(
         "criterion 9 (timing laws, desk scale)",
         recurring_ok and affine_ok,
-        "recurring<=new and verify time affine in result count "
+        f"recurring<=new {verdict(recurring_ok)} (search_new "
+        f"{measured['search_new']:.3f} ms, search_recurring "
+        f"{measured['search_recurring']:.3f} ms); verify time affine in result "
+        f"count {verdict(affine_ok)} (r2 {measured['verify_fit_r_squared']:.4f} >= 0.9) "
         "(absolute times reported beside references, not gated)",
     )
 

@@ -8,7 +8,9 @@ from dsse.errors import DsseError
 from dsse.harness.audit import RecordingTransport, audit
 from dsse.harness.phi import synthesize_stream
 from dsse.harness.scenario import SimulatedSystem, default_bloom_params
-from dsse.protocol import FULL, SearchTokenEnvelope
+from dsse.crypto import LAMBDA
+from dsse.protocol import FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
+from dsse.wire import encode
 from dsse.wire import GetBloom, Reply, Rotate, decode
 
 
@@ -98,3 +100,26 @@ def test_a_delta_moved_before_the_uploads_it_names_fails_the_audit():
     assert audit(moved, group_key) == [
         "frame 0: delta tau not added before it"
     ] * len(decode(frames[delta][1]).value[0])
+
+
+def test_a_refresh_holding_a_later_label_fails_the_audit():
+    frames, group_key, _ = recorded_episode(FULL, n_files=80)
+    msgs = [decode(request) for request, _ in frames]
+    at = next(i for i, msg in enumerate(msgs) if isinstance(msg, RefreshPayload))
+    later = next(i for i in range(at + 1, len(msgs)) if isinstance(msgs[i], AddPayload))
+    tau = msgs[later].entries[0][0]
+    refresh = msgs[at]
+    elements = [refresh.elements[i : i + LAMBDA] for i in range(0, len(refresh.elements), LAMBDA)]
+    # the label the next upload brings, in its sorted place: a server
+    # holding it could match that upload against the filter on arrival
+    planted = RefreshPayload(b"".join(sorted([*elements, tau])), refresh.sigma, refresh.t)
+    forged = frames[:at] + [(encode(planted), frames[at][1])] + frames[at + 1 :]
+    assert audit(frames, group_key) == []
+    assert audit(forged, group_key) == [
+        f"frame {at}: a refresh element is a label added at frame {later}"
+    ]
+    # and one whose elements are out of order, which would link their
+    # places to the keyword table's first-upload order
+    unsorted = RefreshPayload(b"".join(elements[::-1]), refresh.sigma, refresh.t)
+    forged = frames[:at] + [(encode(unsorted), frames[at][1])] + frames[at + 1 :]
+    assert audit(forged, group_key) == [f"frame {at}: refresh elements not strictly ascending"]

@@ -9,7 +9,6 @@ import pytest
 
 import dsse
 
-from dsse.bloom import BloomFilter
 from dsse.cli import main
 from dsse.crypto import chain_label
 from dsse.errors import ProtocolError, TransportError
@@ -90,11 +89,18 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     owner = DataOwner.load(os.path.join(st, "owner.bin"))
     cnt = owner.tbl[keyword].cnt
     t = json.load(open(os.path.join(st, "meta.json")))["last_t"]
-    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes, like=owner.bf)
-    bf.add(chain_label(owner.keys.k_prf, keyword, cnt + 1))
-    planted = bf.pack()
+    refresh = owner.refresh_bloom(t)
+    planted = sorted([
+        *(refresh.elements[i : i + 16] for i in range(0, len(refresh.elements), 16)),
+        chain_label(owner.keys.k_prf, keyword, cnt + 1),
+    ])
+    bf = owner.bf.cleared()
+    for element in planted:
+        bf.add(element)
     server = CloudServer.load(os.path.join(st, "server.bin"))
-    server.refresh(RefreshPayload(planted, FilterTags(owner.keys.k_mac, bf).sigma(t), t))
+    sigma = FilterTags(owner.keys.k_mac, bf).sigma(t)
+    server.refresh(RefreshPayload(b"".join(planted), sigma, t))
+    assert server.bf == bf
     server.save(os.path.join(st, "server.bin"))
 
     # the guess has no table entry, and no lower counter is searched

@@ -3,16 +3,15 @@ FormatError (or decode to something re-encodable), never crash."""
 
 import random
 import struct
-import zlib
 
 import pytest
 
 from dsse import wire
-from dsse.bloom import BloomFilter, BloomParams
+from dsse.bloom import BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import FormatError
 from dsse.owner import DataOwner
-from dsse.protocol import BASIC, mask_width
+from dsse.protocol import BASIC, RefreshPayload, mask_width
 from dsse.server import ChainEntry, CloudServer
 from dsse.user import AuthorizedUser
 
@@ -48,7 +47,7 @@ def test_wire_decode_mutated_valid_frames():
         wire.encode(wire.Reply(wire.KIND_GET_BLOOM, value=(
             [tau for tau, _ in payload.entries], payload.sigma, payload.t
         ))),
-        wire.encode(owner.refresh_bloom(payload.t + 600)),  # a packed filter
+        wire.encode(owner.refresh_bloom(payload.t + 600)),  # an element list
         wire.encode(SEARCH_REPLY),
         wire.encode(wire.Reply(wire.KIND_SEARCH, value=([b"\x05" * 16], [None], None))),
     ]
@@ -91,15 +90,19 @@ def test_search_reply_flags_decode_strictly():
                 wire.decode(bytes(data))
 
 
-def test_mutated_packed_filters_unpack_whole_or_fail_cleanly():
-    # a REFRESH's filter comes from outside: a mutant either is refused with
-    # FormatError or is a whole stream of the filter its header names
-    owner = DataOwner.generate("full", BloomParams(2.0**-30, 2000))
+def test_mutated_refresh_element_lists_are_adopted_whole_or_refused_cleanly():
+    # a REFRESH's elements come from outside: the server either refuses a
+    # mutant with FormatError and keeps its state, or adopts the filter
+    # that holds exactly the mutant's elements
+    params = BloomParams(2.0**-30, 2000)
+    owner = DataOwner.generate("full", params)
+    server = CloudServer("full", params, group_key=owner.keys.r)
     for i in range(5):
-        owner.add_file(f"f{i}".encode(), ["a:1", f"b:{i}"], 1_700_000_000 + i * 600)
-    packed = owner.refresh_bloom(1_700_000_000 + 3600).bf_bytes
+        server.add(owner.add_file(f"f{i}".encode(), ["a:1", f"b:{i}"], 1_700_000_000 + i * 600))
+    refresh = owner.refresh_bloom(1_700_000_000 + 3600)
+    adopted = 0
     for _ in range(1500):
-        data = bytearray(packed)
+        data = bytearray(refresh.elements)
         for _ in range(rng.randint(1, 3)):
             op = rng.randrange(3)
             if op == 0:
@@ -108,13 +111,20 @@ def test_mutated_packed_filters_unpack_whole_or_fail_cleanly():
                 del data[rng.randrange(len(data))]
             else:
                 data.insert(rng.randrange(len(data) + 1), rng.randrange(256))
+        before = server.snapshot(), server.sigma, server.t
         try:
-            bf = BloomFilter.unpack(bytes(data), like=owner.bf)
+            server.refresh(RefreshPayload(bytes(data), refresh.sigma, refresh.t))
         except FormatError:
+            assert (server.snapshot(), server.sigma, server.t) == before
             continue
-        raw = zlib.decompress(bytes(data), wbits=-15)
-        assert struct.unpack_from(">II", raw) == (bf.m, bf.k)
-        assert raw == bf.serialize()
+        adopted += 1
+        elements = [bytes(data[i : i + LAMBDA]) for i in range(0, len(data), LAMBDA)]
+        assert elements == sorted(set(elements))
+        expected = owner.bf.cleared()
+        for element in elements:
+            expected.add(element)
+        assert server.bf == expected and server.refreshes["adopted"] == adopted
+    assert 0 < adopted < 1500  # a bit flip that keeps the order is adopted
 
 
 def assert_widths(state) -> None:

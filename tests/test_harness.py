@@ -315,6 +315,13 @@ def test_a_repeated_search_reply_holds_every_ciphertext():
     assert first > repeat + 10 * 4
 
 
+def test_the_refresh_frame_is_its_elements():
+    # version and kind, u32 n, n elements of 16 bytes, sigma behind its
+    # 4-byte length, u64 t: nothing of the filter's size
+    _, frame, n = bench.bench_refresh(n_files=20, repeats=1)
+    assert n > 20 and frame == 34 + 16 * n
+
+
 def test_linear_fit():
     a, b, r2 = linear_fit([1, 2, 3, 4], [10.2, 19.8, 30.1, 39.9])
     assert abs(b - 9.94) < 0.2

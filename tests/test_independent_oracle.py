@@ -1,6 +1,5 @@
 """Recompute one keyword's full chain from raw stdlib primitives only
-(hmac/hashlib/struct, zlib for the packed filter and AES-GCM from
-cryptography for the token), with no helpers from the package, and
+(hmac/hashlib/struct, and AES-GCM from cryptography for the token), with no helpers from the package, and
 compare the owner's emitted bytes against it.
 Catches any accidental coupling between the implementation and the test
 helpers used elsewhere.
@@ -9,7 +8,6 @@ helpers used elsewhere.
 import hashlib
 import hmac
 import struct
-import zlib
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -73,17 +71,13 @@ def test_full_mode_chain_matches_raw_primitives():
     nonce, body = token.body[:12], token.body[12:]
     assert AESGCM(k.r).decrypt(nonce, body, None) == raw_chain_key(k.k_prf, keyword, 4)
 
-    # and the digit embedding uses the 0x03-tagged raw encoding
+    # and the digit embedding uses the 0x03-tagged raw encoding: a REFRESH
+    # carries one element per digit, sorted
     owner.tbl[keyword].cnt = 456
     refresh = owner.refresh_bloom(NOW + 3000)
-    from dsse.bloom import BloomFilter
-
-    bf = BloomFilter.deserialize(zlib.decompress(refresh.bf_bytes, wbits=-15))
-    for pos, digit in ((1, 6), (2, 5), (3, 4)):
-        kw = keyword.encode("utf-8")
-        msg = struct.pack(">BI", 0x03, len(kw)) + kw + struct.pack(">II", pos, digit)
-        element = hmac.new(k.k_prf, msg, hashlib.sha256).digest()[:16]
-        assert bf.verify(element)
+    elements = raw_digit_elements(k.k_prf, keyword, 456)
+    assert len(elements) == 3
+    assert refresh.elements == b"".join(sorted(elements))
 
 
 def test_basic_mode_chain_matches_raw_primitives():
@@ -101,6 +95,18 @@ def test_basic_mode_chain_matches_raw_primitives():
         raw_mask(raw_chain_key(k.k_prf, keyword, 2), tau2, 16),
     )
     assert owner.gen_token(keyword).body == raw_chain_key(k.k_prf, keyword, 2)
+
+
+def raw_digit_elements(k_prf: bytes, keyword: str, counter: int) -> list[bytes]:
+    """One element per decimal digit of counter, position 1 the least
+    significant: HMAC-SHA-256 under k_prf over 0x03 | u32 keyword length |
+    keyword | u32 position | u32 digit, cut to 16 bytes."""
+    kw = keyword.encode("utf-8")
+    out = []
+    for pos, digit in enumerate(reversed(str(counter)), start=1):
+        msg = struct.pack(">BI", 0x03, len(kw)) + kw + struct.pack(">II", pos, int(digit))
+        out.append(hmac.new(k_prf, msg, hashlib.sha256).digest()[:16])
+    return out
 
 
 def raw_sigma(k_mac: bytes, serialized: bytes, t: int) -> bytes:
@@ -129,8 +135,15 @@ def test_filter_mac_matches_raw_primitives():
             payload = owner.add_file(f"reading {i}".encode(), ["hrv:50", f"x:{i}"], NOW + 600 * i)
         assert payload.sigma == raw_sigma(owner.keys.k_mac, owner.bf.serialize(), payload.t)
         refresh = owner.refresh_bloom(NOW + 3000)
-        # a REFRESH carries the serialization raw-deflated (RFC 1951)
-        raw = zlib.decompress(refresh.bf_bytes, wbits=-15)
+        # a REFRESH carries the refreshed filter's digit elements, sorted;
+        # sigma covers the filter of the owner's size that holds them
+        elements = sorted(
+            e for w, rec in owner.tbl.items()
+            for e in raw_digit_elements(owner.keys.k_prf, w, rec.cnt)
+        )
+        assert refresh.elements == b"".join(elements)
+        m, k = owner.bf.m, owner.bf.k
+        raw = struct.pack(">II", m, k) + raw_bloom_bits(m, k, elements)
         assert refresh.sigma == raw_sigma(owner.keys.k_mac, raw, NOW + 3000)
 
 

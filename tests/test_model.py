@@ -1,14 +1,14 @@
 """Stateful model test of the three roles: random interleavings of uploads,
 replayed uploads, refreshes, group-key rotations that revoke a user, user
 queries, owner queries at the current and older counters, every adversary
-behaviour, filter headers from outside, clock jumps and snapshot round
-trips, checked after every step against the plaintext oracle. One owner,
-one AdversarialServer, two users on one in-process client: the users share
-the client but each holds the filter it verified.
+behaviour, filter headers and REFRESH element lists from outside, clock
+jumps and snapshot round trips, checked after every step against the
+plaintext oracle. One owner, one AdversarialServer, two users on one
+in-process client: the users share the client but each holds the filter it
+verified.
 """
 
 import struct
-import zlib
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dsse.bloom import BLOCK_BITS, BloomParams
-from dsse.crypto import chain_label
+from dsse.crypto import LAMBDA, chain_label
 from dsse.errors import (
     DsseError,
     FormatError,
@@ -41,6 +41,20 @@ BAD_HEADERS = {
     "k above 64": lambda m, k: (m, 65),
     "m not whole blocks": lambda m, k: (m + 8, k),
     "m below one block": lambda m, k: (BLOCK_BITS - 8, k),
+}
+
+
+def _labels(*numbers: int) -> bytes:
+    return b"".join(i.to_bytes(LAMBDA, "big") for i in numbers)
+
+
+# a REFRESH element list that breaks the rules, given the most a REFRESH
+# may carry (m // k)
+BAD_ELEMENTS = {
+    "unsorted": lambda most: _labels(2, 1, 3),
+    "duplicated": lambda most: _labels(1, 2, 2),
+    "an element short": lambda most: _labels(1, 2, 3)[:-1],
+    "more than m // k": lambda most: _labels(*range(most + 1)),
 }
 
 
@@ -123,23 +137,27 @@ class ThreeRoles(RuleBasedStateMachine):
 
     @rule(header=st.sampled_from(tuple(BAD_HEADERS)), i=st.sampled_from((0, 1)))
     def hand_over_a_bad_filter_header(self, header, i):
-        """A REFRESH whose packed filter header breaks the rules is refused
-        before its body is read, and so is a GET_BLOOM answer with that
-        header handed to a user; neither changes what its receiver holds."""
+        """A GET_BLOOM answer whose filter header breaks the rules, handed
+        to a user, is refused and changes nothing the user holds."""
         server = self.server
         m, k = BAD_HEADERS[header](server.bf.m, server.bf.k)
         raw = struct.pack(">II", m, k) + bytes(m // 8)  # a body of the header's length
-        deflater = zlib.compressobj(wbits=-15)
-        packed = deflater.compress(raw) + deflater.flush()
-        before = server.snapshot(), dict(server._versions)
-        with pytest.raises(FormatError):
-            self.client.refresh(RefreshPayload(packed, server.sigma, server.t))
-        assert (server.snapshot(), server._versions) == before
         user = self.users[i]
         held = held_state(user)
         with pytest.raises(FormatError):
             user.gen_token((raw, server.sigma, server.t), KEYWORDS[0], self.now)
         assert held_state(user) == held and user.token_filter is None
+
+    @rule(case=st.sampled_from(tuple(BAD_ELEMENTS)))
+    def hand_over_a_hostile_refresh(self, case):
+        """A REFRESH whose element list breaks the rules is refused and
+        changes nothing the server holds."""
+        server = self.server
+        elements = BAD_ELEMENTS[case](server.bf.m // server.bf.k)
+        before = server.snapshot(), dict(server._versions), dict(server.refreshes)
+        with pytest.raises(FormatError):
+            self.client.refresh(RefreshPayload(elements, server.sigma, server.t))
+        assert (server.snapshot(), server._versions, server.refreshes) == before
 
     # -- queries ----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from dsse import crypto
-from dsse.bloom import BloomFilter, BloomParams
+from dsse.bloom import BLOCK_BITS, BloomParams
 from dsse.errors import FormatError, NotFoundError, UsageError
 from dsse.owner import DataOwner
 from dsse.protocol import FilterTags, result_mac
@@ -181,7 +181,17 @@ def test_refresh_embeds_current_counters():
     assert owner.bf.n_inserted == expected
     assert owner.bf.extract_counter(owner.keys.k_prf, "w") == 456
     assert owner.t == NOW + 1000
-    bf = BloomFilter.unpack(payload.bf_bytes, like=owner.bf)
+    # the REFRESH carries those elements, sorted, and they build the
+    # owner's filter, which sigma covers
+    assert payload.n == expected and payload.elements == b"".join(sorted(
+        crypto.digit_element(owner.keys.k_prf, w, pos, int(digit))
+        for w, rec in owner.tbl.items()
+        for pos, digit in enumerate(reversed(str(rec.cnt)), start=1)
+    ))
+    bf = owner.bf.cleared()
+    for i in range(0, len(payload.elements), crypto.LAMBDA):
+        bf.add(payload.elements[i : i + crypto.LAMBDA])
+    assert bf == owner.bf
     assert payload.sigma == FilterTags(owner.keys.k_mac, bf).sigma(NOW + 1000)
     # the next upload appends its membership element to the refreshed filter
     owner.add_file(b"more", ["w"], NOW + 1600)
@@ -206,6 +216,21 @@ def test_time_before_the_last_sigma_refused_before_any_change():
     basic.add_file(b"f1", ["w"], NOW)
     basic.add_file(b"f2", ["w"], NOW - 600)
     assert basic.tbl["w"].cnt == 2 and basic.t == 0
+
+
+def test_a_refresh_above_m_over_k_elements_refused_before_any_change():
+    # the server hashes at most m // k elements of a REFRESH: a one-block
+    # filter at k = 64 takes 1,024, and 1,025 one-upload keywords are one
+    # digit element each
+    owner = DataOwner.generate("full", BloomParams(2.0**-64, 10))
+    assert (owner.bf.m, owner.bf.k) == (BLOCK_BITS, 64)
+    owner.add_file(b"f", [f"kw:{i}" for i in range(BLOCK_BITS // 64)], NOW)
+    assert owner.refresh_bloom(NOW + 600).n == BLOCK_BITS // 64
+    owner.add_file(b"g", ["one:more"], NOW + 1200)
+    before = owner.snapshot()
+    with pytest.raises(UsageError, match=r"1025 digit elements exceed the 1024 \(m // k\)"):
+        owner.refresh_bloom(NOW + 1800)
+    assert owner.snapshot() == before and owner.t == NOW + 1200
 
 
 def test_gamma_continuous_across_refresh():

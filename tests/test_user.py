@@ -317,11 +317,17 @@ def test_query_refuses_below_a_planted_false_positive():
     for i in range(c):
         client.add(owner.add_file(f"f{i}".encode(), ["w"], NOW + i * 600))
     t = NOW + c * 600
-    bf = BloomFilter.unpack(owner.refresh_bloom(t).bf_bytes, like=owner.bf)
-    bf.add(crypto.chain_label(owner.keys.k_prf, "w", c + 1))
-    bf.add(crypto.chain_label(owner.keys.k_prf, "ghost", 1))
-    planted = bf.pack()
-    client.refresh(RefreshPayload(planted, FilterTags(owner.keys.k_mac, bf).sigma(t), t))
+    refresh = owner.refresh_bloom(t)
+    planted = sorted([
+        *(refresh.elements[i : i + 16] for i in range(0, len(refresh.elements), 16)),
+        crypto.chain_label(owner.keys.k_prf, "w", c + 1),
+        crypto.chain_label(owner.keys.k_prf, "ghost", 1),
+    ])
+    bf = owner.bf.cleared()
+    for element in planted:
+        bf.add(element)
+    client.refresh(RefreshPayload(b"".join(planted), FilterTags(owner.keys.k_mac, bf).sigma(t), t))
+    assert server.bf == bf
     user = AuthorizedUser.from_owner(owner)
     assert user.gen_token(client.get_bloom(), "w", t)[1] == c + 1  # the lie
     with pytest.raises(NotFoundError):

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from dsse import wire
-from dsse.bloom import BLOCK_BITS, BloomFilter, BloomParams
+from dsse.bloom import BloomFilter, BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import (
     FormatError,
@@ -78,98 +78,101 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x08 (a ciphertext crosses a
-# connection once) pairs each id of a SEARCH reply with a flag and, when it
-# is set, the ciphertext, where 0x07 listed the ids and then every
-# ciphertext behind a count of its own; every other frame differs from
-# 0x07's in its first byte only. Version 0x07 (a label derives from its
-# entry's key) carries a 32-byte full-mode mask (a key and gamma) and a
-# 16-byte basic-mode one (a key), and a token of one key. It writes the
-# ADD's file id, taus and masks and the SEARCH reply's ids and gamma
-# without length prefixes, and the ADD's presence flag before its entries.
-# Its result tags name each file's place. Version 0x06 (a REFRESH carries
-# its filter packed) lays out every frame as 0x05 did, and differs from it only in the
-# first byte; what changed is what a REFRESH's filter field holds, which the
-# encoder passes through as it is. Version 0x05 (a blocked filter under an
-# XOR-MAC) differed from 0x04 the same way, in the filter bits and sigma.
-# Version 0x04 (GET_BLOOM replies may carry a delta) differed from 0x03 in
-# the first byte of every frame and, in an OK GET_BLOOM reply, in the delta
-# flag before the filter. A layout change must bump wire.VERSION and these
-# values together.
+# One frame per message shape. Version 0x09 (a REFRESH carries the
+# refreshed filter's elements) writes a REFRESH as a u32 count and that
+# many 16-byte elements where 0x08 wrote a length-prefixed packed filter;
+# every other frame differs from 0x08's in its first byte only. Version
+# 0x08 (a ciphertext crosses a connection once) pairs each id of a SEARCH
+# reply with a flag and, when it is set, the ciphertext, where 0x07 listed
+# the ids and then every ciphertext behind a count of its own; every other
+# frame differs from 0x07's in its first byte only. Version 0x07 (a label
+# derives from its entry's key) carries a 32-byte full-mode mask (a key
+# and gamma) and a 16-byte basic-mode one (a key), and a token of one key.
+# It writes the ADD's file id, taus and masks and the SEARCH reply's ids
+# and gamma without length prefixes, and the ADD's presence flag before
+# its entries. Its result tags name each file's place. Version 0x06 (a
+# REFRESH carries its filter packed) lays out every frame as 0x05 did, and
+# differs from it only in the first byte; what changed is what a REFRESH's
+# filter field holds, which the encoder passes through as it is. Version
+# 0x05 (a blocked filter under an XOR-MAC) differed from 0x04 the same
+# way, in the filter bits and sigma. Version 0x04 (GET_BLOOM replies may
+# carry a delta) differed from 0x03 in the first byte of every frame and,
+# in an OK GET_BLOOM reply, in the delta flag before the filter. A layout
+# change must bump wire.VERSION and these values together.
 _FULL_ADD = AddPayload(
     b"F" * 16, b"ciphertext",
     [(b"\x01" * 16, b"\x02" * 32), (b"\x03" * 16, b"\x04" * 32)],
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "e8c44242839b7745cd6a53551cfbbe7c93acdca5f24645251db09f37d6f5260b"),
+    "add_full": (_FULL_ADD, "1d4c02f04f504f45a13cf6cb4c6876222b5c20e0bd0b47d664bc563e78393bd8"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 16)]),
-        "a26d8c6d33aa26e5b44bd0bd486438b1049dabe4d582b6731168f77a259c1eef",
+        "78caf10b127ec1b5c09d0561370315856116a151cc7aabaff5d2c153bf7daaf5",
     ),
     "refresh": (
-        RefreshPayload(b"\x08" * 40, b"\x09" * 16, NOW),
-        "a73699bebb995dfb75ba22418d1f7f9b2ab77eb8fd51afbd3971bb5edee6600a",
+        RefreshPayload(b"\x07" * 16 + b"\x08" * 16, b"\x09" * 16, NOW),
+        "4e02b0d3090df8d9fe7e6752b90a80c1e7d29cf8abcc7a966b5b4614cf86a739",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "fca9d50f83d5f66e4423641ef240a34f0441686401471ddf6ca57573c7f2278a",
+        "c6a9c4ce90d5e46a950d792b3483c15544b737c488eb8cb7564393d8d9379257",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "1a120766efc942b2105a814168c8af142706bce22c5ab70e258b066f2ad027ba",
+        "f8b3c4834c0c859b071dffb68e1efb6b0d6e5b17e19dd3b9fe4b3ed9185e3ba4",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "9f3002fd27e47f5e0def02a14aea9f96aede6dd24a147ec1ca09caaa73262972",
+        "b794aebd9753ad9181bb076e63196ba9cb02afb0ded38062848fe73afba95861",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "dece70a25e21bfab0b01db36a6a8a1c7c478779bae2f06562352b102f74eb60c",
+        "ba5077d0cdc8c5a0918d65f676aac5a77cb7efaf7d4ed3ca337366fd68677ded",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "f37dfe0f7c741c512142afb5f5cf4e7e5ddab6aaeeb8906b9f06076c348e37a6",
+        "ab4ee017511bfc751d1f2a8dba5a52c1d0f8eaf22348036bafebebf866bb3ed5",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "0ad446db6e98fb67022e0c28f6e8fa2c4cba92d0a284d1da8e280656e6fef475",
+        "55828edf5fc79dd95da96c50b7fa2c763836383d1748d42c11bb355042710081",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "a45d6f9d779b4d00c934713b545a73d2626cb4fd1e5e23986d259c4d0663763d",
+        "ef28ef593b8a37de32c9ce8584b297c0177118da27c9c1a1cf4b979e488e730e",
     ),
     "search_reply_held": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [None, b"cde"], b"\x0f" * 16
         )),
-        "931613472661f909d1b0dd5717bc5fc7c4785df117fca7bde6702f92ffc52dc1",
+        "ba7e044e3291f8561281a868745d26d3f409b075436befe394674ed935608f65",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "4bff01e89025fd00e9928f0c6514a914c10e2aead0b4cb145136ab30ac73d0df",
+        "8b72308a43f2ad3b0d5efc0fe5d3aaf73d701523f01ec6ce050f63aaeb3bdb8d",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "d59405d623acd15643a3b5fd6b255060b0a15cd0b08dc42ae0f559fa4f1a3365",
+        "a177f2ebcaacdce1c905ff6264ea2301c9432fb6b1c49e33d083abe9fc438472",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "93074a4e202a35e6e988ec22928011471dcd9cfcadc734b705ba49d49b57117d",
+        "b156f4de0bbcb6b707367b24c96f359e09baf3f25a7abc1d984c7be4498d46f1",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "31b6660d2b6e5f64734c41b06b83476f7e7d024e7475371c9f9033cfd700c88d",
+        "bcd4570fac2127433276684d0a4b289267ffb78dccff9fe6d904b3649da38aaf",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "2cfa09d690d46b267f789c792bda095db079aa64b98b48ab41163a3e81cfdaee",
+        "292e7ba4a154d6bd91bd21c43a30baa038424a8530fb89287eba563800bd5749",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "9a9a0e8c74003fd66a3cc9730f756b337d6c5440ada01946e28df8e596b247d5",
+        "370aabdbfedd7fe36bbbfcac6f59956c156a1b8e2217e96f0b064a7ca537874c",
     ),
 }
 
@@ -177,7 +180,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x08
+    assert wire.VERSION == 0x09
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -278,47 +281,85 @@ def test_error_codes_surface_as_typed_exceptions():
         client.search(stale)
 
 
-def test_refresh_with_unbounded_k_refused_and_state_kept():
-    # the server holds no MAC key, so it must bound the filter header itself:
-    # a k of 2^20 made every later add hash 8 MB per element
-    owner, server, oracle, last_t = build_system(5)
-    client = wire.Client.in_process(server)
-    before = (server.bf.serialize(), server.sigma, server.t)
-    payload = owner.refresh_bloom(last_t + 600)
-    bf = BloomFilter.unpack(payload.bf_bytes, like=owner.bf)
-    bf.k = 2**20
-    hostile = RefreshPayload(bf.pack(), payload.sigma, payload.t)
-    reply = wire.decode(client.transport.request(wire.encode(hostile)))
-    assert (reply.kind, reply.code) == (wire.KIND_REFRESH, wire.CODE_FORMAT)
-    with pytest.raises(FormatError):
-        client.refresh(hostile)
-    assert (server.bf.serialize(), server.sigma, server.t) == before
+def refresh_frame(elements: bytes, n: int, sigma: bytes, t: int) -> bytes:
+    """A REFRESH frame written by hand, so that its count and its elements
+    need not agree."""
+    return (
+        bytes((wire.VERSION, wire.KIND_REFRESH)) + struct.pack(">I", n) + elements
+        + struct.pack(">I", len(sigma)) + sigma + struct.pack(">Q", t)
+    )
 
 
-def test_refresh_of_another_size_refused_before_inflating():
-    # a REFRESH needs no key: about 1 KB of deflated zeros behind a header
-    # naming the largest m would have the server inflate a 512 MiB filter
+def server_state(server):
+    return server.snapshot(), dict(server._versions), server.sigma, server.t
+
+
+def too_many_elements(server) -> bytes:
+    """m // k + 1 distinct labels, ascending: one more than a REFRESH may carry."""
+    count = server.bf.m // server.bf.k + 1
+    return b"".join(sorted({rng.randbytes(LAMBDA) for _ in range(count)}))
+
+
+def test_a_hostile_refresh_element_list_is_refused_and_state_kept():
+    # the server holds no MAC key, so it must hold a REFRESH's element list
+    # to the rules itself: whole labels, strictly ascending, at most m // k
     owner, server, oracle, last_t = build_system(5)
-    client = wire.Client.in_process(server)
-    before = (server.bf.serialize(), server.sigma, server.t)
+    endpoint = wire.ServerEndpoint(server)
     t = last_t + 600
-    sigma = owner.refresh_bloom(t).sigma
-    deflater = zlib.compressobj(wbits=-15)
-    huge = deflater.compress(struct.pack(">II", 2**32 - BLOCK_BITS, server.bf.k))
-    huge += deflater.compress(bytes(1 << 20)) + deflater.flush()
-    assert len(huge) < 2048
-    other = BloomFilter(BloomParams(2.0**-30, 5000))  # well formed, 4 blocks not 7
-    assert other.n_blocks != server.bf.n_blocks
-    for bf_bytes in (huge, other.pack()):
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="does not replace"):
-                client.refresh(RefreshPayload(bf_bytes, sigma, t))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(server.bf.bits), peak
-        assert (server.bf.serialize(), server.sigma, server.t) == before
+    honest = owner.refresh_bloom(t)
+    elements, n, sigma = honest.elements, honest.n, honest.sigma
+    assert n >= 3
+    first, second = elements[:LAMBDA], elements[LAMBDA : 2 * LAMBDA]
+    too_many = too_many_elements(server)
+    hostile = {
+        "unsorted": refresh_frame(second + first + elements[2 * LAMBDA :], n, sigma, t),
+        "duplicated": refresh_frame(first + first + elements[2 * LAMBDA :], n, sigma, t),
+        "more than m // k": refresh_frame(too_many, len(too_many) // LAMBDA, sigma, t),
+        "an element short": refresh_frame(elements[:-1], n, sigma, t),
+        "fewer elements than counted": refresh_frame(elements, n + 1, sigma, t),
+        "an element past the count": refresh_frame(elements, n - 1, sigma, t),
+        "trailing bytes": refresh_frame(elements, n, sigma, t) + b"\x00",
+    }
+    assert wire.encode(honest) == refresh_frame(elements, n, sigma, t)
+    before = server_state(server)
+    for case, frame in hostile.items():
+        reply = wire.decode(endpoint.handle_bytes(frame))
+        assert (reply.kind, reply.code) == (wire.KIND_REFRESH, wire.CODE_FORMAT), case
+        assert server_state(server) == before, case
+    # the server's own checks, for a caller that does not go through the wire
+    for short in (elements[:-1], elements + b"\x00"):
+        with pytest.raises(FormatError, match="not whole labels"):
+            server.refresh(RefreshPayload(short, sigma, t))
+    with pytest.raises(FormatError, match="strictly ascending"):
+        server.refresh(RefreshPayload(second + first + elements[2 * LAMBDA :], sigma, t))
+    assert server_state(server) == before
+    assert server.refreshes == {"adopted": 0, "elements": 0}
+    client = wire.Client(wire.InProcessTransport(endpoint))
+    client.refresh(honest)
+    assert server.bf == owner.bf and (server.sigma, server.t) == (sigma, t)
+    assert server.refreshes == {"adopted": 1, "elements": n}
+    # a user accepts the whole refreshed filter and its sigma
+    user = AuthorizedUser.from_owner(owner)
+    keyword = oracle.keywords()[0]
+    assert user.gen_token(client.get_bloom(), keyword, t)[1] == owner.tbl[keyword].cnt
+    assert user.token_filter == (sigma, t)
+
+
+def test_a_refresh_count_above_m_over_k_is_refused_before_any_hash(monkeypatch):
+    owner, server, oracle, last_t = build_system(5)
+    client = wire.Client.in_process(server)
+    hashed = []
+    add = BloomFilter.add
+    monkeypatch.setattr(BloomFilter, "add", lambda bf, e: hashed.append(e) or add(bf, e))
+    too_many = too_many_elements(server)
+    before = server_state(server)
+    with pytest.raises(FormatError, match="exceed m // k"):
+        client.refresh(RefreshPayload(too_many, b"\x01" * 16, last_t + 600))
+    assert hashed == [] and server_state(server) == before
+    honest = owner.refresh_bloom(last_t + 600)
+    del hashed[:]
+    client.refresh(honest)
+    assert b"".join(hashed) == honest.elements
 
 
 class CannedTransport:
@@ -433,6 +474,25 @@ def test_each_connection_receives_each_ciphertext_once():
             client.close()
     finally:
         ws.stop()
+
+
+def test_a_version_0x08_refresh_is_refused_by_format_not_adopted():
+    # a 0x08 REFRESH carried the filter raw-deflated behind a length
+    # prefix; its version byte has it refused, in its own kind, before the
+    # server reads any of it
+    owner, server, _, last_t = build_system(5)
+    endpoint = wire.ServerEndpoint(server)
+    t = last_t + 600
+    sigma = owner.refresh_bloom(t).sigma
+    deflater = zlib.compressobj(wbits=-15)
+    packed = deflater.compress(owner.bf.serialize()) + deflater.flush()
+    old = bytes((0x08, wire.KIND_REFRESH)) + struct.pack(">I", len(packed)) + packed
+    old += struct.pack(">I", len(sigma)) + sigma + struct.pack(">Q", t)
+    before = server_state(server)
+    reply = wire.decode(endpoint.handle_bytes(old))
+    assert (reply.kind, reply.code) == (wire.KIND_REFRESH, wire.CODE_FORMAT)
+    assert "unknown version 0x08" in reply.message
+    assert server_state(server) == before
 
 
 def test_a_version_0x07_peer_is_refused_by_format_not_by_verification():
