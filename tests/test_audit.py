@@ -1,17 +1,17 @@
 """The forward-privacy audit (harness.audit) over recorded episodes: an
 honest run passes it in both modes, and a transcript in which a token or a
-delta comes before the upload it names fails it."""
+delta comes before the upload it names, or a REFRESH holds a later upload's
+label, fails it."""
 
 import pytest
 
+from dsse.crypto import LAMBDA
 from dsse.errors import DsseError
 from dsse.harness.audit import RecordingTransport, audit
 from dsse.harness.phi import synthesize_stream
 from dsse.harness.scenario import SimulatedSystem, default_bloom_params
-from dsse.crypto import LAMBDA
 from dsse.protocol import FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
-from dsse.wire import encode
-from dsse.wire import GetBloom, Reply, Rotate, decode
+from dsse.wire import GetBloom, Reply, Rotate, decode, encode
 
 
 def recorded_episode(mode: str, n_files: int = 240, seed: int = 11):

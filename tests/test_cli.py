@@ -69,6 +69,10 @@ def test_refresh_then_user_search(tmp_path, capsys):
     run(["--state-dir", st, "ingest", "--n", "60", "--seed", "3"], capsys)
     code, out, _ = run(["--state-dir", st, "refresh"], capsys)
     assert code == 0 and "filter refreshed" in out
+    # n, one digit element per decimal digit of each keyword's counter
+    owner = DataOwner.load(os.path.join(st, "owner.bin"))
+    n = sum(len(str(rec.cnt)) for rec in owner.tbl.values())
+    assert f": {n} elements" in out
     from dsse.harness.phi import synthesize_stream
 
     keyword = next(iter(synthesize_stream(3, 1))).keywords()[0]
