@@ -3,8 +3,9 @@
 Everything here is deterministic except key generation and symmetric
 encryption (fresh nonce per call). Output lengths are part of the protocol:
 the chain construction packs and XOR-splits masked entries by byte offset,
-so prf1/hash16/mac tags and basic-mode masks are exactly LAMBDA bytes and
-prf2, a full-mode mask, is 2*LAMBDA.
+so prf1 outputs and mac tags are exactly LAMBDA bytes, and chain_link cuts
+a prf3 output into a LAMBDA-byte label and a 2*LAMBDA-byte pad: the mask
+of a full-mode entry, and in basic mode its first LAMBDA bytes.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ _NONCE_LEN = 12
 
 # Domain separation tags for PRF inputs. Bare concatenations like w||cnt and
 # w||pos||digit could collide across uses, so every PRF input carries a tag.
-TAG_KEY = 0x02    # key-derivation preimage w||cnt, hashed then fed to prf1
+TAG_KEY = 0x02    # key-derivation input w||cnt under k_prf
 TAG_DIGIT = 0x03  # digit embedding w||pos||digit
 # The filter MAC derives its two keys from k_mac under these tags, and each
 # tags its own inputs with them too (protocol.FilterTags).
 TAG_BLOCK = 0x04   # per-block tag i||block_i
 TAG_FILTER = 0x05  # outer MAC m||k||agg||t
-TAG_LABEL = 0x06   # the one-byte input from which a chain key gives its label
+TAG_LABEL = 0x06   # the one-byte input from which a chain key gives its link
 TAG_RESULT = 0x07  # per-file result tag w||i under k_mac, i the file's counter
 
 
@@ -60,7 +61,7 @@ def encode_digit_input(keyword: str, pos: int, digit: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# PRFs, hash, MAC
+# PRFs, MAC
 # ---------------------------------------------------------------------------
 
 def _check_key(key: bytes) -> None:
@@ -74,22 +75,17 @@ def prf1(key: bytes, msg: bytes) -> bytes:
     return hmac.new(key, msg, hashlib.sha256).digest()[:LAMBDA]
 
 
+# No caller in the package; perfbench/tracing.py wraps it by name.
 def prf2(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA-512 truncated to 2*LAMBDA bytes (full-mode entry mask)."""
+    """HMAC-SHA-512 truncated to 2*LAMBDA bytes."""
     _check_key(key)
     return hmac.new(key, msg, hashlib.sha512).digest()[: 2 * LAMBDA]
 
 
-# No caller in the package; perfbench/tracing.py wraps it by name.
 def prf3(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA-512 truncated to 3*LAMBDA bytes."""
+    """HMAC-SHA-512 truncated to 3*LAMBDA bytes (a chain link)."""
     _check_key(key)
     return hmac.new(key, msg, hashlib.sha512).digest()[: 3 * LAMBDA]
-
-
-def hash16(msg: bytes) -> bytes:
-    """SHA-256 truncated to LAMBDA bytes."""
-    return hashlib.sha256(msg).digest()[:LAMBDA]
 
 
 def mac_generate(
@@ -152,22 +148,23 @@ def new_key() -> bytes:
 # ---------------------------------------------------------------------------
 
 def derived_key(k_prf: bytes, keyword: str, counter: int) -> bytes:
-    """Per-counter chain key: prf1 over the hashed key-derivation preimage."""
-    return prf1(k_prf, hash16(encode_counter_input(TAG_KEY, keyword, counter)))
+    """Per-counter chain key: prf1 over the (injective) counter input."""
+    return prf1(k_prf, encode_counter_input(TAG_KEY, keyword, counter))
 
 
-def key_label(key: bytes) -> bytes:
-    """tau of the chain entry whose key this is: whoever holds an entry's
-    key, and only they, can name its label. An entry's mask is a PRF of
-    (key, tau) whose input is the LAMBDA-byte tau, and a label's input is
-    the one byte TAG_LABEL, so under one key the two never share an input."""
-    return prf1(key, bytes((TAG_LABEL,)))
+def chain_link(key: bytes) -> tuple[bytes, bytes]:
+    """(tau, pad) of the chain entry whose key this is: one prf3 output cut
+    into the entry's label and the pad whose first protocol.mask_width
+    bytes mask its body. Only a holder of the key can name the label or
+    open the mask, and the label, two slices away, tells nothing of the pad."""
+    out = prf3(key, bytes((TAG_LABEL,)))
+    return out[:LAMBDA], out[LAMBDA:]
 
 
 def chain_label(k_prf: bytes, keyword: str, counter: int) -> bytes:
     """tau for (keyword, counter): the encrypted index key, the label of
     that counter's chain key."""
-    return key_label(derived_key(k_prf, keyword, counter))
+    return chain_link(derived_key(k_prf, keyword, counter))[0]
 
 
 def digit_element(k_prf: bytes, keyword: str, pos: int, digit: int) -> bytes:

@@ -3,9 +3,10 @@ result verification, group-key rotation and the periodic filter refresh.
 
 The owner keeps one counter per keyword. Each file upload appends, per
 keyword, a fresh index entry under the counter's chain key, a PRF of
-(keyword, counter): its label tau is a PRF of that key, and its masked body
-holds the previous counter's key, so the server can walk a keyword's whole
-history from the newest entry without ever seeing two linkable labels.
+(keyword, counter): one PRF output of that key is its label tau and the pad
+masking its body, which holds the previous counter's key, so the server can
+walk a keyword's whole history from the newest entry without ever seeing
+two linkable labels.
 
 DataOwner is single-writer: one gateway thread calls add_file / refresh /
 rotate; token generation and verification are read-only.
@@ -21,10 +22,8 @@ from .crypto import (
     KeyBundle,
     LAMBDA,
     ZERO,
+    chain_link,
     derived_key,
-    key_label,
-    prf1,
-    prf2,
     se_encrypt,
     xor_bytes,
 )
@@ -39,12 +38,13 @@ from .protocol import (
     RefreshPayload,
     SearchTokenEnvelope,
     check_mode,
+    mask_width,
     result_mac,
     verify_result,
     VerifyReport,
 )
 
-_SNAPSHOT_MAGIC = b"DSSEOWN5"
+_SNAPSHOT_MAGIC = b"DSSEOWN6"
 
 
 @dataclass(slots=True)
@@ -109,21 +109,21 @@ class DataOwner(Persistent):
         file_id = secrets.token_bytes(FILE_ID_LEN)
         entries: list[tuple[bytes, bytes]] = []
         touched: set[int] = set()  # filter blocks
+        width = mask_width(self.mode)
 
         for w in kws:
             rec = self.tbl.get(w) or KeywordRecord(0, ZERO, ZERO)
             cnt = rec.cnt + 1
             k_cnt = derived_key(k.k_prf, w, cnt)
-            tau = key_label(k_cnt)
+            tau, pad = chain_link(k_cnt)
+            held = rec.key
+            gamma = None
             if self.mode == FULL:
                 gamma = xor_bytes(rec.gamma, result_mac(k.k_mac, ciphertext, w, cnt))
-                mu = xor_bytes(rec.key + gamma, prf2(k_cnt, tau))
+                held += gamma
                 touched.add(self.bf.add(tau))
-            else:
-                gamma = None
-                mu = xor_bytes(rec.key, prf1(k_cnt, tau))
             self.tbl[w] = KeywordRecord(cnt, gamma, k_cnt)
-            entries.append((tau, mu))
+            entries.append((tau, xor_bytes(held, pad[:width])))
 
         sigma = t = None
         if self.mode == FULL:
@@ -225,7 +225,7 @@ class DataOwner(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSEOWN5: mode flag, the four keys, epoch, [t], the keyword
+        """DSSEOWN6: mode flag, the four keys, epoch, [t], the keyword
         table, [filter]; [..] only in full mode. Fields are fixed-width
         where LAMBDA fixes them, and the filter runs to the end."""
         k = self.keys

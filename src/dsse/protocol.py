@@ -169,7 +169,7 @@ class SearchTokenEnvelope:
     """Search credential for one keyword at its latest counter.
 
     The token is k_cnt, the chain key of the counter's entry; the server
-    derives the entry's label from it (crypto.key_label). In full mode body
+    derives the entry's link from it (crypto.chain_link). In full mode body
     is an AEAD ciphertext of it under the group key of `epoch`; in basic
     mode there is no group key and body is the raw LAMBDA-byte key (epoch
     is 0).
@@ -234,5 +234,5 @@ def check_mode(mode: str) -> str:
 
 def mask_width(mode: str) -> int:
     """Masked-entry width: the previous entry's key in basic mode, that key
-    and gamma in full."""
+    and gamma in full: that many bytes of crypto.chain_link's pad."""
     return LAMBDA if mode == BASIC else 2 * LAMBDA

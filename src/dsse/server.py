@@ -11,9 +11,9 @@ filter itself, and the current version with none.
 
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one chain key, from which it derives that
-entry's label (crypto.key_label) and walks exactly one keyword's chain and
-nothing else: each entry it opens gives the key, and so the label, of the
-one before.
+entry's label and mask pad (crypto.chain_link, one PRF call) and walks
+exactly one keyword's chain and nothing else: each entry it opens gives the
+key, and so the label and pad, of the one before.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .bloom import BloomFilter, BloomParams
-from .crypto import LAMBDA, ZERO, key_label, prf1, prf2, se_decrypt, xor_bytes
+from .crypto import LAMBDA, ZERO, chain_link, se_decrypt, xor_bytes
 from .encoding import Persistent, Reader, put_bytes, put_u8, put_u32, put_u64
 from .errors import (
     FormatError,
@@ -45,7 +45,7 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV8"
+_SNAPSHOT_MAGIC = b"DSSESRV9"
 
 
 @dataclass(slots=True)
@@ -164,8 +164,8 @@ class CloudServer(Persistent):
                     f"file id is {len(payload.file_id)} bytes, expected {FILE_ID_LEN}"
                 )
             if self.mode == FULL:
-                if payload.sigma is None or payload.t is None:
-                    raise ProtocolError("full-mode payload missing sigma/timestamp")
+                if payload.t is None or len(payload.sigma or b"") != LAMBDA:
+                    raise ProtocolError(f"full-mode payload needs t and a {LAMBDA}-byte sigma")
                 if payload.t < self.t:
                     raise ProtocolError(
                         f"non-monotonic timestamp {payload.t} < {self.t}"
@@ -206,13 +206,15 @@ class CloudServer(Persistent):
 
     def refresh(self, payload: RefreshPayload) -> None:
         """Adopt the owner's rebuilt filter wholesale: an empty filter of
-        this server's size, with the payload's elements added. The elements
-        must be whole LAMBDA-byte labels, strictly ascending, and at most
-        m // k of them; the count is checked before any is hashed. The
-        filter is built outside the lock, which is held only to check the
-        timestamp and swap."""
+        this server's size, with the payload's elements added. Sigma must
+        be LAMBDA bytes, and the elements whole LAMBDA-byte labels, strictly
+        ascending, and at most m // k of them; the count is checked before
+        any is hashed. The filter is built outside the lock, which is held
+        only to check the timestamp and swap."""
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
+        if len(payload.sigma) != LAMBDA:
+            raise ProtocolError(f"sigma is {len(payload.sigma)} bytes, expected {LAMBDA}")
         bf = self.bf.cleared()
         elements = payload.elements
         if len(elements) % LAMBDA:
@@ -277,9 +279,8 @@ class CloudServer(Persistent):
         missing interior one a ProtocolError, and so is a label reached
         twice: an ADD can hold an entry that opens to its own key, and a walk
         around it would never end."""
-        k = self._open_token(envelope)
-        tau = key_label(k)
-        mask = prf2 if self.mode == FULL else prf1
+        tau, pad = chain_link(self._open_token(envelope))
+        width = mask_width(self.mode)
         missing = NotFoundError("unknown index label in token")
         reached: set[bytes] = set()
         while True:
@@ -292,12 +293,12 @@ class CloudServer(Persistent):
             if isinstance(entry, MergedEntry):
                 yield tau, entry, entry.gamma
                 return
-            opened = xor_bytes(entry.mu, mask(k, tau))
+            opened = xor_bytes(entry.mu, pad[:width])
             yield tau, entry, opened[LAMBDA:] or None
             k = opened[:LAMBDA]
             if k == ZERO:
                 return
-            tau = key_label(k)
+            tau, pad = chain_link(k)
             missing = ProtocolError("chain broken: interior label missing")
 
     def search(
@@ -371,7 +372,7 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESRV8, canonical: restore accepts no other encoding of the
+        """DSSESRV9, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
         The mode flag, then [group key, epoch, sigma, t]; the files; the

@@ -9,18 +9,18 @@ the SEARCH reply and Client.search share (gamma is None in basic mode).
 
 Message layout:
 
-    version(1) = 0x09 | kind(1) | body
+    version(1) = 0x0A | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
 big-endian length followed by the bytes. A field written id(16), tau(16),
-mu(w), element(16) or gamma(16) is fixed-width: that many raw bytes, no
+mu(w), element(16), sigma(16) or gamma(16) is fixed-width: that many raw bytes, no
 length. Integers are big-endian (timestamps and epochs 8 bytes, counts 4
 bytes); a presence flag is one byte, 0 or 1, and the bracketed fields
 follow only when it is 1.
 
-    ADD        id(16) | ciphertext | flag [| sigma | u64 t] | u32 n | n x (tau(16) | mu(w))
-    REFRESH    u32 n | n x element(16) | sigma | u64 t
+    ADD        id(16) | ciphertext | flag [| sigma(16) | u64 t] | u32 n | n x (tau(16) | mu(w))
+    REFRESH    u32 n | n x element(16) | sigma(16) | u64 t
     SEARCH     u64 epoch | token
     GET_BLOOM  flag [| u64 t | sigma]
     ROTATE     group_key | u64 epoch
@@ -104,7 +104,7 @@ from .protocol import (
 )
 from .server import CloudServer
 
-VERSION = 0x09
+VERSION = 0x0A
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -208,7 +208,7 @@ def encode(msg: Request | Reply) -> bytes:
         put_bytes(buf, msg.ciphertext)
         put_u8(buf, msg.sigma is not None)
         if msg.sigma is not None:
-            put_bytes(buf, msg.sigma)
+            put_fixed(buf, msg.sigma, LAMBDA)
             put_u64(buf, msg.t)
         width = mask_width(BASIC if msg.sigma is None else FULL)
         put_u32(buf, len(msg.entries))
@@ -218,7 +218,7 @@ def encode(msg: Request | Reply) -> bytes:
     elif kind == KIND_REFRESH:
         put_u32(buf, msg.n)
         put_fixed(buf, msg.elements, msg.n * LAMBDA)
-        put_bytes(buf, msg.sigma)
+        put_fixed(buf, msg.sigma, LAMBDA)
         put_u64(buf, msg.t)
     elif kind == KIND_SEARCH:
         put_u64(buf, msg.epoch)
@@ -287,13 +287,13 @@ def _decode_request(kind: int, r: Reader) -> Request:
         sigma = t = None
         full = r.flag()
         if full:
-            sigma = r.bytes_()
+            sigma = r.fixed(LAMBDA)
             t = r.u64()
         width = mask_width(FULL if full else BASIC)
         entries = [(r.fixed(LAMBDA), r.fixed(width)) for _ in range(r.u32())]
         return AddPayload(file_id, ciphertext, entries, sigma, t)
     if kind == KIND_REFRESH:
-        return RefreshPayload(r.fixed(r.u32() * LAMBDA), r.bytes_(), r.u64())
+        return RefreshPayload(r.fixed(r.u32() * LAMBDA), r.fixed(LAMBDA), r.u64())
     if kind == KIND_SEARCH:
         return SearchTokenEnvelope(r.u64(), r.bytes_())
     if kind == KIND_GET_BLOOM:

@@ -159,13 +159,14 @@ def test_criterion_3_chain_law():
             w = rng.choice(keywords)
             cnt = oracle.count(w)
             i = rng.randint(1, cnt)
-            # entry i is stored under F(k_i, TAG_LABEL) and opens to k_(i-1)
-            # and gamma_i; F(k_(i-1), TAG_LABEL) is entry i-1's label
+            # F(k_i, TAG_LABEL) is 48 bytes: entry i's label, then the pad
+            # whose 32 bytes open it to k_(i-1) and gamma_i; the first 16 of
+            # F(k_(i-1), TAG_LABEL) are entry i-1's label
             key_i = crypto.derived_key(k.k_prf, w, i)
-            tau_i = crypto.prf1(key_i, bytes((crypto.TAG_LABEL,)))
-            entry = server.tbl[tau_i]
+            link_i = crypto.prf3(key_i, bytes((crypto.TAG_LABEL,)))
+            entry = server.tbl[link_i[:16]]
             assert isinstance(entry, ChainEntry)
-            opened = crypto.xor_bytes(entry.mu, crypto.prf2(key_i, tau_i))
+            opened = crypto.xor_bytes(entry.mu, link_i[16:48])
             oldest_first = list(reversed(oracle.ids_newest_first(w)))
             gamma_i = crypto.aggregate_mac(
                 [
@@ -174,7 +175,7 @@ def test_criterion_3_chain_law():
                 ]
             )
             expect_key = crypto.derived_key(k.k_prf, w, i - 1) if i > 1 else b"\x00" * 16
-            below = server.tbl.get(crypto.prf1(opened[:16], bytes((crypto.TAG_LABEL,))))
+            below = server.tbl.get(crypto.prf3(opened[:16], bytes((crypto.TAG_LABEL,)))[:16])
             ok = (
                 opened[:16] == expect_key
                 and (i == 1 or below.file_id == oldest_first[i - 2])

@@ -16,7 +16,7 @@ def test_output_lengths():
     assert len(crypto.prf1(K, msg)) == 16
     assert len(crypto.prf2(K, msg)) == 32
     assert len(crypto.prf3(K, msg)) == 48
-    assert len(crypto.hash16(msg)) == 16
+    assert [len(part) for part in crypto.chain_link(K)] == [16, 32]
     assert len(crypto.mac_generate(K, msg)) == 16
 
 
@@ -27,21 +27,21 @@ def test_output_lengths_random_inputs():
         assert len(crypto.prf1(K, msg)) == 16
         assert len(crypto.prf2(K, msg)) == 32
         assert len(crypto.prf3(K, msg)) == 48
-        assert len(crypto.hash16(msg)) == 16
         assert len(crypto.mac_generate(K, msg)) == 16
 
 
-def test_hash_collision_free_over_corpus():
-    # every distinct keyword string in the synthetic universe hashes uniquely
+def test_chain_keys_distinct_over_corpus():
+    # every distinct keyword string in the synthetic universe gets its own
+    # chain key at a counter, and so its own label
     from dsse.harness.phi import ATTRIBUTES
 
-    digests = set()
+    keys = set()
     count = 0
     for name, lo, hi in ATTRIBUTES:
         for value in range(lo, hi + 1):
-            digests.add(crypto.hash16(f"{name}:{value}".encode()))
+            keys.add(crypto.derived_key(K, f"{name}:{value}", 1))
             count += 1
-    assert len(digests) == count
+    assert len(keys) == count
 
 
 def test_prf_determinism():
@@ -59,9 +59,15 @@ def test_prf1_is_truncated_hmac_sha256():
     assert crypto.prf3(K, msg) == hmac.new(K, msg, hashlib.sha512).digest()[:48]
 
 
-def test_hash_empty_matches_published_vector():
-    # SHA-256("") = e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-    assert crypto.hash16(b"") == bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb924")
+def test_chain_link_cuts_one_hmac_sha512_output():
+    # label first, then the pad a mask is a prefix of; the chain key is an
+    # HMAC-SHA-256 of the counter input itself, with no hash before it
+    out = hmac.new(K, b"\x06", hashlib.sha512).digest()
+    assert crypto.chain_link(K) == (out[:16], out[16:48])
+    msg = crypto.encode_counter_input(crypto.TAG_KEY, "hb:75", 3)
+    key = hmac.new(K, msg, hashlib.sha256).digest()[:16]
+    assert crypto.derived_key(K, "hb:75", 3) == key
+    assert crypto.chain_label(K, "hb:75", 3) == crypto.chain_link(key)[0]
 
 
 def test_distinct_counters_give_distinct_labels():

@@ -316,10 +316,10 @@ def test_a_repeated_search_reply_holds_every_ciphertext():
 
 
 def test_the_refresh_frame_is_its_elements():
-    # version and kind, u32 n, n elements of 16 bytes, sigma behind its
-    # 4-byte length, u64 t: nothing of the filter's size
+    # version and kind, u32 n, n elements of 16 bytes, a 16-byte sigma,
+    # u64 t: nothing of the filter's size
     _, frame, n = bench.bench_refresh(n_files=20, repeats=1)
-    assert n > 20 and frame == 34 + 16 * n
+    assert n > 20 and frame == 30 + 16 * n
 
 
 def test_linear_fit():

@@ -23,20 +23,22 @@ def raw_counter_input(tag: int, keyword: str, counter: int) -> bytes:
 
 
 def raw_chain_key(k_prf: bytes, keyword: str, counter: int) -> bytes:
-    pre = hashlib.sha256(raw_counter_input(0x02, keyword, counter)).digest()[:16]
-    return hmac.new(k_prf, pre, hashlib.sha256).digest()[:16]
+    msg = raw_counter_input(0x02, keyword, counter)
+    return hmac.new(k_prf, msg, hashlib.sha256).digest()[:16]
+
+
+def raw_link(key: bytes) -> bytes:
+    """HMAC-SHA-512 of the byte 0x06 under a chain key: the entry's label
+    is its first 16 bytes, and its mask the next 32 (full) or 16 (basic)."""
+    return hmac.new(key, b"\x06", hashlib.sha512).digest()
 
 
 def raw_tau(k_prf: bytes, keyword: str, counter: int) -> bytes:
-    """The label of a counter's entry: its chain key over the byte 0x06."""
-    key = raw_chain_key(k_prf, keyword, counter)
-    return hmac.new(key, b"\x06", hashlib.sha256).digest()[:16]
+    return raw_link(raw_chain_key(k_prf, keyword, counter))[:16]
 
 
-def raw_mask(key: bytes, tau: bytes, width: int) -> bytes:
-    """32 bytes of HMAC-SHA-512 in full mode, 16 of HMAC-SHA-256 in basic."""
-    digest = hashlib.sha512 if width == 32 else hashlib.sha256
-    return hmac.new(key, tau, digest).digest()[:width]
+def raw_mask(key: bytes, width: int) -> bytes:
+    return raw_link(key)[16 : 16 + width]
 
 
 def xor(a: bytes, b: bytes) -> bytes:
@@ -61,7 +63,7 @@ def test_full_mode_chain_matches_raw_primitives():
         msg = raw_counter_input(0x07, keyword, i) + ciphertexts[i - 1]
         gamma = xor(gamma, hmac.new(k.k_mac, msg, hashlib.sha256).digest()[:16])
         prev_key = raw_chain_key(k.k_prf, keyword, i - 1) if i > 1 else b"\x00" * 16
-        expected_mu = xor(prev_key + gamma, raw_mask(raw_chain_key(k.k_prf, keyword, i), tau, 32))
+        expected_mu = xor(prev_key + gamma, raw_mask(raw_chain_key(k.k_prf, keyword, i), 32))
         assert mu == expected_mu, f"entry {i}"
 
     # the owner's running aggregate agrees with the raw recomputation
@@ -88,11 +90,11 @@ def test_basic_mode_chain_matches_raw_primitives():
     k = owner.keys
 
     assert tau1 == raw_tau(k.k_prf, keyword, 1)
-    assert mu1 == xor(b"\x00" * 16, raw_mask(raw_chain_key(k.k_prf, keyword, 1), tau1, 16))
+    assert mu1 == xor(b"\x00" * 16, raw_mask(raw_chain_key(k.k_prf, keyword, 1), 16))
     assert tau2 == raw_tau(k.k_prf, keyword, 2)
     assert mu2 == xor(
         raw_chain_key(k.k_prf, keyword, 1),
-        raw_mask(raw_chain_key(k.k_prf, keyword, 2), tau2, 16),
+        raw_mask(raw_chain_key(k.k_prf, keyword, 2), 16),
     )
     assert owner.gen_token(keyword).body == raw_chain_key(k.k_prf, keyword, 2)
 

@@ -45,9 +45,10 @@ def test_first_entry_chains_to_zero_key():
     (tau, mu), = payload.entries
     k = owner.keys
     key = crypto.derived_key(k.k_prf, "heartbeat:75", 1)
-    assert tau == crypto.key_label(key) == crypto.chain_label(k.k_prf, "heartbeat:75", 1)
+    label, pad = crypto.chain_link(key)
+    assert tau == label == crypto.chain_label(k.k_prf, "heartbeat:75", 1)
     assert len(mu) == 32
-    opened = crypto.xor_bytes(mu, crypto.prf2(key, tau))
+    opened = crypto.xor_bytes(mu, pad)
     assert opened[:16] == b"\x00" * 16
     assert opened[16:] == result_mac(k.k_mac, payload.ciphertext, "heartbeat:75", 1)
 
@@ -58,12 +59,12 @@ def test_second_entry_unmasks_to_first():
     payload2 = owner.add_file(b"f2", ["w"], NOW + 600)
     (tau2, mu2), = payload2.entries
     k = owner.keys
-    key2 = crypto.derived_key(k.k_prf, "w", 2)
-    assert tau2 == crypto.key_label(key2)
-    opened = crypto.xor_bytes(mu2, crypto.prf2(key2, tau2))
+    label2, pad2 = crypto.chain_link(crypto.derived_key(k.k_prf, "w", 2))
+    assert tau2 == label2
+    opened = crypto.xor_bytes(mu2, pad2)
     assert opened[:16] == crypto.derived_key(k.k_prf, "w", 1)
     # the key it opens to names the first entry's label
-    assert crypto.key_label(opened[:16]) == crypto.chain_label(k.k_prf, "w", 1)
+    assert crypto.chain_link(opened[:16])[0] == crypto.chain_label(k.k_prf, "w", 1)
     assert opened[16:] == owner.tbl["w"].gamma
 
 
@@ -74,8 +75,9 @@ def test_basic_mode_mask_is_one_lambda():
     assert len(mu) == 16
     assert p1.sigma is None and p1.t is None
     k = owner.keys
-    key = crypto.derived_key(k.k_prf, "w", 1)
-    assert crypto.xor_bytes(mu, crypto.prf1(key, tau)) == b"\x00" * 16
+    label, pad = crypto.chain_link(crypto.derived_key(k.k_prf, "w", 1))
+    assert tau == label
+    assert crypto.xor_bytes(mu, pad[:16]) == b"\x00" * 16
 
 
 def test_entry_count_matches_keyword_count():
@@ -145,7 +147,7 @@ def test_gen_token_owner_contents():
     assert env.epoch == 1
     key = crypto.se_decrypt(owner.keys.r, env.body)
     assert key == crypto.derived_key(owner.keys.k_prf, "w", 3)
-    assert crypto.key_label(key) == crypto.chain_label(owner.keys.k_prf, "w", 3)
+    assert crypto.chain_link(key)[0] == crypto.chain_label(owner.keys.k_prf, "w", 3)
 
 
 def test_gen_token_unknown_keyword():
@@ -267,12 +269,13 @@ def test_previous_snapshot_version_refused():
     owner = fresh()
     owner.add_file(b"f", ["w"], NOW)
     blob = owner.snapshot()
-    assert blob.startswith(b"DSSEOWN5")
-    # DSSEOWN4 held gammas over result tags that named no place in the
+    assert blob.startswith(b"DSSEOWN6")
+    # DSSEOWN5 held a filter of labels that were a separate PRF of each chain
+    # key, under keys derived over a hashed input; DSSEOWN4 held gammas over result tags that named no place in the
     # chain; DSSEOWN3 held an unblocked filter; DSSEOWN2 and DSSEOWN1
     # prefixed each key and gamma with its length and stored the filter
     # sizing; DSSEOWN1 also had the older index function
-    for magic in (b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
+    for magic in (b"DSSEOWN5", b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
         with pytest.raises(FormatError, match="not an owner snapshot"):
             DataOwner.restore(magic + blob[8:])
 

@@ -85,10 +85,10 @@ def golden_state(role, mode):
 
 
 GOLDEN_SNAPSHOTS = {
-    ("owner", "full"): "2b31ae2a8065ee9c8bb44993e1a3e433d9f28e2fde5763cf531b7bf70e0cb270",
-    ("owner", "basic"): "d5c0dcc47a10a8d06ee7034f54690647c659ad256ec3a3afc03290bd8fe41584",
-    ("server", "full"): "cc14afcf8db46bb2a84ee525a9a9cbcbb3e43d2cf6e7cad20c1de384bf50f666",
-    ("server", "basic"): "6db7217f1b262fa964a4eb8cc5c05eb80a0c809e1568564c597d77822e8b1187",
+    ("owner", "full"): "8571510847e8ef588eb32f994d20b84b6000a9ee2532e720b3eef407b6d4db85",
+    ("owner", "basic"): "0f21f47a9117fc2110db9ee7c955aac7f9c2fa28e7630422738a31b268b2d1ee",
+    ("server", "full"): "b8ca2db36d11b3a196aa62c41fe822fa7a4fb1955c6086f92e2138dae9b6e82a",
+    ("server", "basic"): "a6e8d6ecddeacd75dfdf80973266bbc1f28dc3a85c043f45143e15f010c276a0",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }
 

@@ -1,18 +1,20 @@
 import ast
+import hmac
 import pathlib
 import random
+import types
 
 import pytest
 
 import dsse
+from dsse import crypto
 from dsse.bloom import BLOCK_BYTES, BloomFilter, BloomParams
 from dsse.crypto import (
     LAMBDA,
     aggregate_mac,
     chain_label,
+    chain_link,
     derived_key,
-    key_label,
-    prf1,
     xor_bytes,
 )
 from dsse.errors import (
@@ -255,6 +257,36 @@ def test_incremental_search_costs_d_plus_one():
         rst, _, _ = server.search(owner.gen_token("w"))
         assert server.last_search_lookups == d + 1
         assert len(rst) == 7 + d
+
+
+@pytest.mark.parametrize("mode, per_keyword", [("full", 3), ("basic", 2)])
+def test_one_hmac_per_chain_link(mode, per_keyword, monkeypatch):
+    # an upload derives each keyword's chain key, then its label and pad in
+    # one call, and in full mode tags the file; a one-block filter adds one
+    # block tag and sigma. A walk pays one call per entry it reaches.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hmac.new(*args)
+
+    monkeypatch.setattr(crypto, "hmac", types.SimpleNamespace(new=counted))
+    params = BloomParams(0.01, 100)
+    owner = DataOwner.generate(mode, params)
+    assert mode == "basic" or owner.bf.n_blocks == 1
+    server = CloudServer(mode, params, group_key=owner.keys.r if mode == "full" else None)
+    calls.clear()
+    for i in range(5):
+        keywords = ["w"] + [f"x{i}:{j}" for j in range(i)]
+        payload = owner.add_file(b"file", keywords, NOW + i)
+        assert len(calls) == per_keyword * len(keywords) + 2 * (mode == "full")
+        server.add(payload)
+        calls.clear()
+    server.search(owner.gen_token("w"))
+    assert len(calls) == 5
+    calls.clear()
+    server.search(owner.gen_token("w"))
+    assert len(calls) == 1
 
 
 def test_unknown_token_not_found():
@@ -626,9 +658,9 @@ def test_merge_never_rewrites_a_shared_prefix():
         server.search(owner.token_for_counter("w", counter))
     shared = server.tbl[chain_label(owner.keys.k_prf, "w", 3)].chain
     key = b"\x0b" * 16
-    tau = key_label(key)
+    tau, pad = chain_link(key)
     link = derived_key(owner.keys.k_prf, "w", 1)  # the key of merged c1
-    server.tbl[tau] = ChainEntry(xor_bytes(link, prf1(key, tau)), b"stranger-id-0000")
+    server.tbl[tau] = ChainEntry(xor_bytes(link, pad[:16]), b"stranger-id-0000")
     server.files[b"stranger-id-0000"] = b"stranger ciphertext"
     rst, _, _ = server.search(SearchTokenEnvelope(0, key))
     assert rst == [b"stranger-id-0000", ids[0]]
@@ -642,8 +674,8 @@ def test_an_entry_that_opens_to_its_own_key_is_refused_not_walked_forever():
     # holding the server's lock
     _, server = build("basic")
     key = b"\x0b" * 16
-    tau = key_label(key)
-    server.add(AddPayload(b"L" * 16, b"loop", [(tau, xor_bytes(key, prf1(key, tau)))]))
+    tau, pad = chain_link(key)
+    server.add(AddPayload(b"L" * 16, b"loop", [(tau, xor_bytes(key, pad[:16]))]))
     with pytest.raises(ProtocolError, match="loops"):
         server.search(SearchTokenEnvelope(0, key))
     assert isinstance(server.tbl[tau], ChainEntry)
@@ -788,15 +820,16 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV8")
-    # DSSESRV7 held 48-byte masks (the previous label, its key and gamma)
+    assert blob.startswith(b"DSSESRV9")
+    # DSSESRV8 held labels and masks from two PRF calls under each chain key,
+    # the keys derived over a hashed input; DSSESRV7 held 48-byte masks (the previous label, its key and gamma)
     # under labels that were PRFs of (keyword, counter), and gammas over
     # result tags that named no place; DSSESRV6 wrote the file table last
     # and each file id in full in every entry and id list; DSSESRV5 held an
     # unblocked filter; DSSESRV4 and DSSESRV3 flagged and length-prefixed
     # the fields the mode and LAMBDA fix, and put the filter before the
     # entries; DSSESRV3 also had filter bits from the older index function
-    for magic in (b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
+    for magic in (b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries

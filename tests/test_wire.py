@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import random
 import socket
@@ -78,7 +79,11 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x09 (a REFRESH carries the
+# One frame per message shape. Version 0x0A (one PRF call per chain link)
+# writes the sigma of an ADD and of a REFRESH as 16 raw bytes where 0x09
+# put a 4-byte length before it; every other frame differs from 0x09's in
+# its first byte only.
+# Version 0x09 (a REFRESH carries the
 # refreshed filter's elements) writes a REFRESH as a u32 count and that
 # many 16-byte elements where 0x08 wrote a length-prefixed packed filter;
 # every other frame differs from 0x08's in its first byte only. Version
@@ -105,74 +110,74 @@ _FULL_ADD = AddPayload(
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "1d4c02f04f504f45a13cf6cb4c6876222b5c20e0bd0b47d664bc563e78393bd8"),
+    "add_full": (_FULL_ADD, "1108c4123e0c3fa3d8c784940ba96b3f051f14f140c3071c4dd83332fb46f45b"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 16)]),
-        "78caf10b127ec1b5c09d0561370315856116a151cc7aabaff5d2c153bf7daaf5",
+        "042dac63c21f1e8fe748d3456a99abc42a9efa4d0cf63f47a86318900e4ebe87",
     ),
     "refresh": (
         RefreshPayload(b"\x07" * 16 + b"\x08" * 16, b"\x09" * 16, NOW),
-        "4e02b0d3090df8d9fe7e6752b90a80c1e7d29cf8abcc7a966b5b4614cf86a739",
+        "da92010ccc6dd459a2a949f0306f794fd79aac45e19625112571b294f918cfb6",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "c6a9c4ce90d5e46a950d792b3483c15544b737c488eb8cb7564393d8d9379257",
+        "ef5b3d2f0780f2b519a3d7d4221fb7ff6d4b5938cf73e097be38c005597c9dc6",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "f8b3c4834c0c859b071dffb68e1efb6b0d6e5b17e19dd3b9fe4b3ed9185e3ba4",
+        "ad6878882a6750ba02e7d443161649036bb28782311aa80cf002c8c09e52f6b5",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "b794aebd9753ad9181bb076e63196ba9cb02afb0ded38062848fe73afba95861",
+        "15722b61c9fac9664820229f93f5f94f5fda69890a79fc34659f8c6c772cdcf4",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "ba5077d0cdc8c5a0918d65f676aac5a77cb7efaf7d4ed3ca337366fd68677ded",
+        "cdabb6441554a906603eb6e0ee2c356369fbdea229b085968e27237c4f3e949c",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "ab4ee017511bfc751d1f2a8dba5a52c1d0f8eaf22348036bafebebf866bb3ed5",
+        "86e86ea448ad3aa7f554f8e4f85ca59c7793a6c2b5b17b5cc718c578462bc1c1",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "55828edf5fc79dd95da96c50b7fa2c763836383d1748d42c11bb355042710081",
+        "a5248e78b9673460e1d35d9212afeaffb6519d62637cab6da53991f72624dbea",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "ef28ef593b8a37de32c9ce8584b297c0177118da27c9c1a1cf4b979e488e730e",
+        "6dc65810bcecc68d63fdc6767d7b28c57cdf848d60f46b603cd47d00f219354e",
     ),
     "search_reply_held": (
         wire.Reply(wire.KIND_SEARCH, value=(
             [b"\x0d" * 16, b"\x0e" * 16], [None, b"cde"], b"\x0f" * 16
         )),
-        "ba7e044e3291f8561281a868745d26d3f409b075436befe394674ed935608f65",
+        "6d0e782bc5ad413de4bf36ca023eaa308cda302fc81ee48edc9130e4071f688e",
     ),
     "search_reply_basic": (
         wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "8b72308a43f2ad3b0d5efc0fe5d3aaf73d701523f01ec6ce050f63aaeb3bdb8d",
+        "8ac96df44713456b7c27a065010e02e18d1d5b7906d97e36cd14d82273e80eda",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "a177f2ebcaacdce1c905ff6264ea2301c9432fb6b1c49e33d083abe9fc438472",
+        "118d0a6a68a0513d3d50d2c2675cd1b50ca3306648b0509b67704d5586158888",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "b156f4de0bbcb6b707367b24c96f359e09baf3f25a7abc1d984c7be4498d46f1",
+        "f145e12fcfc1b18d1b2509c95d902f1d4ec38b897cb3ebbdcbef8a4c692e2100",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "bcd4570fac2127433276684d0a4b289267ffb78dccff9fe6d904b3649da38aaf",
+        "c0805d7fb4afab2b577fa2ad06984707ecdc4dd87e61415c7d726ab7f2c6f8da",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "292e7ba4a154d6bd91bd21c43a30baa038424a8530fb89287eba563800bd5749",
+        "005d6e52a567191d34b77f77bb31b40f23a2d3a887434f200740d3f004047ce1",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "370aabdbfedd7fe36bbbfcac6f59956c156a1b8e2217e96f0b064a7ca537874c",
+        "321c42936059bbec542ac95c04835ca4403c56d47a9a1d03be96f108cd8e65b1",
     ),
 }
 
@@ -180,7 +185,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x09
+    assert wire.VERSION == 0x0A
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -211,7 +216,7 @@ def test_unknown_version_and_kind():
 
 def test_add_request_size_formula():
     # version + kind + file_id 16 + lp(ciphertext) + presence byte
-    # + lp(sigma) + u64 t + u32 count + per entry tau 16 + mu 32
+    # + sigma 16 + u64 t + u32 count + per entry tau 16 + mu 32
     payload = random_add_payload(n_entries=15)
     data = wire.encode(payload)
     expected = (
@@ -219,7 +224,7 @@ def test_add_request_size_formula():
         + 16
         + (4 + len(payload.ciphertext))
         + 1
-        + (4 + 16)
+        + 16
         + 8
         + 4
         + 15 * (16 + 32)
@@ -286,7 +291,7 @@ def refresh_frame(elements: bytes, n: int, sigma: bytes, t: int) -> bytes:
     need not agree."""
     return (
         bytes((wire.VERSION, wire.KIND_REFRESH)) + struct.pack(">I", n) + elements
-        + struct.pack(">I", len(sigma)) + sigma + struct.pack(">Q", t)
+        + sigma + struct.pack(">Q", t)
     )
 
 
@@ -343,6 +348,41 @@ def test_a_hostile_refresh_element_list_is_refused_and_state_kept():
     keyword = oracle.keywords()[0]
     assert user.gen_token(client.get_bloom(), keyword, t)[1] == owner.tbl[keyword].cnt
     assert user.token_filter == (sigma, t)
+
+
+def test_an_add_with_a_sigma_not_16_bytes_is_refused_and_state_kept():
+    # sigma is a 16-byte MAC: a server that stored one of any length would
+    # hold it and serve it to every user that fetches the filter
+    owner, server, _, last_t = build_system(5)
+    client = wire.Client.in_process(server)
+    honest = owner.add_file(b"f", ["w"], last_t + 600)
+    before = server_state(server)
+    for sigma in (bytes(100_000), b"", honest.sigma[:-1]):
+        payload = dataclasses.replace(honest, sigma=sigma)
+        with pytest.raises(ProtocolError, match="16-byte sigma"):
+            server.add(payload)
+        with pytest.raises(FormatError, match="fixed-width"):
+            client.add(payload)
+        assert server_state(server) == before
+    client.add(honest)
+    assert server.sigma == honest.sigma
+
+
+def test_a_refresh_with_a_sigma_not_16_bytes_is_refused_and_state_kept():
+    owner, server, _, last_t = build_system(5)
+    client = wire.Client.in_process(server)
+    honest = owner.refresh_bloom(last_t + 600)
+    before = server_state(server)
+    for sigma in (b"", bytes(100_000), honest.sigma[:-1]):
+        payload = dataclasses.replace(honest, sigma=sigma)
+        with pytest.raises(ProtocolError, match="sigma is"):
+            server.refresh(payload)
+        with pytest.raises(FormatError, match="fixed-width"):
+            client.refresh(payload)
+        assert server_state(server) == before
+    assert server.refreshes == {"adopted": 0, "elements": 0}
+    client.refresh(honest)
+    assert server.refreshes == {"adopted": 1, "elements": honest.n}
 
 
 def test_a_refresh_count_above_m_over_k_is_refused_before_any_hash(monkeypatch):
@@ -474,6 +514,46 @@ def test_each_connection_receives_each_ciphertext_once():
             client.close()
     finally:
         ws.stop()
+
+
+def test_a_version_0x09_peer_is_refused_by_format_not_by_verification():
+    # a 0x09 peer wrote an ADD's and a REFRESH's sigma behind a 4-byte
+    # length, and derived each entry's label and mask with separate PRF
+    # calls: each of its frames is refused by its version byte, a request
+    # in its own kind before any of it reaches the server, a reply before
+    # the client holds any of its ciphertexts
+    owner, server, oracle, last_t = build_system(5)
+    endpoint = wire.ServerEndpoint(server)
+    keyword = oracle.keywords()[0]
+    before = server.snapshot()
+    add = owner.add_file(b"new", ["w"], last_t + 600)
+    refresh = owner.refresh_bloom(last_t + 600)
+    lp_sigma = struct.pack(">I", LAMBDA) + add.sigma
+    old_add = (
+        bytes((0x09, wire.KIND_ADD)) + add.file_id
+        + struct.pack(">I", len(add.ciphertext)) + add.ciphertext + b"\x01" + lp_sigma
+        + struct.pack(">QI", add.t, len(add.entries)) + b"".join(a + b for a, b in add.entries)
+    )
+    old_refresh = (
+        bytes((0x09, wire.KIND_REFRESH)) + struct.pack(">I", refresh.n) + refresh.elements
+        + struct.pack(">I", LAMBDA) + refresh.sigma + struct.pack(">Q", refresh.t)
+    )
+    old_search = bytes([0x09]) + wire.encode(owner.gen_token(keyword))[1:]
+    for frame, kind in (
+        (old_add, wire.KIND_ADD),
+        (old_refresh, wire.KIND_REFRESH),
+        (old_search, wire.KIND_SEARCH),
+    ):
+        reply = wire.decode(endpoint.handle_bytes(frame))
+        assert (reply.kind, reply.code) == (kind, wire.CODE_FORMAT)
+        assert "unknown version 0x09" in reply.message
+    assert server.snapshot() == before
+    answer = server.search(owner.gen_token(keyword))
+    old_reply = bytes([0x09]) + wire.encode(wire.Reply(wire.KIND_SEARCH, value=answer))[1:]
+    client = wire.Client(CannedTransport(old_reply))
+    with pytest.raises(FormatError, match="unknown version 0x09"):
+        client.search(owner.gen_token(keyword))
+    assert client.ciphertexts == {"sent": 0, "held": 0}
 
 
 def test_a_version_0x08_refresh_is_refused_by_format_not_adopted():
