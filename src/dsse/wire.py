@@ -14,10 +14,10 @@ Message layout:
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
 big-endian length followed by the bytes. A field written id(16), tau(16),
-mu(w), element(16), sigma(16) or gamma(16) is fixed-width: that many raw bytes, no
-length. Integers are big-endian (timestamps and epochs 8 bytes, counts 4
-bytes); a presence flag is one byte, 0 or 1, and the bracketed fields
-follow only when it is 1.
+mu(w), element(16), sigma(16) or gamma(16) is fixed-width: that many raw
+bytes, no length. Integers are big-endian (timestamps and epochs 8 bytes,
+counts 4 bytes); a presence flag is one byte, 0 or 1, and the bracketed
+fields follow only when it is 1.
 
     ADD        id(16) | ciphertext | flag [| sigma(16) | u64 t] | u32 n | n x (tau(16) | mu(w))
     REFRESH    u32 n | n x element(16) | sigma(16) | u64 t

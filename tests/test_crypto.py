@@ -57,17 +57,9 @@ def test_prf1_is_truncated_hmac_sha256():
     assert crypto.prf1(K, msg) == hmac.new(K, msg, hashlib.sha256).digest()[:16]
     assert crypto.prf2(K, msg) == hmac.new(K, msg, hashlib.sha512).digest()[:32]
     assert crypto.prf3(K, msg) == hmac.new(K, msg, hashlib.sha512).digest()[:48]
-
-
-def test_chain_link_cuts_one_hmac_sha512_output():
-    # label first, then the pad a mask is a prefix of; the chain key is an
-    # HMAC-SHA-256 of the counter input itself, with no hash before it
-    out = hmac.new(K, b"\x06", hashlib.sha512).digest()
-    assert crypto.chain_link(K) == (out[:16], out[16:48])
-    msg = crypto.encode_counter_input(crypto.TAG_KEY, "hb:75", 3)
-    key = hmac.new(K, msg, hashlib.sha256).digest()[:16]
-    assert crypto.derived_key(K, "hb:75", 3) == key
-    assert crypto.chain_label(K, "hb:75", 3) == crypto.chain_link(key)[0]
+    # a chain link: the label, then the pad a mask is a prefix of
+    link = hmac.new(K, b"\x06", hashlib.sha512).digest()
+    assert crypto.chain_link(K) == (link[:16], link[16:48])
 
 
 def test_distinct_counters_give_distinct_labels():

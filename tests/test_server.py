@@ -821,14 +821,15 @@ def test_previous_snapshot_version_refused():
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
     assert blob.startswith(b"DSSESRV9")
-    # DSSESRV8 held labels and masks from two PRF calls under each chain key,
-    # the keys derived over a hashed input; DSSESRV7 held 48-byte masks (the previous label, its key and gamma)
-    # under labels that were PRFs of (keyword, counter), and gammas over
-    # result tags that named no place; DSSESRV6 wrote the file table last
-    # and each file id in full in every entry and id list; DSSESRV5 held an
-    # unblocked filter; DSSESRV4 and DSSESRV3 flagged and length-prefixed
-    # the fields the mode and LAMBDA fix, and put the filter before the
-    # entries; DSSESRV3 also had filter bits from the older index function
+    # DSSESRV8 held labels and masks from two PRF calls under each chain
+    # key, the keys derived over a hashed input; DSSESRV7 held 48-byte masks
+    # (the previous label, its key and gamma) under labels that were PRFs of
+    # (keyword, counter), and gammas over result tags that named no place;
+    # DSSESRV6 wrote the file table last and each file id in full in every
+    # entry and id list; DSSESRV5 held an unblocked filter; DSSESRV4 and
+    # DSSESRV3 flagged and length-prefixed the fields the mode and LAMBDA
+    # fix, and put the filter before the entries; DSSESRV3 also had filter
+    # bits from the older index function
     for magic in (b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
