@@ -11,17 +11,21 @@ number of blocks, at least one. Each element sets its k bits in one block.
 They come from one SHAKE256 output of 8(k+1) bytes, read as big-endian
 8-byte words: word 0 mod the block count picks the block (biased below
 2^-47), and words 1..k, each mod BLOCK_BITS, are the positions inside it.
-One hash call per element, yet the k positions are as independent as k
-separate hashes. An upload thus changes at most one block per element,
-which is what lets the filter MAC (protocol.FilterTags) re-tag only the
-blocks it touched. The price is a higher false-positive rate at the same
-m, from the uneven load of the blocks; BloomParams.derive grows m to pay
-for it.
+BLOCK_BITS is 2^16, so each such residue is read directly as its word's
+last two bytes. One hash call per element, yet the k positions are as
+independent as k separate hashes. An upload thus changes at most one
+block per element, which is what lets the filter MAC (protocol.FilterTags)
+re-tag only the blocks it touched. The price is a higher false-positive
+rate at the same m, from the uneven load of the blocks; BloomParams.derive
+grows m to pay for it.
 
 A filter crosses the network in one form, serialize()'s: what the filter
-MAC covers, what snapshots store and what a GET_BLOOM reply carries. A
-REFRESH carries no filter at all, only the elements of the refreshed one,
-from which the server builds the same filter (owner.refresh_bloom).
+MAC covers, what the owner's snapshot stores and what a GET_BLOOM reply
+carries. A REFRESH carries no filter at all, only the elements of the
+refreshed one, from which the server builds the same filter
+(owner.refresh_bloom). The server's snapshot stores no bits either: only
+the header, those elements and a mark on each label added since, from
+which restore builds the filter again (server.CloudServer.restore).
 
 Counter embedding stores a keyword's latest counter as one filter element
 per decimal digit (position 1 = least significant); extraction probes each
@@ -46,6 +50,9 @@ _MAX_M = 2**32 - 1  # the header's 4-byte m
 
 BLOCK_BYTES = 8192
 BLOCK_BITS = 8 * BLOCK_BYTES
+# the digest layout for each k: the block word, then the last two bytes of
+# each position word (its residue mod BLOCK_BITS = 2^16)
+_DIGESTS = [struct.Struct(">Q" + "6xH" * k) for k in range(_MAX_K + 1)]
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,19 @@ def expected_fp_rate(m: int, k: int, n: int) -> float:
     return (1.0 - math.exp(-k * n / m)) ** k
 
 
-def _set_bits(bits: bytearray, base: int, words: tuple[int, ...]) -> None:
-    """Set the bits words name, each mod BLOCK_BITS, in the block at byte base."""
-    for w in words:
-        p = w % BLOCK_BITS
+def check_header(m: int, k: int, offset: int = 0) -> None:
+    """Refuse a filter header (m, k) whose filter would be unsafe to build:
+    k must be 1 to 64, since every add and verify hashes 8(k+1) bytes, and
+    m a positive multiple of BLOCK_BITS."""
+    if not 1 <= k <= _MAX_K:
+        raise FormatError(f"bad bloom header m={m} k={k}", offset=offset)
+    if m == 0 or m % BLOCK_BITS:
+        raise FormatError(f"bloom m={m} is not whole {BLOCK_BITS}-bit blocks", offset=offset)
+
+
+def _set_bits(bits: bytearray, base: int, positions: tuple[int, ...]) -> None:
+    """Set the bits at positions in the block at byte base."""
+    for p in positions:
         bits[base + (p >> 3)] |= 1 << (p & 7)
 
 
@@ -107,27 +123,30 @@ class BloomFilter:
         bf.n_inserted = 0
         return bf
 
+    @classmethod
+    def empty(cls, m: int, k: int) -> "BloomFilter":
+        """An empty filter of m bits and k hashes, for a header that
+        check_header passed."""
+        return cls._from_raw(m, k, bytearray(m // 8))
+
     def cleared(self) -> "BloomFilter":
         """An empty filter of the same size."""
-        return self._from_raw(self.m, self.k, bytearray(len(self.bits)))
+        return self.empty(self.m, self.k)
 
     @property
     def n_blocks(self) -> int:
         return self.m // BLOCK_BITS
 
     def _locate(self, element: bytes) -> tuple[int, tuple[int, ...]]:
-        """The element's block, and the k words whose residues mod
-        BLOCK_BITS are the element's positions in its block."""
+        """The element's block, and its k positions in that block."""
         k = self.k
-        words = struct.unpack(
-            f">{k + 1}Q", hashlib.shake_256(element).digest(8 * (k + 1))
-        )
+        words = _DIGESTS[k].unpack(hashlib.shake_256(element).digest(8 * (k + 1)))
         return words[0] % (self.m // BLOCK_BITS), words[1:]
 
     def add(self, element: bytes) -> int:
         """Set the element's bits; return the index of the block holding them."""
-        block, words = self._locate(element)
-        _set_bits(self.bits, block * BLOCK_BYTES, words)
+        block, positions = self._locate(element)
+        _set_bits(self.bits, block * BLOCK_BYTES, positions)
         self.n_inserted += 1
         return block
 
@@ -136,20 +155,18 @@ class BloomFilter:
         elements' bits set; this filter is left as it is."""
         staged: dict[int, bytearray] = {}
         for element in elements:
-            block, words = self._locate(element)
+            block, positions = self._locate(element)
             if block not in staged:
                 staged[block] = bytearray(self.block(block))
-            _set_bits(staged[block], 0, words)
+            _set_bits(staged[block], 0, positions)
         return staged
 
     def verify(self, element: bytes) -> bool:
-        """Whether every bit of the element is set. Each position is reduced
-        only once the ones before it are found set: a probe of an absent
-        element usually stops at the first or second."""
-        block, words = self._locate(element)
+        """Whether every bit of the element is set. A probe of an absent
+        element usually stops at its first or second position."""
+        block, positions = self._locate(element)
         bits, base = self.bits, block * BLOCK_BYTES
-        for w in words:
-            p = w % BLOCK_BITS
+        for p in positions:
             if not bits[base + (p >> 3)] & (1 << (p & 7)):
                 return False
         return True
@@ -179,17 +196,13 @@ class BloomFilter:
 
     @classmethod
     def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
-        """Parse a serialization, copying its bit bytes once. k must be
-        1 to 64: every add and verify hashes 8(k+1) bytes, and a user
-        checks the MAC of a filter only after parsing it. m must be a
-        positive multiple of BLOCK_BITS."""
+        """Parse a serialization, copying its bit bytes once. The header
+        is checked first (check_header): a user checks the MAC of a filter
+        only after parsing it."""
         if len(data) < _HEADER.size:
             raise FormatError("bloom header truncated", offset=len(data))
         m, k = _HEADER.unpack_from(data)
-        if not 1 <= k <= _MAX_K:
-            raise FormatError(f"bad bloom header m={m} k={k}", offset=0)
-        if m == 0 or m % BLOCK_BITS:
-            raise FormatError(f"bloom m={m} is not whole {BLOCK_BITS}-bit blocks", offset=0)
+        check_header(m, k)
         want = m // 8
         body = memoryview(data)[_HEADER.size :]
         if len(body) != want:

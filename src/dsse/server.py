@@ -9,6 +9,11 @@ it is their log: a caller holding an older version of the filter can be
 answered with the taus added since, whenever that is smaller than the
 filter itself, and the current version with none.
 
+So the filter is fully determined by the elements of the last REFRESH
+the server adopted and the labels the table gained since, and that is all
+a snapshot keeps of it: the header (m, k), those elements, and a mark on
+each label added since. Restore builds the filter from them.
+
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one chain key, from which it derives that
 entry's label and mask pad (crypto.chain_link, one PRF call) and walks
@@ -18,13 +23,14 @@ key, and so the label and pad, of the one before.
 
 from __future__ import annotations
 
+import io
 import threading
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
-from .bloom import BloomFilter, BloomParams
+from .bloom import BloomFilter, BloomParams, check_header
 from .crypto import LAMBDA, ZERO, chain_link, se_decrypt, xor_bytes
 from .encoding import Persistent, Reader, put_bytes, put_u8, put_u32, put_u64
 from .errors import (
@@ -45,7 +51,11 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESRV9"
+_SNAPSHOT_MAGIC = b"DSSESR10"
+# an entry's flag bits in a snapshot
+_CHAIN = 0x01  # a chain entry; a merged entry if clear
+_SINCE = 0x02  # its label arrived after the last refresh (full mode only)
+_SPILL = 1 << 12  # snapshot bytes gathered before they move to the output
 
 
 @dataclass(slots=True)
@@ -73,6 +83,27 @@ class MergedEntry:
     def ids(self) -> tuple[bytes, ...]:
         """The answer, newest-first."""
         return tuple(self.chain[self.n - 1 :: -1])
+
+
+def _rebuild(m: int, k: int, elements: bytes, labels: Iterable[bytes]) -> BloomFilter:
+    """The filter of (m, k) holding a refresh's elements and the labels
+    added since. The elements must be whole LAMBDA-byte labels, strictly
+    ascending, and at most m // k of them; all three are checked before the
+    bits are allocated or any element is hashed."""
+    if len(elements) % LAMBDA:
+        raise FormatError(f"refresh elements of {len(elements)} bytes are not whole labels")
+    if len(elements) // LAMBDA > m // k:
+        raise FormatError(f"{len(elements) // LAMBDA} refresh elements exceed m // k = {m // k}")
+    split = [elements[at : at + LAMBDA] for at in range(0, len(elements), LAMBDA)]
+    for i in range(1, len(split)):
+        if split[i] <= split[i - 1]:
+            raise FormatError("refresh elements are not strictly ascending", offset=i * LAMBDA)
+    bf = BloomFilter.empty(m, k)
+    for element in split:
+        bf.add(element)
+    for label in labels:
+        bf.add(label)
+    return bf
 
 
 def _extend(below: MergedEntry | None, fresh: list[bytes]) -> list[bytes]:
@@ -110,6 +141,10 @@ class CloudServer(Persistent):
         )
         self.sigma = b""
         self.t = 0
+        # the last adopted REFRESH's elements, and the table's length then:
+        # the labels added since are its suffix (full mode)
+        self.elements = b""
+        self.refreshed_at = 0
         self.r = group_key
         self.epoch = epoch
         self.last_search_lookups = 0
@@ -206,34 +241,23 @@ class CloudServer(Persistent):
 
     def refresh(self, payload: RefreshPayload) -> None:
         """Adopt the owner's rebuilt filter wholesale: an empty filter of
-        this server's size, with the payload's elements added. Sigma must
-        be LAMBDA bytes, and the elements whole LAMBDA-byte labels, strictly
-        ascending, and at most m // k of them; the count is checked before
-        any is hashed. The filter is built outside the lock, which is held
-        only to check the timestamp and swap."""
+        this server's size, with the payload's elements added (_rebuild
+        checks them). Sigma must be LAMBDA bytes. The filter is built
+        outside the lock, which is held only to check the timestamp and
+        swap."""
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
         if len(payload.sigma) != LAMBDA:
             raise ProtocolError(f"sigma is {len(payload.sigma)} bytes, expected {LAMBDA}")
-        bf = self.bf.cleared()
-        elements = payload.elements
-        if len(elements) % LAMBDA:
-            raise FormatError(f"refresh elements of {len(elements)} bytes are not whole labels")
-        if payload.n > bf.m // bf.k:
-            raise FormatError(f"{payload.n} refresh elements exceed m // k = {bf.m // bf.k}")
-        prev = b""
-        for at in range(0, len(elements), LAMBDA):
-            element = elements[at : at + LAMBDA]
-            if element <= prev:
-                raise FormatError("refresh elements are not strictly ascending", offset=at)
-            bf.add(element)
-            prev = element
+        bf = _rebuild(self.bf.m, self.bf.k, payload.elements, ())
         with self._lock:
             if payload.t < self.t:
                 raise ProtocolError(f"non-monotonic timestamp {payload.t} < {self.t}")
             self.bf = bf
             self.sigma = payload.sigma
             self.t = payload.t
+            self.elements = payload.elements
+            self.refreshed_at = len(self.tbl)
             self._start_log()
             self.refreshes["adopted"] += 1
             self.refreshes["elements"] += payload.n
@@ -372,7 +396,7 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESRV9, canonical: restore accepts no other encoding of the
+        """DSSESR10, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
         The mode flag, then [group key, epoch, sigma, t]; the files; the
@@ -382,11 +406,24 @@ class CloudServer(Persistent):
         that table. Each shared id list is written once, before the
         entries; a merged entry names its list by number and its prefix
         length. Lists are numbered in the order entries, in sorted-label
-        order, first use them. Keys, labels, masks and gammas are
-        fixed-width; the filter runs to the end."""
+        order, first use them. Each entry's flag byte says whether it is a
+        chain entry (_CHAIN) and, in full mode, whether its label arrived
+        after the last refresh (_SINCE). Keys, labels, masks and gammas are
+        fixed-width. The filter is its header (m, k), then u32 n and the n
+        elements of the last refresh, ascending: no bits.
+
+        The bytes gather in a small buffer that spills into the output, so
+        the snapshot is held about once while it is written."""
         with self._lock:
             full = self.mode == FULL
+            out = io.BytesIO()
             buf = bytearray(_SNAPSHOT_MAGIC)
+
+            def spill() -> None:
+                if len(buf) >= _SPILL:
+                    out.write(buf)
+                    buf.clear()
+
             put_u8(buf, 1 if full else 0)
             if full:
                 buf += self.r
@@ -399,6 +436,7 @@ class CloudServer(Persistent):
             for fid in fids:
                 put_bytes(buf, fid)
                 put_bytes(buf, self.files[fid])
+                spill()
             labels = sorted(self.tbl)
             number: dict[int, int] = {}  # id() of a shared list -> its number
             chains: list[list[bytes]] = []
@@ -412,36 +450,61 @@ class CloudServer(Persistent):
                 put_u32(buf, len(chain))
                 for fid in chain:
                     put_u32(buf, place[fid])
+                spill()
+            # the labels since the refresh, ascending, met in step with labels
+            since = iter(sorted(islice(self.tbl, self.refreshed_at, None)) if full else ())
+            marked = next(since, None)
             put_u64(buf, len(labels))
             for tau in labels:
                 entry = self.tbl[tau]
                 buf += tau
+                flags = 0
+                if tau == marked:
+                    flags, marked = _SINCE, next(since, None)
                 if isinstance(entry, ChainEntry):
-                    put_u8(buf, 1)
+                    put_u8(buf, flags | _CHAIN)
                     buf += entry.mu
                     put_u32(buf, place[entry.file_id])
                 else:
-                    put_u8(buf, 0)
+                    put_u8(buf, flags)
                     put_u32(buf, number[id(entry.chain)])
                     put_u32(buf, entry.n)
                     if full:
                         buf += entry.gamma
-            if not full:
-                return bytes(buf)
-            return b"".join((buf, *self.bf.buffers()))  # the bits are copied once
+                spill()
+            if full:
+                put_u32(buf, self.bf.m)
+                put_u32(buf, self.bf.k)
+                put_u32(buf, len(self.elements) // LAMBDA)
+                buf += self.elements
+            out.write(buf)
+            return out.getvalue()
 
     @classmethod
     def restore(cls, data: bytes) -> "CloudServer":
         """The server a snapshot holds. Every file number resolves to the
-        table's own id object, so entries and lists share one per file."""
+        table's own id object, so entries and lists share one per file.
+
+        The filter is built again (_rebuild) from the refresh's elements
+        and the marked labels, once every field has parsed. The marked
+        labels enter the table after the others, so they are again its
+        suffix. The header is checked as a serialized filter's is
+        (check_header); a snapshot can thus ask for a filter of up to the
+        header's 2^32 - 1 bits (512 MB) without carrying it, the most a
+        server's BloomParams can size."""
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
         full = r.flag()
         if full:
-            # a placeholder filter; the snapshot's own bytes replace it below
+            # a placeholder filter; the one the snapshot describes replaces it
             server = cls(FULL, BloomParams(0.5, 1), r.fixed(LAMBDA), r.u64())
+            at = r.pos
             server.sigma = r.bytes_()
+            if len(server.sigma) not in (0, LAMBDA):  # empty before the first upload
+                raise FormatError(
+                    f"sigma is {len(server.sigma)} bytes, expected 0 or {LAMBDA}", offset=at
+                )
             server.t = r.u64()
         else:
             server = cls(BASIC)
@@ -459,25 +522,39 @@ class CloudServer(Persistent):
 
         chains = [[file() for _ in range(r.u32())] for _ in range(r.u64())]
         used = 0  # lists numbered so far, in sorted-label order
+        known = _CHAIN | _SINCE if full else _CHAIN
+        since: dict[bytes, ChainEntry | MergedEntry] = {}
         for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
-            if r.flag():
-                server.tbl[tau] = ChainEntry(r.fixed(width), file())
-                continue
             at = r.pos
-            i, n = r.u32(), r.u32()
-            if i > used or i >= len(chains):
-                raise FormatError(f"id list {i} out of range or out of order", offset=at)
-            if not 1 <= n <= len(chains[i]):
-                raise FormatError(
-                    f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
-                )
-            used = max(used, i + 1)
-            gamma = r.fixed(LAMBDA) if full else None
-            server.tbl[tau] = MergedEntry(chains[i], n, gamma)
+            flags = r.u8()
+            if flags & ~known:
+                raise FormatError(f"entry flags {flags:#04x}", offset=at)
+            if flags & _CHAIN:
+                entry = ChainEntry(r.fixed(width), file())
+            else:
+                at = r.pos
+                i, n = r.u32(), r.u32()
+                if i > used or i >= len(chains):
+                    raise FormatError(f"id list {i} out of range or out of order", offset=at)
+                if not 1 <= n <= len(chains[i]):
+                    raise FormatError(
+                        f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
+                    )
+                used = max(used, i + 1)
+                gamma = r.fixed(LAMBDA) if full else None
+                entry = MergedEntry(chains[i], n, gamma)
+            (since if flags & _SINCE else server.tbl)[tau] = entry
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
+        server.refreshed_at = len(server.tbl)
+        server.tbl.update(since)
         if full:
-            server.bf = BloomFilter.deserialize(r.rest())
-            server._start_log()
+            at = r.pos
+            m, k = r.u32(), r.u32()
+            check_header(m, k, offset=at)
+            server.elements = r.fixed(r.u32() * LAMBDA)
         r.expect_end()
+        if full:
+            server.bf = _rebuild(m, k, server.elements, since)
+            server._start_log()
         return server

@@ -193,11 +193,13 @@ def test_restores_refuse_a_filter_asking_for_too_many_hashes():
     owner = DataOwner.generate("full", BloomParams(0.01, 100))
     server = CloudServer("full", BloomParams(0.01, 100), group_key=owner.keys.r)
     server.add(owner.add_file(b"data", ["a:1"], 1_700_000_000))
-    for blob, bf, restore in (
-        (owner.snapshot(), owner.bf, DataOwner.restore),
-        (server.snapshot(), server.bf, CloudServer.restore),
+    owner_blob, server_blob = owner.snapshot(), server.snapshot()
+    for blob, k_at, bf, restore in (
+        # the owner's serialized filter is its last field; the server's
+        # header is followed by u32 n and the n elements of the last refresh
+        (owner_blob, len(owner_blob) - len(owner.bf.bits) - 4, owner.bf, DataOwner.restore),
+        (server_blob, len(server_blob) - len(server.elements) - 8, server.bf, CloudServer.restore),
     ):
-        k_at = len(blob) - len(bf.bits) - 4  # the filter is the last field
         k = struct.unpack_from(">I", blob, k_at)[0]
         assert k == bf.k
         data = bytearray(blob)

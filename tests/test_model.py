@@ -29,7 +29,7 @@ from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.scenario import ADVERSARY_BEHAVIORS, AdversarialServer
 from dsse.owner import DataOwner
 from dsse.protocol import FRESHNESS_WINDOW, FULL, RefreshPayload, verify_result
-from dsse.server import MergedEntry
+from dsse.server import CloudServer, MergedEntry
 from dsse.user import AuthorizedUser
 from dsse.wire import Client
 
@@ -272,10 +272,15 @@ class ThreeRoles(RuleBasedStateMachine):
     def snapshot_and_restore(self):
         """Restored roles replace the live ones; a restored server serves
         honestly and logs only its current version, and a restored user
-        holds no filter."""
+        holds no filter. The server snapshot holds no filter bits, so the
+        filter it builds is compared with the live one, and so is the
+        whole filter each serves honestly."""
         owner_blob, server_blob = self.owner.snapshot(), self.server.snapshot()
         self.owner = DataOwner.restore(owner_blob)
+        live = self.server
         self._serve(AdversarialServer.restore(server_blob))
+        assert self.server.bf == live.bf
+        assert CloudServer.get_bloom(self.server) == CloudServer.get_bloom(live)
         user_blobs = [user.snapshot() for user in self.users]
         self.users = [AuthorizedUser.restore(blob) for blob in user_blobs]
         assert self.owner.snapshot() == owner_blob

@@ -87,8 +87,8 @@ def golden_state(role, mode):
 GOLDEN_SNAPSHOTS = {
     ("owner", "full"): "8571510847e8ef588eb32f994d20b84b6000a9ee2532e720b3eef407b6d4db85",
     ("owner", "basic"): "0f21f47a9117fc2110db9ee7c955aac7f9c2fa28e7630422738a31b268b2d1ee",
-    ("server", "full"): "b8ca2db36d11b3a196aa62c41fe822fa7a4fb1955c6086f92e2138dae9b6e82a",
-    ("server", "basic"): "a6e8d6ecddeacd75dfdf80973266bbc1f28dc3a85c043f45143e15f010c276a0",
+    ("server", "full"): "a720a8055d6070429677ee28d4dba617f4c305bc94deeaa63760f1f41eecddc1",
+    ("server", "basic"): "487b82232f2edeb9b4009c7017541daf83f3b75c770564349525b07febfc8279",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }
 

@@ -2,6 +2,7 @@ import ast
 import hmac
 import pathlib
 import random
+import struct
 import types
 
 import pytest
@@ -820,8 +821,9 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESRV9")
-    # DSSESRV8 held labels and masks from two PRF calls under each chain
+    assert blob.startswith(b"DSSESR10")
+    # DSSESRV9 held the filter's bits where DSSESR10 holds the elements of
+    # the last refresh and marks the labels added since; DSSESRV8 held labels and masks from two PRF calls under each chain
     # key, the keys derived over a hashed input; DSSESRV7 held 48-byte masks
     # (the previous label, its key and gamma) under labels that were PRFs of
     # (keyword, counter), and gammas over result tags that named no place;
@@ -830,7 +832,7 @@ def test_previous_snapshot_version_refused():
     # DSSESRV3 flagged and length-prefixed the fields the mode and LAMBDA
     # fix, and put the filter before the entries; DSSESRV3 also had filter
     # bits from the older index function
-    for magic in (b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
+    for magic in (b"DSSESRV9", b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries
@@ -840,6 +842,122 @@ def test_previous_snapshot_version_refused():
     v2 = b"DSSESRV2" + blob[8:lists_at] + blob[lists_at + 8 :]
     with pytest.raises(FormatError, match="not a server snapshot"):
         CloudServer.restore(v2)
+
+
+def filter_at(blob, server):
+    """Where the snapshot's filter starts: its header (m, k), then u32 n
+    and the n elements of the last refresh end the blob."""
+    return len(blob) - len(server.elements) - 12
+
+
+def assert_restored_filter(back, server):
+    assert back.bf == server.bf
+    assert (back.sigma, back.t) == (server.sigma, server.t)
+    assert CloudServer.get_bloom(back) == CloudServer.get_bloom(server)
+
+
+def test_a_restored_server_builds_the_live_filter_before_any_refresh():
+    owner, server = build()
+    ingest(owner, server, 6, lambda i: ["w", f"kw:{i % 3}"])
+    server.search(owner.gen_token("w"))
+    blob = server.snapshot()
+    assert server.elements == b"" and server.refreshed_at == 0
+    # no bits: the header and no elements, and every label marked
+    assert blob[filter_at(blob, server) :] == struct.pack(">III", server.bf.m, server.bf.k, 0)
+    back = CloudServer.restore(blob)
+    assert_restored_filter(back, server)
+    assert back.refreshed_at == 0 and back.snapshot() == blob
+
+
+def test_a_restored_server_builds_the_live_filter_after_a_refresh_and_uploads():
+    owner, server = build()
+    ingest(owner, server, 6, lambda i: ["w", f"kw:{i % 3}"])
+    payload = owner.refresh_bloom(NOW + 6 * 600)
+    server.refresh(payload)
+    ingest(owner, server, 3, lambda i: ["w", "late:1"], start=NOW + 7 * 600)
+    server.search(owner.gen_token("w"))  # merges labels from both sides of the refresh
+    blob = server.snapshot()
+    assert server.elements == payload.elements and payload.n > 0
+    tail = struct.pack(">III", server.bf.m, server.bf.k, payload.n) + payload.elements
+    assert blob[filter_at(blob, server) :] == tail
+    back = CloudServer.restore(blob)
+    assert_restored_filter(back, server)
+    # the labels since the refresh are again the table's suffix
+    since = list(server.tbl)[server.refreshed_at :]
+    assert len(since) == 3 * 2 and set(list(back.tbl)[back.refreshed_at :]) == set(since)
+    assert back.snapshot() == blob
+    # and a restored server keeps them marked through its next upload
+    ingest(owner, back, 1, lambda i: ["w"], start=NOW + 10 * 600)
+    again = CloudServer.restore(back.snapshot())
+    assert_restored_filter(again, back)
+
+
+def test_restore_refuses_more_than_m_over_k_elements_before_hashing_any(monkeypatch):
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    blob = server.snapshot()
+    count = server.bf.m // server.bf.k + 1
+    rng = random.Random(11)
+    elements = b"".join(sorted({rng.randbytes(LAMBDA) for _ in range(count)}))
+    assert len(elements) == count * LAMBDA
+    data = blob[: filter_at(blob, server) + 8] + struct.pack(">I", count) + elements
+
+    def refuse(*args):
+        raise AssertionError("a filter was built")
+
+    monkeypatch.setattr(BloomFilter, "empty", classmethod(refuse))
+    monkeypatch.setattr(BloomFilter, "add", refuse)
+    with pytest.raises(FormatError, match=f"{count} refresh elements exceed m // k"):
+        CloudServer.restore(data)
+
+
+def test_restore_refuses_unsorted_elements_and_unknown_flag_bits():
+    owner, server = build()
+    ingest(owner, server, 4, lambda i: ["w", f"kw:{i}"])
+    server.refresh(owner.refresh_bloom(NOW + 4 * 600))
+    ingest(owner, server, 1, lambda i: ["w"], start=NOW + 5 * 600)
+    blob = server.snapshot()
+    first, second = server.elements[:LAMBDA], server.elements[LAMBDA : 2 * LAMBDA]
+    elements_at = len(blob) - len(server.elements)
+    for swapped in (second + first, first + first):
+        data = blob[:elements_at] + swapped + blob[elements_at + 2 * LAMBDA :]
+        with pytest.raises(FormatError, match="not strictly ascending"):
+            CloudServer.restore(data)
+    # the flag byte after each label: bit 0 a chain entry, bit 1 marked
+    tau = min(server.tbl)
+    flag_at = blob.index(tau) + LAMBDA
+    for flag in (0x04, 0x80, blob[flag_at] | 0x08):
+        data = blob[:flag_at] + bytes([flag]) + blob[flag_at + 1 :]
+        with pytest.raises(FormatError, match="entry flags") as refused:
+            CloudServer.restore(data)
+        assert refused.value.offset == flag_at
+    # a basic server has no filter, so no label of it is marked
+    owner, server = build("basic")
+    ingest(owner, server, 1, lambda i: ["w"])
+    blob = server.snapshot()
+    flag_at = blob.index(min(server.tbl)) + LAMBDA
+    assert blob[flag_at] == 0x01
+    with pytest.raises(FormatError, match="entry flags"):
+        CloudServer.restore(blob[:flag_at] + b"\x03" + blob[flag_at + 1 :])
+
+
+def test_restore_refuses_a_sigma_neither_empty_nor_lambda_bytes():
+    # a snapshot whose sigma was rewritten to 100,000 bytes restored, and
+    # get_bloom() then served that sigma
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    blob = server.snapshot()
+    sigma_at = 8 + 1 + LAMBDA + 8  # magic, mode flag, group key, epoch
+    assert blob[sigma_at : sigma_at + 4 + LAMBDA] == struct.pack(">I", LAMBDA) + server.sigma
+    rest = blob[sigma_at + 4 + LAMBDA :]
+    for width in (100_000, LAMBDA - 1, LAMBDA + 1):
+        data = blob[:sigma_at] + struct.pack(">I", width) + bytes(width) + rest
+        with pytest.raises(FormatError, match=f"sigma is {width} bytes") as refused:
+            CloudServer.restore(data)
+        assert refused.value.offset == sigma_at
+    # before the first upload sigma is empty
+    fresh = CloudServer("full", PARAMS, group_key=owner.keys.r)
+    assert CloudServer.restore(fresh.snapshot()).sigma == b""
 
 
 def test_restore_refuses_a_mode_byte_that_disagrees_with_the_state():

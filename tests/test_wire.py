@@ -296,7 +296,7 @@ def refresh_frame(elements: bytes, n: int, sigma: bytes, t: int) -> bytes:
 
 
 def server_state(server):
-    return server.snapshot(), dict(server._versions), server.sigma, server.t
+    return server.snapshot(), bytes(server.bf.bits), dict(server._versions), server.sigma, server.t
 
 
 def too_many_elements(server) -> bytes:
