@@ -22,10 +22,11 @@ grows m to pay for it.
 A filter crosses the network in one form, serialize()'s: what the filter
 MAC covers, what the owner's snapshot stores and what a GET_BLOOM reply
 carries. A REFRESH carries no filter at all, only the elements of the
-refreshed one, from which the server builds the same filter
-(owner.refresh_bloom). The server's snapshot stores no bits either: only
-the header, those elements and a mark on each label added since, from
-which restore builds the filter again (server.CloudServer.restore).
+refreshed one (owner.refresh_bloom). The server holds no bits for it
+either: only the header, those elements and the labels its table gained
+since, and its snapshot only those (a mark on each such label). It builds
+the bits from them only when a whole GET_BLOOM reply needs them
+(server.CloudServer.bf).
 
 Counter embedding stores a keyword's latest counter as one filter element
 per decimal digit (position 1 = least significant); extraction probes each

@@ -128,8 +128,9 @@ def bench_refresh(
     """Median cost of a refresh at a year-sized filter after n_files
     uploads: the owner's rebuild (refresh_bloom) plus an in-process
     Client.refresh, in which the REFRESH is encoded and decoded and the
-    server builds the filter from its elements. Also returns the REFRESH
-    frame's length and its element count."""
+    server checks its elements (it builds no bits until a whole GET_BLOOM
+    asks for them). Also returns the REFRESH frame's length and its
+    element count."""
     owner = DataOwner.generate(FULL, YEAR_PARAMS)
     client = Client.in_process(CloudServer(FULL, YEAR_PARAMS, group_key=owner.keys.r))
     for phi in synthesize_stream(seed, n_files):

@@ -60,7 +60,8 @@ class AdversarialServer(CloudServer):
         """Corrupt subsequent responses. stale_bloom freezes the current
         (filter, sigma, timestamp) and keeps serving it; arm it, ingest past
         the freshness window, then query. Arming sends nothing, so it
-        counts no fetch."""
+        counts no fetch, but it builds the filter's bits if none are built
+        (CloudServer.bf)."""
         if behavior not in ADVERSARY_BEHAVIORS:
             raise UsageError(f"unknown behavior {behavior!r}")
         with self._lock:

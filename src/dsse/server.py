@@ -9,10 +9,13 @@ it is their log: a caller holding an older version of the filter can be
 answered with the taus added since, whenever that is smaller than the
 filter itself, and the current version with none.
 
-So the filter is fully determined by the elements of the last REFRESH
-the server adopted and the labels the table gained since, and that is all
-a snapshot keeps of it: the header (m, k), those elements, and a mark on
-each label added since. Restore builds the filter from them.
+So the filter is fully determined by its header (m, k), the elements of
+the last REFRESH the server adopted and the labels the table gained since:
+its generating set. That is all the server holds of it, and all a snapshot
+keeps (a mark on each label added since). The server does not check the
+filter; it only relays it, so its bits are built only when a whole filter
+must be sent, from the generating set, and kept in step with each later
+upload until the next REFRESH or restore drops them (CloudServer.bf).
 
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one chain key, from which it derives that
@@ -26,7 +29,7 @@ from __future__ import annotations
 import io
 import threading
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -85,25 +88,17 @@ class MergedEntry:
         return tuple(self.chain[self.n - 1 :: -1])
 
 
-def _rebuild(m: int, k: int, elements: bytes, labels: Iterable[bytes]) -> BloomFilter:
-    """The filter of (m, k) holding a refresh's elements and the labels
-    added since. The elements must be whole LAMBDA-byte labels, strictly
-    ascending, and at most m // k of them; all three are checked before the
-    bits are allocated or any element is hashed."""
+def _check_elements(m: int, k: int, elements: bytes) -> None:
+    """Refuse a refresh's elements unless they are whole LAMBDA-byte
+    labels, at most m // k of them (counted before any is read) and
+    strictly ascending."""
     if len(elements) % LAMBDA:
         raise FormatError(f"refresh elements of {len(elements)} bytes are not whole labels")
     if len(elements) // LAMBDA > m // k:
         raise FormatError(f"{len(elements) // LAMBDA} refresh elements exceed m // k = {m // k}")
-    split = [elements[at : at + LAMBDA] for at in range(0, len(elements), LAMBDA)]
-    for i in range(1, len(split)):
-        if split[i] <= split[i - 1]:
-            raise FormatError("refresh elements are not strictly ascending", offset=i * LAMBDA)
-    bf = BloomFilter.empty(m, k)
-    for element in split:
-        bf.add(element)
-    for label in labels:
-        bf.add(label)
-    return bf
+    for at in range(LAMBDA, len(elements), LAMBDA):
+        if elements[at : at + LAMBDA] <= elements[at - LAMBDA : at]:
+            raise FormatError("refresh elements are not strictly ascending", offset=at)
 
 
 def _extend(below: MergedEntry | None, fresh: list[bytes]) -> list[bytes]:
@@ -136,15 +131,15 @@ class CloudServer(Persistent):
             raise UsageError("a full-mode server needs the group key")
         self.tbl: dict[bytes, ChainEntry | MergedEntry] = {}
         self.files: dict[bytes, bytes] = {}
-        self.bf: BloomFilter | None = (
-            BloomFilter(bloom_params or BloomParams()) if self.mode == FULL else None
-        )
         self.sigma = b""
         self.t = 0
-        # the last adopted REFRESH's elements, and the table's length then:
-        # the labels added since are its suffix (full mode)
+        # the filter's generating set (full mode): its header, the last
+        # adopted REFRESH's elements, and the table's length then, for the
+        # labels added since are its suffix
+        self.m, self.k = (0, 0) if self.mode != FULL else (bloom_params or BloomParams()).derive()
         self.elements = b""
         self.refreshed_at = 0
+        self._bits: BloomFilter | None = None  # built by bf, dropped by refresh
         self.r = group_key
         self.epoch = epoch
         self.last_search_lookups = 0
@@ -154,6 +149,9 @@ class CloudServer(Persistent):
         self.filter_bytes_served: Counter[str] = Counter()
         # REFRESHes adopted, and the elements they carried; cumulative
         self.refreshes: Counter[str] = Counter(adopted=0, elements=0)
+        # filter bits built from the generating set, and the elements
+        # (refresh elements and labels) hashed to build them; cumulative
+        self.filters_built: Counter[str] = Counter(builds=0, elements=0)
         self._lock = threading.RLock()
         self._versions: dict[tuple[int, bytes], int] = {}  # none before an upload
 
@@ -175,7 +173,7 @@ class CloudServer(Persistent):
         versions = self._versions
         versions.pop((self.t, self.sigma), None)  # keep the positions ascending
         versions[self.t, self.sigma] = end
-        filter_size = sum(map(len, self.bf.buffers()))
+        filter_size = 8 + self.m // 8  # its serialization: header and bits
         cut = end - (filter_size - 1) // LAMBDA  # oldest position worth a delta
         while versions[oldest := next(iter(versions))] < cut:
             del versions[oldest]
@@ -216,10 +214,11 @@ class CloudServer(Persistent):
                     raise ProtocolError(
                         f"entry sized {len(tau)}/{len(mu)}, expected {LAMBDA}/{width}"
                     )
+            bits = self._bits
             for tau, mu in payload.entries:
                 self.tbl[tau] = ChainEntry(mu, payload.file_id)
-                if self.mode == FULL:
-                    self.bf.add(tau)
+                if bits is not None:
+                    bits.add(tau)
             self.files[payload.file_id] = payload.ciphertext
             if self.mode == FULL:
                 self.sigma = payload.sigma
@@ -241,19 +240,20 @@ class CloudServer(Persistent):
 
     def refresh(self, payload: RefreshPayload) -> None:
         """Adopt the owner's rebuilt filter wholesale: an empty filter of
-        this server's size, with the payload's elements added (_rebuild
-        checks them). Sigma must be LAMBDA bytes. The filter is built
-        outside the lock, which is held only to check the timestamp and
-        swap."""
+        this server's size, with the payload's elements added. Sigma (LAMBDA
+        bytes) and the elements (_check_elements) are checked before
+        anything changes. No bits are built: the elements become the
+        generating set in the locked swap, which checks the timestamp and
+        drops any bits built."""
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
         if len(payload.sigma) != LAMBDA:
             raise ProtocolError(f"sigma is {len(payload.sigma)} bytes, expected {LAMBDA}")
-        bf = _rebuild(self.bf.m, self.bf.k, payload.elements, ())
+        _check_elements(self.m, self.k, payload.elements)
         with self._lock:
             if payload.t < self.t:
                 raise ProtocolError(f"non-monotonic timestamp {payload.t} < {self.t}")
-            self.bf = bf
+            self._bits = None
             self.sigma = payload.sigma
             self.t = payload.t
             self.elements = payload.elements
@@ -366,6 +366,27 @@ class CloudServer(Persistent):
     # Filter publication
     # ------------------------------------------------------------------
 
+    @property
+    def bf(self) -> BloomFilter | None:
+        """The published filter's bits (None in basic mode). The first call
+        since the last REFRESH or restore builds them from the generating
+        set: the refresh's elements and the labels the table gained since.
+        Each later ADD adds its labels to them."""
+        if self.mode != FULL:
+            return None
+        with self._lock:
+            if self._bits is None:
+                bits = BloomFilter.empty(self.m, self.k)
+                elements = self.elements
+                for at in range(0, len(elements), LAMBDA):
+                    bits.add(elements[at : at + LAMBDA])
+                for label in islice(self.tbl, self.refreshed_at, None):
+                    bits.add(label)
+                self.filters_built["builds"] += 1
+                self.filters_built["elements"] += bits.n_inserted
+                self._bits = bits
+            return self._bits
+
     def get_bloom(
         self, since: tuple[int, bytes] | None = None
     ) -> tuple[bytes | list[bytes], bytes, int]:
@@ -375,7 +396,8 @@ class CloudServer(Persistent):
         holds it, update is the list of taus added since, which the caller
         adds to its copy: empty when since is current. The log holds only
         versions for which that list is smaller than the filter. Otherwise
-        update is the serialized filter."""
+        update is the serialized filter, whose bits the first such answer
+        since the last REFRESH or restore builds (bf)."""
         with self._lock:
             if self.mode != FULL:
                 raise UsageError("no published filter in basic mode")
@@ -473,8 +495,8 @@ class CloudServer(Persistent):
                         buf += entry.gamma
                 spill()
             if full:
-                put_u32(buf, self.bf.m)
-                put_u32(buf, self.bf.k)
+                put_u32(buf, self.m)
+                put_u32(buf, self.k)
                 put_u32(buf, len(self.elements) // LAMBDA)
                 buf += self.elements
             out.write(buf)
@@ -485,20 +507,20 @@ class CloudServer(Persistent):
         """The server a snapshot holds. Every file number resolves to the
         table's own id object, so entries and lists share one per file.
 
-        The filter is built again (_rebuild) from the refresh's elements
-        and the marked labels, once every field has parsed. The marked
-        labels enter the table after the others, so they are again its
-        suffix. The header is checked as a serialized filter's is
-        (check_header); a snapshot can thus ask for a filter of up to the
-        header's 2^32 - 1 bits (512 MB) without carrying it, the most a
-        server's BloomParams can size."""
+        The filter's generating set is restored and no bits are built: the
+        marked labels enter the table after the others, so they are again
+        its suffix, and the refresh's elements are checked as a REFRESH's
+        are (_check_elements) once every field has parsed. The header is
+        checked as a serialized filter's is (check_header); a snapshot can
+        thus name a filter of up to the header's 2^32 - 1 bits (512 MB)
+        without carrying it, the most a server's BloomParams can size, and
+        the first whole GET_BLOOM builds it."""
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
         full = r.flag()
         if full:
-            # a placeholder filter; the one the snapshot describes replaces it
-            server = cls(FULL, BloomParams(0.5, 1), r.fixed(LAMBDA), r.u64())
+            server = cls(FULL, group_key=r.fixed(LAMBDA), epoch=r.u64())
             at = r.pos
             server.sigma = r.bytes_()
             if len(server.sigma) not in (0, LAMBDA):  # empty before the first upload
@@ -550,11 +572,11 @@ class CloudServer(Persistent):
         server.tbl.update(since)
         if full:
             at = r.pos
-            m, k = r.u32(), r.u32()
-            check_header(m, k, offset=at)
+            server.m, server.k = r.u32(), r.u32()
+            check_header(server.m, server.k, offset=at)
             server.elements = r.fixed(r.u32() * LAMBDA)
         r.expect_end()
         if full:
-            server.bf = _rebuild(m, k, server.elements, since)
+            _check_elements(server.m, server.k, server.elements)
             server._start_log()
         return server

@@ -31,8 +31,8 @@ clear (basic mode), w is 16 (a key). A SEARCH token is the AEAD ciphertext
 of one chain key (44 bytes) in full mode and the key itself in basic.
 
 A REFRESH carries no filter: its n elements are the refreshed filter's
-digit elements, strictly ascending, which the server adds to an empty
-filter of its own size (m and k never cross the wire). A refreshed filter
+digit elements, strictly ascending, which build it when added to an empty
+filter of the server's size (m and k never cross the wire). A refreshed filter
 holds only digit embeddings, so its elements are far fewer bytes than its
 bits. Every filter on the wire is raw.
 

@@ -218,7 +218,11 @@ def test_user_query_records_faults_instead_of_raising(caplog):
         assert system.oracle.count(keyword) >= 3
         # a server that lost an interior entry answers with a broken chain; the
         # table is the server's tau log, so the loss comes before the upload
-        # whose version the user fetches
+        # whose version the user fetches. The lost label also leaves the
+        # filter's generating set: a whole filter is sent before the loss, so
+        # the bits it built hold the label and the user's whole fetch passes
+        # sigma
+        system.client.get_bloom()
         del system.server.tbl[chain_label(system.owner.keys.k_prf, keyword, 2)]
         system.add_phi(last)
         absent = system.user_query(user, "heartbeat:1")

@@ -53,10 +53,10 @@ def test_add_grows_table_and_filter():
     owner, server = build()
     kws = [f"a{i}:v" for i in range(15)]
     payload = owner.add_file(b"f", kws, NOW)
-    before = server.bf.n_inserted
     server.add(payload)
     assert len(server.tbl) == 15
-    assert server.bf.n_inserted == before + 15
+    assert server.filters_built["builds"] == 0  # the labels join the generating set
+    assert server.bf.n_inserted == 15
     assert server.sigma == payload.sigma
     assert server.t == NOW
     assert server.files[payload.file_id] == payload.ciphertext
@@ -346,6 +346,58 @@ def test_refresh_replaces_filter_wholesale():
     assert len(rst) == 3
 
 
+def test_uploads_a_refresh_and_a_restore_build_no_filter_bits():
+    # the server only relays the filter: nothing it does short of sending a
+    # whole filter hashes an element into bits
+    owner, server = build()
+    ingest(owner, server, 20, lambda i: ["w", f"kw:{i % 4}"])
+    server.refresh(owner.refresh_bloom(NOW + 20 * 600))
+    ingest(owner, server, 5, lambda i: ["w"], start=NOW + 21 * 600)
+    back = CloudServer.restore(server.snapshot())
+    assert server.filters_built == back.filters_built == {"builds": 0, "elements": 0}
+    assert server.refreshes == {"adopted": 1, "elements": len(server.elements) // LAMBDA}
+
+
+@pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+def test_the_first_whole_get_bloom_builds_the_owners_filter_once(restored):
+    owner, server = build()
+    ingest(owner, server, 6, lambda i: ["w", f"kw:{i % 3}"])
+    for refreshed in (False, True):
+        if refreshed:
+            payload = owner.refresh_bloom(server.t + 600)
+            server.refresh(payload)
+            ingest(owner, server, 2, lambda i: ["w", "late:1"], start=server.t + 600)
+        subject = CloudServer.restore(server.snapshot()) if restored else server
+        built = subject.filters_built.copy()
+        assert subject.get_bloom()[0] == owner.bf.serialize()
+        # the refresh's elements and the labels since, hashed once
+        since = len(subject.tbl) - subject.refreshed_at
+        assert subject.filters_built == {
+            "builds": built["builds"] + 1,
+            "elements": built["elements"] + len(subject.elements) // LAMBDA + since,
+        }
+    assert refreshed and payload.n > 0 and since == 2 * 2
+
+
+def test_built_bits_follow_each_add_until_a_refresh_drops_them():
+    owner, server = build()
+    kws = [f"a{i}:v" for i in range(15)]
+    ingest(owner, server, 3, lambda i: kws)
+    server.get_bloom()
+    assert server.filters_built == {"builds": 1, "elements": 3 * 15}
+    t = server.t
+    for i in range(1, 3):
+        server.add(owner.add_file(f"late{i}".encode(), kws, t + 600 * i))
+        assert server.bf.n_inserted == (3 + i) * 15
+    assert server.get_bloom()[0] == owner.bf.serialize()
+    assert server.filters_built == {"builds": 1, "elements": 3 * 15}
+    payload = owner.refresh_bloom(t + 1800)
+    server.refresh(payload)
+    assert server.filters_built["builds"] == 1
+    assert server.get_bloom()[0] == owner.bf.serialize()
+    assert server.filters_built == {"builds": 2, "elements": 3 * 15 + payload.n}
+
+
 def test_get_bloom_honest_and_basic_unsupported():
     owner, server = build()
     ingest(owner, server, 1, lambda i: ["w"])
@@ -385,6 +437,17 @@ def test_arming_stale_bloom_counts_no_fetch():
     ingest(owner, server, 1, lambda i: ["w"], start=NOW + 600)
     assert server.get_bloom() == (bf_bytes, sigma, t)
     assert server.get_bloom((t, sigma)) == ([], sigma, t)
+
+
+def test_stale_bloom_armed_before_any_bits_are_built_serves_the_owners_filter():
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    assert server.filters_built["builds"] == 0
+    frozen = owner.bf.serialize(), server.sigma, server.t
+    server.set_adversary("stale_bloom")
+    assert server.filters_built["builds"] == 1
+    ingest(owner, server, 2, lambda i: ["w"], start=NOW + 1200)
+    assert server.get_bloom() == frozen
 
 
 def test_get_bloom_answers_a_logged_version_with_the_taus_added_since():

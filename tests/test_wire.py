@@ -301,7 +301,7 @@ def server_state(server):
 
 def too_many_elements(server) -> bytes:
     """m // k + 1 distinct labels, ascending: one more than a REFRESH may carry."""
-    count = server.bf.m // server.bf.k + 1
+    count = server.m // server.k + 1
     return b"".join(sorted({rng.randbytes(LAMBDA) for _ in range(count)}))
 
 
@@ -392,13 +392,17 @@ def test_a_refresh_count_above_m_over_k_is_refused_before_any_hash(monkeypatch):
     add = BloomFilter.add
     monkeypatch.setattr(BloomFilter, "add", lambda bf, e: hashed.append(e) or add(bf, e))
     too_many = too_many_elements(server)
-    before = server_state(server)
+    before = server_state(server)  # builds the bits: count only the REFRESH's hashes
+    del hashed[:]
     with pytest.raises(FormatError, match="exceed m // k"):
         client.refresh(RefreshPayload(too_many, b"\x01" * 16, last_t + 600))
-    assert hashed == [] and server_state(server) == before
+    assert hashed == []
+    assert server_state(server) == before
     honest = owner.refresh_bloom(last_t + 600)
     del hashed[:]
     client.refresh(honest)
+    assert hashed == []  # a REFRESH hashes nothing; the next whole filter hashes its elements
+    client.get_bloom()
     assert b"".join(hashed) == honest.elements
 
 
@@ -725,6 +729,50 @@ def test_a_shared_client_keeps_its_ciphertexts_in_step_under_threads():
             assert client.ciphertexts["sent"] == len(server.files)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_whole_fetches_racing_uploads_and_refreshes_get_the_owners_filter():
+    # the server builds its filter's bits at the first whole GET_BLOOM since
+    # a refresh and adds each later upload's labels to them: 3 threads fetch
+    # whole filters while uploads and refreshes arrive, and a build that
+    # missed a label, or that outlived the refresh it raced, would serve
+    # bits other than the owner's at that version
+    owner, server, _, last_t = build_system(5)
+    expected = {last_t: owner.bf.serialize()}
+    done = threading.Event()
+    n_threads = 3
+
+    def fetches(_):
+        client = wire.Client.in_process(server)
+        answers = []
+        while not done.is_set():
+            answers.append(client.get_bloom(None))
+        return answers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            futures = [pool.submit(fetches, i) for i in range(n_threads)]
+            t = last_t
+            try:
+                for i in range(48):
+                    t += 600
+                    if i % 6 == 5:
+                        server.refresh(owner.refresh_bloom(t))
+                    else:
+                        keywords = [f"race{j}:{i}" for j in range(15)]
+                        server.add(owner.add_file(f"race{i}".encode(), keywords, t))
+                    expected[t] = owner.bf.serialize()
+            finally:
+                done.set()
+            answers = [a for future in futures for a in future.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({at for _, _, at in answers}) > 10
+    for update, _, at in answers:
+        assert update == expected[at], at
+    assert server.get_bloom()[0] == expected[t]
 
 
 def test_conditional_get_bloom():
