@@ -189,19 +189,33 @@ def bench_search(result_size: int = 100, repeats: int = 9) -> SearchBench:
     return SearchBench(new_ms, rec_ms, new_lookups, rec_lookups)
 
 
-def bench_search_reply_bytes(result_size: int = 100) -> tuple[int, int]:
-    """SEARCH reply bytes for the first search of a `result_size`-file
-    keyword and for a repeat of it over the same client, whose reply names
-    every ciphertext as held."""
+@dataclass
+class SearchReplyBench:
+    first: int
+    repeat: int
+    after_upload: int
+    new_ciphertext: int
+
+
+def bench_search_reply_bytes(result_size: int = 100) -> SearchReplyBench:
+    """SEARCH reply bytes over one client (basic mode) for the first search
+    of a `result_size`-file keyword, for a repeat of it, which names the id
+    list the first left, and for a search after one more upload, which
+    carries that file's id and its ciphertext (new_ciphertext bytes) only."""
     owner = DataOwner.generate(BASIC)
-    client = Client.in_process(CloudServer(BASIC))
-    for phi in synthesize_stream(14, result_size):
+    server = CloudServer(BASIC)
+    client = Client.in_process(server)
+    *phis, late = synthesize_stream(14, result_size + 1)
+    for phi in phis:
         client.add(owner.add_file(phi.to_bytes(), ["reply:1"], phi.timestamp))
     client.transport = recorder = RecordingTransport(client.transport)
     for _ in range(2):
         client.search(owner.gen_token("reply:1"))
-    first, repeat = (len(reply) for _, reply in recorder.frames)
-    return first, repeat
+    payload = owner.add_file(late.to_bytes(), ["reply:1"], late.timestamp)
+    server.add(payload)
+    client.search(owner.gen_token("reply:1"))
+    first, repeat, after_upload = (len(reply) for _, reply in recorder.frames)
+    return SearchReplyBench(first, repeat, after_upload, len(payload.ciphertext))
 
 
 @dataclass
@@ -314,6 +328,28 @@ def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
     )
 
 
+def bench_restore_full(
+    n_files: int = 300, repeats: int = 5, seed: int = 15
+) -> tuple[float, int]:
+    """Median time of `repeats` restores of a full-mode server snapshot at
+    a year-sized filter, taken after n_files uploads with a REFRESH halfway:
+    restore checks that REFRESH's elements and marks the labels added since
+    (it builds no bits). Also returns the snapshot's length."""
+    owner = DataOwner.generate(FULL, YEAR_PARAMS)
+    server = CloudServer(FULL, YEAR_PARAMS, group_key=owner.keys.r)
+    for i, phi in enumerate(synthesize_stream(seed, n_files)):
+        if i == n_files // 2:
+            server.refresh(owner.refresh_bloom(phi.timestamp - 1))
+        server.add(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
+    blob = server.snapshot()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        CloudServer.restore(blob)
+        samples.append(time.perf_counter() - t0)
+    return _median_ms(samples), len(blob)
+
+
 # ---------------------------------------------------------------------------
 # Owner-state scale run (opt-in)
 # ---------------------------------------------------------------------------
@@ -398,10 +434,13 @@ def run_bench(
                "ms", f"{sb.recurring_lookups} lookups")
     report.laws["recurring_search_not_slower"] = sb.recurring_ms <= sb.new_ms
     report.laws["recurring_lookups_smaller"] = sb.recurring_lookups < sb.new_lookups
-    first_bytes, repeat_bytes = bench_search_reply_bytes(search_chain)
-    report.add("search_reply_repeat", float(repeat_bytes), None, "bytes",
-               f"{search_chain}-file keyword searched again over one client; "
-               f"first search {first_bytes} B")
+    rb = bench_search_reply_bytes(search_chain)
+    report.add("search_reply_repeat", float(rb.repeat), None, "bytes",
+               f"{search_chain}-file keyword searched again over one client, naming "
+               f"the id list of the first search ({rb.first} B)")
+    report.add("search_reply_after_upload", float(rb.after_upload), None, "bytes",
+               f"the same keyword after one more upload: one id and its "
+               f"{rb.new_ciphertext} B ciphertext")
 
     vb = bench_verify(verify_counts)
     top = vb.counts[-1]
@@ -422,7 +461,11 @@ def run_bench(
                f"entries answer with {mb.answered_ids}")
     report.add("server_snapshot", float(mb.snapshot_bytes), None, "bytes",
                "after the same uploads and searches")
-    report.add("server_restore", mb.restore_ms, None, "ms", "restore of that snapshot")
+    report.add("server_restore", mb.restore_ms, None, "ms", "restore of that basic-mode snapshot")
+    restore_ms, snapshot_bytes = bench_restore_full()
+    report.add("server_restore_full", restore_ms, None, "ms",
+               f"restore of a {snapshot_bytes} B full-mode snapshot, year-sized filter, "
+               f"a REFRESH and later uploads")
     # one keyword chain: stored ids at most its distinct ids
     report.laws["stored_merged_ids_linear"] = mb.stored_ids <= mb.steps
     return report

@@ -3,13 +3,15 @@
 Requests are the protocol values themselves: an AddPayload, RefreshPayload
 or SearchTokenEnvelope goes on the wire as it is, and GetBloom and Rotate
 are the two requests with no protocol value of their own. Every answer is
-a Reply whose value is what the server method returned: a search is
-answered with (ids, ciphertexts, gamma), the one shape CloudServer.search,
-the SEARCH reply and Client.search share (gamma is None in basic mode).
+a Reply whose value is what the server method returned, except for a
+search: CloudServer.search and Client.search share the shape (ids,
+ciphertexts, gamma), ids newest-first and gamma None in basic mode, while
+the SEARCH reply's value is (list, prefix, ids, ciphertexts, gamma), the
+answer less what its connection already holds (below).
 
 Message layout:
 
-    version(1) = 0x0A | kind(1) | body
+    version(1) = 0x0B | kind(1) | body
 
 Request kinds 0x01..0x05 (ADD, REFRESH, SEARCH, GET_BLOOM, ROTATE) and
 response kinds 0x81..0x85. Every variable-length field is a 4-byte
@@ -46,15 +48,30 @@ server cannot decode gets a FORMAT reply of the kind its header names, or of
 kind ADD when that byte names no request. OK bodies:
 
     ADD, REFRESH, ROTATE   message
-    SEARCH     u32 n | n x (id(16) | flag [| ciphertext]) | flag [| gamma(16)]
+    SEARCH     u32 list | u32 prefix | u32 n | n x (id(16) | flag [| ciphertext])
+               | flag [| gamma(16)]
     GET_BLOOM  flag | (filter, or when the flag is 1: u32 n | n x tau) | sigma | u64 t
 
-A SEARCH reply carries each file's ciphertext at most once per connection:
-an id's flag is 0 when its ciphertext crossed this connection in an earlier
-reply (or earlier in this one), and the ciphertext is left out. The
-connection's ServerEndpoint keeps the ids it has sent, and the Client every
-ciphertext it has received, which Client.search puts back in place. decode
-alone gives None for a held ciphertext.
+A SEARCH reply sends an id list across its connection once. Both ends of
+a connection keep the same table of id lists, oldest-first, numbered from
+0 in creation order (as HPACK's dynamic table, RFC 7541). The answer,
+oldest-first, is the first `prefix` ids of list number `list`, then the n
+ids the reply carries; `list` equal to the table's length names no list,
+and then `prefix` is 0. After an OK reply with n > 0, both ends apply one
+rule: if `prefix` is the whole list, the n ids extend that list in place;
+otherwise the answer joins the table as a new list. The endpoint names the
+list sharing the longest prefix with the answer (the lowest number on a
+tie), so a repeat of an unchanged answer carries no id, and one at an
+older counter is a prefix of the list its later answer left.
+
+Each of the n ids also carries its file's ciphertext at most once per
+connection: an id's flag is 0 when its ciphertext crossed this connection
+in an earlier reply (or earlier in this one), and the ciphertext is left
+out; every id of a list has crossed before. The connection's
+ServerEndpoint keeps the ids it has sent and the lists, and the Client
+every ciphertext it has received and the lists, from which Client.search
+rebuilds the whole answer. decode alone gives the reply as it crossed,
+None for a held ciphertext.
 
 A GET_BLOOM reply with the flag set is a delta: the n taus (LAMBDA bytes
 each, no length prefix) added to the filter since the version the request
@@ -104,7 +121,7 @@ from .protocol import (
 )
 from .server import CloudServer
 
-VERSION = 0x0A
+VERSION = 0x0B
 
 KIND_ADD = 0x01
 KIND_REFRESH = 0x02
@@ -180,9 +197,10 @@ _KINDS: dict[type, int] = {
 class Reply:
     """The answer to a request of `kind`.
 
-    value is what the server method returned on CODE_OK: (ids, ciphertexts,
-    gamma) for SEARCH, a ciphertext None where the reply names it as held;
-    (filter or list of taus, sigma, t) for GET_BLOOM; else None.
+    value on CODE_OK is, for SEARCH, (list, prefix, ids, ciphertexts,
+    gamma): the ids new to the connection's list, oldest-first, each
+    ciphertext None where the reply names it as held; for GET_BLOOM, what
+    the server returned, (filter or list of taus, sigma, t); else None.
     message explains any other code.
     """
 
@@ -240,7 +258,9 @@ def _encode_reply(msg: Reply) -> bytes:
     if msg.code != CODE_OK or msg.kind not in (KIND_SEARCH, KIND_GET_BLOOM):
         put_str(buf, msg.message)
     elif msg.kind == KIND_SEARCH:
-        ids, ciphertexts, gamma = msg.value
+        number, prefix, ids, ciphertexts, gamma = msg.value
+        put_u32(buf, number)
+        put_u32(buf, prefix)
         put_u32(buf, len(ids))
         for fid, ct in zip(ids, ciphertexts, strict=True):
             put_fixed(buf, fid, FILE_ID_LEN)
@@ -306,11 +326,13 @@ def _decode_reply(kind: int, r: Reader) -> Reply:
     if code != CODE_OK or kind not in (KIND_SEARCH, KIND_GET_BLOOM):
         return Reply(kind, code, r.str_())
     if kind == KIND_SEARCH:
+        number, prefix = r.u32(), r.u32()
         pairs = [
             (r.fixed(FILE_ID_LEN), r.bytes_() if r.flag() else None) for _ in range(r.u32())
         ]
         gamma = r.fixed(LAMBDA) if r.flag() else None
-        return Reply(kind, value=([fid for fid, _ in pairs], [ct for _, ct in pairs], gamma))
+        ids, cts = [fid for fid, _ in pairs], [ct for _, ct in pairs]
+        return Reply(kind, value=(number, prefix, ids, cts, gamma))
     if r.flag():
         update = [r.fixed(LAMBDA) for _ in range(r.u32())]
     else:
@@ -331,13 +353,23 @@ def _code_for(exc: Exception) -> int:
 
 class ServerEndpoint:
     """One connection's server side: dispatches decoded requests onto a
-    CloudServer and encodes replies. It remembers the file ids whose
-    ciphertexts it has sent, so a SEARCH reply names those as held; the
-    connection's requests are served one at a time."""
+    CloudServer and encodes replies; the connection's requests are served
+    one at a time.
+
+    It keeps the connection's table of id lists, each a list of the
+    server's own id objects, with an index from each list's first id to its
+    list numbers, and the ids whose ciphertexts it has sent. A SEARCH reply
+    names the list sharing the longest prefix with whatever server.search
+    returned, and carries only the ids past that prefix. The state grows
+    only with answers the server gives: an honest server's answers at older
+    counters are prefixes of the lists its later answers left, and add
+    nothing."""
 
     def __init__(self, server: CloudServer):
         self.server = server
         self._sent: set[bytes] = set()
+        self._lists: list[list[bytes]] = []
+        self._starts: dict[bytes, list[int]] = {}
 
     def handle_bytes(self, data: bytes) -> bytes:
         try:
@@ -381,15 +413,50 @@ class ServerEndpoint:
 
     def _send_once(
         self, ids: list[bytes], ciphertexts: list[bytes], gamma: bytes | None
-    ) -> tuple[list[bytes], list[bytes | None], bytes | None]:
-        """The answer with None (held) for each ciphertext this connection
-        has carried before."""
-        sent = self._sent
-        once = []
-        for fid, ct in zip(ids, ciphertexts, strict=True):
+    ) -> tuple[int, int, list[bytes], list[bytes | None], bytes | None]:
+        """The SEARCH reply's value for the answer (ids newest-first): the
+        list it extends and the prefix of it, then the ids past the prefix,
+        oldest-first, with None (held) for each ciphertext this connection
+        has carried before. The table takes the answer in, by the rule
+        the client applies too."""
+        answer, cts = ids[::-1], ciphertexts[::-1]
+        lists = self._lists
+        number, prefix = len(lists), 0
+        candidates = self._starts.get(answer[0], ()) if answer else ()
+        for i in candidates:
+            shared = _shared_prefix(lists[i], answer)
+            if shared > prefix:
+                number, prefix = i, shared
+        new, sent, once = answer[prefix:], self._sent, []
+        for fid, ct in zip(new, cts[prefix:], strict=True):
             once.append(None if fid in sent else ct)
             sent.add(fid)
-        return ids, once, gamma
+        if _take_in(lists, number, prefix, answer):
+            self._starts.setdefault(answer[0], []).append(len(lists) - 1)
+        return number, prefix, new, once, gamma
+
+
+def _shared_prefix(a: list[bytes], b: list[bytes]) -> int:
+    """The number of leading ids a and b share."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    return next(i for i in range(n) if a[i] != b[i])
+
+
+def _take_in(lists: list[list[bytes]], number: int, prefix: int, answer: list[bytes]) -> bool:
+    """The table rule both ends of a connection apply after an OK SEARCH
+    reply: the answer (oldest-first) is the first `prefix` ids of list
+    `number` and the ids past them. If it carried any, they extend that
+    list in place when the prefix is the whole list, and otherwise the
+    answer joins the table as list len(lists). True when it joined."""
+    if len(answer) == prefix:
+        return False
+    if number < len(lists) and prefix == len(lists[number]):
+        lists[number].extend(answer[prefix:])
+        return False
+    lists.append(answer)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +569,18 @@ class Client:
     so in-process and remote callers see identical behavior.
 
     A Client is one connection: it keeps every ciphertext a SEARCH reply
-    has sent it, by file id, and counts in `ciphertexts` how many arrived
-    sent and how many held.
+    has sent it, by file id, and the connection's table of id lists, whose
+    ids are the very id objects keyed in that cache, so no id is held
+    twice. It counts in `ciphertexts` how many of the ids it was answered
+    with arrived with their ciphertext (sent) and how many did not (held,
+    the ids of a named list's prefix included).
     """
 
     def __init__(self, transport: InProcessTransport | SocketTransport):
         self.transport = transport
         self._last_answered: tuple[int, bytes] | None = None
-        self._held: dict[bytes, bytes] = {}
+        self._held: dict[bytes, tuple[bytes, bytes]] = {}  # id -> (that id, its ciphertext)
+        self._lists: list[list[bytes]] = []
         self._lock = threading.Lock()
         self.ciphertexts: Counter[str] = Counter(sent=0, held=0)
 
@@ -551,28 +622,37 @@ class Client:
     def search(
         self, envelope: SearchTokenEnvelope
     ) -> tuple[list[bytes], list[bytes], bytes | None]:
-        """The answer (ids, ciphertexts, gamma) with every ciphertext in
-        place. A reply that names as held a ciphertext this client never
-        received, or sends again one it holds, is a ProtocolError and keeps
-        nothing of it. The exchange and the lookup hold one lock, so the
-        replies reach the cache in the order the endpoint wrote them."""
+        """The whole answer (ids, ciphertexts, gamma), ids newest-first,
+        rebuilt from the connection's table and ciphertexts. A reply that
+        names a list this client does not hold, a prefix longer than the
+        list held, a held ciphertext this client never received, or sends
+        again one it holds, is a ProtocolError and keeps nothing of it. The
+        exchange and the rebuild hold one lock, so the replies reach the
+        table in the order the endpoint wrote them."""
         with self._lock:
-            ids, cts, gamma = self._call(envelope)
-            held, fresh = self._held, {}
-            whole = []
+            number, prefix, ids, cts, gamma = self._call(envelope)
+            lists, held, fresh = self._lists, self._held, {}
+            if number > len(lists):
+                raise ProtocolError(f"reply names id list {number}; this client holds {len(lists)}")
+            base = lists[number] if number < len(lists) else []
+            if prefix > len(base):
+                raise ProtocolError(f"reply names a prefix of {prefix} ids of a list of {len(base)}")
+            answer = base[:prefix]
             for fid, ct in zip(ids, cts):
-                known = fresh.get(fid, held.get(fid))
+                known = fresh.get(fid) or held.get(fid)
                 if ct is None and known is None:
                     raise ProtocolError("reply holds back a ciphertext this client never received")
                 if ct is not None and known is not None:
                     raise ProtocolError("reply sends again a ciphertext this client holds")
                 if ct is not None:
-                    fresh[fid] = ct
-                whole.append(known if ct is None else ct)
+                    known = fresh[fid] = fid, ct
+                answer.append(known[0])
             held.update(fresh)
+            _take_in(lists, number, prefix, answer)
             self.ciphertexts["sent"] += len(fresh)
-            self.ciphertexts["held"] += len(whole) - len(fresh)
-            return ids, whole, gamma
+            self.ciphertexts["held"] += len(answer) - len(fresh)
+            answer = answer[::-1]
+            return answer, [held[fid][1] for fid in answer], gamma
 
     def get_bloom(
         self, since: tuple[int, bytes] | None | object = _LAST_ANSWERED

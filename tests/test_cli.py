@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +93,7 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
     # publish a refreshed filter that falsely holds the keyword's next counter
     owner = DataOwner.load(os.path.join(st, "owner.bin"))
     cnt = owner.tbl[keyword].cnt
-    t = json.load(open(os.path.join(st, "meta.json")))["last_t"]
+    t = json.loads(Path(st, "meta.json").read_text())["last_t"]
     refresh = owner.refresh_bloom(t)
     planted = sorted([
         *(refresh.elements[i : i + 16] for i in range(0, len(refresh.elements), 16)),
@@ -132,7 +133,7 @@ def test_rotate_revokes_user(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    meta = json.load(open(os.path.join(st, "meta.json")))
+    meta = json.loads(Path(st, "meta.json").read_text())
     assert meta["users"] == ["u1"] and meta["revoked"] == ["u2"]
 
 
@@ -146,7 +147,7 @@ def test_verify_loads_the_user_the_search_ran_as(tmp_path, capsys):
     code, _, _ = run(["--state-dir", st, "search", "--keyword", keyword], capsys)
     assert code == 0
     # the default user ran the search, and the transcript says which one
-    transcript = json.load(open(os.path.join(st, "last_search.json")))
+    transcript = json.loads(Path(st, "last_search.json").read_text())
     assert transcript["user"] == "u1"
     for name in ("u1", "u2"):  # no provisioned user is left to fall back on
         code, _, _ = run(["--state-dir", st, "rotate", "--revoke", name], capsys)
@@ -163,7 +164,7 @@ def _refuse(monkeypatch, method):
 
 
 def _state(st):
-    return {name: open(os.path.join(st, name), "rb").read() for name in ("owner.bin", "meta.json")}
+    return {name: Path(st, name).read_bytes() for name in ("owner.bin", "meta.json")}
 
 
 def test_refused_refresh_leaves_the_owner_as_the_server(tmp_path, capsys, monkeypatch):
@@ -223,7 +224,7 @@ def test_meta_carries_no_mode_and_an_older_one_still_loads(tmp_path, capsys):
     st = str(tmp_path / "st")
     run(["--state-dir", st, "gen-keys", "--mode", "basic"], capsys)
     meta_path = os.path.join(st, "meta.json")
-    meta = json.load(open(meta_path))
+    meta = json.loads(Path(meta_path).read_text())
     assert "mode" not in meta  # the owner snapshot's flag is the mode
     meta["mode"] = "basic"
     with open(meta_path, "w") as f:
@@ -253,7 +254,7 @@ def test_scenario_command_writes_records(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    lines = [json.loads(line) for line in open(out_path)]
+    lines = [json.loads(line) for line in Path(out_path).read_text().splitlines()]
     assert lines[-1]["verified_false"] == 6
 
 

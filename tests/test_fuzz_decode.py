@@ -49,7 +49,8 @@ def test_wire_decode_mutated_valid_frames():
         ))),
         wire.encode(owner.refresh_bloom(payload.t + 600)),  # an element list
         wire.encode(SEARCH_REPLY),
-        wire.encode(wire.Reply(wire.KIND_SEARCH, value=([b"\x05" * 16], [None], None))),
+        wire.encode(wire.Reply(wire.KIND_SEARCH, value=(0, 3, [b"\x05" * 16], [None], None))),
+        wire.encode(wire.Reply(wire.KIND_SEARCH, value=(1, 4, [], [], None))),  # a repeat
     ]
     for frame in frames:
         for _ in range(400):
@@ -64,9 +65,10 @@ def test_wire_decode_mutated_valid_frames():
             try_decode(bytes(data))
 
 
-# a SEARCH reply whose second ciphertext is held and whose third is empty
+# a SEARCH reply after a prefix of 6 ids of list 5, whose second
+# ciphertext is held and whose third is empty
 SEARCH_REPLY = wire.Reply(wire.KIND_SEARCH, value=(
-    [b"\x01" * 16, b"\x02" * 16, b"\x03" * 16], [b"abc", None, b""], b"\x04" * 16
+    5, 6, [b"\x01" * 16, b"\x02" * 16, b"\x03" * 16], [b"abc", None, b""], b"\x04" * 16
 ))
 
 
@@ -78,9 +80,15 @@ def test_search_reply_flags_decode_strictly():
             wire.decode(frame[:cut])
     with pytest.raises(FormatError, match="trailing"):
         wire.decode(frame + b"\x00")
-    # the flag after each id (3 + 4 header and count bytes, then id, flag,
-    # length and ciphertext), and the gamma flag
-    flags = (23, 47, 64, 69)
+    # list, prefix and count are whole u32s after the 3 header bytes, each
+    # read as it is: the client, which holds the table, checks them
+    assert frame[3:15] == struct.pack(">III", 5, 6, 3)
+    for number, prefix in ((0, 0), (2**32 - 1, 2**32 - 1), (7, 0)):
+        data = frame[:3] + struct.pack(">II", number, prefix) + frame[11:]
+        assert wire.decode(data).value[:2] == (number, prefix)
+    # the flag after each id (3 header bytes, list, prefix and count, then
+    # id, flag, length and ciphertext), and the gamma flag
+    flags = (31, 55, 72, 77)
     assert [frame[i] for i in flags] == [1, 0, 1, 1]
     for at in flags:
         for bad in (2, 0x80, 0xFF):

@@ -312,11 +312,13 @@ def test_filters_served_count_deltas_after_the_first_fetch():
 
 
 def test_a_repeated_search_reply_holds_every_ciphertext():
-    first, repeat = bench_search_reply_bytes(10)
-    # version, kind, status, u32 n, per id 16 bytes and a clear flag, and
-    # the clear gamma flag of basic mode
-    assert repeat == 3 + 4 + 10 * (16 + 1) + 1
-    assert first > repeat + 10 * 4
+    reply = bench_search_reply_bytes(10)
+    # version, kind, status, u32 list, u32 prefix, u32 n = 0 and the clear
+    # gamma flag of basic mode: the repeat names the first answer's id list
+    assert reply.repeat == 3 + 3 * 4 + 1
+    assert reply.first > reply.repeat + 10 * 4
+    # after one upload: that id, its set flag and its length-prefixed ciphertext
+    assert reply.after_upload == reply.repeat + 16 + 1 + 4 + reply.new_ciphertext
 
 
 def test_the_refresh_frame_is_its_elements():
@@ -341,7 +343,8 @@ def test_bench_smoke():
     assert "merged_ids_stored" in table and "server_snapshot" in table
     assert "server_restore" in table
     assert "REFRESH frame" in table
-    assert "search_reply_repeat" in table
+    assert "search_reply_repeat" in table and "search_reply_after_upload" in table
+    assert "server_restore_full" in table
     assert report.laws["stored_merged_ids_linear"]
     jsonl = report.to_jsonl().strip().splitlines()
     assert all(json.loads(line) for line in jsonl)

@@ -2,10 +2,10 @@
 replayed uploads, refreshes, group-key rotations that revoke a user, user
 queries, owner queries at the current and older counters, every adversary
 behaviour, filter headers and REFRESH element lists from outside, clock
-jumps and snapshot round trips, checked after every step against the
-plaintext oracle. One owner, one AdversarialServer, two users on one
-in-process client: the users share the client but each holds the filter it
-verified.
+jumps, snapshot round trips and reconnections, checked after every step
+against the plaintext oracle. One owner, one AdversarialServer, two users on
+one in-process client: the users share the client but each holds the filter
+it verified.
 """
 
 import struct
@@ -123,6 +123,13 @@ class ThreeRoles(RuleBasedStateMachine):
         for j, user in enumerate(self.users):
             if j != self.revoked:
                 user.update_group_key(r, epoch)
+
+    @rule()
+    def reconnect(self):
+        """A new connection to the same server: its endpoint and client
+        start from an empty table of id lists and hold no ciphertext, and
+        every later answer is rebuilt from what the new connection sends."""
+        self.client = Client.in_process(self.server)
 
     @rule()
     def advance_past_the_freshness_window(self):

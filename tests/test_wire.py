@@ -23,10 +23,19 @@ from dsse.errors import (
     StaleEpochError,
     TransportError,
 )
+from dsse.harness import audit
 from dsse.harness.oracle import PlaintextOracle
 from dsse.harness.phi import synthesize_stream
 from dsse.owner import DataOwner
-from dsse.protocol import AddPayload, FilterTags, RefreshPayload, SearchTokenEnvelope
+from dsse.protocol import (
+    BASIC,
+    FULL,
+    AddPayload,
+    FilterTags,
+    RefreshPayload,
+    SearchTokenEnvelope,
+    verify_result,
+)
 from dsse.server import CloudServer
 from dsse.user import AuthorizedUser
 
@@ -66,6 +75,7 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_OK))
     round_trip(wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"))
     round_trip(wire.Reply(wire.KIND_SEARCH, value=(
+        2, 7,
         [rng.randbytes(16) for _ in range(4)],
         [rng.randbytes(30) for _ in range(4)],
         rng.randbytes(16),
@@ -79,7 +89,12 @@ def test_round_trip_every_kind():
     round_trip(wire.Reply(wire.KIND_ADD, wire.CODE_INTERNAL, "boom"))
 
 
-# One frame per message shape. Version 0x0A (one PRF call per chain link)
+# One frame per message shape. Version 0x0B (an id list crosses a
+# connection once) opens an OK SEARCH reply with a u32 list number and a
+# u32 prefix before the count of the ids it carries, where 0x0A carried
+# every id of the answer; every other frame differs from 0x0A's in its
+# first byte only.
+# Version 0x0A (one PRF call per chain link)
 # writes the sigma of an ADD and of a REFRESH as 16 raw bytes where 0x09
 # put a 4-byte length before it; every other frame differs from 0x09's in
 # its first byte only.
@@ -110,74 +125,78 @@ _FULL_ADD = AddPayload(
     b"\x05" * 16, NOW,
 )
 GOLDEN_FRAMES = {
-    "add_full": (_FULL_ADD, "1108c4123e0c3fa3d8c784940ba96b3f051f14f140c3071c4dd83332fb46f45b"),
+    "add_full": (_FULL_ADD, "885c24e1679e8a8d460c1c8c4304903b54f36c31f37af3cd29ec76e6425fcfb2"),
     "add_basic": (
         AddPayload(b"B" * 16, b"ct", [(b"\x06" * 16, b"\x07" * 16)]),
-        "042dac63c21f1e8fe748d3456a99abc42a9efa4d0cf63f47a86318900e4ebe87",
+        "e2d7f80116b133094cb371ff601893eacb767868dd8980bf98f87c947c872120",
     ),
     "refresh": (
         RefreshPayload(b"\x07" * 16 + b"\x08" * 16, b"\x09" * 16, NOW),
-        "da92010ccc6dd459a2a949f0306f794fd79aac45e19625112571b294f918cfb6",
+        "965aedf65822ddcc03e3250c42d7bd4bf7cacde44e011bd577f5c6375f0b1764",
     ),
     "search": (
         SearchTokenEnvelope(3, b"\x0a" * 44),
-        "ef5b3d2f0780f2b519a3d7d4221fb7ff6d4b5938cf73e097be38c005597c9dc6",
+        "8d7fd1e9f0fcbbfa183de8a497635863cbfcc28d683c3345d1da4fee9ac07e4f",
     ),
     "get_bloom": (
         wire.GetBloom(),
-        "ad6878882a6750ba02e7d443161649036bb28782311aa80cf002c8c09e52f6b5",
+        "259fd2d72bf37fe093a5e71bbd4a851fe13b7943517f6fe830a8b41f832cbbc9",
     ),
     "get_bloom_since": (
         wire.GetBloom((NOW, b"\x0b" * 16)),
-        "15722b61c9fac9664820229f93f5f94f5fda69890a79fc34659f8c6c772cdcf4",
+        "0b8b5f334f5cb8bedda8a7abc3d7c22f362dbc4e5cf6387a7ce1b8c107330af9",
     ),
     "rotate": (
         wire.Rotate(b"\x0c" * 16, 2),
-        "cdabb6441554a906603eb6e0ee2c356369fbdea229b085968e27237c4f3e949c",
+        "29ef01973692e7619f19e70222d2ab46f30c50aa965e7b19eb4001f6408acd8f",
     ),
     "status_ok": (
         wire.Reply(wire.KIND_ADD),
-        "86e86ea448ad3aa7f554f8e4f85ca59c7793a6c2b5b17b5cc718c578462bc1c1",
+        "7805c3d7603621fe21c1523b4d42fd810e4367edb5e00d549962e2fbf5741b0d",
     ),
     "status_error": (
         wire.Reply(wire.KIND_ROTATE, wire.CODE_PROTOCOL, "bad"),
-        "a5248e78b9673460e1d35d9212afeaffb6519d62637cab6da53991f72624dbea",
+        "5a8c92c9d10426261eae3b38428c3eb2a5b1579cd42655669e7ecdf7169f66bb",
     ),
     "search_reply_proof": (
         wire.Reply(wire.KIND_SEARCH, value=(
-            [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
+            0, 0, [b"\x0d" * 16, b"\x0e" * 16], [b"ab", b"cde"], b"\x0f" * 16
         )),
-        "6dc65810bcecc68d63fdc6767d7b28c57cdf848d60f46b603cd47d00f219354e",
+        "f6efce1b1d30eb72b8d006c97f0f0957e2ce0aa0d03808f0755b5a13d7b544a8",
     ),
     "search_reply_held": (
         wire.Reply(wire.KIND_SEARCH, value=(
-            [b"\x0d" * 16, b"\x0e" * 16], [None, b"cde"], b"\x0f" * 16
+            1, 3, [b"\x0d" * 16, b"\x0e" * 16], [None, b"cde"], b"\x0f" * 16
         )),
-        "6d0e782bc5ad413de4bf36ca023eaa308cda302fc81ee48edc9130e4071f688e",
+        "a7ebba21f44392c14681f527c129f0399cfd2662f9d7e9dd6d6b50e3f4516df9",
     ),
     "search_reply_basic": (
-        wire.Reply(wire.KIND_SEARCH, value=([b"\x0d" * 16], [b"ab"], None)),
-        "8ac96df44713456b7c27a065010e02e18d1d5b7906d97e36cd14d82273e80eda",
+        wire.Reply(wire.KIND_SEARCH, value=(0, 0, [b"\x0d" * 16], [b"ab"], None)),
+        "d28db19bf1cb2f9541ff0ab6e8f21de5686c94445a465df926242e3864b12a3d",
+    ),
+    "search_reply_repeat": (
+        wire.Reply(wire.KIND_SEARCH, value=(2, 5, [], [], None)),
+        "007f77c153c11e6ebddf4fcbf420cb3bc8c99f82f9a52c5b8c838a89b1419a41",
     ),
     "search_reply_error": (
         wire.Reply(wire.KIND_SEARCH, wire.CODE_STALE_EPOCH, "stale"),
-        "118d0a6a68a0513d3d50d2c2675cd1b50ca3306648b0509b67704d5586158888",
+        "2c6f9462038bb601b6a8f0e78683d392ebb81591dbd0f7a9ac9be0e6b41501d6",
     ),
     "get_bloom_reply": (
         wire.Reply(wire.KIND_GET_BLOOM, value=(b"\x10" * 40, b"\x11" * 16, NOW)),
-        "f145e12fcfc1b18d1b2509c95d902f1d4ec38b897cb3ebbdcbef8a4c692e2100",
+        "5a876f0accce6f3c52d77c4be35ee8f33f02f213e9ccef251562f962adfb5890",
     ),
     "get_bloom_reply_delta": (
         wire.Reply(wire.KIND_GET_BLOOM, value=([b"\x12" * 16, b"\x13" * 16], b"\x11" * 16, NOW)),
-        "c0805d7fb4afab2b577fa2ad06984707ecdc4dd87e61415c7d726ab7f2c6f8da",
+        "08e8a7ca1e2e2157dfdc705dda3d18fd7421507073cd3a1d3a43e6e0823f4768",
     ),
     "get_bloom_reply_error": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_UNSUPPORTED, "basic"),
-        "005d6e52a567191d34b77f77bb31b40f23a2d3a887434f200740d3f004047ce1",
+        "aa6380298bf896d951faa92d7fddae97750e0592ce5b7fa7caf329b66a178bb3",
     ),
     "get_bloom_not_modified": (
         wire.Reply(wire.KIND_GET_BLOOM, wire.CODE_NOT_MODIFIED),
-        "321c42936059bbec542ac95c04835ca4403c56d47a9a1d03be96f108cd8e65b1",
+        "7f5ecd61fe7baf6700623448c67d06b36f685150bee19431cc85844f71ef6972",
     ),
 }
 
@@ -185,7 +204,7 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("shape", GOLDEN_FRAMES)
 def test_golden_bytes(shape):
     msg, digest = GOLDEN_FRAMES[shape]
-    assert wire.VERSION == 0x0A
+    assert wire.VERSION == 0x0B
     assert hashlib.sha256(wire.encode(msg)).hexdigest() == digest
     assert round_trip(msg) == msg
 
@@ -232,10 +251,10 @@ def test_add_request_size_formula():
     assert len(data) == expected
 
 
-def build_system(n_files=30):
-    params = BloomParams(2.0**-30, 10_000)
-    owner = DataOwner.generate("full", params)
-    server = CloudServer("full", params, group_key=owner.keys.r)
+def build_system(n_files=30, mode=FULL):
+    params = BloomParams(2.0**-30, 10_000) if mode == FULL else None
+    owner = DataOwner.generate(mode, params)
+    server = CloudServer(mode, params, group_key=owner.keys.r)
     oracle = PlaintextOracle()
     last_t = NOW
     for phi in synthesize_stream(5, n_files):
@@ -419,7 +438,7 @@ class CannedTransport:
 
 def test_reply_of_the_wrong_kind_refused():
     add_ok = wire.Reply(wire.KIND_ADD)
-    search_ok = wire.Reply(wire.KIND_SEARCH, value=([], [], None))
+    search_ok = wire.Reply(wire.KIND_SEARCH, value=(0, 0, [], [], None))
     envelope = SearchTokenEnvelope(1, b"token")
     for client_call in (
         lambda: wire.Client(CannedTransport(add_ok)).search(envelope),
@@ -459,12 +478,14 @@ def test_undecodable_request_answered_in_its_own_kind():
 
 
 A, B = b"\x0a" * 16, b"\x0b" * 16
+GAMMA = b"\x0f" * 16
 
 
-def search_reply(*pairs):
-    """An OK SEARCH reply of (id, ciphertext or None for held) pairs."""
+def search_reply(*pairs, at=(0, 0)):
+    """An OK SEARCH reply of (id, ciphertext or None for held) pairs after
+    the prefix at = (list, prefix)."""
     return wire.Reply(wire.KIND_SEARCH, value=(
-        [fid for fid, _ in pairs], [ct for _, ct in pairs], b"\x0f" * 16
+        *at, [fid for fid, _ in pairs], [ct for _, ct in pairs], GAMMA
     ))
 
 
@@ -487,13 +508,35 @@ def test_a_reply_sending_again_a_held_ciphertext_is_refused_and_keeps_nothing():
         search_reply((B, None)),  # so B was not kept
         search_reply((A, None)),
     ))
-    assert client.search(envelope) == ([A], [b"ct-a"], b"\x0f" * 16)
+    assert client.search(envelope) == ([A], [b"ct-a"], GAMMA)
     with pytest.raises(ProtocolError, match="sends again"):
         client.search(envelope)
     with pytest.raises(ProtocolError, match="never received"):
         client.search(envelope)
-    assert client.search(envelope) == ([A], [b"ct-a"], b"\x0f" * 16)
+    assert client.search(envelope) == ([A], [b"ct-a"], GAMMA)
     assert client.ciphertexts == {"sent": 1, "held": 1}
+
+
+def test_a_reply_naming_a_list_or_prefix_not_held_is_refused_and_keeps_nothing():
+    # each hostile reply sends B's ciphertext: had any of them kept it, the
+    # honest reply at the end would send it again
+    envelope = SearchTokenEnvelope(1, b"token")
+    client = wire.Client(CannedTransport(
+        search_reply((A, b"ct-a")),  # no list: the table becomes [[A]]
+        search_reply((B, b"ct-b"), at=(2, 0)),  # list 2 of 1
+        search_reply((B, b"ct-b"), at=(0, 2)),  # a prefix of 2 of [A]
+        search_reply((B, b"ct-b"), at=(1, 1)),  # no list, and a prefix
+        search_reply((B, b"ct-b"), at=(0, 1)),  # [A], then B: extends the list
+    ))
+    assert client.search(envelope) == ([A], [b"ct-a"], GAMMA)
+    for refused in ("id list 2; this client holds 1", "prefix of 2 ids of a list of 1",
+                    "prefix of 1 ids of a list of 0"):
+        with pytest.raises(ProtocolError, match=refused):
+            client.search(envelope)
+        assert client._lists == [[A]] and client.ciphertexts == {"sent": 1, "held": 0}
+    assert client.search(envelope) == ([B, A], [b"ct-b", b"ct-a"], GAMMA)
+    assert client._lists == [[A, B]]
+    assert client.ciphertexts == {"sent": 2, "held": 1}
 
 
 def test_each_connection_receives_each_ciphertext_once():
@@ -518,6 +561,70 @@ def test_each_connection_receives_each_ciphertext_once():
             client.close()
     finally:
         ws.stop()
+
+
+@pytest.mark.parametrize("mode", [FULL, BASIC])
+def test_each_connection_receives_each_id_once(mode):
+    # two connections to one WireServer search every keyword twice, then
+    # once more after uploads: every answer is whole, equals the oracle's and
+    # verifies, and a connection is sent each id of a keyword's answer once,
+    # so a repeat of an unchanged answer carries no id
+    owner, server, oracle, last_t = build_system(30, mode)
+    ws = wire.WireServer(server)
+    ws.start()
+    try:
+        clients = [wire.Client.connect(*ws.address) for _ in range(2)]
+        for client in clients:
+            client.transport = audit.RecordingTransport(client.transport)
+        changed = set(oracle.keywords())
+        for step in range(3):
+            if step == 2:  # uploads of files that some keywords already name
+                changed = set()
+                for i in range(3):
+                    last_t += 600
+                    keywords = oracle.keywords()[i::7]
+                    payload = owner.add_file(f"late{i}".encode(), keywords, last_t)
+                    server.add(payload)
+                    oracle.add(payload.file_id, keywords)
+                    changed.update(keywords)
+            for client in clients:
+                for w in oracle.keywords():
+                    ids, cts, gamma = client.search(owner.gen_token(w))
+                    assert ids == oracle.ids_newest_first(w)
+                    assert cts == server.ciphertexts_for(ids)
+                    assert mode == BASIC or owner.verify(w, ids, cts, gamma, last_t + 60).ok
+                    reply = client.transport.frames[-1][1]
+                    if step and w not in changed:
+                        assert wire.decode(reply).value[1:3] == (len(ids), [])
+                        assert len(reply) == (16 if mode == BASIC else 32)
+            changed = set()
+        answered = sum(oracle.count(w) for w in oracle.keywords())
+        for client in clients:
+            replies = [wire.decode(reply).value for _, reply in client.transport.frames]
+            assert 0 < sum(len(ids) for _, _, ids, _, _ in replies) <= answered
+            assert client.ciphertexts["sent"] == len(server.files)
+            client.close()
+    finally:
+        ws.stop()
+
+
+def test_a_search_at_an_older_counter_is_a_prefix_reply():
+    # the answer at an older counter is a prefix of the id list the newest
+    # answer left: the reply names it and carries no id, and adds no list
+    owner, server, oracle, _ = build_system(30)
+    recorder = audit.RecordingTransport(wire.InProcessTransport(wire.ServerEndpoint(server)))
+    client = wire.Client(recorder)
+    keyword = max(oracle.keywords(), key=oracle.count)
+    newest = oracle.ids_newest_first(keyword)
+    assert len(newest) >= 3
+    client.search(owner.gen_token(keyword))
+    for c in range(len(newest), 0, -1):
+        ids, cts, gamma = client.search(owner.token_for_counter(keyword, c))
+        assert ids == newest[-c:] and cts == server.ciphertexts_for(ids)
+        assert verify_result(owner.keys.k_mac, keyword, c, ids, cts, gamma).ok
+        assert wire.decode(recorder.frames[-1][1]).value[:4] == (0, c, [], [])
+    assert client._lists == [newest[::-1]]
+    assert client.ciphertexts == {"sent": len(newest), "held": sum(range(len(newest) + 1))}
 
 
 def test_a_version_0x09_peer_is_refused_by_format_not_by_verification():
@@ -552,12 +659,47 @@ def test_a_version_0x09_peer_is_refused_by_format_not_by_verification():
         assert (reply.kind, reply.code) == (kind, wire.CODE_FORMAT)
         assert "unknown version 0x09" in reply.message
     assert server.snapshot() == before
-    answer = server.search(owner.gen_token(keyword))
-    old_reply = bytes([0x09]) + wire.encode(wire.Reply(wire.KIND_SEARCH, value=answer))[1:]
+    old_reply = flagged_search_reply(0x09, *server.search(owner.gen_token(keyword)))
     client = wire.Client(CannedTransport(old_reply))
     with pytest.raises(FormatError, match="unknown version 0x09"):
         client.search(owner.gen_token(keyword))
     assert client.ciphertexts == {"sent": 0, "held": 0}
+
+
+def flagged_search_reply(version, ids, cts, gamma) -> bytes:
+    """An OK SEARCH reply in the layout of versions 0x08 to 0x0A: every id
+    of the answer, each with a set flag and its ciphertext, and gamma."""
+    frame = bytearray((version, wire.KIND_SEARCH | 0x80, wire.CODE_OK))
+    frame += struct.pack(">I", len(ids))
+    for fid, ct in zip(ids, cts, strict=True):
+        frame += fid + b"\x01" + struct.pack(">I", len(ct)) + ct
+    return bytes(frame + b"\x01" + gamma)
+
+
+def test_a_version_0x0A_peer_is_refused_by_format_not_by_verification():
+    # a 0x0A peer's frames differ from 0x0B's in the first byte, and its
+    # SEARCH reply carried every id of the answer, with no list or prefix:
+    # each is refused by its version byte, a request in its own kind before
+    # any of it reaches the server, a reply before the client holds any of
+    # its ids or ciphertexts
+    owner, server, oracle, last_t = build_system(5)
+    endpoint = wire.ServerEndpoint(server)
+    keyword = oracle.keywords()[0]
+    before = server.snapshot()
+    for msg, kind in (
+        (owner.add_file(b"new", ["w"], last_t + 600), wire.KIND_ADD),
+        (owner.refresh_bloom(last_t + 600), wire.KIND_REFRESH),
+        (owner.gen_token(keyword), wire.KIND_SEARCH),
+    ):
+        reply = wire.decode(endpoint.handle_bytes(bytes([0x0A]) + wire.encode(msg)[1:]))
+        assert (reply.kind, reply.code) == (kind, wire.CODE_FORMAT)
+        assert "unknown version 0x0a" in reply.message
+    assert server.snapshot() == before
+    old_reply = flagged_search_reply(0x0A, *server.search(owner.gen_token(keyword)))
+    client = wire.Client(CannedTransport(old_reply))
+    with pytest.raises(FormatError, match="unknown version 0x0a"):
+        client.search(owner.gen_token(keyword))
+    assert client.ciphertexts == {"sent": 0, "held": 0} and client._lists == []
 
 
 def test_a_version_0x08_refresh_is_refused_by_format_not_adopted():
