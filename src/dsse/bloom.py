@@ -24,9 +24,9 @@ MAC covers, what the owner's snapshot stores and what a GET_BLOOM reply
 carries. A REFRESH carries no filter at all, only the elements of the
 refreshed one (owner.refresh_bloom). The server holds no bits for it
 either: only the header, those elements and the labels its table gained
-since, and its snapshot only those (a mark on each such label). It builds
-the bits from them only when a whole GET_BLOOM reply needs them
-(server.CloudServer.bf).
+since, and its snapshot only those (the labels since in runs of their
+own). It builds the bits from them only when a whole GET_BLOOM reply
+needs them (server.CloudServer.bf).
 
 Counter embedding stores a keyword's latest counter as one filter element
 per decimal digit (position 1 = least significant); extraction probes each

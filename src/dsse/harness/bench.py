@@ -330,24 +330,27 @@ def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
 
 def bench_restore_full(
     n_files: int = 300, repeats: int = 5, seed: int = 15
-) -> tuple[float, int]:
-    """Median time of `repeats` restores of a full-mode server snapshot at
-    a year-sized filter, taken after n_files uploads with a REFRESH halfway:
-    restore checks that REFRESH's elements and marks the labels added since
-    (it builds no bits). Also returns the snapshot's length."""
+) -> tuple[float, float, int]:
+    """Median times of `repeats` restores, and of as many snapshots, of a
+    full-mode server at a year-sized filter after n_files uploads with a
+    REFRESH halfway: the snapshot writes the labels before and since that
+    REFRESH as runs of their own, and restore checks its elements and
+    builds no bits. Also returns the snapshot's length."""
     owner = DataOwner.generate(FULL, YEAR_PARAMS)
     server = CloudServer(FULL, YEAR_PARAMS, group_key=owner.keys.r)
     for i, phi in enumerate(synthesize_stream(seed, n_files)):
         if i == n_files // 2:
             server.refresh(owner.refresh_bloom(phi.timestamp - 1))
         server.add(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
-    blob = server.snapshot()
-    samples = []
+    restores, snapshots = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
+        blob = server.snapshot()
+        t1 = time.perf_counter()
         CloudServer.restore(blob)
-        samples.append(time.perf_counter() - t0)
-    return _median_ms(samples), len(blob)
+        snapshots.append(t1 - t0)
+        restores.append(time.perf_counter() - t1)
+    return _median_ms(restores), _median_ms(snapshots), len(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +465,11 @@ def run_bench(
     report.add("server_snapshot", float(mb.snapshot_bytes), None, "bytes",
                "after the same uploads and searches")
     report.add("server_restore", mb.restore_ms, None, "ms", "restore of that basic-mode snapshot")
-    restore_ms, snapshot_bytes = bench_restore_full()
+    restore_ms, snapshot_ms, snapshot_bytes = bench_restore_full()
     report.add("server_restore_full", restore_ms, None, "ms",
                f"restore of a {snapshot_bytes} B full-mode snapshot, year-sized filter, "
                f"a REFRESH and later uploads")
+    report.add("server_snapshot_full", snapshot_ms, None, "ms", "snapshot() of that server")
     # one keyword chain: stored ids at most its distinct ids
     report.laws["stored_merged_ids_linear"] = mb.stored_ids <= mb.steps
     return report

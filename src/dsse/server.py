@@ -12,10 +12,11 @@ filter itself, and the current version with none.
 So the filter is fully determined by its header (m, k), the elements of
 the last REFRESH the server adopted and the labels the table gained since:
 its generating set. That is all the server holds of it, and all a snapshot
-keeps (a mark on each label added since). The server does not check the
-filter; it only relays it, so its bits are built only when a whole filter
-must be sent, from the generating set, and kept in step with each later
-upload until the next REFRESH or restore drops them (CloudServer.bf).
+keeps (the labels added since are runs of their own). The server does not
+check the filter; it only relays it, so its bits are built only when a
+whole filter must be sent, from the generating set, and kept in step with
+each later upload until the next REFRESH or restore drops them
+(CloudServer.bf).
 
 The server never sees keywords. Its table maps opaque labels to masked
 entries; a search token gives it one chain key, from which it derives that
@@ -54,10 +55,7 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESR10"
-# an entry's flag bits in a snapshot
-_CHAIN = 0x01  # a chain entry; a merged entry if clear
-_SINCE = 0x02  # its label arrived after the last refresh (full mode only)
+_SNAPSHOT_MAGIC = b"DSSESR11"
 _SPILL = 1 << 12  # snapshot bytes gathered before they move to the output
 
 
@@ -418,21 +416,21 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESR10, canonical: restore accepts no other encoding of the
+        """DSSESR11, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
-        The mode flag, then [group key, epoch, sigma, t]; the files; the
-        shared id lists; the entries; [filter] ([..] only in full mode).
-        The file table comes first, ids ascending, and names each file id
-        once: id lists and chain entries name a file by its u32 place in
-        that table. Each shared id list is written once, before the
-        entries; a merged entry names its list by number and its prefix
-        length. Lists are numbered in the order entries, in sorted-label
-        order, first use them. Each entry's flag byte says whether it is a
-        chain entry (_CHAIN) and, in full mode, whether its label arrived
-        after the last refresh (_SINCE). Keys, labels, masks and gammas are
-        fixed-width. The filter is its header (m, k), then u32 n and the n
-        elements of the last refresh, ascending: no bits.
+        The mode flag, then [group key, epoch, sigma (a presence byte, then
+        LAMBDA bytes), t]; the files; the shared id lists; four runs of
+        entries; [filter] ([..] only in full mode). The file table comes
+        first, ids ascending, and names each file id once: id lists and
+        chain entries name a file by its u32 place in it. Each shared id
+        list is written once; a merged entry names it by number and its
+        prefix length. The runs are the chain entries, then the merged
+        entries, whose labels came before the last refresh, then the same
+        two for the labels since: each a u64 count and its records, labels
+        ascending. Lists are numbered by first use in run order. Every field
+        but a ciphertext is fixed-width. The filter is its header (m, k),
+        then u32 n and the n elements of the last refresh: no bits.
 
         The bytes gather in a small buffer that spills into the output, so
         the snapshot is held about once while it is written."""
@@ -450,50 +448,47 @@ class CloudServer(Persistent):
             if full:
                 buf += self.r
                 put_u64(buf, self.epoch)
-                put_bytes(buf, self.sigma)  # empty before the first upload
+                put_u8(buf, 1 if self.sigma else 0)
+                buf += self.sigma
                 put_u64(buf, self.t)
             fids = sorted(self.files)
             place = {fid: i for i, fid in enumerate(fids)}
             put_u64(buf, len(fids))
             for fid in fids:
-                put_bytes(buf, fid)
+                buf += fid
                 put_bytes(buf, self.files[fid])
                 spill()
-            labels = sorted(self.tbl)
+            runs: tuple[list[bytes], ...] = ([], [], [], [])
+            for i, (tau, entry) in enumerate(self.tbl.items()):
+                runs[2 * (i >= self.refreshed_at) + isinstance(entry, MergedEntry)].append(tau)
+            for run in runs:
+                run.sort()
             number: dict[int, int] = {}  # id() of a shared list -> its number
             chains: list[list[bytes]] = []
-            for tau in labels:
-                entry = self.tbl[tau]
-                if isinstance(entry, MergedEntry) and id(entry.chain) not in number:
-                    number[id(entry.chain)] = len(chains)
-                    chains.append(entry.chain)
+            for run in runs[1::2]:
+                for chain in (self.tbl[tau].chain for tau in run):
+                    if id(chain) not in number:
+                        number[id(chain)] = len(chains)
+                        chains.append(chain)
             put_u64(buf, len(chains))
             for chain in chains:
                 put_u32(buf, len(chain))
                 for fid in chain:
                     put_u32(buf, place[fid])
                 spill()
-            # the labels since the refresh, ascending, met in step with labels
-            since = iter(sorted(islice(self.tbl, self.refreshed_at, None)) if full else ())
-            marked = next(since, None)
-            put_u64(buf, len(labels))
-            for tau in labels:
-                entry = self.tbl[tau]
-                buf += tau
-                flags = 0
-                if tau == marked:
-                    flags, marked = _SINCE, next(since, None)
-                if isinstance(entry, ChainEntry):
-                    put_u8(buf, flags | _CHAIN)
-                    buf += entry.mu
-                    put_u32(buf, place[entry.file_id])
-                else:
-                    put_u8(buf, flags)
-                    put_u32(buf, number[id(entry.chain)])
-                    put_u32(buf, entry.n)
-                    if full:
-                        buf += entry.gamma
-                spill()
+            for run in runs:
+                put_u64(buf, len(run))
+                for tau in run:
+                    entry = self.tbl[tau]
+                    buf += tau
+                    if isinstance(entry, ChainEntry):
+                        buf += entry.mu
+                        put_u32(buf, place[entry.file_id])
+                    else:
+                        put_u32(buf, number[id(entry.chain)])
+                        put_u32(buf, entry.n)
+                        buf += entry.gamma or b""  # none in basic mode
+                    spill()
             if full:
                 put_u32(buf, self.m)
                 put_u32(buf, self.k)
@@ -507,31 +502,29 @@ class CloudServer(Persistent):
         """The server a snapshot holds. Every file number resolves to the
         table's own id object, so entries and lists share one per file.
 
-        The filter's generating set is restored and no bits are built: the
-        marked labels enter the table after the others, so they are again
-        its suffix, and the refresh's elements are checked as a REFRESH's
-        are (_check_elements) once every field has parsed. The header is
-        checked as a serialized filter's is (check_header); a snapshot can
-        thus name a filter of up to the header's 2^32 - 1 bits (512 MB)
-        without carrying it, the most a server's BloomParams can size, and
-        the first whole GET_BLOOM builds it."""
+        The runs enter the table in the order they were written, so the
+        labels since the last refresh are again its suffix; a label read in
+        an earlier run is refused, and so is any entry before a basic
+        server's refresh (it has none, so all its labels come after). The
+        filter's generating set is restored and no bits are built: the
+        refresh's elements are checked as a REFRESH's are (_check_elements)
+        once every field has parsed. The header is checked as a serialized
+        filter's is (check_header); a snapshot can thus name a filter of up
+        to the header's 2^32 - 1 bits (512 MB) without carrying it, the
+        most a server's BloomParams can size, and the first whole GET_BLOOM
+        builds it."""
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
         full = r.flag()
         if full:
             server = cls(FULL, group_key=r.fixed(LAMBDA), epoch=r.u64())
-            at = r.pos
-            server.sigma = r.bytes_()
-            if len(server.sigma) not in (0, LAMBDA):  # empty before the first upload
-                raise FormatError(
-                    f"sigma is {len(server.sigma)} bytes, expected 0 or {LAMBDA}", offset=at
-                )
+            server.sigma = r.fixed(LAMBDA) if r.flag() else b""
             server.t = r.u64()
         else:
             server = cls(BASIC)
         width = mask_width(server.mode)
-        for fid in r.ascending("file id", r.bytes_):
+        for fid in r.ascending("file id", lambda: r.fixed(FILE_ID_LEN)):
             server.files[fid] = r.bytes_()
         fids = list(server.files)
 
@@ -543,17 +536,20 @@ class CloudServer(Persistent):
             return fids[i]
 
         chains = [[file() for _ in range(r.u32())] for _ in range(r.u64())]
-        used = 0  # lists numbered so far, in sorted-label order
-        known = _CHAIN | _SINCE if full else _CHAIN
-        since: dict[bytes, ChainEntry | MergedEntry] = {}
-        for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
-            at = r.pos
-            flags = r.u8()
-            if flags & ~known:
-                raise FormatError(f"entry flags {flags:#04x}", offset=at)
-            if flags & _CHAIN:
-                entry = ChainEntry(r.fixed(width), file())
-            else:
+        used = 0  # lists numbered so far, in run order
+        tbl = server.tbl
+        for run in range(4):
+            if run == 2:
+                server.refreshed_at = len(tbl)
+            for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
+                at = r.pos - LAMBDA
+                if tau in tbl:
+                    raise FormatError("index label in two runs", offset=at)
+                if run < 2 and not full:
+                    raise FormatError("an entry before a basic server's refresh", offset=at)
+                if run % 2 == 0:
+                    tbl[tau] = ChainEntry(r.fixed(width), file())
+                    continue
                 at = r.pos
                 i, n = r.u32(), r.u32()
                 if i > used or i >= len(chains):
@@ -563,13 +559,9 @@ class CloudServer(Persistent):
                         f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
                     )
                 used = max(used, i + 1)
-                gamma = r.fixed(LAMBDA) if full else None
-                entry = MergedEntry(chains[i], n, gamma)
-            (since if flags & _SINCE else server.tbl)[tau] = entry
+                tbl[tau] = MergedEntry(chains[i], n, r.fixed(LAMBDA) if full else None)
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
-        server.refreshed_at = len(server.tbl)
-        server.tbl.update(since)
         if full:
             at = r.pos
             server.m, server.k = r.u32(), r.u32()

@@ -6,12 +6,14 @@ label, fails it."""
 import pytest
 
 from dsse.crypto import LAMBDA
-from dsse.errors import DsseError
+from dsse.errors import DsseError, NotFoundError, ProtocolError
 from dsse.harness.audit import RecordingTransport, audit
 from dsse.harness.phi import synthesize_stream
 from dsse.harness.scenario import SimulatedSystem, default_bloom_params
-from dsse.protocol import FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
-from dsse.wire import GetBloom, Reply, Rotate, decode, encode
+from dsse.owner import DataOwner
+from dsse.protocol import BASIC, FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
+from dsse.server import CloudServer
+from dsse.wire import Client, GetBloom, Reply, Rotate, decode, encode
 
 
 def recorded_episode(mode: str, n_files: int = 240, seed: int = 11):
@@ -123,3 +125,50 @@ def test_a_refresh_holding_a_later_label_fails_the_audit():
     unsorted = RefreshPayload(b"".join(elements[::-1]), refresh.sigma, refresh.t)
     forged = frames[:at] + [(encode(unsorted), frames[at][1])] + frames[at + 1 :]
     assert audit(forged, group_key) == [f"frame {at}: refresh elements not strictly ascending"]
+
+
+def test_a_byte_identical_replayed_add_brings_no_finding():
+    # an owner retrying after a lost ack sends the same frame again
+    frames, group_key, _ = recorded_episode(FULL, n_files=80)
+    msgs = [decode(request) for request, _ in frames]
+    first = next(i for i, msg in enumerate(msgs) if isinstance(msg, AddPayload))
+    mid = len(frames) // 2
+    replayed = frames[:mid] + [frames[first]] + frames[mid:]
+    assert audit(replayed, group_key) == []
+
+
+def test_a_label_brought_again_by_another_add_is_a_finding():
+    frames, group_key, _ = recorded_episode(FULL, n_files=80)
+    msgs = [decode(request) for request, _ in frames]
+    adds = [i for i, msg in enumerate(msgs) if isinstance(msg, AddPayload)]
+    first, last = adds[0], adds[-1]
+    tau = msgs[first].entries[0][0]
+    payload = msgs[last]
+    entries = [(tau, payload.entries[0][1]), *payload.entries[1:]]
+    again = AddPayload(payload.file_id, payload.ciphertext, entries, payload.sigma, payload.t)
+    forged = frames[:last] + [(encode(again), frames[last][1])] + frames[last + 1 :]
+    findings = audit(forged, group_key)
+    assert findings[0] == f"frame {last}: label first added at frame {first} added again"
+    # the label now counts as the later upload's, so tokens before it reach it
+    assert all(f.endswith(f"reaches a label added at frame {last}") for f in findings[1:])
+
+
+def test_a_token_that_ends_at_a_missing_label_or_is_refused_brings_no_finding():
+    owner = DataOwner.generate(BASIC)
+    client = Client.in_process(CloudServer(BASIC))
+    recorder = client.transport = RecordingTransport(client.transport)
+    for i in range(3):
+        client.add(owner.add_file(f"f{i}".encode(), ["w"], 1_700_000_000 + i * 600))
+    client.search(owner.gen_token("w"))
+    with pytest.raises(NotFoundError):  # a key no upload's chain starts from
+        client.search(SearchTokenEnvelope(0, b"\x0b" * LAMBDA))
+    with pytest.raises(ProtocolError):  # a key the server refuses
+        client.search(SearchTokenEnvelope(0, b"\x0b" * (LAMBDA - 1)))
+    frames = recorder.frames
+    assert len(frames) == 6 and audit(frames, None) == []
+    # the middle upload dropped: the walk from the head ends at its label
+    assert audit(frames[:1] + frames[2:], None) == []
+    # the same gap with the search moved before the last upload: what the
+    # walk reached before the gap is still a finding
+    moved = frames[:1] + [frames[3], frames[2]] + frames[4:]
+    assert audit(moved, None) == ["frame 1: the token reaches a label added at frame 2"]

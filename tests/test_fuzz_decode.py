@@ -11,7 +11,7 @@ from dsse.bloom import BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import FormatError
 from dsse.owner import DataOwner
-from dsse.protocol import BASIC, RefreshPayload, mask_width
+from dsse.protocol import BASIC, FILE_ID_LEN, RefreshPayload, mask_width
 from dsse.server import ChainEntry, CloudServer
 from dsse.user import AuthorizedUser
 
@@ -137,7 +137,8 @@ def test_mutated_refresh_element_lists_are_adopted_whole_or_refused_cleanly():
 
 def assert_widths(state) -> None:
     """Every key, label and gamma a restored state holds is LAMBDA bytes,
-    every mask is its mode's width, and basic mode holds no gamma."""
+    every mask is its mode's width, every file id a server holds is
+    FILE_ID_LEN bytes, and basic mode holds no gamma."""
     if isinstance(state, AuthorizedUser):
         fixed = [state.k_prf, state.k_se, state.k_mac, state.r]
     elif isinstance(state, DataOwner):
@@ -147,8 +148,11 @@ def assert_widths(state) -> None:
     else:
         fixed = list(state.tbl) + ([] if state.r is None else [state.r])
         chain = [e for e in state.tbl.values() if isinstance(e, ChainEntry)]
+        merged = [e for e in state.tbl.values() if not isinstance(e, ChainEntry)]
         assert all(len(e.mu) == mask_width(state.mode) for e in chain)
-        gammas = [e.gamma for e in state.tbl.values() if not isinstance(e, ChainEntry)]
+        gammas = [e.gamma for e in merged]
+        ids = [*state.files, *(e.file_id for e in chain), *(fid for e in merged for fid in e.chain)]
+        assert all(len(fid) == FILE_ID_LEN for fid in ids)
     if not isinstance(state, AuthorizedUser):
         if state.mode == BASIC:
             assert gammas == [None] * len(gammas)

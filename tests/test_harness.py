@@ -344,7 +344,7 @@ def test_bench_smoke():
     assert "server_restore" in table
     assert "REFRESH frame" in table
     assert "search_reply_repeat" in table and "search_reply_after_upload" in table
-    assert "server_restore_full" in table
+    assert "server_restore_full" in table and "server_snapshot_full" in table
     assert report.laws["stored_merged_ids_linear"]
     jsonl = report.to_jsonl().strip().splitlines()
     assert all(json.loads(line) for line in jsonl)

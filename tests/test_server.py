@@ -27,7 +27,7 @@ from dsse.errors import (
 )
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
-from dsse.protocol import AddPayload, SearchTokenEnvelope, result_mac, verify_result
+from dsse.protocol import AddPayload, SearchTokenEnvelope, mask_width, result_mac, verify_result
 from dsse.server import ChainEntry, CloudServer, MergedEntry
 
 NOW = 1_700_000_000
@@ -89,6 +89,44 @@ def test_non_monotonic_timestamp_rejected():
     server.add(owner.add_file(b"f2", ["w"], NOW))
     with pytest.raises(ProtocolError):
         server.add(late)
+
+
+def test_a_replayed_older_refresh_is_refused_and_state_kept():
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    old = owner.refresh_bloom(NOW + 2 * 600)
+    server.refresh(old)
+    ingest(owner, server, 1, lambda i: ["w"], start=NOW + 3 * 600)
+    blob = server.snapshot()
+    assert old.t < server.t
+    with pytest.raises(ProtocolError, match=f"non-monotonic timestamp {old.t} < {server.t}"):
+        server.refresh(old)
+    assert server.snapshot() == blob and server.refreshes["adopted"] == 1
+
+
+@pytest.mark.parametrize("mode", ["basic", "full"])
+def test_an_add_whose_file_id_is_not_16_bytes_is_refused_and_state_kept(mode):
+    owner, server = build(mode)
+    ingest(owner, server, 1, lambda i: ["w"])
+    blob = server.snapshot()
+    payload = owner.add_file(b"next", ["w"], NOW + 600)
+    for fid in (payload.file_id[:15], payload.file_id + b"\x00", b""):
+        with pytest.raises(ProtocolError, match=f"file id is {len(fid)} bytes, expected 16"):
+            server.add(AddPayload(fid, payload.ciphertext, payload.entries, payload.sigma, payload.t))
+        assert server.snapshot() == blob
+    server.add(payload)
+
+
+def test_a_basic_token_whose_key_is_not_16_bytes_is_refused_and_state_kept():
+    owner, server = build("basic")
+    ingest(owner, server, 2, lambda i: ["w"])
+    blob = server.snapshot()
+    token = owner.gen_token("w")
+    for body in (token.body[:15], token.body + b"\x00", b""):
+        with pytest.raises(ProtocolError, match=f"token body is {len(body)} bytes, expected 16"):
+            server.search(SearchTokenEnvelope(token.epoch, body))
+        assert server.snapshot() == blob
+    assert len(server.search(token)[0]) == 2
 
 
 @pytest.mark.parametrize("mode", ["basic", "full"])
@@ -797,9 +835,9 @@ def test_snapshot_is_canonical_and_restores_the_sharing():
 
 
 def files_bytes(server):
-    """Length of the snapshot's file table: a u64 count, then each
-    length-prefixed id and ciphertext."""
-    return 8 + sum(8 + len(fid) + len(ct) for fid, ct in server.files.items())
+    """Length of the snapshot's file table: a u64 count, then each 16-byte
+    id and its length-prefixed ciphertext."""
+    return 8 + sum(len(fid) + 4 + len(ct) for fid, ct in server.files.items())
 
 
 def u32(v):
@@ -816,11 +854,11 @@ def test_restore_refuses_out_of_range_merged_entries():
     assert blob[lists_at : lists_at + 12] == (1).to_bytes(8, "big") + (2).to_bytes(4, "big")
     assert blob[lists_at + 12 :].startswith(u32(sorted(ids).index(ids[0])))
     entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 2)) + 16
-    assert blob[entry_at : entry_at + 9] == b"\x00" + bytes(4) + (2).to_bytes(4, "big")
+    assert blob[entry_at : entry_at + 8] == bytes(4) + (2).to_bytes(4, "big")
 
     def with_fields(index, n):
         fields = index.to_bytes(4, "big") + n.to_bytes(4, "big")
-        return blob[: entry_at + 1] + fields + blob[entry_at + 9 :]
+        return blob[:entry_at] + fields + blob[entry_at + 8 :]
 
     assert CloudServer.restore(with_fields(0, 1)).tbl[
         chain_label(owner.keys.k_prf, "w", 2)
@@ -847,8 +885,10 @@ def test_restore_refuses_out_of_range_file_numbers():
     place = sorted(ids).index
     list_at = 8 + 1 + files_bytes(server) + 8 + 4  # the list's first file number
     assert blob[list_at : list_at + 8] == u32(place(ids[0])) + u32(place(ids[1]))
-    entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 3)) + 16 + 1 + 16  # flag, mu
-    assert blob[entry_at - 17] == 1 and blob[entry_at : entry_at + 4] == u32(place(ids[2]))
+    label = chain_label(owner.keys.k_prf, "w", 3)
+    entry_at = blob.index(label) + 16 + 16  # label, mu
+    assert blob[entry_at - 16 : entry_at] == server.tbl[label].mu
+    assert blob[entry_at : entry_at + 4] == u32(place(ids[2]))
 
     def with_number(at, i):
         return blob[:at] + u32(i) + blob[at + 4 :]
@@ -860,6 +900,22 @@ def test_restore_refuses_out_of_range_file_numbers():
             with pytest.raises(FormatError, match=f"file {i} out of range") as refused:
                 CloudServer.restore(with_number(at, i))
             assert refused.value.offset == at
+
+
+def test_restore_refuses_a_file_id_cut_to_15_bytes():
+    # DSSESR10 length-prefixed each file id: one cut to 15 bytes behind a
+    # prefix of 15 restored, and the first SEARCH returning it failed to
+    # encode its reply
+    owner, server = build("basic")
+    ids = ingest(owner, server, 2, lambda i: ["w"])
+    blob = server.snapshot()
+    fid_at = 8 + 1 + 8  # magic, mode flag, file count
+    first = min(ids)
+    assert blob[fid_at : fid_at + 16] == first
+    for cut in (first[:15], u32(15) + first[:15]):
+        with pytest.raises(FormatError):
+            CloudServer.restore(blob[:fid_at] + cut + blob[fid_at + 16 :])
+    assert server.snapshot() == blob
 
 
 @pytest.mark.parametrize("mode", ["basic", "full"])
@@ -884,10 +940,13 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESR10")
-    # DSSESRV9 held the filter's bits where DSSESR10 holds the elements of
-    # the last refresh and marks the labels added since; DSSESRV8 held labels and masks from two PRF calls under each chain
-    # key, the keys derived over a hashed input; DSSESRV7 held 48-byte masks
+    assert blob.startswith(b"DSSESR11")
+    # DSSESR10 flagged each entry as a chain entry or not and as added
+    # since the last refresh or not, and length-prefixed file ids and
+    # sigma; DSSESRV9 held the filter's bits where DSSESR10 holds the
+    # elements of the last refresh; DSSESRV8 held labels and masks from
+    # two PRF calls under each chain key, the keys derived over a hashed
+    # input; DSSESRV7 held 48-byte masks
     # (the previous label, its key and gamma) under labels that were PRFs of
     # (keyword, counter), and gammas over result tags that named no place;
     # DSSESRV6 wrote the file table last and each file id in full in every
@@ -895,11 +954,11 @@ def test_previous_snapshot_version_refused():
     # DSSESRV3 flagged and length-prefixed the fields the mode and LAMBDA
     # fix, and put the filter before the entries; DSSESRV3 also had filter
     # bits from the older index function
-    for magic in (b"DSSESRV9", b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
+    for magic in (b"DSSESR10", b"DSSESRV9", b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries
-    lists_at = 8 + 1 + 16 + 8 + (4 + 16) + 8  # magic, mode, key, epoch, sigma, t
+    lists_at = 8 + 1 + 16 + 8 + (1 + 16) + 8  # magic, mode, key, epoch, sigma, t
     lists_at += files_bytes(server)
     assert blob[lists_at : lists_at + 8] == bytes(8)
     v2 = b"DSSESRV2" + blob[8:lists_at] + blob[lists_at + 8 :]
@@ -925,7 +984,7 @@ def test_a_restored_server_builds_the_live_filter_before_any_refresh():
     server.search(owner.gen_token("w"))
     blob = server.snapshot()
     assert server.elements == b"" and server.refreshed_at == 0
-    # no bits: the header and no elements, and every label marked
+    # no bits: the header and no elements, and every label in the runs since
     assert blob[filter_at(blob, server) :] == struct.pack(">III", server.bf.m, server.bf.k, 0)
     back = CloudServer.restore(blob)
     assert_restored_filter(back, server)
@@ -949,7 +1008,7 @@ def test_a_restored_server_builds_the_live_filter_after_a_refresh_and_uploads():
     since = list(server.tbl)[server.refreshed_at :]
     assert len(since) == 3 * 2 and set(list(back.tbl)[back.refreshed_at :]) == set(since)
     assert back.snapshot() == blob
-    # and a restored server keeps them marked through its next upload
+    # and a restored server keeps them apart through its next upload
     ingest(owner, back, 1, lambda i: ["w"], start=NOW + 10 * 600)
     again = CloudServer.restore(back.snapshot())
     assert_restored_filter(again, back)
@@ -974,7 +1033,7 @@ def test_restore_refuses_more_than_m_over_k_elements_before_hashing_any(monkeypa
         CloudServer.restore(data)
 
 
-def test_restore_refuses_unsorted_elements_and_unknown_flag_bits():
+def test_restore_refuses_unsorted_elements():
     owner, server = build()
     ingest(owner, server, 4, lambda i: ["w", f"kw:{i}"])
     server.refresh(owner.refresh_bloom(NOW + 4 * 600))
@@ -986,41 +1045,111 @@ def test_restore_refuses_unsorted_elements_and_unknown_flag_bits():
         data = blob[:elements_at] + swapped + blob[elements_at + 2 * LAMBDA :]
         with pytest.raises(FormatError, match="not strictly ascending"):
             CloudServer.restore(data)
-    # the flag byte after each label: bit 0 a chain entry, bit 1 marked
-    tau = min(server.tbl)
-    flag_at = blob.index(tau) + LAMBDA
-    for flag in (0x04, 0x80, blob[flag_at] | 0x08):
-        data = blob[:flag_at] + bytes([flag]) + blob[flag_at + 1 :]
-        with pytest.raises(FormatError, match="entry flags") as refused:
-            CloudServer.restore(data)
-        assert refused.value.offset == flag_at
-    # a basic server has no filter, so no label of it is marked
-    owner, server = build("basic")
-    ingest(owner, server, 1, lambda i: ["w"])
+
+
+def split_runs(blob, server):
+    """Where a snapshot's four runs start and end, and each run as the list
+    of its fixed-width records: chain, then merged, entries before the last
+    refresh, then the same two since."""
+    full = server.mode == "full"
+    widths = (LAMBDA + mask_width(server.mode) + 4, LAMBDA + 8 + (LAMBDA if full else 0)) * 2
+    counts = [0] * 4
+    for i, entry in enumerate(server.tbl.values()):
+        counts[2 * (i >= server.refreshed_at) + isinstance(entry, MergedEntry)] += 1
+    end = filter_at(blob, server) if full else len(blob)
+    at = start = end - sum(8 + n * w for n, w in zip(counts, widths))
+    runs = []
+    for n, w in zip(counts, widths):
+        assert blob[at : at + 8] == struct.pack(">Q", n)
+        runs.append([blob[at + 8 + i * w : at + 8 + (i + 1) * w] for i in range(n)])
+        at += 8 + n * w
+    return start, end, runs
+
+
+def join_runs(runs):
+    return b"".join(struct.pack(">Q", len(run)) + b"".join(run) for run in runs)
+
+
+def test_snapshot_writes_four_sorted_runs_split_at_the_last_refresh():
+    owner, server = build()
+    ingest(owner, server, 4, lambda i: ["w", f"kw:{i}"])
+    server.search(owner.gen_token("w"))
+    server.refresh(owner.refresh_bloom(NOW + 4 * 600))
+    ingest(owner, server, 3, lambda i: ["w", f"late:{i}"], start=NOW + 5 * 600)
+    server.search(owner.gen_token("late:1"))
     blob = server.snapshot()
-    flag_at = blob.index(min(server.tbl)) + LAMBDA
-    assert blob[flag_at] == 0x01
-    with pytest.raises(FormatError, match="entry flags"):
-        CloudServer.restore(blob[:flag_at] + b"\x03" + blob[flag_at + 1 :])
+    start, end, runs = split_runs(blob, server)
+    assert blob[start:end] == join_runs(runs)
+    assert [len(run) for run in runs] == [4, 4, 5, 1]
+    labels = list(server.tbl)
+    before, since = set(labels[: server.refreshed_at]), set(labels[server.refreshed_at :])
+    for run, side in zip(runs, (before, before, since, since)):
+        taus = [record[:LAMBDA] for record in run]
+        assert taus == sorted(taus) and set(taus) <= side
+    back = CloudServer.restore(blob)
+    assert back.refreshed_at == server.refreshed_at and set(back.tbl) == set(server.tbl)
+    assert set(list(back.tbl)[back.refreshed_at :]) == since
+    assert back.snapshot() == blob
+
+
+def test_restore_refuses_a_label_in_two_runs():
+    owner, server = build()
+    ingest(owner, server, 2, lambda i: ["w"])
+    server.refresh(owner.refresh_bloom(NOW + 2 * 600))
+    ingest(owner, server, 1, lambda i: ["w"], start=NOW + 3 * 600)
+    blob = server.snapshot()
+    start, end, runs = split_runs(blob, server)
+    # the chain entry since the refresh, also among those before it
+    moved = runs[2][0]
+    runs[0] = sorted(runs[0] + [moved])
+    data = blob[:start] + join_runs(runs) + blob[end:]
+    with pytest.raises(FormatError, match="index label in two runs") as refused:
+        CloudServer.restore(data)
+    assert refused.value.offset == data.rindex(moved)
+    assert server.snapshot() == blob
+
+
+def test_restore_refuses_an_entry_before_a_basic_servers_refresh():
+    # a basic server never refreshes: every label is in the runs since
+    owner, server = build("basic")
+    ingest(owner, server, 2, lambda i: ["w"])
+    server.search(owner.token_for_counter("w", 1))
+    blob = server.snapshot()
+    start, end, runs = split_runs(blob, server)
+    assert [len(run) for run in runs] == [0, 0, 1, 1]
+    assert CloudServer.restore(blob).refreshed_at == 0
+    for moved in (2, 3):
+        shifted = list(runs)
+        shifted[moved - 2], shifted[moved] = runs[moved], []
+        data = blob[:start] + join_runs(shifted) + blob[end:]
+        with pytest.raises(FormatError, match="an entry before a basic server's refresh") as refused:
+            CloudServer.restore(data)
+        assert refused.value.offset == data.index(runs[moved][0])
 
 
 def test_restore_refuses_a_sigma_neither_empty_nor_lambda_bytes():
     # a snapshot whose sigma was rewritten to 100,000 bytes restored, and
-    # get_bloom() then served that sigma
+    # get_bloom() then served that sigma; sigma is now a presence byte and,
+    # when present, LAMBDA bytes
     owner, server = build()
     ingest(owner, server, 2, lambda i: ["w"])
     blob = server.snapshot()
     sigma_at = 8 + 1 + LAMBDA + 8  # magic, mode flag, group key, epoch
-    assert blob[sigma_at : sigma_at + 4 + LAMBDA] == struct.pack(">I", LAMBDA) + server.sigma
-    rest = blob[sigma_at + 4 + LAMBDA :]
-    for width in (100_000, LAMBDA - 1, LAMBDA + 1):
-        data = blob[:sigma_at] + struct.pack(">I", width) + bytes(width) + rest
-        with pytest.raises(FormatError, match=f"sigma is {width} bytes") as refused:
+    assert blob[sigma_at : sigma_at + 1 + LAMBDA] == b"\x01" + server.sigma
+    for flag in (2, 0x80, 0xFF):
+        data = blob[:sigma_at] + bytes([flag]) + blob[sigma_at + 1 :]
+        with pytest.raises(FormatError, match=f"presence flag {flag}") as refused:
             CloudServer.restore(data)
         assert refused.value.offset == sigma_at
-    # before the first upload sigma is empty
+    for cut in range(LAMBDA):
+        with pytest.raises(FormatError, match="truncated") as refused:
+            CloudServer.restore(blob[: sigma_at + 1 + cut])
+        assert refused.value.offset == sigma_at + 1
+    # before the first upload sigma is absent
     fresh = CloudServer("full", PARAMS, group_key=owner.keys.r)
-    assert CloudServer.restore(fresh.snapshot()).sigma == b""
+    empty = fresh.snapshot()
+    assert empty[sigma_at] == 0 and CloudServer.restore(empty).sigma == b""
+    assert CloudServer.restore(empty).snapshot() == empty
 
 
 def test_restore_refuses_a_mode_byte_that_disagrees_with_the_state():

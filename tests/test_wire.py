@@ -22,6 +22,7 @@ from dsse.errors import (
     ProtocolError,
     StaleEpochError,
     TransportError,
+    UsageError,
 )
 from dsse.harness import audit
 from dsse.harness.oracle import PlaintextOracle
@@ -475,6 +476,47 @@ def test_undecodable_request_answered_in_its_own_kind():
     # a frame naming no request kind is still answered, in the ADD kind
     reply = wire.decode(wire.ServerEndpoint(server).handle_bytes(b"\x02\x7f"))
     assert (reply.kind, reply.code) == (wire.KIND_ADD, wire.CODE_FORMAT)
+
+
+def test_a_refresh_or_rotate_sent_to_a_basic_server_is_answered_unsupported():
+    owner, server, oracle, last_t = build_system(5, BASIC)
+    client = wire.Client.in_process(server)
+    blob = server.snapshot()
+    refresh = RefreshPayload(b"", b"\x07" * 16, last_t + 600)
+    for request, call in (
+        (refresh, lambda: client.refresh(refresh)),
+        (wire.Rotate(b"\x07" * 16, 2), lambda: client.rotate(b"\x07" * 16, 2)),
+    ):
+        reply = wire.decode(client.transport.request(wire.encode(request)))
+        assert (reply.kind, reply.code) == (wire._KINDS[type(request)], wire.CODE_UNSUPPORTED)
+        with pytest.raises(UsageError):
+            call()
+    assert server.snapshot() == blob
+    keyword = oracle.keywords()[0]
+    assert client.search(owner.gen_token(keyword))[0] == oracle.ids_newest_first(keyword)
+
+
+def test_a_reply_sent_as_a_request_is_answered_unsupported_and_the_connection_lives():
+    owner, server, oracle, _ = build_system(5)
+    blob = server.snapshot()
+    ws = wire.WireServer(server)
+    ws.start()
+    try:
+        client = wire.Client.connect(*ws.address)
+        try:
+            for kind in (wire.KIND_ADD, wire.KIND_REFRESH, wire.KIND_SEARCH,
+                         wire.KIND_GET_BLOOM, wire.KIND_ROTATE):
+                frame = wire.encode(wire.Reply(kind, wire.CODE_NOT_FOUND, "a reply"))
+                reply = wire.decode(client.transport.request(frame))
+                assert (reply.kind, reply.code) == (kind, wire.CODE_UNSUPPORTED)
+                assert reply.message == "not a request: a reply"
+            assert server.snapshot() == blob
+            keyword = oracle.keywords()[0]
+            assert client.search(owner.gen_token(keyword))[0] == oracle.ids_newest_first(keyword)
+        finally:
+            client.close()
+    finally:
+        ws.stop()
 
 
 A, B = b"\x0a" * 16, b"\x0b" * 16
