@@ -108,31 +108,13 @@ def _set_bits(bits: bytearray, base: int, positions: tuple[int, ...]) -> None:
 
 
 class BloomFilter:
-    def __init__(self, params: BloomParams):
-        m, k = params.derive()
+    def __init__(self, m: int, k: int):
+        """An empty filter of m bits and k hashes, for a header that
+        check_header accepts (BloomParams.derive always gives one)."""
         self.m = m
         self.k = k
         self.bits = bytearray(m // 8)
         self.n_inserted = 0
-
-    @classmethod
-    def _from_raw(cls, m: int, k: int, bits: bytearray) -> "BloomFilter":
-        bf = cls.__new__(cls)
-        bf.m = m
-        bf.k = k
-        bf.bits = bits
-        bf.n_inserted = 0
-        return bf
-
-    @classmethod
-    def empty(cls, m: int, k: int) -> "BloomFilter":
-        """An empty filter of m bits and k hashes, for a header that
-        check_header passed."""
-        return cls._from_raw(m, k, bytearray(m // 8))
-
-    def cleared(self) -> "BloomFilter":
-        """An empty filter of the same size."""
-        return self.empty(self.m, self.k)
 
     @property
     def n_blocks(self) -> int:
@@ -199,7 +181,8 @@ class BloomFilter:
     def deserialize(cls, data: bytes | memoryview) -> "BloomFilter":
         """Parse a serialization, copying its bit bytes once. The header
         is checked first (check_header): a user checks the MAC of a filter
-        only after parsing it."""
+        only after parsing it. Nothing is allocated until every check
+        passes."""
         if len(data) < _HEADER.size:
             raise FormatError("bloom header truncated", offset=len(data))
         m, k = _HEADER.unpack_from(data)
@@ -211,7 +194,9 @@ class BloomFilter:
                 f"bloom body has {len(body)} bytes, expected {want}",
                 offset=_HEADER.size,
             )
-        return cls._from_raw(m, k, bytearray(body))
+        bf = cls(m, k)
+        memoryview(bf.bits)[:] = body  # a bytearray slice would copy body first
+        return bf
 
     # -- counter digit embedding (periodic-refresh support) -----------------
 

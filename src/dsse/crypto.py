@@ -14,7 +14,7 @@ import hashlib
 import hmac
 import secrets
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -181,10 +181,10 @@ class KeyBundle:
     server and authorized users; its epoch increases on every rotation.
     """
 
-    k_prf: bytes
-    k_se: bytes
-    k_mac: bytes
-    r: bytes
+    k_prf: bytes = field(repr=False)
+    k_se: bytes = field(repr=False)
+    k_mac: bytes = field(repr=False)
+    r: bytes = field(repr=False)
     epoch: int = 1
 
     @classmethod

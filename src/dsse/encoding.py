@@ -132,10 +132,11 @@ class Reader:
 def write_atomic(path: str, data: bytes) -> None:
     """Replace the file at path with data, so that a crash or a failed write
     leaves either the old file or the new one, never a torn one: write a
-    temp file in the same directory, fsync it, then rename it over path."""
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
-    )
+    temp file in the same directory, fsync it, then rename it over path.
+    The directory is fsynced after the rename, so the new file is still
+    there after a crash once this returns."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -145,6 +146,11 @@ def write_atomic(path: str, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class Persistent:

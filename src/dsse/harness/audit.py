@@ -24,7 +24,6 @@ earlier search.
 
 from __future__ import annotations
 
-from ..bloom import BloomParams
 from ..errors import DsseError
 from ..crypto import LAMBDA
 from ..protocol import BASIC, FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
@@ -54,8 +53,7 @@ def audit(frames: list[tuple[bytes, bytes]], group_key: bytes | None) -> list[st
     the frame it was seen at. None means forward privacy held. group_key
     is the one the server started with at epoch 1, None in basic mode."""
     full = group_key is not None
-    # a placeholder filter: the walk needs the table and the group key only
-    server = CloudServer(FULL, BloomParams(0.5, 1), group_key) if full else CloudServer(BASIC)
+    server = CloudServer(FULL, group_key=group_key) if full else CloudServer(BASIC)
     added: dict[bytes, int] = {}  # label -> the frame whose ADD brought it
     seen: set[bytes] = set()  # ADD frames already read
     searches: list[tuple[int, SearchTokenEnvelope, bytes | None, int]] = []

@@ -15,7 +15,7 @@ rotate; token generation and verification are read-only.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bloom import BloomFilter, BloomParams
 from .crypto import (
@@ -51,7 +51,8 @@ _SNAPSHOT_MAGIC = b"DSSEOWN6"
 class KeywordRecord:
     cnt: int
     gamma: bytes | None  # aggregate MAC over this keyword's files (full mode)
-    key: bytes  # the chain key of counter cnt; derived again at restore, not saved
+    # the chain key of counter cnt; derived again at restore, not saved
+    key: bytes = field(repr=False)
 
 
 class DataOwner(Persistent):
@@ -73,7 +74,8 @@ class DataOwner(Persistent):
     @classmethod
     def generate(cls, mode: str, bloom_params: BloomParams | None = None) -> "DataOwner":
         """Fresh keys, empty state, a first filter sized by bloom_params."""
-        bf = BloomFilter(bloom_params or BloomParams()) if check_mode(mode) == FULL else None
+        full = check_mode(mode) == FULL
+        bf = BloomFilter(*(bloom_params or BloomParams()).derive()) if full else None
         return cls(mode, KeyBundle.generate(), bf)
 
     # ------------------------------------------------------------------
@@ -208,7 +210,7 @@ class DataOwner(Persistent):
         if self.mode != FULL:
             raise UsageError("refresh applies to full mode only")
         self._check_time(now)
-        bf = self.bf.cleared()
+        bf = BloomFilter(self.bf.m, self.bf.k)
         elements = sorted(
             e for w, rec in self.tbl.items() for e in bf.embed_counter(self.keys.k_prf, w, rec.cnt)
         )
@@ -259,8 +261,15 @@ class DataOwner(Persistent):
         keys = KeyBundle(*(r.fixed(LAMBDA) for _ in range(4)), r.u64())
         t = r.u64() if full else 0
         tbl = {}
+        # add_file never writes an empty keyword or a counter of 0; at 0 the
+        # next upload would mask the key of counter 0 where ZERO belongs
         for w in r.ascending("keyword", r.str_):
+            if not w:
+                raise FormatError("empty keyword", offset=r.pos - 4)  # its u32 length
+            at = r.pos
             cnt = r.u64()
+            if cnt == 0:
+                raise FormatError(f"keyword {w!r} has counter 0", offset=at)
             gamma = r.fixed(LAMBDA) if full else None
             tbl[w] = KeywordRecord(cnt, gamma, derived_key(keys.k_prf, w, cnt))
         bf = BloomFilter.deserialize(r.rest()) if full else None

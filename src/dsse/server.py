@@ -104,9 +104,8 @@ def _extend(below: MergedEntry | None, fresh: list[bytes]) -> list[bytes]:
     (oldest-first) on top of the merged entry it stopped at, if any.
 
     The walk shares the list of the entry below when that entry is its
-    list's end, appending to it. Otherwise (a crafted entry, or a table
-    saved when only heads were merged) it gets a copy: ids that another
-    entry's prefix covers never change.
+    list's end, appending to it. Otherwise (a crafted entry) it gets a
+    copy: ids that another entry's prefix covers never change.
     """
     if below is None:
         return fresh
@@ -374,7 +373,7 @@ class CloudServer(Persistent):
             return None
         with self._lock:
             if self._bits is None:
-                bits = BloomFilter.empty(self.m, self.k)
+                bits = BloomFilter(self.m, self.k)
                 elements = self.elements
                 for at in range(0, len(elements), LAMBDA):
                     bits.add(elements[at : at + LAMBDA])

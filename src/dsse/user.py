@@ -68,10 +68,10 @@ class AuthorizedUser(Persistent):
     filter belong to its latest gen_token call.
     """
 
-    k_prf: bytes
-    k_se: bytes
-    k_mac: bytes
-    r: bytes
+    k_prf: bytes = field(repr=False)
+    k_se: bytes = field(repr=False)
+    k_mac: bytes = field(repr=False)
+    r: bytes = field(repr=False)
     epoch: int = 1
     last_probe_stats: ProbeStats = field(default_factory=ProbeStats)
     # (sigma, t) of the filter the last gen_token accepted; None after a refusal

@@ -360,7 +360,7 @@ def test_criterion_7_revocation():
 
 def test_criterion_8_bloom_fp_rate():
     n = 100_000
-    bf = BloomFilter(BloomParams(0.01, n))
+    bf = BloomFilter(*BloomParams(0.01, n).derive())
     rng = random.Random(909)
     for _ in range(n):
         bf.add(rng.randbytes(16))

@@ -10,6 +10,7 @@ import pytest
 
 import dsse
 
+from dsse.bloom import BloomFilter
 from dsse.cli import main
 from dsse.crypto import chain_label
 from dsse.errors import ProtocolError, TransportError
@@ -99,7 +100,7 @@ def test_user_search_refuses_below_a_false_positive(tmp_path, capsys):
         *(refresh.elements[i : i + 16] for i in range(0, len(refresh.elements), 16)),
         chain_label(owner.keys.k_prf, keyword, cnt + 1),
     ])
-    bf = owner.bf.cleared()
+    bf = BloomFilter(owner.bf.m, owner.bf.k)
     for element in planted:
         bf.add(element)
     server = CloudServer.load(os.path.join(st, "server.bin"))

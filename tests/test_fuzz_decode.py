@@ -7,7 +7,7 @@ import struct
 import pytest
 
 from dsse import wire
-from dsse.bloom import BloomParams
+from dsse.bloom import BloomFilter, BloomParams
 from dsse.crypto import LAMBDA
 from dsse.errors import FormatError
 from dsse.owner import DataOwner
@@ -128,7 +128,7 @@ def test_mutated_refresh_element_lists_are_adopted_whole_or_refused_cleanly():
         adopted += 1
         elements = [bytes(data[i : i + LAMBDA]) for i in range(0, len(data), LAMBDA)]
         assert elements == sorted(set(elements))
-        expected = owner.bf.cleared()
+        expected = BloomFilter(owner.bf.m, owner.bf.k)
         for element in elements:
             expected.add(element)
         assert server.bf == expected and server.refreshes["adopted"] == adopted
@@ -138,13 +138,15 @@ def test_mutated_refresh_element_lists_are_adopted_whole_or_refused_cleanly():
 def assert_widths(state) -> None:
     """Every key, label and gamma a restored state holds is LAMBDA bytes,
     every mask is its mode's width, every file id a server holds is
-    FILE_ID_LEN bytes, and basic mode holds no gamma."""
+    FILE_ID_LEN bytes, basic mode holds no gamma, and every keyword an
+    owner holds is non-empty with a counter of at least 1."""
     if isinstance(state, AuthorizedUser):
         fixed = [state.k_prf, state.k_se, state.k_mac, state.r]
     elif isinstance(state, DataOwner):
         k = state.keys
         fixed = [k.k_prf, k.k_se, k.k_mac, k.r]
         gammas = [rec.gamma for rec in state.tbl.values()]
+        assert all(w and rec.cnt >= 1 for w, rec in state.tbl.items())
     else:
         fixed = list(state.tbl) + ([] if state.r is None else [state.r])
         chain = [e for e in state.tbl.values() if isinstance(e, ChainEntry)]

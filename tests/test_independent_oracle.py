@@ -171,13 +171,13 @@ def raw_bloom_bits(m: int, k: int, elements: list[bytes]) -> bytes:
 
 def test_bloom_indexes_match_raw_primitives():
     for params in (BloomParams(0.01, 100), BloomParams(2.0**-30, 5000)):
-        bf = BloomFilter(params)
+        bf = BloomFilter(*params.derive())
         elements = [bytes([i]) * 16 for i in range(8)]
         for element in elements:
             bf.add(element)
         assert bf.serialize() == struct.pack(">II", bf.m, bf.k) + raw_bloom_bits(
             bf.m, bf.k, elements
         )
-    one = BloomFilter(BloomParams(0.01, 100))
+    one = BloomFilter(*BloomParams(0.01, 100).derive())
     one.add(b"one chain label!")
     assert bin(int.from_bytes(one.serialize()[8:], "big")).count("1") == one.k

@@ -4,10 +4,11 @@ import tracemalloc
 import pytest
 
 from dsse import crypto
-from dsse.bloom import BLOCK_BITS, BloomParams
+from dsse.bloom import BLOCK_BITS, BloomFilter, BloomParams
 from dsse.errors import FormatError, NotFoundError, UsageError
-from dsse.owner import DataOwner
+from dsse.owner import DataOwner, KeywordRecord
 from dsse.protocol import FilterTags, result_mac
+from dsse.user import AuthorizedUser
 
 NOW = 1_700_000_000
 PARAMS = BloomParams(2.0**-30, 5000)
@@ -190,7 +191,7 @@ def test_refresh_embeds_current_counters():
         for w, rec in owner.tbl.items()
         for pos, digit in enumerate(reversed(str(rec.cnt)), start=1)
     ))
-    bf = owner.bf.cleared()
+    bf = BloomFilter(owner.bf.m, owner.bf.k)
     for i in range(0, len(payload.elements), crypto.LAMBDA):
         bf.add(payload.elements[i : i + crypto.LAMBDA])
     assert bf == owner.bf
@@ -263,6 +264,52 @@ def test_snapshot_round_trip(tmp_path):
     assert crypto.se_decrypt(owner.keys.r, token_a.body) == crypto.se_decrypt(
         back.keys.r, token_b.body
     )
+
+
+def one_keyword_blob(mode):
+    """An owner snapshot holding keyword "w" at counter 1, and the offset
+    of its table: after the magic, the mode flag, four keys, the epoch and,
+    in full mode, t."""
+    owner = fresh(mode)
+    owner.add_file(b"f", ["w"], NOW)
+    return owner.snapshot(), 8 + 1 + 4 * 16 + 8 + (8 if mode == "full" else 0)
+
+
+@pytest.mark.parametrize("mode", ["full", "basic"])
+def test_restore_refuses_a_counter_of_0(mode):
+    # a counter of 1 flipped to 0 restored, and the next upload of its
+    # keyword masked the key of counter 0 where the zero key belongs, so
+    # every later search of it broke the chain
+    blob, table_at = one_keyword_blob(mode)
+    cnt_at = table_at + 8 + 4 + 1  # the count, then "w" behind its length
+    assert blob[cnt_at : cnt_at + 8] == (1).to_bytes(8, "big")
+    with pytest.raises(FormatError, match="counter 0") as refused:
+        DataOwner.restore(blob[:cnt_at] + bytes(8) + blob[cnt_at + 8 :])
+    assert refused.value.offset == cnt_at
+
+
+@pytest.mark.parametrize("mode", ["full", "basic"])
+def test_restore_refuses_an_empty_keyword(mode):
+    blob, table_at = one_keyword_blob(mode)
+    w_at = table_at + 8
+    assert blob[w_at : w_at + 5] == b"\x00\x00\x00\x01w"
+    with pytest.raises(FormatError, match="empty keyword") as refused:
+        DataOwner.restore(blob[:w_at] + bytes(4) + blob[w_at + 5 :])
+    assert refused.value.offset == w_at
+
+
+def test_no_key_in_a_repr():
+    owner = fresh()
+    owner.add_file(b"f", ["w"], NOW)
+    user = AuthorizedUser.from_owner(owner)
+    k, rec = owner.keys, owner.tbl["w"]
+    for shown in (repr(k), repr(user), repr(rec)):
+        for key in (k.k_prf, k.k_se, k.k_mac, k.r, rec.key):
+            assert repr(key) not in shown and key.hex() not in shown
+    # the keys still take part in equality
+    assert user == AuthorizedUser.from_owner(owner)
+    assert user != AuthorizedUser(k.k_prf, k.k_se, k.k_mac, bytes(16), k.epoch)
+    assert rec != KeywordRecord(rec.cnt, rec.gamma, bytes(16))
 
 
 def test_previous_snapshot_version_refused():

@@ -50,6 +50,29 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch, name):
     assert os.listdir(tmp_path) == [name]
 
 
+@pytest.mark.parametrize("name", ["owner.bin", "server.bin", "user_u1.bin", "meta.json"])
+def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch, name):
+    # the rename is itself a write to the directory, which a crash can lose
+    save = savers(DataOwner.generate("full", PARAMS))[name]
+    path = str(tmp_path / name)
+    fsync, replace = os.fsync, os.replace
+    calls = []
+
+    def record_fsync(fd):
+        calls.append(("fsync", os.path.samestat(os.fstat(fd), os.stat(tmp_path))))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        calls.append(("replace", dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    save(path)
+    # the temp file, its rename over path, then the directory
+    assert calls == [("fsync", False), ("replace", path), ("fsync", True)]
+
+
 def golden_state(role, mode):
     """An owner, server or user built from fixed values, with no random
     ids or nonces, holding every field its mode's snapshot writes."""
@@ -58,7 +81,7 @@ def golden_state(role, mode):
     if role == "user":
         return AuthorizedUser(keys.k_prf, keys.k_se, keys.k_mac, keys.r, keys.epoch)
     if role == "owner":
-        state = DataOwner(mode, keys, BloomFilter(PARAMS) if full else None)
+        state = DataOwner(mode, keys, BloomFilter(*PARAMS.derive()) if full else None)
         state.tbl = {
             # the chain keys are not saved
             "a:1": KeywordRecord(2, b"\x05" * 16 if full else None, b"\x0a" * 16),

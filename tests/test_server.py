@@ -1027,7 +1027,7 @@ def test_restore_refuses_more_than_m_over_k_elements_before_hashing_any(monkeypa
     def refuse(*args):
         raise AssertionError("a filter was built")
 
-    monkeypatch.setattr(BloomFilter, "empty", classmethod(refuse))
+    monkeypatch.setattr(BloomFilter, "__init__", refuse)
     monkeypatch.setattr(BloomFilter, "add", refuse)
     with pytest.raises(FormatError, match=f"{count} refresh elements exceed m // k"):
         CloudServer.restore(data)

@@ -323,7 +323,7 @@ def test_query_refuses_below_a_planted_false_positive():
         crypto.chain_label(owner.keys.k_prf, "w", c + 1),
         crypto.chain_label(owner.keys.k_prf, "ghost", 1),
     ])
-    bf = owner.bf.cleared()
+    bf = BloomFilter(owner.bf.m, owner.bf.k)
     for element in planted:
         bf.add(element)
     client.refresh(RefreshPayload(b"".join(planted), FilterTags(owner.keys.k_mac, bf).sigma(t), t))
