@@ -54,22 +54,32 @@ def put_str(buf: bytearray, s: str) -> None:
 
 
 class Reader:
-    """Cursor over a byte string with offset-aware error reporting."""
+    """Cursor over a byte string, or its first `end` bytes, with
+    offset-aware error reporting."""
 
-    def __init__(self, data: bytes, pos: int = 0):
+    def __init__(self, data: bytes, pos: int = 0, end: int | None = None):
         self.data = data
         self.pos = pos
+        self.end = len(data) if end is None else end
 
     def fixed(self, n: int) -> bytes:
         """The next n bytes: a field whose width the format fixes."""
-        if self.pos + n > len(self.data):
+        at = self._advance(n)
+        return self.data[at : at + n]
+
+    def view(self, n: int) -> memoryview:
+        """The next n bytes, as a view into the data rather than a copy."""
+        at = self._advance(n)
+        return memoryview(self.data)[at : at + n]
+
+    def _advance(self, n: int) -> int:
+        if self.pos + n > self.end:
             raise FormatError(
-                f"truncated: wanted {n} bytes, {len(self.data) - self.pos} left",
+                f"truncated: wanted {n} bytes, {self.end - self.pos} left",
                 offset=self.pos,
             )
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
 
     def u8(self) -> int:
         return self.fixed(1)[0]
@@ -96,11 +106,9 @@ class Reader:
         return self.fixed(n)
 
     def rest(self) -> memoryview:
-        """The unread bytes, as a view into the data rather than a copy,
-        for a last field that runs to the end."""
-        out = memoryview(self.data)[self.pos :]
-        self.pos = len(self.data)
-        return out
+        """The unread bytes, as a view, for a last field that runs to the
+        end."""
+        return self.view(self.end - self.pos)
 
     def str_(self) -> str:
         at = self.pos
@@ -123,10 +131,8 @@ class Reader:
             yield key
 
     def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise FormatError(
-                f"{len(self.data) - self.pos} trailing bytes", offset=self.pos
-            )
+        if self.pos != self.end:
+            raise FormatError(f"{self.end - self.pos} trailing bytes", offset=self.pos)
 
 
 def write_atomic(path: str, data: bytes) -> None:

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 from ..bloom import BloomFilter, BloomParams
 from ..owner import DataOwner
 from ..protocol import BASIC, FULL, FilterTags
-from ..server import CloudServer, MergedEntry
+from ..server import CloudServer
 from ..user import AuthorizedUser
 from ..wire import Client, encode
 from .audit import RecordingTransport
@@ -311,7 +313,7 @@ def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
     for i in range(steps):
         server.add(owner.add_file(f"f{i}".encode(), ["recurring:1"], STREAM_START + i * 600))
         server.search(owner.gen_token("recurring:1"))
-    merged = [e for e in server.tbl.values() if isinstance(e, MergedEntry)]
+    merged = list(server.tbl.merged.values())
     lists = {id(e.chain): e.chain for e in merged}
     blob = server.snapshot()
     samples = []
@@ -351,6 +353,27 @@ def bench_restore_full(
         snapshots.append(t1 - t0)
         restores.append(time.perf_counter() - t1)
     return _median_ms(restores), _median_ms(snapshots), len(blob)
+
+
+def bench_server_bytes_per_entry(n_files: int = 1000, seed: int = 16) -> tuple[float, int]:
+    """Memory a full-mode server holds per table entry: the tracemalloc
+    net of restoring its snapshot after n_files uploads and no searches,
+    less its files' ids and ciphertexts, over its entries. Also returns
+    the entry count."""
+    params = BloomParams(2.0**-10, n_files * 15)  # a small filter: fast uploads
+    owner = DataOwner.generate(FULL, params)
+    server = CloudServer(FULL, params, group_key=owner.keys.r)
+    for phi in synthesize_stream(seed, n_files):
+        server.add(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
+    blob = server.snapshot()
+    tracemalloc.start()
+    try:
+        restored = CloudServer.restore(blob)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    files = sum(sys.getsizeof(fid) + sys.getsizeof(ct) for fid, ct in restored.files.items())
+    return (held - files) / len(restored.tbl), len(restored.tbl)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +493,10 @@ def run_bench(
                f"restore of a {snapshot_bytes} B full-mode snapshot, year-sized filter, "
                f"a REFRESH and later uploads")
     report.add("server_snapshot_full", snapshot_ms, None, "ms", "snapshot() of that server")
+    per_entry, entries = bench_server_bytes_per_entry()
+    report.add("server_bytes_per_entry", per_entry, None, "B",
+               f"restored full-mode server, {entries} entries, no searches; "
+               f"file ids and ciphertexts not counted")
     # one keyword chain: stored ids at most its distinct ids
     report.laws["stored_merged_ids_linear"] = mb.stored_ids <= mb.steps
     return report

@@ -14,6 +14,7 @@ rotate; token generation and verification are read-only.
 
 from __future__ import annotations
 
+import hashlib
 import secrets
 from dataclasses import dataclass, field
 
@@ -44,7 +45,8 @@ from .protocol import (
     VerifyReport,
 )
 
-_SNAPSHOT_MAGIC = b"DSSEOWN6"
+_SNAPSHOT_MAGIC = b"DSSEOWN7"
+_DIGEST = 32  # a SHA-256 of everything before it ends the snapshot
 
 
 @dataclass(slots=True)
@@ -227,9 +229,11 @@ class DataOwner(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSEOWN6: mode flag, the four keys, epoch, [t], the keyword
-        table, [filter]; [..] only in full mode. Fields are fixed-width
-        where LAMBDA fixes them, and the filter runs to the end."""
+        """DSSEOWN7: mode flag, the four keys, epoch, [t], the keyword
+        table, [filter]; [..] only in full mode; then a SHA-256 of all
+        before it. Fields are fixed-width where LAMBDA fixes them, and the
+        filter runs to the digest. The digest catches what no field check
+        can: a counter flipped to another counter that parses."""
         k = self.keys
         buf = bytearray(_SNAPSHOT_MAGIC)
         put_u8(buf, 1 if self.mode == FULL else 0)
@@ -238,9 +242,11 @@ class DataOwner(Persistent):
         if self.mode == FULL:
             put_u64(buf, self.t)
         self._put_table(buf)
-        if self.bf is None:
-            return bytes(buf)
-        return b"".join((buf, *self.bf.buffers()))  # the bits are copied once
+        parts = [buf] if self.bf is None else [buf, *self.bf.buffers()]
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        return b"".join((*parts, digest.digest()))  # the bits are copied once
 
     def _put_table(self, buf: bytearray) -> None:
         """The keyword table: count, then (keyword, cnt, [gamma]) by keyword."""
@@ -256,7 +262,11 @@ class DataOwner(Persistent):
     def restore(cls, data: bytes) -> "DataOwner":
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not an owner snapshot", offset=0)
-        r = Reader(data, len(_SNAPSHOT_MAGIC))
+        # the digest is checked first: no field is read from a changed blob
+        end = max(len(data) - _DIGEST, len(_SNAPSHOT_MAGIC))
+        if hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
+            raise FormatError("owner snapshot digest mismatch", offset=end)
+        r = Reader(data, len(_SNAPSHOT_MAGIC), end)
         full = r.flag()
         keys = KeyBundle(*(r.fixed(LAMBDA) for _ in range(4)), r.u64())
         t = r.u64() if full else 0

@@ -23,16 +23,31 @@ entries; a search token gives it one chain key, from which it derives that
 entry's label and mask pad (crypto.chain_link, one PRF call) and walks
 exactly one keyword's chain and nothing else: each entry it opens gives the
 key, and so the label and pad, of the one before.
+
+In memory the table (Table) is one bytearray of fixed-width records in
+arrival order, label(16) | mu(16 basic, 32 full) | u32 file place, the
+layout of a DSSESR11 chain run, the place naming the server's list of file
+ids by arrival (places). An index of record numbers, probed linearly at a
+load of at most 1/2, finds a label. Its slot is hash(label): Python's
+per-process keyed SipHash, as a dict's is. An ADD is not authenticated,
+and slots keyed by a label's raw bytes would let a sender choose labels
+that share one probe run, so that every insert scans it. Merged entries
+stay objects, in a dict checked first. A chain entry so costs its record
+and 8-16 B of index: about 51 B in basic mode and 67 B in full mode, where
+a dict of label and ChainEntry objects held about 188 and 204 B
+(tracemalloc over 1,000 basic uploads; dsse bench server_bytes_per_entry,
+a restored full-mode server of 15,000 entries).
 """
 
 from __future__ import annotations
 
 import io
+import struct
 import threading
+from array import array
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Container, Iterable, Iterator, MutableMapping
 from dataclasses import dataclass
-from itertools import islice
 
 from .bloom import BloomFilter, BloomParams, check_header
 from .crypto import LAMBDA, ZERO, chain_link, se_decrypt, xor_bytes
@@ -115,6 +130,219 @@ def _extend(below: MergedEntry | None, fresh: list[bytes]) -> list[bytes]:
     return below.chain[: below.n] + fresh
 
 
+_PLACE = struct.Struct(">I")
+
+
+class Table(MutableMapping):
+    """label -> ChainEntry or MergedEntry, iterated in arrival order.
+
+    Every label has a record in `records`, label(16) | mu(width) | u32
+    place, numbered in arrival order; the place indexes `places`, the
+    server's file ids by arrival. `index` holds record number + 1 (0 is an
+    empty slot) at hash(label) & mask, probing linearly, at most half full.
+    A read builds the ChainEntry from the record. A merged entry is held in
+    `merged`, which reads check first; its label keeps its record, and so
+    its place in arrival order, whose mask and place are then never read.
+    Deleting a label removes its record and rebuilds the index: only tests
+    and adversaries delete.
+    """
+
+    def __init__(self, width: int, places: list[bytes]):
+        self.width = width
+        self.size = LAMBDA + width + 4  # one record
+        self._label = struct.Struct(f"{LAMBDA}s{width + 4}x")  # a record's label
+        self._body = struct.Struct(f">{width}sI")  # its mu and place
+        self._record = struct.Struct(f">{LAMBDA + width}sI")
+        self.places = places
+        self.records = bytearray()
+        self.index = array("I", bytes(4 * 8))
+        self.merged: dict[bytes, MergedEntry] = {}
+
+    def find(self, label: bytes) -> int:
+        """The label's record number, or -1."""
+        if len(label) != LAMBDA:
+            return -1
+        records, index, size = self.records, self.index, self.size
+        mask = len(index) - 1
+        slot = hash(label) & mask
+        while n := index[slot]:
+            if records.startswith(label, (n - 1) * size):
+                return n - 1
+            slot = (slot + 1) & mask
+        return -1
+
+    def extend(self, entries: list[tuple[bytes, bytes]], place: int) -> bool:
+        """Add the records of (label, mu) pairs, all naming the file at
+        place, and return True; or add none and return False if the table
+        or an earlier pair holds one of the labels. The caller has checked
+        that each label and mu is LAMBDA and width bytes."""
+        start = self._reserve(len(entries))
+        records, tail = self.records, _PLACE.pack(place)
+        for label, mu in entries:
+            records += label
+            records += mu
+            records += tail
+        return self._index(start, entries) < 0
+
+    def append_run(self, run: bytes | memoryview) -> int:
+        """Append whole records, as a DSSESR11 chain run holds them, and
+        return -1; or append none and return the number in run of the
+        first record whose label the table or an earlier record holds. The
+        caller has checked each record's place."""
+        start = self._reserve(len(run) // self.size)
+        self.records += run
+        return self._index(start, self._label.iter_unpack(run))
+
+    def append_merged(self, entries: dict[bytes, MergedEntry]) -> None:
+        """Add merged entries, in order, whose labels the table does not
+        hold; the caller has checked that each label is LAMBDA bytes. Their
+        records hold only the label: a merged entry's mu and place are
+        never read."""
+        pad = bytes(self.size - LAMBDA)
+        self.append_run(b"".join(label + pad for label in entries))
+        self.merged.update(entries)
+
+    def _reserve(self, count: int) -> int:
+        """Grow the index to take count more records; the table's length."""
+        n, slots = len(self), len(self.index)
+        while 2 * (n + count) > slots:
+            slots *= 2
+        if slots != len(self.index):
+            self._reindex(slots)
+        return n
+
+    def _index(self, start: int, items: Iterable[tuple]) -> int:
+        """Index records start onwards, whose labels are the first members
+        of items, and return -1; or, at the first label the table already
+        held, take back those records and their slots and return its number
+        in items."""
+        records, index, size = self.records, self.index, self.size
+        mask = len(index) - 1
+        filled = []
+        for n, item in enumerate(items, start + 1):
+            label = item[0]
+            slot = hash(label) & mask
+            while at := index[slot]:
+                if records.startswith(label, (at - 1) * size):
+                    for slot in filled:  # empty before, so no probe passed them
+                        index[slot] = 0
+                    del records[start * size :]
+                    return n - 1 - start
+                slot = (slot + 1) & mask
+            index[slot] = n
+            filled.append(slot)
+        return -1
+
+    def _reindex(self, slots: int) -> None:
+        self.index = index = array("I", bytes(4 * slots))
+        mask = slots - 1
+        for n, (label,) in enumerate(self._label.iter_unpack(self.records), 1):
+            slot = hash(label) & mask
+            while index[slot]:
+                slot = (slot + 1) & mask
+            index[slot] = n
+
+    def labels(self, start: int = 0) -> Iterator[bytes]:
+        """The labels of records start onwards, in arrival order. The
+        records cannot grow until the iterator is done or dropped."""
+        view = memoryview(self.records)[start * self.size :]
+        return (label for (label,) in self._label.iter_unpack(view))
+
+    def record(self, n: int) -> tuple[bytes, int]:
+        """Record n as its label and mu, and its place."""
+        return self._record.unpack_from(self.records, n * self.size)
+
+    def sorted_run(self, start: int, stop: int, skip: Container[int]) -> array:
+        """The numbers of records start..stop-1 but those in skip, labels
+        ascending: bucketed by the label's first byte (a counting sort),
+        then each bucket sorted, so one bucket's labels are built at once."""
+        records, size = self.records, self.size
+        numbers = array("I", (n for n in range(start, stop) if n not in skip))
+        ends = [0] * 257  # counts, then each bucket's start, then its end
+        for n in numbers:
+            ends[records[n * size] + 1] += 1
+        for b in range(256):
+            ends[b + 1] += ends[b]
+        run = array("I", bytes(4 * len(numbers)))
+        for n in numbers:
+            b = records[n * size]
+            run[ends[b]] = n
+            ends[b] += 1
+        begin = 0
+        for end in ends[:256]:
+            bucket = sorted(run[begin:end], key=lambda n: records[n * size : n * size + LAMBDA])
+            run[begin:end] = array("I", bucket)
+            begin = end
+        return run
+
+    def get(self, label: bytes, default=None):
+        entry = self.merged.get(label)
+        if entry is not None:
+            return entry
+        if len(label) != LAMBDA:
+            return default
+        records, index, size = self.records, self.index, self.size
+        mask = len(index) - 1
+        slot = hash(label) & mask
+        while n := index[slot]:  # find, inlined: a search reads every entry it opens
+            at = (n - 1) * size
+            if records.startswith(label, at):
+                mu, place = self._body.unpack_from(records, at + LAMBDA)
+                return ChainEntry(mu, self.places[place])
+            slot = (slot + 1) & mask
+        return default
+
+    def __getitem__(self, label: bytes) -> ChainEntry | MergedEntry:
+        entry = self.get(label)
+        if entry is None:
+            raise KeyError(label)
+        return entry
+
+    def __contains__(self, label: object) -> bool:
+        return self.find(label) >= 0  # a merged label keeps its record
+
+    def __setitem__(self, label: bytes, entry: ChainEntry | MergedEntry) -> None:
+        if len(label) != LAMBDA:
+            raise ValueError(f"label is {len(label)} bytes, expected {LAMBDA}")
+        n = self.find(label)
+        if isinstance(entry, MergedEntry):
+            if n < 0:
+                self.append_merged({label: entry})
+            self.merged[label] = entry
+            return
+        if len(entry.mu) != self.width:
+            raise ValueError(f"mask is {len(entry.mu)} bytes, expected {self.width}")
+        place = self._place(entry.file_id)
+        if n < 0:
+            self.extend([(label, entry.mu)], place)
+            return
+        at = n * self.size + LAMBDA
+        self.records[at : at + self.width + 4] = entry.mu + _PLACE.pack(place)
+        self.merged.pop(label, None)
+
+    def _place(self, file_id: bytes) -> int:
+        """A place naming file_id: the last, or else a new one. A file
+        stored again after another gets a second place, which reads the
+        same; the server's own add appends its place itself."""
+        if not self.places or self.places[-1] != file_id:
+            self.places.append(file_id)
+        return len(self.places) - 1
+
+    def __delitem__(self, label: bytes) -> None:
+        n = self.find(label)
+        if n < 0:
+            raise KeyError(label)
+        self.merged.pop(label, None)
+        del self.records[n * self.size : (n + 1) * self.size]
+        self._reindex(len(self.index))
+
+    def __iter__(self) -> Iterator[bytes]:
+        return self.labels()
+
+    def __len__(self) -> int:
+        return len(self.records) // self.size
+
+
 class CloudServer(Persistent):
     def __init__(
         self,
@@ -126,8 +354,9 @@ class CloudServer(Persistent):
         self.mode = check_mode(mode)
         if self.mode == FULL and group_key is None:
             raise UsageError("a full-mode server needs the group key")
-        self.tbl: dict[bytes, ChainEntry | MergedEntry] = {}
         self.files: dict[bytes, bytes] = {}
+        self.places: list[bytes] = []  # the file ids by arrival: records name them by place
+        self.tbl = Table(mask_width(self.mode), self.places)
         self.sigma = b""
         self.t = 0
         # the filter's generating set (full mode): its header, the last
@@ -201,20 +430,18 @@ class CloudServer(Persistent):
                         f"non-monotonic timestamp {payload.t} < {self.t}"
                     )
             width = mask_width(self.mode)
-            seen: set[bytes] = set()
             for tau, mu in payload.entries:
-                if tau in self.tbl or tau in seen:
-                    raise ProtocolError("duplicate index label in payload")
-                seen.add(tau)
                 if len(tau) != LAMBDA or len(mu) != width:
                     # catches basic/full state mixing: mask widths differ
                     raise ProtocolError(
                         f"entry sized {len(tau)}/{len(mu)}, expected {LAMBDA}/{width}"
                     )
+            if not self.tbl.extend(payload.entries, len(self.places)):
+                raise ProtocolError("duplicate index label in payload")
+            self.places.append(payload.file_id)
             bits = self._bits
-            for tau, mu in payload.entries:
-                self.tbl[tau] = ChainEntry(mu, payload.file_id)
-                if bits is not None:
+            if bits is not None:
+                for tau, _ in payload.entries:
                     bits.add(tau)
             self.files[payload.file_id] = payload.ciphertext
             if self.mode == FULL:
@@ -377,7 +604,7 @@ class CloudServer(Persistent):
                 elements = self.elements
                 for at in range(0, len(elements), LAMBDA):
                     bits.add(elements[at : at + LAMBDA])
-                for label in islice(self.tbl, self.refreshed_at, None):
+                for label in self.tbl.labels(self.refreshed_at):
                     bits.add(label)
                 self.filters_built["builds"] += 1
                 self.filters_built["elements"] += bits.n_inserted
@@ -403,7 +630,7 @@ class CloudServer(Persistent):
                 update = self.bf.serialize()
                 kind, size = "full", len(update)
             else:
-                update = list(islice(reversed(self.tbl), len(self.tbl) - at))[::-1]
+                update = list(self.tbl.labels(at))
                 kind, size = "delta" if update else "not_modified", len(update) * LAMBDA
             self.filters_served[kind] += 1
             if size:
@@ -457,15 +684,19 @@ class CloudServer(Persistent):
                 buf += fid
                 put_bytes(buf, self.files[fid])
                 spill()
-            runs: tuple[list[bytes], ...] = ([], [], [], [])
-            for i, (tau, entry) in enumerate(self.tbl.items()):
-                runs[2 * (i >= self.refreshed_at) + isinstance(entry, MergedEntry)].append(tau)
-            for run in runs:
-                run.sort()
+            tbl, since = self.tbl, self.refreshed_at
+            order = [place.get(fid) for fid in self.places]  # a record's place -> its number here
+            merged = {tbl.find(tau): tau for tau in tbl.merged}  # record number -> label
+            runs = (
+                tbl.sorted_run(0, since, merged.keys()),
+                sorted(tau for n, tau in merged.items() if n < since),
+                tbl.sorted_run(since, len(tbl), merged.keys()),
+                sorted(tau for n, tau in merged.items() if n >= since),
+            )
             number: dict[int, int] = {}  # id() of a shared list -> its number
             chains: list[list[bytes]] = []
             for run in runs[1::2]:
-                for chain in (self.tbl[tau].chain for tau in run):
+                for chain in (tbl.merged[tau].chain for tau in run):
                     if id(chain) not in number:
                         number[id(chain)] = len(chains)
                         chains.append(chain)
@@ -475,15 +706,16 @@ class CloudServer(Persistent):
                 for fid in chain:
                     put_u32(buf, place[fid])
                 spill()
-            for run in runs:
+            for kind, run in enumerate(runs):
                 put_u64(buf, len(run))
-                for tau in run:
-                    entry = self.tbl[tau]
-                    buf += tau
-                    if isinstance(entry, ChainEntry):
-                        buf += entry.mu
-                        put_u32(buf, place[entry.file_id])
+                for item in run:
+                    if kind % 2 == 0:  # a chain entry's record number
+                        head, p = tbl.record(item)
+                        buf += head
+                        put_u32(buf, order[p])
                     else:
+                        entry = tbl.merged[item]
+                        buf += item
                         put_u32(buf, number[id(entry.chain)])
                         put_u32(buf, entry.n)
                         buf += entry.gamma or b""  # none in basic mode
@@ -504,7 +736,9 @@ class CloudServer(Persistent):
         The runs enter the table in the order they were written, so the
         labels since the last refresh are again its suffix; a label read in
         an earlier run is refused, and so is any entry before a basic
-        server's refresh (it has none, so all its labels come after). The
+        server's refresh (it has none, so all its labels come after). A
+        chain run's records are the table's own: once its labels are seen
+        to ascend and its places to be in range, it is appended whole. The
         filter's generating set is restored and no bits are built: the
         refresh's elements are checked as a REFRESH's are (_check_elements)
         once every field has parsed. The header is checked as a serialized
@@ -525,30 +759,51 @@ class CloudServer(Persistent):
         width = mask_width(server.mode)
         for fid in r.ascending("file id", lambda: r.fixed(FILE_ID_LEN)):
             server.files[fid] = r.bytes_()
-        fids = list(server.files)
+        fids = server.places
+        fids.extend(server.files)
 
-        def file() -> bytes:
+        def place() -> int:
             at = r.pos
             i = r.u32()
             if i >= len(fids):
                 raise FormatError(f"file {i} out of range of {len(fids)}", offset=at)
-            return fids[i]
+            return i
 
-        chains = [[file() for _ in range(r.u32())] for _ in range(r.u64())]
+        chains = [[fids[place()] for _ in range(r.u32())] for _ in range(r.u64())]
         used = 0  # lists numbered so far, in run order
         tbl = server.tbl
+        size = tbl.size
+        entry = struct.Struct(f">{LAMBDA}s{width}xI")  # a chain run record's label and place
         for run in range(4):
             if run == 2:
                 server.refreshed_at = len(tbl)
+            if run % 2 == 0:  # the records as the table holds them
+                count = r.u64()
+                at = r.pos
+                if count and run < 2 and not full:
+                    raise FormatError("an entry before a basic server's refresh", offset=at)
+                records = r.view(count * size)
+                prev = b""
+                for i, (tau, i_file) in enumerate(entry.iter_unpack(records)):
+                    if tau <= prev:
+                        raise FormatError("index labels out of order", offset=at + i * size)
+                    if i_file >= len(fids):
+                        raise FormatError(
+                            f"file {i_file} out of range of {len(fids)}",
+                            offset=at + (i + 1) * size - 4,
+                        )
+                    prev = tau
+                i = tbl.append_run(records)
+                if i >= 0:
+                    raise FormatError("index label in two runs", offset=at + i * size)
+                continue
+            merged: dict[bytes, MergedEntry] = {}
             for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
                 at = r.pos - LAMBDA
                 if tau in tbl:
                     raise FormatError("index label in two runs", offset=at)
                 if run < 2 and not full:
                     raise FormatError("an entry before a basic server's refresh", offset=at)
-                if run % 2 == 0:
-                    tbl[tau] = ChainEntry(r.fixed(width), file())
-                    continue
                 at = r.pos
                 i, n = r.u32(), r.u32()
                 if i > used or i >= len(chains):
@@ -558,7 +813,8 @@ class CloudServer(Persistent):
                         f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
                     )
                 used = max(used, i + 1)
-                tbl[tau] = MergedEntry(chains[i], n, r.fixed(LAMBDA) if full else None)
+                merged[tau] = MergedEntry(chains[i], n, r.fixed(LAMBDA) if full else None)
+            tbl.append_merged(merged)
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
         if full:

@@ -1,6 +1,7 @@
 """Decoder robustness: arbitrary or mutated bytes must fail cleanly with
 FormatError (or decode to something re-encodable), never crash."""
 
+import hashlib
 import random
 import struct
 
@@ -211,13 +212,16 @@ def test_restores_refuse_a_filter_asking_for_too_many_hashes():
     for blob, k_at, bf, restore in (
         # the owner's serialized filter is its last field; the server's
         # header is followed by u32 n and the n elements of the last refresh
-        (owner_blob, len(owner_blob) - len(owner.bf.bits) - 4, owner.bf, DataOwner.restore),
+        # (and then its digest)
+        (owner_blob, len(owner_blob) - 32 - len(owner.bf.bits) - 4, owner.bf, DataOwner.restore),
         (server_blob, len(server_blob) - len(server.elements) - 8, server.bf, CloudServer.restore),
     ):
         k = struct.unpack_from(">I", blob, k_at)[0]
         assert k == bf.k
         data = bytearray(blob)
         struct.pack_into(">I", data, k_at, k ^ (1 << 20))
+        if restore == DataOwner.restore:  # a new digest, so the header is read
+            data[-32:] = hashlib.sha256(data[:-32]).digest()
         with pytest.raises(FormatError, match="bad bloom header"):
             restore(bytes(data))
 
@@ -276,6 +280,8 @@ def test_owner_restore_rejects_every_single_bit_flip():
                     restored = restore(data)
                 except FormatError:
                     continue
+                # an owner snapshot ends in a digest of all before it
+                assert restore != DataOwner.restore, (i, bit)
                 # anything accepted is the canonical encoding of what it
                 # restored, with the widths its mode fixes
                 assert restored.snapshot() == data, (restore, i, bit)

@@ -366,5 +366,6 @@ def test_long_state_run_smoke(monkeypatch):
     assert sizes.bf_bytes > 1000
     # tbl_bytes is the table section of the owner's snapshot: what is left
     # after the magic, mode flag, keys, epoch and t, and before the filter
+    # and the 32-byte digest
     blob = owners[0].snapshot()
-    assert sizes.tbl_bytes == len(blob) - (8 + 1 + 4 * LAMBDA + 8 + 8) - sizes.bf_bytes
+    assert sizes.tbl_bytes == len(blob) - (8 + 1 + 4 * LAMBDA + 8 + 8) - sizes.bf_bytes - 32

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -266,6 +267,12 @@ def test_snapshot_round_trip(tmp_path):
     )
 
 
+def resealed(body):
+    """An owner snapshot of body, the bytes before its SHA-256: a blob
+    edited in place passes the digest and reaches the field checks."""
+    return body + hashlib.sha256(body).digest()
+
+
 def one_keyword_blob(mode):
     """An owner snapshot holding keyword "w" at counter 1, and the offset
     of its table: after the magic, the mode flag, four keys, the epoch and,
@@ -284,7 +291,7 @@ def test_restore_refuses_a_counter_of_0(mode):
     cnt_at = table_at + 8 + 4 + 1  # the count, then "w" behind its length
     assert blob[cnt_at : cnt_at + 8] == (1).to_bytes(8, "big")
     with pytest.raises(FormatError, match="counter 0") as refused:
-        DataOwner.restore(blob[:cnt_at] + bytes(8) + blob[cnt_at + 8 :])
+        DataOwner.restore(resealed(blob[:cnt_at] + bytes(8) + blob[cnt_at + 8 : -32]))
     assert refused.value.offset == cnt_at
 
 
@@ -294,8 +301,27 @@ def test_restore_refuses_an_empty_keyword(mode):
     w_at = table_at + 8
     assert blob[w_at : w_at + 5] == b"\x00\x00\x00\x01w"
     with pytest.raises(FormatError, match="empty keyword") as refused:
-        DataOwner.restore(blob[:w_at] + bytes(4) + blob[w_at + 5 :])
+        DataOwner.restore(resealed(blob[:w_at] + bytes(4) + blob[w_at + 5 : -32]))
     assert refused.value.offset == w_at
+
+
+@pytest.mark.parametrize("mode", ["full", "basic"])
+def test_restore_refuses_a_counter_moved_to_another_that_parses(mode):
+    # a counter of 2 read as 3 parses: the next upload would mask the key
+    # of counter 3 over one of 2, and a search from it finds no entry at 3;
+    # only the digest over the whole snapshot catches it
+    owner = fresh(mode)
+    owner.add_file(b"f", ["w"], NOW)
+    owner.add_file(b"g", ["w"], NOW + 1)
+    blob = owner.snapshot()
+    cnt_at = 8 + 1 + 4 * 16 + 8 + (8 if mode == "full" else 0) + 8 + 4 + 1
+    assert blob[cnt_at : cnt_at + 8] == (2).to_bytes(8, "big")
+    flipped = blob[:cnt_at] + (3).to_bytes(8, "big") + blob[cnt_at + 8 :]
+    with pytest.raises(FormatError, match="digest") as refused:
+        DataOwner.restore(flipped)
+    assert refused.value.offset == len(blob) - 32
+    # the same edit under a fresh digest restores at counter 3
+    assert DataOwner.restore(resealed(flipped[:-32])).tbl["w"].cnt == 3
 
 
 def test_no_key_in_a_repr():
@@ -316,13 +342,14 @@ def test_previous_snapshot_version_refused():
     owner = fresh()
     owner.add_file(b"f", ["w"], NOW)
     blob = owner.snapshot()
-    assert blob.startswith(b"DSSEOWN6")
-    # DSSEOWN5 held a filter of labels that were a separate PRF of each chain
+    assert blob.startswith(b"DSSEOWN7")
+    assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+    # DSSEOWN6 had no digest; DSSEOWN5 held a filter of labels that were a separate PRF of each chain
     # key, under keys derived over a hashed input; DSSEOWN4 held gammas over result tags that named no place in the
     # chain; DSSEOWN3 held an unblocked filter; DSSEOWN2 and DSSEOWN1
     # prefixed each key and gamma with its length and stored the filter
     # sizing; DSSEOWN1 also had the older index function
-    for magic in (b"DSSEOWN5", b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
+    for magic in (b"DSSEOWN6", b"DSSEOWN5", b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
         with pytest.raises(FormatError, match="not an owner snapshot"):
             DataOwner.restore(magic + blob[8:])
 

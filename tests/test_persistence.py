@@ -95,11 +95,11 @@ def golden_state(role, mode):
             state = CloudServer(mode)
         chain = [b"\x10" * 16, b"\x11" * 16]
         gamma = b"\x08" * 16 if full else None
-        state.tbl = {
+        state.tbl.update({
             b"\x20" * 16: ChainEntry(b"\x30" * mask_width(mode), b"\x12" * 16),
             b"\x21" * 16: MergedEntry(chain, 2, gamma),
             b"\x22" * 16: MergedEntry(chain, 1, gamma),
-        }
+        })
         state.files = {fid: b"ciphertext " + fid for fid in chain + [b"\x12" * 16]}
     if full:
         state.t = 1_700_000_000
@@ -108,8 +108,8 @@ def golden_state(role, mode):
 
 
 GOLDEN_SNAPSHOTS = {
-    ("owner", "full"): "8571510847e8ef588eb32f994d20b84b6000a9ee2532e720b3eef407b6d4db85",
-    ("owner", "basic"): "0f21f47a9117fc2110db9ee7c955aac7f9c2fa28e7630422738a31b268b2d1ee",
+    ("owner", "full"): "63156d4294c9b5708c0125da1c5056798d5ec14a8c89df6d796d0fc6e4ed67df",
+    ("owner", "basic"): "3740ad1464f6978eeb8463a922661917690e6cebd5604cc2aea9368e89702729",
     ("server", "full"): "60c1ee196ddce439fafc1f1647262767b1769f73d967a066c8b1537b24c2ace3",
     ("server", "basic"): "247bea1783a747e9ad4c1db608dcce9502939adf3a3a96fd51df9f0f68b7a251",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",

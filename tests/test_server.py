@@ -3,12 +3,15 @@ import hmac
 import pathlib
 import random
 import struct
+import sys
+import time
+import tracemalloc
 import types
 
 import pytest
 
 import dsse
-from dsse import crypto
+from dsse import crypto, wire
 from dsse.bloom import BLOCK_BYTES, BloomFilter, BloomParams
 from dsse.crypto import (
     LAMBDA,
@@ -25,6 +28,7 @@ from dsse.errors import (
     StaleEpochError,
     UsageError,
 )
+from dsse.harness.phi import synthesize_stream
 from dsse.harness.scenario import AdversarialServer
 from dsse.owner import DataOwner
 from dsse.protocol import AddPayload, SearchTokenEnvelope, mask_width, result_mac, verify_result
@@ -81,6 +85,24 @@ def test_duplicate_label_within_payload_rejected():
     with pytest.raises(ProtocolError):
         server.add(payload)
     assert len(server.tbl) == 0  # nothing applied
+
+
+def test_refused_add_leaves_the_table_as_it_was():
+    # the table looks for a stored label as it inserts, and takes back the
+    # records and index slots of the labels before the one it finds
+    owner, server = build("basic")
+    first = owner.add_file(b"f", ["a", "b"], NOW)
+    server.add(first)
+    before = server.snapshot(), list(server.tbl), list(server.places)
+    fresh = [(bytes([i]) * 16, bytes(16)) for i in range(1, 40)]  # enough to grow the index
+    with pytest.raises(ProtocolError, match="duplicate index label"):
+        server.add(AddPayload(b"other-file-id-00", b"ct", fresh + first.entries[1:]))
+    assert (server.snapshot(), list(server.tbl), list(server.places)) == before
+    assert not any(tau in server.tbl for tau, _ in fresh)
+    assert len(server.tbl.index) - server.tbl.index.count(0) == len(server.tbl)  # a slot a record
+    server.add(AddPayload(b"other-file-id-00", b"ct", fresh))
+    assert all(server.tbl[tau] == ChainEntry(mu, b"other-file-id-00") for tau, mu in fresh)
+    assert all(server.tbl[tau] == ChainEntry(mu, first.file_id) for tau, mu in first.entries)
 
 
 def test_non_monotonic_timestamp_rejected():
@@ -1177,3 +1199,66 @@ def test_state_contains_no_keyword_bytes():
     blob = server.snapshot()
     for w in keywords + ["steps:1000", "heartbeat", "steps"]:
         assert w.encode("utf-8") not in blob
+
+
+@pytest.mark.parametrize("mode", ["basic", "full"])
+def test_table_holds_under_100_bytes_per_entry(mode):
+    # a dict of label -> ChainEntry held about 200 B per entry: its slot,
+    # the entry and the label and mask bytes objects; packed records hold
+    # 36 B (basic) or 52 B (full) and 8-16 B of index
+    params = BloomParams(2.0**-10, 15_000)
+    owner = DataOwner.generate(mode, params)
+    frames = [
+        wire.encode(owner.add_file(phi.to_bytes(), phi.keywords(), phi.timestamp))
+        for phi in synthesize_stream(30, 1000)
+    ]
+    server = CloudServer(mode, params, group_key=owner.keys.r if mode == "full" else None)
+    tracemalloc.start()
+    try:
+        for frame in frames:  # each payload decoded while traced, as a served ADD is
+            server.add(wire.decode(frame))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    files = sum(sys.getsizeof(fid) + sys.getsizeof(ct) for fid, ct in server.files.items())
+    assert len(server.tbl) > 10_000
+    assert (held - files) / len(server.tbl) < 100
+
+
+def test_labels_sharing_a_prefix_ingest_like_random_ones():
+    # an ADD is not authenticated: were slots keyed by a label's raw bytes,
+    # 4,000 labels sharing their first 12 bytes would fill one probe run
+    # and each insert would scan all before it, about 500 times slower
+    rng = random.Random(30)
+    prefix = rng.randbytes(12)
+    crafted = [prefix + i.to_bytes(4, "big") for i in range(4000)]
+    plain = [rng.randbytes(16) for _ in range(4000)]
+
+    def payloads(labels):
+        return [
+            AddPayload(i.to_bytes(16, "big"), b"ciphertext",
+                       [(tau, rng.randbytes(16)) for tau in labels[i * 100 : (i + 1) * 100]])
+            for i in range(len(labels) // 100)
+        ]
+
+    def ingest(batch):
+        server = CloudServer("basic")
+        t0 = time.perf_counter()
+        for payload in batch:
+            server.add(payload)
+        return time.perf_counter() - t0, server
+
+    crafted_batch, plain_batch = payloads(crafted), payloads(plain)
+    crafted_s = min(ingest(crafted_batch)[0] for _ in range(3))
+    plain_s = min(ingest(plain_batch)[0] for _ in range(3))
+    assert crafted_s < 10 * plain_s
+    server = ingest(crafted_batch)[1]
+    stored = {tau: ChainEntry(mu, p.file_id) for p in crafted_batch for tau, mu in p.entries}
+    assert len(server.tbl) == len(stored)
+    assert all(server.tbl[tau] == entry for tau, entry in stored.items())
+    assert prefix + (4000).to_bytes(4, "big") not in server.tbl
+    blob = server.snapshot()
+    back = CloudServer.restore(blob)
+    assert back.snapshot() == blob
+    assert list(back.tbl) == sorted(stored)  # one run, labels ascending
+    assert all(back.tbl[tau] == entry for tau, entry in stored.items())
