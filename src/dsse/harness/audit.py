@@ -11,7 +11,9 @@ earlier search.
 
 - It rebuilds the table from the ADD frames, each label with the frame
   that brought it. A byte-identical replay of an earlier frame brings
-  nothing new; any other label that comes again is a finding.
+  nothing new; any other label that comes again is a finding, keeps the
+  entry it came with first (as the server's table does) and counts as
+  the later frame's.
 - It walks each SEARCH token over the final table with the server's own
   walk (CloudServer.walk), without merges: every label the walk reaches
   must come from an ADD sent before the token.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from ..errors import DsseError
 from ..crypto import LAMBDA
 from ..protocol import BASIC, FULL, AddPayload, RefreshPayload, SearchTokenEnvelope
-from ..server import ChainEntry, CloudServer
+from ..server import CloudServer
 from ..wire import CODE_OK, GetBloom, Reply, Rotate, decode
 
 
@@ -66,11 +68,13 @@ def audit(frames: list[tuple[bytes, bytes]], group_key: bytes | None) -> list[st
             if request in seen:
                 continue
             seen.add(request)
+            server.places.append(msg.file_id)
             for tau, mu in msg.entries:
                 if tau in added:
                     findings.append(f"frame {at}: label first added at frame {added[tau]} added again")
                 added[tau] = at
-                server.tbl[tau] = ChainEntry(mu, msg.file_id)
+                if len(mu) == server.tbl.width:  # as the server's mode reads it
+                    server.tbl.extend([(tau, mu)], len(server.places) - 1)
         elif isinstance(msg, SearchTokenEnvelope):
             searches.append((at, msg, server.r, server.epoch))
         elif isinstance(msg, RefreshPayload):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ..bloom import BloomFilter, BloomParams
 from ..owner import DataOwner
 from ..protocol import BASIC, FULL, FilterTags
-from ..server import CloudServer
+from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
 from ..wire import Client, encode
 from .audit import RecordingTransport
@@ -313,8 +313,7 @@ def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
     for i in range(steps):
         server.add(owner.add_file(f"f{i}".encode(), ["recurring:1"], STREAM_START + i * 600))
         server.search(owner.gen_token("recurring:1"))
-    merged = list(server.tbl.merged.values())
-    lists = {id(e.chain): e.chain for e in merged}
+    merged = [e for e in server.tbl.values() if isinstance(e, MergedEntry)]
     blob = server.snapshot()
     samples = []
     for _ in range(5):
@@ -323,7 +322,7 @@ def bench_merged_storage(steps: int = 2000) -> MergedStorageBench:
         samples.append(time.perf_counter() - t0)
     return MergedStorageBench(
         steps,
-        sum(len(chain) for chain in lists.values()),
+        sum(len(chain) for chain in server.lists),
         sum(e.n for e in merged),
         len(blob),
         _median_ms(samples),

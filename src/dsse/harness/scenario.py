@@ -23,7 +23,7 @@ from ..errors import (
 )
 from ..owner import DataOwner
 from ..protocol import FRESHNESS_WINDOW, FULL, SearchTokenEnvelope
-from ..server import CloudServer
+from ..server import CloudServer, MergedEntry
 from ..user import AuthorizedUser
 from ..wire import Client, WireServer
 from .oracle import PlaintextOracle
@@ -85,8 +85,8 @@ class AdversarialServer(CloudServer):
             # replay another search's merged answer of the same cardinality
             with self._lock:
                 tau_head = next(self.walk(envelope))[0]
-                for tau, e in self.tbl.merged.items():
-                    if tau != tau_head and e.n == len(ids):
+                for tau, e in self.tbl.items():
+                    if tau != tau_head and isinstance(e, MergedEntry) and e.n == len(ids):
                         return list(e.ids), self.ciphertexts_for(e.ids), e.gamma
         return ids, cts, gamma
 

@@ -25,18 +25,24 @@ exactly one keyword's chain and nothing else: each entry it opens gives the
 key, and so the label and pad, of the one before.
 
 In memory the table (Table) is one bytearray of fixed-width records in
-arrival order, label(16) | mu(16 basic, 32 full) | u32 file place, the
-layout of a DSSESR11 chain run, the place naming the server's list of file
-ids by arrival (places). An index of record numbers, probed linearly at a
-load of at most 1/2, finds a label. Its slot is hash(label): Python's
-per-process keyed SipHash, as a dict's is. An ADD is not authenticated,
-and slots keyed by a label's raw bytes would let a sender choose labels
-that share one probe run, so that every insert scans it. Merged entries
-stay objects, in a dict checked first. A chain entry so costs its record
-and 8-16 B of index: about 51 B in basic mode and 67 B in full mode, where
-a dict of label and ChainEntry objects held about 188 and 204 B
-(tracemalloc over 1,000 basic uploads; dsse bench server_bytes_per_entry,
-a restored full-mode server of 15,000 entries).
+arrival order, label(16) | body(16 basic, 32 full) | u32 place. A chain
+entry's body is its mu and its place names the server's list of file ids
+by arrival (places): the layout of a DSSESR11 chain run. A search rewrites
+each record it opens, in place, as a merged entry: its place becomes
+MERGED, which no file has, and its body u32 list | u32 n | gamma (full
+mode), zero-padded, the list naming one of the server's shared id lists
+(lists). An index of record numbers, probed linearly at a load of at most
+1/2, finds a label. Its slot is hash(label): Python's per-process keyed
+SipHash, as a dict's is. An ADD is not authenticated, and slots keyed by a
+label's raw bytes would let a sender choose labels that share one probe
+run, so that every insert scans it. A chain entry so costs its record and
+8-16 B of index: about 51 B in basic mode and 67 B in full mode, where a
+dict of label and ChainEntry objects held about 188 and 204 B (tracemalloc
+over 1,000 basic uploads; dsse bench server_bytes_per_entry, a restored
+full-mode server of 15,000 entries). Merging adds only the entry's id to a
+shared list, about 8 B, where a MergedEntry object in a dict of its own
+added about 154 B (tracemalloc over 50 basic searches merging 20,000
+entries).
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ import struct
 import threading
 from array import array
 from collections import Counter
-from collections.abc import Container, Iterable, Iterator, MutableMapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 from .bloom import BloomFilter, BloomParams, check_header
 from .crypto import LAMBDA, ZERO, chain_link, se_decrypt, xor_bytes
@@ -76,13 +83,17 @@ _SPILL = 1 << 12  # snapshot bytes gathered before they move to the output
 
 @dataclass(slots=True)
 class ChainEntry:
+    """A record no search has opened, as Table reads it: its mask, and the
+    file its place names."""
+
     mu: bytes
     file_id: bytes
 
 
 @dataclass(slots=True)
 class MergedEntry:
-    """An entry a search opened, frozen with the answer at its counter.
+    """A record a search opened, as Table reads it: frozen with the answer
+    at its counter.
 
     chain is the append-only list of file ids, oldest-first, that the merged
     entries of one keyword chain share; the entry at counter n answers with
@@ -114,49 +125,56 @@ def _check_elements(m: int, k: int, elements: bytes) -> None:
             raise FormatError("refresh elements are not strictly ascending", offset=at)
 
 
-def _extend(below: MergedEntry | None, fresh: list[bytes]) -> list[bytes]:
-    """The id list, oldest-first, for a walk that collected fresh
-    (oldest-first) on top of the merged entry it stopped at, if any.
+def _extend(lists: list[list[bytes]], below: tuple | None, fresh: list[bytes]) -> int:
+    """The number in lists of the id list, oldest-first, for a walk that
+    collected fresh (oldest-first) on top of the merged entry it stopped
+    at, if any, given as Table.listed reads it.
 
     The walk shares the list of the entry below when that entry is its
     list's end, appending to it. Otherwise (a crafted entry) it gets a
-    copy: ids that another entry's prefix covers never change.
+    new list: ids that another entry's prefix covers never change.
     """
-    if below is None:
-        return fresh
-    if below.n == len(below.chain):
-        below.chain.extend(fresh)
-        return below.chain
-    return below.chain[: below.n] + fresh
+    if below is not None:
+        i, n, _ = below
+        if n == len(lists[i]):
+            lists[i].extend(fresh)
+            return i
+        fresh = lists[i][:n] + fresh
+    lists.append(fresh)
+    return len(lists) - 1
 
 
 _PLACE = struct.Struct(">I")
+MERGED = 0xFFFFFFFF  # a merged record's place: no file has it
 
 
-class Table(MutableMapping):
-    """label -> ChainEntry or MergedEntry, iterated in arrival order.
+class Table(Mapping):
+    """label -> ChainEntry or MergedEntry, iterated in arrival order: a
+    read-only mapping that builds each entry from its record. Only the
+    server writes it, through extend (ADD), append_run (restore) and merge
+    (search).
 
-    Every label has a record in `records`, label(16) | mu(width) | u32
-    place, numbered in arrival order; the place indexes `places`, the
-    server's file ids by arrival. `index` holds record number + 1 (0 is an
-    empty slot) at hash(label) & mask, probing linearly, at most half full.
-    A read builds the ChainEntry from the record. A merged entry is held in
-    `merged`, which reads check first; its label keeps its record, and so
-    its place in arrival order, whose mask and place are then never read.
-    Deleting a label removes its record and rebuilds the index: only tests
-    and adversaries delete.
+    Every label has a record in `records`, label(16) | body(width) | u32
+    place, numbered in arrival order. A chain entry's body is its mu, and
+    its place indexes `places`, the server's file ids by arrival. A merged
+    entry's place is MERGED and its body u32 list | u32 n | gamma (full
+    mode), zero-padded; the list indexes `lists`, the server's shared id
+    lists. `index` holds record number + 1 (0 is an empty slot) at
+    hash(label) & mask, probing linearly, at most half full.
     """
 
-    def __init__(self, width: int, places: list[bytes]):
+    def __init__(self, width: int, places: list[bytes], lists: list[list[bytes]]):
         self.width = width
         self.size = LAMBDA + width + 4  # one record
         self._label = struct.Struct(f"{LAMBDA}s{width + 4}x")  # a record's label
-        self._body = struct.Struct(f">{width}sI")  # its mu and place
-        self._record = struct.Struct(f">{LAMBDA + width}sI")
+        self._body = struct.Struct(f">{width}sI")  # its body and place
+        # a merged record's list, n, gamma and place, after its label
+        self._merged = struct.Struct(f">II{width - LAMBDA}s{LAMBDA - 8}xI")
+        self._head = struct.Struct(f">B{self.size - 5}xI")  # its first byte and place
         self.places = places
+        self.lists = lists
         self.records = bytearray()
         self.index = array("I", bytes(4 * 8))
-        self.merged: dict[bytes, MergedEntry] = {}
 
     def find(self, label: bytes) -> int:
         """The label's record number, or -1."""
@@ -185,22 +203,20 @@ class Table(MutableMapping):
         return self._index(start, entries) < 0
 
     def append_run(self, run: bytes | memoryview) -> int:
-        """Append whole records, as a DSSESR11 chain run holds them, and
-        return -1; or append none and return the number in run of the
-        first record whose label the table or an earlier record holds. The
-        caller has checked each record's place."""
+        """Append whole records and return -1; or append none and return
+        the number in run of the first record whose label the table or an
+        earlier record holds. The caller has checked each record's body
+        and place."""
         start = self._reserve(len(run) // self.size)
         self.records += run
         return self._index(start, self._label.iter_unpack(run))
 
-    def append_merged(self, entries: dict[bytes, MergedEntry]) -> None:
-        """Add merged entries, in order, whose labels the table does not
-        hold; the caller has checked that each label is LAMBDA bytes. Their
-        records hold only the label: a merged entry's mu and place are
-        never read."""
-        pad = bytes(self.size - LAMBDA)
-        self.append_run(b"".join(label + pad for label in entries))
-        self.merged.update(entries)
+    def merge(self, n: int, i: int, count: int, gamma: bytes | None) -> None:
+        """Rewrite record n as the merged entry that answers with the
+        first count ids of list i, and gamma."""
+        self._merged.pack_into(
+            self.records, n * self.size + LAMBDA, i, count, gamma or b"", MERGED
+        )
 
     def _reserve(self, count: int) -> int:
         """Grow the index to take count more records; the table's length."""
@@ -248,93 +264,55 @@ class Table(MutableMapping):
         view = memoryview(self.records)[start * self.size :]
         return (label for (label,) in self._label.iter_unpack(view))
 
-    def record(self, n: int) -> tuple[bytes, int]:
-        """Record n as its label and mu, and its place."""
-        return self._record.unpack_from(self.records, n * self.size)
+    def body(self, n: int) -> tuple[bytes, int]:
+        """Record n's body and place."""
+        return self._body.unpack_from(self.records, n * self.size + LAMBDA)
 
-    def sorted_run(self, start: int, stop: int, skip: Container[int]) -> array:
-        """The numbers of records start..stop-1 but those in skip, labels
-        ascending: bucketed by the label's first byte (a counting sort),
-        then each bucket sorted, so one bucket's labels are built at once."""
+    def place(self, n: int) -> int:
+        """Record n's place: MERGED for a merged entry."""
+        return _PLACE.unpack_from(self.records, (n + 1) * self.size - 4)[0]
+
+    def listed(self, n: int) -> tuple[int, int, bytes | None]:
+        """Merged record n's list number, n and gamma."""
+        i, count, gamma, _ = self._merged.unpack_from(self.records, n * self.size + LAMBDA)
+        return i, count, gamma or None
+
+    def sorted_runs(self, start: int, stop: int) -> tuple[array, array]:
+        """The offsets in `records` of the chain records among
+        start..stop-1, and of the merged ones, each labels ascending. One
+        pass buckets them by kind and the top four bits of the label, and
+        each bucket is then sorted on its labels: only a sixteenth of the
+        labels is built at once."""
         records, size = self.records, self.size
-        numbers = array("I", (n for n in range(start, stop) if n not in skip))
-        ends = [0] * 257  # counts, then each bucket's start, then its end
-        for n in numbers:
-            ends[records[n * size] + 1] += 1
-        for b in range(256):
-            ends[b + 1] += ends[b]
-        run = array("I", bytes(4 * len(numbers)))
-        for n in numbers:
-            b = records[n * size]
-            run[ends[b]] = n
-            ends[b] += 1
-        begin = 0
-        for end in ends[:256]:
-            bucket = sorted(run[begin:end], key=lambda n: records[n * size : n * size + LAMBDA])
-            run[begin:end] = array("I", bucket)
-            begin = end
-        return run
+        code = "I" if len(records) <= 1 << 32 else "Q"  # wide enough for an offset
+        buckets = [array(code) for _ in range(32)]
+        offsets = range(start * size, stop * size, size)
+        heads = self._head.iter_unpack(memoryview(records)[start * size : stop * size])
+        for at, (b, place) in zip(offsets, heads):
+            buckets[b >> 4 | (place == MERGED) << 4].append(at)
+        label = partial(self._label.unpack_from, records)
+        runs = array(code), array(code)
+        for key, bucket in enumerate(buckets):
+            runs[key >> 4].extend(sorted(bucket, key=label))
+            del bucket[:]
+        return runs
 
-    def get(self, label: bytes, default=None):
-        entry = self.merged.get(label)
-        if entry is not None:
-            return entry
-        if len(label) != LAMBDA:
-            return default
-        records, index, size = self.records, self.index, self.size
-        mask = len(index) - 1
-        slot = hash(label) & mask
-        while n := index[slot]:  # find, inlined: a search reads every entry it opens
-            at = (n - 1) * size
-            if records.startswith(label, at):
-                mu, place = self._body.unpack_from(records, at + LAMBDA)
-                return ChainEntry(mu, self.places[place])
-            slot = (slot + 1) & mask
-        return default
+    def entry(self, n: int) -> ChainEntry | MergedEntry:
+        """Record n as an entry."""
+        mu, place = self.body(n)
+        if place != MERGED:
+            return ChainEntry(mu, self.places[place])
+        i, count, gamma = self.listed(n)
+        return MergedEntry(self.lists[i], count, gamma)
 
     def __getitem__(self, label: bytes) -> ChainEntry | MergedEntry:
-        entry = self.get(label)
-        if entry is None:
+        n = self.find(label)
+        if n < 0:
             raise KeyError(label)
-        return entry
+        return self.entry(n)
 
     def __contains__(self, label: object) -> bool:
-        return self.find(label) >= 0  # a merged label keeps its record
-
-    def __setitem__(self, label: bytes, entry: ChainEntry | MergedEntry) -> None:
-        if len(label) != LAMBDA:
-            raise ValueError(f"label is {len(label)} bytes, expected {LAMBDA}")
-        n = self.find(label)
-        if isinstance(entry, MergedEntry):
-            if n < 0:
-                self.append_merged({label: entry})
-            self.merged[label] = entry
-            return
-        if len(entry.mu) != self.width:
-            raise ValueError(f"mask is {len(entry.mu)} bytes, expected {self.width}")
-        place = self._place(entry.file_id)
-        if n < 0:
-            self.extend([(label, entry.mu)], place)
-            return
-        at = n * self.size + LAMBDA
-        self.records[at : at + self.width + 4] = entry.mu + _PLACE.pack(place)
-        self.merged.pop(label, None)
-
-    def _place(self, file_id: bytes) -> int:
-        """A place naming file_id: the last, or else a new one. A file
-        stored again after another gets a second place, which reads the
-        same; the server's own add appends its place itself."""
-        if not self.places or self.places[-1] != file_id:
-            self.places.append(file_id)
-        return len(self.places) - 1
-
-    def __delitem__(self, label: bytes) -> None:
-        n = self.find(label)
-        if n < 0:
-            raise KeyError(label)
-        self.merged.pop(label, None)
-        del self.records[n * self.size : (n + 1) * self.size]
-        self._reindex(len(self.index))
+        return self.find(label) >= 0
 
     def __iter__(self) -> Iterator[bytes]:
         return self.labels()
@@ -356,7 +334,8 @@ class CloudServer(Persistent):
             raise UsageError("a full-mode server needs the group key")
         self.files: dict[bytes, bytes] = {}
         self.places: list[bytes] = []  # the file ids by arrival: records name them by place
-        self.tbl = Table(mask_width(self.mode), self.places)
+        self.lists: list[list[bytes]] = []  # the shared id lists: merged records name them
+        self.tbl = Table(mask_width(self.mode), self.places, self.lists)
         self.sigma = b""
         self.t = 0
         # the filter's generating set (full mode): its header, the last
@@ -388,7 +367,7 @@ class CloudServer(Persistent):
         length then, in ascending order, so the taus added since are the
         table's newest len(tbl) - at labels: the table gains labels only at
         its end and never loses one (add stores entries before it logs and
-        acks a replay before any insert; search only reassigns labels). The
+        acks a replay before any insert; search only rewrites records). The
         log is not persisted: a restored server logs its current version."""
         self._versions = {(self.t, self.sigma): len(self.tbl)}
 
@@ -517,32 +496,33 @@ class CloudServer(Persistent):
 
     def walk(
         self, envelope: SearchTokenEnvelope
-    ) -> Iterator[tuple[bytes, ChainEntry | MergedEntry, bytes | None]]:
-        """The entries a token reaches, newest first, each as (label, entry,
-        gamma), gamma the one its mask or merged answer holds (None in basic
-        mode). The walk stops after the chain's first entry (its key is the
-        zero key) or after a merged entry. It changes nothing: search merges
-        what it yields, and harness.audit walks a table rebuilt from a
-        transcript with it. An unknown head label is a NotFoundError, a
-        missing interior one a ProtocolError, and so is a label reached
-        twice: an ADD can hold an entry that opens to its own key, and a walk
-        around it would never end."""
+    ) -> Iterator[tuple[bytes, int, bytes | None]]:
+        """The records a token reaches, newest first, each as (label, record
+        number, gamma), gamma the one its mask or merged answer holds (None
+        in basic mode). The walk stops after the chain's first entry (its
+        key is the zero key) or after a merged entry. It changes nothing:
+        search merges what it yields, and harness.audit walks a table
+        rebuilt from a transcript with it. An unknown head label is a
+        NotFoundError, a missing interior one a ProtocolError, and so is a
+        label reached twice: an ADD can hold an entry that opens to its own
+        key, and a walk around it would never end."""
         tau, pad = chain_link(self._open_token(envelope))
-        width = mask_width(self.mode)
+        tbl, width = self.tbl, mask_width(self.mode)
         missing = NotFoundError("unknown index label in token")
         reached: set[bytes] = set()
         while True:
             if tau in reached:
                 raise ProtocolError("chain loops back to a label it reached")
             reached.add(tau)
-            entry = self.tbl.get(tau)
-            if entry is None:
+            n = tbl.find(tau)
+            if n < 0:
                 raise missing
-            if isinstance(entry, MergedEntry):
-                yield tau, entry, entry.gamma
+            mu, place = tbl.body(n)
+            if place == MERGED:
+                yield tau, n, tbl.listed(n)[2]
                 return
-            opened = xor_bytes(entry.mu, pad[:width])
-            yield tau, entry, opened[LAMBDA:] or None
+            opened = xor_bytes(mu, pad[:width])
+            yield tau, n, opened[LAMBDA:] or None
             k = opened[:LAMBDA]
             if k == ZERO:
                 return
@@ -556,28 +536,33 @@ class CloudServer(Persistent):
         (ids, ciphertexts, gamma), gamma None in basic mode.
 
         Collects file ids newest-first, stopping at the zero key or at a
-        previously merged entry. Afterwards every entry the walk opened is
+        previously merged entry. Afterwards every record the walk opened is
         rewritten as a merged entry at its own counter, so a later search at
         any counter walked so far costs one lookup, and one at a newer
         counter one plus one per entry added since.
         """
         with self._lock:
-            walked: list[tuple[bytes, bytes, bytes | None]] = []  # label, id, gamma
-            below: MergedEntry | None = None
-            for tau, entry, gamma in self.walk(envelope):
-                if isinstance(entry, MergedEntry):
-                    below = entry
+            tbl = self.tbl
+            walked: list[tuple[int, int, bytes | None]] = []  # record, place, gamma
+            below = None  # the merged record's list, n and gamma
+            for _, n, gamma in self.walk(envelope):
+                place = tbl.place(n)
+                if place == MERGED:
+                    below = tbl.listed(n)
                 else:
-                    walked.append((tau, entry.file_id, gamma))
+                    walked.append((n, place, gamma))
             self.last_search_lookups = len(walked) + (below is not None)
 
             if walked:
-                chain = _extend(below, [fid for _, fid, _ in reversed(walked)])
-                for n, (label, _, gamma) in zip(range(len(chain), 0, -1), walked):
-                    self.tbl[label] = MergedEntry(chain, n, gamma)
-            head = self.tbl[walked[0][0]] if walked else below
-            ids = head.chain[head.n - 1 :: -1]
-            return ids, self.ciphertexts_for(ids), head.gamma
+                fresh = [self.places[place] for _, place, _ in reversed(walked)]
+                i = _extend(self.lists, below, fresh)
+                count = len(self.lists[i])
+                for c, (n, _, gamma) in zip(range(count, 0, -1), walked):
+                    tbl.merge(n, i, c, gamma)
+                below = i, count, walked[0][2]  # the head, merged now, answers
+            i, count, gamma = below
+            ids = self.lists[i][count - 1 :: -1]
+            return ids, self.ciphertexts_for(ids), gamma
 
     def ciphertexts_for(self, ids: list[bytes]) -> list[bytes]:
         with self._lock:
@@ -678,48 +663,42 @@ class CloudServer(Persistent):
                 buf += self.sigma
                 put_u64(buf, self.t)
             fids = sorted(self.files)
-            place = {fid: i for i, fid in enumerate(fids)}
+            place = {fid: _PLACE.pack(i) for i, fid in enumerate(fids)}  # each as a u32
             put_u64(buf, len(fids))
             for fid in fids:
                 buf += fid
                 put_bytes(buf, self.files[fid])
                 spill()
             tbl, since = self.tbl, self.refreshed_at
-            order = [place.get(fid) for fid in self.places]  # a record's place -> its number here
-            merged = {tbl.find(tau): tau for tau in tbl.merged}  # record number -> label
-            runs = (
-                tbl.sorted_run(0, since, merged.keys()),
-                sorted(tau for n, tau in merged.items() if n < since),
-                tbl.sorted_run(since, len(tbl), merged.keys()),
-                sorted(tau for n, tau in merged.items() if n >= since),
-            )
-            number: dict[int, int] = {}  # id() of a shared list -> its number
-            chains: list[list[bytes]] = []
+            records, width = tbl.records, tbl.width
+            runs = tbl.sorted_runs(0, since) + tbl.sorted_runs(since, len(tbl))
+            # a record as the snapshot renumbers it: the bytes before the
+            # number, the number, the bytes after
+            chain = struct.Struct(f">{LAMBDA + width}sI0s")  # a place
+            merged = struct.Struct(f">{LAMBDA}sI{width - LAMBDA + 4}s{LAMBDA - 4}x")  # a list
+            number: dict[int, bytes] = {}  # a list's number in the table -> in the snapshot
             for run in runs[1::2]:
-                for chain in (tbl.merged[tau].chain for tau in run):
-                    if id(chain) not in number:
-                        number[id(chain)] = len(chains)
-                        chains.append(chain)
-            put_u64(buf, len(chains))
-            for chain in chains:
-                put_u32(buf, len(chain))
-                for fid in chain:
-                    put_u32(buf, place[fid])
+                for at in run:
+                    (i,) = _PLACE.unpack_from(records, at + LAMBDA)
+                    if i not in number:
+                        number[i] = _PLACE.pack(len(number))
+            put_u64(buf, len(number))
+            for i in number:
+                ids = self.lists[i]
+                put_u32(buf, len(ids))
+                buf += b"".join(map(place.__getitem__, ids))
                 spill()
+            renumber = [place.get(fid) for fid in self.places], number
             for kind, run in enumerate(runs):
                 put_u64(buf, len(run))
-                for item in run:
-                    if kind % 2 == 0:  # a chain entry's record number
-                        head, p = tbl.record(item)
-                        buf += head
-                        put_u32(buf, order[p])
-                    else:
-                        entry = tbl.merged[item]
-                        buf += item
-                        put_u32(buf, number[id(entry.chain)])
-                        put_u32(buf, entry.n)
-                        buf += entry.gamma or b""  # none in basic mode
-                    spill()
+                unpack, new = (merged if kind % 2 else chain).unpack_from, renumber[kind % 2]
+                for at in run:
+                    head, i, rest = unpack(records, at)
+                    buf += head
+                    buf += new[i]
+                    buf += rest
+                    if len(buf) >= _SPILL:
+                        spill()
             if full:
                 put_u32(buf, self.m)
                 put_u32(buf, self.k)
@@ -731,14 +710,17 @@ class CloudServer(Persistent):
     @classmethod
     def restore(cls, data: bytes) -> "CloudServer":
         """The server a snapshot holds. Every file number resolves to the
-        table's own id object, so entries and lists share one per file.
+        table's own id object, so entries and lists share one per file, and
+        the lists become the server's own under the snapshot's numbers.
 
         The runs enter the table in the order they were written, so the
         labels since the last refresh are again its suffix; a label read in
         an earlier run is refused, and so is any entry before a basic
         server's refresh (it has none, so all its labels come after). A
         chain run's records are the table's own: once its labels are seen
-        to ascend and its places to be in range, it is appended whole. The
+        to ascend and its places to be in range, it is appended whole. A
+        merged run's are too, once each is padded and given the MERGED
+        place; a chain record with that place is out of range. The
         filter's generating set is restored and no bits are built: the
         refresh's elements are checked as a REFRESH's are (_check_elements)
         once every field has parsed. The header is checked as a serialized
@@ -769,52 +751,53 @@ class CloudServer(Persistent):
                 raise FormatError(f"file {i} out of range of {len(fids)}", offset=at)
             return i
 
-        chains = [[fids[place()] for _ in range(r.u32())] for _ in range(r.u64())]
+        chains = server.lists  # the snapshot's list numbers are the table's
+        chains.extend([fids[place()] for _ in range(r.u32())] for _ in range(r.u64()))
         used = 0  # lists numbered so far, in run order
         tbl = server.tbl
-        size = tbl.size
-        entry = struct.Struct(f">{LAMBDA}s{width}xI")  # a chain run record's label and place
+        chain = struct.Struct(f">{LAMBDA}s{width}xI")  # a chain record's label and place
+        merged = struct.Struct(f">{LAMBDA}sII{width - LAMBDA}x")  # a merged one's label, list and n
+        tail = bytes(LAMBDA - 8) + _PLACE.pack(MERGED)  # what the table's merged record adds
         for run in range(4):
             if run == 2:
                 server.refreshed_at = len(tbl)
-            if run % 2 == 0:  # the records as the table holds them
-                count = r.u64()
-                at = r.pos
-                if count and run < 2 and not full:
-                    raise FormatError("an entry before a basic server's refresh", offset=at)
-                records = r.view(count * size)
-                prev = b""
-                for i, (tau, i_file) in enumerate(entry.iter_unpack(records)):
+            record = merged if run % 2 else chain
+            count = r.u64()
+            at = r.pos
+            if count and run < 2 and not full:
+                raise FormatError("an entry before a basic server's refresh", offset=at)
+            records = r.view(count * record.size)
+            prev, step = b"", record.size
+            if record is chain:
+                for j, (tau, i) in enumerate(chain.iter_unpack(records)):
                     if tau <= prev:
-                        raise FormatError("index labels out of order", offset=at + i * size)
-                    if i_file >= len(fids):
+                        raise FormatError("index labels out of order", offset=at + j * step)
+                    if i >= len(fids):
                         raise FormatError(
-                            f"file {i_file} out of range of {len(fids)}",
-                            offset=at + (i + 1) * size - 4,
+                            f"file {i} out of range of {len(fids)}", offset=at + (j + 1) * step - 4
                         )
                     prev = tau
-                i = tbl.append_run(records)
-                if i >= 0:
-                    raise FormatError("index label in two runs", offset=at + i * size)
-                continue
-            merged: dict[bytes, MergedEntry] = {}
-            for tau in r.ascending("index label", lambda: r.fixed(LAMBDA)):
-                at = r.pos - LAMBDA
-                if tau in tbl:
-                    raise FormatError("index label in two runs", offset=at)
-                if run < 2 and not full:
-                    raise FormatError("an entry before a basic server's refresh", offset=at)
-                at = r.pos
-                i, n = r.u32(), r.u32()
-                if i > used or i >= len(chains):
-                    raise FormatError(f"id list {i} out of range or out of order", offset=at)
-                if not 1 <= n <= len(chains[i]):
-                    raise FormatError(
-                        f"prefix {n} of a {len(chains[i])}-id list", offset=at + 4
-                    )
-                used = max(used, i + 1)
-                merged[tau] = MergedEntry(chains[i], n, r.fixed(LAMBDA) if full else None)
-            tbl.append_merged(merged)
+            else:
+                for j, (tau, i, n) in enumerate(merged.iter_unpack(records)):
+                    if tau <= prev:
+                        raise FormatError("index labels out of order", offset=at + j * step)
+                    if i > used or i >= len(chains):
+                        raise FormatError(
+                            f"id list {i} out of range or out of order", offset=at + j * step + LAMBDA
+                        )
+                    if not 1 <= n <= len(chains[i]):
+                        raise FormatError(
+                            f"prefix {n} of a {len(chains[i])}-id list",
+                            offset=at + j * step + LAMBDA + 4,
+                        )
+                    used = max(used, i + 1)
+                    prev = tau
+                records = b"".join(
+                    part for j in range(0, len(records), step) for part in (records[j : j + step], tail)
+                )
+            j = tbl.append_run(records)
+            if j >= 0:
+                raise FormatError("index label in two runs", offset=at + j * step)
         if used != len(chains):
             raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
         if full:

@@ -14,7 +14,7 @@ from dsse.crypto import KeyBundle
 from dsse.harness.phi import synthesize_stream
 from dsse.owner import DataOwner, KeywordRecord
 from dsse.protocol import mask_width
-from dsse.server import ChainEntry, CloudServer, MergedEntry
+from dsse.server import CloudServer
 from dsse.user import AuthorizedUser
 
 PARAMS = BloomParams(0.01, 100)
@@ -95,11 +95,13 @@ def golden_state(role, mode):
             state = CloudServer(mode)
         chain = [b"\x10" * 16, b"\x11" * 16]
         gamma = b"\x08" * 16 if full else None
-        state.tbl.update({
-            b"\x20" * 16: ChainEntry(b"\x30" * mask_width(mode), b"\x12" * 16),
-            b"\x21" * 16: MergedEntry(chain, 2, gamma),
-            b"\x22" * 16: MergedEntry(chain, 1, gamma),
-        })
+        state.places.append(b"\x12" * 16)
+        state.lists.append(chain)
+        # records 1 and 2 answer with the whole list and its first id
+        labels = [b"\x20" * 16, b"\x21" * 16, b"\x22" * 16]
+        state.tbl.extend([(tau, b"\x30" * mask_width(mode)) for tau in labels], 0)
+        state.tbl.merge(1, 0, 2, gamma)
+        state.tbl.merge(2, 0, 1, gamma)
         state.files = {fid: b"ciphertext " + fid for fid in chain + [b"\x12" * 16]}
     if full:
         state.t = 1_700_000_000

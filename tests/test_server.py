@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import types
+from array import array
 
 import pytest
 
@@ -103,6 +104,17 @@ def test_refused_add_leaves_the_table_as_it_was():
     server.add(AddPayload(b"other-file-id-00", b"ct", fresh))
     assert all(server.tbl[tau] == ChainEntry(mu, b"other-file-id-00") for tau, mu in fresh)
     assert all(server.tbl[tau] == ChainEntry(mu, first.file_id) for tau, mu in first.entries)
+    # a label a search merged is held as well: its record was rewritten in place
+    server.search(owner.gen_token("a"))
+    merged = chain_label(owner.keys.k_prf, "a", 1)
+    assert server.tbl[merged] == MergedEntry([first.file_id], 1, None)
+    tbl = server.tbl
+    before = bytes(tbl.records), array("I", tbl.index), [list(ids) for ids in server.lists]
+    more = [(bytes([i]) * 16, bytes(16)) for i in range(40, 50)]  # the index keeps its size
+    with pytest.raises(ProtocolError, match="duplicate index label"):
+        server.add(AddPayload(b"third-file-id-00", b"ct", more + [(merged, bytes(16))]))
+    assert (bytes(tbl.records), tbl.index, server.lists) == before
+    assert server.tbl[merged] == MergedEntry([first.file_id], 1, None)
 
 
 def test_non_monotonic_timestamp_rejected():
@@ -784,8 +796,8 @@ def test_merge_never_rewrites_a_shared_prefix():
     key = b"\x0b" * 16
     tau, pad = chain_link(key)
     link = derived_key(owner.keys.k_prf, "w", 1)  # the key of merged c1
-    server.tbl[tau] = ChainEntry(xor_bytes(link, pad[:16]), b"stranger-id-0000")
-    server.files[b"stranger-id-0000"] = b"stranger ciphertext"
+    crafted = [(tau, xor_bytes(link, pad[:16]))]
+    server.add(AddPayload(b"stranger-id-0000", b"stranger ciphertext", crafted))
     rst, _, _ = server.search(SearchTokenEnvelope(0, key))
     assert rst == [b"stranger-id-0000", ids[0]]
     assert server.tbl[tau].chain is not shared
@@ -815,10 +827,10 @@ def test_a_table_with_only_heads_merged_still_answers():
         result_mac(owner.keys.k_mac, server.files[fid], "w", i)
         for i, fid in enumerate(ids, start=1)
     ]
-    shared = list(ids)
+    server.lists.append(list(ids))
     for c in (1, 3, 8):
         gamma = aggregate_mac(tags[:c])
-        server.tbl[chain_label(owner.keys.k_prf, "w", c)] = MergedEntry(shared, c, gamma)
+        server.tbl.merge(server.tbl.find(chain_label(owner.keys.k_prf, "w", c)), 0, c, gamma)
     server = CloudServer.restore(server.snapshot())
     shared = server.tbl[chain_label(owner.keys.k_prf, "w", 1)].chain
     for _ in range(2):
@@ -922,6 +934,26 @@ def test_restore_refuses_out_of_range_file_numbers():
             with pytest.raises(FormatError, match=f"file {i} out of range") as refused:
                 CloudServer.restore(with_number(at, i))
             assert refused.value.offset == at
+
+
+def test_restore_refuses_a_chain_record_with_the_merged_place():
+    # the table marks a merged record by the place 0xFFFFFFFF; a chain run's
+    # record with that place and a merged record's body is out of range, and
+    # does not restore as a merged entry
+    owner, server = build("basic")
+    ingest(owner, server, 2, lambda i: ["w"])
+    server.search(owner.gen_token("w"))
+    ingest(owner, server, 1, lambda i: ["w"], start=NOW + 1200)
+    tbl = server.tbl
+    assert tbl.place(tbl.find(chain_label(owner.keys.k_prf, "w", 1))) == 2**32 - 1
+    blob = server.snapshot()
+    body_at = blob.index(chain_label(owner.keys.k_prf, "w", 3)) + 16
+    place_at = body_at + 16
+    merged_body = u32(0) + u32(1) + bytes(8)  # list 0, its first id
+    forged = blob[:body_at] + merged_body + u32(2**32 - 1) + blob[place_at + 4 :]
+    with pytest.raises(FormatError, match="file 4294967295 out of range") as refused:
+        CloudServer.restore(forged)
+    assert refused.value.offset == place_at
 
 
 def test_restore_refuses_a_file_id_cut_to_15_bytes():
@@ -1223,6 +1255,27 @@ def test_table_holds_under_100_bytes_per_entry(mode):
     files = sum(sys.getsizeof(fid) + sys.getsizeof(ct) for fid, ct in server.files.items())
     assert len(server.tbl) > 10_000
     assert (held - files) / len(server.tbl) < 100
+
+
+def test_a_merged_entry_holds_under_32_bytes():
+    # a merged entry was a MergedEntry object in a dict of its own, about
+    # 154 B beyond its record; a search now rewrites the record in place and
+    # adds the entry's id to its chain's shared list
+    owner = DataOwner.generate("basic")
+    server = CloudServer("basic")
+    keywords = [f"k{j}:1" for j in range(50)]
+    for i in range(400):
+        server.add(owner.add_file(f"f{i}".encode(), keywords, NOW + i * 600))
+    tokens = [owner.gen_token(w) for w in keywords]
+    tracemalloc.start()
+    try:
+        for token in tokens:
+            server.search(token)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(isinstance(e, MergedEntry) for e in server.tbl.values()) == 20_000
+    assert held / 20_000 < 32
 
 
 def test_labels_sharing_a_prefix_ingest_like_random_ones():
