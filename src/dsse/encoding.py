@@ -13,13 +13,12 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from typing import Callable, Iterator, TypeVar
+from typing import TypeVar
 
 from .errors import FormatError
 
 MAX_FIELD = 1 << 30  # sanity cap on a single length prefix (1 GiB)
 
-T = TypeVar("T")
 P = TypeVar("P", bound="Persistent")
 
 
@@ -116,19 +115,6 @@ class Reader:
             return self.bytes_().decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("invalid utf-8 in string field", offset=at) from None
-
-    def ascending(self, what: str, read: Callable[[], T]) -> Iterator[T]:
-        """Read a u64 count, then yield that many values, each read by
-        `read` and strictly greater than the last (the order snapshots
-        write them in)."""
-        prev = None
-        for _ in range(self.u64()):
-            at = self.pos
-            key = read()
-            if prev is not None and key <= prev:
-                raise FormatError(f"{what}s out of order", offset=at)
-            prev = key
-            yield key
 
     def expect_end(self) -> None:
         if self.pos != self.end:

@@ -45,7 +45,7 @@ from .protocol import (
     VerifyReport,
 )
 
-_SNAPSHOT_MAGIC = b"DSSEOWN7"
+_SNAPSHOT_MAGIC = b"DSSEOWN8"
 _DIGEST = 32  # a SHA-256 of everything before it ends the snapshot
 
 
@@ -229,7 +229,7 @@ class DataOwner(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSEOWN7: mode flag, the four keys, epoch, [t], the keyword
+        """DSSEOWN8: mode flag, the four keys, epoch, [t], the keyword
         table, [filter]; [..] only in full mode; then a SHA-256 of all
         before it. Fields are fixed-width where LAMBDA fixes them, and the
         filter runs to the digest. The digest catches what no field check
@@ -249,10 +249,10 @@ class DataOwner(Persistent):
         return b"".join((*parts, digest.digest()))  # the bits are copied once
 
     def _put_table(self, buf: bytearray) -> None:
-        """The keyword table: count, then (keyword, cnt, [gamma]) by keyword."""
+        """The keyword table: count, then (keyword, cnt, [gamma]) in the
+        table's order, each keyword's first upload."""
         put_u64(buf, len(self.tbl))
-        for w in sorted(self.tbl):
-            rec = self.tbl[w]
+        for w, rec in self.tbl.items():
             put_str(buf, w)
             put_u64(buf, rec.cnt)
             if self.mode == FULL:
@@ -273,9 +273,13 @@ class DataOwner(Persistent):
         tbl = {}
         # add_file never writes an empty keyword or a counter of 0; at 0 the
         # next upload would mask the key of counter 0 where ZERO belongs
-        for w in r.ascending("keyword", r.str_):
+        for _ in range(r.u64()):
+            at = r.pos
+            w = r.str_()
             if not w:
-                raise FormatError("empty keyword", offset=r.pos - 4)  # its u32 length
+                raise FormatError("empty keyword", offset=at)
+            if w in tbl:
+                raise FormatError(f"keyword {w!r} repeated", offset=at)
             at = r.pos
             cnt = r.u64()
             if cnt == 0:

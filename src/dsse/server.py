@@ -27,7 +27,7 @@ key, and so the label and pad, of the one before.
 In memory the table (Table) is one bytearray of fixed-width records in
 arrival order, label(16) | body(16 basic, 32 full) | u32 place. A chain
 entry's body is its mu and its place names the server's list of file ids
-by arrival (places): the layout of a DSSESR11 chain run. A search rewrites
+by arrival (places): the layout of a DSSESR12 chain run. A search rewrites
 each record it opens, in place, as a merged entry: its place becomes
 MERGED, which no file has, and its body u32 list | u32 n | gamma (full
 mode), zero-padded, the list naming one of the server's shared id lists
@@ -54,7 +54,6 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import partial
 
 from .bloom import BloomFilter, BloomParams, check_header
 from .crypto import LAMBDA, ZERO, chain_link, se_decrypt, xor_bytes
@@ -77,7 +76,7 @@ from .protocol import (
     mask_width,
 )
 
-_SNAPSHOT_MAGIC = b"DSSESR11"
+_SNAPSHOT_MAGIC = b"DSSESR12"
 _SPILL = 1 << 12  # snapshot bytes gathered before they move to the output
 
 
@@ -146,6 +145,7 @@ def _extend(lists: list[list[bytes]], below: tuple | None, fresh: list[bytes]) -
 
 _PLACE = struct.Struct(">I")
 MERGED = 0xFFFFFFFF  # a merged record's place: no file has it
+_TAIL = bytes(LAMBDA - 8) + _PLACE.pack(MERGED)  # a merged record's pad and place
 
 
 class Table(Mapping):
@@ -170,7 +170,7 @@ class Table(Mapping):
         self._body = struct.Struct(f">{width}sI")  # its body and place
         # a merged record's list, n, gamma and place, after its label
         self._merged = struct.Struct(f">II{width - LAMBDA}s{LAMBDA - 8}xI")
-        self._head = struct.Struct(f">B{self.size - 5}xI")  # its first byte and place
+        self._place = struct.Struct(f">{self.size - 4}xI")  # its place
         self.places = places
         self.lists = lists
         self.records = bytearray()
@@ -270,31 +270,21 @@ class Table(Mapping):
 
     def place(self, n: int) -> int:
         """Record n's place: MERGED for a merged entry."""
-        return _PLACE.unpack_from(self.records, (n + 1) * self.size - 4)[0]
+        return self._place.unpack_from(self.records, n * self.size)[0]
 
     def listed(self, n: int) -> tuple[int, int, bytes | None]:
         """Merged record n's list number, n and gamma."""
         i, count, gamma, _ = self._merged.unpack_from(self.records, n * self.size + LAMBDA)
         return i, count, gamma or None
 
-    def sorted_runs(self, start: int, stop: int) -> tuple[array, array]:
-        """The offsets in `records` of the chain records among
-        start..stop-1, and of the merged ones, each labels ascending. One
-        pass buckets them by kind and the top four bits of the label, and
-        each bucket is then sorted on its labels: only a sixteenth of the
-        labels is built at once."""
-        records, size = self.records, self.size
-        code = "I" if len(records) <= 1 << 32 else "Q"  # wide enough for an offset
-        buckets = [array(code) for _ in range(32)]
-        offsets = range(start * size, stop * size, size)
-        heads = self._head.iter_unpack(memoryview(records)[start * size : stop * size])
-        for at, (b, place) in zip(offsets, heads):
-            buckets[b >> 4 | (place == MERGED) << 4].append(at)
-        label = partial(self._label.unpack_from, records)
-        runs = array(code), array(code)
-        for key, bucket in enumerate(buckets):
-            runs[key >> 4].extend(sorted(bucket, key=label))
-            del bucket[:]
+    def runs(self, start: int, stop: int) -> tuple[array, array]:
+        """The numbers of the chain records among start..stop-1, and of
+        the merged ones, each in arrival order: one pass over their
+        places."""
+        runs = array("I"), array("I")
+        view = memoryview(self.records)[start * self.size : stop * self.size]
+        for n, (place,) in enumerate(self._place.iter_unpack(view), start):
+            runs[place == MERGED].append(n)
         return runs
 
     def entry(self, n: int) -> ChainEntry | MergedEntry:
@@ -627,21 +617,24 @@ class CloudServer(Persistent):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """DSSESR11, canonical: restore accepts no other encoding of the
+        """DSSESR12, canonical: restore accepts no other encoding of the
         same state, so snapshot -> restore -> snapshot is the identity.
 
         The mode flag, then [group key, epoch, sigma (a presence byte, then
         LAMBDA bytes), t]; the files; the shared id lists; four runs of
-        entries; [filter] ([..] only in full mode). The file table comes
-        first, ids ascending, and names each file id once: id lists and
-        chain entries name a file by its u32 place in it. Each shared id
-        list is written once; a merged entry names it by number and its
-        prefix length. The runs are the chain entries, then the merged
-        entries, whose labels came before the last refresh, then the same
-        two for the labels since: each a u64 count and its records, labels
-        ascending. Lists are numbered by first use in run order. Every field
-        but a ciphertext is fixed-width. The filter is its header (m, k),
-        then u32 n and the n elements of the last refresh: no bits.
+        entries; [filter] ([..] only in full mode). Everything is written
+        in the order the server holds it, so nothing is sorted or
+        renumbered. The file table comes first, in places order, and names
+        each file id once: id lists and chain entries name a file by its
+        u32 place, as the table's records do. The shared id lists follow in
+        lists order, each written once; a merged entry names one by its
+        number there and its prefix length. The runs are the chain entries,
+        then the merged entries, whose labels came before the last refresh,
+        then the same two for the labels since: each a u64 count and its
+        records in arrival order. A chain record is written as the table
+        holds it, and a merged one without its pad and MERGED place. Every
+        field but a ciphertext is fixed-width. The filter is its header
+        (m, k), then u32 n and the n elements of the last refresh: no bits.
 
         The bytes gather in a small buffer that spills into the output, so
         the snapshot is held about once while it is written."""
@@ -662,41 +655,25 @@ class CloudServer(Persistent):
                 put_u8(buf, 1 if self.sigma else 0)
                 buf += self.sigma
                 put_u64(buf, self.t)
-            fids = sorted(self.files)
-            place = {fid: _PLACE.pack(i) for i, fid in enumerate(fids)}  # each as a u32
-            put_u64(buf, len(fids))
-            for fid in fids:
+            put_u64(buf, len(self.places))
+            for fid in self.places:
                 buf += fid
                 put_bytes(buf, self.files[fid])
                 spill()
-            tbl, since = self.tbl, self.refreshed_at
-            records, width = tbl.records, tbl.width
-            runs = tbl.sorted_runs(0, since) + tbl.sorted_runs(since, len(tbl))
-            # a record as the snapshot renumbers it: the bytes before the
-            # number, the number, the bytes after
-            chain = struct.Struct(f">{LAMBDA + width}sI0s")  # a place
-            merged = struct.Struct(f">{LAMBDA}sI{width - LAMBDA + 4}s{LAMBDA - 4}x")  # a list
-            number: dict[int, bytes] = {}  # a list's number in the table -> in the snapshot
-            for run in runs[1::2]:
-                for at in run:
-                    (i,) = _PLACE.unpack_from(records, at + LAMBDA)
-                    if i not in number:
-                        number[i] = _PLACE.pack(len(number))
-            put_u64(buf, len(number))
-            for i in number:
-                ids = self.lists[i]
+            place = {fid: _PLACE.pack(i) for i, fid in enumerate(self.places)}  # each as a u32
+            put_u64(buf, len(self.lists))
+            for ids in self.lists:
                 put_u32(buf, len(ids))
                 buf += b"".join(map(place.__getitem__, ids))
                 spill()
-            renumber = [place.get(fid) for fid in self.places], number
-            for kind, run in enumerate(runs):
+            tbl, since = self.tbl, self.refreshed_at
+            records, size = tbl.records, tbl.size
+            for kind, run in enumerate(tbl.runs(0, since) + tbl.runs(since, len(tbl))):
                 put_u64(buf, len(run))
-                unpack, new = (merged if kind % 2 else chain).unpack_from, renumber[kind % 2]
-                for at in run:
-                    head, i, rest = unpack(records, at)
-                    buf += head
-                    buf += new[i]
-                    buf += rest
+                length = size - len(_TAIL) if kind % 2 else size
+                for n in run:
+                    at = n * size
+                    buf += records[at : at + length]
                     if len(buf) >= _SPILL:
                         spill()
             if full:
@@ -711,23 +688,24 @@ class CloudServer(Persistent):
     def restore(cls, data: bytes) -> "CloudServer":
         """The server a snapshot holds. Every file number resolves to the
         table's own id object, so entries and lists share one per file, and
-        the lists become the server's own under the snapshot's numbers.
+        the files and lists become the server's places and lists as
+        written: their numbers are the table's. A repeated file id is
+        refused, and so is a list no merged entry names.
 
         The runs enter the table in the order they were written, so the
-        labels since the last refresh are again its suffix; a label read in
-        an earlier run is refused, and so is any entry before a basic
-        server's refresh (it has none, so all its labels come after). A
-        chain run's records are the table's own: once its labels are seen
-        to ascend and its places to be in range, it is appended whole. A
-        merged run's are too, once each is padded and given the MERGED
-        place; a chain record with that place is out of range. The
-        filter's generating set is restored and no bits are built: the
-        refresh's elements are checked as a REFRESH's are (_check_elements)
-        once every field has parsed. The header is checked as a serialized
-        filter's is (check_header); a snapshot can thus name a filter of up
-        to the header's 2^32 - 1 bits (512 MB) without carrying it, the
-        most a server's BloomParams can size, and the first whole GET_BLOOM
-        builds it."""
+        labels since the last refresh are again its suffix; a label read
+        twice, in one run or two, is refused, and so is any entry before a
+        basic server's refresh (it has none, so all its labels come after).
+        A chain run's records are the table's own: once its places are
+        seen to be in range, it is appended whole. A merged run's are too,
+        once each is padded and given the MERGED place; a chain record with
+        that place is out of range. The filter's generating set is restored
+        and no bits are built: the refresh's elements are checked as a
+        REFRESH's are (_check_elements) once every field has parsed. The
+        header is checked as a serialized filter's is (check_header); a
+        snapshot can thus name a filter of up to the header's 2^32 - 1 bits
+        (512 MB) without carrying it, the most a server's BloomParams can
+        size, and the first whole GET_BLOOM builds it."""
         if not data.startswith(_SNAPSHOT_MAGIC):
             raise FormatError("not a server snapshot", offset=0)
         r = Reader(data, len(_SNAPSHOT_MAGIC))
@@ -739,10 +717,15 @@ class CloudServer(Persistent):
         else:
             server = cls(BASIC)
         width = mask_width(server.mode)
-        for fid in r.ascending("file id", lambda: r.fixed(FILE_ID_LEN)):
-            server.files[fid] = r.bytes_()
+        files = server.files
+        for _ in range(r.u64()):
+            at = r.pos
+            fid = r.fixed(FILE_ID_LEN)
+            if fid in files:
+                raise FormatError("file id repeated", offset=at)
+            files[fid] = r.bytes_()
         fids = server.places
-        fids.extend(server.files)
+        fids.extend(files)
 
         def place() -> int:
             at = r.pos
@@ -753,11 +736,10 @@ class CloudServer(Persistent):
 
         chains = server.lists  # the snapshot's list numbers are the table's
         chains.extend([fids[place()] for _ in range(r.u32())] for _ in range(r.u64()))
-        used = 0  # lists numbered so far, in run order
+        used = bytearray(len(chains))  # whether a merged entry names each list
         tbl = server.tbl
-        chain = struct.Struct(f">{LAMBDA}s{width}xI")  # a chain record's label and place
-        merged = struct.Struct(f">{LAMBDA}sII{width - LAMBDA}x")  # a merged one's label, list and n
-        tail = bytes(LAMBDA - 8) + _PLACE.pack(MERGED)  # what the table's merged record adds
+        chain = struct.Struct(f">{LAMBDA + width}xI")  # a chain record's place
+        merged = struct.Struct(f">{LAMBDA}xII{width - LAMBDA}x")  # a merged one's list and n
         for run in range(4):
             if run == 2:
                 server.refreshed_at = len(tbl)
@@ -767,39 +749,33 @@ class CloudServer(Persistent):
             if count and run < 2 and not full:
                 raise FormatError("an entry before a basic server's refresh", offset=at)
             records = r.view(count * record.size)
-            prev, step = b"", record.size
+            step = record.size
             if record is chain:
-                for j, (tau, i) in enumerate(chain.iter_unpack(records)):
-                    if tau <= prev:
-                        raise FormatError("index labels out of order", offset=at + j * step)
+                for j, (i,) in enumerate(chain.iter_unpack(records)):
                     if i >= len(fids):
                         raise FormatError(
                             f"file {i} out of range of {len(fids)}", offset=at + (j + 1) * step - 4
                         )
-                    prev = tau
             else:
-                for j, (tau, i, n) in enumerate(merged.iter_unpack(records)):
-                    if tau <= prev:
-                        raise FormatError("index labels out of order", offset=at + j * step)
-                    if i > used or i >= len(chains):
+                for j, (i, n) in enumerate(merged.iter_unpack(records)):
+                    if i >= len(chains):
                         raise FormatError(
-                            f"id list {i} out of range or out of order", offset=at + j * step + LAMBDA
+                            f"id list {i} out of range of {len(chains)}", offset=at + j * step + LAMBDA
                         )
                     if not 1 <= n <= len(chains[i]):
                         raise FormatError(
                             f"prefix {n} of a {len(chains[i])}-id list",
                             offset=at + j * step + LAMBDA + 4,
                         )
-                    used = max(used, i + 1)
-                    prev = tau
+                    used[i] = 1
                 records = b"".join(
-                    part for j in range(0, len(records), step) for part in (records[j : j + step], tail)
+                    part for j in range(0, len(records), step) for part in (records[j : j + step], _TAIL)
                 )
             j = tbl.append_run(records)
             if j >= 0:
-                raise FormatError("index label in two runs", offset=at + j * step)
-        if used != len(chains):
-            raise FormatError(f"{len(chains) - used} id lists unused", offset=r.pos)
+                raise FormatError("index label repeated", offset=at + j * step)
+        if unused := used.count(0):
+            raise FormatError(f"{unused} id lists unused", offset=r.pos)
         if full:
             at = r.pos
             server.m, server.k = r.u32(), r.u32()

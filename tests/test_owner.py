@@ -306,6 +306,31 @@ def test_restore_refuses_an_empty_keyword(mode):
 
 
 @pytest.mark.parametrize("mode", ["full", "basic"])
+def test_restore_refuses_a_repeated_keyword(mode):
+    # the table is written in its own order, not sorted, so a keyword read
+    # twice is refused where the second one starts
+    blob, table_at = one_keyword_blob(mode)
+    w_at = table_at + 8
+    record = blob[w_at : w_at + 4 + 1 + 8 + (16 if mode == "full" else 0)]
+    assert blob[table_at:w_at] == (1).to_bytes(8, "big") and record.startswith(b"\x00\x00\x00\x01w")
+    body = blob[:table_at] + (2).to_bytes(8, "big") + record + blob[w_at : -32]
+    with pytest.raises(FormatError, match="keyword 'w' repeated") as refused:
+        DataOwner.restore(resealed(body))
+    assert refused.value.offset == w_at + len(record)
+
+
+@pytest.mark.parametrize("mode", ["full", "basic"])
+def test_restore_keeps_the_keyword_order(mode):
+    owner = fresh(mode)
+    owner.add_file(b"f", ["z:1"], NOW)
+    owner.add_file(b"g", ["m:1", "a:1"], NOW + 1)
+    blob = owner.snapshot()
+    back = DataOwner.restore(blob)
+    assert list(back.tbl) == list(owner.tbl) == ["z:1", "a:1", "m:1"]
+    assert back.snapshot() == blob
+
+
+@pytest.mark.parametrize("mode", ["full", "basic"])
 def test_restore_refuses_a_counter_moved_to_another_that_parses(mode):
     # a counter of 2 read as 3 parses: the next upload would mask the key
     # of counter 3 over one of 2, and a search from it finds no entry at 3;
@@ -342,14 +367,14 @@ def test_previous_snapshot_version_refused():
     owner = fresh()
     owner.add_file(b"f", ["w"], NOW)
     blob = owner.snapshot()
-    assert blob.startswith(b"DSSEOWN7")
+    assert blob.startswith(b"DSSEOWN8")
     assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
-    # DSSEOWN6 had no digest; DSSEOWN5 held a filter of labels that were a separate PRF of each chain
+    # DSSEOWN7 wrote its keywords ascending; DSSEOWN6 had no digest; DSSEOWN5 held a filter of labels that were a separate PRF of each chain
     # key, under keys derived over a hashed input; DSSEOWN4 held gammas over result tags that named no place in the
     # chain; DSSEOWN3 held an unblocked filter; DSSEOWN2 and DSSEOWN1
     # prefixed each key and gamma with its length and stored the filter
     # sizing; DSSEOWN1 also had the older index function
-    for magic in (b"DSSEOWN6", b"DSSEOWN5", b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
+    for magic in (b"DSSEOWN7", b"DSSEOWN6", b"DSSEOWN5", b"DSSEOWN4", b"DSSEOWN3", b"DSSEOWN2", b"DSSEOWN1"):
         with pytest.raises(FormatError, match="not an owner snapshot"):
             DataOwner.restore(magic + blob[8:])
 

@@ -95,14 +95,15 @@ def golden_state(role, mode):
             state = CloudServer(mode)
         chain = [b"\x10" * 16, b"\x11" * 16]
         gamma = b"\x08" * 16 if full else None
-        state.places.append(b"\x12" * 16)
+        state.files = {fid: b"ciphertext " + fid for fid in chain + [b"\x12" * 16]}
+        state.places.extend(state.files)  # every file has a place, as add gives it
         state.lists.append(chain)
-        # records 1 and 2 answer with the whole list and its first id
+        # record 0 names the third file; records 1 and 2 answer with the
+        # whole list and its first id
         labels = [b"\x20" * 16, b"\x21" * 16, b"\x22" * 16]
-        state.tbl.extend([(tau, b"\x30" * mask_width(mode)) for tau in labels], 0)
+        state.tbl.extend([(tau, b"\x30" * mask_width(mode)) for tau in labels], 2)
         state.tbl.merge(1, 0, 2, gamma)
         state.tbl.merge(2, 0, 1, gamma)
-        state.files = {fid: b"ciphertext " + fid for fid in chain + [b"\x12" * 16]}
     if full:
         state.t = 1_700_000_000
         state.bf.add(b"\x20" * 16)
@@ -110,10 +111,10 @@ def golden_state(role, mode):
 
 
 GOLDEN_SNAPSHOTS = {
-    ("owner", "full"): "63156d4294c9b5708c0125da1c5056798d5ec14a8c89df6d796d0fc6e4ed67df",
-    ("owner", "basic"): "3740ad1464f6978eeb8463a922661917690e6cebd5604cc2aea9368e89702729",
-    ("server", "full"): "60c1ee196ddce439fafc1f1647262767b1769f73d967a066c8b1537b24c2ace3",
-    ("server", "basic"): "247bea1783a747e9ad4c1db608dcce9502939adf3a3a96fd51df9f0f68b7a251",
+    ("owner", "full"): "a9b656e21858eef3b35307f7632cb303aa2928fd26aecab824f646b9aa9d99b7",
+    ("owner", "basic"): "2bbee7ef367d36a226b14bbbaf06b5026c48b6a9f7337586256fbb6dc7b8e698",
+    ("server", "full"): "50d0a5eaa53883d369dc24844f2378b00421c4522c7f32fbdb0e93ac538be703",
+    ("server", "basic"): "3840551940c73586f28a3564fc5aecaf59f2ff55cd1fb58fd0f16964d3fb341b",
     ("user", None): "ca43c7474d3bc470c98921ebaffd5abf17e70db6647c035d8f6c57923b7dc054",
 }
 

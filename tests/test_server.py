@@ -886,7 +886,7 @@ def test_restore_refuses_out_of_range_merged_entries():
     # magic, mode flag, then the file table: a basic server stores nothing more before it
     lists_at = 8 + 1 + files_bytes(server)
     assert blob[lists_at : lists_at + 12] == (1).to_bytes(8, "big") + (2).to_bytes(4, "big")
-    assert blob[lists_at + 12 :].startswith(u32(sorted(ids).index(ids[0])))
+    assert blob[lists_at + 12 :].startswith(u32(ids.index(ids[0])))
     entry_at = blob.index(chain_label(owner.keys.k_prf, "w", 2)) + 16
     assert blob[entry_at : entry_at + 8] == bytes(4) + (2).to_bytes(4, "big")
 
@@ -916,7 +916,7 @@ def test_restore_refuses_out_of_range_file_numbers():
     server.search(owner.gen_token("w"))  # merges c2 and c1 into one list
     ids += ingest(owner, server, 1, lambda i: ["w"], start=NOW + 1200)  # c3 stays a chain entry
     blob = server.snapshot()
-    place = sorted(ids).index
+    place = ids.index
     list_at = 8 + 1 + files_bytes(server) + 8 + 4  # the list's first file number
     assert blob[list_at : list_at + 8] == u32(place(ids[0])) + u32(place(ids[1]))
     label = chain_label(owner.keys.k_prf, "w", 3)
@@ -964,7 +964,7 @@ def test_restore_refuses_a_file_id_cut_to_15_bytes():
     ids = ingest(owner, server, 2, lambda i: ["w"])
     blob = server.snapshot()
     fid_at = 8 + 1 + 8  # magic, mode flag, file count
-    first = min(ids)
+    first = ids[0]
     assert blob[fid_at : fid_at + 16] == first
     for cut in (first[:15], u32(15) + first[:15]):
         with pytest.raises(FormatError):
@@ -994,7 +994,9 @@ def test_previous_snapshot_version_refused():
     owner, server = build()
     ingest(owner, server, 3, lambda i: ["w"])
     blob = server.snapshot()
-    assert blob.startswith(b"DSSESR11")
+    assert blob.startswith(b"DSSESR12")
+    # DSSESR11 sorted its files and runs by id and label, and renumbered
+    # places and id lists to match;
     # DSSESR10 flagged each entry as a chain entry or not and as added
     # since the last refresh or not, and length-prefixed file ids and
     # sigma; DSSESRV9 held the filter's bits where DSSESR10 holds the
@@ -1008,7 +1010,7 @@ def test_previous_snapshot_version_refused():
     # DSSESRV3 flagged and length-prefixed the fields the mode and LAMBDA
     # fix, and put the filter before the entries; DSSESRV3 also had filter
     # bits from the older index function
-    for magic in (b"DSSESR10", b"DSSESRV9", b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
+    for magic in (b"DSSESR11", b"DSSESR10", b"DSSESRV9", b"DSSESRV8", b"DSSESRV7", b"DSSESRV6", b"DSSESRV5", b"DSSESRV4", b"DSSESRV3"):
         with pytest.raises(FormatError, match="not a server snapshot"):
             CloudServer.restore(magic + blob[8:])
     # DSSESRV2 had no id-list section (a u64 count, zero here) before the entries
@@ -1124,26 +1126,56 @@ def join_runs(runs):
     return b"".join(struct.pack(">Q", len(run)) + b"".join(run) for run in runs)
 
 
-def test_snapshot_writes_four_sorted_runs_split_at_the_last_refresh():
+def test_snapshot_writes_each_run_in_arrival_order_split_at_the_last_refresh():
     owner, server = build()
     ingest(owner, server, 4, lambda i: ["w", f"kw:{i}"])
     server.search(owner.gen_token("w"))
+    server.search(owner.gen_token("kw:2"))
     server.refresh(owner.refresh_bloom(NOW + 4 * 600))
     ingest(owner, server, 3, lambda i: ["w", f"late:{i}"], start=NOW + 5 * 600)
     server.search(owner.gen_token("late:1"))
     blob = server.snapshot()
     start, end, runs = split_runs(blob, server)
     assert blob[start:end] == join_runs(runs)
-    assert [len(run) for run in runs] == [4, 4, 5, 1]
-    labels = list(server.tbl)
-    before, since = set(labels[: server.refreshed_at]), set(labels[server.refreshed_at :])
-    for run, side in zip(runs, (before, before, since, since)):
-        taus = [record[:LAMBDA] for record in run]
-        assert taus == sorted(taus) and set(taus) <= side
+    assert [len(run) for run in runs] == [3, 5, 5, 1]
+    labels, since = list(server.tbl), server.refreshed_at
+    merged = {tau for tau, entry in server.tbl.items() if isinstance(entry, MergedEntry)}
+
+    def by_kind(live):
+        """The live labels as the snapshot writes them: chain, then merged."""
+        return [tau for tau in live if tau not in merged] + [tau for tau in live if tau in merged]
+
+    written = by_kind(labels[:since]) + by_kind(labels[since:])
+    assert [record[:LAMBDA] for run in runs for record in run] == written != labels
     back = CloudServer.restore(blob)
-    assert back.refreshed_at == server.refreshed_at and set(back.tbl) == set(server.tbl)
-    assert set(list(back.tbl)[back.refreshed_at :]) == since
+    assert back.refreshed_at == since and list(back.tbl) == written
     assert back.snapshot() == blob
+
+
+def test_restore_refuses_a_label_repeated_in_one_run():
+    owner, server = build("basic")
+    ingest(owner, server, 3, lambda i: ["w"])
+    blob = server.snapshot()
+    start, end, runs = split_runs(blob, server)
+    assert [len(run) for run in runs] == [0, 0, 3, 0]
+    runs[2] = runs[2] + [runs[2][0]]
+    data = blob[:start] + join_runs(runs) + blob[end:]
+    with pytest.raises(FormatError, match="index label repeated") as refused:
+        CloudServer.restore(data)
+    assert refused.value.offset == data.rindex(runs[2][0])
+
+
+def test_restore_refuses_a_repeated_file_id():
+    owner, server = build("basic")
+    ids = ingest(owner, server, 2, lambda i: ["w"])
+    blob = server.snapshot()
+    fid_at = 8 + 1 + 8  # magic, mode flag, file count
+    second_at = fid_at + 16 + 4 + len(server.files[ids[0]])
+    assert blob[fid_at : fid_at + 16] == ids[0] and blob[second_at : second_at + 16] == ids[1]
+    data = blob[:second_at] + ids[0] + blob[second_at + 16 :]
+    with pytest.raises(FormatError, match="file id repeated") as refused:
+        CloudServer.restore(data)
+    assert refused.value.offset == second_at
 
 
 def test_restore_refuses_a_label_in_two_runs():
@@ -1157,7 +1189,7 @@ def test_restore_refuses_a_label_in_two_runs():
     moved = runs[2][0]
     runs[0] = sorted(runs[0] + [moved])
     data = blob[:start] + join_runs(runs) + blob[end:]
-    with pytest.raises(FormatError, match="index label in two runs") as refused:
+    with pytest.raises(FormatError, match="index label repeated") as refused:
         CloudServer.restore(data)
     assert refused.value.offset == data.rindex(moved)
     assert server.snapshot() == blob
@@ -1313,5 +1345,5 @@ def test_labels_sharing_a_prefix_ingest_like_random_ones():
     blob = server.snapshot()
     back = CloudServer.restore(blob)
     assert back.snapshot() == blob
-    assert list(back.tbl) == sorted(stored)  # one run, labels ascending
+    assert list(back.tbl) == list(stored)  # one run, in arrival order
     assert all(back.tbl[tau] == entry for tau, entry in stored.items())
