@@ -97,7 +97,7 @@ def audit(frames: list[tuple[bytes, bytes]], group_key: bytes | None) -> list[st
     for at, envelope, r, epoch in searches:
         server.r, server.epoch = r, epoch
         try:
-            for tau, _, _ in server.walk(envelope):
+            for tau, *_ in server.walk(envelope):
                 if added[tau] > at:
                     findings.append(
                         f"frame {at}: the token reaches a label added at frame {added[tau]}"

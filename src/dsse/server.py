@@ -52,7 +52,7 @@ import struct
 import threading
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .bloom import BloomFilter, BloomParams, check_header
@@ -151,8 +151,9 @@ _TAIL = bytes(LAMBDA - 8) + _PLACE.pack(MERGED)  # a merged record's pad and pla
 class Table(Mapping):
     """label -> ChainEntry or MergedEntry, iterated in arrival order: a
     read-only mapping that builds each entry from its record. Only the
-    server writes it, through extend (ADD), append_run (restore) and merge
-    (search).
+    server writes it: records enter through append_run, whole runs of them
+    (restore) or a run that extend packs (ADD), and merge (search) rewrites
+    one in place.
 
     Every label has a record in `records`, label(16) | body(width) | u32
     place, numbered in arrival order. A chain entry's body is its mu, and
@@ -166,6 +167,7 @@ class Table(Mapping):
     def __init__(self, width: int, places: list[bytes], lists: list[list[bytes]]):
         self.width = width
         self.size = LAMBDA + width + 4  # one record
+        self._record = struct.Struct(f">{LAMBDA}s{width}sI")  # a record: label, body, place
         self._label = struct.Struct(f"{LAMBDA}s{width + 4}x")  # a record's label
         self._body = struct.Struct(f">{width}sI")  # its body and place
         # a merged record's list, n, gamma and place, after its label
@@ -190,26 +192,25 @@ class Table(Mapping):
         return -1
 
     def extend(self, entries: list[tuple[bytes, bytes]], place: int) -> bool:
-        """Add the records of (label, mu) pairs, all naming the file at
-        place, and return True; or add none and return False if the table
-        or an earlier pair holds one of the labels. The caller has checked
-        that each label and mu is LAMBDA and width bytes."""
-        start = self._reserve(len(entries))
-        records, tail = self.records, _PLACE.pack(place)
-        for label, mu in entries:
-            records += label
-            records += mu
-            records += tail
-        return self._index(start, entries) < 0
+        """Append the records of (label, mu) pairs, all naming the file at
+        place, as one run, and return True; or add none and return False if
+        the table or an earlier pair holds one of the labels. The caller has
+        checked that each label and mu is LAMBDA and width bytes."""
+        pack = self._record.pack
+        return self.append_run(b"".join([pack(label, mu, place) for label, mu in entries])) < 0
 
     def append_run(self, run: bytes | memoryview) -> int:
         """Append whole records and return -1; or append none and return
         the number in run of the first record whose label the table or an
         earlier record holds. The caller has checked each record's body
-        and place."""
-        start = self._reserve(len(run) // self.size)
+        and place. The index first grows to stay at most half full."""
+        start, slots = len(self), len(self.index)
+        while 2 * (start + len(run) // self.size) > slots:
+            slots *= 2
+        if slots != len(self.index):
+            self._reindex(slots)
         self.records += run
-        return self._index(start, self._label.iter_unpack(run))
+        return self._index(start, run)
 
     def merge(self, n: int, i: int, count: int, gamma: bytes | None) -> None:
         """Rewrite record n as the merged entry that answers with the
@@ -218,25 +219,14 @@ class Table(Mapping):
             self.records, n * self.size + LAMBDA, i, count, gamma or b"", MERGED
         )
 
-    def _reserve(self, count: int) -> int:
-        """Grow the index to take count more records; the table's length."""
-        n, slots = len(self), len(self.index)
-        while 2 * (n + count) > slots:
-            slots *= 2
-        if slots != len(self.index):
-            self._reindex(slots)
-        return n
-
-    def _index(self, start: int, items: Iterable[tuple]) -> int:
-        """Index records start onwards, whose labels are the first members
-        of items, and return -1; or, at the first label the table already
-        held, take back those records and their slots and return its number
-        in items."""
+    def _index(self, start: int, run: bytes | memoryview) -> int:
+        """Index records start onwards, which run holds, and return -1; or,
+        at the first label the table already held, take back those records
+        and their slots and return its number in run."""
         records, index, size = self.records, self.index, self.size
         mask = len(index) - 1
         filled = []
-        for n, item in enumerate(items, start + 1):
-            label = item[0]
+        for n, (label,) in enumerate(self._label.iter_unpack(run), start + 1):
             slot = hash(label) & mask
             while at := index[slot]:
                 if records.startswith(label, (at - 1) * size):
@@ -268,10 +258,6 @@ class Table(Mapping):
         """Record n's body and place."""
         return self._body.unpack_from(self.records, n * self.size + LAMBDA)
 
-    def place(self, n: int) -> int:
-        """Record n's place: MERGED for a merged entry."""
-        return self._place.unpack_from(self.records, n * self.size)[0]
-
     def listed(self, n: int) -> tuple[int, int, bytes | None]:
         """Merged record n's list number, n and gamma."""
         i, count, gamma, _ = self._merged.unpack_from(self.records, n * self.size + LAMBDA)
@@ -287,19 +273,15 @@ class Table(Mapping):
             runs[place == MERGED].append(n)
         return runs
 
-    def entry(self, n: int) -> ChainEntry | MergedEntry:
-        """Record n as an entry."""
+    def __getitem__(self, label: bytes) -> ChainEntry | MergedEntry:
+        n = self.find(label)
+        if n < 0:
+            raise KeyError(label)
         mu, place = self.body(n)
         if place != MERGED:
             return ChainEntry(mu, self.places[place])
         i, count, gamma = self.listed(n)
         return MergedEntry(self.lists[i], count, gamma)
-
-    def __getitem__(self, label: bytes) -> ChainEntry | MergedEntry:
-        n = self.find(label)
-        if n < 0:
-            raise KeyError(label)
-        return self.entry(n)
 
     def __contains__(self, label: object) -> bool:
         return self.find(label) >= 0
@@ -486,10 +468,11 @@ class CloudServer(Persistent):
 
     def walk(
         self, envelope: SearchTokenEnvelope
-    ) -> Iterator[tuple[bytes, int, bytes | None]]:
+    ) -> Iterator[tuple[bytes, int, int, bytes | None]]:
         """The records a token reaches, newest first, each as (label, record
-        number, gamma), gamma the one its mask or merged answer holds (None
-        in basic mode). The walk stops after the chain's first entry (its
+        number, place, gamma), each read once: place MERGED for a merged
+        entry, gamma the one its mask or merged answer holds (None in basic
+        mode). The walk stops after the chain's first entry (its
         key is the zero key) or after a merged entry. It changes nothing:
         search merges what it yields, and harness.audit walks a table
         rebuilt from a transcript with it. An unknown head label is a
@@ -509,10 +492,10 @@ class CloudServer(Persistent):
                 raise missing
             mu, place = tbl.body(n)
             if place == MERGED:
-                yield tau, n, tbl.listed(n)[2]
+                yield tau, n, place, tbl.listed(n)[2]
                 return
             opened = xor_bytes(mu, pad[:width])
-            yield tau, n, opened[LAMBDA:] or None
+            yield tau, n, place, opened[LAMBDA:] or None
             k = opened[:LAMBDA]
             if k == ZERO:
                 return
@@ -535,8 +518,7 @@ class CloudServer(Persistent):
             tbl = self.tbl
             walked: list[tuple[int, int, bytes | None]] = []  # record, place, gamma
             below = None  # the merged record's list, n and gamma
-            for _, n, gamma in self.walk(envelope):
-                place = tbl.place(n)
+            for _, n, place, gamma in self.walk(envelope):
                 if place == MERGED:
                     below = tbl.listed(n)
                 else:
@@ -738,20 +720,19 @@ class CloudServer(Persistent):
         chains.extend([fids[place()] for _ in range(r.u32())] for _ in range(r.u64()))
         used = bytearray(len(chains))  # whether a merged entry names each list
         tbl = server.tbl
-        chain = struct.Struct(f">{LAMBDA + width}xI")  # a chain record's place
-        merged = struct.Struct(f">{LAMBDA}xII{width - LAMBDA}x")  # a merged one's list and n
+        merged = struct.Struct(f">{LAMBDA}xII{width - LAMBDA}x")  # a merged record's list and n
         for run in range(4):
             if run == 2:
                 server.refreshed_at = len(tbl)
-            record = merged if run % 2 else chain
+            record = merged if run % 2 else tbl._place
             count = r.u64()
             at = r.pos
             if count and run < 2 and not full:
                 raise FormatError("an entry before a basic server's refresh", offset=at)
             records = r.view(count * record.size)
             step = record.size
-            if record is chain:
-                for j, (i,) in enumerate(chain.iter_unpack(records)):
+            if record is tbl._place:
+                for j, (i,) in enumerate(record.iter_unpack(records)):
                     if i >= len(fids):
                         raise FormatError(
                             f"file {i} out of range of {len(fids)}", offset=at + (j + 1) * step - 4

@@ -90,6 +90,7 @@ MAX_FRAME).
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import socketserver
@@ -523,26 +524,71 @@ def _recv_frame(sock: socket.socket) -> bytes:
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):
+    """Serves one connection until it ends: the peer closes or resets it,
+    sends a frame over the cap, or WireServer.stop shuts it down."""
+
     def handle(self) -> None:
         endpoint = ServerEndpoint(self.server.cloud)  # type: ignore[attr-defined]
         sock = self.request
         while True:
             try:
                 frame = _recv_frame(sock)
-            except TransportError:
+            except (TransportError, OSError):
                 return
             reply = endpoint.handle_bytes(frame)
-            sock.sendall(len(reply).to_bytes(4, "big") + reply)
+            try:
+                sock.sendall(len(reply).to_bytes(4, "big") + reply)
+            except OSError:
+                return
+
+
+class _TCPServer(socketserver.ThreadingTCPServer):
+    """Keeps each connection's socket and handler thread, so that closing
+    the server shuts every connection down and joins its handler."""
+
+    def __init__(self, address: tuple[str, int], cloud: CloudServer):
+        self.cloud = cloud
+        self.handlers: dict[socket.socket, threading.Thread] = {}
+        self.handlers_lock = threading.Lock()
+        super().__init__(address, _FrameHandler)
+
+    def process_request(self, request, client_address) -> None:
+        # on the accepting thread, so that once shutdown() returns every
+        # connection accepted is here
+        handler = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self.handlers_lock:
+            self.handlers = {s: t for s, t in self.handlers.items() if t.is_alive()}
+            self.handlers[request] = handler
+        handler.start()
+
+    def shutdown_request(self, request) -> None:
+        with self.handlers_lock:  # not while server_close shuts it down
+            super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self.handlers_lock:
+            for sock in self.handlers:
+                with contextlib.suppress(OSError):  # its handler closed it
+                    sock.shutdown(socket.SHUT_RDWR)
+            handlers = [t for t in self.handlers.values() if t.is_alive()]
+        for handler in handlers:
+            handler.join()
 
 
 class WireServer:
     """Threaded TCP listener serving one CloudServer, with a ServerEndpoint
-    of its own for each connection it accepts."""
+    of its own for each connection it accepts.
+
+    stop() stops accepting, shuts down every open connection and waits for
+    its handler, a request in flight included: once it returns no request
+    is served, so a save after it holds every upload that was acked, even
+    while a client keeps its connection open."""
 
     def __init__(self, server: CloudServer, host: str = "127.0.0.1", port: int = 0):
-        self._tcp = socketserver.ThreadingTCPServer((host, port), _FrameHandler)
-        self._tcp.daemon_threads = True
-        self._tcp.cloud = server  # type: ignore[attr-defined]
+        self._tcp = _TCPServer((host, port), server)
         self._thread: threading.Thread | None = None
 
     @property

@@ -945,7 +945,7 @@ def test_restore_refuses_a_chain_record_with_the_merged_place():
     server.search(owner.gen_token("w"))
     ingest(owner, server, 1, lambda i: ["w"], start=NOW + 1200)
     tbl = server.tbl
-    assert tbl.place(tbl.find(chain_label(owner.keys.k_prf, "w", 1))) == 2**32 - 1
+    assert tbl.body(tbl.find(chain_label(owner.keys.k_prf, "w", 1)))[1] == 2**32 - 1
     blob = server.snapshot()
     body_at = blob.index(chain_label(owner.keys.k_prf, "w", 3)) + 16
     place_at = body_at + 16

@@ -1222,3 +1222,58 @@ def test_internal_error_keeps_the_connection(monkeypatch):
         client.close()
     finally:
         ws.stop()
+
+
+def test_stop_ends_the_connections_it_served():
+    # a connection opened before stop() is shut down with the listener: its
+    # next ADD is refused, not acked and lost, so a save after stop() holds
+    # every upload the server acked
+    server = CloudServer(BASIC)
+    ws = wire.WireServer(server)
+    ws.start()
+    client = wire.Client.connect(*ws.address)
+    try:
+        client.add(random_add_payload(full=False))
+        ws.stop()
+        with pytest.raises(TransportError):
+            client.add(random_add_payload(full=False))
+        assert len(server.files) == 1
+        assert len(CloudServer.restore(server.snapshot()).files) == 1
+        assert not any(t.is_alive() for t in ws._tcp.handlers.values())  # joined
+    finally:
+        client.close()
+
+
+def test_stop_returns_while_an_idle_client_holds_its_connection():
+    server = CloudServer(BASIC)
+    ws = wire.WireServer(server)
+    ws.start()
+    client = wire.Client.connect(*ws.address)
+    try:
+        client.add(random_add_payload(full=False))  # its handler is reading
+        stopper = threading.Thread(target=ws.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+    finally:
+        client.close()
+
+
+def test_a_connection_reset_mid_frame_ends_quietly(monkeypatch):
+    owner, server, oracle, last_t = build_system(2)
+    ws = wire.WireServer(server)
+    errors = []
+    monkeypatch.setattr(ws._tcp, "handle_error", lambda request, address: errors.append(address))
+    ws.start()
+    try:
+        with socket.create_connection(ws.address, timeout=10) as raw:
+            # linger 0: closing sends the handler a reset
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            raw.sendall((100).to_bytes(4, "big") + bytes(10))  # a frame cut short
+            time.sleep(0.1)  # the handler is reading the rest
+        client = wire.Client.connect(*ws.address)
+        assert client.get_bloom()[2] == last_t
+        client.close()
+    finally:
+        ws.stop()
+    assert errors == []
